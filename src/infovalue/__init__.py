@@ -13,7 +13,6 @@ from .adversary import (
     Deviation,
     construct_bet,
     demonstrate_aversion,
-    find_deviation,
 )
 from .decision import (
     ERROR_ON_TIE,
@@ -26,7 +25,6 @@ from .decision import (
     expected_utility,
     is_relevant,
     max_expected_utility,
-    utility_function,
 )
 from .errors import (
     CertaintyError,
@@ -49,11 +47,9 @@ from .errors import (
 from .prob import (
     Credence,
     Event,
-    StateFunction,
     StateSpace,
     as_fraction,
     condition,
-    expectation,
     is_partition,
     probability,
 )
@@ -105,10 +101,8 @@ from .voi import (
     VoiReport,
     evaluate,
     cellwise_decomposition,
-    lemma1_decompose,
     sophisticated_choice,
     val_general,
-    val_general_via_cells,
     val_good,
 )
 
@@ -120,11 +114,9 @@ __all__ = [
     "StateSpace",
     "Event",
     "Credence",
-    "StateFunction",
     "as_fraction",
     "probability",
     "condition",
-    "expectation",
     "is_partition",
     # decision
     "FIRST_BY_ORDER",
@@ -133,7 +125,6 @@ __all__ = [
     "Action",
     "ChoiceSet",
     "DecisionProblem",
-    "utility_function",
     "expected_utility",
     "best_action",
     "max_expected_utility",
@@ -157,14 +148,11 @@ __all__ = [
     "val_good",
     "sophisticated_choice",
     "val_general",
-    "lemma1_decompose",
     "cellwise_decomposition",
-    "val_general_via_cells",
     "evaluate",
     # adversary
     "Deviation",
     "AversionCertificate",
-    "find_deviation",
     "construct_bet",
     "demonstrate_aversion",
     # scenarios

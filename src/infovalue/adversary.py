@@ -52,7 +52,6 @@ from .voi import val_general
 __all__ = [
     "Deviation",
     "AversionCertificate",
-    "find_deviation",
     "construct_bet",
     "demonstrate_aversion",
     "SAFE_ID",
@@ -94,41 +93,6 @@ class Deviation:
             raise ValidationError(
                 "q and r agree; a deviation must disagree about its event"
             )
-
-
-def find_deviation(prior: Credence, policy: UpdatePolicy) -> Deviation:
-    """Locate the smallest disagreement, deterministically.
-
-    Cells in declared order; within a cell, prior-possible states in
-    state-space order; for the first state whose posterior differs from
-    the conditioned prior, candidate events are the space's singletons in
-    state order, then their complements.  (Two distributions that differ
-    at all differ on some singleton, so the complement pass is a
-    completeness backstop.)  Raises :class:`NoDeviationError` if the
-    policy conditions everywhere the prior deems possible.
-    """
-    if prior.space != policy.space:
-        raise ValidationError("prior and policy live on different spaces")
-    for cell in policy.partition.cells:
-        if probability(prior, cell) == 0:
-            continue
-        conditioned = condition(prior, cell)
-        for state in cell.sorted_members():
-            if prior(state) == 0:
-                continue
-            posterior = policy.posterior(state)
-            if posterior == conditioned:
-                continue
-            singletons = [Event(prior.space, frozenset({t})) for t in prior.space]
-            for event in singletons + [e.complement() for e in singletons]:
-                q = probability(posterior, event)
-                r = probability(conditioned, event)
-                if q != r:
-                    return Deviation(cell=cell, state=state, event=event, q=q, r=r)
-    raise NoDeviationError(
-        "the policy conditionalizes at every prior-possible state; "
-        "there is no disagreement to bet against"
-    )
 
 
 def construct_bet(q: Fraction, r: Fraction) -> tuple[Fraction, Fraction]:

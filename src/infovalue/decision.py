@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import TieError, ValidationError
-from .prob import Credence, StateFunction, StateSpace, as_fraction, condition
+from .prob import Credence, StateSpace, as_fraction, condition
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .updating import EvidencePartition
@@ -26,7 +26,6 @@ __all__ = [
     "Action",
     "ChoiceSet",
     "DecisionProblem",
-    "utility_function",
     "expected_utility",
     "best_action",
     "max_expected_utility",
@@ -188,14 +187,6 @@ class DecisionProblem:
                     f"action {action.id!r} assigns outcomes to unknown states: "
                     f"{sorted(stray)}"
                 )
-
-
-def utility_function(problem: DecisionProblem, action: Action) -> StateFunction:
-    """The state-by-state payoff of ``action``: u composed with its assignment."""
-    return StateFunction(
-        problem.space,
-        {s: problem.outcomes.u(action.outcome_in(s)) for s in problem.space},
-    )
 
 
 def expected_utility(

@@ -21,11 +21,9 @@ __all__ = [
     "StateSpace",
     "Event",
     "Credence",
-    "StateFunction",
     "as_fraction",
     "probability",
     "condition",
-    "expectation",
     "is_partition",
 ]
 
@@ -67,13 +65,14 @@ class StateSpace:
     def __post_init__(self) -> None:
         if not self.states:
             raise ValidationError("a state space needs at least one state")
-        seen = set()
+        position: dict[str, int] = {}
         for s in self.states:
             if not isinstance(s, str) or not s:
                 raise ValidationError(f"state ids must be non-empty strings, got {s!r}")
-            if s in seen:
+            if s in position:
                 raise ValidationError(f"duplicate state id: {s!r}")
-            seen.add(s)
+            position[s] = len(position)
+        object.__setattr__(self, "_position", position)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.states)
@@ -82,10 +81,13 @@ class StateSpace:
         return len(self.states)
 
     def __contains__(self, state: object) -> bool:
-        return state in self.states
+        return state in self._position
 
     def index(self, state: str) -> int:
-        return self.states.index(state)
+        try:
+            return self._position[state]
+        except KeyError:
+            raise ValueError(f"{state!r} is not in the state space") from None
 
 
 @dataclass(frozen=True)
@@ -170,39 +172,6 @@ class Credence:
         return hash((self.space, frozenset(self.mass.items())))
 
 
-@dataclass(frozen=True)
-class StateFunction:
-    """A total map from states to exact rational values (a random variable)."""
-
-    space: StateSpace
-    values: Mapping[str, Fraction] = field(hash=False)
-
-    def __post_init__(self) -> None:
-        cleaned = {}
-        for state, raw in self.values.items():
-            if state not in self.space:
-                raise ValidationError(f"value assigned to unknown state {state!r}")
-            cleaned[state] = as_fraction(raw)
-        missing = [s for s in self.space if s not in cleaned]
-        if missing:
-            raise ValidationError(f"no value for states: {missing}")
-        object.__setattr__(self, "values", cleaned)
-
-    def __call__(self, state: str) -> Fraction:
-        try:
-            return self.values[state]
-        except KeyError:
-            raise ValidationError(f"unknown state {state!r}") from None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StateFunction):
-            return NotImplemented
-        return self.space == other.space and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash((self.space, frozenset(self.values.items())))
-
-
 def probability(credence: Credence, event: Event) -> Fraction:
     """Total mass the credence assigns to the event."""
     if event.space != credence.space:
@@ -225,13 +194,6 @@ def condition(credence: Credence, event: Event) -> Credence:
         credence.space,
         {s: credence(s) / p_event for s in event.members if credence(s)},
     )
-
-
-def expectation(credence: Credence, f: StateFunction) -> Fraction:
-    """Expected value of ``f`` under ``credence``, summed over the support."""
-    if f.space != credence.space:
-        raise SpaceMismatchError("function and credence live on different spaces")
-    return sum((credence(s) * f(s) for s in credence.support()), Fraction(0))
 
 
 def is_partition(space: StateSpace, cells: Iterable[Event]) -> bool:

@@ -36,6 +36,7 @@ from .decision import (
     DecisionProblem,
     OutcomeSpace,
     is_relevant,
+    max_expected_utility,
 )
 from .errors import InfoValueError, TieError
 from .prob import Credence, Event, StateSpace, condition
@@ -49,7 +50,7 @@ from .updating import (
     is_immodest,
     mixture_expand,
 )
-from .voi import evaluate, val_general, val_general_via_cells, val_good
+from .voi import cellwise_decomposition, evaluate, val_general, val_good
 
 __all__ = [
     "Instance",
@@ -233,20 +234,6 @@ class PropertyFailure:
     detail: str
     document: dict = field(hash=False)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PropertyFailure):
-            return NotImplemented
-        return (
-            self.trial == other.trial
-            and self.kind == other.kind
-            and self.property_name == other.property_name
-            and self.detail == other.detail
-            and self.document == other.document
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.trial, self.kind, self.property_name, self.detail))
-
 
 @dataclass(frozen=True)
 class PropertyReport:
@@ -298,19 +285,6 @@ class PropertyReport:
             ],
         }
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PropertyReport):
-            return NotImplemented
-        return (
-            self.seed == other.seed
-            and self.trials == other.trials
-            and self.checked == other.checked
-            and self.failures == other.failures
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.seed, self.trials, self.failures))
-
 
 def _check_instance(
     trial: int, instance: Instance, checked: dict[str, int], failures: list
@@ -342,7 +316,10 @@ def _check_instance(
         (good > 0) == relevant,
         f"val_good={good} but is_relevant={relevant}",
     )
-    cellwise = val_general_via_cells(problem, policy)
+    cellwise = sum(
+        (c.prob * c.realized_eu() for c in cellwise_decomposition(problem, policy)),
+        Fraction(0),
+    ) - max_expected_utility(problem.prior, problem)
     run(
         "cellwise-reconstruction",
         cellwise == general,

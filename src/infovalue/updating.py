@@ -363,10 +363,61 @@ def modesty_degree(policy: UpdatePolicy, prior: Credence) -> Fraction:
     )
 
 
-def find_independence_violation(
+def _chosen_by_state(
+    problem: DecisionProblem, policy: UpdatePolicy
+) -> dict[str, Action]:
+    """The act chosen at each positive-prior state, in state-space order.
+
+    States that share a posterior share a choice, so :func:`best_action`
+    runs once per distinct posterior.
+    """
+    if policy.space != problem.space:
+        raise SpaceMismatchError("policy is not over the problem's space")
+    by_posterior: dict[Credence, Action] = {}
+    chosen = {}
+    for state in problem.prior.support():
+        posterior = policy.posterior(state)
+        if posterior not in by_posterior:
+            by_posterior[posterior], _ = best_action(posterior, problem)
+        chosen[state] = by_posterior[posterior]
+    return chosen
+
+
+def _groups(cell: Event, chosen: Mapping[str, Action]) -> dict[str, list[str]]:
+    """Action id to the cell's positive-prior states that choose it, in order."""
+    groups: dict[str, list[str]] = {}
+    for s in cell.sorted_members():
+        if s in chosen:
+            groups.setdefault(chosen[s].id, []).append(s)
+    return groups
+
+
+def _leak(
     problem: DecisionProblem,
-    policy: UpdatePolicy,
-    cell: Event | None = None,
+    groups: Mapping[str, list[str]],
+    cell_eus: list[Fraction],
+) -> tuple[Action, Action] | None:
+    """The first (chosen, probe) pair whose expected utility moves.
+
+    ``cell_eus`` holds each action's expected utility under the cell's
+    conditioned prior, in choice-set order.  Conditioning further on "the
+    agent chose this" is tested group by group, in choice-set order.
+    """
+    if len(groups) == 1:  # the only group is the cell's whole support
+        return None
+    for action in problem.choices:
+        members = groups.get(action.id)
+        if not members:
+            continue
+        p_choose = condition(problem.prior, Event(problem.space, frozenset(members)))
+        for probe, cell_eu in zip(problem.choices, cell_eus):
+            if expected_utility(problem, probe, p_choose) != cell_eu:
+                return action, probe
+    return None
+
+
+def find_independence_violation(
+    problem: DecisionProblem, policy: UpdatePolicy
 ) -> tuple[Event, Action, Action] | None:
     """Search for evidence that choices leak payoff-relevant information.
 
@@ -376,35 +427,17 @@ def find_independence_violation(
     any action in the problem.  Returns the first witnessing
     ``(cell, chosen action, probe action)`` triple — cells in declared
     order, actions in choice-set order — or ``None`` if choices reveal
-    nothing that matters.  Pass ``cell`` to restrict the search to one cell.
+    nothing that matters.
     """
-    if policy.space != problem.space:
-        raise SpaceMismatchError("policy is not over the problem's space")
-    if cell is not None and cell not in policy.partition.cells:
-        raise ValidationError(
-            f"{cell.describe()} is not a cell of the policy's partition"
-        )
-    targets = policy.partition.cells if cell is None else (cell,)
-    for target in targets:
-        if probability(problem.prior, target) == 0:
+    chosen = _chosen_by_state(problem, policy)
+    for cell in policy.partition.cells:
+        if probability(problem.prior, cell) == 0:
             continue
-        p_cell = condition(problem.prior, target)
-        groups: dict[str, list[str]] = {}
-        for s in target.sorted_members():
-            if problem.prior(s) == 0:
-                continue
-            chosen, _ = best_action(policy.posterior(s), problem)
-            groups.setdefault(chosen.id, []).append(s)
-        for action in problem.choices:
-            members = groups.get(action.id)
-            if not members:
-                continue
-            p_choose = condition(problem.prior, Event(problem.space, frozenset(members)))
-            for probe in problem.choices:
-                if expected_utility(problem, probe, p_choose) != expected_utility(
-                    problem, probe, p_cell
-                ):
-                    return target, action, probe
+        conditioned = condition(problem.prior, cell)
+        cell_eus = [expected_utility(problem, a, conditioned) for a in problem.choices]
+        leak = _leak(problem, _groups(cell, chosen), cell_eus)
+        if leak is not None:
+            return (cell, *leak)
     return None
 
 

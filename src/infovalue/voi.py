@@ -28,7 +28,13 @@ from typing import Mapping
 from .decision import Action, DecisionProblem, best_action, expected_utility, max_expected_utility
 from .errors import IndependenceBrokenError, ValidationError
 from .prob import Event, condition, probability
-from .updating import EvidencePartition, UpdatePolicy, find_independence_violation
+from .updating import (
+    EvidencePartition,
+    UpdatePolicy,
+    _chosen_by_state,
+    _groups,
+    _leak,
+)
 
 __all__ = [
     "LemmaOneRow",
@@ -37,9 +43,7 @@ __all__ = [
     "val_good",
     "sophisticated_choice",
     "val_general",
-    "lemma1_decompose",
     "cellwise_decomposition",
-    "val_general_via_cells",
     "evaluate",
 ]
 
@@ -140,28 +144,6 @@ class VoiReport:
                 f"report claims {self.val_general}"
             )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VoiReport):
-            return NotImplemented
-        return (
-            self.baseline == other.baseline
-            and self.val_good == other.val_good
-            and self.val_general == other.val_general
-            and self.per_cell == other.per_cell
-            and self.chosen_by_state == other.chosen_by_state
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (
-                self.baseline,
-                self.val_good,
-                self.val_general,
-                self.per_cell,
-                frozenset(self.chosen_by_state.items()),
-            )
-        )
-
 
 def val_good(problem: DecisionProblem, partition: EvidencePartition) -> Fraction:
     """Classical value of learning the partition, for a conditionalizer.
@@ -199,13 +181,15 @@ def sophisticated_choice(
     return chosen
 
 
-def _chosen_by_state(
-    problem: DecisionProblem, policy: UpdatePolicy
-) -> dict[str, Action]:
-    return {
-        state: sophisticated_choice(problem, policy, state)
-        for state in problem.prior.support()
-    }
+def _realized(problem: DecisionProblem, chosen: Mapping[str, Action]) -> Fraction:
+    """Prior expectation of what each state's chosen act pays there."""
+    return sum(
+        (
+            problem.prior(s) * problem.outcomes.u(action.outcome_in(s))
+            for s, action in chosen.items()
+        ),
+        Fraction(0),
+    )
 
 
 def val_general(problem: DecisionProblem, policy: UpdatePolicy) -> Fraction:
@@ -217,57 +201,37 @@ def val_general(problem: DecisionProblem, policy: UpdatePolicy) -> Fraction:
     no-learning baseline as :func:`val_good`.  Unlike the classical value,
     this can be negative.
     """
-    chosen = _chosen_by_state(problem, policy)
-    realized = sum(
-        (
-            problem.prior(s) * problem.outcomes.u(chosen[s].outcome_in(s))
-            for s in problem.prior.support()
-        ),
-        Fraction(0),
-    )
+    realized = _realized(problem, _chosen_by_state(problem, policy))
     return realized - max_expected_utility(problem.prior, problem)
 
 
-def lemma1_decompose(
-    problem: DecisionProblem, policy: UpdatePolicy, cell: Event
-) -> tuple[LemmaOneRow, ...]:
-    """Decompose one cell's realized value by which action gets chosen.
-
-    Groups the cell's positive-prior states by the action the policy picks
-    there and records each group's conditional choose-probability alongside
-    the action's expected utility under the cell's conditioned prior, in
-    choice-set order.  That factoring is exact only when choices carry no
-    payoff-relevant information; if they do, raises
-    :class:`IndependenceBrokenError` carrying the witnessing
-    (cell, chosen action, probe action) triple.
-    """
-    witness = find_independence_violation(problem, policy, cell)
-    if witness is not None:
-        where, action, probe = witness
-        raise IndependenceBrokenError(where, action.id, probe.id)
-    p_cell = probability(problem.prior, cell)
-    if p_cell == 0:
-        raise ValidationError(
-            f"cannot decompose zero-probability cell {cell.describe()}"
-        )
-    conditioned = condition(problem.prior, cell)
-    groups: dict[str, Fraction] = {}
-    for s in cell.sorted_members():
-        mass = problem.prior(s)
-        if mass == 0:
-            continue
-        picked, _ = best_action(policy.posterior(s), problem)
-        groups[picked.id] = groups.get(picked.id, Fraction(0)) + mass
-    return tuple(
-        LemmaOneRow(
-            cell=cell,
-            action_id=action.id,
-            choose_prob=groups[action.id] / p_cell,
-            cond_eu=expected_utility(problem, action, conditioned),
-        )
-        for action in problem.choices
-        if action.id in groups
-    )
+def _cellwise(
+    problem: DecisionProblem,
+    policy: UpdatePolicy,
+    chosen: Mapping[str, Action],
+) -> tuple[PerCell, ...]:
+    out = []
+    for cell in policy.partition.cells:
+        p_cell = probability(problem.prior, cell)
+        if p_cell == 0:
+            raise ValidationError(
+                f"cannot decompose zero-probability cell {cell.describe()}"
+            )
+        conditioned = condition(problem.prior, cell)
+        cell_eus = [expected_utility(problem, a, conditioned) for a in problem.choices]
+        groups = _groups(cell, chosen)
+        leak = _leak(problem, groups, cell_eus)
+        if leak is not None:
+            action, probe = leak
+            raise IndependenceBrokenError(cell, action.id, probe.id)
+        rows = []
+        for action, cell_eu in zip(problem.choices, cell_eus):
+            members = groups.get(action.id)
+            if members:
+                mass = sum((problem.prior(s) for s in members), Fraction(0))
+                rows.append(LemmaOneRow(cell, action.id, mass / p_cell, cell_eu))
+        out.append(PerCell(cell, p_cell, max(cell_eus), tuple(rows)))
+    return tuple(out)
 
 
 def cellwise_decomposition(
@@ -276,52 +240,36 @@ def cellwise_decomposition(
     """Per-cell tables for every cell of the policy's partition, in order.
 
     Each entry pairs the cell's probability and best conditional expected
-    utility with its :func:`lemma1_decompose` rows, so the one structure
-    reconstructs both the classical and the generalized value.
+    utility with one row per chosen action, in choice-set order: the
+    conditional probability, given the cell, that the policy picks it, and
+    its expected utility under the cell's conditioned prior.  The one
+    structure reconstructs both the classical and the generalized value.
+
+    Factoring a cell's realized value that way is exact only when choices
+    carry no payoff-relevant information; if they do, raises
+    :class:`IndependenceBrokenError` carrying the witnessing (cell, chosen
+    action, probe action) triple.  A zero-probability cell is a
+    :class:`ValidationError`.
     """
-    out = []
-    for cell in policy.partition.cells:
-        rows = lemma1_decompose(problem, policy, cell)
-        conditioned = condition(problem.prior, cell)
-        out.append(
-            PerCell(
-                cell=cell,
-                prob=probability(problem.prior, cell),
-                max_cond_eu=max_expected_utility(conditioned, problem),
-                rows=rows,
-            )
-        )
-    return tuple(out)
-
-
-def val_general_via_cells(
-    problem: DecisionProblem, policy: UpdatePolicy
-) -> Fraction:
-    """Realized value computed through the cellwise decomposition.
-
-    Agrees with :func:`val_general` whenever the decomposition's
-    independence precondition holds; the two together are a cross-check,
-    not redundancy.
-    """
-    cells = cellwise_decomposition(problem, policy)
-    informed = sum((c.prob * c.realized_eu() for c in cells), Fraction(0))
-    return informed - max_expected_utility(problem.prior, problem)
+    return _cellwise(problem, policy, _chosen_by_state(problem, policy))
 
 
 def evaluate(problem: DecisionProblem, policy: UpdatePolicy) -> VoiReport:
     """Full evaluation: both values, the per-cell table, and chosen actions.
 
-    Computes the definitional quantities and the cellwise decomposition
-    independently; :class:`VoiReport` refuses to construct unless they
-    agree exactly.  Requires the decomposition's independence precondition,
-    like :func:`lemma1_decompose`.
+    Decides each state's act once, then sums the definitional value and
+    builds the cellwise decomposition from those choices separately;
+    :class:`VoiReport` refuses to construct unless the two agree exactly.
+    Requires the decomposition's independence precondition, like
+    :func:`cellwise_decomposition`.
     """
-    per_cell = cellwise_decomposition(problem, policy)
     chosen = _chosen_by_state(problem, policy)
+    per_cell = _cellwise(problem, policy, chosen)
+    baseline = max_expected_utility(problem.prior, problem)
     return VoiReport(
-        baseline=max_expected_utility(problem.prior, problem),
+        baseline=baseline,
         val_good=val_good(problem, policy.partition),
-        val_general=val_general(problem, policy),
+        val_general=_realized(problem, chosen) - baseline,
         per_cell=per_cell,
         chosen_by_state={s: a.id for s, a in chosen.items()},
     )

@@ -14,7 +14,6 @@ from infovalue.adversary import (
     Deviation,
     construct_bet,
     demonstrate_aversion,
-    find_deviation,
 )
 from infovalue.decision import (
     Action,
@@ -83,32 +82,31 @@ class TestDeviation:
 
 
 class TestFindDeviation:
+    """Locating the disagreement a certificate bets on."""
+
     def test_conditionalization_has_none(self):
         policy = conditionalization_policy(TWO_PRIOR, TWO_PARTITION)
         with pytest.raises(NoDeviationError, match="conditionalizes"):
-            find_deviation(TWO_PRIOR, policy)
+            demonstrate_aversion(two_state_problem(), policy)
 
     def test_first_disagreeing_singleton_wins(self):
-        deviation = find_deviation(TWO_PRIOR, skewed_policy())
+        deviation = demonstrate_aversion(two_state_problem(), skewed_policy()).deviation
         assert deviation.cell == WHOLE
         assert deviation.state == "g"
         assert deviation.event == Event(TWO, frozenset({"g"}))
         assert deviation.q == Fraction(9, 10)
         assert deviation.r == Fraction(1, 2)
 
-    def test_gamblers_mixture_deviation_is_pinned(self):
-        scenario = build_scenario("gamblers", epsilon=Fraction(1, 10))
-        deviation = find_deviation(scenario.problem.prior, scenario.policy)
-        assert deviation.state == "hh·fallacy"
-        assert deviation.event.members == {"hh·bayes"}
-        assert deviation.q == Fraction(9, 100)
-        assert deviation.r == Fraction(9, 20)
-
     def test_space_mismatch(self):
-        policy = skewed_policy()
-        other = Credence(StateSpace(("x",)), {"x": Fraction(1)})
+        other = StateSpace(("x",))
+        problem = DecisionProblem(
+            other,
+            OutcomeSpace(("nil",), {"nil": 0}),
+            Credence(other, {"x": Fraction(1)}),
+            ChoiceSet((Action("idle", {"x": "nil"}),)),
+        )
         with pytest.raises(ValidationError):
-            find_deviation(other, policy)
+            demonstrate_aversion(problem, skewed_policy())
 
 
 class TestConstructBet:

@@ -17,7 +17,6 @@ from infovalue.decision import (
     expected_utility,
     is_relevant,
     max_expected_utility,
-    utility_function,
 )
 from infovalue.errors import TieError, ValidationError
 from infovalue.prob import Credence, Event, StateSpace
@@ -111,11 +110,6 @@ class TestExpectedUtility:
         p = problem([SPIKE])
         sure_s1 = Credence(SPACE, {"s1": Fraction(1)})
         assert expected_utility(p, SPIKE, sure_s1) == 2
-
-    def test_utility_function_exposes_payoffs(self):
-        p = problem([SPIKE])
-        f = utility_function(p, SPIKE)
-        assert (f("s1"), f("s2"), f("s3")) == (2, -1, -1)
 
     def test_agrees_with_oracle(self):
         p = problem([FLAT, SPIKE, GREEDY])

@@ -6,6 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from infovalue.decision import (
+    Action,
+    ChoiceSet,
+    DecisionProblem,
+    OutcomeSpace,
+    expected_utility,
+)
 from infovalue.errors import (
     SpaceMismatchError,
     ValidationError,
@@ -14,11 +21,9 @@ from infovalue.errors import (
 from infovalue.prob import (
     Credence,
     Event,
-    StateFunction,
     StateSpace,
     as_fraction,
     condition,
-    expectation,
     is_partition,
     probability,
 )
@@ -49,14 +54,19 @@ def credences(draw):
     )
 
 
-@st.composite
-def state_functions(draw):
-    values = draw(
-        st.lists(
-            st.integers(min_value=-20, max_value=20), min_size=4, max_size=4
-        )
+def payoff(values):
+    """A one-action problem over SPACE whose act pays ``values`` state by state."""
+    outcomes = OutcomeSpace(
+        tuple(f"o{s}" for s in SPACE), {f"o{s}": v for s, v in zip(SPACE, values)}
     )
-    return StateFunction(SPACE, dict(zip(SPACE, map(Fraction, values))))
+    action = Action("act", {s: f"o{s}" for s in SPACE})
+    prior = Credence(SPACE, {s: Fraction(1, len(SPACE)) for s in SPACE})
+    return DecisionProblem(SPACE, outcomes, prior, ChoiceSet((action,))), action
+
+
+payoffs = st.lists(
+    st.integers(min_value=-20, max_value=20), min_size=4, max_size=4
+).map(payoff)
 
 
 class TestAsFraction:
@@ -92,6 +102,11 @@ class TestStateSpace:
         assert len(SPACE) == 4
         assert "c" in SPACE
         assert SPACE.index("b") == 1
+
+    def test_unknown_ids_are_absent_and_have_no_index(self):
+        assert "e" not in SPACE
+        with pytest.raises(ValueError):
+            SPACE.index("e")
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValidationError, match="duplicate"):
@@ -162,21 +177,6 @@ class TestCredence:
             credence(a=1)("nope")
 
 
-class TestStateFunction:
-    def test_total_lookup(self):
-        f = StateFunction(SPACE, {"a": 1, "b": 0, "c": "-2", "d": Fraction(1, 3)})
-        assert f("c") == -2
-        assert f("d") == Fraction(1, 3)
-
-    def test_must_be_total(self):
-        with pytest.raises(ValidationError, match="no value for states"):
-            StateFunction(SPACE, {"a": 1})
-
-    def test_rejects_stray_states(self):
-        with pytest.raises(ValidationError):
-            StateFunction(SPACE, {"a": 1, "b": 1, "c": 1, "d": 1, "e": 1})
-
-
 class TestProbabilityAndConditioning:
     def test_probability_sums_member_masses(self):
         p = credence(a=Fraction(1, 6), b=Fraction(1, 3), c=Fraction(1, 2))
@@ -234,18 +234,19 @@ class TestProbabilityAndConditioning:
 class TestExpectation:
     def test_weighted_sum(self):
         p = credence(a=Fraction(1, 4), b=Fraction(3, 4))
-        f = StateFunction(SPACE, {"a": 8, "b": 0, "c": 100, "d": -100})
-        assert expectation(p, f) == 2  # c and d carry no mass
+        problem, action = payoff([8, 0, 100, -100])
+        assert expected_utility(problem, action, p) == 2  # c and d carry no mass
 
-    @given(credences(), state_functions())
-    def test_law_of_total_expectation(self, p, f):
+    @given(credences(), payoffs)
+    def test_law_of_total_expectation(self, p, problem_and_action):
+        problem, action = problem_and_action
         cells = [event("a", "b"), event("c", "d")]
         total = Fraction(0)
         for cell in cells:
             mass = probability(p, cell)
             if mass > 0:
-                total += mass * expectation(condition(p, cell), f)
-        assert total == expectation(p, f)
+                total += mass * expected_utility(problem, action, condition(p, cell))
+        assert total == expected_utility(problem, action, p)
 
 
 class TestIsPartition:

@@ -350,12 +350,3 @@ class TestEvidentialIndependence:
         # choosing bet1 happens exactly on {x1}, where bet1's payoff differs
         assert chosen.id == "bet1"
         assert probe.id == "bet1"
-
-    def test_single_cell_restriction(self):
-        problem, policy, x_cell = self.clairvoyant_setup()
-        y_cell = policy.partition.cells[1]
-        assert find_independence_violation(problem, policy, y_cell) is None
-        assert find_independence_violation(problem, policy, x_cell) is not None
-        stray = Event(problem.space, frozenset({"x1", "y"}))
-        with pytest.raises(ValidationError, match="not a cell"):
-            find_independence_violation(problem, policy, stray)

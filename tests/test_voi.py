@@ -8,32 +8,39 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from infovalue.decision import (
+    ERROR_ON_TIE,
     Action,
     ChoiceSet,
     DecisionProblem,
     OutcomeSpace,
     is_relevant,
+    max_expected_utility,
 )
-from infovalue.errors import IndependenceBrokenError, ValidationError
+from infovalue.errors import (
+    IndependenceBrokenError,
+    TieError,
+    ValidationError,
+    ZeroProbabilityError,
+)
 from infovalue.prob import Credence, Event, StateSpace, condition
 from infovalue.updating import (
+    DeviationSpec,
     EvidencePartition,
     UpdatePolicy,
     conditionalization_policy,
+    mixture_expand,
 )
 from infovalue.voi import (
     LemmaOneRow,
     PerCell,
     cellwise_decomposition,
     evaluate,
-    lemma1_decompose,
     sophisticated_choice,
     val_general,
-    val_general_via_cells,
     val_good,
 )
 
-from _oracles import brute_val_general, brute_val_good
+from _oracles import brute_val_general, brute_val_good, dist_of, first_best
 
 SPACE = StateSpace(("a", "b", "c", "d"))
 LEFT = Event(SPACE, frozenset({"a", "b"}))
@@ -154,7 +161,7 @@ class TestLemmaOneDecomposition:
     def test_conditionalization_gives_one_full_weight_row(self):
         problem = four_state_problem()
         policy = conditionalization_policy(problem.prior, PARTITION)
-        rows = lemma1_decompose(problem, policy, LEFT)
+        rows = cellwise_decomposition(problem, policy)[0].rows
         assert len(rows) == 1
         (row,) = rows
         assert row.action_id == "bet-left"
@@ -162,8 +169,9 @@ class TestLemmaOneDecomposition:
         assert row.cond_eu == 1
 
     def test_trap_cell_rows(self):
-        problem, policy, whole = trap_problem()
-        rows = lemma1_decompose(problem, policy, whole)
+        problem, policy, _ = trap_problem()
+        (cell,) = cellwise_decomposition(problem, policy)
+        rows = cell.rows
         assert [(r.action_id, r.choose_prob, r.cond_eu) for r in rows] == [
             ("bet", Fraction(1), Fraction(-1, 2))
         ]
@@ -189,7 +197,13 @@ class TestLemmaOneDecomposition:
         }
         policy = UpdatePolicy(partition, point)
         with pytest.raises(ValidationError, match="zero-probability cell"):
-            lemma1_decompose(problem, policy, cells[1])
+            cellwise_decomposition(problem, policy)
+        with pytest.raises(ValidationError, match="zero-probability cell"):
+            evaluate(problem, policy)
+        with pytest.raises(ZeroProbabilityError):
+            val_good(problem, partition)
+        # the definitional value sums over states that can obtain
+        assert val_general(problem, policy) == 0
 
     def test_broken_independence_raises_with_witness(self):
         space = StateSpace(("x1", "x2", "y"))
@@ -218,11 +232,9 @@ class TestLemmaOneDecomposition:
             },
         )
         with pytest.raises(IndependenceBrokenError) as exc:
-            lemma1_decompose(problem, policy, x_cell)
+            cellwise_decomposition(problem, policy)
         assert exc.value.cell == x_cell
         assert exc.value.chosen_action == "bet1"
-        # the harmless cell still decomposes on its own
-        assert lemma1_decompose(problem, policy, y_cell)[0].action_id == "keep"
 
     def test_cellwise_covers_the_partition_in_order(self):
         problem = four_state_problem()
@@ -234,7 +246,10 @@ class TestLemmaOneDecomposition:
 
     def test_via_cells_route_matches_the_definitional_route(self):
         problem, policy, _ = trap_problem()
-        assert val_general_via_cells(problem, policy) == val_general(problem, policy)
+        cells = cellwise_decomposition(problem, policy)
+        informed = sum((c.prob * c.realized_eu() for c in cells), Fraction(0))
+        baseline = max_expected_utility(problem.prior, problem)
+        assert informed - baseline == val_general(problem, policy)
 
 
 class TestRowAndCellValidation:
@@ -295,6 +310,15 @@ class TestVoiReport:
         with pytest.raises(ValidationError, match="val_good"):
             dataclasses.replace(report, baseline=report.baseline + 1)
 
+    def test_equality_and_hash_follow_the_fields(self):
+        problem, policy, _ = trap_problem()
+        report = evaluate(problem, policy)
+        again = evaluate(problem, policy)
+        assert report == again
+        assert hash(report) == hash(again)
+        relabeled = dataclasses.replace(report, chosen_by_state={"g": "bet"})
+        assert relabeled != report
+
     def test_cell_probabilities_must_cover_everything(self):
         problem = four_state_problem()
         policy = conditionalization_policy(problem.prior, PARTITION)
@@ -329,3 +353,67 @@ def test_conditionalization_never_beats_or_trails_val_good(weights, tables):
     assert val_general(problem, policy) == classical
     assert classical == brute_val_good(problem, PARTITION)
     assert classical >= 0
+
+
+@st.composite
+def tied_mixtures(draw):
+    """Mixture instances whose choice sets repeat acts under fresh ids.
+
+    A repeated act ties with its original under every posterior, and
+    small payoffs make chance ties between distinct acts common too.
+    Every expanded cell holds four states but only two posteriors, so
+    states share posteriors and so share choices.
+    """
+    weights = draw(st.lists(st.integers(1, 9), min_size=4, max_size=4))
+    total = sum(weights)
+    prior = Credence(SPACE, {s: Fraction(w, total) for s, w in zip(SPACE, weights)})
+    tables = draw(
+        st.lists(
+            st.lists(st.integers(-2, 2), min_size=4, max_size=4), min_size=1, max_size=3
+        )
+    )
+    order = draw(
+        st.lists(st.integers(0, len(tables) - 1), min_size=len(tables) + 1, max_size=6)
+    )
+    outcomes = OutcomeSpace(
+        tuple(f"o{v}" for v in range(-2, 3)), {f"o{v}": v for v in range(-2, 3)}
+    )
+    actions = tuple(
+        Action(f"a{i}-t{t}", {s: f"o{v}" for s, v in zip(SPACE, tables[t])})
+        for i, t in enumerate(order)
+    )
+    problem = DecisionProblem(SPACE, outcomes, prior, ChoiceSet(actions))
+    skew = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2).filter(any))
+    deviant = Credence(
+        SPACE, {s: Fraction(w, sum(skew)) for s, w in zip(LEFT.sorted_members(), skew)}
+    )
+    epsilon = Fraction(draw(st.integers(1, 15)), 16)
+    return mixture_expand(problem, PARTITION, DeviationSpec(epsilon, {LEFT: deviant}))
+
+
+class TestFirstByOrderTies:
+    @given(tied_mixtures())
+    def test_choices_and_value_match_the_oracle(self, instance):
+        problem, policy = instance
+        support = problem.prior.support()
+        assert len(set(policy.posteriors.values())) < len(support)
+        expected = {
+            s: first_best(problem, dist_of(policy.posterior(s))).id for s in support
+        }
+        report = evaluate(problem, policy)
+        assert report.chosen_by_state == expected
+        assert report.val_general == brute_val_general(problem, policy)
+        assert val_general(problem, policy) == report.val_general
+
+    def test_error_on_tie_still_raises(self):
+        problem, policy, _ = trap_problem()
+        again = Action("bet-again", problem.choices.by_id("bet").assignment)
+        tied = dataclasses.replace(
+            problem,
+            choices=ChoiceSet(problem.choices.actions + (again,)),
+            tie_policy=ERROR_ON_TIE,
+        )
+        with pytest.raises(TieError):
+            evaluate(tied, policy)
+        with pytest.raises(TieError):
+            val_general(tied, policy)
