@@ -74,14 +74,6 @@ class OutcomeSpace:
         except KeyError:
             raise ValidationError(f"unknown outcome {outcome!r}") from None
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OutcomeSpace):
-            return NotImplemented
-        return self.outcomes == other.outcomes and self.utility == other.utility
-
-    def __hash__(self) -> int:
-        return hash((self.outcomes, frozenset(self.utility.items())))
-
 
 @dataclass(frozen=True)
 class Action:
@@ -105,14 +97,6 @@ class Action:
             raise ValidationError(
                 f"action {self.id!r} assigns no outcome to state {state!r}"
             ) from None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Action):
-            return NotImplemented
-        return self.id == other.id and self.assignment == other.assignment
-
-    def __hash__(self) -> int:
-        return hash((self.id, frozenset(self.assignment.items())))
 
 
 @dataclass(frozen=True)
@@ -197,7 +181,11 @@ def expected_utility(
     if p.space != problem.space:
         raise ValidationError("credence is not over the problem's space")
     return sum(
-        (p(s) * problem.outcomes.u(action.outcome_in(s)) for s in p.support()),
+        (
+            m * problem.outcomes.u(action.outcome_in(s))
+            for s, m in zip(p.space, p.mass)
+            if m
+        ),
         Fraction(0),
     )
 
@@ -236,11 +224,10 @@ def is_relevant(problem: DecisionProblem, partition: "EvidencePartition") -> boo
     utility in *every* cell.  Evaluation is tie-insensitive: an action that
     merely ties for best everywhere still makes the evidence irrelevant.
     """
-    posteriors = [condition(problem.prior, cell) for cell in partition.cells]
-    for action in problem.choices:
-        if all(
-            expected_utility(problem, action, q) == max_expected_utility(q, problem)
-            for q in posteriors
-        ):
-            return False
-    return True
+    rows = []
+    for cell in partition.cells:
+        q = condition(problem.prior, cell)
+        eus = [expected_utility(problem, a, q) for a in problem.choices]
+        best = max(eus)
+        rows.append([eu == best for eu in eus])
+    return not any(all(column) for column in zip(*rows))

@@ -7,9 +7,9 @@ floats are rejected at the boundary so that every downstream comparison
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .errors import (
     SpaceMismatchError,
@@ -131,45 +131,38 @@ class Event:
 class Credence:
     """An exact probability distribution over a state space.
 
-    States absent from ``mass`` get probability 0; zero entries passed in
-    are dropped so that equal distributions compare (and hash) equal.
+    Build it from a mapping of state ids to masses; states left out get
+    probability 0.  ``mass`` is then stored as a tuple of Fractions in
+    state-space order, so equal distributions compare and hash equal.
     """
 
     space: StateSpace
-    mass: Mapping[str, Fraction] = field(hash=False)
+    mass: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        cleaned: dict[str, Fraction] = {}
-        total = Fraction(0)
+        position = self.space._position
+        dense = [Fraction(0)] * len(position)
         for state, raw in self.mass.items():
-            if state not in self.space:
+            if state not in position:
                 raise ValidationError(f"mass assigned to unknown state {state!r}")
             value = as_fraction(raw)
             if value < 0:
                 raise ValidationError(f"negative mass {value} on state {state!r}")
-            total += value
-            if value:
-                cleaned[state] = value
+            dense[position[state]] = value
+        total = sum(dense, Fraction(0))
         if total != 1:
             raise ValidationError(f"masses must sum to exactly 1, got {total}")
-        object.__setattr__(self, "mass", cleaned)
+        object.__setattr__(self, "mass", tuple(dense))
 
     def __call__(self, state: str) -> Fraction:
-        if state not in self.space:
+        position = self.space._position.get(state)
+        if position is None:
             raise ValidationError(f"unknown state {state!r}")
-        return self.mass.get(state, Fraction(0))
+        return self.mass[position]
 
     def support(self) -> tuple[str, ...]:
         """Positive-probability states, in state-space order."""
-        return tuple(s for s in self.space if s in self.mass)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Credence):
-            return NotImplemented
-        return self.space == other.space and self.mass == other.mass
-
-    def __hash__(self) -> int:
-        return hash((self.space, frozenset(self.mass.items())))
+        return tuple(s for s, m in zip(self.space.states, self.mass) if m)
 
 
 def probability(credence: Credence, event: Event) -> Fraction:

@@ -239,13 +239,19 @@ def _parse_partition(
         members = _require_list(entry, loc)
         if not members:
             raise PartitionError(loc, "empty cell")
+        in_cell: set[str] = set()
         for state in members:
             state_id = _require_string(state, loc)
             if state_id not in space:
                 raise PartitionError(loc, f"unknown state {state_id!r}")
+            if state_id in in_cell:
+                raise PartitionError(
+                    loc, f"state {state_id!r} is listed twice in this cell"
+                )
             if state_id in seen:
                 raise PartitionError(loc, f"state {state_id!r} appears in two cells")
-            seen.add(state_id)
+            in_cell.add(state_id)
+        seen |= in_cell
         cells.append(Event(space, frozenset(members)))
     uncovered = [s for s in space if s not in seen]
     if uncovered:

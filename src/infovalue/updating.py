@@ -141,18 +141,6 @@ class UpdatePolicy:
         except KeyError:
             raise MissingPosteriorError(f"no posterior for state {state!r}") from None
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UpdatePolicy):
-            return NotImplemented
-        return (
-            self.partition == other.partition
-            and self.posteriors == other.posteriors
-            and self.kind == other.kind
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.partition, frozenset(self.posteriors.items()), self.kind))
-
 
 @dataclass(frozen=True)
 class DeviationSpec:
@@ -189,17 +177,6 @@ class DeviationSpec:
                 )
             cleaned[cell] = posterior
         object.__setattr__(self, "deviant_posteriors", cleaned)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DeviationSpec):
-            return NotImplemented
-        return (
-            self.epsilon == other.epsilon
-            and self.deviant_posteriors == other.deviant_posteriors
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.epsilon, frozenset(self.deviant_posteriors.items())))
 
 
 def conditionalization_policy(
@@ -377,9 +354,10 @@ def _chosen_by_state(
     chosen = {}
     for state in problem.prior.support():
         posterior = policy.posterior(state)
-        if posterior not in by_posterior:
-            by_posterior[posterior], _ = best_action(posterior, problem)
-        chosen[state] = by_posterior[posterior]
+        action = by_posterior.get(posterior)
+        if action is None:
+            action = by_posterior[posterior] = best_action(posterior, problem)[0]
+        chosen[state] = action
     return chosen
 
 

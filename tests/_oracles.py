@@ -12,7 +12,7 @@ from fractions import Fraction
 
 def dist_of(credence):
     """A credence's probability mass as a plain dict (positive entries only)."""
-    return {s: m for s, m in credence.mass.items() if m > 0}
+    return {s: m for s, m in zip(credence.space.states, credence.mass) if m > 0}
 
 
 def payoff(problem, action, state):

@@ -22,7 +22,7 @@ from infovalue.errors import TieError, ValidationError
 from infovalue.prob import Credence, Event, StateSpace
 from infovalue.updating import EvidencePartition
 
-from _oracles import best_value, eu
+from _oracles import best_value, dist_of, eu
 
 SPACE = StateSpace(("s1", "s2", "s3"))
 OUTCOMES = OutcomeSpace(
@@ -98,6 +98,20 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="unknown tie policy"):
             problem([FLAT], tie_policy="coin-flip")
 
+    def test_outcome_space_equality_and_hash_follow_the_fields(self):
+        built = OutcomeSpace(("x", "y"), {"y": 1, "x": "0"})
+        again = OutcomeSpace(("x", "y"), {"x": Fraction(0), "y": Fraction(1)})
+        assert built == again
+        assert hash(built) == hash(again)
+        assert built != OutcomeSpace(("x", "y"), {"x": 0, "y": 2})
+
+    def test_action_equality_and_hash_follow_the_fields(self):
+        built = Action("a", {"s2": "lo", "s1": "hi"})
+        again = Action("a", {"s1": "hi", "s2": "lo"})
+        assert built == again
+        assert hash(built) == hash(again)
+        assert built != Action("a", {"s1": "hi", "s2": "hi"})
+
 
 class TestExpectedUtility:
     def test_against_hand_computation(self):
@@ -114,7 +128,7 @@ class TestExpectedUtility:
     def test_agrees_with_oracle(self):
         p = problem([FLAT, SPIKE, GREEDY])
         for a in p.choices:
-            assert expected_utility(p, a) == eu(p, a, dict(p.prior.mass))
+            assert expected_utility(p, a) == eu(p, a, dist_of(p.prior))
 
 
 class TestBestAction:
@@ -206,7 +220,7 @@ class TestBestAction:
             for i, row in enumerate(tables)
         )
         p = DecisionProblem(space=SPACE, outcomes=space, prior=uniform(), choices=ChoiceSet(actions))
-        assert max_expected_utility(p.prior, p) == best_value(p, dict(p.prior.mass))
+        assert max_expected_utility(p.prior, p) == best_value(p, dist_of(p.prior))
 
 
 class TestIsRelevant:

@@ -156,6 +156,10 @@ class TestCredence:
         assert explicit == implicit
         assert hash(explicit) == hash(implicit)
 
+    def test_mass_is_a_tuple_in_state_order(self):
+        p = Credence(SPACE, {"c": Fraction(3, 4), "a": Fraction(1, 4)})
+        assert p.mass == (Fraction(1, 4), Fraction(0), Fraction(3, 4), Fraction(0))
+
     def test_rejects_bad_total(self):
         with pytest.raises(ValidationError, match="sum to exactly 1"):
             credence(a=Fraction(1, 2), b=Fraction(1, 3))

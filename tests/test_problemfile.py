@@ -217,6 +217,10 @@ class TestParseErrors:
             loads(mutated_text(lambda d: d["partition"][0].append("zz")))
         with pytest.raises(PartitionError, match="appears in two cells"):
             loads(mutated_text(lambda d: d["partition"][1].append("a")))
+        with pytest.raises(
+            PartitionError, match=r"partition\[0\]: state 'a' is listed twice in this cell"
+        ):
+            loads(mutated_text(lambda d: d["partition"][0].insert(1, "a")))
         with pytest.raises(PartitionError, match="not covered"):
             loads(mutated_text(lambda d: d["partition"].__setitem__(1, ["c"]) or d["partition"][0].remove("b")))
 

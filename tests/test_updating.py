@@ -110,6 +110,19 @@ class TestUpdatePolicy:
         with pytest.raises(MissingPosteriorError):
             policy.posterior("missing")
 
+    def test_equality_and_hash_follow_the_fields(self):
+        built = conditionalization_policy(PRIOR, PARTITION)
+        again = UpdatePolicy(
+            EvidencePartition(BASE, (U, V)),
+            {s: condition(PRIOR, PARTITION.cell_of(s)) for s in reversed(BASE.states)},
+            kind=CONDITIONALIZATION,
+        )
+        assert built == again
+        assert hash(built) == hash(again)
+        posteriors = dict(built.posteriors)
+        posteriors["u1"] = Credence(BASE, {"u1": Fraction(1)})
+        assert built != UpdatePolicy(PARTITION, posteriors, kind=CONDITIONALIZATION)
+
 
 class TestConditionalizationPolicy:
     def test_every_state_gets_its_cells_conditioned_prior(self):
@@ -148,6 +161,13 @@ class TestDeviationSpec:
         outside = Credence(BASE, {"u1": Fraction(1, 2), "v1": Fraction(1, 2)})
         with pytest.raises(ValidationError, match="exactly 1 to the cell"):
             DeviationSpec(Fraction(1, 4), {U: outside})
+
+    def test_equality_and_hash_follow_the_fields(self):
+        built = DeviationSpec(Fraction(1, 4), {U: Credence(BASE, {"u2": Fraction(1)})})
+        again = DeviationSpec("1/4", {U: Credence(BASE, {"u1": 0, "u2": 1})})
+        assert built == again
+        assert hash(built) == hash(again)
+        assert built != DeviationSpec("1/4", {U: Credence(BASE, {"u1": Fraction(1)})})
 
 
 def u_deviant():
