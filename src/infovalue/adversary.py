@@ -27,9 +27,11 @@ qualifies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .decision import (
     FIRST_BY_ORDER,
@@ -45,8 +47,8 @@ from .errors import (
     NoDeviationError,
     ValidationError,
 )
-from .prob import Credence, Event, condition, probability
-from .updating import UpdatePolicy, find_independence_violation
+from .prob import Event, condition
+from .updating import UpdatePolicy, _posterior_groups, find_independence_violation
 from .voi import val_general
 
 __all__ = [
@@ -85,6 +87,11 @@ class Deviation:
         if self.state not in self.cell:
             raise ValidationError(
                 f"state {self.state!r} is not in cell {self.cell.describe()}"
+            )
+        if not self.event.members <= self.cell.members:
+            raise ValidationError(
+                f"event {self.event.describe()} is not inside cell "
+                f"{self.cell.describe()}"
             )
         for name, value in (("q", self.q), ("r", self.r)):
             if not 0 <= value <= 1:
@@ -222,42 +229,76 @@ def _synthesize(
     )
 
 
-def _choices_stay_uninformative(
-    prior: Credence,
-    policy: UpdatePolicy,
-    cell: Event,
-    bet_event: Event,
-    threshold: Fraction,
+class _PosteriorClass(NamedTuple):
+    """The positive-prior states of one cell that share a posterior.
+
+    ``row`` holds the posterior's mass on each cell member as an integer
+    over ``den``; ``support`` lists its non-zero ``(member index, mass)``
+    entries and ``weights`` the ``(member index, prior weight)`` of the
+    class's own states.
+    """
+
+    first: str
+    row: tuple[int, ...]
+    den: int
+    support: tuple[tuple[int, int], ...]
+    weights: tuple[tuple[int, int], ...]
+
+
+def _scaled(masses: list[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The masses as integer numerators over their least common denominator."""
+    den = math.lcm(*(m.denominator for m in masses))
+    return tuple(m.numerator * (den // m.denominator) for m in masses), den
+
+
+def _posterior_classes(
+    policy: UpdatePolicy, members: tuple[str, ...], weights: tuple[int, ...]
+) -> list[_PosteriorClass]:
+    """The cell's positive-prior states grouped by posterior, in state order."""
+    index = {state: i for i, state in enumerate(members)}
+    positive = [state for state, weight in zip(members, weights) if weight]
+    classes = []
+    for posterior, states in _posterior_groups(policy, positive):
+        row, den = _scaled([posterior(s) for s in members])
+        classes.append(_PosteriorClass(
+            states[0],
+            row,
+            den,
+            tuple((i, m) for i, m in enumerate(row) if m),
+            tuple((index[s], weights[index[s]]) for s in states),
+        ))
+    return classes
+
+
+def _bet_stays_uninformative(
+    classes: list[_PosteriorClass],
+    mask: int,
+    bet_weight: int,
+    total: int,
+    loss: Fraction,
 ) -> bool:
     """Fast within-cell equivalent of the full independence check.
 
     Outside the deviation's cell both acts pay 0, every state declines by
     ties-to-safe, and conditioning on "everyone declined" is a no-op — so
     only the deviation's cell can break independence.  Within it, a state
-    takes the bet iff its posterior puts more than ``threshold`` on the
-    bet event, and independence holds iff the true conditional probability
-    of the bet event is the same among takers, among decliners, and
-    overall.
+    takes the bet iff its posterior puts more than ``loss`` on the bet's
+    members (bit ``i`` of ``mask`` for member ``i``), and independence
+    holds iff the conditional probability of the bet event among takers,
+    among decliners and overall is the same.  ``bet_weight`` and ``total``
+    are the prior weights of the bet's members and of the whole cell.
+    The decliners are the rest of the cell, so their ratio matches exactly
+    when the takers' does, and an empty group matches trivially.
     """
-    cell_mass = Fraction(0)
-    cell_bet_mass = Fraction(0)
-    group_mass = {True: Fraction(0), False: Fraction(0)}
-    group_bet_mass = {True: Fraction(0), False: Fraction(0)}
-    for state in cell.sorted_members():
-        mass = prior(state)
-        if mass == 0:
-            continue
-        takes = probability(policy.posterior(state), bet_event) > threshold
-        cell_mass += mass
-        group_mass[takes] += mass
-        if state in bet_event:
-            cell_bet_mass += mass
-            group_bet_mass[takes] += mass
-    overall = cell_bet_mass / cell_mass
-    for takes in (True, False):
-        if group_mass[takes] and group_bet_mass[takes] / group_mass[takes] != overall:
-            return False
-    return True
+    taker_weight = taker_bet_weight = 0
+    for cls in classes:
+        class_sum = sum(m for i, m in cls.support if mask >> i & 1)
+        if class_sum * loss.denominator > loss.numerator * cls.den:
+            for i, weight in cls.weights:
+                taker_weight += weight
+                if mask >> i & 1:
+                    taker_bet_weight += weight
+    return taker_bet_weight * total == bet_weight * taker_weight
 
 
 def demonstrate_aversion(
@@ -272,6 +313,16 @@ def demonstrate_aversion(
     payoffs.  That first surviving candidate becomes the certificate, with
     its strictly negative realized value recomputed definitionally.
 
+    States that share a posterior price every event alike, so each
+    posterior is walked once, at its first state; a later state holding it
+    would only repeat bets already rejected.  Each cell's prior and
+    posteriors are scaled to integers once, and a candidate event then
+    costs O(|cell|) integer operations to price and, per posterior, to
+    decide; a cell of ``n`` states walks up to ``2**n - 2`` events per
+    distinct deviating posterior.  A surviving candidate is still confirmed
+    by the full :func:`find_independence_violation` and by the
+    certificate's own recomputation.
+
     Raises :class:`NoDeviationError` if the policy conditionalizes at
     every prior-possible state, and :class:`IndependenceBrokenError` (with
     the witnessing cell/chosen/probe triple from the first candidate) if
@@ -279,36 +330,52 @@ def demonstrate_aversion(
     demonstration's accounting excludes.
     """
     prior = problem.prior
-    if prior.space != policy.space:
+    space = prior.space
+    if space != policy.space:
         raise ValidationError("policy is not over the problem's space")
     first_rejected: tuple[Event, Event, Fraction, Fraction] | None = None
     found_deviating_state = False
     for cell in policy.partition.cells:
-        if probability(prior, cell) == 0:
-            continue
-        conditioned = condition(prior, cell)
         members = cell.sorted_members()
-        for state in members:
-            if prior(state) == 0:
-                continue
-            posterior = policy.posterior(state)
-            if posterior == conditioned:
-                continue
+        weights, _ = _scaled([prior(s) for s in members])
+        total = sum(weights)
+        if total == 0:
+            continue
+        classes = _posterior_classes(policy, members, weights)
+        everything = (1 << len(members)) - 1
+        verdicts: dict[tuple[int, Fraction], bool] = {}
+        for cls in classes:
+            row, den = cls.row, cls.den
+            if all(m * total == w * den for m, w in zip(row, weights)):
+                continue  # the conditioned prior itself
             found_deviating_state = True
             for size in range(1, len(members)):
-                for combo in combinations(members, size):
-                    event = Event(prior.space, frozenset(combo))
-                    q = probability(posterior, event)
-                    r = probability(conditioned, event)
-                    if q == r:
+                for combo in combinations(range(len(members)), size):
+                    q_num = r_num = mask = 0
+                    for i in combo:
+                        q_num += row[i]
+                        r_num += weights[i]
+                        mask |= 1 << i
+                    if q_num * total == r_num * den:
                         continue
+                    q, r = Fraction(q_num, den), Fraction(r_num, total)
                     bet_win, bet_loss = construct_bet(q, r)
+                    if q > r:
+                        bet_mask, bet_weight = mask, r_num
+                    else:
+                        bet_mask, bet_weight = mask ^ everything, total - r_num
+                    key = (bet_mask, bet_loss)
+                    verdict = verdicts.get(key)
+                    if verdict is None:
+                        verdict = verdicts[key] = _bet_stays_uninformative(
+                            classes, bet_mask, bet_weight, total, bet_loss
+                        )
+                    if not verdict and first_rejected is not None:
+                        continue
+                    event = Event(space, frozenset(members[i] for i in combo))
                     bet_event = event if q > r else event.complement()
-                    if not _choices_stay_uninformative(
-                        prior, policy, cell, bet_event, bet_loss
-                    ):
-                        if first_rejected is None:
-                            first_rejected = (cell, bet_event, bet_win, bet_loss)
+                    if not verdict:
+                        first_rejected = (cell, bet_event, bet_win, bet_loss)
                         continue
                     synthesized = _synthesize(problem, cell, bet_event, bet_win, bet_loss)
                     witness = find_independence_violation(synthesized, policy)
@@ -318,7 +385,7 @@ def demonstrate_aversion(
                         continue
                     return AversionCertificate(
                         deviation=Deviation(
-                            cell=cell, state=state, event=event, q=q, r=r
+                            cell=cell, state=cls.first, event=event, q=q, r=r
                         ),
                         bet_win=bet_win,
                         bet_loss=bet_loss,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .decision import (
     Action,
@@ -340,6 +340,31 @@ def modesty_degree(policy: UpdatePolicy, prior: Credence) -> Fraction:
     )
 
 
+def _posterior_groups(
+    policy: UpdatePolicy, states: Iterable[str]
+) -> list[tuple[Credence, list[str]]]:
+    """``states`` grouped by posterior, in order of each group's first state.
+
+    Posteriors are matched by object identity first, so a posterior object
+    shared by many states is hashed once; equal but distinct objects still
+    meet by value.
+    """
+    by_id: dict[int, list[str]] = {}
+    by_value: dict[Credence, list[str]] = {}
+    groups = []
+    for state in states:
+        posterior = policy.posterior(state)
+        group = by_id.get(id(posterior))
+        if group is None:
+            group = by_value.get(posterior)
+            if group is None:
+                group = by_value[posterior] = []
+                groups.append((posterior, group))
+            by_id[id(posterior)] = group
+        group.append(state)
+    return groups
+
+
 def _chosen_by_state(
     problem: DecisionProblem, policy: UpdatePolicy
 ) -> dict[str, Action]:
@@ -350,14 +375,12 @@ def _chosen_by_state(
     """
     if policy.space != problem.space:
         raise SpaceMismatchError("policy is not over the problem's space")
-    by_posterior: dict[Credence, Action] = {}
-    chosen = {}
-    for state in problem.prior.support():
-        posterior = policy.posterior(state)
-        action = by_posterior.get(posterior)
-        if action is None:
-            action = by_posterior[posterior] = best_action(posterior, problem)[0]
-        chosen[state] = action
+    support = problem.prior.support()
+    chosen = dict.fromkeys(support)
+    for posterior, states in _posterior_groups(policy, support):
+        action = best_action(posterior, problem)[0]
+        for state in states:
+            chosen[state] = action
     return chosen
 
 

@@ -8,6 +8,7 @@ share no arithmetic.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 
 def dist_of(credence):
@@ -69,3 +70,67 @@ def brute_val_general(problem, policy):
         chosen = first_best(problem, dist_of(policy.posteriors[state]))
         realized += mass * payoff(problem, chosen, state)
     return realized - best_value(problem, prior)
+
+
+def _choices_stay_uninformative(prior, posteriors, members, bet, loss):
+    """Within-cell independence of a bet, straight from its definition.
+
+    A positive-prior state takes the bet iff its posterior puts more than
+    ``loss`` on ``bet``; the bet event's conditional probability must then
+    be the same among takers, among decliners, and over the whole cell.
+    """
+    mass = {True: Fraction(0), False: Fraction(0)}
+    bet_mass = {True: Fraction(0), False: Fraction(0)}
+    for state in members:
+        if prior[state] == 0:
+            continue
+        takes = sum((posteriors[state].get(s, 0) for s in bet), Fraction(0)) > loss
+        mass[takes] += prior[state]
+        if state in bet:
+            bet_mass[takes] += prior[state]
+    overall = (bet_mass[True] + bet_mass[False]) / (mass[True] + mass[False])
+    return all(bet_mass[k] / mass[k] == overall for k in (True, False) if mass[k])
+
+
+def brute_certificate_walk(inst):
+    """The certificate search, state by state over plain data.
+
+    ``inst`` carries ``states`` (in order), ``prior`` (state to Fraction),
+    ``cells`` (tuples of states, in declared order) and ``posteriors``
+    (state to a dict of Fractions).  Cells are walked as declared,
+    deviating positive-prior states in state order, events by size and
+    then state order, each priced with midpoint stakes.  Returns
+    ``("certificate", cell, state, event, q, r, bet, win, loss)`` for the
+    first bet whose takers leave the cell's odds unchanged, where ``bet``
+    is the bet's event within the cell; else ``("refused", cell, bet, win,
+    loss)`` for the first rejected bet; else ``None`` when no state
+    deviates.
+    """
+    prior = inst.prior
+    first_rejected = None
+    for cell in inst.cells:
+        members = tuple(s for s in inst.states if s in cell)
+        mass = sum((prior[s] for s in members), Fraction(0))
+        if mass == 0:
+            continue
+        sober = {s: prior[s] / mass for s in members}
+        for state in members:
+            posterior = inst.posteriors[state]
+            if prior[state] == 0 or all(posterior.get(s, 0) == sober[s] for s in members):
+                continue
+            for size in range(1, len(members)):
+                for combo in combinations(members, size):
+                    q = sum((posterior.get(s, 0) for s in combo), Fraction(0))
+                    r = sum((sober[s] for s in combo), Fraction(0))
+                    if q == r:
+                        continue
+                    if q > r:
+                        bet, loss = frozenset(combo), (q + r) / 2
+                    else:
+                        bet, loss = frozenset(members) - set(combo), ((1 - q) + (1 - r)) / 2
+                    win = 1 - loss
+                    if _choices_stay_uninformative(prior, inst.posteriors, members, bet, loss):
+                        return ("certificate", members, state, frozenset(combo), q, r, bet, win, loss)
+                    if first_rejected is None:
+                        first_rejected = ("refused", members, bet, win, loss)
+    return first_rejected

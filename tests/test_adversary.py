@@ -2,9 +2,10 @@
 
 import dataclasses
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infovalue.adversary import (
@@ -31,7 +32,7 @@ from infovalue.scenarios import build_scenario
 from infovalue.updating import EvidencePartition, UpdatePolicy, conditionalization_policy
 from infovalue.voi import val_general
 
-from _oracles import brute_val_general
+from _oracles import brute_certificate_walk, brute_val_general
 
 TWO = StateSpace(("g", "h"))
 WHOLE = Event(TWO, frozenset({"g", "h"}))
@@ -72,6 +73,14 @@ class TestDeviation:
                 Event(TWO, frozenset({"g"})),
                 "h",
                 WHOLE,
+                Fraction(1, 2),
+                Fraction(1, 3),
+            )
+        with pytest.raises(ValidationError, match="not inside cell"):
+            Deviation(
+                Event(TWO, frozenset({"g"})),
+                "g",
+                Event(TWO, frozenset({"h"})),
                 Fraction(1, 2),
                 Fraction(1, 3),
             )
@@ -293,3 +302,192 @@ class TestAversionCertificate:
         )
         with pytest.raises(ValidationError, match="attractive"):
             dataclasses.replace(cert, problem=flipped)
+
+
+class Plain(NamedTuple):
+    """A one-action problem and its policy as plain data, for the oracle."""
+
+    states: tuple[str, ...]
+    prior: dict[str, Fraction]
+    cells: tuple[tuple[str, ...], ...]
+    posteriors: dict[str, dict[str, Fraction]]
+
+
+def build_plain(plain, share):
+    """The library's (problem, policy) for ``plain``.
+
+    States whose plain posterior is one dict get one shared credence when
+    ``share`` is set, and equal but distinct credences otherwise.
+    """
+    space = StateSpace(plain.states)
+    built = {}
+    posteriors = {}
+    for state in plain.states:
+        dist = plain.posteriors[state]
+        if not share or id(dist) not in built:
+            built[id(dist)] = Credence(space, dist)
+        posteriors[state] = built[id(dist)]
+    partition = EvidencePartition(
+        space, tuple(Event(space, frozenset(c)) for c in plain.cells)
+    )
+    problem = DecisionProblem(
+        space,
+        OutcomeSpace(("nil",), {"nil": 0}),
+        Credence(space, plain.prior),
+        ChoiceSet((Action("idle", {s: "nil" for s in plain.states}),)),
+    )
+    return problem, UpdatePolicy(partition, posteriors)
+
+
+def normalized(states, weights):
+    total = sum(weights)
+    return {s: Fraction(w, total) for s, w in zip(states, weights) if w}
+
+
+@st.composite
+def plain_instances(draw):
+    """One or two cells of at most 6 states, each with up to 3 posteriors.
+
+    Prior weights may be 0, so zero-prior members can carry posterior
+    mass; a cell's posterior may also be its conditioned prior, so some
+    states do not deviate.  Some cells are clairvoyant instead: each state
+    is certain of itself, which is how refusals arise.
+    """
+    sizes = [draw(st.integers(2, 6))] + draw(st.lists(st.integers(1, 6), max_size=1))
+    states = tuple(f"s{i}" for i in range(sum(sizes)))
+    weights = draw(
+        st.lists(st.integers(0, 3), min_size=len(states), max_size=len(states)).filter(any)
+    )
+    prior = {s: Fraction(w, sum(weights)) for s, w in zip(states, weights)}
+    cells, posteriors, start = [], {}, 0
+    for size in sizes:
+        cell = states[start:start + size]
+        start += size
+        cells.append(cell)
+        cell_weights = weights[start - size:start]
+        classes = []
+        for _ in range(draw(st.integers(1, 3))):
+            if any(cell_weights) and draw(st.integers(0, 3)) == 0:
+                classes.append(normalized(cell, cell_weights))
+            else:
+                drawn = draw(
+                    st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any)
+                )
+                classes.append(normalized(cell, drawn))
+        clairvoyant = draw(st.integers(0, 4)) == 0
+        for state in cell:
+            if clairvoyant:
+                posteriors[state] = {state: Fraction(1)}
+            else:
+                posteriors[state] = classes[draw(st.integers(0, len(classes) - 1))]
+    return Plain(states, prior, tuple(cells), posteriors), draw(st.booleans())
+
+
+def assert_matches_the_walk(plain, share):
+    problem, policy = build_plain(plain, share)
+    expected = brute_certificate_walk(plain)
+    if expected is None:
+        with pytest.raises(NoDeviationError):
+            demonstrate_aversion(problem, policy)
+    elif expected[0] == "refused":
+        with pytest.raises(IndependenceBrokenError) as exc:
+            demonstrate_aversion(problem, policy)
+        assert exc.value.cell.sorted_members() == expected[1]
+        assert (exc.value.chosen_action, exc.value.probe_action) == (SAFE_ID, RISKY_ID)
+    else:
+        cert = demonstrate_aversion(problem, policy)
+        d = cert.deviation
+        assert (
+            "certificate",
+            d.cell.sorted_members(),
+            d.state,
+            d.event.members,
+            d.q,
+            d.r,
+            cert.bet_event.members & d.cell.members,
+            cert.bet_win,
+            cert.bet_loss,
+        ) == expected
+        assert brute_val_general(cert.problem, cert.policy) == cert.val_general < 0
+
+
+F = Fraction
+# a and b hold one point mass on a: every bet it prices is rejected, so b
+# is skipped and the certificate comes from c's posterior
+CLASS_SKIP = Plain(
+    ("a", "b", "c"),
+    {"a": F(1, 7), "b": F(3, 7), "c": F(3, 7)},
+    (("a", "b", "c"),),
+    {
+        "a": {"a": F(1)},
+        "b": {"a": F(1)},
+        "c": {"a": F(1, 4), "b": F(1, 2), "c": F(1, 4)},
+    },
+)
+# b's posterior puts exactly a's bet threshold 3/4 on {a}, so b declines
+# a's bets (ties go to safe) and the certificate comes from b
+TIE_AT_THRESHOLD = Plain(
+    ("a", "b"),
+    {"a": F(1, 2), "b": F(1, 2)},
+    (("a", "b"),),
+    {"a": {"a": F(1)}, "b": {"a": F(3, 4), "b": F(1, 4)}},
+)
+CLAIRVOYANT_3 = Plain(
+    ("a", "b", "c"),
+    {"a": F(1, 2), "b": F(1, 3), "c": F(1, 6)},
+    (("a", "b", "c"),),
+    {s: {s: F(1)} for s in "abc"},
+)
+CLAIRVOYANT_8 = Plain(
+    tuple(f"s{i}" for i in range(1, 9)),
+    normalized(tuple(f"s{i}" for i in range(1, 9)), (3, 1, 4, 1, 5, 9, 2, 6)),
+    (tuple(f"s{i}" for i in range(1, 9)),),
+    {f"s{i}": {f"s{i}": F(1)} for i in range(1, 9)},
+)
+# two cells; the zero-prior y carries posterior mass in both x's and z's
+# posteriors, which are equal but built as distinct objects unless shared
+ZERO_PRIOR_MASS = Plain(
+    ("w", "x", "y", "z"),
+    {"w": F(1, 4), "x": F(1, 4), "y": F(0), "z": F(1, 2)},
+    (("w",), ("x", "y", "z")),
+    {
+        "w": {"w": F(1)},
+        "x": {"x": F(1, 3), "y": F(1, 3), "z": F(1, 3)},
+        "y": {"y": F(1)},
+        "z": {"x": F(1, 3), "y": F(1, 3), "z": F(1, 3)},
+    },
+)
+
+
+class TestCertificateWalk:
+    """The search against a state-by-state Fraction walk of the same order."""
+
+    @settings(deadline=None)
+    @given(plain_instances())
+    @example((CLASS_SKIP, False))
+    @example((ZERO_PRIOR_MASS, False))
+    @example((CLAIRVOYANT_3, True))
+    @example((TIE_AT_THRESHOLD, True))
+    def test_agrees_with_the_brute_walk(self, drawn):
+        assert_matches_the_walk(*drawn)
+
+    @pytest.mark.parametrize("share", [True, False])
+    def test_later_posterior_class_certifies(self, share):
+        cert = demonstrate_aversion(*build_plain(CLASS_SKIP, share))
+        assert cert.deviation.state == "c"
+        assert cert.deviation.event.members == {"a"}
+        assert (cert.deviation.q, cert.deviation.r) == (F(1, 4), F(1, 7))
+        assert (cert.bet_win, cert.bet_loss) == (F(45, 56), F(11, 56))
+
+    def test_clairvoyant_eight_state_witness(self):
+        assert brute_certificate_walk(CLAIRVOYANT_8)[:2] == (
+            "refused",
+            CLAIRVOYANT_8.states,
+        )
+        problem, policy = build_plain(CLAIRVOYANT_8, share=True)
+        with pytest.raises(IndependenceBrokenError) as exc:
+            demonstrate_aversion(problem, policy)
+        assert exc.value.cell == policy.partition.cells[0]
+        assert exc.value.cell.members == set(problem.space.states)
+        assert exc.value.chosen_action == SAFE_ID
+        assert exc.value.probe_action == RISKY_ID
