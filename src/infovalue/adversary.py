@@ -135,8 +135,10 @@ class AversionCertificate:
     everything it claims: the break-even threshold separates q from r,
     the bet is strictly attractive to the deviant posterior and strictly
     unattractive to the conditioned one, declining is prior-optimal at
-    exactly 0, and ``val_general`` — recomputed from scratch, not trusted
-    from the caller — is strictly negative.
+    exactly 0, ``val_general`` — recomputed from scratch, not trusted
+    from the caller — is strictly negative, and the full
+    :func:`find_independence_violation` finds no choice that reveals
+    anything payoff-relevant, which the value's accounting requires.
     """
 
     deviation: Deviation
@@ -193,6 +195,11 @@ class AversionCertificate:
             raise ValidationError(
                 f"certificate requires strictly negative value, got {self.val_general}"
             )
+        witness = find_independence_violation(self.problem, self.policy)
+        if witness is not None:
+            cell, chosen, probe = witness
+            leak = IndependenceBrokenError(cell, chosen.id, probe.id)
+            raise ValidationError(f"the bet's takers leak: {leak}")
 
 
 def _synthesize(
@@ -270,25 +277,18 @@ def _posterior_classes(
     return classes
 
 
-def _bet_stays_uninformative(
-    classes: list[_PosteriorClass],
-    mask: int,
-    bet_weight: int,
-    total: int,
-    loss: Fraction,
-) -> bool:
-    """Fast within-cell equivalent of the full independence check.
+def _taker_tallies(
+    classes: list[_PosteriorClass], mask: int, loss: Fraction
+) -> tuple[int, int]:
+    """The prior weights of the bet's takers, and of those among them in the bet.
 
-    Outside the deviation's cell both acts pay 0, every state declines by
-    ties-to-safe, and conditioning on "everyone declined" is a no-op — so
-    only the deviation's cell can break independence.  Within it, a state
-    takes the bet iff its posterior puts more than ``loss`` on the bet's
-    members (bit ``i`` of ``mask`` for member ``i``), and independence
-    holds iff the conditional probability of the bet event among takers,
-    among decliners and overall is the same.  ``bet_weight`` and ``total``
-    are the prior weights of the bet's members and of the whole cell.
-    The decliners are the rest of the cell, so their ratio matches exactly
-    when the takers' does, and an empty group matches trivially.
+    Outside the deviation's cell both acts pay 0 and every state declines
+    by ties-to-safe, so only the cell's states can take the bet: a state
+    takes it iff its posterior puts more than ``loss`` on the bet's members
+    (bit ``i`` of ``mask`` for member ``i``).  The takers' choices stay
+    uninformative iff the bet event's share of their weight equals its
+    share of the whole cell's; the decliners are the rest of the cell, so
+    their share then matches too, and an empty group matches trivially.
     """
     taker_weight = taker_bet_weight = 0
     for cls in classes:
@@ -298,7 +298,7 @@ def _bet_stays_uninformative(
                 taker_weight += weight
                 if mask >> i & 1:
                     taker_bet_weight += weight
-    return taker_bet_weight * total == bet_weight * taker_weight
+    return taker_weight, taker_bet_weight
 
 
 def demonstrate_aversion(
@@ -308,10 +308,13 @@ def demonstrate_aversion(
 
     Walks the policy's disagreements with conditioning in deterministic
     order — cells as declared, deviating states in state order, candidate
-    events by size then state order within the cell — and synthesizes the
+    events by size then state order within the cell — and prices the
     midpoint bet for each until one leaves choices uninformative about
-    payoffs.  That first surviving candidate becomes the certificate, with
-    its strictly negative realized value recomputed definitionally.
+    payoffs.  That first surviving candidate becomes the certificate.  Its
+    value is the takers' prior weight times their stake, summed from the
+    search's integer tallies; :class:`AversionCertificate` then checks it
+    against a definitional recomputation and reruns the full independence
+    check on the synthesized problem.
 
     States that share a posterior price every event alike, so each
     posterior is walked once, at its first state; a later state holding it
@@ -319,9 +322,7 @@ def demonstrate_aversion(
     posteriors are scaled to integers once, and a candidate event then
     costs O(|cell|) integer operations to price and, per posterior, to
     decide; a cell of ``n`` states walks up to ``2**n - 2`` events per
-    distinct deviating posterior.  A surviving candidate is still confirmed
-    by the full :func:`find_independence_violation` and by the
-    certificate's own recomputation.
+    distinct deviating posterior.
 
     Raises :class:`NoDeviationError` if the policy conditionalizes at
     every prior-possible state, and :class:`IndependenceBrokenError` (with
@@ -337,13 +338,13 @@ def demonstrate_aversion(
     found_deviating_state = False
     for cell in policy.partition.cells:
         members = cell.sorted_members()
-        weights, _ = _scaled([prior(s) for s in members])
+        weights, prior_den = _scaled([prior(s) for s in members])
         total = sum(weights)
         if total == 0:
             continue
         classes = _posterior_classes(policy, members, weights)
         everything = (1 << len(members)) - 1
-        verdicts: dict[tuple[int, Fraction], bool] = {}
+        tallies: dict[tuple[int, Fraction], tuple[int, int]] = {}
         for cls in classes:
             row, den = cls.row, cls.den
             if all(m * total == w * den for m, w in zip(row, weights)):
@@ -365,11 +366,10 @@ def demonstrate_aversion(
                     else:
                         bet_mask, bet_weight = mask ^ everything, total - r_num
                     key = (bet_mask, bet_loss)
-                    verdict = verdicts.get(key)
-                    if verdict is None:
-                        verdict = verdicts[key] = _bet_stays_uninformative(
-                            classes, bet_mask, bet_weight, total, bet_loss
-                        )
+                    if key not in tallies:
+                        tallies[key] = _taker_tallies(classes, bet_mask, bet_loss)
+                    taker_weight, taker_bet_weight = tallies[key]
+                    verdict = taker_bet_weight * total == bet_weight * taker_weight
                     if not verdict and first_rejected is not None:
                         continue
                     event = Event(space, frozenset(members[i] for i in combo))
@@ -377,12 +377,7 @@ def demonstrate_aversion(
                     if not verdict:
                         first_rejected = (cell, bet_event, bet_win, bet_loss)
                         continue
-                    synthesized = _synthesize(problem, cell, bet_event, bet_win, bet_loss)
-                    witness = find_independence_violation(synthesized, policy)
-                    if witness is not None:  # pragma: no cover - fast check mirrors this
-                        if first_rejected is None:
-                            first_rejected = (cell, bet_event, bet_win, bet_loss)
-                        continue
+                    taker_loss_weight = taker_weight - taker_bet_weight
                     return AversionCertificate(
                         deviation=Deviation(
                             cell=cell, state=cls.first, event=event, q=q, r=r
@@ -390,9 +385,11 @@ def demonstrate_aversion(
                         bet_win=bet_win,
                         bet_loss=bet_loss,
                         bet_event=bet_event,
-                        problem=synthesized,
+                        problem=_synthesize(problem, cell, bet_event, bet_win, bet_loss),
                         policy=policy,
-                        val_general=val_general(synthesized, policy),
+                        val_general=(
+                            taker_bet_weight * bet_win - taker_loss_weight * bet_loss
+                        ) / prior_den,
                     )
     if not found_deviating_state:
         raise NoDeviationError(

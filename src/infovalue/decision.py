@@ -190,24 +190,17 @@ def expected_utility(
     )
 
 
-def best_action(
-    credence: Credence,
-    problem: DecisionProblem,
-    tie_policy: str | None = None,
-) -> tuple[Action, Fraction]:
+def best_action(credence: Credence, problem: DecisionProblem) -> tuple[Action, Fraction]:
     """The optimal action and its expected utility under ``credence``.
 
-    ``tie_policy=None`` defers to the problem's own policy.  Under
-    ``error-on-tie`` a non-unique maximizer raises :class:`TieError`
-    listing every tied action id.
+    Ties resolve by the problem's ``tie_policy``: under ``error-on-tie`` a
+    non-unique maximizer raises :class:`TieError` listing every tied
+    action id.
     """
-    policy = problem.tie_policy if tie_policy is None else tie_policy
-    if policy not in _TIE_POLICIES:
-        raise ValidationError(f"unknown tie policy {policy!r}")
     scored = [(expected_utility(problem, a, credence), a) for a in problem.choices]
     best_value = max(value for value, _ in scored)
     winners = [a for value, a in scored if value == best_value]
-    if policy == ERROR_ON_TIE and len(winners) > 1:
+    if problem.tie_policy == ERROR_ON_TIE and len(winners) > 1:
         raise TieError(tuple(a.id for a in winners), best_value)
     return winners[0], best_value
 

@@ -7,6 +7,7 @@ floats are rejected at the boundary so that every downstream comparison
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -28,12 +29,17 @@ __all__ = [
 ]
 
 
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
+
+
 def as_fraction(value) -> Fraction:
     """Coerce ``value`` to an exact :class:`Fraction`.
 
-    Accepts ints, Fractions, and strings like ``"3/4"``.  Floats are
-    rejected outright: a float that *looks* like 0.1 is not 1/10, and
-    exactness is the whole point of this package.
+    Accepts ints, Fractions, and strings in the package's one rational
+    grammar: an optional sign, digits, and optionally ``/`` and more
+    digits (``"3"``, ``"-7/2"``), with no spaces, decimals or exponents.
+    Floats are rejected outright: a float that *looks* like 0.1 is not
+    1/10, and exactness is the whole point of this package.
     """
     if isinstance(value, bool):
         raise ValidationError(f"expected an exact rational, got bool {value!r}")
@@ -45,10 +51,14 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise ValidationError(
+                f"expected an exact rational string like '3/4' or '-2', got {value!r}"
+            )
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"not a rational: {value!r}") from exc
+        except ZeroDivisionError:
+            raise ValidationError(f"zero denominator in {value!r}") from None
     raise ValidationError(f"expected an exact rational, got {type(value).__name__}")
 
 

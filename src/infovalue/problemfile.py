@@ -14,7 +14,6 @@ rejected on input: this package does not traffic in floats.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import Any
 
@@ -27,8 +26,9 @@ from .errors import (
     PartitionError,
     PolicyError,
     RationalFormatError,
+    ValidationError,
 )
-from .prob import Credence, Event, StateSpace, probability
+from .prob import Credence, Event, StateSpace, as_fraction, probability
 from .updating import (
     CONDITIONALIZATION,
     EvidencePartition,
@@ -46,24 +46,22 @@ __all__ = [
     "load_problem",
 ]
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
-
 
 def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
 def parse_rational(text: Any, location: str) -> Fraction:
-    """Parse an exact rational string, rejecting decimals and floats."""
-    if isinstance(text, str) and _RATIONAL.match(text):
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise RationalFormatError(location, f"zero denominator in {text!r}") from None
-    raise RationalFormatError(
-        location,
-        f"expected an exact rational string like '3/4' or '-2', got {text!r}",
-    )
+    """Parse a rational string in :func:`as_fraction`'s grammar; refuse non-strings."""
+    if not isinstance(text, str):
+        raise RationalFormatError(
+            location,
+            f"expected an exact rational string like '3/4' or '-2', got {text!r}",
+        )
+    try:
+        return as_fraction(text)
+    except ValidationError as exc:
+        raise RationalFormatError(location, str(exc)) from None
 
 
 def problem_document(problem: DecisionProblem, policy: UpdatePolicy) -> dict:

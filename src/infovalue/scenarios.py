@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .decision import (
@@ -264,9 +264,10 @@ def scenario_unknown_bias(
         },
     )
     expanded, policy = mixture_expand(problem, partition, spec, labels=_MIXTURE_LABELS)
+    strict = replace(expanded, tie_policy=ERROR_ON_TIE)
     for state in expanded.space:
         try:
-            best_action(policy.posterior(state), expanded, tie_policy=ERROR_ON_TIE)
+            best_action(policy.posterior(state), strict)
         except TieError as exc:
             raise ConfigError(
                 f"fallacy confidence {confidence} makes acts tie at expected "
@@ -352,12 +353,13 @@ def sweep(name: str, epsilons, confidence=None) -> SweepTable:
         raise ConfigError("the race scenario has no epsilon parameter to sweep")
     rows = []
     for raw in epsilons:
-        scenario = build_scenario(name, epsilon=as_fraction(raw), confidence=confidence)
+        epsilon = as_fraction(raw)
+        scenario = build_scenario(name, epsilon=epsilon, confidence=confidence)
         good = val_good(scenario.problem, scenario.policy.partition)
         general = val_general(scenario.problem, scenario.policy)
         rows.append(
             SweepRow(
-                epsilon=as_fraction(raw),
+                epsilon=epsilon,
                 val_good=good,
                 val_general=general,
                 decision="learn" if general >= 0 else "decline",

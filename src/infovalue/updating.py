@@ -384,37 +384,33 @@ def _chosen_by_state(
     return chosen
 
 
-def _groups(cell: Event, chosen: Mapping[str, Action]) -> dict[str, list[str]]:
-    """Action id to the cell's positive-prior states that choose it, in order."""
+def _cell_pass(
+    problem: DecisionProblem, cell: Event, chosen: Mapping[str, Action]
+) -> tuple[list[Fraction], dict[str, list[str]], tuple[Action, Action] | None]:
+    """One walk of a positive-probability cell under the choice map.
+
+    Returns each action's expected utility under the cell's conditioned
+    prior (choice-set order), the cell's positive-prior states grouped by
+    chosen act id (state order), and the cell's first leak: the first
+    (chosen, probe) pair, both in choice-set order, whose expected utility
+    moves when the prior is conditioned further on "the agent chose this".
+    """
+    conditioned = condition(problem.prior, cell)
+    cell_eus = [expected_utility(problem, a, conditioned) for a in problem.choices]
     groups: dict[str, list[str]] = {}
     for s in cell.sorted_members():
         if s in chosen:
             groups.setdefault(chosen[s].id, []).append(s)
-    return groups
-
-
-def _leak(
-    problem: DecisionProblem,
-    groups: Mapping[str, list[str]],
-    cell_eus: list[Fraction],
-) -> tuple[Action, Action] | None:
-    """The first (chosen, probe) pair whose expected utility moves.
-
-    ``cell_eus`` holds each action's expected utility under the cell's
-    conditioned prior, in choice-set order.  Conditioning further on "the
-    agent chose this" is tested group by group, in choice-set order.
-    """
-    if len(groups) == 1:  # the only group is the cell's whole support
-        return None
-    for action in problem.choices:
-        members = groups.get(action.id)
-        if not members:
-            continue
-        p_choose = condition(problem.prior, Event(problem.space, frozenset(members)))
-        for probe, cell_eu in zip(problem.choices, cell_eus):
-            if expected_utility(problem, probe, p_choose) != cell_eu:
-                return action, probe
-    return None
+    if len(groups) > 1:  # a lone group is the cell's whole support
+        for action in problem.choices:
+            members = groups.get(action.id)
+            if not members:
+                continue
+            p_choose = condition(problem.prior, Event(problem.space, frozenset(members)))
+            for probe, cell_eu in zip(problem.choices, cell_eus):
+                if expected_utility(problem, probe, p_choose) != cell_eu:
+                    return cell_eus, groups, (action, probe)
+    return cell_eus, groups, None
 
 
 def find_independence_violation(
@@ -434,9 +430,7 @@ def find_independence_violation(
     for cell in policy.partition.cells:
         if probability(problem.prior, cell) == 0:
             continue
-        conditioned = condition(problem.prior, cell)
-        cell_eus = [expected_utility(problem, a, conditioned) for a in problem.choices]
-        leak = _leak(problem, _groups(cell, chosen), cell_eus)
+        leak = _cell_pass(problem, cell, chosen)[2]
         if leak is not None:
             return (cell, *leak)
     return None

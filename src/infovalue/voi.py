@@ -25,16 +25,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .decision import Action, DecisionProblem, best_action, expected_utility, max_expected_utility
+from .decision import Action, DecisionProblem, best_action, max_expected_utility
 from .errors import IndependenceBrokenError, ValidationError
 from .prob import Event, condition, probability
-from .updating import (
-    EvidencePartition,
-    UpdatePolicy,
-    _chosen_by_state,
-    _groups,
-    _leak,
-)
+from .updating import EvidencePartition, UpdatePolicy, _cell_pass, _chosen_by_state
 
 __all__ = [
     "LemmaOneRow",
@@ -217,10 +211,7 @@ def _cellwise(
             raise ValidationError(
                 f"cannot decompose zero-probability cell {cell.describe()}"
             )
-        conditioned = condition(problem.prior, cell)
-        cell_eus = [expected_utility(problem, a, conditioned) for a in problem.choices]
-        groups = _groups(cell, chosen)
-        leak = _leak(problem, groups, cell_eus)
+        cell_eus, groups, leak = _cell_pass(problem, cell, chosen)
         if leak is not None:
             action, probe = leak
             raise IndependenceBrokenError(cell, action.id, probe.id)
@@ -260,7 +251,9 @@ def evaluate(problem: DecisionProblem, policy: UpdatePolicy) -> VoiReport:
     Decides each state's act once, then sums the definitional value and
     builds the cellwise decomposition from those choices separately;
     :class:`VoiReport` refuses to construct unless the two agree exactly.
-    Requires the decomposition's independence precondition, like
+    ``val_good`` is read off the per-cell maxima, which hold the same
+    products :func:`val_good` would recompute.  Requires the
+    decomposition's independence precondition, like
     :func:`cellwise_decomposition`.
     """
     chosen = _chosen_by_state(problem, policy)
@@ -268,7 +261,7 @@ def evaluate(problem: DecisionProblem, policy: UpdatePolicy) -> VoiReport:
     baseline = max_expected_utility(problem.prior, problem)
     return VoiReport(
         baseline=baseline,
-        val_good=val_good(problem, policy.partition),
+        val_good=sum((c.prob * c.max_cond_eu for c in per_cell), Fraction(0)) - baseline,
         val_general=_realized(problem, chosen) - baseline,
         per_cell=per_cell,
         chosen_by_state={s: a.id for s, a in chosen.items()},

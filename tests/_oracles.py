@@ -72,19 +72,28 @@ def brute_val_general(problem, policy):
     return realized - best_value(problem, prior)
 
 
-def _choices_stay_uninformative(prior, posteriors, members, bet, loss):
+def _takers(prior, posteriors, members, bet, loss):
+    """The positive-prior members whose posterior puts more than ``loss`` on ``bet``."""
+    return {
+        state
+        for state in members
+        if prior[state] > 0
+        and sum((posteriors[state].get(s, 0) for s in bet), Fraction(0)) > loss
+    }
+
+
+def _choices_stay_uninformative(prior, takers, members, bet):
     """Within-cell independence of a bet, straight from its definition.
 
-    A positive-prior state takes the bet iff its posterior puts more than
-    ``loss`` on ``bet``; the bet event's conditional probability must then
-    be the same among takers, among decliners, and over the whole cell.
+    The bet event's conditional probability must be the same among
+    takers, among decliners, and over the whole cell.
     """
     mass = {True: Fraction(0), False: Fraction(0)}
     bet_mass = {True: Fraction(0), False: Fraction(0)}
     for state in members:
         if prior[state] == 0:
             continue
-        takes = sum((posteriors[state].get(s, 0) for s in bet), Fraction(0)) > loss
+        takes = state in takers
         mass[takes] += prior[state]
         if state in bet:
             bet_mass[takes] += prior[state]
@@ -100,11 +109,12 @@ def brute_certificate_walk(inst):
     (state to a dict of Fractions).  Cells are walked as declared,
     deviating positive-prior states in state order, events by size and
     then state order, each priced with midpoint stakes.  Returns
-    ``("certificate", cell, state, event, q, r, bet, win, loss)`` for the
-    first bet whose takers leave the cell's odds unchanged, where ``bet``
-    is the bet's event within the cell; else ``("refused", cell, bet, win,
-    loss)`` for the first rejected bet; else ``None`` when no state
-    deviates.
+    ``("certificate", cell, state, event, q, r, bet, win, loss, value)``
+    for the first bet whose takers leave the cell's odds unchanged, where
+    ``bet`` is the bet's event within the cell and ``value`` sums each
+    taker's prior times the stake it wins or loses; else ``("refused",
+    cell, bet, win, loss)`` for the first rejected bet; else ``None`` when
+    no state deviates.
     """
     prior = inst.prior
     first_rejected = None
@@ -129,8 +139,16 @@ def brute_certificate_walk(inst):
                     else:
                         bet, loss = frozenset(members) - set(combo), ((1 - q) + (1 - r)) / 2
                     win = 1 - loss
-                    if _choices_stay_uninformative(prior, inst.posteriors, members, bet, loss):
-                        return ("certificate", members, state, frozenset(combo), q, r, bet, win, loss)
+                    takers = _takers(prior, inst.posteriors, members, bet, loss)
+                    if _choices_stay_uninformative(prior, takers, members, bet):
+                        value = sum(
+                            (prior[s] * (win if s in bet else -loss) for s in takers),
+                            Fraction(0),
+                        )
+                        return (
+                            "certificate", members, state, frozenset(combo), q, r,
+                            bet, win, loss, value,
+                        )
                     if first_rejected is None:
                         first_rejected = ("refused", members, bet, win, loss)
     return first_rejected

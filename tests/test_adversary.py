@@ -288,6 +288,46 @@ class TestAversionCertificate:
                 val_general=Fraction(1, 8),
             )
 
+    def test_leaking_takers_cannot_be_certified(self):
+        """a and b are both certain of b, so both take a bet on {b} that c
+        declines: taking it reveals b is likelier, and the -1/9 value the
+        bet seems to cost is not the price of misjudging the world."""
+        space = StateSpace(("a", "b", "c"))
+        cell = Event(space, frozenset(space.states))
+        prior = Credence(space, {s: Fraction(1, 3) for s in space})
+        certain_of_b = Credence(space, {"b": Fraction(1)})
+        policy = UpdatePolicy(
+            EvidencePartition(space, (cell,)),
+            {"a": certain_of_b, "b": certain_of_b, "c": condition(prior, cell)},
+        )
+        bet_event = Event(space, frozenset({"b"}))
+        outcomes = OutcomeSpace(
+            ("zero", "win", "loss"),
+            {"zero": 0, "win": Fraction(1, 3), "loss": Fraction(-2, 3)},
+        )
+        actions = (
+            Action(SAFE_ID, {s: "zero" for s in space}),
+            Action(RISKY_ID, {"a": "loss", "b": "win", "c": "loss"}),
+        )
+        problem = DecisionProblem(space, outcomes, prior, ChoiceSet(actions))
+        assert val_general(problem, policy) == Fraction(-1, 9)
+        with pytest.raises(ValidationError, match="takers leak") as exc:
+            AversionCertificate(
+                deviation=Deviation(
+                    cell=cell, state="a", event=bet_event, q=Fraction(1), r=Fraction(1, 3)
+                ),
+                bet_win=Fraction(1, 3),
+                bet_loss=Fraction(2, 3),
+                bet_event=bet_event,
+                problem=problem,
+                policy=policy,
+                val_general=Fraction(-1, 9),
+            )
+        assert str(exc.value) == (
+            f"the bet's takers leak: choosing {SAFE_ID!r} within cell {{a, b, c}} "
+            f"shifts the conditional expected utility of {RISKY_ID!r}"
+        )
+
     def test_wrong_direction_bet_is_rejected(self):
         """Swapping win and loss states makes the bet unattractive to the
         deviant posterior, which the certificate checks directly."""
@@ -407,6 +447,7 @@ def assert_matches_the_walk(plain, share):
             cert.bet_event.members & d.cell.members,
             cert.bet_win,
             cert.bet_loss,
+            cert.val_general,
         ) == expected
         assert brute_val_general(cert.problem, cert.policy) == cert.val_general < 0
 

@@ -82,6 +82,13 @@ class TestScenarioCommand:
         assert err.startswith("error:")
         assert "no epsilon parameter" in err
 
+    def test_decimal_epsilon_is_refused(self, capsys):
+        assert main(["scenario", "gamblers", "--epsilon", "0.1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "exact rational" in captured.err
+
     def test_unknown_scenario_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["scenario", "nope"])

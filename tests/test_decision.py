@@ -153,19 +153,6 @@ class TestBestAction:
         assert exc.value.actions == ("flat", "spike")
         assert exc.value.value == 0
 
-    def test_explicit_tie_policy_overrides_the_problems(self):
-        tied = problem([FLAT, SPIKE], tie_policy=ERROR_ON_TIE)
-        chosen, _ = best_action(tied.prior, tied, tie_policy=FIRST_BY_ORDER)
-        assert chosen.id == "flat"
-        lax = problem([FLAT, SPIKE])
-        with pytest.raises(TieError):
-            best_action(lax.prior, lax, tie_policy=ERROR_ON_TIE)
-
-    def test_unknown_override_rejected(self):
-        p = problem([FLAT])
-        with pytest.raises(ValidationError, match="unknown tie policy"):
-            best_action(p.prior, p, tie_policy="whatever")
-
     @given(
         st.lists(
             st.lists(st.integers(min_value=-9, max_value=9), min_size=3, max_size=3),

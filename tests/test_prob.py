@@ -90,6 +90,10 @@ class TestAsFraction:
             as_fraction("one half")
         with pytest.raises(ValidationError):
             as_fraction("1/0")
+        # one grammar with problem files: no decimals, exponents or spaces
+        for text in ("0.1", "1e-3", " 1/2 "):
+            with pytest.raises(ValidationError, match="exact rational"):
+                as_fraction(text)
 
     def test_rejects_other_types(self):
         with pytest.raises(ValidationError):

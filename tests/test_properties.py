@@ -2,24 +2,39 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from infovalue.decision import ERROR_ON_TIE
+from infovalue.decision import (
+    ERROR_ON_TIE,
+    Action,
+    ChoiceSet,
+    DecisionProblem,
+    OutcomeSpace,
+)
 from infovalue.errors import InfoValueError
-from infovalue.prob import condition
+from infovalue.prob import Credence, Event, StateSpace, condition
 from infovalue.problemfile import dumps, loads
 from infovalue.properties import (
     PROPERTY_NAMES,
+    Instance,
     PropertyFailure,
     PropertyReport,
+    _check_instance,
     property_suite,
     random_conditionalization_instance,
     random_deviation_spec,
     random_mixture_instance,
     random_problem,
 )
-from infovalue.updating import CONDITIONALIZATION, is_immodest, modesty_degree
+from infovalue.updating import (
+    CONDITIONALIZATION,
+    EvidencePartition,
+    UpdatePolicy,
+    is_immodest,
+    modesty_degree,
+)
 from infovalue.voi import evaluate
 
 from _oracles import brute_val_general, brute_val_good
@@ -187,6 +202,50 @@ class TestPropertySuite:
                 instance.problem, instance.policy
             )
             assert full.val_general <= full.val_good
+
+    def test_leaking_instance_is_reported_not_raised(self):
+        """x1 alone is certain of itself and bets: choices leak, and the
+        realized value 3/32 beats the classical 0."""
+        space = StateSpace(("x1", "x2", "y"))
+        prior = Credence(
+            space,
+            {"x1": Fraction(1, 4), "x2": Fraction(1, 4), "y": Fraction(1, 2)},
+        )
+        x_cell = Event(space, frozenset({"x1", "x2"}))
+        y_cell = Event(space, frozenset({"y"}))
+        outcomes = OutcomeSpace(
+            ("zero", "one", "steady"),
+            {"zero": 0, "one": 1, "steady": Fraction(5, 8)},
+        )
+        actions = (
+            Action("bet1", {"x1": "one", "x2": "zero", "y": "zero"}),
+            Action("keep", {s: "steady" for s in space}),
+        )
+        policy = UpdatePolicy(
+            EvidencePartition(space, (x_cell, y_cell)),
+            {
+                "x1": Credence(space, {"x1": Fraction(1)}),
+                "x2": condition(prior, x_cell),
+                "y": condition(prior, y_cell),
+            },
+        )
+        instance = Instance(
+            "leaking", DecisionProblem(space, outcomes, prior, ChoiceSet(actions)), policy
+        )
+        checked, failures = {}, []
+        _check_instance(7, instance, checked, failures)
+        assert [f.property_name for f in failures] == [
+            "evidential-independence",
+            "general-le-classical",
+        ]
+        assert failures[0].detail == (
+            "choices reveal payoff-relevant information: choosing 'bet1' within "
+            "cell {x1, x2} shifts the conditional expected utility of 'bet1'"
+        )
+        assert failures[1].detail == "val_general=3/32 exceeds val_good=0"
+        assert failures[0].document == instance.document()
+        assert "cellwise-reconstruction" not in checked
+        assert checked["evidential-independence"] == 1
 
 
 class TestPropertyReport:
