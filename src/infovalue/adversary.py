@@ -27,7 +27,6 @@ qualifies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -149,10 +148,6 @@ class AversionCertificate:
     policy: UpdatePolicy
     val_general: Fraction
 
-    @property
-    def choice_set(self) -> ChoiceSet:
-        return self.problem.choices
-
     def __post_init__(self) -> None:
         if self.bet_win <= 0 or self.bet_loss <= 0:
             raise ValidationError("stakes must be positive on both sides")
@@ -252,25 +247,20 @@ class _PosteriorClass(NamedTuple):
     weights: tuple[tuple[int, int], ...]
 
 
-def _scaled(masses: list[Fraction]) -> tuple[tuple[int, ...], int]:
-    """The masses as integer numerators over their least common denominator."""
-    den = math.lcm(*(m.denominator for m in masses))
-    return tuple(m.numerator * (den // m.denominator) for m in masses), den
-
-
 def _posterior_classes(
     policy: UpdatePolicy, members: tuple[str, ...], weights: tuple[int, ...]
 ) -> list[_PosteriorClass]:
     """The cell's positive-prior states grouped by posterior, in state order."""
     index = {state: i for i, state in enumerate(members)}
+    positions = [policy.space.index(state) for state in members]
     positive = [state for state, weight in zip(members, weights) if weight]
     classes = []
     for posterior, states in _posterior_groups(policy, positive):
-        row, den = _scaled([posterior(s) for s in members])
+        row = tuple(posterior.nums[p] for p in positions)
         classes.append(_PosteriorClass(
             states[0],
             row,
-            den,
+            posterior.den,
             tuple((i, m) for i, m in enumerate(row) if m),
             tuple((index[s], weights[index[s]]) for s in states),
         ))
@@ -318,11 +308,12 @@ def demonstrate_aversion(
 
     States that share a posterior price every event alike, so each
     posterior is walked once, at its first state; a later state holding it
-    would only repeat bets already rejected.  Each cell's prior and
-    posteriors are scaled to integers once, and a candidate event then
-    costs O(|cell|) integer operations to price and, per posterior, to
-    decide; a cell of ``n`` states walks up to ``2**n - 2`` events per
-    distinct deviating posterior.
+    would only repeat bets already rejected.  Each cell's prior weights
+    and posterior rows are read as integer rows from the stored credences'
+    ``nums``, and a candidate event then costs O(|cell|) integer
+    operations to price and, per posterior, to decide; a cell of ``n``
+    states walks up to ``2**n - 2`` events per distinct deviating
+    posterior.
 
     Raises :class:`NoDeviationError` if the policy conditionalizes at
     every prior-possible state, and :class:`IndependenceBrokenError` (with
@@ -338,7 +329,7 @@ def demonstrate_aversion(
     found_deviating_state = False
     for cell in policy.partition.cells:
         members = cell.sorted_members()
-        weights, prior_den = _scaled([prior(s) for s in members])
+        weights = tuple(prior.nums[space.index(s)] for s in members)
         total = sum(weights)
         if total == 0:
             continue
@@ -389,7 +380,7 @@ def demonstrate_aversion(
                         policy=policy,
                         val_general=(
                             taker_bet_weight * bet_win - taker_loss_weight * bet_loss
-                        ) / prior_den,
+                        ) / prior.den,
                     )
     if not found_deviating_state:
         raise NoDeviationError(

@@ -79,8 +79,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    epsilons = [e.strip() for e in args.epsilons.split(",") if e.strip()]
-    if not epsilons:
+    epsilons = args.epsilons.split(",")
+    if not any(e.strip() for e in epsilons):
         raise ConfigError("--epsilons must list at least one value")
     table = sweep(args.name, epsilons, confidence=args.confidence)
     if args.format == "csv":

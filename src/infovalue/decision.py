@@ -180,14 +180,11 @@ def expected_utility(
     p = problem.prior if credence is None else credence
     if p.space != problem.space:
         raise ValidationError("credence is not over the problem's space")
+    u = problem.outcomes.u
     return sum(
-        (
-            m * problem.outcomes.u(action.outcome_in(s))
-            for s, m in zip(p.space, p.mass)
-            if m
-        ),
+        (u(action.outcome_in(s)) * n for s, n in zip(p.space, p.nums) if n),
         Fraction(0),
-    )
+    ) / p.den
 
 
 def best_action(credence: Credence, problem: DecisionProblem) -> tuple[Action, Fraction]:

@@ -1,16 +1,19 @@
 """Finite probability spaces with exact rational arithmetic.
 
-States are opaque string ids.  All masses are :class:`fractions.Fraction`;
-floats are rejected at the boundary so that every downstream comparison
-(equality of two expected utilities, sign of a value difference) is exact.
+States are opaque string ids.  All masses are exact rationals: they enter
+and leave as :class:`fractions.Fraction` and are stored as integers over one
+denominator.  Floats are rejected at the boundary so that every downstream
+comparison (equality of two expected utilities, sign of a value difference)
+is exact.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     SpaceMismatchError,
@@ -29,7 +32,7 @@ __all__ = [
 ]
 
 
-_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
+_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 
 def as_fraction(value) -> Fraction:
@@ -137,49 +140,62 @@ class Event:
         return "{" + ", ".join(self.sorted_members()) + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Credence:
     """An exact probability distribution over a state space.
 
     Build it from a mapping of state ids to masses; states left out get
-    probability 0.  ``mass`` is then stored as a tuple of Fractions in
-    state-space order, so equal distributions compare and hash equal.
+    probability 0.  The distribution is stored once, as reduced integer
+    numerators ``nums`` in state-space order over their least common
+    denominator ``den``, so equal distributions compare and hash equal.
     """
 
     space: StateSpace
-    mass: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        position = self.space._position
+    def __init__(self, space: StateSpace, mass: Mapping[str, object]) -> None:
+        position = space._position
         dense = [Fraction(0)] * len(position)
-        for state, raw in self.mass.items():
+        for state, raw in mass.items():
             if state not in position:
                 raise ValidationError(f"mass assigned to unknown state {state!r}")
             value = as_fraction(raw)
             if value < 0:
                 raise ValidationError(f"negative mass {value} on state {state!r}")
             dense[position[state]] = value
-        total = sum(dense, Fraction(0))
-        if total != 1:
-            raise ValidationError(f"masses must sum to exactly 1, got {total}")
-        object.__setattr__(self, "mass", tuple(dense))
+        den = math.lcm(*(m.denominator for m in dense))
+        nums = tuple(m.numerator * (den // m.denominator) for m in dense)
+        if sum(nums) != den:
+            raise ValidationError(
+                f"masses must sum to exactly 1, got {Fraction(sum(nums), den)}"
+            )
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def mass(self) -> tuple[Fraction, ...]:
+        """The masses as Fractions in state-space order."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def __call__(self, state: str) -> Fraction:
         position = self.space._position.get(state)
         if position is None:
             raise ValidationError(f"unknown state {state!r}")
-        return self.mass[position]
+        return Fraction(self.nums[position], self.den)
 
     def support(self) -> tuple[str, ...]:
         """Positive-probability states, in state-space order."""
-        return tuple(s for s, m in zip(self.space.states, self.mass) if m)
+        return tuple(s for s, n in zip(self.space.states, self.nums) if n)
 
 
 def probability(credence: Credence, event: Event) -> Fraction:
     """Total mass the credence assigns to the event."""
     if event.space != credence.space:
         raise SpaceMismatchError("event and credence live on different spaces")
-    return sum((credence(s) for s in event.members), Fraction(0))
+    nums, position = credence.nums, credence.space._position
+    return Fraction(sum(nums[position[s]] for s in event.members), credence.den)
 
 
 def condition(credence: Credence, event: Event) -> Credence:

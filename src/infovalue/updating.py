@@ -343,26 +343,11 @@ def modesty_degree(policy: UpdatePolicy, prior: Credence) -> Fraction:
 def _posterior_groups(
     policy: UpdatePolicy, states: Iterable[str]
 ) -> list[tuple[Credence, list[str]]]:
-    """``states`` grouped by posterior, in order of each group's first state.
-
-    Posteriors are matched by object identity first, so a posterior object
-    shared by many states is hashed once; equal but distinct objects still
-    meet by value.
-    """
-    by_id: dict[int, list[str]] = {}
-    by_value: dict[Credence, list[str]] = {}
-    groups = []
+    """``states`` grouped by posterior, in order of each group's first state."""
+    groups: dict[Credence, list[str]] = {}
     for state in states:
-        posterior = policy.posterior(state)
-        group = by_id.get(id(posterior))
-        if group is None:
-            group = by_value.get(posterior)
-            if group is None:
-                group = by_value[posterior] = []
-                groups.append((posterior, group))
-            by_id[id(posterior)] = group
-        group.append(state)
-    return groups
+        groups.setdefault(policy.posterior(state), []).append(state)
+    return list(groups.items())
 
 
 def _chosen_by_state(

@@ -13,7 +13,11 @@ from itertools import combinations
 
 def dist_of(credence):
     """A credence's probability mass as a plain dict (positive entries only)."""
-    return {s: m for s, m in zip(credence.space.states, credence.mass) if m > 0}
+    return {
+        s: Fraction(n, credence.den)
+        for s, n in zip(credence.space.states, credence.nums)
+        if n > 0
+    }
 
 
 def payoff(problem, action, state):

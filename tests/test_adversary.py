@@ -178,7 +178,7 @@ class TestDemonstrateAversion:
         cert = demonstrate_aversion(two_state_problem(), skewed_policy())
         assert cert.problem.space == TWO
         assert cert.problem.prior == TWO_PRIOR
-        assert cert.choice_set.ids() == (SAFE_ID, RISKY_ID)
+        assert cert.problem.choices.ids() == (SAFE_ID, RISKY_ID)
         risky = cert.problem.choices.by_id(RISKY_ID)
         assert risky.outcome_in("g") == "win"
         assert risky.outcome_in("h") == "loss"

@@ -164,6 +164,17 @@ class TestSweepCommand:
         assert main(["sweep", "gamblers", "--epsilons", " , "]) == 1
         assert "at least one value" in capsys.readouterr().err
 
+    def test_entries_follow_the_rational_grammar_as_written(self, capsys):
+        # the same rule as ``scenario --epsilon``: no spaces, no empty entries
+        for grid, entry in (("0, 1/2", "' 1/2'"), ("0,,1/2", "''")):
+            assert main(["sweep", "gamblers", "--epsilons", grid]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: expected an exact rational string like '3/4' or '-2', "
+                f"got {entry}\n"
+            )
+
 
 class TestAdversaryCommand:
     def test_certificate_for_the_gamblers_policy(self, gamblers_file, capsys):

@@ -29,6 +29,7 @@ from infovalue.prob import (
 )
 
 SPACE = StateSpace(("a", "b", "c", "d"))
+ABC = StateSpace(("a", "b", "c"))
 
 
 def credence(**mass):
@@ -91,7 +92,8 @@ class TestAsFraction:
         with pytest.raises(ValidationError):
             as_fraction("1/0")
         # one grammar with problem files: no decimals, exponents or spaces
-        for text in ("0.1", "1e-3", " 1/2 "):
+        # ... and ASCII digits only: "١/٢" and "٣" are Arabic-Indic digits
+        for text in ("0.1", "1e-3", " 1/2 ", "\u0661/\u0662", "\u0663"):
             with pytest.raises(ValidationError, match="exact rational"):
                 as_fraction(text)
 
@@ -163,6 +165,27 @@ class TestCredence:
     def test_mass_is_a_tuple_in_state_order(self):
         p = Credence(SPACE, {"c": Fraction(3, 4), "a": Fraction(1, 4)})
         assert p.mass == (Fraction(1, 4), Fraction(0), Fraction(3, 4), Fraction(0))
+
+    def test_stores_reduced_numerators_over_one_denominator(self):
+        p = Credence(ABC, {"a": "1/6", "b": "1/3", "c": "1/2"})
+        assert p.nums == (1, 2, 3)
+        assert p.den == 6
+
+    def test_equal_distributions_store_equal_integers(self):
+        written = Credence(ABC, {"a": "1/4", "c": "2/4", "b": "1/4"})
+        built = Credence(
+            ABC, {"a": Fraction(1, 4), "b": Fraction(1, 4), "c": Fraction(1, 2)}
+        )
+        assert (written.nums, written.den) == (built.nums, built.den) == ((1, 1, 2), 4)
+        assert written == built
+        assert hash(written) == hash(built)
+        assert written.mass == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
+
+    def test_conditioning_stores_the_renormalized_integers(self):
+        p = Credence(ABC, {"a": "1/6", "b": "1/3", "c": "1/2"})
+        q = condition(p, Event(ABC, frozenset({"a", "b"})))
+        assert q.nums == (1, 2, 0)
+        assert q.den == 3
 
     def test_rejects_bad_total(self):
         with pytest.raises(ValidationError, match="sum to exactly 1"):

@@ -195,6 +195,13 @@ class TestParseErrors:
             loads(text)
         assert exc.value.location == "states[2].prob"
 
+    def test_non_ascii_digits_are_rejected_with_location(self):
+        # "٣" is ARABIC-INDIC DIGIT THREE: a Unicode decimal, not one of 0-9
+        text = mutated_text(lambda d: d["outcomes"][0].update(utility="\u0663"))
+        with pytest.raises(RationalFormatError, match="exact rational") as exc:
+            loads(text)
+        assert exc.value.location == "outcomes[0].utility"
+
     def test_action_map_errors_are_located(self):
         text = mutated_text(lambda d: d["actions"][1]["map"].update(zz="nil"))
         with pytest.raises(MalformedDocumentError) as exc:
