@@ -5,12 +5,23 @@ a prior, a utility on outcomes, and an ordered set of candidate actions.
 Ordering matters: the default tie policy picks the earliest-listed maximizer,
 so two problems with the same actions in a different order are different
 problems.
+
+Choice runs on integers.  Each problem derives, once, an integer utility
+table: the scale ``U``, the least common multiple of the utility
+denominators, and for each action a row of ``u(outcome) * U`` in state
+order.  The table is a view of ``outcomes`` and ``choices``, not a field, so
+it takes no part in equality and is rebuilt whenever the problem is.  An
+expected utility is then one integer dot product of a row with a credence's
+numerators, over ``credence.den * U``; Fractions appear only in returned
+values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import TieError, ValidationError
@@ -137,6 +148,9 @@ class DecisionProblem:
     ``tie_policy`` fixes how optimal choice resolves ties everywhere this
     problem is evaluated: ``first-by-order`` (the default) deterministically
     prefers the earliest-listed maximizer, ``error-on-tie`` refuses to choose.
+
+    Construction validates every (action, state) pair and, in the same walk,
+    derives the integer utility table described in the module docstring.
     """
 
     space: StateSpace
@@ -153,50 +167,83 @@ class DecisionProblem:
                 f"unknown tie policy {self.tie_policy!r}; "
                 f"expected one of {', '.join(_TIE_POLICIES)}"
             )
-        for action in self.choices:
-            for state in self.space:
-                outcome = action.assignment.get(state)
-                if outcome is None:
-                    raise ValidationError(
-                        f"action {action.id!r} assigns no outcome to state {state!r}"
-                    )
-                if outcome not in self.outcomes:
-                    raise ValidationError(
-                        f"action {action.id!r} maps state {state!r} to "
-                        f"unknown outcome {outcome!r}"
-                    )
-            stray = set(action.assignment) - set(self.space.states)
-            if stray:
+        utility = self.outcomes.utility
+        scale = math.lcm(*(u.denominator for u in utility.values()))
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(
+            self,
+            "_scaled_utility",
+            {o: u.numerator * (scale // u.denominator) for o, u in utility.items()},
+        )
+        object.__setattr__(
+            self, "_rows", {action: self._utility_row(action) for action in self.choices}
+        )
+
+    def _utility_row(self, action: Action) -> tuple[int, ...]:
+        """``u(outcome) * U`` for each state in order, validating the action."""
+        scaled = self._scaled_utility
+        row = []
+        for state in self.space:
+            outcome = action.assignment.get(state)
+            if outcome is None:
                 raise ValidationError(
-                    f"action {action.id!r} assigns outcomes to unknown states: "
-                    f"{sorted(stray)}"
+                    f"action {action.id!r} assigns no outcome to state {state!r}"
                 )
+            if outcome not in scaled:
+                raise ValidationError(
+                    f"action {action.id!r} maps state {state!r} to "
+                    f"unknown outcome {outcome!r}"
+                )
+            row.append(scaled[outcome])
+        if len(action.assignment) != len(row):
+            stray = set(action.assignment) - set(self.space.states)
+            raise ValidationError(
+                f"action {action.id!r} assigns outcomes to unknown states: "
+                f"{sorted(stray)}"
+            )
+        return tuple(row)
+
+    def _row(self, action: Action) -> tuple[int, ...]:
+        """The action's cached utility row, or a fresh one if it is not a choice."""
+        row = self._rows.get(action)
+        return self._utility_row(action) if row is None else row
+
+    def _scores(self, credence: Credence) -> list[int]:
+        """Each choice's expected utility times ``credence.den * U``, in order."""
+        if credence.space != self.space:
+            raise ValidationError("credence is not over the problem's space")
+        nums = credence.nums
+        return [sum(map(mul, row, nums)) for row in self._rows.values()]
 
 
 def expected_utility(
     problem: DecisionProblem, action: Action, credence: Credence | None = None
 ) -> Fraction:
-    """Expected payoff of ``action`` under ``credence`` (default: the prior)."""
+    """Expected payoff of ``action`` under ``credence`` (default: the prior).
+
+    Computed on integers: the action's utility row dotted with the
+    credence's numerators, over ``credence.den * U``.  An action outside the
+    choice set is validated against the problem and scored the same way.
+    """
     p = problem.prior if credence is None else credence
     if p.space != problem.space:
         raise ValidationError("credence is not over the problem's space")
-    u = problem.outcomes.u
-    return sum(
-        (u(action.outcome_in(s)) * n for s, n in zip(p.space, p.nums) if n),
-        Fraction(0),
-    ) / p.den
+    return Fraction(sum(map(mul, problem._row(action), p.nums)), p.den * problem._scale)
 
 
 def best_action(credence: Credence, problem: DecisionProblem) -> tuple[Action, Fraction]:
     """The optimal action and its expected utility under ``credence``.
 
-    Ties resolve by the problem's ``tie_policy``: under ``error-on-tie`` a
-    non-unique maximizer raises :class:`TieError` listing every tied
-    action id.
+    Compares the integer numerators of the choices' expected utilities,
+    which share the denominator ``credence.den * U``, and builds one
+    Fraction for the value.  Ties resolve by the problem's ``tie_policy``:
+    under ``error-on-tie`` a non-unique maximizer raises :class:`TieError`
+    listing every tied action id.
     """
-    scored = [(expected_utility(problem, a, credence), a) for a in problem.choices]
-    best_value = max(value for value, _ in scored)
-    winners = [a for value, a in scored if value == best_value]
+    scores = problem._scores(credence)
+    top = max(scores)
+    winners = [a for a, score in zip(problem.choices, scores) if score == top]
+    best_value = Fraction(top, credence.den * problem._scale)
     if problem.tie_policy == ERROR_ON_TIE and len(winners) > 1:
         raise TieError(tuple(a.id for a in winners), best_value)
     return winners[0], best_value
@@ -204,7 +251,7 @@ def best_action(credence: Credence, problem: DecisionProblem) -> tuple[Action, F
 
 def max_expected_utility(credence: Credence, problem: DecisionProblem) -> Fraction:
     """The best achievable expected utility under ``credence`` (tie-insensitive)."""
-    return max(expected_utility(problem, a, credence) for a in problem.choices)
+    return Fraction(max(problem._scores(credence)), credence.den * problem._scale)
 
 
 def is_relevant(problem: DecisionProblem, partition: "EvidencePartition") -> bool:
@@ -216,8 +263,7 @@ def is_relevant(problem: DecisionProblem, partition: "EvidencePartition") -> boo
     """
     rows = []
     for cell in partition.cells:
-        q = condition(problem.prior, cell)
-        eus = [expected_utility(problem, a, q) for a in problem.choices]
-        best = max(eus)
-        rows.append([eu == best for eu in eus])
+        scores = problem._scores(condition(problem.prior, cell))
+        best = max(scores)
+        rows.append([score == best for score in scores])
     return not any(all(column) for column in zip(*rows))

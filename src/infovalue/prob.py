@@ -51,6 +51,8 @@ def as_fraction(value) -> Fraction:
             f"expected an exact rational, got float {value!r}; "
             "pass a Fraction, an int, or a string like '1/10'"
         )
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
@@ -156,16 +158,19 @@ class Credence:
 
     def __init__(self, space: StateSpace, mass: Mapping[str, object]) -> None:
         position = space._position
-        dense = [Fraction(0)] * len(position)
+        given: dict[int, Fraction] = {}
         for state, raw in mass.items():
             if state not in position:
                 raise ValidationError(f"mass assigned to unknown state {state!r}")
             value = as_fraction(raw)
-            if value < 0:
+            if value.numerator < 0:
                 raise ValidationError(f"negative mass {value} on state {state!r}")
-            dense[position[state]] = value
-        den = math.lcm(*(m.denominator for m in dense))
-        nums = tuple(m.numerator * (den // m.denominator) for m in dense)
+            given[position[state]] = value
+        den = math.lcm(*(m.denominator for m in given.values()))
+        dense = [0] * len(position)
+        for i, m in given.items():
+            dense[i] = m.numerator * (den // m.denominator)
+        nums = tuple(dense)
         if sum(nums) != den:
             raise ValidationError(
                 f"masses must sum to exactly 1, got {Fraction(sum(nums), den)}"
@@ -201,17 +206,24 @@ def probability(credence: Credence, event: Event) -> Fraction:
 def condition(credence: Credence, event: Event) -> Credence:
     """Bayesian conditioning: restrict to the event and renormalize.
 
+    Computed on integers: each positive member keeps its numerator, and the
+    numerators' sum becomes the new denominator, so the posterior is built
+    from ``Fraction(n, total)`` without dividing by the event's probability.
+
     Raises :class:`ZeroProbabilityError` if the event has probability 0 —
     there is no canonical answer there and pretending otherwise hides bugs.
     """
-    p_event = probability(credence, event)
-    if p_event == 0:
+    if event.space != credence.space:
+        raise SpaceMismatchError("event and credence live on different spaces")
+    nums, position = credence.nums, credence.space._position
+    kept = {s: nums[position[s]] for s in event.members}
+    total = sum(kept.values())
+    if total == 0:
         raise ZeroProbabilityError(
             f"cannot condition on zero-probability event {event.describe()}"
         )
     return Credence(
-        credence.space,
-        {s: credence(s) / p_event for s in event.members if credence(s)},
+        credence.space, {s: Fraction(n, total) for s, n in kept.items() if n}
     )
 
 

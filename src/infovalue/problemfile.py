@@ -278,6 +278,7 @@ def _parse_policy(
         )
     entries = _require_list(doc, "policy")
     posteriors: dict[str, Credence] = {}
+    parsed: dict[frozenset, Credence] = {}
     for i, entry in enumerate(entries):
         loc = f"policy[{i}]"
         obj = _require_object(entry, loc, ("state", "posterior"))
@@ -289,19 +290,14 @@ def _parse_policy(
         table = obj["posterior"]
         if not isinstance(table, dict):
             raise PolicyError(f"{loc}.posterior", "expected an object")
-        masses: dict[str, Fraction] = {}
-        for target, raw in table.items():
-            if target not in space:
-                raise PolicyError(f"{loc}.posterior", f"unknown state {target!r}")
-            masses[target] = parse_rational(raw, f"{loc}.posterior[{target!r}]")
-        total = sum(masses.values(), Fraction(0))
-        if total != 1:
-            raise NormalizationError(
-                f"{loc}.posterior", f"masses sum to {total}, expected 1"
-            )
-        if any(v < 0 for v in masses.values()):
-            raise NormalizationError(f"{loc}.posterior", "negative mass")
-        posterior = Credence(space, masses)
+        try:
+            key = frozenset(table.items())
+        except TypeError:  # an array or object as a mass: refused below
+            key = None
+        posterior = parsed.get(key)
+        if posterior is None:
+            posterior = _parse_posterior(table, f"{loc}.posterior", space)
+            parsed[key] = posterior
         cell = partition.cell_of(state)
         in_cell = probability(posterior, cell)
         if in_cell != 1:
@@ -315,6 +311,32 @@ def _parse_policy(
     if missing:
         raise PolicyError("policy", f"no posterior for states: {', '.join(missing)}")
     return UpdatePolicy(partition, posteriors)
+
+
+def _parse_posterior(table: dict, location: str, space: StateSpace) -> Credence:
+    """The credence a posterior table spells out, each mass coerced once.
+
+    A table of rational strings goes straight to :class:`Credence`.  If that
+    refuses it, or a mass is not a string, the table is walked entry by entry
+    to raise the located error for the first fault: an unknown state, a bad
+    rational, masses that do not sum to 1, then a negative mass.
+    """
+    if all(isinstance(raw, str) for raw in table.values()):
+        try:
+            return Credence(space, table)
+        except ValidationError:
+            pass
+    masses: dict[str, Fraction] = {}
+    for target, raw in table.items():
+        if target not in space:
+            raise PolicyError(location, f"unknown state {target!r}")
+        masses[target] = parse_rational(raw, f"{location}[{target!r}]")
+    total = sum(masses.values(), Fraction(0))
+    if total != 1:
+        raise NormalizationError(location, f"masses sum to {total}, expected 1")
+    if any(v < 0 for v in masses.values()):
+        raise NormalizationError(location, "negative mass")
+    return Credence(space, masses)
 
 
 def loads(text: str) -> tuple[DecisionProblem, EvidencePartition, UpdatePolicy]:

@@ -176,14 +176,17 @@ def sophisticated_choice(
 
 
 def _realized(problem: DecisionProblem, chosen: Mapping[str, Action]) -> Fraction:
-    """Prior expectation of what each state's chosen act pays there."""
-    return sum(
-        (
-            problem.prior(s) * problem.outcomes.u(action.outcome_in(s))
-            for s, action in chosen.items()
-        ),
-        Fraction(0),
-    )
+    """Prior expectation of what each state's chosen act pays there.
+
+    Sums ``prior.nums[i] * row[i]`` over the chosen acts' utility rows and
+    divides once, by ``prior.den * U``.
+    """
+    prior, position = problem.prior, problem.space._position
+    total = 0
+    for s, action in chosen.items():
+        i = position[s]
+        total += prior.nums[i] * problem._row(action)[i]
+    return Fraction(total, prior.den * problem._scale)
 
 
 def val_general(problem: DecisionProblem, policy: UpdatePolicy) -> Fraction:
@@ -204,9 +207,11 @@ def _cellwise(
     policy: UpdatePolicy,
     chosen: Mapping[str, Action],
 ) -> tuple[PerCell, ...]:
+    prior, position = problem.prior, problem.space._position
+    nums = prior.nums
     out = []
     for cell in policy.partition.cells:
-        p_cell = probability(problem.prior, cell)
+        p_cell = probability(prior, cell)
         if p_cell == 0:
             raise ValidationError(
                 f"cannot decompose zero-probability cell {cell.describe()}"
@@ -219,7 +224,7 @@ def _cellwise(
         for action, cell_eu in zip(problem.choices, cell_eus):
             members = groups.get(action.id)
             if members:
-                mass = sum((problem.prior(s) for s in members), Fraction(0))
+                mass = Fraction(sum(nums[position[s]] for s in members), prior.den)
                 rows.append(LemmaOneRow(cell, action.id, mass / p_cell, cell_eu))
         out.append(PerCell(cell, p_cell, max(cell_eus), tuple(rows)))
     return tuple(out)
@@ -250,10 +255,10 @@ def evaluate(problem: DecisionProblem, policy: UpdatePolicy) -> VoiReport:
 
     Decides each state's act once, then sums the definitional value and
     builds the cellwise decomposition from those choices separately;
-    :class:`VoiReport` refuses to construct unless the two agree exactly.
-    ``val_good`` is read off the per-cell maxima, which hold the same
-    products :func:`val_good` would recompute.  Requires the
-    decomposition's independence precondition, like
+    ``val_good`` comes from :func:`val_good`'s own loop over the cells.
+    :class:`VoiReport` refuses to construct unless the per-cell table
+    reproduces both values exactly, so each is checked against a second
+    route.  Requires the decomposition's independence precondition, like
     :func:`cellwise_decomposition`.
     """
     chosen = _chosen_by_state(problem, policy)
@@ -261,7 +266,7 @@ def evaluate(problem: DecisionProblem, policy: UpdatePolicy) -> VoiReport:
     baseline = max_expected_utility(problem.prior, problem)
     return VoiReport(
         baseline=baseline,
-        val_good=sum((c.prob * c.max_cond_eu for c in per_cell), Fraction(0)) - baseline,
+        val_good=val_good(problem, policy.partition),
         val_general=_realized(problem, chosen) - baseline,
         per_cell=per_cell,
         chosen_by_state={s: a.id for s, a in chosen.items()},

@@ -1,11 +1,13 @@
 """Decision problems, expected utility, and deterministic optimal choice."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from infovalue import decision
 from infovalue.decision import (
     ERROR_ON_TIE,
     FIRST_BY_ORDER,
@@ -22,7 +24,7 @@ from infovalue.errors import TieError, ValidationError
 from infovalue.prob import Credence, Event, StateSpace
 from infovalue.updating import EvidencePartition
 
-from _oracles import best_value, dist_of, eu
+from _oracles import best_value, dist_of, eu, first_best
 
 SPACE = StateSpace(("s1", "s2", "s3"))
 OUTCOMES = OutcomeSpace(
@@ -234,3 +236,161 @@ class TestIsRelevant:
         clone = act("clone", "hi", "hi", "lo")
         p = problem([GREEDY, clone])
         assert not is_relevant(p, self.two_cell_partition())
+
+
+# ---------------------------------------------------------------- integer kernels
+
+fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+
+
+@st.composite
+def drawn_choices(draw):
+    """A problem and a credence over 1-5 states, for differential checks.
+
+    Utilities have mixed denominators and either sign, so the problem's
+    scale ``U`` is rarely 1.  Acts are drawn from a few tables and may
+    repeat under fresh ids, so first-by-order ties are common; the
+    credence may leave states at zero.
+    """
+    n = draw(st.integers(1, 5))
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    utilities = draw(st.lists(fractions, min_size=1, max_size=5))
+    outcomes = OutcomeSpace(
+        tuple(f"o{i}" for i in range(len(utilities))),
+        {f"o{i}": u for i, u in enumerate(utilities)},
+    )
+    tables = draw(
+        st.lists(
+            st.lists(st.integers(0, len(utilities) - 1), min_size=n, max_size=n),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    order = draw(st.lists(st.integers(0, len(tables) - 1), min_size=1, max_size=5))
+    actions = tuple(
+        Action(f"a{i}-t{t}", {s: f"o{k}" for s, k in zip(space, tables[t])})
+        for i, t in enumerate(order)
+    )
+    weights = draw(
+        st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(any)
+    )
+    prior = Credence(space, {s: Fraction(w, sum(weights)) for s, w in zip(space, weights)})
+    masses = draw(st.lists(fractions.map(abs), min_size=n, max_size=n).filter(any))
+    credence = Credence(
+        space, {s: m / sum(masses) for s, m in zip(space, masses)}
+    )
+    tie_policy = draw(st.sampled_from((FIRST_BY_ORDER, ERROR_ON_TIE)))
+    problem = DecisionProblem(space, outcomes, prior, ChoiceSet(actions), tie_policy)
+    return problem, credence
+
+
+def assert_choice_matches_oracle(problem, credence):
+    """Every integer kernel against the Fraction-only oracle, under ``credence``."""
+    dist = dist_of(credence)
+    values = [eu(problem, a, dist) for a in problem.choices]
+    for action, value in zip(problem.choices, values):
+        assert expected_utility(problem, action, credence) == value
+    top = best_value(problem, dist)
+    assert max_expected_utility(credence, problem) == top
+    tied = tuple(a.id for a, value in zip(problem.choices, values) if value == top)
+    if problem.tie_policy == ERROR_ON_TIE and len(tied) > 1:
+        with pytest.raises(TieError) as exc:
+            best_action(credence, problem)
+        assert exc.value.actions == tied
+        assert type(exc.value.value) is Fraction and exc.value.value == top
+    else:
+        chosen, value = best_action(credence, problem)
+        assert chosen is first_best(problem, dist)
+        assert type(value) is Fraction and value == top
+
+
+class TestIntegerKernels:
+    @given(drawn_choices())
+    def test_choice_matches_the_oracle(self, drawn):
+        assert_choice_matches_oracle(*drawn)
+
+    @given(drawn_choices())
+    def test_replaced_problem_rebuilds_its_table(self, drawn):
+        problem, credence = drawn
+        for tie_policy in (FIRST_BY_ORDER, ERROR_ON_TIE):
+            assert_choice_matches_oracle(
+                dataclasses.replace(problem, tie_policy=tie_policy), credence
+            )
+        doubled = OutcomeSpace(
+            problem.outcomes.outcomes,
+            {o: 2 * u - Fraction(1, 7) for o, u in problem.outcomes.utility.items()},
+        )
+        assert_choice_matches_oracle(
+            dataclasses.replace(problem, outcomes=doubled), credence
+        )
+
+    @given(drawn_choices(), st.lists(st.integers(0, 4), min_size=5, max_size=5))
+    def test_action_outside_the_choice_set(self, drawn, picks):
+        problem, credence = drawn
+        outcomes = problem.outcomes.outcomes
+        outside = Action(
+            "outside",
+            {s: outcomes[k % len(outcomes)] for s, k in zip(problem.space, picks)},
+        )
+        assert expected_utility(problem, outside, credence) == eu(
+            problem, outside, dist_of(credence)
+        )
+        assert expected_utility(problem, outside) == eu(
+            problem, outside, dist_of(problem.prior)
+        )
+
+    def test_outside_action_errors(self):
+        p = problem([FLAT])
+        with pytest.raises(ValidationError, match="unknown outcome 'jackpot'"):
+            expected_utility(p, act("bad", "mid", "jackpot", "mid"))
+        with pytest.raises(ValidationError, match="assigns no outcome to state 's3'"):
+            expected_utility(p, Action("partial", {"s1": "mid", "s2": "mid"}))
+        foreign = Credence(StateSpace(("x",)), {"x": 1})
+        with pytest.raises(ValidationError, match="not over the problem's space"):
+            expected_utility(p, FLAT, foreign)
+        with pytest.raises(ValidationError, match="not over the problem's space"):
+            best_action(foreign, p)
+
+    def test_equality_ignores_the_derived_table(self):
+        a = problem([FLAT, SPIKE])
+        b = problem([FLAT, SPIKE])
+        assert a == b and hash(a) == hash(b)
+        assert [f.name for f in dataclasses.fields(a)] == [
+            "space", "outcomes", "prior", "choices", "tie_policy"
+        ]
+
+
+class TestTheOracleCatchesMutants:
+    """The differential check above fails on a broken kernel."""
+
+    caught = (AssertionError, pytest.fail.Exception)
+
+    def tied(self, tie_policy):
+        outcomes = OutcomeSpace(
+            ("lo", "mid", "hi"),
+            {"lo": Fraction(-2, 3), "mid": Fraction(1, 4), "hi": Fraction(5, 2)},
+        )
+        actions = (
+            act("spike", "hi", "lo", "lo"),
+            act("spike-again", "hi", "lo", "lo"),
+            act("flat", "mid", "mid", "mid"),
+        )
+        prior = Credence(SPACE, {"s1": Fraction(1, 2), "s2": Fraction(1, 2)})
+        return DecisionProblem(SPACE, outcomes, prior, ChoiceSet(actions), tie_policy)
+
+    def test_the_unmutated_kernels_pass(self):
+        for tie_policy in (FIRST_BY_ORDER, ERROR_ON_TIE):
+            p = self.tied(tie_policy)
+            assert_choice_matches_oracle(p, p.prior)
+
+    def test_a_wrong_scale_fails(self):
+        p = self.tied(FIRST_BY_ORDER)
+        object.__setattr__(p, "_scale", 2 * p._scale)
+        with pytest.raises(self.caught):
+            assert_choice_matches_oracle(p, p.prior)
+
+    def test_a_dropped_tie_fails(self, monkeypatch):
+        p = self.tied(ERROR_ON_TIE)
+        monkeypatch.setattr(decision, "ERROR_ON_TIE", "never")
+        with pytest.raises(self.caught):
+            assert_choice_matches_oracle(p, p.prior)

@@ -28,6 +28,8 @@ from infovalue.prob import (
     probability,
 )
 
+from _oracles import conditioned, dist_of
+
 SPACE = StateSpace(("a", "b", "c", "d"))
 ABC = StateSpace(("a", "b", "c"))
 
@@ -231,6 +233,22 @@ class TestProbabilityAndConditioning:
         foreign = Event(StateSpace(("a", "b")), frozenset({"a"}))
         with pytest.raises(SpaceMismatchError):
             probability(p, foreign)
+        with pytest.raises(SpaceMismatchError):
+            condition(p, foreign)
+
+    @given(credences(), st.sets(st.sampled_from(SPACE.states), min_size=1))
+    def test_condition_stores_what_fractions_would(self, p, members):
+        """The integer route stores the credence the Fraction oracle describes."""
+        e = Event(SPACE, frozenset(members))
+        dist = dist_of(p)
+        if not any(s in members for s in dist):
+            with pytest.raises(ZeroProbabilityError):
+                condition(p, e)
+            return
+        expected = Credence(SPACE, conditioned(dist, members))
+        q = condition(p, e)
+        assert (q.nums, q.den) == (expected.nums, expected.den)
+        assert dist_of(q) == conditioned(dist, members)
 
     @given(credences(), st.sets(st.sampled_from(SPACE.states), min_size=1))
     def test_condition_makes_the_event_certain(self, p, members):

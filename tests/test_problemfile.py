@@ -278,6 +278,86 @@ class TestParseErrors:
         assert exc.value.location == "policy[2]"
         assert "exactly 1" in exc.value.message
 
+    @pytest.mark.parametrize(
+        "table, error, location, message",
+        [
+            (
+                {"zz": "1", "a": "x"},
+                PolicyError,
+                "policy[0].posterior",
+                "unknown state 'zz'",
+            ),
+            (
+                {"a": 1, "b": "zz"},
+                RationalFormatError,
+                "policy[0].posterior['a']",
+                "expected an exact rational string like '3/4' or '-2', got 1",
+            ),
+            (
+                {"a": "1/2", "b": ["1/2"]},
+                RationalFormatError,
+                "policy[0].posterior['b']",
+                "expected an exact rational string like '3/4' or '-2', got ['1/2']",
+            ),
+            (
+                {"a": "1/2", "b": None},
+                RationalFormatError,
+                "policy[0].posterior['b']",
+                "expected an exact rational string like '3/4' or '-2', got None",
+            ),
+            (
+                {"a": "1/0", "b": "1"},
+                RationalFormatError,
+                "policy[0].posterior['a']",
+                "zero denominator in '1/0'",
+            ),
+            (
+                {"a": "0.5", "b": "1/2"},
+                RationalFormatError,
+                "policy[0].posterior['a']",
+                "expected an exact rational string like '3/4' or '-2', got '0.5'",
+            ),
+            (
+                {"a": "-1", "b": "1"},
+                NormalizationError,
+                "policy[0].posterior",
+                "masses sum to 0, expected 1",
+            ),
+            (
+                {"a": "-1", "b": "2"},
+                NormalizationError,
+                "policy[0].posterior",
+                "negative mass",
+            ),
+        ],
+    )
+    def test_posterior_table_errors_keep_text_and_location(
+        self, table, error, location, message
+    ):
+        text = mutated_text(lambda d: d["policy"][0].update(posterior=table))
+        with pytest.raises(error) as exc:
+            loads(text)
+        assert type(exc.value) is error
+        assert (exc.value.location, exc.value.message) == (location, message)
+
+    def test_identical_posterior_tables_share_one_credence(self):
+        _, _, policy = loads(dumps(fixture_problem(), explicit_policy()))
+        assert policy.posterior("a") is policy.posterior("b")
+        assert policy.posterior("a") == explicit_policy().posterior("a")
+        reordered = mutated_text(
+            lambda d: d["policy"][1].update(posterior={"b": "1/3", "a": "2/3"})
+        )
+        _, _, policy = loads(reordered)
+        assert policy.posterior("a") is policy.posterior("b")
+
+    def test_a_shared_table_is_still_checked_for_certainty(self):
+        text = mutated_text(
+            lambda d: d["policy"][2].update(posterior=d["policy"][0]["posterior"])
+        )
+        with pytest.raises(CertaintyError) as exc:
+            loads(text)
+        assert exc.value.location == "policy[2]"
+
     def test_every_file_error_is_a_problem_file_error(self):
         for bad in ("[]", "{", '{"states": []}'):
             with pytest.raises(ProblemFileError):

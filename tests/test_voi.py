@@ -391,6 +391,15 @@ def tied_mixtures(draw):
     return mixture_expand(problem, PARTITION, DeviationSpec(epsilon, {LEFT: deviant}))
 
 
+@given(tied_mixtures())
+def test_val_good_agrees_on_three_routes(instance):
+    """evaluate's val_good, the public loop and the oracle share no sum."""
+    problem, policy = instance
+    report = evaluate(problem, policy)
+    assert report.val_good == val_good(problem, policy.partition)
+    assert report.val_good == brute_val_good(problem, policy.partition)
+
+
 class TestFirstByOrderTies:
     @given(tied_mixtures())
     def test_choices_and_value_match_the_oracle(self, instance):
