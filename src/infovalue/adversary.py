@@ -30,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
+from math import lcm
+from typing import Iterator, NamedTuple
 
 from .decision import (
     FIRST_BY_ORDER,
@@ -46,7 +47,7 @@ from .errors import (
     NoDeviationError,
     ValidationError,
 )
-from .prob import Event, condition
+from .prob import Event, StateSpace, condition
 from .updating import UpdatePolicy, _posterior_groups, find_independence_violation
 from .voi import val_general
 
@@ -267,23 +268,89 @@ def _posterior_classes(
     return classes
 
 
+def _is_calibrated(classes: list[_PosteriorClass]) -> bool:
+    """Whether each class's posterior is the prior conditioned on its states.
+
+    Learning cannot hurt an agent whose prior is calibrated to their own
+    posteriors (Skyrms, "The Value of Knowledge", 1990; Huttegger,
+    "Learning experiences and the value of knowledge", 2014), and such a
+    cell yields no certificate.  Take any candidate's bet ``B`` with stake
+    ``loss``.  A class takes it only when its posterior μ puts more than
+    ``loss`` on ``B``; since μ is the prior conditioned on the class's
+    states, the takers' value, the sum over taker classes of
+    ``W_S * (μ(B) - loss)``, is positive.  A surviving candidate's takers
+    leave ``B`` at its cell-wide prior odds ``r'``, so their value is
+    ``W_T * (r' - loss)``.  ``W_T`` is positive, because the walked
+    posterior takes its own bet, and ``r' < loss``, because the conditioned
+    prior prices the bet as a loss; that value is negative.  So every
+    candidate in a calibrated cell is rejected.
+
+    In integers, with ``W`` the summed prior weight of a class's states,
+    the test is ``row[i] * W == w_i * den`` for each of those states.  That
+    suffices: the posterior is certain of its cell, so its row sums to
+    ``den``, and matching on the class's own states leaves 0 on every other
+    member.  It costs O(|cell| * classes) integer operations.
+    """
+    for cls in classes:
+        class_weight = sum(w for _, w in cls.weights)
+        if any(cls.row[i] * class_weight != w * cls.den for i, w in cls.weights):
+            return False
+    return True
+
+
+def _disagreements(
+    row: tuple[int, ...], den: int, weights: tuple[int, ...], total: int
+) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
+    """The candidate events on which a posterior row and the cell's prior disagree.
+
+    Events run by size, then in member order, from single members up to
+    all but one.  Each comes as ``(combo, mask, q_num, r_num)``: its member
+    indices, their bit mask, and the posterior's ``q = q_num / den`` and
+    the conditioned prior's ``r = r_num / total`` on it, with ``q != r``.
+    """
+    n = len(weights)
+    for size in range(1, n):
+        for combo in combinations(range(n), size):
+            q_num = r_num = mask = 0
+            for i in combo:
+                q_num += row[i]
+                r_num += weights[i]
+                mask |= 1 << i
+            if q_num * total != r_num * den:
+                yield combo, mask, q_num, r_num
+
+
+def _priced(
+    space: StateSpace,
+    members: tuple[str, ...],
+    combo: tuple[int, ...],
+    q: Fraction,
+    r: Fraction,
+) -> tuple[Event, Event, Fraction, Fraction]:
+    """A candidate's event, the event its bet is on, and the midpoint stakes."""
+    bet_win, bet_loss = construct_bet(q, r)
+    event = Event(space, frozenset(members[i] for i in combo))
+    return event, event if q > r else event.complement(), bet_win, bet_loss
+
+
 def _taker_tallies(
-    classes: list[_PosteriorClass], mask: int, loss: Fraction
+    classes: list[_PosteriorClass], mask: int, loss_num: int, loss_den: int
 ) -> tuple[int, int]:
     """The prior weights of the bet's takers, and of those among them in the bet.
 
     Outside the deviation's cell both acts pay 0 and every state declines
     by ties-to-safe, so only the cell's states can take the bet: a state
-    takes it iff its posterior puts more than ``loss`` on the bet's members
-    (bit ``i`` of ``mask`` for member ``i``).  The takers' choices stay
-    uninformative iff the bet event's share of their weight equals its
-    share of the whole cell's; the decliners are the rest of the cell, so
-    their share then matches too, and an empty group matches trivially.
+    takes it iff its posterior puts more than ``loss_num / loss_den`` on
+    the bet's members (bit ``i`` of ``mask`` for member ``i``).  The takers'
+    choices stay uninformative iff the bet event's share of their weight
+    equals its share of the whole cell's; the decliners are the rest of the
+    cell, so their share then matches too, and an empty group matches
+    trivially.
     """
     taker_weight = taker_bet_weight = 0
     for cls in classes:
         class_sum = sum(m for i, m in cls.support if mask >> i & 1)
-        if class_sum * loss.denominator > loss.numerator * cls.den:
+        if class_sum * loss_den > loss_num * cls.den:
             for i, weight in cls.weights:
                 taker_weight += weight
                 if mask >> i & 1:
@@ -306,14 +373,24 @@ def demonstrate_aversion(
     against a definitional recomputation and reruns the full independence
     check on the synthesized problem.
 
-    States that share a posterior price every event alike, so each
-    posterior is walked once, at its first state; a later state holding it
-    would only repeat bets already rejected.  Each cell's prior weights
-    and posterior rows are read as integer rows from the stored credences'
-    ``nums``, and a candidate event then costs O(|cell|) integer
-    operations to price and, per posterior, to decide; a cell of ``n``
-    states walks up to ``2**n - 2`` events per distinct deviating
-    posterior.
+    A calibrated cell, where each posterior is the prior conditioned on
+    the states that hold it, can yield no certificate (see
+    :func:`_is_calibrated`).  Its walk stops at the first candidate of its
+    first deviating posterior, the first rejected one, and it is skipped
+    outright once an earlier cell has supplied that refusal witness; either
+    way its deviating states count as deviating.  This costs
+    O(|cell| * classes) integer operations.
+
+    Every other cell is walked in full.  States that share a posterior
+    price every event alike, so each posterior is walked once, at its first
+    state; a later state holding it would only repeat bets already
+    rejected.  Each cell's prior weights and posterior rows are integer
+    rows read from the stored credences' ``nums``, and a candidate's stake
+    is an integer over one denominator per cell, so pricing and deciding a
+    candidate costs O(|cell|) integer operations per posterior; the stakes
+    become ``Fraction``s only for the first rejected candidate and for the
+    certificate.  A cell of ``n`` states that is not calibrated walks up to
+    ``2**n - 2`` events per distinct deviating posterior.
 
     Raises :class:`NoDeviationError` if the policy conditionalizes at
     every prior-possible state, and :class:`IndependenceBrokenError` (with
@@ -334,54 +411,64 @@ def demonstrate_aversion(
         if total == 0:
             continue
         classes = _posterior_classes(policy, members, weights)
+        deviating = [
+            cls for cls in classes
+            if any(m * total != w * cls.den for m, w in zip(cls.row, weights))
+        ]
+        if not deviating:
+            continue  # every posterior is the conditioned prior itself
+        found_deviating_state = True
+        if _is_calibrated(classes):
+            if first_rejected is None:
+                cls = deviating[0]
+                combo, _, q_num, r_num = next(
+                    _disagreements(cls.row, cls.den, weights, total)
+                )
+                q, r = Fraction(q_num, cls.den), Fraction(r_num, total)
+                _, bet_event, bet_win, bet_loss = _priced(space, members, combo, q, r)
+                first_rejected = (cell, bet_event, bet_win, bet_loss)
+            continue
+        scale = lcm(*(cls.den for cls in classes))
+        loss_den = 2 * scale * total
         everything = (1 << len(members)) - 1
-        tallies: dict[tuple[int, Fraction], tuple[int, int]] = {}
-        for cls in classes:
-            row, den = cls.row, cls.den
-            if all(m * total == w * den for m, w in zip(row, weights)):
-                continue  # the conditioned prior itself
-            found_deviating_state = True
-            for size in range(1, len(members)):
-                for combo in combinations(range(len(members)), size):
-                    q_num = r_num = mask = 0
-                    for i in combo:
-                        q_num += row[i]
-                        r_num += weights[i]
-                        mask |= 1 << i
-                    if q_num * total == r_num * den:
-                        continue
-                    q, r = Fraction(q_num, den), Fraction(r_num, total)
-                    bet_win, bet_loss = construct_bet(q, r)
-                    if q > r:
-                        bet_mask, bet_weight = mask, r_num
-                    else:
-                        bet_mask, bet_weight = mask ^ everything, total - r_num
-                    key = (bet_mask, bet_loss)
-                    if key not in tallies:
-                        tallies[key] = _taker_tallies(classes, bet_mask, bet_loss)
-                    taker_weight, taker_bet_weight = tallies[key]
-                    verdict = taker_bet_weight * total == bet_weight * taker_weight
-                    if not verdict and first_rejected is not None:
-                        continue
-                    event = Event(space, frozenset(members[i] for i in combo))
-                    bet_event = event if q > r else event.complement()
-                    if not verdict:
-                        first_rejected = (cell, bet_event, bet_win, bet_loss)
-                        continue
-                    taker_loss_weight = taker_weight - taker_bet_weight
-                    return AversionCertificate(
-                        deviation=Deviation(
-                            cell=cell, state=cls.first, event=event, q=q, r=r
-                        ),
-                        bet_win=bet_win,
-                        bet_loss=bet_loss,
-                        bet_event=bet_event,
-                        problem=_synthesize(problem, cell, bet_event, bet_win, bet_loss),
-                        policy=policy,
-                        val_general=(
-                            taker_bet_weight * bet_win - taker_loss_weight * bet_loss
-                        ) / prior.den,
+        tallies: dict[tuple[int, int], tuple[int, int]] = {}
+        for cls in deviating:
+            den = cls.den
+            q_scale = scale // den * total
+            for combo, mask, q_num, r_num in _disagreements(cls.row, den, weights, total):
+                midpoint = q_num * q_scale + r_num * scale  # (q + r) * loss_den / 2
+                if q_num * total > r_num * den:
+                    bet_mask, bet_weight, loss_num = mask, r_num, midpoint
+                else:
+                    bet_mask, bet_weight, loss_num = (
+                        mask ^ everything, total - r_num, loss_den - midpoint
                     )
+                key = (bet_mask, loss_num)
+                if key not in tallies:
+                    tallies[key] = _taker_tallies(classes, bet_mask, loss_num, loss_den)
+                taker_weight, taker_bet_weight = tallies[key]
+                verdict = taker_bet_weight * total == bet_weight * taker_weight
+                if not verdict and first_rejected is not None:
+                    continue
+                q, r = Fraction(q_num, den), Fraction(r_num, total)
+                event, bet_event, bet_win, bet_loss = _priced(space, members, combo, q, r)
+                if not verdict:
+                    first_rejected = (cell, bet_event, bet_win, bet_loss)
+                    continue
+                taker_loss_weight = taker_weight - taker_bet_weight
+                return AversionCertificate(
+                    deviation=Deviation(
+                        cell=cell, state=cls.first, event=event, q=q, r=r
+                    ),
+                    bet_win=bet_win,
+                    bet_loss=bet_loss,
+                    bet_event=bet_event,
+                    problem=_synthesize(problem, cell, bet_event, bet_win, bet_loss),
+                    policy=policy,
+                    val_general=(
+                        taker_bet_weight * bet_win - taker_loss_weight * bet_loss
+                    ) / prior.den,
+                )
     if not found_deviating_state:
         raise NoDeviationError(
             "the policy conditionalizes at every prior-possible state; "

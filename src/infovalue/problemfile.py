@@ -279,6 +279,7 @@ def _parse_policy(
     entries = _require_list(doc, "policy")
     posteriors: dict[str, Credence] = {}
     parsed: dict[frozenset, Credence] = {}
+    certain: set[tuple[int, int]] = set()  # ids of (posterior, cell) pairs checked
     for i, entry in enumerate(entries):
         loc = f"policy[{i}]"
         obj = _require_object(entry, loc, ("state", "posterior"))
@@ -299,13 +300,15 @@ def _parse_policy(
             posterior = _parse_posterior(table, f"{loc}.posterior", space)
             parsed[key] = posterior
         cell = partition.cell_of(state)
-        in_cell = probability(posterior, cell)
-        if in_cell != 1:
-            raise CertaintyError(
-                loc,
-                f"posterior for state {state!r} must assign probability exactly 1 "
-                f"to its partition cell {cell.describe()} (got {in_cell})",
-            )
+        if (id(posterior), id(cell)) not in certain:
+            in_cell = probability(posterior, cell)
+            if in_cell != 1:
+                raise CertaintyError(
+                    loc,
+                    f"posterior for state {state!r} must assign probability exactly 1 "
+                    f"to its partition cell {cell.describe()} (got {in_cell})",
+                )
+            certain.add((id(posterior), id(cell)))
         posteriors[state] = posterior
     missing = [s for s in space if s not in posteriors]
     if missing:

@@ -111,6 +111,7 @@ class UpdatePolicy:
             raise ValidationError(f"unknown policy kind {self.kind!r}")
         space = self.partition.space
         cleaned: dict[str, Credence] = {}
+        certain: set[tuple[int, int]] = set()  # ids of (posterior, cell) pairs checked
         for state, posterior in self.posteriors.items():
             if state not in space:
                 raise ValidationError(f"posterior assigned to unknown state {state!r}")
@@ -119,12 +120,14 @@ class UpdatePolicy:
                     f"posterior for state {state!r} is over a different space"
                 )
             cell = self.partition.cell_of(state)
-            in_cell = probability(posterior, cell)
-            if in_cell != 1:
-                raise ValidationError(
-                    f"posterior for state {state!r} must assign probability "
-                    f"exactly 1 to its partition cell (got {in_cell})"
-                )
+            if (id(posterior), id(cell)) not in certain:
+                in_cell = probability(posterior, cell)
+                if in_cell != 1:
+                    raise ValidationError(
+                        f"posterior for state {state!r} must assign probability "
+                        f"exactly 1 to its partition cell (got {in_cell})"
+                    )
+                certain.add((id(posterior), id(cell)))
             cleaned[state] = posterior
         missing = [s for s in space if s not in cleaned]
         if missing:

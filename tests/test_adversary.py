@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from infovalue import adversary
 from infovalue.adversary import (
     RISKY_ID,
     SAFE_ID,
@@ -384,14 +385,70 @@ def normalized(states, weights):
     return {s: Fraction(w, total) for s, w in zip(states, weights) if w}
 
 
+DRAWN, CLAIRVOYANT, CALIBRATED, PARTLY_CALIBRATED, MISCALIBRATED = (
+    "drawn", "clairvoyant", "calibrated", "partly calibrated", "miscalibrated"
+)
+CELL_KINDS = (DRAWN,) * 4 + (CLAIRVOYANT, CALIBRATED, PARTLY_CALIBRATED, MISCALIBRATED)
+
+
+def draw_cell_posteriors(draw, cell, cell_weights):
+    """The posterior of each of the cell's states, for one drawn kind of cell.
+
+    *drawn*: up to 3 drawn posteriors, one of which may be the cell's
+    conditioned prior, so some states need not deviate.  *clairvoyant*:
+    each state is certain of itself.  *calibrated*: the positive-prior
+    states fall into up to 3 groups, each holding the prior conditioned on
+    the group.  *partly calibrated*: two groups, the first calibrated and
+    the second holding a drawn posterior.  *miscalibrated*: clairvoyant,
+    except that the first state is half on itself and half on the second.
+    Zero-prior states of a (partly) calibrated cell hold a drawn posterior,
+    and a cell with no positive-prior state is drawn whatever its kind.
+    """
+    size = len(cell)
+
+    def drawn():
+        return normalized(
+            cell, draw(st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any))
+        )
+
+    kind = draw(st.sampled_from(CELL_KINDS))
+    if kind in (CLAIRVOYANT, MISCALIBRATED):
+        posteriors = {s: {s: Fraction(1)} for s in cell}
+        if kind == MISCALIBRATED and size > 1:
+            posteriors[cell[0]] = {cell[0]: Fraction(1, 2), cell[1]: Fraction(1, 2)}
+        return posteriors
+    weight = dict(zip(cell, cell_weights))
+    positive = [s for s in cell if weight[s]]
+    if kind != DRAWN and positive:
+        top = 2 if kind == CALIBRATED else 1
+        groups = {}
+        for state in positive:
+            groups.setdefault(draw(st.integers(0, top)), []).append(state)
+        posteriors = dict.fromkeys(cell, drawn())  # zero-prior states keep this one
+        for g, members in groups.items():
+            if kind == CALIBRATED or g == 0:
+                held = normalized(members, [weight[s] for s in members])
+            else:
+                held = drawn()
+            posteriors.update(dict.fromkeys(members, held))
+        return posteriors
+    classes = []
+    for _ in range(draw(st.integers(1, 3))):
+        if positive and draw(st.integers(0, 3)) == 0:
+            classes.append(normalized(cell, cell_weights))
+        else:
+            classes.append(drawn())
+    return {s: classes[draw(st.integers(0, len(classes) - 1))] for s in cell}
+
+
 @st.composite
 def plain_instances(draw):
-    """One or two cells of at most 6 states, each with up to 3 posteriors.
+    """One or two cells of at most 6 states, each of a drawn kind.
 
     Prior weights may be 0, so zero-prior members can carry posterior
-    mass; a cell's posterior may also be its conditioned prior, so some
-    states do not deviate.  Some cells are clairvoyant instead: each state
-    is certain of itself, which is how refusals arise.
+    mass.  Most cells hold drawn posteriors; the others are clairvoyant,
+    calibrated, partly calibrated or miscalibrated
+    (:func:`draw_cell_posteriors`), which is how refusals arise.
     """
     sizes = [draw(st.integers(2, 6))] + draw(st.lists(st.integers(1, 6), max_size=1))
     states = tuple(f"s{i}" for i in range(sum(sizes)))
@@ -402,24 +459,9 @@ def plain_instances(draw):
     cells, posteriors, start = [], {}, 0
     for size in sizes:
         cell = states[start:start + size]
-        start += size
         cells.append(cell)
-        cell_weights = weights[start - size:start]
-        classes = []
-        for _ in range(draw(st.integers(1, 3))):
-            if any(cell_weights) and draw(st.integers(0, 3)) == 0:
-                classes.append(normalized(cell, cell_weights))
-            else:
-                drawn = draw(
-                    st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any)
-                )
-                classes.append(normalized(cell, drawn))
-        clairvoyant = draw(st.integers(0, 4)) == 0
-        for state in cell:
-            if clairvoyant:
-                posteriors[state] = {state: Fraction(1)}
-            else:
-                posteriors[state] = classes[draw(st.integers(0, len(classes) - 1))]
+        posteriors |= draw_cell_posteriors(draw, cell, weights[start:start + size])
+        start += size
     return Plain(states, prior, tuple(cells), posteriors), draw(st.booleans())
 
 
@@ -499,6 +541,34 @@ ZERO_PRIOR_MASS = Plain(
     },
 )
 
+HALF_A = {"a": F(1, 2), "b": F(1, 4), "c": F(1, 4)}
+# a holds the prior conditioned on {a} and b, c hold a drawn posterior: the
+# cell is only partly calibrated, so it is walked in full and b certifies
+PARTLY_CALIBRATED_3 = Plain(
+    ("a", "b", "c"),
+    {s: F(1, 3) for s in "abc"},
+    (("a", "b", "c"),),
+    {"a": {"a": F(1)}, "b": HALF_A, "c": HALF_A},
+)
+# {a, c} and {b, d} each hold the prior conditioned on themselves, so the
+# first cell gives the witness at once; the clairvoyant second cell, also
+# calibrated, comes after it and is skipped
+AC, BD = {"a": F(1, 4), "c": F(3, 4)}, {"b": F(1, 2), "d": F(1, 2)}
+CALIBRATED_TWO_CELLS = Plain(
+    tuple("abcdef"),
+    normalized(tuple("abcdef"), (1, 2, 3, 2, 1, 1)),
+    (tuple("abcd"), ("e", "f")),
+    {"a": AC, "b": BD, "c": AC, "d": BD, "e": {"e": F(1)}, "f": {"f": F(1)}},
+)
+# clairvoyant but for a, which is half on itself and half on b: not
+# calibrated, so every bet is walked, and every one leaks
+MISCALIBRATED_4 = Plain(
+    tuple("abcd"),
+    normalized(tuple("abcd"), (1, 2, 3, 4)),
+    (tuple("abcd"),),
+    {"a": {"a": F(1, 2), "b": F(1, 2)}} | {s: {s: F(1)} for s in "bcd"},
+)
+
 
 class TestCertificateWalk:
     """The search against a state-by-state Fraction walk of the same order."""
@@ -509,8 +579,36 @@ class TestCertificateWalk:
     @example((ZERO_PRIOR_MASS, False))
     @example((CLAIRVOYANT_3, True))
     @example((TIE_AT_THRESHOLD, True))
+    @example((PARTLY_CALIBRATED_3, True))
+    @example((CALIBRATED_TWO_CELLS, False))
+    @example((MISCALIBRATED_4, True))
     def test_agrees_with_the_brute_walk(self, drawn):
         assert_matches_the_walk(*drawn)
+
+    def test_calibrated_refusal_prices_no_bet_beyond_its_witness(self, monkeypatch):
+        """A one-cell clairvoyant policy is calibrated: its refusal walks
+        none of the 2**16 - 2 events after the first."""
+        states = tuple(f"s{i}" for i in range(16))
+        plain = Plain(
+            states,
+            normalized(states, [i % 3 + 1 for i in range(16)]),
+            (states,),
+            {s: {s: F(1)} for s in states},
+        )
+        calls = []
+        tallies = adversary._taker_tallies
+
+        def counted(*args):
+            calls.append(args)
+            return tallies(*args)
+
+        monkeypatch.setattr(adversary, "_taker_tallies", counted)
+        problem, policy = build_plain(plain, share=True)
+        with pytest.raises(IndependenceBrokenError) as exc:
+            demonstrate_aversion(problem, policy)
+        assert len(calls) <= 1
+        witness = exc.value.cell.members, exc.value.chosen_action, exc.value.probe_action
+        assert witness == (set(states), SAFE_ID, RISKY_ID)
 
     @pytest.mark.parametrize("share", [True, False])
     def test_later_posterior_class_certifies(self, share):

@@ -351,12 +351,18 @@ class TestParseErrors:
         assert policy.posterior("a") is policy.posterior("b")
 
     def test_a_shared_table_is_still_checked_for_certainty(self):
+        """a's table, certain of {a, b}, is listed again for c: passing for
+        a's cell must not vouch for it in c's."""
         text = mutated_text(
             lambda d: d["policy"][2].update(posterior=d["policy"][0]["posterior"])
         )
         with pytest.raises(CertaintyError) as exc:
             loads(text)
-        assert exc.value.location == "policy[2]"
+        assert (exc.value.location, exc.value.message) == (
+            "policy[2]",
+            "posterior for state 'c' must assign probability exactly 1 "
+            "to its partition cell {c} (got 0)",
+        )
 
     def test_every_file_error_is_a_problem_file_error(self):
         for bad in ("[]", "{", '{"states": []}'):

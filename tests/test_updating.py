@@ -87,6 +87,16 @@ class TestUpdatePolicy:
         ):
             UpdatePolicy(PARTITION, posteriors)
 
+    def test_a_shared_posterior_is_checked_in_each_cell(self):
+        in_u = condition(PRIOR, U)
+        posteriors = {"u1": in_u, "u2": in_u, "v1": in_u, "v2": condition(PRIOR, V)}
+        with pytest.raises(ValidationError) as exc:
+            UpdatePolicy(PARTITION, posteriors)
+        assert str(exc.value) == (
+            "posterior for state 'v1' must assign probability exactly 1 "
+            "to its partition cell (got 0)"
+        )
+
     def test_must_cover_every_state(self):
         posteriors = {s: condition(PRIOR, PARTITION.cell_of(s)) for s in ("u1", "u2")}
         with pytest.raises(MissingPosteriorError, match="v1"):
