@@ -48,8 +48,14 @@ from .errors import (
     ValidationError,
 )
 from .prob import Event, StateSpace, condition
-from .updating import UpdatePolicy, _posterior_groups, find_independence_violation
-from .voi import val_general
+from .updating import (
+    UpdatePolicy,
+    _chosen_by_state,
+    _first_leak,
+    _posterior_groups,
+    find_independence_violation,
+)
+from .voi import _realized
 
 __all__ = [
     "Deviation",
@@ -138,7 +144,9 @@ class AversionCertificate:
     exactly 0, ``val_general`` — recomputed from scratch, not trusted
     from the caller — is strictly negative, and the full
     :func:`find_independence_violation` finds no choice that reveals
-    anything payoff-relevant, which the value's accounting requires.
+    anything payoff-relevant, which the value's accounting requires.  The
+    recomputation and the independence check read one choice map, built
+    once from the synthesized problem and the policy.
     """
 
     deviation: Deviation
@@ -181,7 +189,8 @@ class AversionCertificate:
             raise ValidationError(
                 f"declining must be prior-optimal at exactly 0, got {baseline}"
             )
-        recomputed = val_general(self.problem, self.policy)
+        chosen = _chosen_by_state(self.problem, self.policy)
+        recomputed = _realized(self.problem, chosen) - baseline
         if recomputed != self.val_general:
             raise ValidationError(
                 f"certificate claims val_general={self.val_general}, "
@@ -191,7 +200,7 @@ class AversionCertificate:
             raise ValidationError(
                 f"certificate requires strictly negative value, got {self.val_general}"
             )
-        witness = find_independence_violation(self.problem, self.policy)
+        witness = _first_leak(self.problem, self.policy, chosen)
         if witness is not None:
             cell, chosen, probe = witness
             leak = IndependenceBrokenError(cell, chosen.id, probe.id)

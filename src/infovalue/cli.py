@@ -15,6 +15,7 @@ counterexample found, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -138,7 +139,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared after that.
+
+    Parsing leaves no state in the parser, and argparse looks up
+    ``sys.stdout`` and ``sys.stderr`` only when it prints, so one parser
+    serves every :func:`main` call in a process.  Every caller gets that same
+    parser, so none may change it.
+    """
     parser = argparse.ArgumentParser(
         prog="infovalue",
         description=(

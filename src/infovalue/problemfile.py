@@ -65,7 +65,12 @@ def parse_rational(text: Any, location: str) -> Fraction:
 
 
 def problem_document(problem: DecisionProblem, policy: UpdatePolicy) -> dict:
-    """The JSON-ready document for a problem and its update policy."""
+    """The JSON-ready document for a problem and its update policy.
+
+    An explicit policy's posterior tables are formatted once per distinct
+    posterior object (states often share one), and each state gets its own
+    copy of its table.
+    """
     if policy.space != problem.space:
         raise InfoValueError("policy is not over the problem's space")
     states = [
@@ -83,16 +88,18 @@ def problem_document(problem: DecisionProblem, policy: UpdatePolicy) -> dict:
     if policy.kind == CONDITIONALIZATION:
         policy_doc: Any = CONDITIONALIZATION
     else:
-        policy_doc = [
-            {
-                "state": s,
-                "posterior": {
-                    t: format_rational(policy.posterior(s)(t))
-                    for t in policy.posterior(s).support()
-                },
-            }
-            for s in problem.space
-        ]
+        tables: dict[int, dict[str, str]] = {}  # keyed by id(posterior)
+        policy_doc = []
+        for s in problem.space:
+            posterior = policy.posterior(s)
+            table = tables.get(id(posterior))
+            if table is None:
+                table = tables[id(posterior)] = {
+                    t: format_rational(Fraction(n, posterior.den))
+                    for t, n in zip(problem.space.states, posterior.nums)
+                    if n
+                }
+            policy_doc.append({"state": s, "posterior": dict(table)})
     return {
         "states": states,
         "outcomes": outcomes,

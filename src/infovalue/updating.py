@@ -24,7 +24,6 @@ from .decision import (
     ChoiceSet,
     DecisionProblem,
     best_action,
-    expected_utility,
 )
 from .errors import (
     MissingPosteriorError,
@@ -374,31 +373,60 @@ def _chosen_by_state(
 
 def _cell_pass(
     problem: DecisionProblem, cell: Event, chosen: Mapping[str, Action]
-) -> tuple[list[Fraction], dict[str, list[str]], tuple[Action, Action] | None]:
+) -> tuple[list[Fraction], dict[str, int], tuple[Action, Action] | None]:
     """One walk of a positive-probability cell under the choice map.
 
     Returns each action's expected utility under the cell's conditioned
-    prior (choice-set order), the cell's positive-prior states grouped by
-    chosen act id (state order), and the cell's first leak: the first
-    (chosen, probe) pair, both in choice-set order, whose expected utility
-    moves when the prior is conditioned further on "the agent chose this".
+    prior (choice-set order), the summed prior numerators of the cell's
+    states that choose each act (keyed by act id), and the cell's first
+    leak: the first (chosen, probe) pair, both in choice-set order, whose
+    expected utility moves when the prior is conditioned further on "the
+    agent chose this".
+
+    Decided in integers, with no credence built.  For a set of states, an
+    action's score is ``sum(row[i] * prior.nums[i])`` over the states and
+    the set's weight is ``sum(prior.nums[i])``; the expected utility under
+    the prior conditioned on the set is ``score / (weight * U)``.  A chosen
+    act's group leaks through a probe exactly when ``group_score *
+    cell_weight != cell_score * group_weight`` for the probe's row.
     """
-    conditioned = condition(problem.prior, cell)
-    cell_eus = [expected_utility(problem, a, conditioned) for a in problem.choices]
-    groups: dict[str, list[str]] = {}
-    for s in cell.sorted_members():
-        if s in chosen:
-            groups.setdefault(chosen[s].id, []).append(s)
+    nums, position = problem.prior.nums, problem.space._position
+    rows = list(problem._rows.values())  # choice-set order
+    groups: dict[str, list[int]] = {}  # act id -> positions of the states choosing it
+    for s in cell.members:
+        action = chosen.get(s)
+        if action is not None:
+            groups.setdefault(action.id, []).append(position[s])
+    weights = {act: sum(nums[i] for i in group) for act, group in groups.items()}
+    # the choice map holds exactly the positive-prior states, so the groups
+    # carry all of the cell's weight
+    support = [i for group in groups.values() for i in group]
+    cell_weight = sum(weights.values())
+    cell_scores = [sum(row[i] * nums[i] for i in support) for row in rows]
+    cell_eus = [Fraction(score, cell_weight * problem._scale) for score in cell_scores]
     if len(groups) > 1:  # a lone group is the cell's whole support
         for action in problem.choices:
-            members = groups.get(action.id)
-            if not members:
+            group = groups.get(action.id)
+            if not group:
                 continue
-            p_choose = condition(problem.prior, Event(problem.space, frozenset(members)))
-            for probe, cell_eu in zip(problem.choices, cell_eus):
-                if expected_utility(problem, probe, p_choose) != cell_eu:
-                    return cell_eus, groups, (action, probe)
-    return cell_eus, groups, None
+            for probe, row, cell_score in zip(problem.choices, rows, cell_scores):
+                group_score = sum(row[i] * nums[i] for i in group)
+                if group_score * cell_weight != cell_score * weights[action.id]:
+                    return cell_eus, weights, (action, probe)
+    return cell_eus, weights, None
+
+
+def _first_leak(
+    problem: DecisionProblem, policy: UpdatePolicy, chosen: Mapping[str, Action]
+) -> tuple[Event, Action, Action] | None:
+    """:func:`find_independence_violation` under an already built choice map."""
+    for cell in policy.partition.cells:
+        if probability(problem.prior, cell) == 0:
+            continue
+        leak = _cell_pass(problem, cell, chosen)[2]
+        if leak is not None:
+            return (cell, *leak)
+    return None
 
 
 def find_independence_violation(
@@ -414,14 +442,7 @@ def find_independence_violation(
     order, actions in choice-set order — or ``None`` if choices reveal
     nothing that matters.
     """
-    chosen = _chosen_by_state(problem, policy)
-    for cell in policy.partition.cells:
-        if probability(problem.prior, cell) == 0:
-            continue
-        leak = _cell_pass(problem, cell, chosen)[2]
-        if leak is not None:
-            return (cell, *leak)
-    return None
+    return _first_leak(problem, policy, _chosen_by_state(problem, policy))
 
 
 def check_evidential_independence(

@@ -207,8 +207,7 @@ def _cellwise(
     policy: UpdatePolicy,
     chosen: Mapping[str, Action],
 ) -> tuple[PerCell, ...]:
-    prior, position = problem.prior, problem.space._position
-    nums = prior.nums
+    prior = problem.prior
     out = []
     for cell in policy.partition.cells:
         p_cell = probability(prior, cell)
@@ -216,15 +215,15 @@ def _cellwise(
             raise ValidationError(
                 f"cannot decompose zero-probability cell {cell.describe()}"
             )
-        cell_eus, groups, leak = _cell_pass(problem, cell, chosen)
+        cell_eus, weights, leak = _cell_pass(problem, cell, chosen)
         if leak is not None:
             action, probe = leak
             raise IndependenceBrokenError(cell, action.id, probe.id)
         rows = []
         for action, cell_eu in zip(problem.choices, cell_eus):
-            members = groups.get(action.id)
-            if members:
-                mass = Fraction(sum(nums[position[s]] for s in members), prior.den)
+            weight = weights.get(action.id)
+            if weight:
+                mass = Fraction(weight, prior.den)
                 rows.append(LemmaOneRow(cell, action.id, mass / p_cell, cell_eu))
         out.append(PerCell(cell, p_cell, max(cell_eus), tuple(rows)))
     return tuple(out)

@@ -76,6 +76,36 @@ def brute_val_general(problem, policy):
     return realized - best_value(problem, prior)
 
 
+def brute_independence_witness(problem, policy):
+    """The first choice that leaks payoff-relevant information, or ``None``.
+
+    Within each positive-prior cell, in declared order, each state's act is
+    its posterior's first-by-order best.  For each chosen act, then each
+    probe act, both in choice-set order, the probe's expected utility under
+    the prior conditioned on the states choosing that act is compared with
+    its expected utility under the prior conditioned on the whole cell.
+    Returns the first ``(cell, chosen, probe)`` that differ.
+    """
+    prior = dist_of(problem.prior)
+    for cell in policy.partition.cells:
+        members = {s for s in cell.members if s in prior}
+        if not members:
+            continue
+        whole = conditioned(prior, members)
+        picks = {
+            s: first_best(problem, dist_of(policy.posteriors[s])).id for s in members
+        }
+        for chosen in problem.choices.actions:
+            group = {s for s, pick in picks.items() if pick == chosen.id}
+            if not group:
+                continue
+            given = conditioned(prior, group)
+            for probe in problem.choices.actions:
+                if eu(problem, probe, given) != eu(problem, probe, whole):
+                    return cell, chosen, probe
+    return None
+
+
 def _takers(prior, posteriors, members, bet, loss):
     """The positive-prior members whose posterior puts more than ``loss`` on ``bet``."""
     return {

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from infovalue import adversary
+from infovalue import adversary, updating, voi
 from infovalue.adversary import (
     RISKY_ID,
     SAFE_ID,
@@ -246,6 +246,21 @@ class TestAversionCertificate:
         cert = self.build()
         with pytest.raises(ValidationError, match="recomputation"):
             dataclasses.replace(cert, val_general=cert.val_general - 1)
+
+    def test_one_choice_map_per_certificate(self, monkeypatch):
+        """The value recomputation and the independence check share one map."""
+        cert = self.build()
+        calls = []
+        chosen_by_state = updating._chosen_by_state
+
+        def counted(*args):
+            calls.append(args)
+            return chosen_by_state(*args)
+
+        for module in (adversary, updating, voi):
+            monkeypatch.setattr(module, "_chosen_by_state", counted)
+        assert dataclasses.replace(cert) == cert
+        assert calls == [(cert.problem, cert.policy)]
 
     def test_tampered_stakes_are_rejected(self):
         cert = self.build()

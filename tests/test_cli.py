@@ -1,10 +1,14 @@
 """Every subcommand end to end through ``main(argv)``, including exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import infovalue
 import infovalue.cli as cli
 from infovalue.cli import main
 from infovalue.problemfile import load_problem, loads, save_problem
@@ -247,3 +251,48 @@ class TestCheckCommand:
             "val_general=1 exceeds val_good=0" in out
         )
         assert '"states": []' in out
+
+
+def first_call(argv, columns):
+    """``main(argv)`` as the first call of a fresh process: (code, out, err)."""
+    src = os.path.dirname(os.path.dirname(infovalue.__file__))
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS=columns, PYTHONIOENCODING="utf-8")
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from infovalue.cli import main; sys.exit(main(sys.argv[1:]))",
+            *argv,
+        ],
+        capture_output=True,
+        env=env,
+    )
+    return done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8")
+
+
+class TestReusedParser:
+    def test_calls_in_one_process_match_first_calls(
+        self, gamblers_file, monkeypatch, capsys
+    ):
+        """One parser serves every call, and no call leaves state in it: an
+        argparse error, a help page and a repeated eval each print what they
+        print as the first call of a process."""
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = [
+            ["scenario", "nope"],
+            ["eval", "--help"],
+            ["eval", "--problem", gamblers_file],
+            ["eval", "--problem", gamblers_file],
+        ]
+        seen = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        assert [code for code, _, _ in seen] == [2, 0, 0, 0]
+        assert cli.build_parser() is cli.build_parser()
+        for argv, result in zip(calls, seen):
+            assert result == first_call(argv, "80"), argv

@@ -63,6 +63,86 @@ def explicit_policy():
     return UpdatePolicy(PARTITION, {"a": distorted, "b": distorted, "c": sure_c})
 
 
+# the fixture's canonical file, byte for byte
+FIXTURE_TEXT = """\
+{
+  "actions": [
+    {
+      "id": "hold",
+      "map": {
+        "a": "nil",
+        "b": "nil",
+        "c": "nil"
+      }
+    },
+    {
+      "id": "push",
+      "map": {
+        "a": "win",
+        "b": "nil",
+        "c": "win"
+      }
+    }
+  ],
+  "outcomes": [
+    {
+      "id": "nil",
+      "utility": "0"
+    },
+    {
+      "id": "win",
+      "utility": "3/2"
+    }
+  ],
+  "partition": [
+    [
+      "a",
+      "b"
+    ],
+    [
+      "c"
+    ]
+  ],
+  "policy": [
+    {
+      "posterior": {
+        "a": "2/3",
+        "b": "1/3"
+      },
+      "state": "a"
+    },
+    {
+      "posterior": {
+        "a": "2/3",
+        "b": "1/3"
+      },
+      "state": "b"
+    },
+    {
+      "posterior": {
+        "c": "1"
+      },
+      "state": "c"
+    }
+  ],
+  "states": [
+    {
+      "id": "a",
+      "prob": "1/2"
+    },
+    {
+      "id": "b",
+      "prob": "1/4"
+    },
+    {
+      "id": "c",
+      "prob": "1/4"
+    }
+  ]
+}
+"""
+
+
 def mutated_text(mutate):
     doc = problem_document(fixture_problem(), explicit_policy())
     mutate(doc)
@@ -123,6 +203,15 @@ class TestDocumentShape:
 
     def test_dumps_ends_with_a_newline(self):
         assert dumps(fixture_problem(), explicit_policy()).endswith("}\n")
+
+    def test_states_sharing_a_posterior_get_their_own_tables(self):
+        """a and b share one credence; each entry still owns its table."""
+        policy = explicit_policy()
+        assert policy.posterior("a") is policy.posterior("b")
+        doc = problem_document(fixture_problem(), policy)
+        doc["policy"][0]["posterior"]["a"] = "0"
+        assert doc["policy"][1]["posterior"] == {"a": "2/3", "b": "1/3"}
+        assert dumps(fixture_problem(), policy) == FIXTURE_TEXT
 
 
 class TestRoundTrips:

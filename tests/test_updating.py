@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infovalue.decision import (
@@ -14,6 +14,7 @@ from infovalue.decision import (
     OutcomeSpace,
 )
 from infovalue.errors import (
+    IndependenceBrokenError,
     MissingPosteriorError,
     SpaceMismatchError,
     ValidationError,
@@ -32,6 +33,10 @@ from infovalue.updating import (
     mixture_expand,
     modesty_degree,
 )
+from infovalue.voi import evaluate
+
+from _oracles import best_value, brute_independence_witness, conditioned, dist_of, eu
+from test_adversary import build_plain, plain_instances
 
 BASE = StateSpace(("u1", "u2", "v1", "v2"))
 U = Event(BASE, frozenset({"u1", "u2"}))
@@ -334,6 +339,34 @@ class TestMixtureExpand:
             assert lifted == prior(s)
 
 
+def clairvoyant_setup():
+    """A policy that deviates exactly in the state a bet pays off in."""
+    space = StateSpace(("x1", "x2", "y"))
+    prior = Credence(
+        space,
+        {"x1": Fraction(1, 4), "x2": Fraction(1, 4), "y": Fraction(1, 2)},
+    )
+    x_cell = Event(space, frozenset({"x1", "x2"}))
+    y_cell = Event(space, frozenset({"y"}))
+    partition = EvidencePartition(space, (x_cell, y_cell))
+    outcomes = OutcomeSpace(
+        ("zero", "one", "steady"),
+        {"zero": 0, "one": 1, "steady": Fraction(5, 8)},
+    )
+    actions = (
+        Action("bet1", {"x1": "one", "x2": "zero", "y": "zero"}),
+        Action("keep", {s: "steady" for s in space}),
+    )
+    problem = DecisionProblem(space, outcomes, prior, ChoiceSet(actions))
+    posteriors = {
+        "x1": Credence(space, {"x1": Fraction(1)}),  # foresees the payoff
+        "x2": condition(prior, x_cell),
+        "y": condition(prior, y_cell),
+    }
+    policy = UpdatePolicy(partition, posteriors)
+    return problem, policy, x_cell
+
+
 class TestEvidentialIndependence:
     def test_conditionalization_never_violates(self):
         policy = conditionalization_policy(PRIOR, PARTITION)
@@ -343,35 +376,8 @@ class TestEvidentialIndependence:
         expanded, policy = expanded_fixture()
         assert find_independence_violation(expanded, policy) is None
 
-    def clairvoyant_setup(self):
-        """A policy that deviates exactly in the state a bet pays off in."""
-        space = StateSpace(("x1", "x2", "y"))
-        prior = Credence(
-            space,
-            {"x1": Fraction(1, 4), "x2": Fraction(1, 4), "y": Fraction(1, 2)},
-        )
-        x_cell = Event(space, frozenset({"x1", "x2"}))
-        y_cell = Event(space, frozenset({"y"}))
-        partition = EvidencePartition(space, (x_cell, y_cell))
-        outcomes = OutcomeSpace(
-            ("zero", "one", "steady"),
-            {"zero": 0, "one": 1, "steady": Fraction(5, 8)},
-        )
-        actions = (
-            Action("bet1", {"x1": "one", "x2": "zero", "y": "zero"}),
-            Action("keep", {s: "steady" for s in space}),
-        )
-        problem = DecisionProblem(space, outcomes, prior, ChoiceSet(actions))
-        posteriors = {
-            "x1": Credence(space, {"x1": Fraction(1)}),  # foresees the payoff
-            "x2": condition(prior, x_cell),
-            "y": condition(prior, y_cell),
-        }
-        policy = UpdatePolicy(partition, posteriors)
-        return problem, policy, x_cell
-
     def test_clairvoyant_policy_is_caught_with_a_witness(self):
-        problem, policy, x_cell = self.clairvoyant_setup()
+        problem, policy, x_cell = clairvoyant_setup()
         assert not check_evidential_independence(problem, policy)
         witness = find_independence_violation(problem, policy)
         assert witness is not None
@@ -380,3 +386,65 @@ class TestEvidentialIndependence:
         # choosing bet1 happens exactly on {x1}, where bet1's payoff differs
         assert chosen.id == "bet1"
         assert probe.id == "bet1"
+
+
+@st.composite
+def choice_instances(draw):
+    """A drawn certificate-search instance with 2 or 3 drawn acts.
+
+    The policies come from ``test_adversary.plain_instances``.  States whose
+    posteriors pick different acts mostly make choices leak, as in its
+    clairvoyant and miscalibrated cells.  Half the draws instead fold
+    self-doubt into the same problem with :func:`mixture_expand`, each
+    cell's deviant posterior being its first state's: there the choice
+    tracks only the disposition, which is independent of the payoff, so a
+    cell with two chosen acts leaks nothing.  Only problems without a
+    zero-probability cell can be folded.
+    """
+    plain, share = draw(plain_instances())
+    _, policy = build_plain(plain, share)
+    space = policy.space
+    utility = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    outcomes = OutcomeSpace(("lo", "mid", "hi"), {o: draw(utility) for o in ("lo", "mid", "hi")})
+    actions = tuple(
+        Action(f"act{k}", {s: draw(st.sampled_from(outcomes.outcomes)) for s in space})
+        for k in range(draw(st.integers(2, 3)))
+    )
+    problem = DecisionProblem(space, outcomes, Credence(space, plain.prior), ChoiceSet(actions))
+    cells = policy.partition.cells
+    if any(probability(problem.prior, c) == 0 for c in cells) or draw(st.booleans()):
+        return problem, policy
+    spec = DeviationSpec(
+        draw(st.sampled_from((Fraction(1, 4), Fraction(1, 2)))),
+        {cell: policy.posterior(cell.sorted_members()[0]) for cell in cells},
+    )
+    return mixture_expand(problem, policy.partition, spec)
+
+
+class TestIntegerLeakTest:
+    """The cell pass's cross-multiplied leak test against plain Fractions."""
+
+    @settings(deadline=None)
+    @given(choice_instances())
+    @example(clairvoyant_setup()[:2])
+    def test_witness_and_cell_values_match_the_oracle(self, drawn):
+        problem, policy = drawn
+        expected = brute_independence_witness(problem, policy)
+        assert find_independence_violation(problem, policy) == expected
+        prior = dist_of(problem.prior)
+        if any(probability(problem.prior, c) == 0 for c in policy.partition.cells):
+            return  # evaluate refuses a zero-probability cell
+        if expected is not None:
+            with pytest.raises(IndependenceBrokenError) as exc:
+                evaluate(problem, policy)
+            cell, chosen, probe = expected
+            assert (exc.value.cell, exc.value.chosen_action, exc.value.probe_action) == (
+                cell, chosen.id, probe.id
+            )
+            return
+        for per_cell in evaluate(problem, policy).per_cell:
+            given_cell = conditioned(prior, per_cell.cell.members)
+            assert per_cell.max_cond_eu == best_value(problem, given_cell)
+            for row in per_cell.rows:
+                action = problem.choices.by_id(row.action_id)
+                assert row.cond_eu == eu(problem, action, given_cell)
