@@ -47,7 +47,7 @@ from .errors import (
     NoDeviationError,
     ValidationError,
 )
-from .prob import Event, StateSpace, condition
+from .prob import Credence, Event, StateSpace, condition, probability
 from .updating import (
     UpdatePolicy,
     _chosen_by_state,
@@ -146,7 +146,12 @@ class AversionCertificate:
     :func:`find_independence_violation` finds no choice that reveals
     anything payoff-relevant, which the value's accounting requires.  The
     recomputation and the independence check read one choice map, built
-    once from the synthesized problem and the policy.
+    once from the synthesized problem and the policy.  Last come the
+    claims themselves: ``q`` and ``r`` are the deviant posterior's and the
+    conditioned prior's probabilities of the deviation's event,
+    ``bet_event`` is that event when ``q > r`` and its complement
+    otherwise, and the acts are exactly ``safe`` and ``risky`` as above,
+    read off the problem's integer utility table in O(|space|).
     """
 
     deviation: Deviation
@@ -172,12 +177,10 @@ class AversionCertificate:
                 f"q={q} from r={r} on the event bet on"
             )
         risky = self.problem.choices.by_id(RISKY_ID)
-        deviant_eu = expected_utility(
-            self.problem, risky, self.policy.posterior(self.deviation.state)
-        )
-        sober_eu = expected_utility(
-            self.problem, risky, condition(self.problem.prior, self.deviation.cell)
-        )
+        posterior = self.policy.posterior(self.deviation.state)
+        sober = condition(self.problem.prior, self.deviation.cell)
+        deviant_eu = expected_utility(self.problem, risky, posterior)
+        sober_eu = expected_utility(self.problem, risky, sober)
         if not deviant_eu > 0 > sober_eu:
             raise ValidationError(
                 f"the bet must be strictly attractive to the deviant posterior "
@@ -205,6 +208,43 @@ class AversionCertificate:
             cell, chosen, probe = witness
             leak = IndependenceBrokenError(cell, chosen.id, probe.id)
             raise ValidationError(f"the bet's takers leak: {leak}")
+        self._check_claims(posterior, sober)
+
+    def _check_claims(self, posterior: Credence, sober: Credence) -> None:
+        """That q, r, the bet event and the two acts are what the deviation implies."""
+        space, event = self.problem.space, self.deviation.event
+        q, r = self.deviation.q, self.deviation.r
+        actual = (probability(posterior, event), probability(sober, event))
+        if actual != (q, r):
+            raise ValidationError(
+                f"deviation claims q={q}, r={r} on {event.describe()}, but the "
+                f"posterior and the conditioned prior give {actual[0]} and {actual[1]}"
+            )
+        bet = event.members if q > r else frozenset(space.states) - event.members
+        if self.bet_event.space != space or self.bet_event.members != bet:
+            raise ValidationError(
+                f"bet event {self.bet_event.describe()} must be the deviation's "
+                "event when q > r and its complement otherwise"
+            )
+        scale, cell = self.problem._scale, self.deviation.cell.members
+        win, loss = self.bet_win * scale, self.bet_loss * scale
+        pays = (
+            win.denominator == loss.denominator == 1
+            and self.problem.choices.ids() == (SAFE_ID, RISKY_ID)
+            and tuple(self.problem._rows.values()) == (
+                (0,) * len(space),
+                tuple(
+                    (win.numerator if s in bet else -loss.numerator) if s in cell else 0
+                    for s in space.states
+                ),
+            )
+        )
+        if not pays:
+            raise ValidationError(
+                f"the acts must be exactly {SAFE_ID!r}, paying 0 everywhere, and "
+                f"{RISKY_ID!r}, paying {self.bet_win} on the bet in the cell, "
+                f"-{self.bet_loss} on the rest of the cell and 0 outside it"
+            )
 
 
 def _synthesize(

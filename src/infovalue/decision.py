@@ -57,6 +57,7 @@ class OutcomeSpace:
     utility: Mapping[str, Fraction] = field(hash=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "outcomes", tuple(self.outcomes))
         if not self.outcomes:
             raise ValidationError("an outcome space needs at least one outcome")
         seen = set()
@@ -117,6 +118,7 @@ class ChoiceSet:
     actions: tuple[Action, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "actions", tuple(self.actions))
         if not self.actions:
             raise ValidationError("a choice set needs at least one action")
         seen = set()

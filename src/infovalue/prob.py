@@ -78,6 +78,7 @@ class StateSpace:
     states: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "states", tuple(self.states))
         if not self.states:
             raise ValidationError("a state space needs at least one state")
         position: dict[str, int] = {}
@@ -150,6 +151,8 @@ class Credence:
     probability 0.  The distribution is stored once, as reduced integer
     numerators ``nums`` in state-space order over their least common
     denominator ``den``, so equal distributions compare and hash equal.
+    Credences the library derives skip the mapping: :meth:`_from_weights`
+    builds them from integer weights and stores the same fields.
     """
 
     space: StateSpace
@@ -179,6 +182,20 @@ class Credence:
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
 
+    @classmethod
+    def _from_weights(cls, space: StateSpace, weights: list[int]) -> Credence:
+        """The credence proportional to trusted non-negative integer weights.
+
+        One weight per state, in state order, with a positive sum.  Dividing
+        them and their sum by their gcd stores what ``__init__`` would.
+        """
+        common = math.gcd(*weights)
+        credence = object.__new__(cls)
+        object.__setattr__(credence, "space", space)
+        object.__setattr__(credence, "nums", tuple(w // common for w in weights))
+        object.__setattr__(credence, "den", sum(weights) // common)
+        return credence
+
     @property
     def mass(self) -> tuple[Fraction, ...]:
         """The masses as Fractions in state-space order."""
@@ -206,9 +223,9 @@ def probability(credence: Credence, event: Event) -> Fraction:
 def condition(credence: Credence, event: Event) -> Credence:
     """Bayesian conditioning: restrict to the event and renormalize.
 
-    Computed on integers: each positive member keeps its numerator, and the
-    numerators' sum becomes the new denominator, so the posterior is built
-    from ``Fraction(n, total)`` without dividing by the event's probability.
+    Computed on integers: each member keeps its numerator, every other
+    state gets 0, and :meth:`Credence._from_weights` reduces the result, so
+    no mass is divided by the event's probability.
 
     Raises :class:`ZeroProbabilityError` if the event has probability 0 —
     there is no canonical answer there and pretending otherwise hides bugs.
@@ -216,15 +233,15 @@ def condition(credence: Credence, event: Event) -> Credence:
     if event.space != credence.space:
         raise SpaceMismatchError("event and credence live on different spaces")
     nums, position = credence.nums, credence.space._position
-    kept = {s: nums[position[s]] for s in event.members}
-    total = sum(kept.values())
-    if total == 0:
+    kept = [0] * len(nums)
+    for s in event.members:
+        i = position[s]
+        kept[i] = nums[i]
+    if not any(kept):
         raise ZeroProbabilityError(
             f"cannot condition on zero-probability event {event.describe()}"
         )
-    return Credence(
-        credence.space, {s: Fraction(n, total) for s, n in kept.items() if n}
-    )
+    return Credence._from_weights(credence.space, kept)
 
 
 def is_partition(space: StateSpace, cells: Iterable[Event]) -> bool:

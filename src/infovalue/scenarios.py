@@ -71,6 +71,7 @@ UNKNOWN_BIAS = "unknown-bias"
 SCENARIO_NAMES = (RACE, GAMBLERS, UNKNOWN_BIAS)
 
 _MIXTURE_LABELS = ("bayes", "fallacy")
+_TWO_FLIPS = ("hh", "ht", "th", "tt")
 
 
 @dataclass(frozen=True)
@@ -123,22 +124,43 @@ def scenario_race() -> Scenario:
     return Scenario(RACE, problem, conditionalization_policy(prior, partition))
 
 
-def _two_flip_problem(
+def _second_flip_bet(id: str, face: str, win: str, loss: str) -> Action:
+    """The bet on the second flip: ``win`` if it lands ``face``, else ``loss``."""
+    return Action(id, {s: win if s[1] == face else loss for s in _TWO_FLIPS})
+
+
+def _fallacy_scenario(
+    name: str,
+    eps: Fraction,
     masses: dict[str, Fraction],
     outcomes: OutcomeSpace,
-    actions: tuple[Action, ...],
-) -> tuple[DecisionProblem, EvidencePartition]:
-    space = StateSpace(("hh", "ht", "th", "tt"))
-    prior = Credence(space, masses)
-    problem = DecisionProblem(space, outcomes, prior, ChoiceSet(actions))
-    partition = EvidencePartition(
-        space,
-        (
-            Event(space, frozenset({"hh", "ht"})),
-            Event(space, frozenset({"th", "tt"})),
-        ),
+    bets: tuple[Action, ...],
+    repeat: Fraction,
+) -> Scenario:
+    """Two flips, a look at the first, and a feared streak of the fallacy.
+
+    The agent may decline (``safe`` pays ``nothing``) or take one of
+    ``bets`` on the second flip, and learns the first flip.  With
+    probability ``eps`` the deviant disposition fires and leaves them
+    ``repeat`` sure that the second flip matches the first.
+    """
+    space = StateSpace(_TWO_FLIPS)
+    safe = Action("safe", {s: "nothing" for s in space})
+    problem = DecisionProblem(
+        space, outcomes, Credence(space, masses), ChoiceSet((safe, *bets))
     )
-    return problem, partition
+    heads = Event(space, frozenset({"hh", "ht"}))
+    tails = Event(space, frozenset({"th", "tt"}))
+    spec = DeviationSpec(
+        eps,
+        {
+            heads: Credence(space, {"hh": repeat, "ht": 1 - repeat}),
+            tails: Credence(space, {"tt": repeat, "th": 1 - repeat}),
+        },
+    )
+    partition = EvidencePartition(space, (heads, tails))
+    expanded, policy = mixture_expand(problem, partition, spec, labels=_MIXTURE_LABELS)
+    return Scenario(name, expanded, policy)
 
 
 def scenario_gamblers(epsilon) -> Scenario:
@@ -154,38 +176,21 @@ def scenario_gamblers(epsilon) -> Scenario:
     comes up the opposite face, which makes the matching bet look like a
     winner.  The expected cost of being offered the news is epsilon/2.
     """
-    eps = as_fraction(epsilon)
-    space4 = ("hh", "ht", "th", "tt")
     outcomes = OutcomeSpace(
         ("nothing", "win", "loss"),
         {"nothing": Fraction(0), "win": Fraction(1), "loss": Fraction(-2)},
     )
-    safe = Action("safe", {s: "nothing" for s in space4})
-    risky_heads = Action(
-        "risky-heads", {s: ("win" if s[1] == "h" else "loss") for s in space4}
-    )
-    risky_tails = Action(
-        "risky-tails", {s: ("win" if s[1] == "t" else "loss") for s in space4}
-    )
-    problem, partition = _two_flip_problem(
-        {s: Fraction(1, 4) for s in space4},
+    return _fallacy_scenario(
+        GAMBLERS,
+        as_fraction(epsilon),
+        {s: Fraction(1, 4) for s in _TWO_FLIPS},
         outcomes,
-        (safe, risky_heads, risky_tails),
+        (
+            _second_flip_bet("risky-heads", "h", "win", "loss"),
+            _second_flip_bet("risky-tails", "t", "win", "loss"),
+        ),
+        Fraction(1, 10),
     )
-    heads_cell, tails_cell = partition.cells
-    spec = DeviationSpec(
-        eps,
-        {
-            heads_cell: Credence(
-                problem.space, {"ht": Fraction(9, 10), "hh": Fraction(1, 10)}
-            ),
-            tails_cell: Credence(
-                problem.space, {"th": Fraction(9, 10), "tt": Fraction(1, 10)}
-            ),
-        },
-    )
-    expanded, policy = mixture_expand(problem, partition, spec, labels=_MIXTURE_LABELS)
-    return Scenario(GAMBLERS, expanded, policy)
 
 
 def scenario_unknown_bias(
@@ -217,7 +222,6 @@ def scenario_unknown_bias(
         raise ConfigError(
             f"fallacy confidence must lie in [0, 1], got {confidence}"
         )
-    space4 = ("hh", "ht", "th", "tt")
     outcomes = OutcomeSpace(
         ("nothing", "small-win", "small-loss", "big-win", "big-loss"),
         {
@@ -228,20 +232,9 @@ def scenario_unknown_bias(
             "big-loss": Fraction(-10),
         },
     )
-    safe = Action("safe", {s: "nothing" for s in space4})
-    bet_heads = Action(
-        "bet-heads", {s: ("small-win" if s[1] == "h" else "small-loss") for s in space4}
-    )
-    bet_tails = Action(
-        "bet-tails", {s: ("small-win" if s[1] == "t" else "small-loss") for s in space4}
-    )
-    vrisky_heads = Action(
-        "v-risky-heads", {s: ("big-win" if s[1] == "h" else "big-loss") for s in space4}
-    )
-    vrisky_tails = Action(
-        "v-risky-tails", {s: ("big-win" if s[1] == "t" else "big-loss") for s in space4}
-    )
-    problem, partition = _two_flip_problem(
+    scenario = _fallacy_scenario(
+        UNKNOWN_BIAS,
+        eps,
         {
             "hh": Fraction(1, 3),
             "ht": Fraction(1, 6),
@@ -249,31 +242,24 @@ def scenario_unknown_bias(
             "tt": Fraction(1, 3),
         },
         outcomes,
-        (safe, bet_heads, bet_tails, vrisky_heads, vrisky_tails),
+        (
+            _second_flip_bet("bet-heads", "h", "small-win", "small-loss"),
+            _second_flip_bet("bet-tails", "t", "small-win", "small-loss"),
+            _second_flip_bet("v-risky-heads", "h", "big-win", "big-loss"),
+            _second_flip_bet("v-risky-tails", "t", "big-win", "big-loss"),
+        ),
+        confidence,
     )
-    heads_cell, tails_cell = partition.cells
-    spec = DeviationSpec(
-        eps,
-        {
-            heads_cell: Credence(
-                problem.space, {"hh": confidence, "ht": 1 - confidence}
-            ),
-            tails_cell: Credence(
-                problem.space, {"tt": confidence, "th": 1 - confidence}
-            ),
-        },
-    )
-    expanded, policy = mixture_expand(problem, partition, spec, labels=_MIXTURE_LABELS)
-    strict = replace(expanded, tie_policy=ERROR_ON_TIE)
-    for state in expanded.space:
+    strict = replace(scenario.problem, tie_policy=ERROR_ON_TIE)
+    for state in strict.space:
         try:
-            best_action(policy.posterior(state), strict)
+            best_action(scenario.policy.posterior(state), strict)
         except TieError as exc:
             raise ConfigError(
                 f"fallacy confidence {confidence} makes acts tie at expected "
                 f"utility {exc.value}: {', '.join(exc.actions)}"
             ) from None
-    return Scenario(UNKNOWN_BIAS, expanded, policy)
+    return scenario
 
 
 def build_scenario(name: str, epsilon=None, confidence=None) -> Scenario:

@@ -67,6 +67,7 @@ class EvidencePartition:
     cells: tuple[Event, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "cells", tuple(self.cells))
         if not is_partition(self.space, self.cells):
             raise ValidationError(
                 "cells must be non-empty, pairwise disjoint, and cover the space"
@@ -215,6 +216,13 @@ def mixture_expand(
     still assigns the disposition its correct marginal, so choosing among
     the lifted actions is exactly choosing by the distorted base belief.
 
+    Every expanded credence is one product, taken on integer numerators: a
+    base credence times the disposition's law ``(1 - epsilon, epsilon)``.
+    The prior is the base prior's product; a cell's stay posterior is the
+    product of the base prior conditioned on the cell, and its deviate
+    posterior that of the cell's deviant posterior (or the stay posterior
+    when the spec gives none).
+
     Returns the expanded problem and the expanded update policy.
     """
     stay, deviate = labels
@@ -229,29 +237,21 @@ def mixture_expand(
                 "cell of the partition"
             )
 
-    eps = spec.epsilon
     base_states = tuple(problem.space)
-    expanded_ids = []
-    for s in base_states:
-        expanded_ids.append(_joined(s, stay))
-        expanded_ids.append(_joined(s, deviate))
+    expanded_ids = [_joined(s, label) for s in base_states for label in labels]
     if len(set(expanded_ids)) != len(expanded_ids):
         raise ValidationError(
             "expanded state ids collide; rename base states or pass other labels"
         )
     space = StateSpace(tuple(expanded_ids))
 
-    prior = Credence(
-        space,
-        {
-            _joined(s, stay): problem.prior(s) * (1 - eps)
-            for s in base_states
-        }
-        | {
-            _joined(s, deviate): problem.prior(s) * eps
-            for s in base_states
-        },
-    )
+    eps = spec.epsilon
+    keeps, flips = eps.denominator - eps.numerator, eps.numerator
+
+    def mixed(base: Credence) -> Credence:
+        return Credence._from_weights(
+            space, [w for n in base.nums for w in (n * keeps, n * flips)]
+        )
 
     actions = tuple(
         Action(
@@ -275,39 +275,25 @@ def mixture_expand(
         )
         for cell in partition.cells
     )
-    expanded_partition = EvidencePartition(space, lifted_cells)
 
     expanded = DecisionProblem(
         space,
         problem.outcomes,
-        prior,
+        mixed(problem.prior),
         ChoiceSet(actions),
         tie_policy=problem.tie_policy,
     )
 
     posteriors: dict[str, Credence] = {}
-    for base_cell, lifted in zip(partition.cells, lifted_cells):
-        correct = condition(prior, lifted)
-        deviant_base = spec.deviant_posteriors.get(base_cell)
-        if deviant_base is None:
-            distorted = correct
-        else:
-            distorted = Credence(
-                space,
-                {
-                    _joined(t, stay): deviant_base(t) * (1 - eps)
-                    for t in base_cell.sorted_members()
-                }
-                | {
-                    _joined(t, deviate): deviant_base(t) * eps
-                    for t in base_cell.sorted_members()
-                },
-            )
+    for base_cell in partition.cells:
+        correct = mixed(condition(problem.prior, base_cell))
+        deviant = spec.deviant_posteriors.get(base_cell)
+        distorted = correct if deviant is None else mixed(deviant)
         for s in base_cell.members:
             posteriors[_joined(s, stay)] = correct
             posteriors[_joined(s, deviate)] = distorted
 
-    policy = UpdatePolicy(expanded_partition, posteriors)
+    policy = UpdatePolicy(EvidencePartition(space, lifted_cells), posteriors)
     return expanded, policy
 
 

@@ -52,6 +52,39 @@ def conditioned(dist, members):
     return {s: m / total for s, m in dist.items() if s in members}
 
 
+def brute_mixture(base, partition, spec, labels=("stay", "deviate")):
+    """The expanded prior and each expanded state's posterior, as plain dicts.
+
+    Straight from the self-doubt model: the expanded prior puts
+    ``prior(s) * (1 - eps)`` on ``s·stay`` and ``prior(s) * eps`` on
+    ``s·deviate``.  A stay state's posterior is that prior conditioned on
+    its lifted cell.  A deviate state's is the cell's deviant posterior
+    spread the same way, or the stay posterior when the cell has none.
+    """
+    eps = spec.epsilon
+    law = dict(zip(labels, (1 - eps, eps)))
+
+    def spread(dist):
+        return {
+            f"{s}·{label}": m * p
+            for s, m in dist.items()
+            for label, p in law.items()
+            if p
+        }
+
+    prior = spread(dist_of(base.prior))
+    posteriors = {}
+    for cell in partition.cells:
+        lifted = {f"{s}·{label}" for s in cell.members for label in labels}
+        correct = conditioned(prior, lifted)
+        deviant = spec.deviant_posteriors.get(cell)
+        distorted = correct if deviant is None else spread(dist_of(deviant))
+        for s in cell.members:
+            posteriors[f"{s}·{labels[0]}"] = correct
+            posteriors[f"{s}·{labels[1]}"] = distorted
+    return prior, posteriors
+
+
 def brute_val_good(problem, partition):
     """Definition of the classical value: cell-by-cell best, minus prior best."""
     prior = dist_of(problem.prior)

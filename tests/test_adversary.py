@@ -262,6 +262,28 @@ class TestAversionCertificate:
         assert dataclasses.replace(cert) == cert
         assert calls == [(cert.problem, cert.policy)]
 
+    def test_misstated_deviation_and_bet_event_are_rejected(self):
+        """Claims the value and the independence check never read are still
+        checked: here q is really 9/10, and the bet is on {g}."""
+        cert = self.build()
+        with pytest.raises(ValidationError, match="q=4/5"):
+            dataclasses.replace(
+                cert, deviation=dataclasses.replace(cert.deviation, q=Fraction(4, 5))
+            )
+        with pytest.raises(ValidationError, match="bet event"):
+            dataclasses.replace(cert, bet_event=Event(TWO, frozenset({"h"})))
+
+    def test_acts_must_be_exactly_safe_then_risky(self):
+        """Extra or reordered acts leave the value and the takers alone,
+        but they are not the certified problem."""
+        cert = self.build()
+        safe, risky = cert.problem.choices
+        idle = Action("idle", {"g": "zero", "h": "zero"})
+        for choices in ((safe, risky, idle), (risky, safe)):
+            tampered = dataclasses.replace(cert.problem, choices=ChoiceSet(choices))
+            with pytest.raises(ValidationError, match="acts must be exactly"):
+                dataclasses.replace(cert, problem=tampered)
+
     def test_tampered_stakes_are_rejected(self):
         cert = self.build()
         with pytest.raises(ValidationError, match="positive"):

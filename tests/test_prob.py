@@ -189,6 +189,17 @@ class TestCredence:
         assert q.nums == (1, 2, 0)
         assert q.den == 3
 
+    @given(weights, st.integers(min_value=1, max_value=12))
+    def test_from_weights_stores_what_init_stores(self, w, factor):
+        """Common factors and zeros in the weights reduce away."""
+        scaled = [x * factor for x in w]
+        total = sum(scaled)
+        built = Credence._from_weights(SPACE, scaled)
+        expected = Credence(SPACE, {s: Fraction(x, total) for s, x in zip(SPACE, scaled)})
+        assert (built.nums, built.den) == (expected.nums, expected.den)
+        assert built == expected
+        assert hash(built) == hash(expected)
+
     def test_rejects_bad_total(self):
         with pytest.raises(ValidationError, match="sum to exactly 1"):
             credence(a=Fraction(1, 2), b=Fraction(1, 3))
@@ -248,6 +259,7 @@ class TestProbabilityAndConditioning:
         expected = Credence(SPACE, conditioned(dist, members))
         q = condition(p, e)
         assert (q.nums, q.den) == (expected.nums, expected.den)
+        assert hash(q) == hash(expected)
         assert dist_of(q) == conditioned(dist, members)
 
     @given(credences(), st.sets(st.sampled_from(SPACE.states), min_size=1))

@@ -1,10 +1,12 @@
 """The three worked presets and the epsilon sweep around them."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from infovalue.errors import ConfigError
+from infovalue.problemfile import dumps
 from infovalue.scenarios import (
     GAMBLERS,
     RACE,
@@ -190,6 +192,28 @@ class TestBuildScenario:
             UNKNOWN_BIAS, epsilon=Fraction(1, 2), confidence=Fraction(8, 10)
         )
         assert val_general(scenario.problem, scenario.policy) == Fraction(1, 3)
+
+
+PRESETS = Path(__file__).parent / "presets"
+
+
+class TestPresetFiles:
+    """Each fallacy preset's problem file, pinned byte for byte to the
+    text under ``tests/presets``."""
+
+    @pytest.mark.parametrize(
+        "name, epsilon, pinned",
+        [
+            (GAMBLERS, Fraction(1, 10), "gamblers-1_10.json"),
+            (GAMBLERS, Fraction(0), "gamblers-0.json"),
+            (UNKNOWN_BIAS, Fraction(1, 5), "unknown-bias-1_5.json"),
+            (UNKNOWN_BIAS, Fraction(0), "unknown-bias-0.json"),
+        ],
+    )
+    def test_dumps_matches_the_pinned_file(self, name, epsilon, pinned):
+        scenario = build_scenario(name, epsilon=epsilon)
+        text = (PRESETS / pinned).read_text(encoding="utf-8")
+        assert dumps(scenario.problem, scenario.policy) == text
 
 
 class TestSweep:

@@ -35,7 +35,14 @@ from infovalue.updating import (
 )
 from infovalue.voi import evaluate
 
-from _oracles import best_value, brute_independence_witness, conditioned, dist_of, eu
+from _oracles import (
+    best_value,
+    brute_independence_witness,
+    brute_mixture,
+    conditioned,
+    dist_of,
+    eu,
+)
 from test_adversary import build_plain, plain_instances
 
 BASE = StateSpace(("u1", "u2", "v1", "v2"))
@@ -337,6 +344,76 @@ class TestMixtureExpand:
         for s in BASE:
             lifted = expanded.prior(f"{s}·stay") + expanded.prior(f"{s}·deviate")
             assert lifted == prior(s)
+
+
+@st.composite
+def mixture_inputs(draw):
+    """A base problem of 2 to 6 states, its partition, and a deviation spec.
+
+    Every cell has positive prior mass, though single states may have
+    none.  Epsilon is often 0 or 1, and some cells get no deviant.
+    """
+    n = draw(st.integers(2, 6))
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=2)))
+    bounds = [0, *cuts, n]
+    cells = [space.states[a:b] for a, b in zip(bounds, bounds[1:])]
+    mass = {}
+    for cell in cells:
+        weights = draw(st.lists(st.integers(0, 6), min_size=len(cell), max_size=len(cell)))
+        weights[draw(st.integers(0, len(cell) - 1))] += 1
+        mass.update(zip(cell, weights))
+    total = sum(mass.values())
+    prior = Credence(space, {s: Fraction(w, total) for s, w in mass.items()})
+    partition = EvidencePartition(space, tuple(Event(space, frozenset(c)) for c in cells))
+    deviants = {}
+    for cell in partition.cells:
+        if draw(st.booleans()):
+            members = cell.sorted_members()
+            weights = draw(st.lists(st.integers(0, 5), min_size=len(members), max_size=len(members)))
+            weights[0] += 1
+            deviants[cell] = Credence(
+                space, {s: Fraction(w, sum(weights)) for s, w in zip(members, weights)}
+            )
+    epsilon = draw(
+        st.sampled_from((Fraction(0), Fraction(1)))
+        | st.fractions(min_value=0, max_value=1, max_denominator=12)
+    )
+    actions = (Action("idle", {s: "zero" for s in space}),)
+    problem = DecisionProblem(space, OUTCOMES, prior, ChoiceSet(actions))
+    return problem, partition, DeviationSpec(epsilon, deviants)
+
+
+class TestMixtureAgainstTheDefinition:
+    @given(mixture_inputs())
+    def test_every_expanded_credence_matches_the_oracle(self, drawn):
+        problem, partition, spec = drawn
+        expanded, policy = mixture_expand(problem, partition, spec)
+        prior, posteriors = brute_mixture(problem, partition, spec)
+        assert dist_of(expanded.prior) == prior
+        for state in expanded.space:
+            assert dist_of(policy.posterior(state)) == posteriors[state]
+
+
+class TestListBuiltContainers:
+    def test_lists_build_what_tuples_build(self):
+        space = StateSpace(list(BASE.states))
+        outcomes = OutcomeSpace(list(OUTCOMES.outcomes), OUTCOMES.utility)
+        choices = ChoiceSet(list(base_problem().choices))
+        partition = EvidencePartition(space, [U, V])
+        for listed, built in (
+            (space, BASE),
+            (outcomes, OUTCOMES),
+            (choices, base_problem().choices),
+            (partition, PARTITION),
+        ):
+            assert listed == built
+            assert hash(listed) == hash(built)
+        problem = DecisionProblem(space, outcomes, PRIOR, choices)
+        policy = conditionalization_policy(PRIOR, partition)
+        assert evaluate(problem, policy) == evaluate(
+            base_problem(), conditionalization_policy(PRIOR, PARTITION)
+        )
 
 
 def clairvoyant_setup():
