@@ -87,7 +87,6 @@ from .updating import (
     DeviationSpec,
     EvidencePartition,
     UpdatePolicy,
-    check_evidential_independence,
     conditionalization_policy,
     deviating_states,
     find_independence_violation,
@@ -101,7 +100,6 @@ from .voi import (
     VoiReport,
     evaluate,
     cellwise_decomposition,
-    sophisticated_choice,
     val_general,
     val_good,
 )
@@ -140,13 +138,11 @@ __all__ = [
     "is_immodest",
     "modesty_degree",
     "find_independence_violation",
-    "check_evidential_independence",
     # voi
     "LemmaOneRow",
     "PerCell",
     "VoiReport",
     "val_good",
-    "sophisticated_choice",
     "val_general",
     "cellwise_decomposition",
     "evaluate",

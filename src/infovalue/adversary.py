@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .decision import (
     FIRST_BY_ORDER,
@@ -50,9 +50,10 @@ from .errors import (
 from .prob import Credence, Event, StateSpace, condition, probability
 from .updating import (
     UpdatePolicy,
+    _cell_table,
     _chosen_by_state,
     _first_leak,
-    _posterior_groups,
+    _PosteriorClass,
     find_independence_violation,
 )
 from .voi import _realized
@@ -281,43 +282,7 @@ def _synthesize(
     )
 
 
-class _PosteriorClass(NamedTuple):
-    """The positive-prior states of one cell that share a posterior.
-
-    ``row`` holds the posterior's mass on each cell member as an integer
-    over ``den``; ``support`` lists its non-zero ``(member index, mass)``
-    entries and ``weights`` the ``(member index, prior weight)`` of the
-    class's own states.
-    """
-
-    first: str
-    row: tuple[int, ...]
-    den: int
-    support: tuple[tuple[int, int], ...]
-    weights: tuple[tuple[int, int], ...]
-
-
-def _posterior_classes(
-    policy: UpdatePolicy, members: tuple[str, ...], weights: tuple[int, ...]
-) -> list[_PosteriorClass]:
-    """The cell's positive-prior states grouped by posterior, in state order."""
-    index = {state: i for i, state in enumerate(members)}
-    positions = [policy.space.index(state) for state in members]
-    positive = [state for state, weight in zip(members, weights) if weight]
-    classes = []
-    for posterior, states in _posterior_groups(policy, positive):
-        row = tuple(posterior.nums[p] for p in positions)
-        classes.append(_PosteriorClass(
-            states[0],
-            row,
-            posterior.den,
-            tuple((i, m) for i, m in enumerate(row) if m),
-            tuple((index[s], weights[index[s]]) for s in states),
-        ))
-    return classes
-
-
-def _is_calibrated(classes: list[_PosteriorClass]) -> bool:
+def _is_calibrated(classes: tuple[_PosteriorClass, ...]) -> bool:
     """Whether each class's posterior is the prior conditioned on its states.
 
     Learning cannot hurt an agent whose prior is calibrated to their own
@@ -383,7 +348,7 @@ def _priced(
 
 
 def _taker_tallies(
-    classes: list[_PosteriorClass], mask: int, loss_num: int, loss_den: int
+    classes: tuple[_PosteriorClass, ...], mask: int, loss_num: int, loss_den: int
 ) -> tuple[int, int]:
     """The prior weights of the bet's takers, and of those among them in the bet.
 
@@ -422,6 +387,9 @@ def demonstrate_aversion(
     against a definitional recomputation and reruns the full independence
     check on the synthesized problem.
 
+    Each cell is read from the integer table that
+    :func:`~infovalue.updating.deviating_states` reads, where a posterior
+    class deviates when ``row[i] * total != w_i * den`` for some member.
     A calibrated cell, where each posterior is the prior conditioned on
     the states that hold it, can yield no certificate (see
     :func:`_is_calibrated`).  Its walk stops at the first candidate of its
@@ -433,13 +401,12 @@ def demonstrate_aversion(
     Every other cell is walked in full.  States that share a posterior
     price every event alike, so each posterior is walked once, at its first
     state; a later state holding it would only repeat bets already
-    rejected.  Each cell's prior weights and posterior rows are integer
-    rows read from the stored credences' ``nums``, and a candidate's stake
-    is an integer over one denominator per cell, so pricing and deciding a
-    candidate costs O(|cell|) integer operations per posterior; the stakes
-    become ``Fraction``s only for the first rejected candidate and for the
-    certificate.  A cell of ``n`` states that is not calibrated walks up to
-    ``2**n - 2`` events per distinct deviating posterior.
+    rejected.  A candidate's stake is an integer over one denominator per
+    cell, so pricing and deciding a candidate costs O(|cell|) integer
+    operations per posterior; the stakes become ``Fraction``s only for the
+    first rejected candidate and for the certificate.  A cell of ``n``
+    states that is not calibrated walks up to ``2**n - 2`` events per
+    distinct deviating posterior.
 
     Raises :class:`NoDeviationError` if the policy conditionalizes at
     every prior-possible state, and :class:`IndependenceBrokenError` (with
@@ -452,21 +419,11 @@ def demonstrate_aversion(
     if space != policy.space:
         raise ValidationError("policy is not over the problem's space")
     first_rejected: tuple[Event, Event, Fraction, Fraction] | None = None
-    found_deviating_state = False
     for cell in policy.partition.cells:
-        members = cell.sorted_members()
-        weights = tuple(prior.nums[space.index(s)] for s in members)
-        total = sum(weights)
-        if total == 0:
-            continue
-        classes = _posterior_classes(policy, members, weights)
-        deviating = [
-            cls for cls in classes
-            if any(m * total != w * cls.den for m, w in zip(cls.row, weights))
-        ]
+        members, weights, total, classes = _cell_table(prior, policy, cell)
+        deviating = [cls for cls in classes if cls.deviates]
         if not deviating:
-            continue  # every posterior is the conditioned prior itself
-        found_deviating_state = True
+            continue  # no positive-prior state, or each holds the conditioned prior
         if _is_calibrated(classes):
             if first_rejected is None:
                 cls = deviating[0]
@@ -518,13 +475,11 @@ def demonstrate_aversion(
                         taker_bet_weight * bet_win - taker_loss_weight * bet_loss
                     ) / prior.den,
                 )
-    if not found_deviating_state:
+    if first_rejected is None:  # every deviating cell yields a candidate
         raise NoDeviationError(
             "the policy conditionalizes at every prior-possible state; "
             "there is no disagreement to bet against"
         )
-    cell, bet_event, bet_win, bet_loss = first_rejected
-    synthesized = _synthesize(problem, cell, bet_event, bet_win, bet_loss)
-    witness = find_independence_violation(synthesized, policy)
-    w_cell, w_action, w_probe = witness
-    raise IndependenceBrokenError(w_cell, w_action.id, w_probe.id)
+    synthesized = _synthesize(problem, *first_rejected)
+    cell, action, probe = find_independence_violation(synthesized, policy)
+    raise IndependenceBrokenError(cell, action.id, probe.id)

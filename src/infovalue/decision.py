@@ -57,6 +57,10 @@ class OutcomeSpace:
     utility: Mapping[str, Fraction] = field(hash=False)
 
     def __post_init__(self) -> None:
+        if isinstance(self.outcomes, str):
+            raise ValidationError(
+                f"outcomes must be a sequence of ids, not the string {self.outcomes!r}"
+            )
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
         if not self.outcomes:
             raise ValidationError("an outcome space needs at least one outcome")
@@ -118,6 +122,10 @@ class ChoiceSet:
     actions: tuple[Action, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.actions, str):
+            raise ValidationError(
+                f"actions must be a sequence of Actions, not the string {self.actions!r}"
+            )
         object.__setattr__(self, "actions", tuple(self.actions))
         if not self.actions:
             raise ValidationError("a choice set needs at least one action")

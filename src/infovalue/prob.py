@@ -78,6 +78,10 @@ class StateSpace:
     states: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.states, str):
+            raise ValidationError(
+                f"states must be a sequence of ids, not the string {self.states!r}"
+            )
         object.__setattr__(self, "states", tuple(self.states))
         if not self.states:
             raise ValidationError("a state space needs at least one state")

@@ -7,6 +7,11 @@ be certain of it.  Nothing forces the posterior to be the conditioned
 prior — policies that deviate from conditionalization are the interesting
 ones here — but every posterior must at least respect what was learned.
 
+A posterior deviates from conditioning exactly when its integer row over
+its ``den`` and the cell's prior weights ``w_i`` (summing to ``total``)
+have ``row[i] * total != w_i * den`` for some member ``i``.  One integer
+table per cell holds both, and every deviation question reads it.
+
 :func:`mixture_expand` builds the canonical self-doubt model: an agent who
 thinks that with probability epsilon, independently of everything else,
 they will respond to evidence with a fixed distorted posterior instead of
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .decision import (
     Action,
@@ -52,7 +57,6 @@ __all__ = [
     "modesty_degree",
     "deviating_states",
     "find_independence_violation",
-    "check_evidential_independence",
 ]
 
 CONDITIONALIZATION = "conditionalization"
@@ -188,10 +192,8 @@ def conditionalization_policy(
     """The policy that conditions the prior on whichever cell obtains."""
     if prior.space != partition.space:
         raise SpaceMismatchError("prior and partition live on different spaces")
-    posteriors = {}
     by_cell = {cell: condition(prior, cell) for cell in partition.cells}
-    for state in partition.space:
-        posteriors[state] = by_cell[partition.cell_of(state)]
+    posteriors = {state: by_cell[partition.cell_of(state)] for state in partition.space}
     return UpdatePolicy(partition, posteriors, kind=CONDITIONALIZATION)
 
 
@@ -223,6 +225,9 @@ def mixture_expand(
     posterior that of the cell's deviant posterior (or the stay posterior
     when the spec gives none).
 
+    A zero-probability cell could never be learned; it is refused up front,
+    as problem files refuse it.
+
     Returns the expanded problem and the expanded update policy.
     """
     stay, deviate = labels
@@ -230,6 +235,9 @@ def mixture_expand(
         raise ValidationError(f"labels must be distinct and non-empty, got {labels!r}")
     if partition.space != problem.space:
         raise SpaceMismatchError("partition is not over the problem's space")
+    for cell in partition.cells:
+        if probability(problem.prior, cell) == 0:
+            raise ValidationError(f"cell {cell.describe()} has zero prior probability")
     for cell in spec.deviant_posteriors:
         if cell not in partition.cells:
             raise ValidationError(
@@ -297,23 +305,71 @@ def mixture_expand(
     return expanded, policy
 
 
+class _PosteriorClass(NamedTuple):
+    """The positive-prior states of one cell that share a posterior.
+
+    ``row`` holds the posterior's mass on each cell member as an integer
+    over ``den``; ``support`` lists its non-zero ``(member index, mass)``
+    entries and ``weights`` the ``(member index, prior weight)`` of the
+    class's own states.  ``deviates`` says whether the posterior differs
+    from the prior conditioned on the cell.
+    """
+
+    first: str
+    row: tuple[int, ...]
+    den: int
+    support: tuple[tuple[int, int], ...]
+    weights: tuple[tuple[int, int], ...]
+    deviates: bool
+
+
+def _cell_table(
+    prior: Credence, policy: UpdatePolicy, cell: Event
+) -> tuple[tuple[str, ...], tuple[int, ...], int, tuple[_PosteriorClass, ...]]:
+    """The cell's members in state order, their prior ``nums``, total and classes.
+
+    The classes group the positive-prior members by posterior, in order of
+    each class's first state.  Read off the stored credences in O(|cell|)
+    integer operations per class, with no credence built.
+    """
+    position = prior.space._position
+    positions = sorted(position[s] for s in cell.members)
+    members = tuple(prior.space.states[p] for p in positions)
+    weights = tuple(prior.nums[p] for p in positions)
+    total = sum(weights)
+    index = {state: i for i, state in enumerate(members)}
+    positive = [state for state, weight in zip(members, weights) if weight]
+    classes = []
+    for posterior, states in _posterior_groups(policy, positive):
+        row, den = tuple(posterior.nums[p] for p in positions), posterior.den
+        classes.append(_PosteriorClass(
+            states[0],
+            row,
+            den,
+            tuple((i, m) for i, m in enumerate(row) if m),
+            tuple((index[s], weights[index[s]]) for s in states),
+            any(m * total != w * den for m, w in zip(row, weights)),
+        ))
+    return members, weights, total, tuple(classes)
+
+
 def deviating_states(policy: UpdatePolicy, prior: Credence) -> tuple[str, ...]:
     """Positive-prior states whose posterior differs from conditioning.
 
-    Returned in state-space order.  Zero-prior states never count: what the
-    agent would believe in a state that cannot obtain carries no weight.
+    Returned in state-space order, however the cells are declared.
+    Zero-prior states never count: what the agent would believe in a state
+    that cannot obtain carries no weight.  Read off each cell's integer
+    table, so no credence is conditioned or compared.
     """
     if prior.space != policy.space:
         raise SpaceMismatchError("prior and policy live on different spaces")
-    out = []
-    conditioned: dict[Event, Credence] = {}
-    for state in prior.support():
-        cell = policy.partition.cell_of(state)
-        if cell not in conditioned:
-            conditioned[cell] = condition(prior, cell)
-        if policy.posterior(state) != conditioned[cell]:
-            out.append(state)
-    return tuple(out)
+    deviating = set()
+    for cell in policy.partition.cells:
+        members, _, _, classes = _cell_table(prior, policy, cell)
+        for cls in classes:
+            if cls.deviates:
+                deviating.update(members[i] for i, _ in cls.weights)
+    return tuple(s for s in prior.space if s in deviating)
 
 
 def is_immodest(policy: UpdatePolicy, prior: Credence) -> bool:
@@ -323,9 +379,9 @@ def is_immodest(policy: UpdatePolicy, prior: Credence) -> bool:
 
 def modesty_degree(policy: UpdatePolicy, prior: Credence) -> Fraction:
     """Prior probability of ending up in a state where the policy deviates."""
-    return sum(
-        (prior(s) for s in deviating_states(policy, prior)), Fraction(0)
-    )
+    position = prior.space._position
+    weight = sum(prior.nums[position[s]] for s in deviating_states(policy, prior))
+    return Fraction(weight, prior.den)
 
 
 def _posterior_groups(
@@ -429,15 +485,3 @@ def find_independence_violation(
     nothing that matters.
     """
     return _first_leak(problem, policy, _chosen_by_state(problem, policy))
-
-
-def check_evidential_independence(
-    problem: DecisionProblem, policy: UpdatePolicy
-) -> bool:
-    """Whether what the agent would choose is uninformative about payoffs.
-
-    Holds exactly when, within every cell, conditioning further on "the
-    policy picks action f here" leaves every action's conditional expected
-    utility unchanged.
-    """
-    return find_independence_violation(problem, policy) is None

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .decision import Action, DecisionProblem, best_action, max_expected_utility
+from .decision import Action, DecisionProblem, max_expected_utility
 from .errors import IndependenceBrokenError, ValidationError
 from .prob import Event, condition, probability
 from .updating import EvidencePartition, UpdatePolicy, _cell_pass, _chosen_by_state
@@ -35,7 +35,6 @@ __all__ = [
     "PerCell",
     "VoiReport",
     "val_good",
-    "sophisticated_choice",
     "val_general",
     "cellwise_decomposition",
     "evaluate",
@@ -154,25 +153,6 @@ def val_good(problem: DecisionProblem, partition: EvidencePartition) -> Fraction
         p_cell = probability(problem.prior, cell)
         informed += p_cell * max_expected_utility(condition(problem.prior, cell), problem)
     return informed - max_expected_utility(problem.prior, problem)
-
-
-def sophisticated_choice(
-    problem: DecisionProblem, policy: UpdatePolicy, state: str
-) -> Action:
-    """What the agent would pick if ``state`` obtained.
-
-    The best action by the posterior the policy assigns at ``state``,
-    resolved by the problem's tie policy.  Only meaningful at states that
-    could actually obtain, so zero-prior states are rejected.
-    """
-    if policy.space != problem.space:
-        raise ValidationError("policy is not over the problem's space")
-    if problem.prior(state) == 0:
-        raise ValidationError(
-            f"state {state!r} has zero prior probability; no choice to foresee"
-        )
-    chosen, _ = best_action(policy.posterior(state), problem)
-    return chosen
 
 
 def _realized(problem: DecisionProblem, chosen: Mapping[str, Action]) -> Fraction:

@@ -85,6 +85,22 @@ def brute_mixture(base, partition, spec, labels=("stay", "deviate")):
     return prior, posteriors
 
 
+def brute_deviating_states(problem, policy):
+    """Positive-prior states whose posterior is not their conditioned prior.
+
+    In state order.  Each posterior and the prior conditioned on the
+    state's cell are compared as plain dicts of their positive masses.
+    """
+    prior = dist_of(problem.prior)
+    cell_of = {s: cell.members for cell in policy.partition.cells for s in cell.members}
+    return tuple(
+        s
+        for s in problem.space.states
+        if s in prior
+        and dist_of(policy.posteriors[s]) != conditioned(prior, cell_of[s])
+    )
+
+
 def brute_val_good(problem, partition):
     """Definition of the classical value: cell-by-cell best, minus prior best."""
     prior = dist_of(problem.prior)

@@ -25,7 +25,6 @@ from infovalue.updating import (
     DeviationSpec,
     EvidencePartition,
     UpdatePolicy,
-    check_evidential_independence,
     conditionalization_policy,
     deviating_states,
     find_independence_violation,
@@ -37,13 +36,14 @@ from infovalue.voi import evaluate
 
 from _oracles import (
     best_value,
+    brute_deviating_states,
     brute_independence_witness,
     brute_mixture,
     conditioned,
     dist_of,
     eu,
 )
-from test_adversary import build_plain, plain_instances
+from test_adversary import Plain, build_plain, plain_instances
 
 BASE = StateSpace(("u1", "u2", "v1", "v2"))
 U = Event(BASE, frozenset({"u1", "u2"}))
@@ -320,6 +320,16 @@ class TestMixtureExpand:
         with pytest.raises(ValidationError, match="collide"):
             mixture_expand(problem, partition, spec, labels=("x", "y·x"))
 
+    def test_zero_probability_cell_rejected(self):
+        space = StateSpace(("a", "b", "c"))
+        prior = Credence(space, {"a": Fraction(1, 2), "b": Fraction(1, 2)})
+        cells = (Event(space, frozenset({"a", "b"})), Event(space, frozenset({"c"})))
+        idle = Action("idle", {s: "zero" for s in space})
+        problem = DecisionProblem(space, OUTCOMES, prior, ChoiceSet((idle,)))
+        spec = DeviationSpec(Fraction(1, 4), {})
+        with pytest.raises(ValidationError, match=r"cell \{c\} has zero prior probability"):
+            mixture_expand(problem, EvidencePartition(space, cells), spec)
+
     def test_deviant_for_a_non_cell_rejected(self):
         stray = Event(BASE, frozenset({"u1", "v1"}))
         bad = DeviationSpec(
@@ -415,6 +425,62 @@ class TestListBuiltContainers:
             base_problem(), conditionalization_policy(PRIOR, PARTITION)
         )
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: StateSpace("ab"),
+            lambda: OutcomeSpace("xy", {"x": 0, "y": 1}),
+            lambda: ChoiceSet("ab"),
+        ],
+        ids=["StateSpace", "OutcomeSpace", "ChoiceSet"],
+    )
+    def test_a_bare_string_is_refused(self, build):
+        with pytest.raises(ValidationError, match="not the string"):
+            build()
+
+
+@st.composite
+def deviation_instances(draw):
+    """A ``plain_instances`` policy, its cells declared in reverse half the time."""
+    plain, share = draw(plain_instances())
+    if draw(st.booleans()):
+        plain = plain._replace(cells=plain.cells[::-1])
+    return build_plain(plain, share)
+
+
+F = Fraction
+# cells declared against state order, each with one deviating state, so
+# cell order would give (d, a); a's posterior matches the conditioned
+# prior on a itself but puts mass on the zero-prior c
+REVERSED_ZERO_PRIOR = Plain(
+    tuple("abcde"),
+    {"a": F(1, 4), "b": F(1, 4), "c": F(0), "d": F(1, 4), "e": F(1, 4)},
+    (("d", "e"), ("a", "b", "c")),
+    {
+        "a": {"a": F(1, 2), "c": F(1, 2)},
+        "b": {"a": F(1, 2), "b": F(1, 2)},
+        "c": {"c": F(1)},
+        "d": {"d": F(1)},
+        "e": {"d": F(1, 2), "e": F(1, 2)},
+    },
+)
+
+
+class TestDeviationAgainstTheDefinition:
+    """The cell table's deviation answers against plain Fraction dicts."""
+
+    @given(deviation_instances())
+    @example(build_plain(REVERSED_ZERO_PRIOR, share=False))
+    def test_deviation_answers_match_the_oracle(self, drawn):
+        problem, policy = drawn
+        expected = brute_deviating_states(problem, policy)
+        prior = dist_of(problem.prior)
+        assert deviating_states(policy, problem.prior) == expected
+        assert modesty_degree(policy, problem.prior) == sum(
+            (prior[s] for s in expected), Fraction(0)
+        )
+        assert is_immodest(policy, problem.prior) == (not expected)
+
 
 def clairvoyant_setup():
     """A policy that deviates exactly in the state a bet pays off in."""
@@ -447,7 +513,7 @@ def clairvoyant_setup():
 class TestEvidentialIndependence:
     def test_conditionalization_never_violates(self):
         policy = conditionalization_policy(PRIOR, PARTITION)
-        assert check_evidential_independence(base_problem(), policy)
+        assert find_independence_violation(base_problem(), policy) is None
 
     def test_mixture_with_blind_actions_never_violates(self):
         expanded, policy = expanded_fixture()
@@ -455,7 +521,6 @@ class TestEvidentialIndependence:
 
     def test_clairvoyant_policy_is_caught_with_a_witness(self):
         problem, policy, x_cell = clairvoyant_setup()
-        assert not check_evidential_independence(problem, policy)
         witness = find_independence_violation(problem, policy)
         assert witness is not None
         cell, chosen, probe = witness

@@ -35,7 +35,6 @@ from infovalue.voi import (
     PerCell,
     cellwise_decomposition,
     evaluate,
-    sophisticated_choice,
     val_general,
     val_good,
 )
@@ -113,31 +112,7 @@ class TestValGood:
 class TestSophisticatedChoice:
     def test_follows_the_posterior_not_the_prior(self):
         problem, policy, _ = trap_problem()
-        assert sophisticated_choice(problem, policy, "g").id == "bet"
-        assert sophisticated_choice(problem, policy, "h").id == "bet"
-
-    def test_zero_prior_states_are_rejected(self):
-        space = StateSpace(("g", "h"))
-        whole = Event(space, frozenset({"g", "h"}))
-        prior = Credence(space, {"g": Fraction(1)})
-        outcomes = OutcomeSpace(("nil",), {"nil": 0})
-        problem = DecisionProblem(
-            space,
-            outcomes,
-            prior,
-            ChoiceSet((Action("safe", {"g": "nil", "h": "nil"}),)),
-        )
-        policy = conditionalization_policy(
-            prior, EvidencePartition(space, (whole,))
-        )
-        with pytest.raises(ValidationError, match="zero prior"):
-            sophisticated_choice(problem, policy, "h")
-
-    def test_space_mismatch(self):
-        problem = four_state_problem()
-        _, policy, _ = trap_problem()
-        with pytest.raises(ValidationError):
-            sophisticated_choice(problem, policy, "a")
+        assert evaluate(problem, policy).chosen_by_state == {"g": "bet", "h": "bet"}
 
 
 class TestValGeneral:
