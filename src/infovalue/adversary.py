@@ -348,22 +348,27 @@ def _priced(
 
 
 def _taker_tallies(
-    classes: tuple[_PosteriorClass, ...], mask: int, loss_num: int, loss_den: int
+    classes: tuple[_PosteriorClass, ...],
+    supports: list[tuple[tuple[int, int], ...]],
+    mask: int,
+    loss_num: int,
+    loss_den: int,
 ) -> tuple[int, int]:
     """The prior weights of the bet's takers, and of those among them in the bet.
 
     Outside the deviation's cell both acts pay 0 and every state declines
     by ties-to-safe, so only the cell's states can take the bet: a state
     takes it iff its posterior puts more than ``loss_num / loss_den`` on
-    the bet's members (bit ``i`` of ``mask`` for member ``i``).  The takers'
-    choices stay uninformative iff the bet event's share of their weight
-    equals its share of the whole cell's; the decliners are the rest of the
-    cell, so their share then matches too, and an empty group matches
-    trivially.
+    the bet's members (bit ``i`` of ``mask`` for member ``i``), summed over
+    each class's non-zero ``(member index, mass)`` entries in ``supports``.
+    The takers' choices stay uninformative iff the bet event's share of
+    their weight equals its share of the whole cell's; the decliners are
+    the rest of the cell, so their share then matches too, and an empty
+    group matches trivially.
     """
     taker_weight = taker_bet_weight = 0
-    for cls in classes:
-        class_sum = sum(m for i, m in cls.support if mask >> i & 1)
+    for cls, support in zip(classes, supports):
+        class_sum = sum(m for i, m in support if mask >> i & 1)
         if class_sum * loss_den > loss_num * cls.den:
             for i, weight in cls.weights:
                 taker_weight += weight
@@ -434,6 +439,7 @@ def demonstrate_aversion(
                 _, bet_event, bet_win, bet_loss = _priced(space, members, combo, q, r)
                 first_rejected = (cell, bet_event, bet_win, bet_loss)
             continue
+        supports = [tuple((i, m) for i, m in enumerate(cls.row) if m) for cls in classes]
         scale = lcm(*(cls.den for cls in classes))
         loss_den = 2 * scale * total
         everything = (1 << len(members)) - 1
@@ -451,7 +457,9 @@ def demonstrate_aversion(
                     )
                 key = (bet_mask, loss_num)
                 if key not in tallies:
-                    tallies[key] = _taker_tallies(classes, bet_mask, loss_num, loss_den)
+                    tallies[key] = _taker_tallies(
+                        classes, supports, bet_mask, loss_num, loss_den
+                    )
                 taker_weight, taker_bet_weight = tallies[key]
                 verdict = taker_bet_weight * total == bet_weight * taker_weight
                 if not verdict and first_rejected is not None:

@@ -14,6 +14,14 @@ it takes no part in equality and is rebuilt whenever the problem is.  An
 expected utility is then one integer dot product of a row with a credence's
 numerators, over ``credence.den * U``; Fractions appear only in returned
 values.
+
+Every choice goes through one private core, ``_choose``, which takes the
+choices' integer scores over a shared denominator and applies the tie
+policy.  :func:`best_action` scores a credence on every state.  An update
+policy's choice map (``updating._chosen_by_state``) decides once per
+posterior object and scores it on its own cell's columns only.  That is
+exact: a posterior puts all of its mass on its cell, so every product left
+out is 0 and each score equals the full dot product.
 """
 
 from __future__ import annotations
@@ -241,6 +249,21 @@ def expected_utility(
     return Fraction(sum(map(mul, problem._row(action), p.nums)), p.den * problem._scale)
 
 
+def _choose(problem: DecisionProblem, scores: list[int], den: int) -> tuple[Action, int]:
+    """The maximizer of integer ``scores`` (one per choice, in order) and its score.
+
+    The scores share the denominator ``den``.  Ties resolve by the problem's
+    ``tie_policy``: ``first-by-order`` takes the earliest maximizer, and
+    ``error-on-tie`` raises :class:`TieError` listing every tied action id,
+    with the tied value ``top / den`` built only then.
+    """
+    top = max(scores)
+    if problem.tie_policy == ERROR_ON_TIE and scores.count(top) > 1:
+        tied = tuple(a.id for a, score in zip(problem.choices, scores) if score == top)
+        raise TieError(tied, Fraction(top, den))
+    return problem.choices.actions[scores.index(top)], top
+
+
 def best_action(credence: Credence, problem: DecisionProblem) -> tuple[Action, Fraction]:
     """The optimal action and its expected utility under ``credence``.
 
@@ -250,13 +273,9 @@ def best_action(credence: Credence, problem: DecisionProblem) -> tuple[Action, F
     under ``error-on-tie`` a non-unique maximizer raises :class:`TieError`
     listing every tied action id.
     """
-    scores = problem._scores(credence)
-    top = max(scores)
-    winners = [a for a, score in zip(problem.choices, scores) if score == top]
-    best_value = Fraction(top, credence.den * problem._scale)
-    if problem.tie_policy == ERROR_ON_TIE and len(winners) > 1:
-        raise TieError(tuple(a.id for a in winners), best_value)
-    return winners[0], best_value
+    den = credence.den * problem._scale
+    action, top = _choose(problem, problem._scores(credence), den)
+    return action, Fraction(top, den)
 
 
 def max_expected_utility(credence: Credence, problem: DecisionProblem) -> Fraction:

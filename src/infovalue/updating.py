@@ -20,15 +20,17 @@ conditionalizing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .decision import (
     Action,
     ChoiceSet,
     DecisionProblem,
-    best_action,
+    _choose,
 )
 from .errors import (
     MissingPosteriorError,
@@ -309,18 +311,28 @@ class _PosteriorClass(NamedTuple):
     """The positive-prior states of one cell that share a posterior.
 
     ``row`` holds the posterior's mass on each cell member as an integer
-    over ``den``; ``support`` lists its non-zero ``(member index, mass)``
-    entries and ``weights`` the ``(member index, prior weight)`` of the
-    class's own states.  ``deviates`` says whether the posterior differs
-    from the prior conditioned on the cell.
+    over ``den``, and ``weights`` the ``(member index, prior weight)`` of
+    the class's own states.  ``deviates`` says whether the posterior
+    differs from the prior conditioned on the cell.
     """
 
     first: str
     row: tuple[int, ...]
     den: int
-    support: tuple[tuple[int, int], ...]
     weights: tuple[tuple[int, int], ...]
     deviates: bool
+
+
+def _columns(positions: list[int]) -> Callable[[Sequence], tuple]:
+    """One ``itemgetter`` that reads ``positions`` out of a row, as a tuple.
+
+    ``itemgetter`` with one index returns the bare item, so a one-state
+    cell gets a getter that wraps it.
+    """
+    if len(positions) == 1:
+        (only,) = positions
+        return lambda row: (row[only],)
+    return itemgetter(*positions)
 
 
 def _cell_table(
@@ -329,26 +341,36 @@ def _cell_table(
     """The cell's members in state order, their prior ``nums``, total and classes.
 
     The classes group the positive-prior members by posterior, in order of
-    each class's first state.  Read off the stored credences in O(|cell|)
-    integer operations per class, with no credence built.
+    each class's first state.  Read off the stored credences with one
+    ``itemgetter`` per cell, with no credence built.
+
+    A class deviates when ``row[i] * total != w_i * den`` for some member,
+    decided as one tuple comparison: a stored credence's ``nums`` are
+    reduced, and a posterior certain of the cell has ``den == sum(row)``,
+    so its row equals the cell's prior weights divided by their gcd exactly
+    when the two are proportional.
     """
     position = prior.space._position
     positions = sorted(position[s] for s in cell.members)
-    members = tuple(prior.space.states[p] for p in positions)
-    weights = tuple(prior.nums[p] for p in positions)
+    take = _columns(positions)
+    members = take(prior.space.states)
+    weights = take(prior.nums)
     total = sum(weights)
+    if not total:
+        return members, weights, total, ()
+    common = math.gcd(*weights)
+    conditioned = tuple(w // common for w in weights)
     index = {state: i for i, state in enumerate(members)}
     positive = [state for state, weight in zip(members, weights) if weight]
     classes = []
     for posterior, states in _posterior_groups(policy, positive):
-        row, den = tuple(posterior.nums[p] for p in positions), posterior.den
+        row = take(posterior.nums)
         classes.append(_PosteriorClass(
             states[0],
             row,
-            den,
-            tuple((i, m) for i, m in enumerate(row) if m),
+            posterior.den,
             tuple((index[s], weights[index[s]]) for s in states),
-            any(m * total != w * den for m, w in zip(row, weights)),
+            row != conditioned,
         ))
     return members, weights, total, tuple(classes)
 
@@ -387,10 +409,21 @@ def modesty_degree(policy: UpdatePolicy, prior: Credence) -> Fraction:
 def _posterior_groups(
     policy: UpdatePolicy, states: Iterable[str]
 ) -> list[tuple[Credence, list[str]]]:
-    """``states`` grouped by posterior, in order of each group's first state."""
+    """``states`` grouped by posterior, in order of each group's first state.
+
+    Equal posteriors held as distinct objects share a group.  Each distinct
+    object is hashed once, at its first state; later states that hold it
+    find its group by the object's id.
+    """
+    posteriors = policy.posteriors
     groups: dict[Credence, list[str]] = {}
+    by_object: dict[int, list[str]] = {}  # id(posterior) -> its group
     for state in states:
-        groups.setdefault(policy.posterior(state), []).append(state)
+        posterior = posteriors[state]
+        group = by_object.get(id(posterior))
+        if group is None:
+            group = by_object[id(posterior)] = groups.setdefault(posterior, [])
+        group.append(state)
     return list(groups.items())
 
 
@@ -399,17 +432,40 @@ def _chosen_by_state(
 ) -> dict[str, Action]:
     """The act chosen at each positive-prior state, in state-space order.
 
-    States that share a posterior share a choice, so :func:`best_action`
-    runs once per distinct posterior.
+    Choice is decided once per posterior object, at its first state; a
+    later state that holds the same object costs one dict lookup by its id.
+    A posterior is scored on its own cell's columns only: one
+    ``itemgetter`` per cell slices each choice's utility row and the
+    posterior's ``nums``.  That is exact, because :class:`UpdatePolicy` has
+    checked that each posterior puts all of its mass on its own cell, so
+    every product left out is 0 and each integer score equals the full one.
+    Equal posteriors held as distinct objects are scored apart and choose
+    alike.  Under ``error-on-tie`` the first tied posterior in state order
+    raises.
     """
     if policy.space != problem.space:
         raise SpaceMismatchError("policy is not over the problem's space")
-    support = problem.prior.support()
-    chosen = dict.fromkeys(support)
-    for posterior, states in _posterior_groups(policy, support):
-        action = best_action(posterior, problem)[0]
-        for state in states:
-            chosen[state] = action
+    position, scale = problem.space._position, problem._scale
+    posteriors, cell_of = policy.posteriors, policy.partition._cell_of
+    on_cells: dict[int, tuple] = {}  # id(cell) -> (its getter, the choices' rows on it)
+    by_object: dict[int, Action] = {}  # id(posterior) -> the act it chooses
+    chosen = {}
+    for state in problem.prior.support():
+        posterior = posteriors[state]
+        action = by_object.get(id(posterior))
+        if action is None:
+            cell = cell_of[state]
+            on_cell = on_cells.get(id(cell))
+            if on_cell is None:
+                take = _columns([position[s] for s in cell.members])
+                rows = [take(row) for row in problem._rows.values()]
+                on_cell = on_cells[id(cell)] = (take, rows)
+            take, rows = on_cell
+            nums = take(posterior.nums)
+            scores = [sum(map(mul, row, nums)) for row in rows]
+            action = _choose(problem, scores, posterior.den * scale)[0]
+            by_object[id(posterior)] = action
+        chosen[state] = action
     return chosen
 
 

@@ -159,14 +159,19 @@ def _realized(problem: DecisionProblem, chosen: Mapping[str, Action]) -> Fractio
     """Prior expectation of what each state's chosen act pays there.
 
     Sums ``prior.nums[i] * row[i]`` over the chosen acts' utility rows and
-    divides once, by ``prior.den * U``.
+    divides once, by ``prior.den * U``.  Each chosen act's row is read once
+    and found again by the act's id.
     """
-    prior, position = problem.prior, problem.space._position
+    nums, position = problem.prior.nums, problem.space._position
+    rows: dict[int, tuple[int, ...]] = {}  # id(action) -> its utility row
     total = 0
     for s, action in chosen.items():
+        row = rows.get(id(action))
+        if row is None:
+            row = rows[id(action)] = problem._row(action)
         i = position[s]
-        total += prior.nums[i] * problem._row(action)[i]
-    return Fraction(total, prior.den * problem._scale)
+        total += nums[i] * row[i]
+    return Fraction(total, problem.prior.den * problem._scale)
 
 
 def val_general(problem: DecisionProblem, policy: UpdatePolicy) -> Fraction:
@@ -199,12 +204,14 @@ def _cellwise(
         if leak is not None:
             action, probe = leak
             raise IndependenceBrokenError(cell, action.id, probe.id)
+        # P(chose the act | cell) is the choosers' prior weight over the cell's
+        cell_weight = sum(weights.values())
         rows = []
         for action, cell_eu in zip(problem.choices, cell_eus):
             weight = weights.get(action.id)
             if weight:
-                mass = Fraction(weight, prior.den)
-                rows.append(LemmaOneRow(cell, action.id, mass / p_cell, cell_eu))
+                choose_prob = Fraction(weight, cell_weight)
+                rows.append(LemmaOneRow(cell, action.id, choose_prob, cell_eu))
         out.append(PerCell(cell, p_cell, max(cell_eus), tuple(rows)))
     return tuple(out)
 

@@ -4,7 +4,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from infovalue.decision import (
@@ -28,6 +28,8 @@ from infovalue.updating import (
     EvidencePartition,
     UpdatePolicy,
     conditionalization_policy,
+    deviating_states,
+    find_independence_violation,
     mixture_expand,
 )
 from infovalue.voi import (
@@ -39,7 +41,13 @@ from infovalue.voi import (
     val_good,
 )
 
-from _oracles import brute_val_general, brute_val_good, dist_of, first_best
+from _oracles import (
+    brute_deviating_states,
+    brute_val_general,
+    brute_val_good,
+    dist_of,
+    first_best,
+)
 
 SPACE = StateSpace(("a", "b", "c", "d"))
 LEFT = Event(SPACE, frozenset({"a", "b"}))
@@ -366,6 +374,99 @@ def tied_mixtures(draw):
     return mixture_expand(problem, PARTITION, DeviationSpec(epsilon, {LEFT: deviant}))
 
 
+def held_apart(base, law, cell_of, pools, payoffs):
+    """A policy whose every state holds its own posterior object.
+
+    A state ``b{i}d{j}`` pairs base state ``i`` with disposition ``j``, and
+    the prior is the product of the weights ``base[i] * law[j]``.  Base
+    state ``i`` lies in cell ``cell_of[i]``; the cells are declared against
+    state order, the one holding the last base state first.  Act ``k`` pays
+    ``payoffs[k][i]`` at every state of base state ``i``.  In cell ``c``,
+    disposition ``j`` holds the posterior ``pools[c][j % len(pools[c])]``:
+    integer weights over the cell's base states in state order, each
+    spread evenly over that base state's dispositions.  Choices depend on
+    the disposition and payoffs on the base state, and the two are
+    independent, so choices never leak.  Equal weights give equal
+    posteriors, each state its own object.
+    """
+    pairs = [(i, j) for i in range(len(base)) for j in range(len(law))]
+    name = {(i, j): f"b{i}d{j}" for i, j in pairs}
+    space = StateSpace([name[p] for p in pairs])
+    total = sum(base) * sum(law)
+    prior = Credence(
+        space, {name[i, j]: Fraction(base[i] * law[j], total) for i, j in pairs}
+    )
+    labels = sorted(set(cell_of), key=cell_of.index, reverse=True)
+    bases = {c: [i for i, label in enumerate(cell_of) if label == c] for c in labels}
+    partition = EvidencePartition(
+        space,
+        tuple(
+            Event(space, frozenset(name[i, j] for i in bases[c] for j in range(len(law))))
+            for c in labels
+        ),
+    )
+    posteriors = {}
+    for c in labels:
+        for j in range(len(law)):
+            weights = pools[c][j % len(pools[c])]
+            spread = sum(weights) * len(law)
+            for i in bases[c]:
+                posteriors[name[i, j]] = Credence(
+                    space,
+                    {
+                        name[b, d]: Fraction(w, spread)
+                        for b, w in zip(bases[c], weights)
+                        for d in range(len(law))
+                    },
+                )
+    values = sorted({v for row in payoffs for v in row})
+    outcomes = OutcomeSpace(tuple(f"o{v}" for v in values), {f"o{v}": v for v in values})
+    actions = tuple(
+        Action(f"a{k}", {name[i, j]: f"o{row[i]}" for i, j in pairs})
+        for k, row in enumerate(payoffs)
+    )
+    problem = DecisionProblem(space, outcomes, prior, ChoiceSet(actions))
+    return problem, UpdatePolicy(partition, posteriors)
+
+
+def _some_weight(weights):
+    """``weights``, with the first raised to 1 if all are 0."""
+    return weights if any(weights) else [1] + weights[1:]
+
+
+@st.composite
+def held_apart_instances(draw):
+    """:func:`held_apart` instances with small payoffs and repeated acts.
+
+    The states of a cell that share a disposition hold equal posteriors
+    as distinct objects, and each cell has a pool of one to three distinct
+    posteriors for its dispositions.  Every cell has positive prior
+    weight; single states may have none.
+    """
+    base = draw(st.lists(st.integers(0, 3), min_size=2, max_size=5))
+    law = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3).map(_some_weight))
+    cell_of = draw(st.lists(st.integers(0, 1), min_size=len(base), max_size=len(base)))
+    cell_weights = [sum(w for w, c in zip(base, cell_of) if c == label) for label in cell_of]
+    assume(all(cell_weights))
+    pools = {
+        c: draw(
+            st.lists(
+                st.lists(
+                    st.integers(0, 3), min_size=cell_of.count(c), max_size=cell_of.count(c)
+                ).map(_some_weight),
+                min_size=1, max_size=3, unique_by=tuple,
+            )
+        )
+        for c in set(cell_of)
+    }
+    rows = draw(
+        st.lists(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base)),
+                 min_size=2, max_size=3)
+    )
+    repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=2))
+    return held_apart(base, law, cell_of, pools, rows + [rows[k] for k in repeats])
+
+
 @given(tied_mixtures())
 def test_val_good_agrees_on_three_routes(instance):
     """evaluate's val_good, the public loop and the oracle share no sum."""
@@ -388,6 +489,64 @@ class TestFirstByOrderTies:
         assert report.chosen_by_state == expected
         assert report.val_general == brute_val_general(problem, policy)
         assert val_general(problem, policy) == report.val_general
+
+    @given(held_apart_instances())
+    @example(  # a one-state cell, {b0d0}, declared last
+        held_apart(
+            [2, 1, 1], [1], [0, 1, 1], {0: [[1]], 1: [[1, 3]]}, [[1, 0, 2], [0, 2, 1]]
+        )
+    )
+    @example(  # zero-prior states: base state b1 and disposition d1
+        held_apart(
+            [1, 0, 2], [1, 0], [0, 0, 1], {0: [[0, 1]], 1: [[1]]},
+            [[2, 0, -1], [0, 1, 1], [2, 0, -1]],
+        )
+    )
+    @example(  # one cell in which the two dispositions choose differently
+        held_apart([1, 1], [1, 1], [0, 0], {0: [[1, 0], [0, 1]]}, [[1, 0], [0, 1]])
+    )
+    def test_equal_posteriors_held_apart_choose_alike(self, instance):
+        """Equal posteriors that are distinct objects choose as the oracle does."""
+        problem, policy = instance
+        support = problem.prior.support()
+        expected = {
+            s: first_best(problem, dist_of(policy.posterior(s))).id for s in support
+        }
+        report = evaluate(problem, policy)
+        assert report.chosen_by_state == expected
+        assert report.val_general == brute_val_general(problem, policy)
+        assert deviating_states(policy, problem.prior) == brute_deviating_states(
+            problem, policy
+        )
+
+    def test_first_tie_in_state_order_is_the_one_raised(self):
+        """Cells declared in reverse state order do not change which tie raises."""
+        prior = Credence(SPACE, {s: Fraction(1, 4) for s in SPACE})
+        outcomes = OutcomeSpace(
+            tuple(f"o{v}" for v in range(5)), {f"o{v}": v for v in range(5)}
+        )
+        payoffs = {"x": (1, 1, 0, 0), "y": (0, 2, 2, 2), "z": (2, 0, 0, 4)}
+        actions = tuple(
+            Action(a, {s: f"o{v}" for s, v in zip(SPACE, row)})
+            for a, row in payoffs.items()
+        )
+        problem = DecisionProblem(
+            SPACE, outcomes, prior, ChoiceSet(actions), tie_policy=ERROR_ON_TIE
+        )
+        # a and b tie x, y and z at 1; c and d tie y and z at 2
+        halves = {
+            LEFT: Credence(SPACE, {"a": Fraction(1, 2), "b": Fraction(1, 2)}),
+            RIGHT: Credence(SPACE, {"c": Fraction(1, 2), "d": Fraction(1, 2)}),
+        }
+        reversed_cells = EvidencePartition(SPACE, (RIGHT, LEFT))
+        policy = UpdatePolicy(
+            reversed_cells, {s: halves[reversed_cells.cell_of(s)] for s in SPACE}
+        )
+        for call in (evaluate, val_general, find_independence_violation):
+            with pytest.raises(TieError) as caught:
+                call(problem, policy)
+            assert caught.value.actions == ("x", "y", "z")
+            assert caught.value.value == 1
 
     def test_error_on_tie_still_raises(self):
         problem, policy, _ = trap_problem()
