@@ -51,7 +51,7 @@ from .prob import Credence, Event, StateSpace, condition, probability
 from .updating import (
     UpdatePolicy,
     _cell_table,
-    _chosen_by_state,
+    _choice_groups,
     _first_leak,
     _PosteriorClass,
     find_independence_violation,
@@ -146,13 +146,13 @@ class AversionCertificate:
     from the caller — is strictly negative, and the full
     :func:`find_independence_violation` finds no choice that reveals
     anything payoff-relevant, which the value's accounting requires.  The
-    recomputation and the independence check read one choice map, built
-    once from the synthesized problem and the policy.  Last come the
-    claims themselves: ``q`` and ``r`` are the deviant posterior's and the
-    conditioned prior's probabilities of the deviation's event,
-    ``bet_event`` is that event when ``q > r`` and its complement
-    otherwise, and the acts are exactly ``safe`` and ``risky`` as above,
-    read off the problem's integer utility table in O(|space|).
+    recomputation and the independence check read one set of per-cell act
+    groups, built once from the synthesized problem and the policy.  Last
+    come the claims themselves: ``q`` and ``r`` are the deviant
+    posterior's and the conditioned prior's probabilities of the
+    deviation's event, ``bet_event`` is that event when ``q > r`` and its
+    complement otherwise, and the acts are exactly ``safe`` and ``risky``
+    as above, read off the problem's integer utility table in O(|space|).
     """
 
     deviation: Deviation
@@ -193,8 +193,8 @@ class AversionCertificate:
             raise ValidationError(
                 f"declining must be prior-optimal at exactly 0, got {baseline}"
             )
-        chosen = _chosen_by_state(self.problem, self.policy)
-        recomputed = _realized(self.problem, chosen) - baseline
+        groups = _choice_groups(self.problem, self.policy)
+        recomputed = _realized(self.problem, groups) - baseline
         if recomputed != self.val_general:
             raise ValidationError(
                 f"certificate claims val_general={self.val_general}, "
@@ -204,7 +204,7 @@ class AversionCertificate:
             raise ValidationError(
                 f"certificate requires strictly negative value, got {self.val_general}"
             )
-        witness = _first_leak(self.problem, self.policy, chosen)
+        witness = _first_leak(self.problem, self.policy, groups)
         if witness is not None:
             cell, chosen, probe = witness
             leak = IndependenceBrokenError(cell, chosen.id, probe.id)

@@ -18,10 +18,13 @@ values.
 Every choice goes through one private core, ``_choose``, which takes the
 choices' integer scores over a shared denominator and applies the tie
 policy.  :func:`best_action` scores a credence on every state.  An update
-policy's choice map (``updating._chosen_by_state``) decides once per
-posterior object and scores it on its own cell's columns only.  That is
-exact: a posterior puts all of its mass on its cell, so every product left
-out is 0 and each score equals the full dot product.
+policy's choices (``updating._choice_groups``) are decided once per
+posterior object, scored on its own cell's columns only.  That is exact: a
+posterior puts all of its mass on its cell, so every product left out is 0
+and each score equals the full dot product.  They are stored once, as
+per-cell act groups: for each cell, the positions of the positive-prior
+states that choose each act.  The realized value, the leak test and the
+cellwise decomposition all read those groups.
 """
 
 from __future__ import annotations

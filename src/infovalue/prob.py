@@ -118,6 +118,10 @@ class Event:
     members: frozenset[str]
 
     def __post_init__(self) -> None:
+        if isinstance(self.members, str):
+            raise ValidationError(
+                f"members must be a collection of ids, not the string {self.members!r}"
+            )
         object.__setattr__(self, "members", frozenset(self.members))
         stray = self.members - set(self.space.states)
         if stray:

@@ -67,9 +67,12 @@ def parse_rational(text: Any, location: str) -> Fraction:
 def problem_document(problem: DecisionProblem, policy: UpdatePolicy) -> dict:
     """The JSON-ready document for a problem and its update policy.
 
-    An explicit policy's posterior tables are formatted once per distinct
-    posterior object (states often share one), and each state gets its own
-    copy of its table.
+    The keyword ``"conditionalization"`` is written only for the policy
+    that conditions this problem's prior, since that is what the keyword
+    means when the document is read back.  Any other policy, even one built
+    by conditioning another prior, is spelled out: its posterior tables are
+    formatted once per distinct posterior object (states often share one),
+    and each state gets its own copy of its table.
     """
     if policy.space != problem.space:
         raise InfoValueError("policy is not over the problem's space")
@@ -85,7 +88,9 @@ def problem_document(problem: DecisionProblem, policy: UpdatePolicy) -> dict:
         for a in problem.choices
     ]
     partition = [list(cell.sorted_members()) for cell in policy.partition.cells]
-    if policy.kind == CONDITIONALIZATION:
+    if policy.kind == CONDITIONALIZATION and policy == conditionalization_policy(
+        problem.prior, policy.partition
+    ):
         policy_doc: Any = CONDITIONALIZATION
     else:
         tables: dict[int, dict[str, str]] = {}  # keyed by id(posterior)

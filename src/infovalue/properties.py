@@ -4,9 +4,11 @@ Instances come in two kinds.  Even trials draw a plain problem and pair it
 with literal conditionalization; odd trials draw a problem plus a random
 self-doubt disposition and run it through :func:`mixture_expand`, yielding
 a genuinely modest policy.  Both kinds are generated with the error-on-tie
-policy and resampled until evaluation never hits a tie, so every property
+policy and resampled until no posterior's choice ties, so every property
 failure is a real counterexample rather than an artifact of silent
-tie-breaking.
+tie-breaking.  The probe is :func:`val_general`, which decides every
+choice and does nothing else that can fail, so a broken property is
+reported as a counterexample instead of escaping the suite as an error.
 
 The suite checks, on every instance it can:
 
@@ -51,7 +53,7 @@ from .updating import (
     is_immodest,
     mixture_expand,
 )
-from .voi import cellwise_decomposition, evaluate, val_general, val_good
+from .voi import cellwise_decomposition, val_general, val_good
 
 __all__ = [
     "Instance",
@@ -200,7 +202,7 @@ def random_conditionalization_instance(rng: random.Random) -> Instance:
         problem, partition = random_problem(rng)
         policy = conditionalization_policy(problem.prior, partition)
         try:
-            evaluate(problem, policy)
+            val_general(problem, policy)
         except TieError:
             continue
         return Instance("conditionalization", problem, policy)
@@ -218,7 +220,7 @@ def random_mixture_instance(
         spec = random_deviation_spec(rng, base.prior, partition)
         expanded, policy = mixture_expand(base, partition, spec)
         try:
-            evaluate(expanded, policy)
+            val_general(expanded, policy)
         except TieError:
             continue
         return Instance("mixture", expanded, policy)

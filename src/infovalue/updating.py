@@ -427,14 +427,17 @@ def _posterior_groups(
     return list(groups.items())
 
 
-def _chosen_by_state(
+def _choice_groups(
     problem: DecisionProblem, policy: UpdatePolicy
-) -> dict[str, Action]:
-    """The act chosen at each positive-prior state, in state-space order.
+) -> list[dict[Action, list[int]]]:
+    """Each cell's positive-prior states, grouped by the act chosen there.
 
-    Choice is decided once per posterior object, at its first state; a
-    later state that holds the same object costs one dict lookup by its id.
-    A posterior is scored on its own cell's columns only: one
+    One dict per cell of ``policy.partition.cells``, in order, maps each
+    chosen act to the positions of the states that choose it; a cell with no
+    positive-prior state gets an empty dict.  States are walked in order,
+    and choice is decided once per posterior object, at its first state; a
+    later state that holds the same object finds its group by the object's
+    id.  A posterior is scored on its own cell's columns only: one
     ``itemgetter`` per cell slices each choice's utility row and the
     posterior's ``nums``.  That is exact, because :class:`UpdatePolicy` has
     checked that each posterior puts all of its mass on its own cell, so
@@ -445,83 +448,75 @@ def _chosen_by_state(
     """
     if policy.space != problem.space:
         raise SpaceMismatchError("policy is not over the problem's space")
-    position, scale = problem.space._position, problem._scale
+    states, scale = problem.space.states, problem._scale
     posteriors, cell_of = policy.posteriors, policy.partition._cell_of
-    on_cells: dict[int, tuple] = {}  # id(cell) -> (its getter, the choices' rows on it)
-    by_object: dict[int, Action] = {}  # id(posterior) -> the act it chooses
-    chosen = {}
-    for state in problem.prior.support():
-        posterior = posteriors[state]
-        action = by_object.get(id(posterior))
-        if action is None:
-            cell = cell_of[state]
-            on_cell = on_cells.get(id(cell))
-            if on_cell is None:
-                take = _columns([position[s] for s in cell.members])
-                rows = [take(row) for row in problem._rows.values()]
-                on_cell = on_cells[id(cell)] = (take, rows)
-            take, rows = on_cell
+    on_cells: dict[int, tuple] = {}  # id(cell) -> (its groups, getter, rows on it)
+    for cell in policy.partition.cells:
+        take = _columns([problem.space._position[s] for s in cell.members])
+        on_cells[id(cell)] = ({}, take, [take(row) for row in problem._rows.values()])
+    by_object: dict[int, list[int]] = {}  # id(posterior) -> the group it chooses into
+    for i, weight in enumerate(problem.prior.nums):
+        if not weight:
+            continue
+        posterior = posteriors[states[i]]
+        group = by_object.get(id(posterior))
+        if group is None:
+            cell_groups, take, rows = on_cells[id(cell_of[states[i]])]
             nums = take(posterior.nums)
             scores = [sum(map(mul, row, nums)) for row in rows]
             action = _choose(problem, scores, posterior.den * scale)[0]
-            by_object[id(posterior)] = action
-        chosen[state] = action
-    return chosen
+            group = by_object[id(posterior)] = cell_groups.setdefault(action, [])
+        group.append(i)
+    return [cell_groups for cell_groups, _, _ in on_cells.values()]
 
 
 def _cell_pass(
-    problem: DecisionProblem, cell: Event, chosen: Mapping[str, Action]
-) -> tuple[list[Fraction], dict[str, int], tuple[Action, Action] | None]:
-    """One walk of a positive-probability cell under the choice map.
+    problem: DecisionProblem, groups: Mapping[Action, list[int]]
+) -> tuple[list[Fraction], dict[Action, int], tuple[Action, Action] | None]:
+    """One pass over a positive-probability cell's act groups.
 
     Returns each action's expected utility under the cell's conditioned
-    prior (choice-set order), the summed prior numerators of the cell's
-    states that choose each act (keyed by act id), and the cell's first
-    leak: the first (chosen, probe) pair, both in choice-set order, whose
-    expected utility moves when the prior is conditioned further on "the
-    agent chose this".
+    prior (choice-set order), each group's summed prior numerators (keyed
+    by its act), and the cell's first leak: the first (chosen, probe) pair,
+    both in choice-set order, whose expected utility moves when the prior
+    is conditioned further on "the agent chose this".
 
     Decided in integers, with no credence built.  For a set of states, an
     action's score is ``sum(row[i] * prior.nums[i])`` over the states and
     the set's weight is ``sum(prior.nums[i])``; the expected utility under
-    the prior conditioned on the set is ``score / (weight * U)``.  A chosen
-    act's group leaks through a probe exactly when ``group_score *
+    the prior conditioned on the set is ``score / (weight * U)``.  Each
+    group is scored once on every row; the groups hold all of the cell's
+    positive-prior states, so the cell's scores and weight are their sums.
+    A chosen act's group leaks through a probe exactly when ``group_score *
     cell_weight != cell_score * group_weight`` for the probe's row.
     """
-    nums, position = problem.prior.nums, problem.space._position
-    rows = list(problem._rows.values())  # choice-set order
-    groups: dict[str, list[int]] = {}  # act id -> positions of the states choosing it
-    for s in cell.members:
-        action = chosen.get(s)
-        if action is not None:
-            groups.setdefault(action.id, []).append(position[s])
-    weights = {act: sum(nums[i] for i in group) for act, group in groups.items()}
-    # the choice map holds exactly the positive-prior states, so the groups
-    # carry all of the cell's weight
-    support = [i for group in groups.values() for i in group]
+    nums, rows = problem.prior.nums, problem._rows.values()  # choice-set order
+    weights: dict[Action, int] = {}
+    scores: dict[Action, list[int]] = {}
+    for action, group in groups.items():
+        take = _columns(group)
+        group_nums = take(nums)
+        weights[action] = sum(group_nums)
+        scores[action] = [sum(map(mul, take(row), group_nums)) for row in rows]
     cell_weight = sum(weights.values())
-    cell_scores = [sum(row[i] * nums[i] for i in support) for row in rows]
+    cell_scores = [sum(column) for column in zip(*scores.values())]
     cell_eus = [Fraction(score, cell_weight * problem._scale) for score in cell_scores]
     if len(groups) > 1:  # a lone group is the cell's whole support
         for action in problem.choices:
-            group = groups.get(action.id)
-            if not group:
-                continue
-            for probe, row, cell_score in zip(problem.choices, rows, cell_scores):
-                group_score = sum(row[i] * nums[i] for i in group)
-                if group_score * cell_weight != cell_score * weights[action.id]:
+            for probe, score, cell_score in zip(
+                problem.choices, scores.get(action, ()), cell_scores
+            ):
+                if score * cell_weight != cell_score * weights[action]:
                     return cell_eus, weights, (action, probe)
     return cell_eus, weights, None
 
 
 def _first_leak(
-    problem: DecisionProblem, policy: UpdatePolicy, chosen: Mapping[str, Action]
+    problem: DecisionProblem, policy: UpdatePolicy, groups: list[dict]
 ) -> tuple[Event, Action, Action] | None:
-    """:func:`find_independence_violation` under an already built choice map."""
-    for cell in policy.partition.cells:
-        if probability(problem.prior, cell) == 0:
-            continue
-        leak = _cell_pass(problem, cell, chosen)[2]
+    """:func:`find_independence_violation` over already built act groups."""
+    for cell, cell_groups in zip(policy.partition.cells, groups):
+        leak = _cell_pass(problem, cell_groups)[2] if cell_groups else None
         if leak is not None:
             return (cell, *leak)
     return None
@@ -540,4 +535,4 @@ def find_independence_violation(
     order, actions in choice-set order — or ``None`` if choices reveal
     nothing that matters.
     """
-    return _first_leak(problem, policy, _chosen_by_state(problem, policy))
+    return _first_leak(problem, policy, _choice_groups(problem, policy))

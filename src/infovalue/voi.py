@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .decision import Action, DecisionProblem, max_expected_utility
+from .decision import DecisionProblem, max_expected_utility
 from .errors import IndependenceBrokenError, ValidationError
 from .prob import Event, condition, probability
-from .updating import EvidencePartition, UpdatePolicy, _cell_pass, _chosen_by_state
+from .updating import EvidencePartition, UpdatePolicy, _cell_pass, _choice_groups
 
 __all__ = [
     "LemmaOneRow",
@@ -155,22 +155,18 @@ def val_good(problem: DecisionProblem, partition: EvidencePartition) -> Fraction
     return informed - max_expected_utility(problem.prior, problem)
 
 
-def _realized(problem: DecisionProblem, chosen: Mapping[str, Action]) -> Fraction:
+def _realized(problem: DecisionProblem, groups: list[dict]) -> Fraction:
     """Prior expectation of what each state's chosen act pays there.
 
-    Sums ``prior.nums[i] * row[i]`` over the chosen acts' utility rows and
-    divides once, by ``prior.den * U``.  Each chosen act's row is read once
-    and found again by the act's id.
+    Sums ``prior.nums[i] * row[i]`` over each act group, on its act's
+    utility row, and divides once, by ``prior.den * U``.
     """
-    nums, position = problem.prior.nums, problem.space._position
-    rows: dict[int, tuple[int, ...]] = {}  # id(action) -> its utility row
+    nums, rows = problem.prior.nums, problem._rows
     total = 0
-    for s, action in chosen.items():
-        row = rows.get(id(action))
-        if row is None:
-            row = rows[id(action)] = problem._row(action)
-        i = position[s]
-        total += nums[i] * row[i]
+    for cell_groups in groups:
+        for action, group in cell_groups.items():
+            row = rows[action]
+            total += sum(row[i] * nums[i] for i in group)
     return Fraction(total, problem.prior.den * problem._scale)
 
 
@@ -183,24 +179,20 @@ def val_general(problem: DecisionProblem, policy: UpdatePolicy) -> Fraction:
     no-learning baseline as :func:`val_good`.  Unlike the classical value,
     this can be negative.
     """
-    realized = _realized(problem, _chosen_by_state(problem, policy))
+    realized = _realized(problem, _choice_groups(problem, policy))
     return realized - max_expected_utility(problem.prior, problem)
 
 
 def _cellwise(
-    problem: DecisionProblem,
-    policy: UpdatePolicy,
-    chosen: Mapping[str, Action],
+    problem: DecisionProblem, policy: UpdatePolicy, groups: list[dict]
 ) -> tuple[PerCell, ...]:
-    prior = problem.prior
     out = []
-    for cell in policy.partition.cells:
-        p_cell = probability(prior, cell)
-        if p_cell == 0:
+    for cell, cell_groups in zip(policy.partition.cells, groups):
+        if not cell_groups:
             raise ValidationError(
                 f"cannot decompose zero-probability cell {cell.describe()}"
             )
-        cell_eus, weights, leak = _cell_pass(problem, cell, chosen)
+        cell_eus, weights, leak = _cell_pass(problem, cell_groups)
         if leak is not None:
             action, probe = leak
             raise IndependenceBrokenError(cell, action.id, probe.id)
@@ -208,10 +200,11 @@ def _cellwise(
         cell_weight = sum(weights.values())
         rows = []
         for action, cell_eu in zip(problem.choices, cell_eus):
-            weight = weights.get(action.id)
+            weight = weights.get(action)
             if weight:
                 choose_prob = Fraction(weight, cell_weight)
                 rows.append(LemmaOneRow(cell, action.id, choose_prob, cell_eu))
+        p_cell = Fraction(cell_weight, problem.prior.den)
         out.append(PerCell(cell, p_cell, max(cell_eus), tuple(rows)))
     return tuple(out)
 
@@ -233,27 +226,31 @@ def cellwise_decomposition(
     action, probe action) triple.  A zero-probability cell is a
     :class:`ValidationError`.
     """
-    return _cellwise(problem, policy, _chosen_by_state(problem, policy))
+    return _cellwise(problem, policy, _choice_groups(problem, policy))
 
 
 def evaluate(problem: DecisionProblem, policy: UpdatePolicy) -> VoiReport:
     """Full evaluation: both values, the per-cell table, and chosen actions.
 
-    Decides each state's act once, then sums the definitional value and
-    builds the cellwise decomposition from those choices separately;
-    ``val_good`` comes from :func:`val_good`'s own loop over the cells.
+    Groups each cell's states by the act chosen there once, then sums the
+    definitional value and builds the cellwise decomposition from those
+    groups separately; ``val_good`` comes from its own loop over the cells.
     :class:`VoiReport` refuses to construct unless the per-cell table
     reproduces both values exactly, so each is checked against a second
     route.  Requires the decomposition's independence precondition, like
     :func:`cellwise_decomposition`.
     """
-    chosen = _chosen_by_state(problem, policy)
-    per_cell = _cellwise(problem, policy, chosen)
+    groups = _choice_groups(problem, policy)
+    per_cell = _cellwise(problem, policy, groups)
     baseline = max_expected_utility(problem.prior, problem)
+    states, chosen = problem.space.states, {}  # state position -> chosen act's id
+    for cell_groups in groups:
+        for action, group in cell_groups.items():
+            chosen.update(dict.fromkeys(group, action.id))
     return VoiReport(
         baseline=baseline,
         val_good=val_good(problem, policy.partition),
-        val_general=_realized(problem, chosen) - baseline,
+        val_general=_realized(problem, groups) - baseline,
         per_cell=per_cell,
-        chosen_by_state={s: a.id for s, a in chosen.items()},
+        chosen_by_state={states[i]: chosen[i] for i in sorted(chosen)},
     )

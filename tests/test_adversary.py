@@ -34,6 +34,7 @@ from infovalue.updating import EvidencePartition, UpdatePolicy, conditionalizati
 from infovalue.voi import val_general
 
 from _oracles import brute_certificate_walk, brute_val_general
+from _refusals import refusal
 
 TWO = StateSpace(("g", "h"))
 WHOLE = Event(TWO, frozenset({"g", "h"}))
@@ -251,14 +252,14 @@ class TestAversionCertificate:
         """The value recomputation and the independence check share one map."""
         cert = self.build()
         calls = []
-        chosen_by_state = updating._chosen_by_state
+        choice_groups = updating._choice_groups
 
         def counted(*args):
             calls.append(args)
-            return chosen_by_state(*args)
+            return choice_groups(*args)
 
         for module in (adversary, updating, voi):
-            monkeypatch.setattr(module, "_chosen_by_state", counted)
+            monkeypatch.setattr(module, "_choice_groups", counted)
         assert dataclasses.replace(cert) == cert
         assert calls == [(cert.problem, cert.policy)]
 
@@ -667,3 +668,30 @@ class TestCertificateWalk:
         assert exc.value.cell.members == set(problem.space.states)
         assert exc.value.chosen_action == SAFE_ID
         assert exc.value.probe_action == RISKY_ID
+
+
+def paid_to_decline(cert):
+    """``cert`` with ``safe`` paying 1 everywhere, so declining is worth 1."""
+    outcomes = cert.problem.outcomes
+    paid = OutcomeSpace(outcomes.outcomes + ("paid",), {**outcomes.utility, "paid": 1})
+    safe = Action(SAFE_ID, {s: "paid" for s in cert.problem.space})
+    risky = cert.problem.choices.by_id(RISKY_ID)
+    problem = DecisionProblem(
+        cert.problem.space, paid, cert.problem.prior, ChoiceSet((safe, risky))
+    )
+    return dataclasses.replace(cert, problem=problem)
+
+
+@pytest.mark.parametrize(
+    "build, location, message",
+    [
+        (
+            lambda: paid_to_decline(demonstrate_aversion(two_state_problem(), skewed_policy())),
+            "AversionCertificate.__post_init__",
+            "declining must be prior-optimal at exactly 0, got 1",
+        ),
+    ],
+    ids=["baseline-not-zero"],
+)
+def test_refusals(build, location, message):
+    assert refusal(build) == (ValidationError, location, message)

@@ -220,6 +220,41 @@ class TestAdversaryCommand:
         assert main(["adversary", "--problem", race_file]) == 1
         assert "conditionalizes" in capsys.readouterr().err
 
+    def test_a_policy_file_conditioning_another_prior_is_embedded_as_tables(
+        self, tmp_path, capsys
+    ):
+        """B's policy conditions B's prior, not A's: the embedded problem must
+        spell it out, or reading it back would condition A's prior instead."""
+        paths = {}
+        for name, masses in (("A", ("1/2", "1/4", "1/4")), ("B", ("1/8", "5/8", "1/4"))):
+            doc = {
+                "states": [{"id": s, "prob": m} for s, m in zip("abc", masses)],
+                "outcomes": [{"id": "nil", "utility": "0"}],
+                "actions": [{"id": "idle", "map": {s: "nil" for s in "abc"}}],
+                "partition": [["a", "b"], ["c"]],
+                "policy": "conditionalization",
+            }
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc), encoding="utf-8")
+        cert = tmp_path / "cert.json"
+        argv = ["adversary", "--problem", str(paths["A"]), "--policy", str(paths["B"])]
+        assert main(argv + ["--out", str(cert)]) == 0
+        assert "learning is worth -3/16" in capsys.readouterr().out
+        embedded = json.loads(cert.read_text(encoding="utf-8"))["problem"]
+        assert embedded["policy"][0] == {"posterior": {"a": "1/6", "b": "5/6"}, "state": "a"}
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps(embedded), encoding="utf-8")
+        assert main(["eval", "--problem", str(replay)]) == 0
+        assert (
+            "val_general (this policy's value of learning): -3/16"
+            in capsys.readouterr().out
+        )
+
+    def test_a_conditionalizer_is_still_written_as_the_keyword(self, tmp_path, capsys):
+        path = tmp_path / "race.json"
+        assert main(["scenario", "race", "--out", str(path)]) == 0
+        assert json.loads(path.read_text(encoding="utf-8"))["policy"] == "conditionalization"
+
 
 class TestCheckCommand:
     def test_clean_run_exits_0(self, capsys):

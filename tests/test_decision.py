@@ -25,6 +25,7 @@ from infovalue.prob import Credence, Event, StateSpace
 from infovalue.updating import EvidencePartition
 
 from _oracles import best_value, dist_of, eu, first_best
+from _refusals import refusal
 
 SPACE = StateSpace(("s1", "s2", "s3"))
 OUTCOMES = OutcomeSpace(
@@ -394,3 +395,46 @@ class TestTheOracleCatchesMutants:
         monkeypatch.setattr(decision, "ERROR_ON_TIE", "never")
         with pytest.raises(self.caught):
             assert_choice_matches_oracle(p, p.prior)
+
+
+@pytest.mark.parametrize(
+    "build, location, message",
+    [
+        (
+            lambda: OutcomeSpace((), {}),
+            "OutcomeSpace.__post_init__", "an outcome space needs at least one outcome",
+        ),
+        (
+            lambda: OutcomeSpace(("x", ""), {"x": 0, "": 1}),
+            "OutcomeSpace.__post_init__", "outcome ids must be non-empty strings, got ''",
+        ),
+        (
+            lambda: OutcomeSpace(("x", 3), {"x": 0}),
+            "OutcomeSpace.__post_init__", "outcome ids must be non-empty strings, got 3",
+        ),
+        (lambda: OUTCOMES.u("jackpot"), "OutcomeSpace.u", "unknown outcome 'jackpot'"),
+        (
+            lambda: Action("", {"s1": "mid"}),
+            "Action.__post_init__", "action ids must be non-empty strings, got ''",
+        ),
+        (
+            lambda: FLAT.outcome_in("s4"),
+            "Action.outcome_in", "action 'flat' assigns no outcome to state 's4'",
+        ),
+        (
+            lambda: ChoiceSet(()),
+            "ChoiceSet.__post_init__", "a choice set needs at least one action",
+        ),
+    ],
+    ids=[
+        "no-outcomes",
+        "empty-outcome-id",
+        "non-string-outcome-id",
+        "unknown-outcome",
+        "empty-action-id",
+        "unknown-state",
+        "no-actions",
+    ],
+)
+def test_refusals(build, location, message):
+    assert refusal(build) == (ValidationError, location, message)

@@ -15,6 +15,7 @@ from infovalue.decision import (
 )
 from infovalue.errors import (
     CertaintyError,
+    InfoValueError,
     MalformedDocumentError,
     NormalizationError,
     PartitionError,
@@ -38,6 +39,8 @@ from infovalue.updating import (
     UpdatePolicy,
     conditionalization_policy,
 )
+
+from _refusals import refusal
 
 SPACE = StateSpace(("a", "b", "c"))
 AB = Event(SPACE, frozenset({"a", "b"}))
@@ -457,3 +460,87 @@ class TestParseErrors:
         for bad in ("[]", "{", '{"states": []}'):
             with pytest.raises(ProblemFileError):
                 loads(bad)
+
+
+def parsing(mutate):
+    return lambda: loads(mutated_text(mutate))
+
+
+OTHER_SPACE = StateSpace(("x", "y"))
+
+
+@pytest.mark.parametrize(
+    "build, error, location, message",
+    [
+        (
+            parsing(lambda d: d.update(states={})),
+            MalformedDocumentError, "states", "expected an array, got an object",
+        ),
+        (
+            parsing(lambda d: d["partition"].__setitem__(0, "ab")),
+            MalformedDocumentError, "partition[0]", "expected an array, got a string",
+        ),
+        (
+            parsing(lambda d: d["states"][0].update(id=7)),
+            MalformedDocumentError, "states[0].id", "expected a non-empty string, got 7",
+        ),
+        (
+            parsing(lambda d: d.update(states=[])),
+            MalformedDocumentError, "states", "at least one state is required",
+        ),
+        (
+            parsing(lambda d: d.update(outcomes=[])),
+            MalformedDocumentError, "outcomes", "at least one outcome is required",
+        ),
+        (
+            parsing(lambda d: d.update(actions=[])),
+            MalformedDocumentError, "actions", "at least one action is required",
+        ),
+        (
+            parsing(lambda d: d.update(partition=[])),
+            PartitionError, "partition", "at least one cell is required",
+        ),
+        (
+            parsing(lambda d: d["outcomes"][1].update(id="nil")),
+            MalformedDocumentError, "outcomes[1].id", "duplicate outcome id 'nil'",
+        ),
+        (
+            parsing(lambda d: d["actions"][1].update(id="hold")),
+            MalformedDocumentError, "actions[1].id", "duplicate action id 'hold'",
+        ),
+        (
+            parsing(lambda d: d["actions"][0].update(map=["nil", "nil", "nil"])),
+            MalformedDocumentError, "actions[0].map", "expected an object",
+        ),
+        (
+            parsing(lambda d: d["policy"][0].update(posterior="1")),
+            PolicyError, "policy[0].posterior", "expected an object",
+        ),
+        (
+            lambda: problem_document(
+                fixture_problem(),
+                conditionalization_policy(
+                    Credence(OTHER_SPACE, {"x": Fraction(1)}),
+                    EvidencePartition(OTHER_SPACE, (Event(OTHER_SPACE, {"x", "y"}),)),
+                ),
+            ),
+            InfoValueError, "problem_document", "policy is not over the problem's space",
+        ),
+    ],
+    ids=[
+        "section-not-an-array",
+        "cell-not-an-array",
+        "id-not-a-string",
+        "no-states",
+        "no-outcomes",
+        "no-actions",
+        "no-cells",
+        "duplicate-outcome",
+        "duplicate-action",
+        "map-not-an-object",
+        "posterior-not-an-object",
+        "document-over-two-spaces",
+    ],
+)
+def test_refusals(build, error, location, message):
+    assert refusal(build) == (error, location, message)

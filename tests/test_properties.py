@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from infovalue import updating, voi
+from infovalue.cli import main
 from infovalue.decision import (
     ERROR_ON_TIE,
     Action,
@@ -158,6 +160,20 @@ def clean_report():
     return property_suite(11, 30)
 
 
+@pytest.fixture()
+def forced_leak(monkeypatch):
+    """Every cell's leak test reports its first group leaking through itself."""
+    cell_pass = updating._cell_pass
+
+    def leaking(problem, groups):
+        cell_eus, weights, _ = cell_pass(problem, groups)
+        chosen = next(iter(groups))
+        return cell_eus, weights, (chosen, chosen)
+
+    for module in (updating, voi):
+        monkeypatch.setattr(module, "_cell_pass", leaking)
+
+
 class TestPropertySuite:
     def test_rejects_empty_runs(self):
         with pytest.raises(InfoValueError, match="at least 1"):
@@ -246,6 +262,20 @@ class TestPropertySuite:
         assert failures[0].document == instance.document()
         assert "cellwise-reconstruction" not in checked
         assert checked["evidential-independence"] == 1
+
+    def test_a_misfiring_leak_test_is_reported_not_raised(self, forced_leak):
+        """Drawing an instance does not run the leak test, so its misfire
+        shows as a counterexample on every trial."""
+        report = property_suite(0, 4)
+        assert [(f.trial, f.property_name) for f in report.failures] == [
+            (trial, "evidential-independence") for trial in range(4)
+        ]
+
+    def test_check_exits_2_on_a_misfiring_leak_test(self, forced_leak, capsys):
+        assert main(["check", "--trials", "4", "--seed", "0"]) == 2
+        out = capsys.readouterr().out
+        assert "4 trials from seed 0: COUNTEREXAMPLES FOUND" in out
+        assert "counterexample (trial 0, conditionalization, evidential-independence)" in out
 
 
 class TestPropertyReport:

@@ -43,6 +43,7 @@ from _oracles import (
     dist_of,
     eu,
 )
+from _refusals import refusal
 from test_adversary import Plain, build_plain, plain_instances
 
 BASE = StateSpace(("u1", "u2", "v1", "v2"))
@@ -431,8 +432,9 @@ class TestListBuiltContainers:
             lambda: StateSpace("ab"),
             lambda: OutcomeSpace("xy", {"x": 0, "y": 1}),
             lambda: ChoiceSet("ab"),
+            lambda: Event(StateSpace(("a", "b")), "ab"),
         ],
-        ids=["StateSpace", "OutcomeSpace", "ChoiceSet"],
+        ids=["StateSpace", "OutcomeSpace", "ChoiceSet", "Event"],
     )
     def test_a_bare_string_is_refused(self, build):
         with pytest.raises(ValidationError, match="not the string"):
@@ -590,3 +592,57 @@ class TestIntegerLeakTest:
             for row in per_cell.rows:
                 action = problem.choices.by_id(row.action_id)
                 assert row.cond_eu == eu(problem, action, given_cell)
+
+
+ELSEWHERE = StateSpace(("x",))
+SURE_X = Credence(ELSEWHERE, {"x": Fraction(1)})
+ELSEWHERE_PARTITION = EvidencePartition(ELSEWHERE, (Event(ELSEWHERE, {"x"}),))
+ELSEWHERE_POLICY = conditionalization_policy(SURE_X, ELSEWHERE_PARTITION)
+
+
+@pytest.mark.parametrize(
+    "build, error, location, message",
+    [
+        (
+            lambda: UpdatePolicy(
+                PARTITION,
+                {**conditionalization_policy(PRIOR, PARTITION).posteriors, "w": SURE_X},
+            ),
+            ValidationError, "UpdatePolicy.__post_init__",
+            "posterior assigned to unknown state 'w'",
+        ),
+        (
+            lambda: DeviationSpec(Fraction(1, 2), {U: SURE_X}),
+            SpaceMismatchError, "DeviationSpec.__post_init__",
+            "deviant posterior for cell {u1, u2} is over a different space",
+        ),
+        (
+            lambda: mixture_expand(base_problem(), ELSEWHERE_PARTITION, DeviationSpec(0, {})),
+            SpaceMismatchError, "mixture_expand", "partition is not over the problem's space",
+        ),
+        (
+            lambda: deviating_states(ELSEWHERE_POLICY, PRIOR),
+            SpaceMismatchError, "deviating_states",
+            "prior and policy live on different spaces",
+        ),
+        (
+            lambda: modesty_degree(ELSEWHERE_POLICY, PRIOR),
+            SpaceMismatchError, "deviating_states",
+            "prior and policy live on different spaces",
+        ),
+        (
+            lambda: find_independence_violation(base_problem(), ELSEWHERE_POLICY),
+            SpaceMismatchError, "_choice_groups", "policy is not over the problem's space",
+        ),
+    ],
+    ids=[
+        "posterior-for-unknown-state",
+        "deviant-over-another-space",
+        "mixture-over-two-spaces",
+        "deviation-over-two-spaces",
+        "modesty-over-two-spaces",
+        "choice-over-two-spaces",
+    ],
+)
+def test_refusals(build, error, location, message):
+    assert refusal(build) == (error, location, message)
