@@ -201,11 +201,23 @@ class DecisionProblem:
         )
 
     def _utility_row(self, action: Action) -> tuple[int, ...]:
-        """``u(outcome) * U`` for each state in order, validating the action."""
-        scaled = self._scaled_utility
-        row = []
+        """``u(outcome) * U`` for each state in order, validating the action.
+
+        A total action onto known outcomes is read by C-level lookups; the
+        walk below runs only to name the first fault.
+        """
+        scaled, assignment = self._scaled_utility, action.assignment
+        try:
+            row = tuple(
+                map(scaled.__getitem__, map(assignment.__getitem__, self.space.states))
+            )
+        except KeyError:
+            pass
+        else:
+            if len(assignment) == len(row):
+                return row
         for state in self.space:
-            outcome = action.assignment.get(state)
+            outcome = assignment.get(state)
             if outcome is None:
                 raise ValidationError(
                     f"action {action.id!r} assigns no outcome to state {state!r}"
@@ -215,14 +227,10 @@ class DecisionProblem:
                     f"action {action.id!r} maps state {state!r} to "
                     f"unknown outcome {outcome!r}"
                 )
-            row.append(scaled[outcome])
-        if len(action.assignment) != len(row):
-            stray = set(action.assignment) - set(self.space.states)
-            raise ValidationError(
-                f"action {action.id!r} assigns outcomes to unknown states: "
-                f"{sorted(stray)}"
-            )
-        return tuple(row)
+        stray = set(assignment) - set(self.space.states)
+        raise ValidationError(
+            f"action {action.id!r} assigns outcomes to unknown states: {sorted(stray)}"
+        )
 
     def _row(self, action: Action) -> tuple[int, ...]:
         """The action's cached utility row, or a fresh one if it is not a choice."""

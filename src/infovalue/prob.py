@@ -5,12 +5,21 @@ and leave as :class:`fractions.Fraction` and are stored as integers over one
 denominator.  Floats are rejected at the boundary so that every downstream
 comparison (equality of two expected utilities, sign of a value difference)
 is exact.
+
+Every rational input is read by one private parser, ``_ratio``, into an
+integer pair ``(num, den)`` with ``den > 0``, unreduced: ``"2/4"`` reads as
+``(2, 4)``.  :func:`as_fraction` wraps that pair in a Fraction, and
+:class:`Credence` works on the pairs directly, so building a credence from
+strings builds no Fraction.  A numeral longer than Python's limit for
+integer strings (``sys.get_int_max_str_digits()``, 4,300 digits by default)
+is refused with a :class:`ValidationError` that gives its digit count.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -32,7 +41,44 @@ __all__ = [
 ]
 
 
-_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?", re.ASCII)
+
+
+def _ratio(value) -> tuple[int, int]:
+    """``value`` as an integer pair ``(num, den)``, unreduced, with ``den > 0``.
+
+    The one reader of :func:`as_fraction`'s grammar; see there for what it
+    accepts and refuses.
+    """
+    if isinstance(value, str):
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
+            raise ValidationError(
+                f"expected an exact rational string like '3/4' or '-2', got {value!r}"
+            )
+        num_text, den_text = match.groups()
+        try:
+            num = int(num_text)
+            den = 1 if den_text is None else int(den_text)
+        except ValueError:  # a numeral past Python's int-string digit limit
+            digits = max(len(num_text.lstrip("+-")), len(den_text or ""))
+            raise ValidationError(
+                f"a {digits}-digit numeral is longer than the "
+                f"{sys.get_int_max_str_digits()} digits Python reads into an int"
+            ) from None
+        if not den:
+            raise ValidationError(f"zero denominator in {value!r}")
+        return num, den
+    if isinstance(value, bool):
+        raise ValidationError(f"expected an exact rational, got bool {value!r}")
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
+    if isinstance(value, float):
+        raise ValidationError(
+            f"expected an exact rational, got float {value!r}; "
+            "pass a Fraction, an int, or a string like '1/10'"
+        )
+    raise ValidationError(f"expected an exact rational, got {type(value).__name__}")
 
 
 def as_fraction(value) -> Fraction:
@@ -42,29 +88,13 @@ def as_fraction(value) -> Fraction:
     grammar: an optional sign, digits, and optionally ``/`` and more
     digits (``"3"``, ``"-7/2"``), with no spaces, decimals or exponents.
     Floats are rejected outright: a float that *looks* like 0.1 is not
-    1/10, and exactness is the whole point of this package.
+    1/10, and exactness is the whole point of this package.  So are
+    numerals longer than Python's int-string digit limit.  A Fraction
+    argument is returned as is.
     """
-    if isinstance(value, bool):
-        raise ValidationError(f"expected an exact rational, got bool {value!r}")
-    if isinstance(value, float):
-        raise ValidationError(
-            f"expected an exact rational, got float {value!r}; "
-            "pass a Fraction, an int, or a string like '1/10'"
-        )
     if type(value) is Fraction:
         return value
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
-        if not _RATIONAL.fullmatch(value):
-            raise ValidationError(
-                f"expected an exact rational string like '3/4' or '-2', got {value!r}"
-            )
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValidationError(f"zero denominator in {value!r}") from None
-    raise ValidationError(f"expected an exact rational, got {type(value).__name__}")
+    return Fraction(*_ratio(value))
 
 
 @dataclass(frozen=True)
@@ -159,8 +189,14 @@ class Credence:
     probability 0.  The distribution is stored once, as reduced integer
     numerators ``nums`` in state-space order over their least common
     denominator ``den``, so equal distributions compare and hash equal.
-    Credences the library derives skip the mapping: :meth:`_from_weights`
-    builds them from integer weights and stores the same fields.
+    Each mass is read as an integer pair by the module's one rational
+    parser (so a numeral past Python's int-string digit limit is refused),
+    and the pairs are brought to the lcm of their denominators, checked
+    for sign and sum as integers, and divided by their gcd: unreduced
+    masses such as ``"2/4"`` store what ``"1/2"`` does, and no Fraction is
+    built unless an error message needs one.  Credences the library
+    derives skip the mapping: :meth:`_from_weights` builds them from
+    integer weights and stores the same fields.
     """
 
     space: StateSpace
@@ -169,40 +205,49 @@ class Credence:
 
     def __init__(self, space: StateSpace, mass: Mapping[str, object]) -> None:
         position = space._position
-        given: dict[int, Fraction] = {}
+        given: dict[int, tuple[int, int]] = {}
         for state, raw in mass.items():
             if state not in position:
                 raise ValidationError(f"mass assigned to unknown state {state!r}")
-            value = as_fraction(raw)
-            if value.numerator < 0:
-                raise ValidationError(f"negative mass {value} on state {state!r}")
-            given[position[state]] = value
-        den = math.lcm(*(m.denominator for m in given.values()))
+            num, den = _ratio(raw)
+            if num < 0:
+                raise ValidationError(
+                    f"negative mass {Fraction(num, den)} on state {state!r}"
+                )
+            given[position[state]] = num, den
+        den = math.lcm(*(d for _, d in given.values()))
         dense = [0] * len(position)
-        for i, m in given.items():
-            dense[i] = m.numerator * (den // m.denominator)
-        nums = tuple(dense)
-        if sum(nums) != den:
+        for i, (n, d) in given.items():
+            dense[i] = n * (den // d)
+        total = sum(dense)
+        if total != den:
             raise ValidationError(
-                f"masses must sum to exactly 1, got {Fraction(sum(nums), den)}"
+                f"masses must sum to exactly 1, got {Fraction(total, den)}"
             )
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
+        self._store(space, dense)
 
     @classmethod
     def _from_weights(cls, space: StateSpace, weights: list[int]) -> Credence:
         """The credence proportional to trusted non-negative integer weights.
 
-        One weight per state, in state order, with a positive sum.  Dividing
-        them and their sum by their gcd stores what ``__init__`` would.
+        One weight per state, in state order, with a positive sum.
+        """
+        credence = object.__new__(cls)
+        credence._store(space, weights)
+        return credence
+
+    def _store(self, space: StateSpace, weights: list[int]) -> None:
+        """Store weights as ``nums`` over their sum ``den``, both divided by their gcd.
+
+        The one reduction every credence goes through, so equal
+        distributions store equal integers however they were written.
         """
         common = math.gcd(*weights)
-        credence = object.__new__(cls)
-        object.__setattr__(credence, "space", space)
-        object.__setattr__(credence, "nums", tuple(w // common for w in weights))
-        object.__setattr__(credence, "den", sum(weights) // common)
-        return credence
+        if common != 1:
+            weights = [w // common for w in weights]
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "nums", tuple(weights))
+        object.__setattr__(self, "den", sum(weights))
 
     @property
     def mass(self) -> tuple[Fraction, ...]:
@@ -224,8 +269,17 @@ def probability(credence: Credence, event: Event) -> Fraction:
     """Total mass the credence assigns to the event."""
     if event.space != credence.space:
         raise SpaceMismatchError("event and credence live on different spaces")
+    return Fraction(_weight(credence, event.members), credence.den)
+
+
+def _weight(credence: Credence, states: Iterable[str]) -> int:
+    """The credence's mass on ``states`` times ``credence.den``: an integer.
+
+    ``states`` must be distinct ids of the credence's space.  A mass is 1
+    exactly when this equals ``credence.den``, and 0 when it is 0.
+    """
     nums, position = credence.nums, credence.space._position
-    return Fraction(sum(nums[position[s]] for s in event.members), credence.den)
+    return sum(map(nums.__getitem__, map(position.__getitem__, states)))
 
 
 def condition(credence: Credence, event: Event) -> Credence:

@@ -9,11 +9,20 @@ Serialization is canonical — sorted keys, two-space indent, trailing
 newline, every rational in lowest terms as ``"num"`` or ``"num/den"`` — so
 saving the same objects twice yields byte-identical files.  Decimals are
 rejected on input: this package does not traffic in floats.
+
+Masses are read and written as integers.  Each prior and posterior mass is
+parsed into an integer pair by :mod:`prob`'s one rational parser and the
+credence is built from the pairs; the sum, cell and certainty checks
+compare integer sums; and each mass is written from the stored numerators.
+A Fraction is built per outcome utility, and otherwise only for an error
+message.  Unreduced masses (``"2/4"``, ``"003/12"``) are accepted and
+written back in lowest terms.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any
 
@@ -28,7 +37,7 @@ from .errors import (
     RationalFormatError,
     ValidationError,
 )
-from .prob import Credence, Event, StateSpace, as_fraction, probability
+from .prob import Credence, Event, StateSpace, _ratio, _weight
 from .updating import (
     CONDITIONALIZATION,
     EvidencePartition,
@@ -47,19 +56,37 @@ __all__ = [
 ]
 
 
-def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+def format_rational(value: Any) -> str:
+    """``value`` in lowest terms as ``"num"`` or ``"num/den"``.
+
+    Accepts what :func:`~infovalue.prob.as_fraction` accepts and refuses
+    the rest (floats, bools, decimal strings) with a ``ValidationError``.
+    """
+    return _format(*_ratio(value))
+
+
+def _format(num: int, den: int) -> str:
+    """``num / den`` (``den > 0``) as ``str(Fraction(num, den))`` writes it."""
+    common = math.gcd(num, den)
+    if common == den:
+        return str(num // den)
+    return f"{num // common}/{den // common}"
 
 
 def parse_rational(text: Any, location: str) -> Fraction:
     """Parse a rational string in :func:`as_fraction`'s grammar; refuse non-strings."""
+    return Fraction(*_located_ratio(text, location))
+
+
+def _located_ratio(text: Any, location: str) -> tuple[int, int]:
+    """:func:`parse_rational`'s integer pair, unreduced, with the same refusals."""
     if not isinstance(text, str):
         raise RationalFormatError(
             location,
             f"expected an exact rational string like '3/4' or '-2', got {text!r}",
         )
     try:
-        return as_fraction(text)
+        return _ratio(text)
     except ValidationError as exc:
         raise RationalFormatError(location, str(exc)) from None
 
@@ -76,12 +103,14 @@ def problem_document(problem: DecisionProblem, policy: UpdatePolicy) -> dict:
     """
     if policy.space != problem.space:
         raise InfoValueError("policy is not over the problem's space")
+    prior = problem.prior
     states = [
-        {"id": s, "prob": format_rational(problem.prior(s))} for s in problem.space
+        {"id": s, "prob": _format(n, prior.den)}
+        for s, n in zip(problem.space.states, prior.nums)
     ]
+    utility = problem.outcomes.utility
     outcomes = [
-        {"id": o, "utility": format_rational(problem.outcomes.u(o))}
-        for o in problem.outcomes.outcomes
+        {"id": o, "utility": str(utility[o])} for o in problem.outcomes.outcomes
     ]
     actions = [
         {"id": a.id, "map": {s: a.outcome_in(s) for s in problem.space}}
@@ -100,7 +129,7 @@ def problem_document(problem: DecisionProblem, policy: UpdatePolicy) -> dict:
             table = tables.get(id(posterior))
             if table is None:
                 table = tables[id(posterior)] = {
-                    t: format_rational(Fraction(n, posterior.den))
+                    t: _format(n, posterior.den)
                     for t, n in zip(problem.space.states, posterior.nums)
                     if n
                 }
@@ -119,6 +148,17 @@ def dumps(problem: DecisionProblem, policy: UpdatePolicy) -> str:
 
 
 def _require_object(value: Any, location: str, keys: tuple[str, ...]) -> dict:
+    """``value`` if it is an object with exactly ``keys``; else the located fault.
+
+    A well-formed object is accepted by C-level key checks; the walk below
+    runs only to name the first fault.
+    """
+    if (
+        isinstance(value, dict)
+        and len(value) == len(keys)
+        and all(map(value.__contains__, keys))
+    ):
+        return value
     if not isinstance(value, dict):
         raise MalformedDocumentError(location, f"expected an object, got {_kind(value)}")
     missing = [k for k in keys if k not in value]
@@ -160,24 +200,26 @@ def _parse_states(doc: Any) -> tuple[StateSpace, Credence]:
     entries = _require_list(doc, "states")
     if not entries:
         raise MalformedDocumentError("states", "at least one state is required")
-    ids: list[str] = []
-    masses: dict[str, Fraction] = {}
+    masses: dict[str, tuple[int, int]] = {}
     for i, entry in enumerate(entries):
         loc = f"states[{i}]"
         obj = _require_object(entry, loc, ("id", "prob"))
         state = _require_string(obj["id"], f"{loc}.id")
         if state in masses:
             raise MalformedDocumentError(f"{loc}.id", f"duplicate state id {state!r}")
-        mass = parse_rational(obj["prob"], f"{loc}.prob")
-        if mass < 0:
-            raise NormalizationError(f"{loc}.prob", f"negative mass {mass}")
-        ids.append(state)
-        masses[state] = mass
-    total = sum(masses.values(), Fraction(0))
-    if total != 1:
-        raise NormalizationError("states", f"masses sum to {total}, expected 1")
-    space = StateSpace(tuple(ids))
-    return space, Credence(space, masses)
+        num, den = masses[state] = _located_ratio(obj["prob"], f"{loc}.prob")
+        if num < 0:
+            raise NormalizationError(
+                f"{loc}.prob", f"negative mass {Fraction(num, den)}"
+            )
+    den = math.lcm(*(d for _, d in masses.values()))
+    weights = [n * (den // d) for n, d in masses.values()]
+    if sum(weights) != den:
+        raise NormalizationError(
+            "states", f"masses sum to {Fraction(sum(weights), den)}, expected 1"
+        )
+    space = StateSpace(tuple(masses))
+    return space, Credence._from_weights(space, weights)
 
 
 def _parse_outcomes(doc: Any) -> OutcomeSpace:
@@ -215,6 +257,9 @@ def _parse_actions(
         mapping = obj["map"]
         if not isinstance(mapping, dict):
             raise MalformedDocumentError(f"{loc}.map", "expected an object")
+        if mapping.keys() == space._position.keys() and _known(mapping, outcomes):
+            actions.append(Action(action_id, mapping))
+            continue
         assignment: dict[str, str] = {}
         for state, outcome in mapping.items():
             if state not in space:
@@ -234,6 +279,14 @@ def _parse_actions(
             )
         actions.append(Action(action_id, assignment))
     return ChoiceSet(tuple(actions))
+
+
+def _known(mapping: dict, outcomes: OutcomeSpace) -> bool:
+    """Whether every value of ``mapping`` is an outcome id, checked in C."""
+    try:
+        return set(mapping.values()) <= outcomes.utility.keys()
+    except TypeError:  # an array or object as an outcome: refused by the walk
+        return False
 
 
 def _parse_partition(
@@ -269,7 +322,7 @@ def _parse_partition(
             "partition", f"states not covered by any cell: {', '.join(uncovered)}"
         )
     for i, cell in enumerate(cells):
-        if probability(prior, cell) == 0:
+        if not _weight(prior, cell.members):
             raise PartitionError(
                 f"partition[{i}]",
                 f"cell {cell.describe()} has zero prior probability; "
@@ -313,12 +366,13 @@ def _parse_policy(
             parsed[key] = posterior
         cell = partition.cell_of(state)
         if (id(posterior), id(cell)) not in certain:
-            in_cell = probability(posterior, cell)
-            if in_cell != 1:
+            in_cell = _weight(posterior, cell.members)
+            if in_cell != posterior.den:
                 raise CertaintyError(
                     loc,
                     f"posterior for state {state!r} must assign probability exactly 1 "
-                    f"to its partition cell {cell.describe()} (got {in_cell})",
+                    f"to its partition cell {cell.describe()} "
+                    f"(got {Fraction(in_cell, posterior.den)})",
                 )
             certain.add((id(posterior), id(cell)))
         posteriors[state] = posterior

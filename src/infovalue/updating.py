@@ -41,6 +41,7 @@ from .prob import (
     Credence,
     Event,
     StateSpace,
+    _weight,
     as_fraction,
     condition,
     is_partition,
@@ -127,11 +128,12 @@ class UpdatePolicy:
                 )
             cell = self.partition.cell_of(state)
             if (id(posterior), id(cell)) not in certain:
-                in_cell = probability(posterior, cell)
-                if in_cell != 1:
+                in_cell = _weight(posterior, cell.members)
+                if in_cell != posterior.den:
                     raise ValidationError(
                         f"posterior for state {state!r} must assign probability "
-                        f"exactly 1 to its partition cell (got {in_cell})"
+                        f"exactly 1 to its partition cell "
+                        f"(got {Fraction(in_cell, posterior.den)})"
                     )
                 certain.add((id(posterior), id(cell)))
             cleaned[state] = posterior
@@ -178,11 +180,12 @@ class DeviationSpec:
                     f"deviant posterior for cell {cell.describe()} is over a "
                     "different space"
                 )
-            in_cell = probability(posterior, cell)
-            if in_cell != 1:
+            in_cell = _weight(posterior, cell.members)
+            if in_cell != posterior.den:
                 raise ValidationError(
                     f"deviant posterior for cell {cell.describe()} must assign "
-                    f"probability exactly 1 to the cell (got {in_cell})"
+                    f"probability exactly 1 to the cell "
+                    f"(got {Fraction(in_cell, posterior.den)})"
                 )
             cleaned[cell] = posterior
         object.__setattr__(self, "deviant_posteriors", cleaned)

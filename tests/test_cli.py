@@ -93,6 +93,16 @@ class TestScenarioCommand:
         assert captured.err.startswith("error:")
         assert "exact rational" in captured.err
 
+    def test_an_epsilon_past_the_int_digit_limit_is_refused(self, capsys):
+        epsilon = "1/" + "7" * 4400
+        assert main(["scenario", "gamblers", "--epsilon", epsilon]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: a 4400-digit numeral is longer than the "
+            f"{sys.get_int_max_str_digits()} digits Python reads into an int\n"
+        )
+
     def test_unknown_scenario_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["scenario", "nope"])
@@ -135,6 +145,23 @@ class TestEvalCommand:
         path.write_text("{]", encoding="utf-8")
         assert main(["eval", "--problem", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: line 1")
+
+
+    def test_a_numeral_past_the_int_digit_limit_is_located(
+        self, race_file, tmp_path, capsys
+    ):
+        with open(race_file, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        doc["outcomes"][0]["utility"] = "1" + "0" * 5000
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["eval", "--problem", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: outcomes[0].utility: a 5001-digit numeral is longer than the "
+            f"{sys.get_int_max_str_digits()} digits Python reads into an int\n"
+        )
 
 
 class TestSweepCommand:

@@ -1,5 +1,6 @@
 """Exact probability primitives: spaces, events, credences, conditioning."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,32 @@ def credences(draw):
     )
 
 
+@st.composite
+def mass_texts(draw):
+    """A credence over SPACE spelled as rational strings in every way the
+    grammar allows: unreduced masses over mixed denominators, leading
+    zeros, a ``+`` sign, and zero masses written out (``"-0"``, ``"0/7"``)
+    or left out."""
+    w = draw(weights)
+    total = sum(w)
+    texts = {}
+    for s, x in zip(SPACE, w):
+        if not x:
+            zero = draw(st.sampled_from(["0", "-0", "+0", "00", "0/7", "-0/03", None]))
+            if zero is not None:
+                texts[s] = zero
+            continue
+        factor = draw(st.integers(min_value=1, max_value=6))
+        num, den = x * factor, total * factor
+        pad = "0" * draw(st.integers(min_value=0, max_value=2))
+        sign = draw(st.sampled_from(["", "+"]))
+        if den == 1 and draw(st.booleans()):
+            texts[s] = f"{sign}{pad}{num}"
+        else:
+            texts[s] = f"{sign}{pad}{num}/{pad}{den}"
+    return texts
+
+
 def payoff(values):
     """A one-action problem over SPACE whose act pays ``values`` state by state."""
     outcomes = OutcomeSpace(
@@ -102,6 +129,29 @@ class TestAsFraction:
     def test_rejects_other_types(self):
         with pytest.raises(ValidationError):
             as_fraction(None)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1" + "0" * 5000, "-" + "7" * 5001, "1/" + "0" * 5000 + "3", "0" * 5001],
+        ids=["numerator", "signed", "denominator", "leading-zeros"],
+    )
+    def test_numerals_past_the_int_digit_limit_are_refused_with_their_length(
+        self, text
+    ):
+        """Python reads at most ``sys.get_int_max_str_digits()`` digits into an
+        int; a longer numeral is a ValidationError naming its length, not
+        the ValueError ``int()`` raises."""
+        with pytest.raises(ValidationError) as exc:
+            as_fraction(text)
+        assert type(exc.value) is ValidationError
+        assert str(exc.value) == (
+            "a 5001-digit numeral is longer than the "
+            f"{sys.get_int_max_str_digits()} digits Python reads into an int"
+        )
+
+    def test_numerals_at_the_int_digit_limit_are_read(self):
+        limit = sys.get_int_max_str_digits()
+        assert as_fraction("9" * limit + "/1") == 10**limit - 1
 
 
 class TestStateSpace:
@@ -199,6 +249,35 @@ class TestCredence:
         assert (built.nums, built.den) == (expected.nums, expected.den)
         assert built == expected
         assert hash(built) == hash(expected)
+
+    @given(mass_texts())
+    def test_strings_store_what_their_fractions_store(self, texts):
+        """Integer pairs read from any spelling in the grammar reduce to the
+        credence the same masses as Fractions give."""
+        written = Credence(SPACE, texts)
+        built = Credence(SPACE, {s: Fraction(t) for s, t in texts.items()})
+        assert (written.nums, written.den) == (built.nums, built.den)
+        assert written == built
+        assert hash(written) == hash(built)
+        assert dist_of(written) == {
+            s: Fraction(t) for s, t in texts.items() if Fraction(t)
+        }
+
+    @given(mass_texts(), st.sampled_from(SPACE.states), st.integers(1, 3))
+    def test_strings_are_refused_as_their_fractions_are(self, texts, state, extra):
+        """A mass pushed off a sum of 1 is refused with the Fraction route's text."""
+        texts = {**texts, state: f"{Fraction(texts.get(state, '0')) + extra}"}
+        with pytest.raises(ValidationError) as written:
+            Credence(SPACE, texts)
+        with pytest.raises(ValidationError) as built:
+            Credence(SPACE, {s: Fraction(t) for s, t in texts.items()})
+        assert str(written.value) == str(built.value)
+
+    def test_unreduced_strings_report_reduced_values(self):
+        with pytest.raises(ValidationError, match=r"negative mass -1/2 on state 'a'"):
+            Credence(SPACE, {"a": "-2/4", "b": "6/4"})
+        with pytest.raises(ValidationError, match=r"sum to exactly 1, got 5/6"):
+            Credence(SPACE, {"a": "02/4", "b": "2/6"})
 
     def test_rejects_bad_total(self):
         with pytest.raises(ValidationError, match="sum to exactly 1"):

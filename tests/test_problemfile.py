@@ -1,6 +1,7 @@
 """Canonical JSON problem files: serialization, parsing, located errors."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from infovalue.errors import (
     PolicyError,
     ProblemFileError,
     RationalFormatError,
+    ValidationError,
 )
 from infovalue.prob import Credence, Event, StateSpace
 from infovalue.problemfile import (
@@ -146,6 +148,35 @@ FIXTURE_TEXT = """\
 """
 
 
+def wide_explicit_problem(n_states, cell_size):
+    """``n_states`` equiprobable states in cells of ``cell_size``, two acts
+    over three outcomes, and an explicit policy whose posterior in each
+    state doubles the weight of that state within its cell."""
+    space = StateSpace(tuple(f"s{i}" for i in range(n_states)))
+    prior = Credence(space, {s: Fraction(1, n_states) for s in space})
+    outcomes = OutcomeSpace(
+        ("low", "mid", "high"), {"low": -1, "mid": Fraction(1, 3), "high": 2}
+    )
+    actions = (
+        Action("hold", {s: "mid" for s in space}),
+        Action("bet", {s: ("low", "high")[i % 2] for i, s in enumerate(space)}),
+    )
+    problem = DecisionProblem(space, outcomes, prior, ChoiceSet(actions))
+    cells = tuple(
+        Event(space, frozenset(space.states[i : i + cell_size]))
+        for i in range(0, n_states, cell_size)
+    )
+    partition = EvidencePartition(space, cells)
+    posteriors = {}
+    for state in space:
+        cell = partition.cell_of(state)
+        weight = Fraction(1, cell_size + 1)
+        posteriors[state] = Credence(
+            space, {t: weight * (2 if t == state else 1) for t in cell.members}
+        )
+    return problem, UpdatePolicy(partition, posteriors)
+
+
 def mutated_text(mutate):
     doc = problem_document(fixture_problem(), explicit_policy())
     mutate(doc)
@@ -238,6 +269,45 @@ class TestRoundTrips:
         problem, partition, policy = load_problem(path)
         assert problem == fixture_problem()
         assert policy == explicit_policy()
+
+    def test_unreduced_masses_are_written_reduced(self):
+        """Masses are read as unreduced integer pairs and written in lowest terms."""
+
+        def unreduce(d):
+            for entry, text in zip(d["states"], ("2/4", "003/12", "+1/4")):
+                entry["prob"] = text
+            d["outcomes"][1]["utility"] = "06/4"
+            d["policy"][0]["posterior"] = {"a": "4/6", "b": "002/6"}
+            d["policy"][1]["posterior"] = {"a": "+2/3", "b": "1/3", "c": "-0/5"}
+            d["policy"][2]["posterior"] = {"c": "3/3"}
+
+        problem, partition, policy = loads(mutated_text(unreduce))
+        assert dumps(problem, policy) == FIXTURE_TEXT
+        assert problem == fixture_problem()
+        assert partition == PARTITION
+        assert policy == explicit_policy()
+
+    def test_loading_builds_a_fraction_per_outcome_and_no_other(self):
+        """A 64-state file with a distinct posterior table for every state:
+        the prior, the 512 posterior entries, and the cell and certainty
+        checks are all integer work, so ``Fraction.__new__`` runs once per
+        outcome utility.  A count, not a timing."""
+        text = dumps(*wide_explicit_problem(64, 8))
+        calls = []
+        code = Fraction.__new__.__code__
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(frame)
+
+        sys.setprofile(profile)
+        try:
+            problem, _, policy = loads(text)
+        finally:
+            sys.setprofile(None)
+        assert len(problem.space) == 64
+        assert len(set(map(id, policy.posteriors.values()))) == 64
+        assert len(calls) == len(problem.outcomes.outcomes) == 3
 
     def test_tie_policy_is_not_part_of_the_format(self):
         # the file format carries the decision-relevant data only; a loaded
@@ -517,6 +587,105 @@ OTHER_SPACE = StateSpace(("x", "y"))
             PolicyError, "policy[0].posterior", "expected an object",
         ),
         (
+            parsing(lambda d: d["actions"][0]["map"].pop("b")),
+            MalformedDocumentError, "actions[0].map", "no outcome for states: b",
+        ),
+        (
+            parsing(lambda d: d["actions"][1]["map"].update(zz="nil")),
+            MalformedDocumentError, "actions[1].map", "unknown state 'zz'",
+        ),
+        (
+            parsing(lambda d: d["actions"][0]["map"].update(b=7)),
+            MalformedDocumentError, "actions[0].map['b']",
+            "expected a non-empty string, got 7",
+        ),
+        (
+            parsing(lambda d: d["actions"][0]["map"].update(b=["nil"])),
+            MalformedDocumentError, "actions[0].map['b']",
+            "expected a non-empty string, got ['nil']",
+        ),
+        (
+            parsing(lambda d: d["actions"][1]["map"].update(c="")),
+            MalformedDocumentError, "actions[1].map['c']",
+            "expected a non-empty string, got ''",
+        ),
+        (
+            parsing(lambda d: d["actions"][1]["map"].update(c="gold")),
+            MalformedDocumentError, "actions[1].map['c']", "unknown outcome 'gold'",
+        ),
+        (
+            parsing(lambda d: d["states"].__setitem__(1, {"id": "b", "mass": "1/4"})),
+            MalformedDocumentError, "states[1]", "missing keys: prob",
+        ),
+        (
+            parsing(lambda d: d["outcomes"][1].update(note="x")),
+            MalformedDocumentError, "outcomes[1]", "unknown keys: note",
+        ),
+        (
+            parsing(lambda d: d["policy"].__setitem__(0, ["a", {"a": "1"}])),
+            MalformedDocumentError, "policy[0]", "expected an object, got an array",
+        ),
+        (
+            parsing(lambda d: d["states"][0].update(prob="-2/4")),
+            NormalizationError, "states[0].prob", "negative mass -1/2",
+        ),
+        (
+            parsing(lambda d: d["states"][0].update(prob="2/6")),
+            NormalizationError, "states", "masses sum to 5/6, expected 1",
+        ),
+        (
+            parsing(
+                lambda d: d["states"][2].update(prob="0/4")
+                or d["states"][1].update(prob="2/4")
+            ),
+            PartitionError, "partition[1]",
+            "cell {c} has zero prior probability; it could never be learned",
+        ),
+        (
+            parsing(
+                lambda d: d["policy"][2].update(posterior={"b": "02/4", "c": "2/4"})
+            ),
+            CertaintyError, "policy[2]",
+            "posterior for state 'c' must assign probability exactly 1 "
+            "to its partition cell {c} (got 1/2)",
+        ),
+        (
+            lambda: UpdatePolicy(
+                PARTITION,
+                {**explicit_policy().posteriors, "c": Credence(SPACE, {"b": "1"})},
+            ),
+            ValidationError, "UpdatePolicy.__post_init__",
+            "posterior for state 'c' must assign probability exactly 1 "
+            "to its partition cell (got 0)",
+        ),
+        (
+            parsing(lambda d: d["outcomes"][0].update(utility="1" + "0" * 5000)),
+            RationalFormatError, "outcomes[0].utility",
+            "a 5001-digit numeral is longer than the "
+            f"{sys.get_int_max_str_digits()} digits Python reads into an int",
+        ),
+        (
+            parsing(lambda d: d["states"][1].update(prob="1/" + "0" * 4400 + "4")),
+            RationalFormatError, "states[1].prob",
+            "a 4401-digit numeral is longer than the "
+            f"{sys.get_int_max_str_digits()} digits Python reads into an int",
+        ),
+        (
+            lambda: format_rational(0.1),
+            ValidationError, "_ratio",
+            "expected an exact rational, got float 0.1; "
+            "pass a Fraction, an int, or a string like '1/10'",
+        ),
+        (
+            lambda: format_rational(True),
+            ValidationError, "_ratio", "expected an exact rational, got bool True",
+        ),
+        (
+            lambda: format_rational("0.5"),
+            ValidationError, "_ratio",
+            "expected an exact rational string like '3/4' or '-2', got '0.5'",
+        ),
+        (
             lambda: problem_document(
                 fixture_problem(),
                 conditionalization_policy(
@@ -539,6 +708,25 @@ OTHER_SPACE = StateSpace(("x", "y"))
         "duplicate-action",
         "map-not-an-object",
         "posterior-not-an-object",
+        "map-missing-a-state",
+        "map-unknown-state",
+        "map-outcome-not-a-string",
+        "map-outcome-an-array",
+        "map-outcome-empty",
+        "map-unknown-outcome",
+        "object-missing-and-unknown-keys",
+        "object-unknown-key",
+        "entry-not-an-object",
+        "unreduced-negative-prior-mass",
+        "unreduced-prior-sum",
+        "zero-probability-cell",
+        "unreduced-posterior-off-its-cell",
+        "policy-posterior-off-its-cell",
+        "utility-past-the-digit-limit",
+        "prior-past-the-digit-limit",
+        "format-a-float",
+        "format-a-bool",
+        "format-a-decimal-string",
         "document-over-two-spaces",
     ],
 )
