@@ -54,6 +54,7 @@ from .prob import (
     probability,
 )
 from .problemfile import (
+    canonical_json,
     dumps,
     load_problem,
     loads,
@@ -173,6 +174,7 @@ __all__ = [
     "random_mixture_instance",
     # problem files
     "problem_document",
+    "canonical_json",
     "dumps",
     "loads",
     "save_problem",

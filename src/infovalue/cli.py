@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .adversary import demonstrate_aversion
 from .errors import ConfigError, InfoValueError
-from .problemfile import load_problem, problem_document, save_problem
+from .problemfile import canonical_json, load_problem, problem_document, save_problem
 from .properties import property_suite
 from .scenarios import SCENARIO_NAMES, build_scenario, sweep
 from .updating import CONDITIONALIZATION, conditionalization_policy
@@ -111,7 +110,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
             "val_general": str(certificate.val_general),
         },
     }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = canonical_json(doc) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -135,7 +134,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             f"counterexample (trial {failure.trial}, {failure.kind}, "
             f"{failure.property_name}): {failure.detail}"
         )
-        print(json.dumps(failure.document, sort_keys=True, indent=2))
+        print(canonical_json(failure.document))
     return 2
 
 

@@ -10,6 +10,14 @@ newline, every rational in lowest terms as ``"num"`` or ``"num/den"`` — so
 saving the same objects twice yields byte-identical files.  Decimals are
 rejected on input: this package does not traffic in floats.
 
+Every JSON document the package writes goes through one writer,
+:func:`canonical_json`.  On a document of strings, arrays and objects its
+text is byte for byte what ``json.dumps`` writes with ``sort_keys=True``
+and ``indent=2``; any other value raises ``TypeError``.  It quotes each
+string with :mod:`json`'s C ``encode_basestring_ascii`` and joins the
+pieces once, where ``json.dumps`` with an indent runs the pure-Python
+encoder.
+
 Masses are read and written as integers.  Each prior and posterior mass is
 parsed into an integer pair by :mod:`prob`'s one rational parser and the
 credence is built from the pairs; the sum, cell and certainty checks
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from fractions import Fraction
 from typing import Any
 
@@ -49,6 +58,7 @@ __all__ = [
     "format_rational",
     "parse_rational",
     "problem_document",
+    "canonical_json",
     "dumps",
     "loads",
     "save_problem",
@@ -143,8 +153,57 @@ def problem_document(problem: DecisionProblem, policy: UpdatePolicy) -> dict:
     }
 
 
+def canonical_json(document: Any) -> str:
+    """``document`` as ``json.dumps`` writes it with ``sort_keys=True, indent=2``.
+
+    ``document`` is built of ``str``, ``list`` and ``dict`` with ``str``
+    keys; any other value or key raises ``TypeError``.  No trailing newline.
+    """
+    parts: list[str] = []
+    _write(document, "\n", parts)
+    return "".join(parts)
+
+
+def _write(value: Any, newline: str, parts: list[str]) -> None:
+    """Append ``value``'s text to ``parts``; ``newline`` opens a line at its depth.
+
+    Each key is passed to ``_quote``, which refuses anything but a string.
+    """
+    if isinstance(value, str):
+        parts.append(_quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            parts.append(separator)
+            parts.append(_quote(key))
+            parts.append(": ")
+            _write(value[key], inner, parts)
+            separator = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            parts.append(separator)
+            _write(item, inner, parts)
+            separator = "," + inner
+        parts.append(newline + "]")
+    else:
+        raise TypeError(
+            f"a canonical JSON document holds only str, list and dict, "
+            f"got {type(value).__name__}"
+        )
+
+
 def dumps(problem: DecisionProblem, policy: UpdatePolicy) -> str:
-    return json.dumps(problem_document(problem, policy), sort_keys=True, indent=2) + "\n"
+    return canonical_json(problem_document(problem, policy)) + "\n"
 
 
 def _require_object(value: Any, location: str, keys: tuple[str, ...]) -> dict:
@@ -379,7 +438,7 @@ def _parse_policy(
     missing = [s for s in space if s not in posteriors]
     if missing:
         raise PolicyError("policy", f"no posterior for states: {', '.join(missing)}")
-    return UpdatePolicy(partition, posteriors)
+    return UpdatePolicy._checked(partition, posteriors)
 
 
 def _parse_posterior(table: dict, location: str, space: StateSpace) -> Credence:

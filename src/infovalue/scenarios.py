@@ -30,6 +30,7 @@ import csv
 import io
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .decision import (
     ERROR_ON_TIE,
@@ -39,14 +40,16 @@ from .decision import (
     OutcomeSpace,
     best_action,
 )
-from .errors import ConfigError, TieError
+from .errors import ConfigError, TieError, ValidationError
 from .prob import Credence, Event, StateSpace, as_fraction
 from .updating import (
     DeviationSpec,
     EvidencePartition,
     UpdatePolicy,
+    _mixed,
+    _mixture_frame,
+    _MixtureFrame,
     conditionalization_policy,
-    mixture_expand,
 )
 from .voi import val_general, val_good
 
@@ -71,6 +74,7 @@ UNKNOWN_BIAS = "unknown-bias"
 SCENARIO_NAMES = (RACE, GAMBLERS, UNKNOWN_BIAS)
 
 _MIXTURE_LABELS = ("bayes", "fallacy")
+_UNKNOWN_BIAS_CONFIDENCE = Fraction(91, 100)
 _TWO_FLIPS = ("hh", "ht", "th", "tt")
 
 
@@ -129,19 +133,42 @@ def _second_flip_bet(id: str, face: str, win: str, loss: str) -> Action:
     return Action(id, {s: win if s[1] == face else loss for s in _TWO_FLIPS})
 
 
-def _fallacy_scenario(
+class _FallacyBase(NamedTuple):
+    """A fallacy preset without its epsilon: all that :meth:`scenario` reuses.
+
+    ``spec`` is the deviation at epsilon 0, ``frame`` the expansion built
+    from it, and ``tie`` the :class:`ConfigError` text for a fallacy
+    confidence that ties the deviant self's acts (``None`` when none tie).
+    A mixed credence prices every act exactly as its base credence does,
+    so whether acts tie does not depend on epsilon.
+    """
+
+    name: str
+    spec: DeviationSpec
+    frame: _MixtureFrame
+    tie: str | None = None
+
+    def scenario(self, epsilon) -> Scenario:
+        """The preset at ``epsilon``, which is checked before the tie."""
+        spec = DeviationSpec(epsilon, self.spec.deviant_posteriors)
+        if self.tie is not None:
+            raise ConfigError(self.tie)
+        problem, policy = _mixed(self.frame, spec.epsilon)
+        return Scenario(self.name, problem, policy)
+
+
+def _fallacy_base(
     name: str,
-    eps: Fraction,
     masses: dict[str, Fraction],
     outcomes: OutcomeSpace,
     bets: tuple[Action, ...],
     repeat: Fraction,
-) -> Scenario:
+) -> _FallacyBase:
     """Two flips, a look at the first, and a feared streak of the fallacy.
 
     The agent may decline (``safe`` pays ``nothing``) or take one of
     ``bets`` on the second flip, and learns the first flip.  With
-    probability ``eps`` the deviant disposition fires and leaves them
+    probability epsilon the deviant disposition fires and leaves them
     ``repeat`` sure that the second flip matches the first.
     """
     space = StateSpace(_TWO_FLIPS)
@@ -152,15 +179,33 @@ def _fallacy_scenario(
     heads = Event(space, frozenset({"hh", "ht"}))
     tails = Event(space, frozenset({"th", "tt"}))
     spec = DeviationSpec(
-        eps,
+        Fraction(0),
         {
             heads: Credence(space, {"hh": repeat, "ht": 1 - repeat}),
             tails: Credence(space, {"tt": repeat, "th": 1 - repeat}),
         },
     )
     partition = EvidencePartition(space, (heads, tails))
-    expanded, policy = mixture_expand(problem, partition, spec, labels=_MIXTURE_LABELS)
-    return Scenario(name, expanded, policy)
+    return _FallacyBase(
+        name, spec, _mixture_frame(problem, partition, spec, _MIXTURE_LABELS)
+    )
+
+
+def _gamblers_base() -> _FallacyBase:
+    outcomes = OutcomeSpace(
+        ("nothing", "win", "loss"),
+        {"nothing": Fraction(0), "win": Fraction(1), "loss": Fraction(-2)},
+    )
+    return _fallacy_base(
+        GAMBLERS,
+        {s: Fraction(1, 4) for s in _TWO_FLIPS},
+        outcomes,
+        (
+            _second_flip_bet("risky-heads", "h", "win", "loss"),
+            _second_flip_bet("risky-tails", "t", "win", "loss"),
+        ),
+        Fraction(1, 10),
+    )
 
 
 def scenario_gamblers(epsilon) -> Scenario:
@@ -176,25 +221,62 @@ def scenario_gamblers(epsilon) -> Scenario:
     comes up the opposite face, which makes the matching bet look like a
     winner.  The expected cost of being offered the news is epsilon/2.
     """
+    return _gamblers_base().scenario(epsilon)
+
+
+def _unknown_bias_base(fallacy_confidence) -> _FallacyBase:
+    """The unknown-bias preset without its epsilon; see :func:`scenario_unknown_bias`.
+
+    The confidence is checked here, and its tie once, on the base
+    posteriors in the order the expanded states list them.
+    """
+    confidence = as_fraction(fallacy_confidence)
+    if not 0 <= confidence <= 1:
+        raise ConfigError(
+            f"fallacy confidence must lie in [0, 1], got {confidence}"
+        )
     outcomes = OutcomeSpace(
-        ("nothing", "win", "loss"),
-        {"nothing": Fraction(0), "win": Fraction(1), "loss": Fraction(-2)},
+        ("nothing", "small-win", "small-loss", "big-win", "big-loss"),
+        {
+            "nothing": Fraction(0),
+            "small-win": Fraction(1),
+            "small-loss": Fraction(-1),
+            "big-win": Fraction(2),
+            "big-loss": Fraction(-10),
+        },
     )
-    return _fallacy_scenario(
-        GAMBLERS,
-        as_fraction(epsilon),
-        {s: Fraction(1, 4) for s in _TWO_FLIPS},
+    base = _fallacy_base(
+        UNKNOWN_BIAS,
+        {
+            "hh": Fraction(1, 3),
+            "ht": Fraction(1, 6),
+            "th": Fraction(1, 6),
+            "tt": Fraction(1, 3),
+        },
         outcomes,
         (
-            _second_flip_bet("risky-heads", "h", "win", "loss"),
-            _second_flip_bet("risky-tails", "t", "win", "loss"),
+            _second_flip_bet("bet-heads", "h", "small-win", "small-loss"),
+            _second_flip_bet("bet-tails", "t", "small-win", "small-loss"),
+            _second_flip_bet("v-risky-heads", "h", "big-win", "big-loss"),
+            _second_flip_bet("v-risky-tails", "t", "big-win", "big-loss"),
         ),
-        Fraction(1, 10),
+        confidence,
     )
+    strict = replace(base.frame.problem, tie_policy=ERROR_ON_TIE)
+    for _, correct, distorted in base.frame.cells:
+        for posterior in (correct, distorted):
+            try:
+                best_action(posterior, strict)
+            except TieError as exc:
+                return base._replace(
+                    tie=f"fallacy confidence {confidence} makes acts tie at "
+                    f"expected utility {exc.value}: {', '.join(exc.actions)}"
+                )
+    return base
 
 
 def scenario_unknown_bias(
-    epsilon, fallacy_confidence: Fraction = Fraction(91, 100)
+    epsilon, fallacy_confidence: Fraction = _UNKNOWN_BIAS_CONFIDENCE
 ) -> Scenario:
     """Correlated flips make the news valuable; the fallacy makes it costly.
 
@@ -217,49 +299,24 @@ def scenario_unknown_bias(
     two acts are rejected with :class:`ConfigError` naming the tied acts.
     """
     eps = as_fraction(epsilon)
-    confidence = as_fraction(fallacy_confidence)
-    if not 0 <= confidence <= 1:
-        raise ConfigError(
-            f"fallacy confidence must lie in [0, 1], got {confidence}"
-        )
-    outcomes = OutcomeSpace(
-        ("nothing", "small-win", "small-loss", "big-win", "big-loss"),
-        {
-            "nothing": Fraction(0),
-            "small-win": Fraction(1),
-            "small-loss": Fraction(-1),
-            "big-win": Fraction(2),
-            "big-loss": Fraction(-10),
-        },
-    )
-    scenario = _fallacy_scenario(
-        UNKNOWN_BIAS,
-        eps,
-        {
-            "hh": Fraction(1, 3),
-            "ht": Fraction(1, 6),
-            "th": Fraction(1, 6),
-            "tt": Fraction(1, 3),
-        },
-        outcomes,
-        (
-            _second_flip_bet("bet-heads", "h", "small-win", "small-loss"),
-            _second_flip_bet("bet-tails", "t", "small-win", "small-loss"),
-            _second_flip_bet("v-risky-heads", "h", "big-win", "big-loss"),
-            _second_flip_bet("v-risky-tails", "t", "big-win", "big-loss"),
-        ),
-        confidence,
-    )
-    strict = replace(scenario.problem, tie_policy=ERROR_ON_TIE)
-    for state in strict.space:
-        try:
-            best_action(scenario.policy.posterior(state), strict)
-        except TieError as exc:
+    return _unknown_bias_base(fallacy_confidence).scenario(eps)
+
+
+def _mixture_base(name: str, confidence) -> _FallacyBase:
+    """The base of a mixture preset, refusing what :func:`build_scenario` refuses."""
+    if name == GAMBLERS:
+        if confidence is not None:
             raise ConfigError(
-                f"fallacy confidence {confidence} makes acts tie at expected "
-                f"utility {exc.value}: {', '.join(exc.actions)}"
-            ) from None
-    return scenario
+                "the gamblers scenario has a fixed fallacy confidence of 9/10"
+            )
+        return _gamblers_base()
+    if name == UNKNOWN_BIAS:
+        return _unknown_bias_base(
+            _UNKNOWN_BIAS_CONFIDENCE if confidence is None else confidence
+        )
+    raise ConfigError(
+        f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}"
+    )
 
 
 def build_scenario(name: str, epsilon=None, confidence=None) -> Scenario:
@@ -270,21 +327,11 @@ def build_scenario(name: str, epsilon=None, confidence=None) -> Scenario:
         if confidence is not None:
             raise ConfigError("the race scenario has no confidence parameter")
         return scenario_race()
-    if name == GAMBLERS:
-        if confidence is not None:
-            raise ConfigError(
-                "the gamblers scenario has a fixed fallacy confidence of 9/10"
-            )
-        return scenario_gamblers(Fraction(0) if epsilon is None else epsilon)
+    epsilon = Fraction(0) if epsilon is None else epsilon
     if name == UNKNOWN_BIAS:
-        if confidence is None:
-            return scenario_unknown_bias(Fraction(0) if epsilon is None else epsilon)
-        return scenario_unknown_bias(
-            Fraction(0) if epsilon is None else epsilon, confidence
-        )
-    raise ConfigError(
-        f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}"
-    )
+        # read before the confidence, as scenario_unknown_bias reads it
+        epsilon = as_fraction(epsilon)
+    return _mixture_base(name, confidence).scenario(epsilon)
 
 
 @dataclass(frozen=True)
@@ -334,13 +381,27 @@ class SweepTable:
 
 
 def sweep(name: str, epsilons, confidence=None) -> SweepTable:
-    """Evaluate a mixture scenario at each epsilon, in the order given."""
+    """Evaluate a mixture scenario at each epsilon, in the order given.
+
+    The preset is built once per call, at the first row: its base problem,
+    deviant posteriors, tie check and expanded frame.  Each row then checks
+    its epsilon and mixes the frame's credences at it.  An empty
+    ``epsilons`` builds nothing, so it refuses only the race preset.
+    ``epsilons`` must be a sequence of values; a bare string is refused.
+    """
     if name == RACE:
         raise ConfigError("the race scenario has no epsilon parameter to sweep")
+    if isinstance(epsilons, str):
+        raise ValidationError(
+            f"epsilons must be a sequence of values, not the string {epsilons!r}"
+        )
+    base = None
     rows = []
     for raw in epsilons:
         epsilon = as_fraction(raw)
-        scenario = build_scenario(name, epsilon=epsilon, confidence=confidence)
+        if base is None:
+            base = _mixture_base(name, confidence)
+        scenario = base.scenario(epsilon)
         good = val_good(scenario.problem, scenario.policy.partition)
         general = val_general(scenario.problem, scenario.policy)
         rows.append(

@@ -142,6 +142,28 @@ class UpdatePolicy:
             raise MissingPosteriorError(f"no posterior for states: {missing}")
         object.__setattr__(self, "posteriors", cleaned)
 
+    @classmethod
+    def _checked(
+        cls,
+        partition: EvidencePartition,
+        posteriors: dict[str, Credence],
+        kind: str = EXPLICIT,
+    ) -> UpdatePolicy:
+        """The policy for posteriors its caller has already checked.
+
+        ``posteriors`` must map every state of ``partition.space``, and no
+        other id, to a credence over that space that is certain of the
+        state's cell, as ``__post_init__`` would check.  The problem-file
+        parser checks each (posterior, cell) pair once for its located
+        error, and the library's own builders are certain by construction;
+        neither should pay for the walk twice.  The dict is stored as is.
+        """
+        policy = object.__new__(cls)
+        object.__setattr__(policy, "partition", partition)
+        object.__setattr__(policy, "posteriors", posteriors)
+        object.__setattr__(policy, "kind", kind)
+        return policy
+
     @property
     def space(self) -> StateSpace:
         return self.partition.space
@@ -199,7 +221,7 @@ def conditionalization_policy(
         raise SpaceMismatchError("prior and partition live on different spaces")
     by_cell = {cell: condition(prior, cell) for cell in partition.cells}
     posteriors = {state: by_cell[partition.cell_of(state)] for state in partition.space}
-    return UpdatePolicy(partition, posteriors, kind=CONDITIONALIZATION)
+    return UpdatePolicy._checked(partition, posteriors, kind=CONDITIONALIZATION)
 
 
 def _joined(state: str, label: str) -> str:
@@ -233,7 +255,42 @@ def mixture_expand(
     A zero-probability cell could never be learned; it is refused up front,
     as problem files refuse it.
 
+    Built in two steps: the epsilon-free frame (expanded space, lifted
+    actions and cells, and the base credences of each cell), then the
+    products at ``spec.epsilon``.  A caller that expands one problem at
+    many epsilons builds the frame once.
+
     Returns the expanded problem and the expanded update policy.
+    """
+    return _mixed(_mixture_frame(problem, partition, spec, labels), spec.epsilon)
+
+
+class _MixtureFrame(NamedTuple):
+    """The epsilon-free part of :func:`mixture_expand`.
+
+    ``cells`` holds, per base cell in partition order, the (stay, deviate)
+    ids of its members and the base credences whose products become its
+    stay and deviate posteriors (the same object when the cell has no
+    deviant posterior).
+    """
+
+    problem: DecisionProblem
+    space: StateSpace
+    choices: ChoiceSet
+    partition: EvidencePartition
+    cells: tuple[tuple[tuple[tuple[str, str], ...], Credence, Credence], ...]
+
+
+def _mixture_frame(
+    problem: DecisionProblem,
+    partition: EvidencePartition,
+    spec: DeviationSpec,
+    labels: tuple[str, str],
+) -> _MixtureFrame:
+    """Validate a self-doubt expansion and build all of it that epsilon leaves alone.
+
+    Reads only ``spec.deviant_posteriors``, which :class:`DeviationSpec`
+    has checked, so the frame serves the same deviation at any epsilon.
     """
     stay, deviate = labels
     if stay == deviate or not stay or not deviate:
@@ -258,14 +315,6 @@ def mixture_expand(
         )
     space = StateSpace(tuple(expanded_ids))
 
-    eps = spec.epsilon
-    keeps, flips = eps.denominator - eps.numerator, eps.numerator
-
-    def mixed(base: Credence) -> Credence:
-        return Credence._from_weights(
-            space, [w for n in base.nums for w in (n * keeps, n * flips)]
-        )
-
     actions = tuple(
         Action(
             a.id,
@@ -288,26 +337,56 @@ def mixture_expand(
         )
         for cell in partition.cells
     )
+    cells = []
+    for base_cell in partition.cells:
+        correct = condition(problem.prior, base_cell)
+        cells.append((
+            tuple((_joined(s, stay), _joined(s, deviate)) for s in base_cell.members),
+            correct,
+            spec.deviant_posteriors.get(base_cell, correct),
+        ))
+    return _MixtureFrame(
+        problem,
+        space,
+        ChoiceSet(actions),
+        EvidencePartition(space, lifted_cells),
+        tuple(cells),
+    )
+
+
+def _mixed(
+    frame: _MixtureFrame, eps: Fraction
+) -> tuple[DecisionProblem, UpdatePolicy]:
+    """The expanded problem and policy of ``frame`` at ``eps``, in ``[0, 1]``.
+
+    Each posterior is certain of its lifted cell by construction: the stay
+    side is a conditioned prior and the deviate side a posterior that
+    :class:`DeviationSpec` checked, and a product keeps each one's support
+    inside the lifted cell.
+    """
+    problem, space = frame.problem, frame.space
+    keeps, flips = eps.denominator - eps.numerator, eps.numerator
+
+    def mixed(base: Credence) -> Credence:
+        return Credence._from_weights(
+            space, [w for n in base.nums for w in (n * keeps, n * flips)]
+        )
 
     expanded = DecisionProblem(
         space,
         problem.outcomes,
         mixed(problem.prior),
-        ChoiceSet(actions),
+        frame.choices,
         tie_policy=problem.tie_policy,
     )
-
     posteriors: dict[str, Credence] = {}
-    for base_cell in partition.cells:
-        correct = mixed(condition(problem.prior, base_cell))
-        deviant = spec.deviant_posteriors.get(base_cell)
-        distorted = correct if deviant is None else mixed(deviant)
-        for s in base_cell.members:
-            posteriors[_joined(s, stay)] = correct
-            posteriors[_joined(s, deviate)] = distorted
-
-    policy = UpdatePolicy(EvidencePartition(space, lifted_cells), posteriors)
-    return expanded, policy
+    for pairs, correct, distorted in frame.cells:
+        stay_posterior = mixed(correct)
+        deviate_posterior = stay_posterior if distorted is correct else mixed(distorted)
+        for stay, deviate in pairs:
+            posteriors[stay] = stay_posterior
+            posteriors[deviate] = deviate_posterior
+    return expanded, UpdatePolicy._checked(frame.partition, posteriors)
 
 
 class _PosteriorClass(NamedTuple):

@@ -5,7 +5,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from infovalue import cli, prob
 from infovalue.decision import (
     ERROR_ON_TIE,
     FIRST_BY_ORDER,
@@ -27,6 +30,7 @@ from infovalue.errors import (
 )
 from infovalue.prob import Credence, Event, StateSpace
 from infovalue.problemfile import (
+    canonical_json,
     dumps,
     format_rational,
     load_problem,
@@ -35,6 +39,7 @@ from infovalue.problemfile import (
     problem_document,
     save_problem,
 )
+from infovalue.properties import PROPERTY_NAMES, PropertyFailure, PropertyReport
 from infovalue.updating import (
     CONDITIONALIZATION,
     EvidencePartition,
@@ -248,6 +253,61 @@ class TestDocumentShape:
         assert dumps(fixture_problem(), policy) == FIXTURE_TEXT
 
 
+# strings json must escape: quotes, backslashes, control and non-ASCII
+# characters, and lone surrogates
+_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600')
+    | st.characters(exclude_categories=())
+)
+_DOCUMENTS = st.recursive(
+    _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestCanonicalJson:
+    @given(_DOCUMENTS)
+    @example({"b": ["", {}], "a": {"\ud800": []}, "": "\\\"\x00\u00e9"})
+    @example([[], {}, [[]], {"z": {}, "y": []}])
+    def test_matches_json_dumps_sorted_with_indent_two(self, document):
+        assert canonical_json(document) == json.dumps(document, sort_keys=True, indent=2)
+
+    def test_keys_are_written_sorted_whatever_their_insertion_order(self):
+        assert canonical_json({"b": "1", "a": {"d": "2", "c": "3"}}) == (
+            '{\n  "a": {\n    "c": "3",\n    "d": "2"\n  },\n  "b": "1"\n}'
+        )
+
+    @pytest.mark.parametrize(
+        "document", [1, Fraction(1, 2), None, ["a", 1], {"a": Fraction(1, 2)}, {"a": None}]
+    )
+    def test_other_values_are_refused(self, document):
+        with pytest.raises(TypeError, match="only str, list and dict"):
+            canonical_json(document)
+
+    def test_a_property_failure_document_prints_as_the_canonical_file(
+        self, monkeypatch, capsys
+    ):
+        """``check`` prints a counterexample's document with the writer:
+        the fixture's instance prints as the fixture's file, byte for byte."""
+        failure = PropertyFailure(
+            3,
+            "mixture",
+            "general-le-classical",
+            "val_general=1 exceeds val_good=0",
+            problem_document(fixture_problem(), explicit_policy()),
+        )
+        report = PropertyReport(0, 4, {n: 4 for n in PROPERTY_NAMES}, (failure,))
+        monkeypatch.setattr(cli, "property_suite", lambda seed, trials: report)
+        assert cli.main(["check", "--trials", "4", "--seed", "0"]) == 2
+        assert capsys.readouterr().out.endswith(
+            "4 trials from seed 0: COUNTEREXAMPLES FOUND\n\n"
+            "counterexample (trial 3, mixture, general-le-classical): "
+            "val_general=1 exceeds val_good=0\n" + FIXTURE_TEXT
+        )
+
+
 class TestRoundTrips:
     def test_explicit_policy_round_trips_byte_identical(self):
         text = dumps(fixture_problem(), explicit_policy())
@@ -308,6 +368,46 @@ class TestRoundTrips:
         assert len(problem.space) == 64
         assert len(set(map(id, policy.posteriors.values()))) == 64
         assert len(calls) == len(problem.outcomes.outcomes) == 3
+
+    def test_certainty_is_checked_once_per_posterior_and_cell(self):
+        """A 64-state file: the first four cells give each state its own
+        table, the last four share one table per cell.  Loading weighs each
+        distinct (posterior, cell) pair once, and the prior once per cell
+        for the zero-probability check.  A count, not a timing."""
+        problem, policy = wide_explicit_problem(64, 8)
+        doc = problem_document(problem, policy)
+        for i in range(32, 64):
+            doc["policy"][i]["posterior"] = dict(doc["policy"][i - i % 8]["posterior"])
+        calls = []
+        code = prob._weight.__code__
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append((frame.f_locals["credence"], frame.f_locals["states"]))
+
+        sys.setprofile(profile)
+        try:
+            problem, partition, policy = loads(json.dumps(doc))
+        finally:
+            sys.setprofile(None)
+        pairs = {
+            (id(policy.posterior(s)), id(partition.cell_of(s).members)) for s in problem.space
+        }
+        weighed = [(id(c), id(states)) for c, states in calls if c is not problem.prior]
+        assert len(pairs) == 32 + 4
+        assert sorted(weighed) == sorted(pairs)
+        assert len(calls) - len(weighed) == len(partition.cells) == 8
+
+        doc["policy"][63]["posterior"] = {"s0": "1"}
+        with pytest.raises(CertaintyError) as exc:
+            loads(json.dumps(doc))
+        assert (exc.value.location, exc.value.message) == (
+            "policy[63]",
+            "posterior for state 's63' must assign probability exactly 1 to its "
+            "partition cell {s56, s57, s58, s59, s60, s61, s62, s63} (got 0)",
+        )
+        with pytest.raises(ValidationError, match="exactly 1 to its partition cell"):
+            UpdatePolicy(partition, {**policy.posteriors, "s63": policy.posterior("s0")})
 
     def test_tie_policy_is_not_part_of_the_format(self):
         # the file format carries the decision-relevant data only; a loaded

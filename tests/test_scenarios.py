@@ -5,13 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from infovalue.errors import ConfigError
+from infovalue import scenarios
+from infovalue.errors import ConfigError, InfoValueError, ValidationError
 from infovalue.problemfile import dumps
 from infovalue.scenarios import (
     GAMBLERS,
     RACE,
     SCENARIO_NAMES,
     UNKNOWN_BIAS,
+    SweepRow,
+    SweepTable,
     build_scenario,
     scenario_gamblers,
     scenario_race,
@@ -258,4 +261,126 @@ class TestSweep:
         table = sweep(GAMBLERS, [Fraction(1, 10)])
         assert table.to_csv() == (
             "epsilon,val_good,val_general,decision\n" "1/10,0,-1/20,decline\n"
+        )
+
+
+def outcome(call):
+    """``call()``, or the type and text of the library error it raises."""
+    try:
+        return call()
+    except InfoValueError as exc:
+        return type(exc), str(exc)
+
+
+def row_by_row(name, epsilons, confidence):
+    """The sweep table built one scenario per epsilon, as the parent built it."""
+    rows = []
+    for epsilon in epsilons:
+        scenario = build_scenario(name, epsilon=epsilon, confidence=confidence)
+        general = val_general(scenario.problem, scenario.policy)
+        rows.append(
+            SweepRow(
+                epsilon,
+                val_good(scenario.problem, scenario.policy.partition),
+                general,
+                "learn" if general >= 0 else "decline",
+            )
+        )
+    return SweepTable(name, tuple(rows))
+
+
+GRID = [Fraction(0), Fraction(1, 14), Fraction(1, 7), Fraction(1, 2), Fraction(1)]
+BAD_RATIONAL = "expected an exact rational string like '3/4' or '-2', got 'x'"
+TIE = "fallacy confidence 9/10 makes acts tie at expected utility 4/5: bet-heads, v-risky-heads"
+
+
+class TestSweepBuildsOnce:
+    @pytest.mark.parametrize(
+        "name, confidence",
+        [
+            (GAMBLERS, None),
+            (GAMBLERS, "1/2"),
+            (UNKNOWN_BIAS, None),
+            (UNKNOWN_BIAS, "1/2"),
+            (UNKNOWN_BIAS, "1"),
+        ],
+    )
+    def test_each_row_is_the_scenario_built_alone(self, name, confidence):
+        assert outcome(lambda: sweep(name, GRID, confidence)) == outcome(
+            lambda: row_by_row(name, GRID, confidence)
+        )
+
+    def test_the_expansion_frame_is_built_once(self, monkeypatch):
+        frames = []
+
+        def counted(*args):
+            frames.append(args)
+            return build_frame(*args)
+
+        build_frame = scenarios._mixture_frame
+        monkeypatch.setattr(scenarios, "_mixture_frame", counted)
+        assert len(sweep(UNKNOWN_BIAS, GRID).rows) == len(GRID)
+        assert len(frames) == 1
+
+    @pytest.mark.parametrize(
+        "name, epsilons, confidence, error, message",
+        [
+            (UNKNOWN_BIAS, ["x"], None, ValidationError, BAD_RATIONAL),
+            (UNKNOWN_BIAS, ["2"], None, ValidationError, "epsilon must lie in [0, 1], got 2"),
+            (
+                UNKNOWN_BIAS, ["0"], "11/10", ConfigError,
+                "fallacy confidence must lie in [0, 1], got 11/10",
+            ),
+            (UNKNOWN_BIAS, ["0"], "9/10", ConfigError, TIE),
+            (UNKNOWN_BIAS, ["x"], "11/10", ValidationError, BAD_RATIONAL),
+            (UNKNOWN_BIAS, ["x"], "9/10", ValidationError, BAD_RATIONAL),
+            (
+                UNKNOWN_BIAS, ["2"], "11/10", ConfigError,
+                "fallacy confidence must lie in [0, 1], got 11/10",
+            ),
+            (UNKNOWN_BIAS, ["2"], "9/10", ValidationError, "epsilon must lie in [0, 1], got 2"),
+            (UNKNOWN_BIAS, ["0", "2"], "9/10", ConfigError, TIE),
+            (UNKNOWN_BIAS, ["1/2", "x"], "9/10", ConfigError, TIE),
+            (
+                UNKNOWN_BIAS, ["1/2", "2"], None, ValidationError,
+                "epsilon must lie in [0, 1], got 2",
+            ),
+            (
+                UNKNOWN_BIAS, ["1/2", "x"], "11/10", ConfigError,
+                "fallacy confidence must lie in [0, 1], got 11/10",
+            ),
+            (UNKNOWN_BIAS, ["0"], "x", ValidationError, BAD_RATIONAL),
+            (GAMBLERS, ["2"], None, ValidationError, "epsilon must lie in [0, 1], got 2"),
+            (GAMBLERS, ["x"], "9/10", ValidationError, BAD_RATIONAL),
+            (
+                GAMBLERS, ["2"], "9/10", ConfigError,
+                "the gamblers scenario has a fixed fallacy confidence of 9/10",
+            ),
+            (
+                "lottery", ["0"], None, ConfigError,
+                "unknown scenario 'lottery'; expected one of race, gamblers, unknown-bias",
+            ),
+            (
+                RACE, ["x"], "9/10", ConfigError,
+                "the race scenario has no epsilon parameter to sweep",
+            ),
+        ],
+    )
+    def test_refusals_name_the_first_fault(self, name, epsilons, confidence, error, message):
+        """Rows are read in order; within a row the epsilon's syntax comes
+        first, then the confidence, then the epsilon's range, then a tie."""
+        with pytest.raises(error) as exc:
+            sweep(name, epsilons, confidence)
+        assert (type(exc.value), str(exc.value)) == (error, message)
+
+    @pytest.mark.parametrize("name", [GAMBLERS, UNKNOWN_BIAS])
+    def test_an_empty_grid_builds_nothing_and_refuses_nothing(self, name):
+        assert sweep(name, [], confidence="2") == SweepTable(name, ())
+
+    @pytest.mark.parametrize("epsilons", ["01", "1/2"])
+    def test_a_bare_string_of_epsilons_is_refused(self, epsilons):
+        with pytest.raises(ValidationError) as exc:
+            sweep(GAMBLERS, epsilons)
+        assert str(exc.value) == (
+            f"epsilons must be a sequence of values, not the string {epsilons!r}"
         )

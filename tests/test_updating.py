@@ -618,7 +618,7 @@ ELSEWHERE_POLICY = conditionalization_policy(SURE_X, ELSEWHERE_PARTITION)
         ),
         (
             lambda: mixture_expand(base_problem(), ELSEWHERE_PARTITION, DeviationSpec(0, {})),
-            SpaceMismatchError, "mixture_expand", "partition is not over the problem's space",
+            SpaceMismatchError, "_mixture_frame", "partition is not over the problem's space",
         ),
         (
             lambda: deviating_states(ELSEWHERE_POLICY, PRIOR),
