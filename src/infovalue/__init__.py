@@ -82,6 +82,7 @@ from .scenarios import (
     scenario_race,
     scenario_unknown_bias,
     sweep,
+    threshold,
 )
 from .updating import (
     CONDITIONALIZATION,
@@ -165,6 +166,7 @@ __all__ = [
     "scenario_unknown_bias",
     "build_scenario",
     "sweep",
+    "threshold",
     # properties
     "Instance",
     "PropertyFailure",

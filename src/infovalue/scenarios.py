@@ -41,15 +41,14 @@ from .decision import (
     best_action,
 )
 from .errors import ConfigError, TieError, ValidationError
-from .prob import Credence, Event, StateSpace, as_fraction
+from .prob import Credence, Event, StateSpace, as_fraction, condition
 from .updating import (
     DeviationSpec,
     EvidencePartition,
     UpdatePolicy,
-    _mixed,
-    _mixture_frame,
-    _MixtureFrame,
+    _epsilon,
     conditionalization_policy,
+    mixture_expand,
 )
 from .voi import val_general, val_good
 
@@ -66,6 +65,7 @@ __all__ = [
     "scenario_unknown_bias",
     "build_scenario",
     "sweep",
+    "threshold",
 ]
 
 RACE = "race"
@@ -134,27 +134,20 @@ def _second_flip_bet(id: str, face: str, win: str, loss: str) -> Action:
 
 
 class _FallacyBase(NamedTuple):
-    """A fallacy preset without its epsilon: all that :meth:`scenario` reuses.
+    """A fallacy preset without its epsilon.
 
-    ``spec`` is the deviation at epsilon 0, ``frame`` the expansion built
-    from it, and ``tie`` the :class:`ConfigError` text for a fallacy
-    confidence that ties the deviant self's acts (``None`` when none tie).
-    A mixed credence prices every act exactly as its base credence does,
-    so whether acts tie does not depend on epsilon.
+    ``deviant`` gives the deviant self's posterior on each cell, and
+    ``tie`` the :class:`ConfigError` text for a fallacy confidence that
+    ties the agent's acts (``None`` when none tie).  A mixed credence
+    prices every act exactly as its base credence does, so whether acts
+    tie does not depend on epsilon.
     """
 
     name: str
-    spec: DeviationSpec
-    frame: _MixtureFrame
+    problem: DecisionProblem
+    partition: EvidencePartition
+    deviant: dict[Event, Credence]
     tie: str | None = None
-
-    def scenario(self, epsilon) -> Scenario:
-        """The preset at ``epsilon``, which is checked before the tie."""
-        spec = DeviationSpec(epsilon, self.spec.deviant_posteriors)
-        if self.tie is not None:
-            raise ConfigError(self.tie)
-        problem, policy = _mixed(self.frame, spec.epsilon)
-        return Scenario(self.name, problem, policy)
 
 
 def _fallacy_base(
@@ -178,17 +171,26 @@ def _fallacy_base(
     )
     heads = Event(space, frozenset({"hh", "ht"}))
     tails = Event(space, frozenset({"th", "tt"}))
-    spec = DeviationSpec(
-        Fraction(0),
-        {
-            heads: Credence(space, {"hh": repeat, "ht": 1 - repeat}),
-            tails: Credence(space, {"tt": repeat, "th": 1 - repeat}),
-        },
-    )
-    partition = EvidencePartition(space, (heads, tails))
-    return _FallacyBase(
-        name, spec, _mixture_frame(problem, partition, spec, _MIXTURE_LABELS)
-    )
+    deviant = {
+        heads: Credence(space, {"hh": repeat, "ht": 1 - repeat}),
+        tails: Credence(space, {"tt": repeat, "th": 1 - repeat}),
+    }
+    return _FallacyBase(name, problem, EvidencePartition(space, (heads, tails)), deviant)
+
+
+def _checked_epsilon(base: _FallacyBase, epsilon) -> Fraction:
+    """``epsilon`` for ``base``: its syntax and range first, then the tie."""
+    eps = _epsilon(epsilon)
+    if base.tie is not None:
+        raise ConfigError(base.tie)
+    return eps
+
+
+def _expanded(base: _FallacyBase, epsilon) -> Scenario:
+    """The preset at ``epsilon``, by one :func:`mixture_expand`."""
+    spec = DeviationSpec(_checked_epsilon(base, epsilon), base.deviant)
+    problem, policy = mixture_expand(base.problem, base.partition, spec, _MIXTURE_LABELS)
+    return Scenario(base.name, problem, policy)
 
 
 def _gamblers_base() -> _FallacyBase:
@@ -221,14 +223,14 @@ def scenario_gamblers(epsilon) -> Scenario:
     comes up the opposite face, which makes the matching bet look like a
     winner.  The expected cost of being offered the news is epsilon/2.
     """
-    return _gamblers_base().scenario(epsilon)
+    return _expanded(_gamblers_base(), epsilon)
 
 
 def _unknown_bias_base(fallacy_confidence) -> _FallacyBase:
     """The unknown-bias preset without its epsilon; see :func:`scenario_unknown_bias`.
 
     The confidence is checked here, and its tie once, on the base
-    posteriors in the order the expanded states list them.
+    posteriors: each cell's conditioned prior, then its deviant posterior.
     """
     confidence = as_fraction(fallacy_confidence)
     if not 0 <= confidence <= 1:
@@ -262,9 +264,10 @@ def _unknown_bias_base(fallacy_confidence) -> _FallacyBase:
         ),
         confidence,
     )
-    strict = replace(base.frame.problem, tie_policy=ERROR_ON_TIE)
-    for _, correct, distorted in base.frame.cells:
-        for posterior in (correct, distorted):
+    strict = replace(base.problem, tie_policy=ERROR_ON_TIE)
+    for cell in base.partition.cells:
+        correct = condition(base.problem.prior, cell)
+        for posterior in (correct, base.deviant.get(cell, correct)):
             try:
                 best_action(posterior, strict)
             except TieError as exc:
@@ -299,7 +302,7 @@ def scenario_unknown_bias(
     two acts are rejected with :class:`ConfigError` naming the tied acts.
     """
     eps = as_fraction(epsilon)
-    return _unknown_bias_base(fallacy_confidence).scenario(eps)
+    return _expanded(_unknown_bias_base(fallacy_confidence), eps)
 
 
 def _mixture_base(name: str, confidence) -> _FallacyBase:
@@ -331,7 +334,7 @@ def build_scenario(name: str, epsilon=None, confidence=None) -> Scenario:
     if name == UNKNOWN_BIAS:
         # read before the confidence, as scenario_unknown_bias reads it
         epsilon = as_fraction(epsilon)
-    return _mixture_base(name, confidence).scenario(epsilon)
+    return _expanded(_mixture_base(name, confidence), epsilon)
 
 
 @dataclass(frozen=True)
@@ -380,14 +383,39 @@ class SweepTable:
         return buffer.getvalue()
 
 
+def _base_values(base: _FallacyBase) -> tuple[Fraction, Fraction, Fraction]:
+    """``val_good``, and ``val_general`` when learning and when deviating.
+
+    All three are read on the base problem.  The learning value conditions
+    on each cell; the deviating value takes the deviant posterior on the
+    cells that have one and the conditioned prior elsewhere.  At epsilon,
+    the expanded preset's ``val_general`` is ``(1 - epsilon)`` times the
+    first plus ``epsilon`` times the second (see :func:`mixture_expand`),
+    and its ``val_good`` is the base's.
+    """
+    problem, partition = base.problem, base.partition
+    learning = conditionalization_policy(problem.prior, partition)
+    deviating = UpdatePolicy(partition, {
+        s: base.deviant.get(partition.cell_of(s), posterior)
+        for s, posterior in learning.posteriors.items()
+    })
+    return (
+        val_good(problem, partition),
+        val_general(problem, learning),
+        val_general(problem, deviating),
+    )
+
+
 def sweep(name: str, epsilons, confidence=None) -> SweepTable:
     """Evaluate a mixture scenario at each epsilon, in the order given.
 
-    The preset is built once per call, at the first row: its base problem,
-    deviant posteriors, tie check and expanded frame.  Each row then checks
-    its epsilon and mixes the frame's credences at it.  An empty
-    ``epsilons`` builds nothing, so it refuses only the race preset.
-    ``epsilons`` must be a sequence of values; a bare string is refused.
+    The preset is built once per call, at the first row, and its base
+    problem is evaluated twice: learning by conditioning, and learning as
+    the deviant self.  Each row checks its epsilon and mixes the two values
+    at it, with no expansion; every row equals the preset expanded at its
+    epsilon and evaluated alone.  An empty ``epsilons`` builds nothing, so
+    it refuses only the race preset.  ``epsilons`` must be a sequence of
+    values; a bare string is refused.
     """
     if name == RACE:
         raise ConfigError("the race scenario has no epsilon parameter to sweep")
@@ -401,9 +429,12 @@ def sweep(name: str, epsilons, confidence=None) -> SweepTable:
         epsilon = as_fraction(raw)
         if base is None:
             base = _mixture_base(name, confidence)
-        scenario = base.scenario(epsilon)
-        good = val_good(scenario.problem, scenario.policy.partition)
-        general = val_general(scenario.problem, scenario.policy)
+        _checked_epsilon(base, epsilon)
+        if not rows:
+            good, learning, deviating = _base_values(base)
+            slope = deviating - learning
+        # (1 - epsilon) * learning + epsilon * deviating, with one product
+        general = learning + epsilon * slope
         rows.append(
             SweepRow(
                 epsilon=epsilon,
@@ -413,3 +444,24 @@ def sweep(name: str, epsilons, confidence=None) -> SweepTable:
             )
         )
     return SweepTable(name, tuple(rows))
+
+
+def threshold(name: str, confidence=None) -> Fraction | None:
+    """The epsilon above which learning stops paying, exactly.
+
+    ``val_general`` at epsilon is ``(1 - epsilon) * V_c + epsilon * V_d``,
+    where ``V_c`` is the base problem's value of learning by conditioning
+    and ``V_d`` its value as the deviant self (see :func:`sweep`).  When
+    ``V_c >= 0 > V_d`` it falls through 0 at ``V_c / (V_c - V_d)``, the
+    last epsilon :func:`sweep` labels ``learn``.  Otherwise learning never
+    stops paying, and the answer is ``None``.  Refuses what :func:`sweep`
+    refuses.
+    """
+    if name == RACE:
+        raise ConfigError("the race scenario has no epsilon parameter to sweep")
+    base = _mixture_base(name, confidence)
+    _checked_epsilon(base, 0)
+    _, learning, deviating = _base_values(base)
+    if learning >= 0 > deviating:
+        return learning / (learning - deviating)
+    return None

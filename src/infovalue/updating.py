@@ -175,6 +175,14 @@ class UpdatePolicy:
             raise MissingPosteriorError(f"no posterior for state {state!r}") from None
 
 
+def _epsilon(value) -> Fraction:
+    """``value`` read as the chance of deviating, refused outside ``[0, 1]``."""
+    eps = as_fraction(value)
+    if not 0 <= eps <= 1:
+        raise ValidationError(f"epsilon must lie in [0, 1], got {eps}")
+    return eps
+
+
 @dataclass(frozen=True)
 class DeviationSpec:
     """How an agent suspects they might misupdate.
@@ -191,10 +199,7 @@ class DeviationSpec:
     deviant_posteriors: Mapping[Event, Credence] = field(hash=False)
 
     def __post_init__(self) -> None:
-        eps = as_fraction(self.epsilon)
-        if not 0 <= eps <= 1:
-            raise ValidationError(f"epsilon must lie in [0, 1], got {eps}")
-        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "epsilon", _epsilon(self.epsilon))
         cleaned = {}
         for cell, posterior in self.deviant_posteriors.items():
             if posterior.space != cell.space:
@@ -250,47 +255,16 @@ def mixture_expand(
     The prior is the base prior's product; a cell's stay posterior is the
     product of the base prior conditioned on the cell, and its deviate
     posterior that of the cell's deviant posterior (or the stay posterior
-    when the spec gives none).
+    when the spec gives none).  A product prices every lifted act exactly
+    as its base credence prices the base act, so each posterior chooses as
+    its base credence does, and ``val_general`` of the expansion is
+    ``(1 - epsilon)`` times the base problem's value under conditioning
+    plus ``epsilon`` times its value under the deviant posteriors.
 
     A zero-probability cell could never be learned; it is refused up front,
     as problem files refuse it.
 
-    Built in two steps: the epsilon-free frame (expanded space, lifted
-    actions and cells, and the base credences of each cell), then the
-    products at ``spec.epsilon``.  A caller that expands one problem at
-    many epsilons builds the frame once.
-
     Returns the expanded problem and the expanded update policy.
-    """
-    return _mixed(_mixture_frame(problem, partition, spec, labels), spec.epsilon)
-
-
-class _MixtureFrame(NamedTuple):
-    """The epsilon-free part of :func:`mixture_expand`.
-
-    ``cells`` holds, per base cell in partition order, the (stay, deviate)
-    ids of its members and the base credences whose products become its
-    stay and deviate posteriors (the same object when the cell has no
-    deviant posterior).
-    """
-
-    problem: DecisionProblem
-    space: StateSpace
-    choices: ChoiceSet
-    partition: EvidencePartition
-    cells: tuple[tuple[tuple[tuple[str, str], ...], Credence, Credence], ...]
-
-
-def _mixture_frame(
-    problem: DecisionProblem,
-    partition: EvidencePartition,
-    spec: DeviationSpec,
-    labels: tuple[str, str],
-) -> _MixtureFrame:
-    """Validate a self-doubt expansion and build all of it that epsilon leaves alone.
-
-    Reads only ``spec.deviant_posteriors``, which :class:`DeviationSpec`
-    has checked, so the frame serves the same deviation at any epsilon.
     """
     stay, deviate = labels
     if stay == deviate or not stay or not deviate:
@@ -314,57 +288,7 @@ def _mixture_frame(
             "expanded state ids collide; rename base states or pass other labels"
         )
     space = StateSpace(tuple(expanded_ids))
-
-    actions = tuple(
-        Action(
-            a.id,
-            {
-                _joined(s, label): a.outcome_in(s)
-                for s in base_states
-                for label in (stay, deviate)
-            },
-        )
-        for a in problem.choices
-    )
-    lifted_cells = tuple(
-        Event(
-            space,
-            frozenset(
-                _joined(s, label)
-                for s in cell.members
-                for label in (stay, deviate)
-            ),
-        )
-        for cell in partition.cells
-    )
-    cells = []
-    for base_cell in partition.cells:
-        correct = condition(problem.prior, base_cell)
-        cells.append((
-            tuple((_joined(s, stay), _joined(s, deviate)) for s in base_cell.members),
-            correct,
-            spec.deviant_posteriors.get(base_cell, correct),
-        ))
-    return _MixtureFrame(
-        problem,
-        space,
-        ChoiceSet(actions),
-        EvidencePartition(space, lifted_cells),
-        tuple(cells),
-    )
-
-
-def _mixed(
-    frame: _MixtureFrame, eps: Fraction
-) -> tuple[DecisionProblem, UpdatePolicy]:
-    """The expanded problem and policy of ``frame`` at ``eps``, in ``[0, 1]``.
-
-    Each posterior is certain of its lifted cell by construction: the stay
-    side is a conditioned prior and the deviate side a posterior that
-    :class:`DeviationSpec` checked, and a product keeps each one's support
-    inside the lifted cell.
-    """
-    problem, space = frame.problem, frame.space
+    eps = spec.epsilon
     keeps, flips = eps.denominator - eps.numerator, eps.numerator
 
     def mixed(base: Credence) -> Credence:
@@ -372,21 +296,39 @@ def _mixed(
             space, [w for n in base.nums for w in (n * keeps, n * flips)]
         )
 
+    actions = tuple(
+        Action(
+            a.id,
+            {
+                _joined(s, label): a.outcome_in(s)
+                for s in base_states
+                for label in labels
+            },
+        )
+        for a in problem.choices
+    )
     expanded = DecisionProblem(
         space,
         problem.outcomes,
         mixed(problem.prior),
-        frame.choices,
+        ChoiceSet(actions),
         tie_policy=problem.tie_policy,
     )
-    posteriors: dict[str, Credence] = {}
-    for pairs, correct, distorted in frame.cells:
-        stay_posterior = mixed(correct)
-        deviate_posterior = stay_posterior if distorted is correct else mixed(distorted)
-        for stay, deviate in pairs:
-            posteriors[stay] = stay_posterior
-            posteriors[deviate] = deviate_posterior
-    return expanded, UpdatePolicy._checked(frame.partition, posteriors)
+    # certain of each lifted cell by construction: the stay side is a
+    # conditioned prior, the deviate side a posterior DeviationSpec checked,
+    # and a product keeps each one's support inside the lifted cell
+    lifted_cells, posteriors = [], {}
+    for base_cell in partition.cells:
+        lifted = frozenset(_joined(s, label) for s in base_cell.members for label in labels)
+        lifted_cells.append(Event(space, lifted))
+        correct = mixed(condition(problem.prior, base_cell))
+        deviant = spec.deviant_posteriors.get(base_cell)
+        distorted = correct if deviant is None else mixed(deviant)
+        for s in base_cell.members:
+            posteriors[_joined(s, stay)] = correct
+            posteriors[_joined(s, deviate)] = distorted
+    partition = EvidencePartition(space, tuple(lifted_cells))
+    return expanded, UpdatePolicy._checked(partition, posteriors)
 
 
 class _PosteriorClass(NamedTuple):

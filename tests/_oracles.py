@@ -9,6 +9,7 @@ share no arithmetic.
 
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 
 def dist_of(credence):
@@ -85,6 +86,25 @@ def brute_mixture(base, partition, spec, labels=("stay", "deviate")):
     return prior, posteriors
 
 
+def brute_lifted(base, labels=("stay", "deviate")):
+    """``base`` as the oracles read a problem, over :func:`brute_mixture`'s states.
+
+    Each act pays in ``s·label`` what it pays in ``s``.  Only the fields
+    the oracles read are kept: the outcomes, and each act's assignment.
+    """
+    actions = [
+        SimpleNamespace(
+            assignment={
+                f"{s}·{label}": outcome
+                for s, outcome in action.assignment.items()
+                for label in labels
+            }
+        )
+        for action in base.choices.actions
+    ]
+    return SimpleNamespace(outcomes=base.outcomes, choices=SimpleNamespace(actions=actions))
+
+
 def brute_deviating_states(problem, policy):
     """Positive-prior states whose posterior is not their conditioned prior.
 
@@ -111,16 +131,21 @@ def brute_val_good(problem, partition):
     return informed - best_value(problem, prior)
 
 
-def brute_val_general(problem, policy):
+def brute_val_general(problem, policy, prior=None, posteriors=None):
     """Definitional state-by-state sum of realized payoffs, minus prior best.
 
-    Ties resolve first-by-order, which agrees with the library on tie-free
-    instances and on problems whose declared tie policy is first-by-order.
+    ``prior`` and ``posteriors`` default to the problem's prior and the
+    policy's posteriors; pass plain dicts, such as :func:`brute_mixture`'s,
+    to score them instead.  Ties resolve first-by-order, which agrees with
+    the library on tie-free instances and on problems whose declared tie
+    policy is first-by-order.
     """
-    prior = dist_of(problem.prior)
+    prior = dist_of(problem.prior) if prior is None else prior
+    if posteriors is None:
+        posteriors = {s: dist_of(p) for s, p in policy.posteriors.items()}
     realized = Fraction(0)
     for state, mass in prior.items():
-        chosen = first_best(problem, dist_of(policy.posteriors[state]))
+        chosen = first_best(problem, posteriors[state])
         realized += mass * payoff(problem, chosen, state)
     return realized - best_value(problem, prior)
 

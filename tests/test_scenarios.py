@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from infovalue import scenarios
+from infovalue import scenarios, updating
 from infovalue.errors import ConfigError, InfoValueError, ValidationError
 from infovalue.problemfile import dumps
 from infovalue.scenarios import (
@@ -20,6 +20,7 @@ from infovalue.scenarios import (
     scenario_race,
     scenario_unknown_bias,
     sweep,
+    threshold,
 )
 from infovalue.updating import (
     CONDITIONALIZATION,
@@ -310,17 +311,23 @@ class TestSweepBuildsOnce:
             lambda: row_by_row(name, GRID, confidence)
         )
 
-    def test_the_expansion_frame_is_built_once(self, monkeypatch):
-        frames = []
+    def test_a_sweep_expands_no_row(self, monkeypatch):
+        """Rows come from two base evaluations; building one scenario
+        still expands once, through the same counter."""
+        expansions = []
 
-        def counted(*args):
-            frames.append(args)
-            return build_frame(*args)
+        def counted(*args, **kwargs):
+            expansions.append(args)
+            return expand(*args, **kwargs)
 
-        build_frame = scenarios._mixture_frame
-        monkeypatch.setattr(scenarios, "_mixture_frame", counted)
-        assert len(sweep(UNKNOWN_BIAS, GRID).rows) == len(GRID)
-        assert len(frames) == 1
+        expand = scenarios.mixture_expand
+        monkeypatch.setattr(scenarios, "mixture_expand", counted)
+        monkeypatch.setattr(updating, "mixture_expand", counted)
+        for name in (GAMBLERS, UNKNOWN_BIAS):
+            assert len(sweep(name, GRID).rows) == len(GRID)
+        assert expansions == []
+        build_scenario(UNKNOWN_BIAS, epsilon=Fraction(1, 2))
+        assert len(expansions) == 1
 
     @pytest.mark.parametrize(
         "name, epsilons, confidence, error, message",
@@ -384,3 +391,51 @@ class TestSweepBuildsOnce:
         assert str(exc.value) == (
             f"epsilons must be a sequence of values, not the string {epsilons!r}"
         )
+
+
+class TestThreshold:
+    @pytest.mark.parametrize(
+        "name, confidence, expected",
+        [
+            (UNKNOWN_BIAS, None, Fraction(1, 7)),
+            (GAMBLERS, None, Fraction(0)),
+            (UNKNOWN_BIAS, "1", Fraction(1, 7)),
+            (UNKNOWN_BIAS, "0", Fraction(1, 19)),
+            (UNKNOWN_BIAS, "91/100", Fraction(1, 7)),
+        ],
+    )
+    def test_the_expansion_at_the_threshold_is_worth_exactly_nothing(
+        self, name, confidence, expected
+    ):
+        epsilon = threshold(name, confidence)
+        assert epsilon == expected
+        scenario = build_scenario(name, epsilon=epsilon, confidence=confidence)
+        assert val_general(scenario.problem, scenario.policy) == 0
+        [row] = sweep(name, [epsilon], confidence).rows
+        assert (row.val_general, row.decision) == (0, "learn")
+
+    def test_learning_that_never_stops_paying_has_no_threshold(self):
+        assert threshold(UNKNOWN_BIAS, "3/5") is None
+        rows = sweep(UNKNOWN_BIAS, GRID, "3/5").rows
+        assert all(row.decision == "learn" for row in rows)
+
+    @pytest.mark.parametrize(
+        "name, confidence, error, message",
+        [
+            (UNKNOWN_BIAS, "1/2", ConfigError, (
+                "fallacy confidence 1/2 makes acts tie at expected utility 0: "
+                "safe, bet-heads, bet-tails"
+            )),
+            (UNKNOWN_BIAS, "9/10", ConfigError, TIE),
+            (UNKNOWN_BIAS, "11/10", ConfigError, "fallacy confidence must lie in [0, 1], got 11/10"),
+            (UNKNOWN_BIAS, "x", ValidationError, BAD_RATIONAL),
+            (GAMBLERS, "9/10", ConfigError, "the gamblers scenario has a fixed fallacy confidence of 9/10"),
+            ("lottery", None, ConfigError, (
+                "unknown scenario 'lottery'; expected one of race, gamblers, unknown-bias"
+            )),
+            (RACE, None, ConfigError, "the race scenario has no epsilon parameter to sweep"),
+        ],
+    )
+    def test_refuses_what_sweep_refuses(self, name, confidence, error, message):
+        assert outcome(lambda: threshold(name, confidence)) == (error, message)
+        assert outcome(lambda: sweep(name, [Fraction(1, 2)], confidence)) == (error, message)

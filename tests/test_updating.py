@@ -1,5 +1,7 @@
 """Partitions, update policies, mixtures, modesty, and independence checks."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from infovalue.decision import (
     ERROR_ON_TIE,
+    FIRST_BY_ORDER,
     Action,
     ChoiceSet,
     DecisionProblem,
@@ -17,6 +20,7 @@ from infovalue.errors import (
     IndependenceBrokenError,
     MissingPosteriorError,
     SpaceMismatchError,
+    TieError,
     ValidationError,
 )
 from infovalue.prob import Credence, Event, StateSpace, condition, probability
@@ -32,13 +36,16 @@ from infovalue.updating import (
     mixture_expand,
     modesty_degree,
 )
-from infovalue.voi import evaluate
+from infovalue.properties import random_deviation_spec, random_problem
+from infovalue.voi import evaluate, val_general
 
 from _oracles import (
     best_value,
     brute_deviating_states,
     brute_independence_witness,
+    brute_lifted,
     brute_mixture,
+    brute_val_general,
     conditioned,
     dist_of,
     eu,
@@ -406,6 +413,64 @@ class TestMixtureAgainstTheDefinition:
             assert dist_of(policy.posterior(state)) == posteriors[state]
 
 
+@st.composite
+def affine_inputs(draw):
+    """A generated base problem and deviation, under either tie policy, at
+    epsilon 0, 1 or a drawn value in between."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    problem, partition = random_problem(rng, 2, 6, need_wide_cell=True)
+    spec = random_deviation_spec(rng, problem.prior, partition)
+    tie_policy = draw(st.sampled_from((ERROR_ON_TIE, FIRST_BY_ORDER)))
+    epsilon = draw(
+        st.sampled_from((Fraction(0), Fraction(1)))
+        | st.fractions(min_value=0, max_value=1, max_denominator=16)
+    )
+    return (
+        replace(problem, tie_policy=tie_policy),
+        partition,
+        DeviationSpec(epsilon, spec.deviant_posteriors),
+    )
+
+
+def value_or_tie(call):
+    try:
+        return call()
+    except TieError:
+        return TieError
+
+
+class TestMixtureIsAffineInEpsilon:
+    @settings(max_examples=300, deadline=None)
+    @given(affine_inputs())
+    def test_the_expanded_value_is_the_mix_of_two_base_values(self, drawn):
+        """``val_general`` of the expansion is ``(1 - eps) * V_c + eps * V_d``,
+        with ``V_c`` the base value under conditioning and ``V_d`` under the
+        deviant posteriors (the conditioned prior on cells without one).  A
+        side of zero weight has no positive-prior state, so it chooses
+        nowhere and is not evaluated."""
+        problem, partition, spec = drawn
+        eps = spec.epsilon
+        learning = conditionalization_policy(problem.prior, partition)
+        deviating = UpdatePolicy(partition, {
+            s: spec.deviant_posteriors.get(partition.cell_of(s), posterior)
+            for s, posterior in learning.posteriors.items()
+        })
+        sides = [(1 - eps, learning), (eps, deviating)]
+        expanded = value_or_tie(lambda: val_general(*mixture_expand(problem, partition, spec)))
+        affine = value_or_tie(lambda: sum(
+            (weight * val_general(problem, policy) for weight, policy in sides if weight),
+            Fraction(0),
+        ))
+        if 0 < eps < 1:
+            assert (expanded is TieError) == (affine is TieError)
+        assert expanded == affine
+        if expanded is not TieError:
+            brute = brute_val_general(
+                brute_lifted(problem), None, *brute_mixture(problem, partition, spec)
+            )
+            assert expanded == brute
+
+
 class TestListBuiltContainers:
     def test_lists_build_what_tuples_build(self):
         space = StateSpace(list(BASE.states))
@@ -618,7 +683,7 @@ ELSEWHERE_POLICY = conditionalization_policy(SURE_X, ELSEWHERE_PARTITION)
         ),
         (
             lambda: mixture_expand(base_problem(), ELSEWHERE_PARTITION, DeviationSpec(0, {})),
-            SpaceMismatchError, "_mixture_frame", "partition is not over the problem's space",
+            SpaceMismatchError, "mixture_expand", "partition is not over the problem's space",
         ),
         (
             lambda: deviating_states(ELSEWHERE_POLICY, PRIOR),
