@@ -47,7 +47,7 @@ from .errors import (
     NoDeviationError,
     ValidationError,
 )
-from .prob import Credence, Event, StateSpace, condition, probability
+from .prob import Credence, Event, StateSpace, as_fraction, condition, probability
 from .updating import (
     UpdatePolicy,
     _cell_table,
@@ -82,6 +82,7 @@ class Deviation:
     In ``state`` (prior-possible, inside ``cell``), the policy's posterior
     puts probability ``q`` on ``event`` while the conditioned prior puts
     ``r`` on it, and the two differ.  That gap is what a bet can exploit.
+    ``q`` and ``r`` are read by :func:`~infovalue.prob.as_fraction`.
     """
 
     cell: Event
@@ -91,6 +92,8 @@ class Deviation:
     r: Fraction
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "q", as_fraction(self.q))
+        object.__setattr__(self, "r", as_fraction(self.r))
         if self.state not in self.cell:
             raise ValidationError(
                 f"state {self.state!r} is not in cell {self.cell.describe()}"
@@ -118,8 +121,10 @@ def construct_bet(q: Fraction, r: Fraction) -> tuple[Fraction, Fraction]:
     normalized to ``win + loss = 1``, so the bet is favorable to a
     credence exactly when it puts more than ``loss`` on the event; the
     midpoint construction puts that threshold strictly between ``r`` and
-    ``q``, and both stakes land strictly inside (0, 1).
+    ``q``, and both stakes land strictly inside (0, 1).  ``q`` and ``r``
+    are read by :func:`~infovalue.prob.as_fraction`.
     """
+    q, r = as_fraction(q), as_fraction(r)
     for name, value in (("q", q), ("r", r)):
         if not 0 <= value <= 1:
             raise ValidationError(f"{name} must lie in [0, 1], got {value}")
@@ -347,33 +352,31 @@ def _priced(
     return event, event if q > r else event.complement(), bet_win, bet_loss
 
 
-def _taker_tallies(
-    classes: tuple[_PosteriorClass, ...],
-    supports: list[tuple[tuple[int, int], ...]],
-    mask: int,
-    loss_num: int,
-    loss_den: int,
+def _tally(
+    tables: list, combo: tuple[int, ...], mirrored: bool, loss_num: int, loss_den: int
 ) -> tuple[int, int]:
-    """The prior weights of the bet's takers, and of those among them in the bet.
+    """The prior weights of a bet's takers, and of those among them in the bet.
 
-    Outside the deviation's cell both acts pay 0 and every state declines
-    by ties-to-safe, so only the cell's states can take the bet: a state
-    takes it iff its posterior puts more than ``loss_num / loss_den`` on
-    the bet's members (bit ``i`` of ``mask`` for member ``i``), summed over
-    each class's non-zero ``(member index, mass)`` entries in ``supports``.
-    The takers' choices stay uninformative iff the bet event's share of
-    their weight equals its share of the whole cell's; the decliners are
-    the rest of the cell, so their share then matches too, and an empty
-    group matches trivially.
+    Only the cell's states can take the bet: outside it both acts pay 0
+    and ties go to safe.  ``tables`` holds each posterior class's row, its
+    states' prior weights by member, its weight and ``den``; a class takes
+    the bet iff its mass on it exceeds ``loss_num / loss_den``.  Both sums
+    run along ``combo``.  A ``mirrored`` bet is the rest of the cell: there
+    a posterior certain of its cell has ``den`` less its mass on ``combo``,
+    and a class its weight less its weight on ``combo``.  The bet keeps
+    choices uninformative iff its takers hold it at the cell's odds.
     """
     taker_weight = taker_bet_weight = 0
-    for cls, support in zip(classes, supports):
-        class_sum = sum(m for i, m in support if mask >> i & 1)
-        if class_sum * loss_den > loss_num * cls.den:
-            for i, weight in cls.weights:
-                taker_weight += weight
-                if mask >> i & 1:
-                    taker_bet_weight += weight
+    for row, own, class_weight, den in tables:
+        mass = weight = 0
+        for i in combo:
+            mass += row[i]
+            weight += own[i]
+        if mirrored:
+            mass, weight = den - mass, class_weight - weight
+        if mass * loss_den > loss_num * den:
+            taker_weight += class_weight
+            taker_bet_weight += weight
     return taker_weight, taker_bet_weight
 
 
@@ -406,10 +409,11 @@ def demonstrate_aversion(
     Every other cell is walked in full.  States that share a posterior
     price every event alike, so each posterior is walked once, at its first
     state; a later state holding it would only repeat bets already
-    rejected.  A candidate's stake is an integer over one denominator per
-    cell, so pricing and deciding a candidate costs O(|cell|) integer
-    operations per posterior; the stakes become ``Fraction``s only for the
-    first rejected candidate and for the certificate.  A cell of ``n``
+    rejected.  Stakes are integers over one denominator per cell, and each
+    distinct posterior's mass on a candidate is summed along the
+    candidate's own members (:func:`_tally`), in O(|event|) integer
+    operations.  Stakes become ``Fraction``s only for the certificate, or
+    for the first rejected candidate when none survives.  A cell of ``n``
     states that is not calibrated walks up to ``2**n - 2`` events per
     distinct deviating posterior.
 
@@ -423,7 +427,7 @@ def demonstrate_aversion(
     space = prior.space
     if space != policy.space:
         raise ValidationError("policy is not over the problem's space")
-    first_rejected: tuple[Event, Event, Fraction, Fraction] | None = None
+    first_rejected = None  # as (cell, members, combo, q_num, den, r_num, total)
     for cell in policy.partition.cells:
         members, weights, total, classes = _cell_table(prior, policy, cell)
         deviating = [cls for cls in classes if cls.deviates]
@@ -435,11 +439,14 @@ def demonstrate_aversion(
                 combo, _, q_num, r_num = next(
                     _disagreements(cls.row, cls.den, weights, total)
                 )
-                q, r = Fraction(q_num, cls.den), Fraction(r_num, total)
-                _, bet_event, bet_win, bet_loss = _priced(space, members, combo, q, r)
-                first_rejected = (cell, bet_event, bet_win, bet_loss)
+                first_rejected = (cell, members, combo, q_num, cls.den, r_num, total)
             continue
-        supports = [tuple((i, m) for i, m in enumerate(cls.row) if m) for cls in classes]
+        tables = []
+        for cls in classes:
+            own = [0] * len(members)
+            for i, weight in cls.weights:
+                own[i] = weight
+            tables.append((cls.row, own, sum(own), cls.den))
         scale = lcm(*(cls.den for cls in classes))
         loss_den = 2 * scale * total
         everything = (1 << len(members)) - 1
@@ -449,26 +456,21 @@ def demonstrate_aversion(
             q_scale = scale // den * total
             for combo, mask, q_num, r_num in _disagreements(cls.row, den, weights, total):
                 midpoint = q_num * q_scale + r_num * scale  # (q + r) * loss_den / 2
-                if q_num * total > r_num * den:
-                    bet_mask, bet_weight, loss_num = mask, r_num, midpoint
+                mirrored = q_num * total < r_num * den
+                if mirrored:  # the bet is on the rest of the cell
+                    key = (mask ^ everything, loss_den - midpoint)
+                    bet_weight = total - r_num
                 else:
-                    bet_mask, bet_weight, loss_num = (
-                        mask ^ everything, total - r_num, loss_den - midpoint
-                    )
-                key = (bet_mask, loss_num)
+                    key, bet_weight = (mask, midpoint), r_num
                 if key not in tallies:
-                    tallies[key] = _taker_tallies(
-                        classes, supports, bet_mask, loss_num, loss_den
-                    )
+                    tallies[key] = _tally(tables, combo, mirrored, key[1], loss_den)
                 taker_weight, taker_bet_weight = tallies[key]
-                verdict = taker_bet_weight * total == bet_weight * taker_weight
-                if not verdict and first_rejected is not None:
+                if taker_bet_weight * total != bet_weight * taker_weight:
+                    if first_rejected is None:
+                        first_rejected = (cell, members, combo, q_num, den, r_num, total)
                     continue
                 q, r = Fraction(q_num, den), Fraction(r_num, total)
                 event, bet_event, bet_win, bet_loss = _priced(space, members, combo, q, r)
-                if not verdict:
-                    first_rejected = (cell, bet_event, bet_win, bet_loss)
-                    continue
                 taker_loss_weight = taker_weight - taker_bet_weight
                 return AversionCertificate(
                     deviation=Deviation(
@@ -488,6 +490,9 @@ def demonstrate_aversion(
             "the policy conditionalizes at every prior-possible state; "
             "there is no disagreement to bet against"
         )
-    synthesized = _synthesize(problem, *first_rejected)
+    cell, members, combo, q_num, den, r_num, total = first_rejected
+    q, r = Fraction(q_num, den), Fraction(r_num, total)
+    _, bet_event, bet_win, bet_loss = _priced(space, members, combo, q, r)
+    synthesized = _synthesize(problem, cell, bet_event, bet_win, bet_loss)
     cell, action, probe = find_independence_violation(synthesized, policy)
     raise IndependenceBrokenError(cell, action.id, probe.id)

@@ -135,6 +135,12 @@ class TestConstructBet:
             Fraction(1, 2),
         )
 
+    def test_reads_rational_strings(self):
+        assert construct_bet("1/2", "1/4") == (Fraction(5, 8), Fraction(3, 8))
+        deviation = Deviation(WHOLE, "g", Event(TWO, frozenset({"g"})), "9/10", 0)
+        assert (deviation.q, deviation.r) == (Fraction(9, 10), Fraction(0))
+        assert type(deviation.q) is type(deviation.r) is Fraction
+
     def test_mirrored_disagreements_use_the_complement_stakes(self):
         assert construct_bet(Fraction(1, 10), Fraction(1, 2)) == construct_bet(
             Fraction(9, 10), Fraction(1, 2)
@@ -598,14 +604,49 @@ CALIBRATED_TWO_CELLS = Plain(
     (tuple("abcd"), ("e", "f")),
     {"a": AC, "b": BD, "c": AC, "d": BD, "e": {"e": F(1)}, "f": {"f": F(1)}},
 )
-# clairvoyant but for a, which is half on itself and half on b: not
-# calibrated, so every bet is walked, and every one leaks
-MISCALIBRATED_4 = Plain(
-    tuple("abcd"),
-    normalized(tuple("abcd"), (1, 2, 3, 4)),
-    (tuple("abcd"),),
-    {"a": {"a": F(1, 2), "b": F(1, 2)}} | {s: {s: F(1)} for s in "bcd"},
+
+
+def miscalibrated(states, weights):
+    """One cell, clairvoyant but for the first state, which is half on
+    itself and half on the second: not calibrated, so every bet is walked,
+    and every one leaks.  A state certain of itself always bets on the side
+    of a candidate that holds it, at stake (1 + r) / 2 for that side's r, so
+    every such state in a bet's event reaches the same (bet, stake) pair."""
+    first, second = states[:2]
+    return Plain(
+        states,
+        normalized(states, weights),
+        (states,),
+        {first: {first: F(1, 2), second: F(1, 2)}} | {s: {s: F(1)} for s in states[1:]},
+    )
+
+
+MISCALIBRATED_4 = miscalibrated(tuple("abcd"), (1, 2, 3, 4))
+MISCALIBRATED_6 = miscalibrated(tuple("abcdef"), (1,) * 6)
+MISCALIBRATED_8 = miscalibrated(tuple("abcdefgh"), (3, 1, 4, 1, 5, 9, 2, 6))
+# a (den 4) certifies on {b} with q = 1/2 < r = 3/4, so the bet is the
+# rest of the cell, {a, c}, at stake 3/8.  b (den 2) puts half its mass on
+# that bet, all of it at the zero-prior c: only den less b's mass on {b}
+# makes b a taker
+QUARTER_C = {"a": F(1, 4), "b": F(1, 2), "c": F(1, 4)}
+MIRRORED_ZERO_PRIOR = Plain(
+    ("a", "b", "c"),
+    {"a": F(1, 4), "b": F(3, 4), "c": F(0)},
+    (("a", "b", "c"),),
+    {"a": QUARTER_C, "b": {"b": F(1, 2), "c": F(1, 2)}, "c": QUARTER_C},
 )
+
+
+def priced_bets(monkeypatch):
+    """The ``(q, r)`` of every bet the search prices from here on."""
+    calls = []
+
+    def counted(q, r):
+        calls.append((q, r))
+        return construct_bet(q, r)
+
+    monkeypatch.setattr(adversary, "construct_bet", counted)
+    return calls
 
 
 class TestCertificateWalk:
@@ -620,12 +661,16 @@ class TestCertificateWalk:
     @example((PARTLY_CALIBRATED_3, True))
     @example((CALIBRATED_TWO_CELLS, False))
     @example((MISCALIBRATED_4, True))
+    @example((MIRRORED_ZERO_PRIOR, False))
+    @example((MISCALIBRATED_6, True))
+    @example((MISCALIBRATED_8, False))
     def test_agrees_with_the_brute_walk(self, drawn):
         assert_matches_the_walk(*drawn)
 
     def test_calibrated_refusal_prices_no_bet_beyond_its_witness(self, monkeypatch):
         """A one-cell clairvoyant policy is calibrated: its refusal walks
-        none of the 2**16 - 2 events after the first."""
+        none of the 2**16 - 2 events after the first, and prices one bet,
+        its witness."""
         states = tuple(f"s{i}" for i in range(16))
         plain = Plain(
             states,
@@ -633,24 +678,20 @@ class TestCertificateWalk:
             (states,),
             {s: {s: F(1)} for s in states},
         )
-        calls = []
-        tallies = adversary._taker_tallies
-
-        def counted(*args):
-            calls.append(args)
-            return tallies(*args)
-
-        monkeypatch.setattr(adversary, "_taker_tallies", counted)
+        calls = priced_bets(monkeypatch)
         problem, policy = build_plain(plain, share=True)
         with pytest.raises(IndependenceBrokenError) as exc:
             demonstrate_aversion(problem, policy)
-        assert len(calls) <= 1
+        assert calls == [(F(1), plain.prior["s0"])]
         witness = exc.value.cell.members, exc.value.chosen_action, exc.value.probe_action
         assert witness == (set(states), SAFE_ID, RISKY_ID)
 
     @pytest.mark.parametrize("share", [True, False])
-    def test_later_posterior_class_certifies(self, share):
+    def test_later_posterior_class_certifies(self, share, monkeypatch):
+        """a's bets are all rejected, and only c's certificate is priced."""
+        calls = priced_bets(monkeypatch)
         cert = demonstrate_aversion(*build_plain(CLASS_SKIP, share))
+        assert calls == [(F(1, 4), F(1, 7))]
         assert cert.deviation.state == "c"
         assert cert.deviation.event.members == {"a"}
         assert (cert.deviation.q, cert.deviation.r) == (F(1, 4), F(1, 7))
@@ -682,6 +723,12 @@ def paid_to_decline(cert):
     return dataclasses.replace(cert, problem=problem)
 
 
+FLOAT_HALF = (
+    "expected an exact rational, got float 0.5; "
+    "pass a Fraction, an int, or a string like '1/10'"
+)
+
+
 @pytest.mark.parametrize(
     "build, location, message",
     [
@@ -690,8 +737,36 @@ def paid_to_decline(cert):
             "AversionCertificate.__post_init__",
             "declining must be prior-optimal at exactly 0, got 1",
         ),
+        (lambda: construct_bet(0.5, Fraction(1, 4)), "_ratio", FLOAT_HALF),
+        (
+            lambda: construct_bet(True, False),
+            "_ratio",
+            "expected an exact rational, got bool True",
+        ),
+        (
+            lambda: Deviation(WHOLE, "g", Event(TWO, frozenset({"g"})), 0.5, Fraction(1, 4)),
+            "_ratio",
+            FLOAT_HALF,
+        ),
+        (
+            lambda: Deviation(WHOLE, "g", Event(TWO, frozenset({"g"})), Fraction(1, 2), False),
+            "_ratio",
+            "expected an exact rational, got bool False",
+        ),
+        (
+            lambda: construct_bet("1/2", "0.25"),
+            "_ratio",
+            "expected an exact rational string like '3/4' or '-2', got '0.25'",
+        ),
     ],
-    ids=["baseline-not-zero"],
+    ids=[
+        "baseline-not-zero",
+        "bet-float-q",
+        "bet-bool-q",
+        "deviation-float-q",
+        "deviation-bool-r",
+        "bet-decimal-string-r",
+    ],
 )
 def test_refusals(build, location, message):
     assert refusal(build) == (ValidationError, location, message)
