@@ -20,7 +20,13 @@ import sys
 
 from .adversary import demonstrate_aversion
 from .errors import ConfigError, InfoValueError
-from .problemfile import canonical_json, load_problem, problem_document, save_problem
+from .problemfile import (
+    _overwrite,
+    canonical_json,
+    load_problem,
+    problem_document,
+    save_problem,
+)
 from .properties import property_suite
 from .scenarios import SCENARIO_NAMES, build_scenario, sweep
 from .updating import CONDITIONALIZATION, conditionalization_policy
@@ -70,9 +76,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
     scenario = build_scenario(args.name, epsilon=args.epsilon, confidence=args.confidence)
-    _print_report(evaluate(scenario.problem, scenario.policy))
+    report = evaluate(scenario.problem, scenario.policy)
     if args.out:
         save_problem(args.out, scenario.problem, scenario.policy)
+    _print_report(report)
+    if args.out:
         print()
         print(f"problem file written to {args.out}")
     return 0
@@ -112,8 +120,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
     }
     text = canonical_json(doc) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _overwrite(args.out, text)
         print(
             f"learning is worth {certificate.val_general} under this policy; "
             f"certificate written to {args.out}"

@@ -80,6 +80,13 @@ class TestScenarioCommand:
         problem, _, policy = load_problem(path)
         assert evaluate(problem, policy).val_general == Fraction(-1, 20)
 
+    def test_out_prints_the_report_then_where_it_wrote(self, tmp_path, capsys):
+        path = tmp_path / "race.json"
+        assert main(["scenario", "race", "--out", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            RACE_REPORT + f"\nproblem file written to {path}\n"
+        )
+
     def test_race_takes_no_epsilon(self, capsys):
         assert main(["scenario", "race", "--epsilon", "1/2"]) == 1
         err = capsys.readouterr().err
@@ -283,6 +290,50 @@ class TestAdversaryCommand:
         assert json.loads(path.read_text(encoding="utf-8"))["policy"] == "conditionalization"
 
 
+def out_command(command, gamblers_file):
+    """(argv without --out, the line that names the file written) for ``command``."""
+    if command == "scenario":
+        return ["scenario", "gamblers", "--epsilon", "1/10"], "problem file written to {}"
+    return (
+        ["adversary", "--problem", gamblers_file],
+        "learning is worth -1/100 under this policy; certificate written to {}",
+    )
+
+
+@pytest.mark.parametrize("command", ["scenario", "adversary"])
+class TestOutFiles:
+    def test_a_longer_file_is_rewritten_to_exactly_a_fresh_write(
+        self, command, gamblers_file, tmp_path, capsys
+    ):
+        argv, _ = out_command(command, gamblers_file)
+        fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
+        assert main(argv + ["--out", str(fresh)]) == 0
+        reused.write_bytes(b"\xff" * (2 * fresh.stat().st_size))
+        assert main(argv + ["--out", str(reused)]) == 0
+        assert reused.read_bytes() == fresh.read_bytes()
+        assert "hh\\u00b7fallacy" in fresh.read_text(encoding="utf-8")
+
+    def test_dev_null_exits_0_with_the_usual_message(
+        self, command, gamblers_file, capsys
+    ):
+        argv, written = out_command(command, gamblers_file)
+        assert main(argv + ["--out", os.devnull]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith(written.format(os.devnull) + "\n")
+        assert captured.err == ""
+
+    def test_an_unwritable_out_exits_3_with_nothing_on_stdout(
+        self, command, gamblers_file, tmp_path, capsys
+    ):
+        argv, _ = out_command(command, gamblers_file)
+        path = tmp_path / "missing" / "out.json"
+        assert main(argv + ["--out", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error: ")
+        assert str(path) in captured.err
+
+
 class TestCheckCommand:
     def test_clean_run_exits_0(self, capsys):
         assert main(["check", "--trials", "8", "--seed", "7"]) == 0
@@ -330,6 +381,22 @@ def first_call(argv, columns):
         env=env,
     )
     return done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8")
+
+
+def test_python_dash_m_runs_the_command():
+    src = os.path.dirname(os.path.dirname(infovalue.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "infovalue", "sweep", "gamblers", "--epsilons", "0,1/2"],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (
+        b"epsilon  val_good  val_general  decision\n"
+        b"-------  --------  -----------  --------\n"
+        b"0        0         0            learn\n"
+        b"1/2      0         -1/4         decline\n"
+    )
 
 
 class TestReusedParser:

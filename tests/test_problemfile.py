@@ -1,6 +1,8 @@
 """Canonical JSON problem files: serialization, parsing, located errors."""
 
 import json
+import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -30,6 +32,7 @@ from infovalue.errors import (
 )
 from infovalue.prob import Credence, Event, StateSpace
 from infovalue.problemfile import (
+    _overwrite,
     canonical_json,
     dumps,
     format_rational,
@@ -40,6 +43,7 @@ from infovalue.problemfile import (
     save_problem,
 )
 from infovalue.properties import PROPERTY_NAMES, PropertyFailure, PropertyReport
+from infovalue.scenarios import scenario_gamblers
 from infovalue.updating import (
     CONDITIONALIZATION,
     EvidencePartition,
@@ -415,6 +419,59 @@ class TestRoundTrips:
         strict = fixture_problem(tie_policy=ERROR_ON_TIE)
         problem, _, _ = loads(dumps(strict, explicit_policy()))
         assert problem.tie_policy == FIRST_BY_ORDER
+
+
+class TestFileWriter:
+    """Every file is rewritten in place and cut to length, never truncated first."""
+
+    def test_a_shorter_document_over_a_longer_file_leaves_exactly_its_bytes(
+        self, tmp_path
+    ):
+        scenario = scenario_gamblers(Fraction(1, 10))
+        fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
+        save_problem(fresh, scenario.problem, scenario.policy)
+        reused.write_bytes(b"\xff" * (2 * fresh.stat().st_size))
+        save_problem(reused, scenario.problem, scenario.policy)
+        assert reused.read_bytes() == fresh.read_bytes()
+        assert load_problem(reused)[0].space.states[0] == "hh·bayes"
+
+    def test_the_file_is_cut_at_the_encoded_length_not_the_character_count(
+        self, tmp_path
+    ):
+        path = tmp_path / "text"
+        path.write_bytes(b"x" * 64)
+        _overwrite(path, "hh·bayes\n")
+        assert path.read_bytes() == "hh·bayes\n".encode("utf-8")
+
+    def test_a_symlink_stays_a_link_and_its_target_gets_the_bytes(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_bytes(b"x" * 4096)
+        link.symlink_to(target)
+        save_problem(link, fixture_problem(), explicit_policy())
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8") == FIXTURE_TEXT
+
+    def test_an_old_file_keeps_its_mode_and_a_new_one_gets_the_umask(self, tmp_path):
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_bytes(b"x" * 4096)
+        old.chmod(0o640)
+        save_problem(old, fixture_problem(), explicit_policy())
+        save_problem(new, fixture_problem(), explicit_policy())
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(old.stat().st_mode) == 0o640
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+        assert old.read_text(encoding="utf-8") == FIXTURE_TEXT
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_is_written_without_asking_its_position(self):
+        read_end, write_end = os.pipe()
+        try:
+            save_problem(f"/dev/fd/{write_end}", fixture_problem(), explicit_policy())
+        finally:
+            os.close(write_end)
+        with open(read_end, encoding="utf-8") as handle:
+            assert handle.read() == FIXTURE_TEXT
 
 
 class TestParseErrors:
