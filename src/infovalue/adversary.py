@@ -21,8 +21,8 @@ punishing it for misjudging the world, and the accounting behind the
 demonstration breaks.  :func:`demonstrate_aversion` therefore walks
 candidate events in a deterministic order and certifies the first one
 whose synthesized bet leaves choices uninformative about payoffs; it
-refuses, with a witness, only if no event in the deviation's cell
-qualifies.
+refuses, naming the first deviating cell as the witness, only if no
+candidate in any deviating cell qualifies.
 """
 
 from __future__ import annotations
@@ -47,14 +47,13 @@ from .errors import (
     NoDeviationError,
     ValidationError,
 )
-from .prob import Credence, Event, StateSpace, as_fraction, condition, probability
+from .prob import Credence, Event, as_fraction, condition, probability
 from .updating import (
     UpdatePolicy,
     _cell_table,
     _choice_groups,
     _first_leak,
     _PosteriorClass,
-    find_independence_violation,
 )
 from .voi import _realized
 
@@ -148,11 +147,12 @@ class AversionCertificate:
     the bet is strictly attractive to the deviant posterior and strictly
     unattractive to the conditioned one, declining is prior-optimal at
     exactly 0, ``val_general`` — recomputed from scratch, not trusted
-    from the caller — is strictly negative, and the full
-    :func:`find_independence_violation` finds no choice that reveals
-    anything payoff-relevant, which the value's accounting requires.  The
-    recomputation and the independence check read one set of per-cell act
-    groups, built once from the synthesized problem and the policy.  Last
+    from the caller — is strictly negative, and the full independence
+    check (:func:`~infovalue.updating.find_independence_violation`) finds
+    no choice that reveals anything payoff-relevant, which the value's
+    accounting requires.  The recomputation and the independence check
+    read one set of per-cell act groups, built once from the synthesized
+    problem and the policy.  Last
     come the claims themselves: ``q`` and ``r`` are the deviant
     posterior's and the conditioned prior's probabilities of the
     deviation's event, ``bet_event`` is that event when ``q > r`` and its
@@ -304,17 +304,18 @@ def _is_calibrated(classes: tuple[_PosteriorClass, ...]) -> bool:
     prior prices the bet as a loss; that value is negative.  So every
     candidate in a calibrated cell is rejected.
 
-    In integers, with ``W`` the summed prior weight of a class's states,
-    the test is ``row[i] * W == w_i * den`` for each of those states.  That
-    suffices: the posterior is certain of its cell, so its row sums to
-    ``den``, and matching on the class's own states leaves 0 on every other
-    member.  It costs O(|cell| * classes) integer operations.
+    In integers, the test is ``row[i] * weight == own[i] * den`` at each
+    member with ``own[i] > 0``, the class's own states.  That suffices: the
+    posterior is certain of its cell, so its row sums to ``den``, and
+    matching on the class's own states leaves 0 on every other member.  It
+    costs O(|cell| * classes) integer operations.
     """
-    for cls in classes:
-        class_weight = sum(w for _, w in cls.weights)
-        if any(cls.row[i] * class_weight != w * cls.den for i, w in cls.weights):
-            return False
-    return True
+    return all(
+        mass * cls.weight == weight * cls.den
+        for cls in classes
+        for mass, weight in zip(cls.row, cls.own)
+        if weight
+    )
 
 
 def _disagreements(
@@ -339,35 +340,26 @@ def _disagreements(
                 yield combo, mask, q_num, r_num
 
 
-def _priced(
-    space: StateSpace,
-    members: tuple[str, ...],
-    combo: tuple[int, ...],
-    q: Fraction,
-    r: Fraction,
-) -> tuple[Event, Event, Fraction, Fraction]:
-    """A candidate's event, the event its bet is on, and the midpoint stakes."""
-    bet_win, bet_loss = construct_bet(q, r)
-    event = Event(space, frozenset(members[i] for i in combo))
-    return event, event if q > r else event.complement(), bet_win, bet_loss
-
-
 def _tally(
-    tables: list, combo: tuple[int, ...], mirrored: bool, loss_num: int, loss_den: int
+    classes: tuple[_PosteriorClass, ...],
+    combo: tuple[int, ...],
+    mirrored: bool,
+    loss_num: int,
+    loss_den: int,
 ) -> tuple[int, int]:
     """The prior weights of a bet's takers, and of those among them in the bet.
 
     Only the cell's states can take the bet: outside it both acts pay 0
-    and ties go to safe.  ``tables`` holds each posterior class's row, its
-    states' prior weights by member, its weight and ``den``; a class takes
-    the bet iff its mass on it exceeds ``loss_num / loss_den``.  Both sums
-    run along ``combo``.  A ``mirrored`` bet is the rest of the cell: there
-    a posterior certain of its cell has ``den`` less its mass on ``combo``,
-    and a class its weight less its weight on ``combo``.  The bet keeps
-    choices uninformative iff its takers hold it at the cell's odds.
+    and ties go to safe.  A posterior class takes the bet iff its mass on
+    it exceeds ``loss_num / loss_den``.  Its mass and its ``own`` weight
+    on the bet are summed along ``combo``.  A ``mirrored`` bet is the rest
+    of the cell: there a posterior certain of its cell has ``den`` less its
+    mass on ``combo``, and a class its ``weight`` less its weight on
+    ``combo``.  The bet keeps choices uninformative iff its takers hold it
+    at the cell's odds.
     """
     taker_weight = taker_bet_weight = 0
-    for row, own, class_weight, den in tables:
+    for _, row, den, own, class_weight, _ in classes:
         mass = weight = 0
         for i in combo:
             mass += row[i]
@@ -400,53 +392,53 @@ def demonstrate_aversion(
     class deviates when ``row[i] * total != w_i * den`` for some member.
     A calibrated cell, where each posterior is the prior conditioned on
     the states that hold it, can yield no certificate (see
-    :func:`_is_calibrated`).  Its walk stops at the first candidate of its
-    first deviating posterior, the first rejected one, and it is skipped
-    outright once an earlier cell has supplied that refusal witness; either
-    way its deviating states count as deviating.  This costs
-    O(|cell| * classes) integer operations.
+    :func:`_is_calibrated`), so it is skipped without a walk; its deviating
+    states still count as deviating.  This costs O(|cell| * classes)
+    integer operations.
 
     Every other cell is walked in full.  States that share a posterior
     price every event alike, so each posterior is walked once, at its first
     state; a later state holding it would only repeat bets already
     rejected.  Stakes are integers over one denominator per cell, and each
-    distinct posterior's mass on a candidate is summed along the
-    candidate's own members (:func:`_tally`), in O(|event|) integer
-    operations.  Stakes become ``Fraction``s only for the certificate, or
-    for the first rejected candidate when none survives.  A cell of ``n``
-    states that is not calibrated walks up to ``2**n - 2`` events per
-    distinct deviating posterior.
+    posterior class's mass and ``own`` weight on a candidate are summed
+    along the candidate's own members (:func:`_tally`), in O(|event|)
+    integer operations.  Stakes become ``Fraction``s only for the
+    certificate.  A cell of ``n`` states that is not calibrated walks up to
+    ``2**n - 2`` events per distinct deviating posterior.
 
     Raises :class:`NoDeviationError` if the policy conditionalizes at
-    every prior-possible state, and :class:`IndependenceBrokenError` (with
-    the witnessing cell/chosen/probe triple from the first candidate) if
+    every prior-possible state, and :class:`IndependenceBrokenError` if
     every exploitable disagreement is of the self-revealing kind the
-    demonstration's accounting excludes.
+    demonstration's accounting excludes.  Its witness is ``(the first
+    deviating cell, safe, risky)``, which is what the full independence
+    check finds on the first rejected candidate's bet:
+
+    - ``risky`` pays 0 outside the bet's cell, so every state there
+      declines (ties go to ``safe``), and no other cell can leak.
+    - A rejected bet has takers: the walked posterior takes its own bet.
+    - It also has decliners: if every state took it, the takers would hold
+      the bet at the cell's odds, and the bet would be accepted.
+    - ``safe`` pays 0, so probing ``safe`` never leaks.  Probing ``risky``
+      leaks from the safe group exactly when the two groups' odds on the
+      bet differ, and that is why the bet was rejected.
+    - Every deviating class yields at least one candidate (it differs from
+      the conditioned prior on some single member), so the first rejected
+      candidate lies in the first deviating cell.
     """
     prior = problem.prior
     space = prior.space
     if space != policy.space:
         raise ValidationError("policy is not over the problem's space")
-    first_rejected = None  # as (cell, members, combo, q_num, den, r_num, total)
+    first_deviating = None
     for cell in policy.partition.cells:
         members, weights, total, classes = _cell_table(prior, policy, cell)
         deviating = [cls for cls in classes if cls.deviates]
         if not deviating:
             continue  # no positive-prior state, or each holds the conditioned prior
+        if first_deviating is None:
+            first_deviating = cell
         if _is_calibrated(classes):
-            if first_rejected is None:
-                cls = deviating[0]
-                combo, _, q_num, r_num = next(
-                    _disagreements(cls.row, cls.den, weights, total)
-                )
-                first_rejected = (cell, members, combo, q_num, cls.den, r_num, total)
             continue
-        tables = []
-        for cls in classes:
-            own = [0] * len(members)
-            for i, weight in cls.weights:
-                own[i] = weight
-            tables.append((cls.row, own, sum(own), cls.den))
         scale = lcm(*(cls.den for cls in classes))
         loss_den = 2 * scale * total
         everything = (1 << len(members)) - 1
@@ -463,14 +455,14 @@ def demonstrate_aversion(
                 else:
                     key, bet_weight = (mask, midpoint), r_num
                 if key not in tallies:
-                    tallies[key] = _tally(tables, combo, mirrored, key[1], loss_den)
+                    tallies[key] = _tally(classes, combo, mirrored, key[1], loss_den)
                 taker_weight, taker_bet_weight = tallies[key]
                 if taker_bet_weight * total != bet_weight * taker_weight:
-                    if first_rejected is None:
-                        first_rejected = (cell, members, combo, q_num, den, r_num, total)
                     continue
                 q, r = Fraction(q_num, den), Fraction(r_num, total)
-                event, bet_event, bet_win, bet_loss = _priced(space, members, combo, q, r)
+                bet_win, bet_loss = construct_bet(q, r)
+                event = Event(space, frozenset(members[i] for i in combo))
+                bet_event = event if q > r else event.complement()
                 taker_loss_weight = taker_weight - taker_bet_weight
                 return AversionCertificate(
                     deviation=Deviation(
@@ -485,14 +477,9 @@ def demonstrate_aversion(
                         taker_bet_weight * bet_win - taker_loss_weight * bet_loss
                     ) / prior.den,
                 )
-    if first_rejected is None:  # every deviating cell yields a candidate
+    if first_deviating is None:
         raise NoDeviationError(
             "the policy conditionalizes at every prior-possible state; "
             "there is no disagreement to bet against"
         )
-    cell, members, combo, q_num, den, r_num, total = first_rejected
-    q, r = Fraction(q_num, den), Fraction(r_num, total)
-    _, bet_event, bet_win, bet_loss = _priced(space, members, combo, q, r)
-    synthesized = _synthesize(problem, cell, bet_event, bet_win, bet_loss)
-    cell, action, probe = find_independence_violation(synthesized, policy)
-    raise IndependenceBrokenError(cell, action.id, probe.id)
+    raise IndependenceBrokenError(first_deviating, SAFE_ID, RISKY_ID)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from json.encoder import encode_basestring_ascii as _quote
 from fractions import Fraction
 from typing import Any
@@ -469,12 +470,24 @@ def _parse_posterior(table: dict, location: str, space: StateSpace) -> Credence:
 
 
 def loads(text: str) -> tuple[DecisionProblem, EvidencePartition, UpdatePolicy]:
-    """Parse a problem document, validating bottom-up with located errors."""
+    """Parse a problem document, validating bottom-up with located errors.
+
+    JSON nested too deeply for the parser, or holding an integer past
+    Python's int-string digit limit, is refused at ``document``.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedDocumentError(
             f"line {exc.lineno} column {exc.colno}", exc.msg
+        ) from None
+    except RecursionError:
+        raise MalformedDocumentError("document", "JSON nested too deeply") from None
+    except ValueError:  # the only other ValueError json.loads raises
+        raise MalformedDocumentError(
+            "document",
+            f"a JSON integer is longer than the {sys.get_int_max_str_digits()} "
+            "digits Python reads into an int",
         ) from None
     top = _require_object(
         doc, "document", ("states", "outcomes", "actions", "partition", "policy")
@@ -538,5 +551,16 @@ def _overwrite(path, text: str) -> None:
 
 
 def load_problem(path) -> tuple[DecisionProblem, EvidencePartition, UpdatePolicy]:
+    """:func:`loads` of the file at ``path``, read as UTF-8.
+
+    The first byte that does not decode is refused at ``byte N``, counting
+    from 1 over the whole file.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        return loads(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedDocumentError(
+                f"byte {exc.start + 1}", f"not UTF-8: {exc.reason}"
+            ) from None
+    return loads(text)

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .decision import (
     Action,
@@ -335,15 +335,17 @@ class _PosteriorClass(NamedTuple):
     """The positive-prior states of one cell that share a posterior.
 
     ``row`` holds the posterior's mass on each cell member as an integer
-    over ``den``, and ``weights`` the ``(member index, prior weight)`` of
-    the class's own states.  ``deviates`` says whether the posterior
-    differs from the prior conditioned on the cell.
+    over ``den``.  ``own`` holds, by member, the prior weight of each of
+    the class's own states and 0 at every other member, and ``weight``
+    their sum.  ``deviates`` says whether the posterior differs from the
+    prior conditioned on the cell.
     """
 
     first: str
     row: tuple[int, ...]
     den: int
-    weights: tuple[tuple[int, int], ...]
+    own: list[int]
+    weight: int
     deviates: bool
 
 
@@ -365,8 +367,12 @@ def _cell_table(
     """The cell's members in state order, their prior ``nums``, total and classes.
 
     The classes group the positive-prior members by posterior, in order of
-    each class's first state.  Read off the stored credences with one
-    ``itemgetter`` per cell, with no credence built.
+    each class's first state, and each class's ``own`` is filled in one
+    walk over the cell.  Each distinct posterior object is hashed once, at
+    its first state, so equal posteriors held as distinct objects share a
+    class; later states that hold it find its class by the object's id.
+    Rows are read off the stored credences with one ``itemgetter`` per
+    cell, with no credence built.
 
     A class deviates when ``row[i] * total != w_i * den`` for some member,
     decided as one tuple comparison: a stored credence's ``nums`` are
@@ -384,18 +390,25 @@ def _cell_table(
         return members, weights, total, ()
     common = math.gcd(*weights)
     conditioned = tuple(w // common for w in weights)
-    index = {state: i for i, state in enumerate(members)}
-    positive = [state for state, weight in zip(members, weights) if weight]
+    posteriors = policy.posteriors
+    groups: dict[Credence, tuple[str, list[int]]] = {}  # posterior -> (first, own)
+    by_object: dict[int, list[int]] = {}  # id(posterior) -> its class's own
+    for i, (state, weight) in enumerate(zip(members, weights)):
+        if not weight:
+            continue
+        posterior = posteriors[state]
+        own = by_object.get(id(posterior))
+        if own is None:
+            own = by_object[id(posterior)] = groups.setdefault(
+                posterior, (state, [0] * len(members))
+            )[1]
+        own[i] = weight
     classes = []
-    for posterior, states in _posterior_groups(policy, positive):
+    for posterior, (first, own) in groups.items():
         row = take(posterior.nums)
-        classes.append(_PosteriorClass(
-            states[0],
-            row,
-            posterior.den,
-            tuple((index[s], weights[index[s]]) for s in states),
-            row != conditioned,
-        ))
+        classes.append(
+            _PosteriorClass(first, row, posterior.den, own, sum(own), row != conditioned)
+        )
     return members, weights, total, tuple(classes)
 
 
@@ -414,7 +427,7 @@ def deviating_states(policy: UpdatePolicy, prior: Credence) -> tuple[str, ...]:
         members, _, _, classes = _cell_table(prior, policy, cell)
         for cls in classes:
             if cls.deviates:
-                deviating.update(members[i] for i, _ in cls.weights)
+                deviating.update(s for s, w in zip(members, cls.own) if w)
     return tuple(s for s in prior.space if s in deviating)
 
 
@@ -428,27 +441,6 @@ def modesty_degree(policy: UpdatePolicy, prior: Credence) -> Fraction:
     position = prior.space._position
     weight = sum(prior.nums[position[s]] for s in deviating_states(policy, prior))
     return Fraction(weight, prior.den)
-
-
-def _posterior_groups(
-    policy: UpdatePolicy, states: Iterable[str]
-) -> list[tuple[Credence, list[str]]]:
-    """``states`` grouped by posterior, in order of each group's first state.
-
-    Equal posteriors held as distinct objects share a group.  Each distinct
-    object is hashed once, at its first state; later states that hold it
-    find its group by the object's id.
-    """
-    posteriors = policy.posteriors
-    groups: dict[Credence, list[str]] = {}
-    by_object: dict[int, list[str]] = {}  # id(posterior) -> its group
-    for state in states:
-        posterior = posteriors[state]
-        group = by_object.get(id(posterior))
-        if group is None:
-            group = by_object[id(posterior)] = groups.setdefault(posterior, [])
-        group.append(state)
-    return list(groups.items())
 
 
 def _choice_groups(

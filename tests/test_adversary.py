@@ -33,7 +33,11 @@ from infovalue.scenarios import build_scenario
 from infovalue.updating import EvidencePartition, UpdatePolicy, conditionalization_policy
 from infovalue.voi import val_general
 
-from _oracles import brute_certificate_walk, brute_val_general
+from _oracles import (
+    brute_certificate_walk,
+    brute_independence_witness,
+    brute_val_general,
+)
 from _refusals import refusal
 
 TWO = StateSpace(("g", "h"))
@@ -509,6 +513,24 @@ def plain_instances(draw):
     return Plain(states, prior, tuple(cells), posteriors), draw(st.booleans())
 
 
+def bet_problem(problem, cell, bet, win, loss):
+    """``problem`` with its acts replaced by a bet's two: ``safe`` pays 0
+    everywhere; ``risky`` pays ``win`` on ``bet``, ``-loss`` on the rest of
+    ``cell`` and 0 outside it."""
+
+    def risky(state):
+        if state not in cell:
+            return "zero"
+        return "win" if state in bet else "loss"
+
+    outcomes = OutcomeSpace(("zero", "win", "loss"), {"zero": 0, "win": win, "loss": -loss})
+    actions = (
+        Action(SAFE_ID, {s: "zero" for s in problem.space}),
+        Action(RISKY_ID, {s: risky(s) for s in problem.space}),
+    )
+    return DecisionProblem(problem.space, outcomes, problem.prior, ChoiceSet(actions))
+
+
 def assert_matches_the_walk(plain, share):
     problem, policy = build_plain(plain, share)
     expected = brute_certificate_walk(plain)
@@ -518,8 +540,14 @@ def assert_matches_the_walk(plain, share):
     elif expected[0] == "refused":
         with pytest.raises(IndependenceBrokenError) as exc:
             demonstrate_aversion(problem, policy)
-        assert exc.value.cell.sorted_members() == expected[1]
+        _, members, bet, win, loss = expected
+        cell = exc.value.cell
+        assert cell.sorted_members() == members
         assert (exc.value.chosen_action, exc.value.probe_action) == (SAFE_ID, RISKY_ID)
+        # the definitional route: the first rejected bet's own problem leaks
+        # at the refused cell, from safe's group through risky
+        leak = brute_independence_witness(bet_problem(problem, cell, bet, win, loss), policy)
+        assert (leak[0], leak[1].id, leak[2].id) == (cell, SAFE_ID, RISKY_ID)
     else:
         cert = demonstrate_aversion(problem, policy)
         d = cert.deviation
@@ -667,10 +695,9 @@ class TestCertificateWalk:
     def test_agrees_with_the_brute_walk(self, drawn):
         assert_matches_the_walk(*drawn)
 
-    def test_calibrated_refusal_prices_no_bet_beyond_its_witness(self, monkeypatch):
+    def test_calibrated_refusal_prices_no_bet(self, monkeypatch):
         """A one-cell clairvoyant policy is calibrated: its refusal walks
-        none of the 2**16 - 2 events after the first, and prices one bet,
-        its witness."""
+        none of the 2**16 - 2 events, prices no bet, and names the cell."""
         states = tuple(f"s{i}" for i in range(16))
         plain = Plain(
             states,
@@ -682,9 +709,20 @@ class TestCertificateWalk:
         problem, policy = build_plain(plain, share=True)
         with pytest.raises(IndependenceBrokenError) as exc:
             demonstrate_aversion(problem, policy)
-        assert calls == [(F(1), plain.prior["s0"])]
+        assert calls == []
         witness = exc.value.cell.members, exc.value.chosen_action, exc.value.probe_action
         assert witness == (set(states), SAFE_ID, RISKY_ID)
+
+    def test_walked_refusal_prices_no_bet(self, monkeypatch):
+        """A miscalibrated cell is walked in full, every bet is rejected in
+        integers, and the refusal names the cell without pricing one."""
+        calls = priced_bets(monkeypatch)
+        problem, policy = build_plain(MISCALIBRATED_4, share=True)
+        with pytest.raises(IndependenceBrokenError) as exc:
+            demonstrate_aversion(problem, policy)
+        assert calls == []
+        witness = exc.value.cell, exc.value.chosen_action, exc.value.probe_action
+        assert witness == (policy.partition.cells[0], SAFE_ID, RISKY_ID)
 
     @pytest.mark.parametrize("share", [True, False])
     def test_later_posterior_class_certifies(self, share, monkeypatch):

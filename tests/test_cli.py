@@ -171,6 +171,38 @@ class TestEvalCommand:
         )
 
 
+HOSTILE_FILES = {
+    "bad byte": (b"{\xff}", "error: byte 2: not UTF-8: invalid start byte\n"),
+    "deep nesting": (b"[" * 100_000, "error: document: JSON nested too deeply\n"),
+    "long integer": (
+        b"9" * (sys.get_int_max_str_digits() + 1),
+        "error: document: a JSON integer is longer than the "
+        f"{sys.get_int_max_str_digits()} digits Python reads into an int\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "adversary"])
+@pytest.mark.parametrize("flag", ["--problem", "--policy"])
+@pytest.mark.parametrize("hostile", sorted(HOSTILE_FILES))
+def test_a_hostile_file_is_one_located_error(
+    command, flag, hostile, gamblers_file, tmp_path, capsys
+):
+    """Undecodable bytes, nesting too deep for the JSON parser and an
+    over-long integer each exit 1 with one ``error:`` line, through either
+    file flag."""
+    data, expected = HOSTILE_FILES[hostile]
+    path = tmp_path / "hostile.json"
+    path.write_bytes(data)
+    if flag == "--problem":
+        argv = [command, "--problem", str(path)]
+    else:
+        argv = [command, "--problem", gamblers_file, "--policy", str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", expected)
+
+
 class TestSweepCommand:
     def test_table(self, capsys):
         assert main(["sweep", "gamblers", "--epsilons", "0,1/10,1/2"]) == 0

@@ -480,6 +480,40 @@ class TestParseErrors:
             loads("{not json")
         assert exc.value.location.startswith("line 1 column")
 
+    def test_deep_nesting_is_refused_at_the_document(self):
+        with pytest.raises(MalformedDocumentError) as exc:
+            loads("[" * 100_000)
+        assert (exc.value.location, exc.value.message) == (
+            "document", "JSON nested too deeply"
+        )
+
+    @pytest.mark.parametrize(
+        "data, location, message",
+        [
+            (b"\xff", "byte 1", "not UTF-8: invalid start byte"),
+            (
+                '{"states": "\u00b7"}'.encode() + b"\xc3(",
+                "byte 17",
+                "not UTF-8: invalid continuation byte",
+            ),
+            (b" " * 20_000 + b"\xe2\x80", "byte 20001", "not UTF-8: unexpected end of data"),
+            (b"[" * 100_000, "document", "JSON nested too deeply"),
+            (
+                b"9" * (sys.get_int_max_str_digits() + 1),
+                "document",
+                f"a JSON integer is longer than the {sys.get_int_max_str_digits()} "
+                "digits Python reads into an int",
+            ),
+        ],
+    )
+    def test_a_hostile_file_is_located(self, tmp_path, data, location, message):
+        """Bytes count from 1 over the whole file, past the first read buffer too."""
+        path = tmp_path / "hostile.json"
+        path.write_bytes(data)
+        with pytest.raises(MalformedDocumentError) as exc:
+            load_problem(path)
+        assert (exc.value.location, exc.value.message) == (location, message)
+
     def test_top_level_keys_are_checked(self):
         with pytest.raises(MalformedDocumentError, match="missing keys"):
             loads('{"states": []}')
