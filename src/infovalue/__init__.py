@@ -6,196 +6,32 @@ condition on what they learn; the generalized value (:func:`val_general`)
 prices the evidence by the agent's actual update policy, deviations and
 all — and can come out negative.  When it does, :func:`demonstrate_aversion`
 builds the explicit bet that proves it.
+
+Each public name is declared once, in its module's ``__all__``; the
+package re-exports every one of them.
 """
 
-from .adversary import (
-    AversionCertificate,
-    Deviation,
-    construct_bet,
-    demonstrate_aversion,
-)
-from .decision import (
-    ERROR_ON_TIE,
-    FIRST_BY_ORDER,
-    Action,
-    ChoiceSet,
-    DecisionProblem,
-    OutcomeSpace,
-    best_action,
-    expected_utility,
-    is_relevant,
-    max_expected_utility,
-)
-from .errors import (
-    CertaintyError,
-    ConfigError,
-    IndependenceBrokenError,
-    InfoValueError,
-    MalformedDocumentError,
-    MissingPosteriorError,
-    NoDeviationError,
-    NormalizationError,
-    PartitionError,
-    PolicyError,
-    ProblemFileError,
-    RationalFormatError,
-    SpaceMismatchError,
-    TieError,
-    ValidationError,
-    ZeroProbabilityError,
-)
-from .prob import (
-    Credence,
-    Event,
-    StateSpace,
-    as_fraction,
-    condition,
-    is_partition,
-    probability,
-)
-from .problemfile import (
-    canonical_json,
-    dumps,
-    load_problem,
-    loads,
-    problem_document,
-    save_problem,
-)
-from .properties import (
-    Instance,
-    PropertyFailure,
-    PropertyReport,
-    property_suite,
-    random_conditionalization_instance,
-    random_mixture_instance,
-)
-from .scenarios import (
-    GAMBLERS,
-    RACE,
-    SCENARIO_NAMES,
-    UNKNOWN_BIAS,
-    Scenario,
-    SweepRow,
-    SweepTable,
-    build_scenario,
-    scenario_gamblers,
-    scenario_race,
-    scenario_unknown_bias,
-    sweep,
-    threshold,
-)
-from .updating import (
-    CONDITIONALIZATION,
-    DeviationSpec,
-    EvidencePartition,
-    UpdatePolicy,
-    conditionalization_policy,
-    deviating_states,
-    find_independence_violation,
-    is_immodest,
-    mixture_expand,
-    modesty_degree,
-)
-from .voi import (
-    LemmaOneRow,
-    PerCell,
-    VoiReport,
-    evaluate,
-    cellwise_decomposition,
-    val_general,
-    val_good,
-)
+from . import adversary, decision, errors, prob, problemfile
+from . import properties, scenarios, updating, voi
+from .adversary import *
+from .decision import *
+from .errors import *
+from .prob import *
+from .problemfile import *
+from .properties import *
+from .scenarios import *
+from .updating import *
+from .voi import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # prob
-    "StateSpace",
-    "Event",
-    "Credence",
-    "as_fraction",
-    "probability",
-    "condition",
-    "is_partition",
-    # decision
-    "FIRST_BY_ORDER",
-    "ERROR_ON_TIE",
-    "OutcomeSpace",
-    "Action",
-    "ChoiceSet",
-    "DecisionProblem",
-    "expected_utility",
-    "best_action",
-    "max_expected_utility",
-    "is_relevant",
-    # updating
-    "CONDITIONALIZATION",
-    "EvidencePartition",
-    "UpdatePolicy",
-    "DeviationSpec",
-    "conditionalization_policy",
-    "mixture_expand",
-    "deviating_states",
-    "is_immodest",
-    "modesty_degree",
-    "find_independence_violation",
-    # voi
-    "LemmaOneRow",
-    "PerCell",
-    "VoiReport",
-    "val_good",
-    "val_general",
-    "cellwise_decomposition",
-    "evaluate",
-    # adversary
-    "Deviation",
-    "AversionCertificate",
-    "construct_bet",
-    "demonstrate_aversion",
-    # scenarios
-    "RACE",
-    "GAMBLERS",
-    "UNKNOWN_BIAS",
-    "SCENARIO_NAMES",
-    "Scenario",
-    "SweepRow",
-    "SweepTable",
-    "scenario_race",
-    "scenario_gamblers",
-    "scenario_unknown_bias",
-    "build_scenario",
-    "sweep",
-    "threshold",
-    # properties
-    "Instance",
-    "PropertyFailure",
-    "PropertyReport",
-    "property_suite",
-    "random_conditionalization_instance",
-    "random_mixture_instance",
-    # problem files
-    "problem_document",
-    "canonical_json",
-    "dumps",
-    "loads",
-    "save_problem",
-    "load_problem",
-    # errors
-    "InfoValueError",
-    "ValidationError",
-    "SpaceMismatchError",
-    "ZeroProbabilityError",
-    "TieError",
-    "MissingPosteriorError",
-    "NoDeviationError",
-    "IndependenceBrokenError",
-    "ConfigError",
-    "ProblemFileError",
-    "MalformedDocumentError",
-    "RationalFormatError",
-    "NormalizationError",
-    "PartitionError",
-    "PolicyError",
-    "CertaintyError",
-]
+__all__ = ["__version__"]
+__all__ += adversary.__all__
+__all__ += decision.__all__
+__all__ += errors.__all__
+__all__ += prob.__all__
+__all__ += problemfile.__all__
+__all__ += properties.__all__
+__all__ += scenarios.__all__
+__all__ += updating.__all__
+__all__ += voi.__all__

@@ -45,6 +45,7 @@ from .decision import (
 from .errors import (
     IndependenceBrokenError,
     NoDeviationError,
+    SpaceMismatchError,
     ValidationError,
 )
 from .prob import Credence, Event, as_fraction, condition, probability
@@ -428,7 +429,7 @@ def demonstrate_aversion(
     prior = problem.prior
     space = prior.space
     if space != policy.space:
-        raise ValidationError("policy is not over the problem's space")
+        raise SpaceMismatchError("policy is not over the problem's space")
     first_deviating = None
     for cell in policy.partition.cells:
         members, weights, total, classes = _cell_table(prior, policy, cell)

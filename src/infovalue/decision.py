@@ -35,7 +35,7 @@ from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING, Mapping
 
-from .errors import TieError, ValidationError
+from .errors import SpaceMismatchError, TieError, ValidationError
 from .prob import Credence, StateSpace, as_fraction, condition
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -182,7 +182,7 @@ class DecisionProblem:
 
     def __post_init__(self) -> None:
         if self.prior.space != self.space:
-            raise ValidationError("prior is not a credence over the problem's space")
+            raise SpaceMismatchError("prior is not a credence over the problem's space")
         if self.tie_policy not in _TIE_POLICIES:
             raise ValidationError(
                 f"unknown tie policy {self.tie_policy!r}; "
@@ -240,7 +240,7 @@ class DecisionProblem:
     def _scores(self, credence: Credence) -> list[int]:
         """Each choice's expected utility times ``credence.den * U``, in order."""
         if credence.space != self.space:
-            raise ValidationError("credence is not over the problem's space")
+            raise SpaceMismatchError("credence is not over the problem's space")
         nums = credence.nums
         return [sum(map(mul, row, nums)) for row in self._rows.values()]
 
@@ -256,7 +256,7 @@ def expected_utility(
     """
     p = problem.prior if credence is None else credence
     if p.space != problem.space:
-        raise ValidationError("credence is not over the problem's space")
+        raise SpaceMismatchError("credence is not over the problem's space")
     return Fraction(sum(map(mul, problem._row(action), p.nums)), p.den * problem._scale)
 
 

@@ -7,6 +7,25 @@ generic callers can catch them the usual way.
 
 from __future__ import annotations
 
+__all__ = [
+    "InfoValueError",
+    "ValidationError",
+    "SpaceMismatchError",
+    "ZeroProbabilityError",
+    "TieError",
+    "MissingPosteriorError",
+    "NoDeviationError",
+    "IndependenceBrokenError",
+    "ConfigError",
+    "ProblemFileError",
+    "MalformedDocumentError",
+    "RationalFormatError",
+    "NormalizationError",
+    "PartitionError",
+    "PolicyError",
+    "CertaintyError",
+]
+
 
 class InfoValueError(Exception):
     """Base class for all errors raised by this package."""

@@ -40,12 +40,12 @@ from typing import Any
 from .decision import Action, ChoiceSet, DecisionProblem, OutcomeSpace
 from .errors import (
     CertaintyError,
-    InfoValueError,
     MalformedDocumentError,
     NormalizationError,
     PartitionError,
     PolicyError,
     RationalFormatError,
+    SpaceMismatchError,
     ValidationError,
 )
 from .prob import Credence, Event, StateSpace, _ratio, _weight
@@ -114,7 +114,7 @@ def problem_document(problem: DecisionProblem, policy: UpdatePolicy) -> dict:
     and each state gets its own copy of its table.
     """
     if policy.space != problem.space:
-        raise InfoValueError("policy is not over the problem's space")
+        raise SpaceMismatchError("policy is not over the problem's space")
     prior = problem.prior
     states = [
         {"id": s, "prob": _format(n, prior.den)}
@@ -238,10 +238,23 @@ def _require_list(value: Any, location: str) -> list:
 
 
 def _require_string(value: Any, location: str) -> str:
+    """``value`` if it is a non-empty string UTF-8 can encode; else the fault.
+
+    JSON's ``\\ud800`` escape reads as a lone surrogate, which cannot be
+    printed, so an id holding one is refused here.  Every other id in a file
+    must equal one that passed through here.
+    """
     if not isinstance(value, str) or not value:
         raise MalformedDocumentError(
             location, f"expected a non-empty string, got {value!r}"
         )
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedDocumentError(
+                location, f"{value!r} holds a lone surrogate, which is not text"
+            ) from None
     return value
 
 

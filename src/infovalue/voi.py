@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .decision import DecisionProblem, max_expected_utility
-from .errors import IndependenceBrokenError, ValidationError
+from .errors import IndependenceBrokenError, SpaceMismatchError, ValidationError
 from .prob import Event, condition, probability
 from .updating import EvidencePartition, UpdatePolicy, _cell_pass, _choice_groups
 
@@ -147,7 +147,7 @@ def val_good(problem: DecisionProblem, partition: EvidencePartition) -> Fraction
     on it is undefined), not a silently skipped term.
     """
     if partition.space != problem.space:
-        raise ValidationError("partition is not over the problem's space")
+        raise SpaceMismatchError("partition is not over the problem's space")
     informed = Fraction(0)
     for cell in partition.cells:
         p_cell = probability(problem.prior, cell)

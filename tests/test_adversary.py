@@ -26,6 +26,7 @@ from infovalue.decision import (
 from infovalue.errors import (
     IndependenceBrokenError,
     NoDeviationError,
+    SpaceMismatchError,
     ValidationError,
 )
 from infovalue.prob import Credence, Event, StateSpace, condition
@@ -247,6 +248,12 @@ class TestDemonstrateAversion:
         scenario = build_scenario("gamblers", epsilon=Fraction(1, 10))
         with pytest.raises(ValidationError):
             demonstrate_aversion(two_state_problem(), scenario.policy)
+
+    def test_space_mismatch_has_its_own_type(self):
+        policy = build_scenario("gamblers", epsilon=Fraction(1, 10)).policy
+        assert refusal(lambda: demonstrate_aversion(two_state_problem(), policy)) == (
+            SpaceMismatchError, "demonstrate_aversion", "policy is not over the problem's space"
+        )
 
 
 class TestAversionCertificate:

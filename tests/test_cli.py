@@ -179,6 +179,18 @@ HOSTILE_FILES = {
         "error: document: a JSON integer is longer than the "
         f"{sys.get_int_max_str_digits()} digits Python reads into an int\n",
     ),
+    "lone surrogate": (
+        json.dumps(
+            {
+                "states": [{"id": "\ud800", "prob": "1/2"}, {"id": "b", "prob": "1/2"}],
+                "outcomes": [{"id": "nil", "utility": "0"}],
+                "actions": [{"id": "idle", "map": {"\ud800": "nil", "b": "nil"}}],
+                "partition": [["\ud800", "b"]],
+                "policy": "conditionalization",
+            }
+        ).encode(),
+        "error: states[0].id: '\\ud800' holds a lone surrogate, which is not text\n",
+    ),
 }
 
 
@@ -188,9 +200,9 @@ HOSTILE_FILES = {
 def test_a_hostile_file_is_one_located_error(
     command, flag, hostile, gamblers_file, tmp_path, capsys
 ):
-    """Undecodable bytes, nesting too deep for the JSON parser and an
-    over-long integer each exit 1 with one ``error:`` line, through either
-    file flag."""
+    """Undecodable bytes, nesting too deep for the JSON parser, an over-long
+    integer and an id that cannot be printed each exit 1 with one ``error:``
+    line, through either file flag."""
     data, expected = HOSTILE_FILES[hostile]
     path = tmp_path / "hostile.json"
     path.write_bytes(data)

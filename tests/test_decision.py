@@ -20,7 +20,7 @@ from infovalue.decision import (
     is_relevant,
     max_expected_utility,
 )
-from infovalue.errors import TieError, ValidationError
+from infovalue.errors import SpaceMismatchError, TieError, ValidationError
 from infovalue.prob import Credence, Event, StateSpace
 from infovalue.updating import EvidencePartition
 
@@ -438,3 +438,29 @@ class TestTheOracleCatchesMutants:
 )
 def test_refusals(build, location, message):
     assert refusal(build) == (ValidationError, location, message)
+
+
+FOREIGN = Credence(StateSpace(("x",)), {"x": 1})
+
+
+@pytest.mark.parametrize(
+    "build, location, message",
+    [
+        (
+            lambda: problem([FLAT], prior=FOREIGN),
+            "DecisionProblem.__post_init__",
+            "prior is not a credence over the problem's space",
+        ),
+        (
+            lambda: best_action(FOREIGN, problem([FLAT])),
+            "DecisionProblem._scores", "credence is not over the problem's space",
+        ),
+        (
+            lambda: expected_utility(problem([FLAT]), FLAT, FOREIGN),
+            "expected_utility", "credence is not over the problem's space",
+        ),
+    ],
+    ids=["prior-over-another-space", "choice-over-two-spaces", "score-over-two-spaces"],
+)
+def test_space_mismatch_refusals(build, location, message):
+    assert refusal(build) == (SpaceMismatchError, location, message)

@@ -21,13 +21,13 @@ from infovalue.decision import (
 )
 from infovalue.errors import (
     CertaintyError,
-    InfoValueError,
     MalformedDocumentError,
     NormalizationError,
     PartitionError,
     PolicyError,
     ProblemFileError,
     RationalFormatError,
+    SpaceMismatchError,
     ValidationError,
 )
 from infovalue.prob import Credence, Event, StateSpace
@@ -504,6 +504,12 @@ class TestParseErrors:
                 f"a JSON integer is longer than the {sys.get_int_max_str_digits()} "
                 "digits Python reads into an int",
             ),
+            pytest.param(
+                FIXTURE_TEXT.replace('"a"', '"\\ud800"').encode(),
+                "states[0].id",
+                "'\\ud800' holds a lone surrogate, which is not text",
+                id="lone-surrogate-id",
+            ),
         ],
     )
     def test_a_hostile_file_is_located(self, tmp_path, data, location, message):
@@ -884,7 +890,7 @@ OTHER_SPACE = StateSpace(("x", "y"))
                     EvidencePartition(OTHER_SPACE, (Event(OTHER_SPACE, {"x", "y"}),)),
                 ),
             ),
-            InfoValueError, "problem_document", "policy is not over the problem's space",
+            SpaceMismatchError, "problem_document", "policy is not over the problem's space",
         ),
     ],
     ids=[

@@ -18,6 +18,7 @@ from infovalue.decision import (
 )
 from infovalue.errors import (
     IndependenceBrokenError,
+    SpaceMismatchError,
     TieError,
     ValidationError,
     ZeroProbabilityError,
@@ -48,6 +49,7 @@ from _oracles import (
     dist_of,
     first_best,
 )
+from _refusals import refusal
 
 SPACE = StateSpace(("a", "b", "c", "d"))
 LEFT = Event(SPACE, frozenset({"a", "b"}))
@@ -115,6 +117,12 @@ class TestValGood:
         problem, _, _ = trap_problem()
         with pytest.raises(ValidationError):
             val_good(problem, PARTITION)
+
+    def test_space_mismatch_has_its_own_type(self):
+        problem, _, _ = trap_problem()
+        assert refusal(lambda: val_good(problem, PARTITION)) == (
+            SpaceMismatchError, "val_good", "partition is not over the problem's space"
+        )
 
 
 class TestSophisticatedChoice:
