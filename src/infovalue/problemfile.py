@@ -457,29 +457,26 @@ def _parse_policy(
 
 
 def _parse_posterior(table: dict, location: str, space: StateSpace) -> Credence:
-    """The credence a posterior table spells out, each mass coerced once.
+    """The credence a posterior table spells out, read as integer pairs.
 
-    A table of rational strings goes straight to :class:`Credence`.  If that
-    refuses it, or a mass is not a string, the table is walked entry by entry
-    to raise the located error for the first fault: an unknown state, a bad
+    Raises the located error for the first fault: an unknown state, a bad
     rational, masses that do not sum to 1, then a negative mass.
     """
-    if all(isinstance(raw, str) for raw in table.values()):
-        try:
-            return Credence(space, table)
-        except ValidationError:
-            pass
-    masses: dict[str, Fraction] = {}
+    position = space._position
+    pairs = [(0, 1)] * len(position)
     for target, raw in table.items():
-        if target not in space:
+        if target not in position:
             raise PolicyError(location, f"unknown state {target!r}")
-        masses[target] = parse_rational(raw, f"{location}[{target!r}]")
-    total = sum(masses.values(), Fraction(0))
-    if total != 1:
-        raise NormalizationError(location, f"masses sum to {total}, expected 1")
-    if any(v < 0 for v in masses.values()):
+        pairs[position[target]] = _located_ratio(raw, f"{location}[{target!r}]")
+    den = math.lcm(*(d for _, d in pairs))
+    weights = [num * (den // d) for num, d in pairs]
+    if sum(weights) != den:
+        raise NormalizationError(
+            location, f"masses sum to {Fraction(sum(weights), den)}, expected 1"
+        )
+    if any(w < 0 for w in weights):
         raise NormalizationError(location, "negative mass")
-    return Credence(space, masses)
+    return Credence._from_weights(space, weights)
 
 
 def loads(text: str) -> tuple[DecisionProblem, EvidencePartition, UpdatePolicy]:

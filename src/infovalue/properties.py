@@ -6,7 +6,7 @@ self-doubt disposition and run it through :func:`mixture_expand`, yielding
 a genuinely modest policy.  Both kinds are generated with the error-on-tie
 policy and resampled until no posterior's choice ties, so every property
 failure is a real counterexample rather than an artifact of silent
-tie-breaking.  The probe is :func:`val_general`, which decides every
+tie-breaking.  The tie probe is :func:`val_general`, which decides every
 choice and does nothing else that can fail, so a broken property is
 reported as a counterexample instead of escaping the suite as an error.
 
@@ -16,8 +16,9 @@ The suite checks, on every instance it can:
 - the classical value is non-negative, and positive exactly when the
   evidence could change the best choice;
 - the realized value never exceeds the classical value;
-- the definitional and cellwise computations agree exactly, wherever
-  choices are independent;
+- wherever choices are independent, the cellwise table reproduces both
+  values exactly (:class:`VoiReport`'s own check, so one :func:`evaluate`
+  call probes this and independence);
 - when the policy conditionalizes everywhere possible, the two values
   coincide.
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .decision import (
     ERROR_ON_TIE,
@@ -39,9 +40,8 @@ from .decision import (
     DecisionProblem,
     OutcomeSpace,
     is_relevant,
-    max_expected_utility,
 )
-from .errors import IndependenceBrokenError, InfoValueError, TieError
+from .errors import IndependenceBrokenError, InfoValueError, TieError, ValidationError
 from .prob import Credence, Event, StateSpace, condition
 from .problemfile import problem_document
 from .updating import (
@@ -49,11 +49,10 @@ from .updating import (
     EvidencePartition,
     UpdatePolicy,
     conditionalization_policy,
-    find_independence_violation,
     is_immodest,
     mixture_expand,
 )
-from .voi import cellwise_decomposition, val_general, val_good
+from .voi import evaluate, val_general, val_good
 
 __all__ = [
     "Instance",
@@ -196,35 +195,40 @@ def random_deviation_spec(
     return DeviationSpec(epsilon, deviants)
 
 
-def random_conditionalization_instance(rng: random.Random) -> Instance:
-    """A random problem paired with literal conditionalization."""
+def _tie_free(draw: Callable[[], Instance]) -> Instance:
+    """The first of up to ``_RESAMPLE_CAP`` drawn instances whose choices never tie."""
     for _ in range(_RESAMPLE_CAP):
-        problem, partition = random_problem(rng)
-        policy = conditionalization_policy(problem.prior, partition)
+        instance = draw()
         try:
-            val_general(problem, policy)
+            val_general(instance.problem, instance.policy)
         except TieError:
             continue
-        return Instance("conditionalization", problem, policy)
+        return instance
     raise InfoValueError("could not draw a tie-free instance")  # pragma: no cover
+
+
+def random_conditionalization_instance(rng: random.Random) -> Instance:
+    """A random problem paired with literal conditionalization."""
+
+    def draw():
+        problem, partition = random_problem(rng)
+        policy = conditionalization_policy(problem.prior, partition)
+        return Instance("conditionalization", problem, policy)
+
+    return _tie_free(draw)
 
 
 def random_mixture_instance(
     rng: random.Random, max_base_states: int = 8
 ) -> Instance:
     """A random expanded problem with a modest policy, via mixture expansion."""
-    for _ in range(_RESAMPLE_CAP):
-        base, partition = random_problem(
-            rng, 2, max_base_states, need_wide_cell=True
-        )
+
+    def draw():
+        base, partition = random_problem(rng, 2, max_base_states, need_wide_cell=True)
         spec = random_deviation_spec(rng, base.prior, partition)
-        expanded, policy = mixture_expand(base, partition, spec)
-        try:
-            val_general(expanded, policy)
-        except TieError:
-            continue
-        return Instance("mixture", expanded, policy)
-    raise InfoValueError("could not draw a tie-free instance")  # pragma: no cover
+        return Instance("mixture", *mixture_expand(base, partition, spec))
+
+    return _tie_free(draw)
 
 
 @dataclass(frozen=True)
@@ -303,12 +307,14 @@ def _check_instance(
                 PropertyFailure(trial, instance.kind, name, detail, instance.document())
             )
 
-    witness = find_independence_violation(problem, policy)
-    detail = "choices reveal payoff-relevant information"
-    if witness is not None:
-        cell, chosen, probe = witness
-        detail += f": {IndependenceBrokenError(cell, chosen.id, probe.id)}"
-    run("evidential-independence", witness is None, detail)
+    try:
+        evaluate(problem, policy)
+        broken = None
+    except (IndependenceBrokenError, ValidationError) as exc:
+        broken = exc  # a leak, or a per-cell table that misses a value
+    leak = isinstance(broken, IndependenceBrokenError)
+    detail = f"choices reveal payoff-relevant information: {broken}"
+    run("evidential-independence", not leak, detail)
     run(
         "classical-nonnegative",
         good >= 0,
@@ -320,15 +326,11 @@ def _check_instance(
         (good > 0) == relevant,
         f"val_good={good} but is_relevant={relevant}",
     )
-    if witness is None:  # the decomposition needs independence
-        cellwise = sum(
-            (c.prob * c.realized_eu() for c in cellwise_decomposition(problem, policy)),
-            Fraction(0),
-        ) - max_expected_utility(problem.prior, problem)
+    if not leak:  # the decomposition needs independence
         run(
             "cellwise-reconstruction",
-            cellwise == general,
-            f"cellwise route gives {cellwise}, definition gives {general}",
+            broken is None,
+            f"cellwise and definitional routes disagree: {broken}",
         )
     run(
         "general-le-classical",

@@ -277,6 +277,48 @@ class TestPropertySuite:
         assert "4 trials from seed 0: COUNTEREXAMPLES FOUND" in out
         assert "counterexample (trial 0, conditionalization, evidential-independence)" in out
 
+    def test_a_misreported_val_good_fails_the_reconstruction(self, monkeypatch, capsys):
+        """evaluate's val_good off by one: the report's cell maxima no longer
+        reproduce it, on every trial, while the suite's own val_good is right."""
+        good = voi.val_good
+        monkeypatch.setattr(voi, "val_good", lambda p, partition: good(p, partition) + 1)
+        report = property_suite(0, 4)
+        assert [(f.trial, f.property_name) for f in report.failures] == [
+            (trial, "cellwise-reconstruction") for trial in range(4)
+        ]
+        assert report.failures[0].detail.startswith(
+            "cellwise and definitional routes disagree: per-cell table reconstructs "
+            "val_good="
+        )
+        assert main(["check", "--trials", "4", "--seed", "0"]) == 2
+        out = capsys.readouterr().out
+        assert "4 trials from seed 0: COUNTEREXAMPLES FOUND" in out
+        assert "counterexample (trial 0, conditionalization, cellwise-reconstruction)" in out
+
+    def test_two_choice_maps_per_instance(self, monkeypatch):
+        """val_general and evaluate each group states by chosen act once;
+        nothing else the suite calls builds a choice map."""
+        rng = random.Random(0)
+        instances = [
+            random_conditionalization_instance(rng) if trial % 2 == 0
+            else random_mixture_instance(rng)
+            for trial in range(12)
+        ]
+        build, calls = updating._choice_groups, []
+
+        def counted(problem, policy):
+            calls.append(problem)
+            return build(problem, policy)
+
+        for module in (updating, voi):
+            monkeypatch.setattr(module, "_choice_groups", counted)
+        for trial, instance in enumerate(instances):
+            calls.clear()
+            checked, failures = {}, []
+            _check_instance(trial, instance, checked, failures)
+            assert failures == []
+            assert len(calls) <= 2, (trial, len(calls))
+
 
 class TestPropertyReport:
     def test_format_table_shape(self, clean_report):
