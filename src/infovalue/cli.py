@@ -213,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_adversary.set_defaults(func=_cmd_adversary)
 
     p_check = sub.add_parser("check", help="run the seeded property suite")
-    p_check.add_argument("--trials", type=int, default=100)
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--trials", default=100)
+    p_check.add_argument("--seed", default=0)
     p_check.set_defaults(func=_cmd_check)
 
     return parser

@@ -39,7 +39,7 @@ class SpaceMismatchError(ValidationError):
     """Two values that must share a state space do not."""
 
 
-class ZeroProbabilityError(InfoValueError):
+class ZeroProbabilityError(ValidationError):
     """Conditioning on (or partitioning through) a zero-probability event.
 
     Never silently renormalize: a zero-probability learnable event is a
@@ -59,7 +59,7 @@ class TieError(InfoValueError):
         )
 
 
-class MissingPosteriorError(InfoValueError):
+class MissingPosteriorError(ValidationError):
     """An update policy has no posterior for a positive-probability state."""
 
 

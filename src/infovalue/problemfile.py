@@ -334,7 +334,8 @@ def _parse_actions(
         if mapping.keys() == space._position.keys() and _known(mapping, outcomes):
             actions.append(Action(action_id, mapping))
             continue
-        assignment: dict[str, str] = {}
+        # the walk only names the fault: a map it passes whole is total
+        # onto known outcomes, which the check above would have accepted
         for state, outcome in mapping.items():
             if state not in space:
                 raise MalformedDocumentError(
@@ -345,13 +346,10 @@ def _parse_actions(
                 raise MalformedDocumentError(
                     f"{loc}.map[{state!r}]", f"unknown outcome {outcome_id!r}"
                 )
-            assignment[state] = outcome_id
-        missing = [s for s in space if s not in assignment]
-        if missing:
-            raise MalformedDocumentError(
-                f"{loc}.map", f"no outcome for states: {', '.join(missing)}"
-            )
-        actions.append(Action(action_id, assignment))
+        missing = [s for s in space if s not in mapping]
+        raise MalformedDocumentError(
+            f"{loc}.map", f"no outcome for states: {', '.join(missing)}"
+        )
     return ChoiceSet(tuple(actions))
 
 

@@ -42,7 +42,7 @@ from .decision import (
     is_relevant,
 )
 from .errors import IndependenceBrokenError, InfoValueError, TieError, ValidationError
-from .prob import Credence, Event, StateSpace, condition
+from .prob import Credence, Event, StateSpace, as_fraction, condition
 from .problemfile import problem_document
 from .updating import (
     DeviationSpec,
@@ -345,15 +345,26 @@ def _check_instance(
         )
 
 
+def _integer(name: str, value) -> int:
+    """``value`` read by :func:`as_fraction`, refused unless it is an integer."""
+    number = as_fraction(value)
+    if number.denominator != 1:
+        raise ValidationError(f"{name} must be an integer, got {number}")
+    return number.numerator
+
+
 def property_suite(generator_seed: int, trials: int) -> PropertyReport:
     """Run all property checks over ``trials`` seeded random instances.
 
     Even trials pair a random problem with conditionalization; odd trials
     build a modest policy by mixture expansion.  The stream of instances
-    is fully determined by ``generator_seed``.
+    is fully determined by ``generator_seed``.  Both arguments are read
+    in :func:`as_fraction`'s grammar and must be integers (``"12"``, ``12``).
     """
+    trials = _integer("trials", trials)
     if trials < 1:
         raise InfoValueError(f"trials must be at least 1, got {trials}")
+    generator_seed = _integer("seed", generator_seed)
     rng = random.Random(generator_seed)
     checked: dict[str, int] = {}
     failures: list[PropertyFailure] = []

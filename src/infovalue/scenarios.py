@@ -337,49 +337,51 @@ def build_scenario(name: str, epsilon=None, confidence=None) -> Scenario:
     return _expanded(_mixture_base(name, confidence), epsilon)
 
 
+_SWEEP_HEADERS = ("epsilon", "val_good", "val_general", "decision")
+
+
 @dataclass(frozen=True)
 class SweepRow:
     epsilon: Fraction
-    val_good: Fraction
     val_general: Fraction
-    decision: str
+
+    @property
+    def decision(self) -> str:
+        """``learn`` when ``val_general >= 0``, else ``decline``."""
+        return "learn" if self.val_general >= 0 else "decline"
 
 
 @dataclass(frozen=True)
 class SweepTable:
     """Values of learning across epsilon, with the learn/decline verdict.
 
+    ``val_good`` does not depend on epsilon, so the table holds it once and
+    prints it on every row; it is ``None`` only for a table with no rows.
     The verdict is ``learn`` whenever ``val_general >= 0``: an agent
     indifferent at exactly 0 is counted as accepting the evidence.
     """
 
     scenario: str
+    val_good: Fraction | None
     rows: tuple[SweepRow, ...]
 
+    def _cells(self) -> list[tuple[str, ...]]:
+        good = str(self.val_good)
+        return [(str(r.epsilon), good, str(r.val_general), r.decision) for r in self.rows]
+
     def format_table(self) -> str:
-        headers = ("epsilon", "val_good", "val_general", "decision")
-        cells = [
-            (str(r.epsilon), str(r.val_good), str(r.val_general), r.decision)
-            for r in self.rows
-        ]
-        widths = [
-            max(len(h), *(len(row[i]) for row in cells)) if cells else len(h)
-            for i, h in enumerate(headers)
-        ]
-        lines = [
-            "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
-            "  ".join("-" * w for w in widths),
-        ]
-        for row in cells:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-        return "\n".join(lines)
+        cells = self._cells()
+        widths = [max(map(len, column)) for column in zip(_SWEEP_HEADERS, *cells)]
+        lines = [_SWEEP_HEADERS, ["-" * w for w in widths], *cells]
+        return "\n".join(
+            "  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in lines
+        )
 
     def to_csv(self) -> str:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(("epsilon", "val_good", "val_general", "decision"))
-        for r in self.rows:
-            writer.writerow((str(r.epsilon), str(r.val_good), str(r.val_general), r.decision))
+        writer.writerow(_SWEEP_HEADERS)
+        writer.writerows(self._cells())
         return buffer.getvalue()
 
 
@@ -413,9 +415,10 @@ def sweep(name: str, epsilons, confidence=None) -> SweepTable:
     problem is evaluated twice: learning by conditioning, and learning as
     the deviant self.  Each row checks its epsilon and mixes the two values
     at it, with no expansion; every row equals the preset expanded at its
-    epsilon and evaluated alone.  An empty ``epsilons`` builds nothing, so
-    it refuses only the race preset.  ``epsilons`` must be a sequence of
-    values; a bare string is refused.
+    epsilon and evaluated alone, and the table's ``val_good`` is every
+    expansion's.  An empty ``epsilons`` builds nothing, so it refuses only
+    the race preset.  ``epsilons`` must be a sequence of values; a bare
+    string is refused.
     """
     if name == RACE:
         raise ConfigError("the race scenario has no epsilon parameter to sweep")
@@ -423,7 +426,7 @@ def sweep(name: str, epsilons, confidence=None) -> SweepTable:
         raise ValidationError(
             f"epsilons must be a sequence of values, not the string {epsilons!r}"
         )
-    base = None
+    base = good = None
     rows = []
     for raw in epsilons:
         epsilon = as_fraction(raw)
@@ -434,16 +437,8 @@ def sweep(name: str, epsilons, confidence=None) -> SweepTable:
             good, learning, deviating = _base_values(base)
             slope = deviating - learning
         # (1 - epsilon) * learning + epsilon * deviating, with one product
-        general = learning + epsilon * slope
-        rows.append(
-            SweepRow(
-                epsilon=epsilon,
-                val_good=good,
-                val_general=general,
-                decision="learn" if general >= 0 else "decline",
-            )
-        )
-    return SweepTable(name, tuple(rows))
+        rows.append(SweepRow(epsilon, learning + epsilon * slope))
+    return SweepTable(name, good, tuple(rows))
 
 
 def threshold(name: str, confidence=None) -> Fraction | None:

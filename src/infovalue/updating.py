@@ -57,7 +57,6 @@ __all__ = [
     "conditionalization_policy",
     "mixture_expand",
     "is_immodest",
-    "modesty_degree",
     "deviating_states",
     "find_independence_violation",
 ]
@@ -434,13 +433,6 @@ def deviating_states(policy: UpdatePolicy, prior: Credence) -> tuple[str, ...]:
 def is_immodest(policy: UpdatePolicy, prior: Credence) -> bool:
     """Whether the policy conditionalizes at every state that could obtain."""
     return not deviating_states(policy, prior)
-
-
-def modesty_degree(policy: UpdatePolicy, prior: Credence) -> Fraction:
-    """Prior probability of ending up in a state where the policy deviates."""
-    position = prior.space._position
-    weight = sum(prior.nums[position[s]] for s in deviating_states(policy, prior))
-    return Fraction(weight, prior.den)
 
 
 def _choice_groups(

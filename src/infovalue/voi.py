@@ -43,7 +43,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LemmaOneRow:
-    """One (cell, action) entry of the cellwise decomposition.
+    """One chosen action's entry in a :class:`PerCell`, whose cell it is in.
 
     ``choose_prob`` is the conditional probability, given the cell, of
     being in a state where the policy leads the agent to pick ``action_id``;
@@ -53,7 +53,6 @@ class LemmaOneRow:
     these two numbers is legitimate.
     """
 
-    cell: Event
     action_id: str
     choose_prob: Fraction
     cond_eu: Fraction
@@ -84,8 +83,6 @@ class PerCell:
                 f"to 1, got {total}"
             )
         for row in self.rows:
-            if row.cell != self.cell:
-                raise ValidationError("row belongs to a different cell")
             if row.cond_eu > self.max_cond_eu:
                 raise ValidationError(
                     f"row for {row.action_id!r} beats the recorded cell maximum"
@@ -148,11 +145,16 @@ def val_good(problem: DecisionProblem, partition: EvidencePartition) -> Fraction
     """
     if partition.space != problem.space:
         raise SpaceMismatchError("partition is not over the problem's space")
+    return _informed(problem, partition) - max_expected_utility(problem.prior, problem)
+
+
+def _informed(problem: DecisionProblem, partition: EvidencePartition) -> Fraction:
+    """Probability-weighted best conditional expected utility across cells."""
     informed = Fraction(0)
     for cell in partition.cells:
         p_cell = probability(problem.prior, cell)
         informed += p_cell * max_expected_utility(condition(problem.prior, cell), problem)
-    return informed - max_expected_utility(problem.prior, problem)
+    return informed
 
 
 def _realized(problem: DecisionProblem, groups: list[dict]) -> Fraction:
@@ -203,7 +205,7 @@ def _cellwise(
             weight = weights.get(action)
             if weight:
                 choose_prob = Fraction(weight, cell_weight)
-                rows.append(LemmaOneRow(cell, action.id, choose_prob, cell_eu))
+                rows.append(LemmaOneRow(action.id, choose_prob, cell_eu))
         p_cell = Fraction(cell_weight, problem.prior.den)
         out.append(PerCell(cell, p_cell, max(cell_eus), tuple(rows)))
     return tuple(out)
@@ -234,7 +236,8 @@ def evaluate(problem: DecisionProblem, policy: UpdatePolicy) -> VoiReport:
 
     Groups each cell's states by the act chosen there once, then sums the
     definitional value and builds the cellwise decomposition from those
-    groups separately; ``val_good`` comes from its own loop over the cells.
+    groups separately; ``val_good`` comes from its own loop over the cells,
+    less the same baseline, so the prior is scored once.
     :class:`VoiReport` refuses to construct unless the per-cell table
     reproduces both values exactly, so each is checked against a second
     route.  Requires the decomposition's independence precondition, like
@@ -249,7 +252,7 @@ def evaluate(problem: DecisionProblem, policy: UpdatePolicy) -> VoiReport:
             chosen.update(dict.fromkeys(group, action.id))
     return VoiReport(
         baseline=baseline,
-        val_good=val_good(problem, policy.partition),
+        val_good=_informed(problem, policy.partition) - baseline,
         val_general=_realized(problem, groups) - baseline,
         per_cell=per_cell,
         chosen_by_state={states[i]: chosen[i] for i in sorted(chosen)},

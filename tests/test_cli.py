@@ -385,6 +385,27 @@ class TestCheckCommand:
         assert lines[0].split() == ["property", "checked", "failed"]
         assert lines[-1] == "8 trials from seed 7: all properties held"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trials", "1_2", "--seed", "0"], "expected an exact rational string "
+             "like '3/4' or '-2', got '1_2'"),
+            (["--trials", " 12 "], "expected an exact rational string "
+             "like '3/4' or '-2', got ' 12 '"),
+            (["--trials", "١٢"], "expected an exact rational string "
+             "like '3/4' or '-2', got '١٢'"),
+            (["--trials", "abc"], "expected an exact rational string "
+             "like '3/4' or '-2', got 'abc'"),
+            (["--trials", "1/2"], "trials must be an integer, got 1/2"),
+            (["--trials", "0"], "trials must be at least 1, got 0"),
+            (["--trials", "2", "--seed", "3/2"], "seed must be an integer, got 3/2"),
+        ],
+    )
+    def test_malformed_counts_are_errors_not_counterexamples(self, flags, message, capsys):
+        assert main(["check", *flags]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
     def test_counterexamples_exit_2(self, monkeypatch, capsys):
         failure = PropertyFailure(
             trial=3,

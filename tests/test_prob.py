@@ -318,6 +318,12 @@ class TestProbabilityAndConditioning:
         with pytest.raises(ZeroProbabilityError, match="zero-probability"):
             condition(p, event("b", "c"))
 
+    def test_a_null_event_is_a_bad_argument(self):
+        with pytest.raises(ValidationError) as caught:
+            condition(credence(a=1), event("b"))
+        assert type(caught.value) is ZeroProbabilityError
+        assert isinstance(caught.value, ValueError)
+
     def test_space_mismatch_raises(self):
         p = credence(a=1)
         foreign = Event(StateSpace(("a", "b")), frozenset({"a"}))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from infovalue import updating, voi
+from infovalue import properties, updating, voi
 from infovalue.cli import main
 from infovalue.decision import (
     ERROR_ON_TIE,
@@ -15,7 +15,7 @@ from infovalue.decision import (
     DecisionProblem,
     OutcomeSpace,
 )
-from infovalue.errors import InfoValueError
+from infovalue.errors import InfoValueError, ValidationError
 from infovalue.prob import Credence, Event, StateSpace, condition
 from infovalue.problemfile import dumps, loads
 from infovalue.properties import (
@@ -34,8 +34,8 @@ from infovalue.updating import (
     CONDITIONALIZATION,
     EvidencePartition,
     UpdatePolicy,
+    deviating_states,
     is_immodest,
-    modesty_degree,
 )
 from infovalue.voi import evaluate
 
@@ -120,7 +120,7 @@ class TestInstanceGenerators:
     def test_mixture_instance_is_modest(self):
         instance = random_mixture_instance(random.Random(5))
         assert instance.kind == "mixture"
-        assert modesty_degree(instance.policy, instance.problem.prior) > 0
+        assert deviating_states(instance.policy, instance.problem.prior)
         assert not is_immodest(instance.policy, instance.problem.prior)
         evaluate(instance.problem, instance.policy)
 
@@ -178,6 +178,28 @@ class TestPropertySuite:
     def test_rejects_empty_runs(self):
         with pytest.raises(InfoValueError, match="at least 1"):
             property_suite(0, 0)
+
+    @pytest.mark.parametrize(
+        "seed, trials, message",
+        [
+            (0, True, "expected an exact rational, got bool True"),
+            (0, 2.5, "expected an exact rational, got float 2.5; "
+             "pass a Fraction, an int, or a string like '1/10'"),
+            (0, "1/2", "trials must be an integer, got 1/2"),
+            (0, "1_2", "expected an exact rational string like '3/4' or '-2', got '1_2'"),
+            (Fraction(3, 2), 2, "seed must be an integer, got 3/2"),
+            ("1.5", 2, "expected an exact rational string like '3/4' or '-2', got '1.5'"),
+        ],
+    )
+    def test_arguments_are_integers_in_the_rational_grammar(self, seed, trials, message):
+        with pytest.raises(ValidationError) as exc:
+            property_suite(seed, trials)
+        assert str(exc.value) == message
+
+    def test_integer_strings_and_fractions_are_read_exactly(self):
+        report = property_suite("-3", Fraction(4, 2))
+        assert report == property_suite(-3, 2)
+        assert type(report.seed) is type(report.trials) is int
 
     def test_all_properties_hold_on_random_instances(self, clean_report):
         assert clean_report.ok
@@ -279,9 +301,11 @@ class TestPropertySuite:
 
     def test_a_misreported_val_good_fails_the_reconstruction(self, monkeypatch, capsys):
         """evaluate's val_good off by one: the report's cell maxima no longer
-        reproduce it, on every trial, while the suite's own val_good is right."""
-        good = voi.val_good
-        monkeypatch.setattr(voi, "val_good", lambda p, partition: good(p, partition) + 1)
+        reproduce it, on every trial, while the suite's own val_good, read
+        from the oracle, is right."""
+        informed = voi._informed
+        monkeypatch.setattr(voi, "_informed", lambda p, partition: informed(p, partition) + 1)
+        monkeypatch.setattr(properties, "val_good", brute_val_good)
         report = property_suite(0, 4)
         assert [(f.trial, f.property_name) for f in report.failures] == [
             (trial, "cellwise-reconstruction") for trial in range(4)

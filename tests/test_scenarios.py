@@ -24,8 +24,8 @@ from infovalue.scenarios import (
 )
 from infovalue.updating import (
     CONDITIONALIZATION,
+    deviating_states,
     is_immodest,
-    modesty_degree,
 )
 from infovalue.voi import evaluate, val_general, val_good
 
@@ -74,9 +74,11 @@ class TestGamblers:
         assert brute_val_general(scenario.problem, scenario.policy) == -eps / 2
 
     def test_modesty_degree_is_epsilon(self):
+        """The deviating states' prior mass is the chance of the fallacy."""
         eps = Fraction(3, 7)
         scenario = scenario_gamblers(eps)
-        assert modesty_degree(scenario.policy, scenario.problem.prior) == eps
+        prior = scenario.problem.prior
+        assert sum(prior(s) for s in deviating_states(scenario.policy, prior)) == eps
 
     def test_epsilon_zero_is_immodest(self):
         scenario = scenario_gamblers(Fraction(0))
@@ -275,19 +277,13 @@ def outcome(call):
 
 def row_by_row(name, epsilons, confidence):
     """The sweep table built one scenario per epsilon, as the parent built it."""
-    rows = []
+    goods, rows = set(), []
     for epsilon in epsilons:
         scenario = build_scenario(name, epsilon=epsilon, confidence=confidence)
-        general = val_general(scenario.problem, scenario.policy)
-        rows.append(
-            SweepRow(
-                epsilon,
-                val_good(scenario.problem, scenario.policy.partition),
-                general,
-                "learn" if general >= 0 else "decline",
-            )
-        )
-    return SweepTable(name, tuple(rows))
+        goods.add(val_good(scenario.problem, scenario.policy.partition))
+        rows.append(SweepRow(epsilon, val_general(scenario.problem, scenario.policy)))
+    assert len(goods) <= 1  # val_good does not depend on epsilon
+    return SweepTable(name, goods.pop() if goods else None, tuple(rows))
 
 
 GRID = [Fraction(0), Fraction(1, 14), Fraction(1, 7), Fraction(1, 2), Fraction(1)]
@@ -382,7 +378,7 @@ class TestSweepBuildsOnce:
 
     @pytest.mark.parametrize("name", [GAMBLERS, UNKNOWN_BIAS])
     def test_an_empty_grid_builds_nothing_and_refuses_nothing(self, name):
-        assert sweep(name, [], confidence="2") == SweepTable(name, ())
+        assert sweep(name, [], confidence="2") == SweepTable(name, None, ())
 
     @pytest.mark.parametrize("epsilons", ["01", "1/2"])
     def test_a_bare_string_of_epsilons_is_refused(self, epsilons):

@@ -34,7 +34,6 @@ from infovalue.updating import (
     find_independence_violation,
     is_immodest,
     mixture_expand,
-    modesty_degree,
 )
 from infovalue.properties import random_deviation_spec, random_problem
 from infovalue.voi import evaluate, val_general
@@ -140,6 +139,13 @@ class TestUpdatePolicy:
         with pytest.raises(MissingPosteriorError):
             policy.posterior("missing")
 
+    def test_a_missing_posterior_is_a_bad_argument(self):
+        policy = conditionalization_policy(PRIOR, PARTITION)
+        with pytest.raises(ValidationError) as caught:
+            policy.posterior("missing")
+        assert type(caught.value) is MissingPosteriorError
+        assert isinstance(caught.value, ValueError)
+
     def test_equality_and_hash_follow_the_fields(self):
         built = conditionalization_policy(PRIOR, PARTITION)
         again = UpdatePolicy(
@@ -164,7 +170,6 @@ class TestConditionalizationPolicy:
     def test_is_immodest_with_degree_zero(self):
         policy = conditionalization_policy(PRIOR, PARTITION)
         assert is_immodest(policy, PRIOR)
-        assert modesty_degree(policy, PRIOR) == 0
         assert deviating_states(policy, PRIOR) == ()
 
     def test_zero_probability_cell_is_an_error(self):
@@ -281,13 +286,14 @@ class TestMixtureExpand:
             "u2·deviate",
         )
         # deviant disposition has mass 1/4 but only the U cell is distorted
-        assert modesty_degree(policy, expanded.prior) == Fraction(1, 4) * Fraction(2, 3)
+        deviating_mass = sum(expanded.prior(s) for s in deviating_states(policy, expanded.prior))
+        assert deviating_mass == Fraction(1, 4) * Fraction(2, 3)
         assert not is_immodest(policy, expanded.prior)
 
     def test_epsilon_zero_collapses_to_conditionalization(self):
         expanded, policy = expanded_fixture(epsilon=Fraction(0))
         assert is_immodest(policy, expanded.prior)
-        assert modesty_degree(policy, expanded.prior) == 0
+        assert deviating_states(policy, expanded.prior) == ()
 
     def test_tie_policy_is_inherited(self):
         strict = DecisionProblem(
@@ -542,8 +548,9 @@ class TestDeviationAgainstTheDefinition:
         problem, policy = drawn
         expected = brute_deviating_states(problem, policy)
         prior = dist_of(problem.prior)
-        assert deviating_states(policy, problem.prior) == expected
-        assert modesty_degree(policy, problem.prior) == sum(
+        deviating = deviating_states(policy, problem.prior)
+        assert deviating == expected
+        assert sum(problem.prior(s) for s in deviating) == sum(
             (prior[s] for s in expected), Fraction(0)
         )
         assert is_immodest(policy, problem.prior) == (not expected)
@@ -691,7 +698,7 @@ ELSEWHERE_POLICY = conditionalization_policy(SURE_X, ELSEWHERE_PARTITION)
             "prior and policy live on different spaces",
         ),
         (
-            lambda: modesty_degree(ELSEWHERE_POLICY, PRIOR),
+            lambda: sum(PRIOR(s) for s in deviating_states(ELSEWHERE_POLICY, PRIOR)),
             SpaceMismatchError, "deviating_states",
             "prior and policy live on different spaces",
         ),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from infovalue import voi
 from infovalue.decision import (
     ERROR_ON_TIE,
     Action,
@@ -24,6 +25,7 @@ from infovalue.errors import (
     ZeroProbabilityError,
 )
 from infovalue.prob import Credence, Event, StateSpace, condition
+from infovalue.scenarios import scenario_gamblers
 from infovalue.updating import (
     DeviationSpec,
     EvidencePartition,
@@ -246,34 +248,29 @@ class TestLemmaOneDecomposition:
 class TestRowAndCellValidation:
     def test_choose_prob_bounds(self):
         with pytest.raises(ValidationError, match="choose_prob"):
-            LemmaOneRow(LEFT, "pass", Fraction(0), Fraction(0))
+            LemmaOneRow("pass", Fraction(0), Fraction(0))
         with pytest.raises(ValidationError, match="choose_prob"):
-            LemmaOneRow(LEFT, "pass", Fraction(3, 2), Fraction(0))
+            LemmaOneRow("pass", Fraction(3, 2), Fraction(0))
 
     def test_cell_rows_must_sum_to_one(self):
-        row = LemmaOneRow(LEFT, "pass", Fraction(1, 2), Fraction(0))
+        row = LemmaOneRow("pass", Fraction(1, 2), Fraction(0))
         with pytest.raises(ValidationError, match="sum"):
             PerCell(LEFT, Fraction(1, 2), Fraction(0), (row,))
 
     def test_rows_cannot_beat_the_recorded_maximum(self):
-        row = LemmaOneRow(LEFT, "pass", Fraction(1), Fraction(2))
+        row = LemmaOneRow("pass", Fraction(1), Fraction(2))
         with pytest.raises(ValidationError, match="beats"):
             PerCell(LEFT, Fraction(1, 2), Fraction(1), (row,))
 
-    def test_rows_must_belong_to_the_cell(self):
-        row = LemmaOneRow(RIGHT, "pass", Fraction(1), Fraction(0))
-        with pytest.raises(ValidationError, match="different cell"):
-            PerCell(LEFT, Fraction(1, 2), Fraction(0), (row,))
-
     def test_cell_probability_must_be_positive(self):
-        row = LemmaOneRow(LEFT, "pass", Fraction(1), Fraction(0))
+        row = LemmaOneRow("pass", Fraction(1), Fraction(0))
         with pytest.raises(ValidationError, match="positive"):
             PerCell(LEFT, Fraction(0), Fraction(0), (row,))
 
     def test_realized_eu_weights_rows(self):
         rows = (
-            LemmaOneRow(LEFT, "pass", Fraction(3, 4), Fraction(0)),
-            LemmaOneRow(LEFT, "bet-left", Fraction(1, 4), Fraction(1)),
+            LemmaOneRow("pass", Fraction(3, 4), Fraction(0)),
+            LemmaOneRow("bet-left", Fraction(1, 4), Fraction(1)),
         )
         cell = PerCell(LEFT, Fraction(1, 2), Fraction(1), rows)
         assert cell.realized_eu() == Fraction(1, 4)
@@ -300,6 +297,21 @@ class TestVoiReport:
         # a shifted baseline breaks the val_good reconstruction first
         with pytest.raises(ValidationError, match="val_good"):
             dataclasses.replace(report, baseline=report.baseline + 1)
+
+    def test_the_prior_is_scored_once(self, monkeypatch):
+        """The baseline and val_good share one pass over the prior."""
+        scenario = scenario_gamblers(Fraction(1, 10))
+        scored = []
+
+        def counted(credence, problem):
+            scored.append(credence)
+            return score(credence, problem)
+
+        score = voi.max_expected_utility
+        monkeypatch.setattr(voi, "max_expected_utility", counted)
+        evaluate(scenario.problem, scenario.policy)
+        assert len(scored) == 3  # the prior, then each cell's conditioned prior
+        assert sum(c is scenario.problem.prior for c in scored) == 1
 
     def test_equality_and_hash_follow_the_fields(self):
         problem, policy, _ = trap_problem()
