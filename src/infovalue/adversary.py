@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import mul
 from typing import Iterator
 
 from .decision import (
@@ -39,16 +40,15 @@ from .decision import (
     ChoiceSet,
     DecisionProblem,
     OutcomeSpace,
-    expected_utility,
-    max_expected_utility,
 )
 from .errors import (
     IndependenceBrokenError,
     NoDeviationError,
     SpaceMismatchError,
     ValidationError,
+    ZeroProbabilityError,
 )
-from .prob import Credence, Event, as_fraction, condition, probability
+from .prob import Credence, Event, _ratio, _weight, as_fraction
 from .updating import (
     UpdatePolicy,
     _cell_table,
@@ -104,7 +104,7 @@ class Deviation:
                 f"{self.cell.describe()}"
             )
         for name, value in (("q", self.q), ("r", self.r)):
-            if not 0 <= value <= 1:
+            if not 0 <= value.numerator <= value.denominator:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}")
         if self.q == self.r:
             raise ValidationError(
@@ -122,18 +122,21 @@ def construct_bet(q: Fraction, r: Fraction) -> tuple[Fraction, Fraction]:
     credence exactly when it puts more than ``loss`` on the event; the
     midpoint construction puts that threshold strictly between ``r`` and
     ``q``, and both stakes land strictly inside (0, 1).  ``q`` and ``r``
-    are read by :func:`~infovalue.prob.as_fraction`.
+    are read in :func:`~infovalue.prob.as_fraction`'s grammar as integer
+    pairs, and every step cross-multiplies them: the only Fractions built
+    are the two stakes, and a refused value for its message.
     """
-    q, r = as_fraction(q), as_fraction(r)
-    for name, value in (("q", q), ("r", r)):
-        if not 0 <= value <= 1:
-            raise ValidationError(f"{name} must lie in [0, 1], got {value}")
-    if q == r:
+    (q_num, q_den), (r_num, r_den) = _ratio(q), _ratio(r)
+    for name, num, den in (("q", q_num, q_den), ("r", r_num, r_den)):
+        if not 0 <= num <= den:
+            raise ValidationError(f"{name} must lie in [0, 1], got {Fraction(num, den)}")
+    if q_num * r_den == r_num * q_den:
         raise ValidationError("q and r agree; no bet can split them")
-    if q < r:
-        return construct_bet(1 - q, 1 - r)
-    m = (q + r) / 2
-    return 1 - m, m
+    if q_num * r_den < r_num * q_den:  # the bet is on the complement
+        q_num, r_num = q_den - q_num, r_den - r_num
+    den = 2 * q_den * r_den
+    loss = q_num * r_den + r_num * q_den  # (q + r) / 2 == loss / den
+    return Fraction(den - loss, den), Fraction(loss, den)
 
 
 @dataclass(frozen=True)
@@ -143,22 +146,35 @@ class AversionCertificate:
     Holds the located deviation, the priced bet, and the two-action
     problem: ``safe`` always pays 0; ``risky`` wins ``bet_win`` on
     ``bet_event`` inside the deviation's cell, loses ``bet_loss`` on the
-    rest of the cell, and pays 0 outside it.  Construction re-derives
-    everything it claims: the break-even threshold separates q from r,
+    rest of the cell, and pays 0 outside it.  ``bet_win``, ``bet_loss`` and
+    ``val_general`` are read by :func:`~infovalue.prob.as_fraction`.
+    Construction re-derives everything it claims, in this order: the
+    stakes are positive and their break-even threshold separates q from r,
     the bet is strictly attractive to the deviant posterior and strictly
     unattractive to the conditioned one, declining is prior-optimal at
-    exactly 0, ``val_general`` — recomputed from scratch, not trusted
-    from the caller — is strictly negative, and the full independence
-    check (:func:`~infovalue.updating.find_independence_violation`) finds
-    no choice that reveals anything payoff-relevant, which the value's
-    accounting requires.  The recomputation and the independence check
-    read one set of per-cell act groups, built once from the synthesized
-    problem and the policy.  Last
-    come the claims themselves: ``q`` and ``r`` are the deviant
-    posterior's and the conditioned prior's probabilities of the
+    exactly 0, ``val_general`` — recomputed from scratch, not trusted from
+    the caller — is strictly negative, and no choice on the synthesized
+    problem reveals anything payoff-relevant, which the value's accounting
+    requires.  Last come the claims themselves: ``q`` and ``r`` are the
+    deviant posterior's and the conditioned prior's probabilities of the
     deviation's event, ``bet_event`` is that event when ``q > r`` and its
     complement otherwise, and the acts are exactly ``safe`` and ``risky``
-    as above, read off the problem's integer utility table in O(|space|).
+    as above.
+
+    Every check compares integers.  The threshold and the stakes are
+    cross-multiplied numerators and denominators.  The two expected
+    utilities' signs, the prior's best score and the masses behind ``q``
+    and ``r`` are read off the problem's integer utility rows, the
+    posterior's ``nums`` and the prior's weights on the cell, so no
+    credence is conditioned and no expected utility is built.  The checks
+    build one Fraction, the recomputed value; any other is built only for
+    an error message.  That recomputation is the second route: it builds
+    its own per-cell act groups (the states that choose each act) from the
+    synthesized problem and the policy, and sums what each state's chosen
+    act pays there.  It shares no tally with the search that priced the
+    bet, so a fault in the search's tallies cannot vouch for itself.  The
+    leak test reads the same act groups.  Besides that one choice map, the
+    checks cost O(|space|) integer operations.
     """
 
     deviation: Deviation
@@ -170,78 +186,115 @@ class AversionCertificate:
     val_general: Fraction
 
     def __post_init__(self) -> None:
-        if self.bet_win <= 0 or self.bet_loss <= 0:
+        for name in ("bet_win", "bet_loss", "val_general"):
+            object.__setattr__(self, name, as_fraction(getattr(self, name)))
+        win, loss = self.bet_win, self.bet_loss
+        if win.numerator <= 0 or loss.numerator <= 0:
             raise ValidationError("stakes must be positive on both sides")
-        threshold = self.bet_loss / (self.bet_win + self.bet_loss)
-        q, r = self.deviation.q, self.deviation.r
-        if q > r:
-            separated = r < threshold < q
-        else:
-            separated = (1 - r) < threshold < (1 - q)
-        if not separated:
+        deviation = self.deviation
+        q, r = deviation.q, deviation.r
+        q_wins = q.numerator * r.denominator > r.numerator * q.denominator
+        if q_wins:
+            high, low = (q.numerator, q.denominator), (r.numerator, r.denominator)
+        else:  # the bet is on the complement
+            high = (q.denominator - q.numerator, q.denominator)
+            low = (r.denominator - r.numerator, r.denominator)
+        # the threshold loss / (win + loss) is t_num / t_den
+        t_num = loss.numerator * win.denominator
+        t_den = win.numerator * loss.denominator + t_num
+        if not (low[0] * t_den < t_num * low[1] and t_num * high[1] < high[0] * t_den):
             raise ValidationError(
-                f"break-even threshold {threshold} does not separate "
+                f"break-even threshold {Fraction(t_num, t_den)} does not separate "
                 f"q={q} from r={r} on the event bet on"
             )
-        risky = self.problem.choices.by_id(RISKY_ID)
-        posterior = self.policy.posterior(self.deviation.state)
-        sober = condition(self.problem.prior, self.deviation.cell)
-        deviant_eu = expected_utility(self.problem, risky, posterior)
-        sober_eu = expected_utility(self.problem, risky, sober)
-        if not deviant_eu > 0 > sober_eu:
+        problem, cell = self.problem, deviation.cell
+        prior, scale = problem.prior, problem._scale
+        risky = problem.choices.by_id(RISKY_ID)
+        posterior = self.policy.posterior(deviation.state)
+        if cell.space != prior.space:
+            raise SpaceMismatchError("event and credence live on different spaces")
+        cell_weight = _weight(prior, cell.members)
+        if not cell_weight:
+            raise ZeroProbabilityError(
+                f"cannot condition on zero-probability event {cell.describe()}"
+            )
+        if posterior.space != problem.space:
+            raise SpaceMismatchError("credence is not over the problem's space")
+        # risky's expected utilities, times posterior.den * U and cell_weight * U
+        row, position = problem._rows[risky], prior.space._position
+        deviant = sum(map(mul, row, posterior.nums))
+        sober = sum(row[i] * prior.nums[i] for i in map(position.__getitem__, cell.members))
+        if not deviant > 0 > sober:
             raise ValidationError(
                 f"the bet must be strictly attractive to the deviant posterior "
-                f"(EU {deviant_eu}) and strictly unattractive to the conditioned "
-                f"one (EU {sober_eu})"
+                f"(EU {Fraction(deviant, posterior.den * scale)}) and strictly "
+                f"unattractive to the conditioned one "
+                f"(EU {Fraction(sober, cell_weight * scale)})"
             )
-        baseline = max_expected_utility(self.problem.prior, self.problem)
-        if baseline != 0:
+        top = max(problem._scores(prior))
+        if top != 0:
             raise ValidationError(
-                f"declining must be prior-optimal at exactly 0, got {baseline}"
+                "declining must be prior-optimal at exactly 0, "
+                f"got {Fraction(top, prior.den * scale)}"
             )
-        groups = _choice_groups(self.problem, self.policy)
-        recomputed = _realized(self.problem, groups) - baseline
+        groups = _choice_groups(problem, self.policy)
+        recomputed = _realized(problem, groups)  # less the baseline, which is 0
         if recomputed != self.val_general:
             raise ValidationError(
                 f"certificate claims val_general={self.val_general}, "
                 f"recomputation gives {recomputed}"
             )
-        if self.val_general >= 0:
+        if self.val_general.numerator >= 0:
             raise ValidationError(
                 f"certificate requires strictly negative value, got {self.val_general}"
             )
-        witness = _first_leak(self.problem, self.policy, groups)
+        witness = _first_leak(problem, self.policy, groups)
         if witness is not None:
-            cell, chosen, probe = witness
-            leak = IndependenceBrokenError(cell, chosen.id, probe.id)
+            leaking, chosen, probe = witness
+            leak = IndependenceBrokenError(leaking, chosen.id, probe.id)
             raise ValidationError(f"the bet's takers leak: {leak}")
-        self._check_claims(posterior, sober)
+        self._check_claims(posterior, cell_weight, q_wins)
 
-    def _check_claims(self, posterior: Credence, sober: Credence) -> None:
-        """That q, r, the bet event and the two acts are what the deviation implies."""
-        space, event = self.problem.space, self.deviation.event
+    def _check_claims(self, posterior: Credence, cell_weight: int, q_wins: bool) -> None:
+        """That q, r, the bet event and the two acts are what the deviation implies.
+
+        ``cell_weight`` is the prior's integer weight on the deviation's
+        cell, and ``q_wins`` says whether ``q > r``.
+        """
+        problem, event = self.problem, self.deviation.event
+        space, scale = problem.space, problem._scale
         q, r = self.deviation.q, self.deviation.r
-        actual = (probability(posterior, event), probability(sober, event))
-        if actual != (q, r):
+        if event.space != space:
+            raise SpaceMismatchError("event and credence live on different spaces")
+        # the event's mass under the posterior and, as it lies inside the cell
+        # (Deviation checks that), under the prior conditioned on the cell
+        q_num = _weight(posterior, event.members)
+        r_num = _weight(problem.prior, event.members)
+        if (
+            q_num * q.denominator != q.numerator * posterior.den
+            or r_num * r.denominator != r.numerator * cell_weight
+        ):
             raise ValidationError(
                 f"deviation claims q={q}, r={r} on {event.describe()}, but the "
-                f"posterior and the conditioned prior give {actual[0]} and {actual[1]}"
+                f"posterior and the conditioned prior give "
+                f"{Fraction(q_num, posterior.den)} and {Fraction(r_num, cell_weight)}"
             )
-        bet = event.members if q > r else frozenset(space.states) - event.members
+        bet = event.members if q_wins else frozenset(space.states) - event.members
         if self.bet_event.space != space or self.bet_event.members != bet:
             raise ValidationError(
                 f"bet event {self.bet_event.describe()} must be the deviation's "
                 "event when q > r and its complement otherwise"
             )
-        scale, cell = self.problem._scale, self.deviation.cell.members
-        win, loss = self.bet_win * scale, self.bet_loss * scale
+        cell = self.deviation.cell.members
+        win, win_rest = divmod(self.bet_win.numerator * scale, self.bet_win.denominator)
+        loss, loss_rest = divmod(self.bet_loss.numerator * scale, self.bet_loss.denominator)
         pays = (
-            win.denominator == loss.denominator == 1
-            and self.problem.choices.ids() == (SAFE_ID, RISKY_ID)
-            and tuple(self.problem._rows.values()) == (
+            win_rest == loss_rest == 0
+            and problem.choices.ids() == (SAFE_ID, RISKY_ID)
+            and tuple(problem._rows.values()) == (
                 (0,) * len(space),
                 tuple(
-                    (win.numerator if s in bet else -loss.numerator) if s in cell else 0
+                    (win if s in bet else -loss) if s in cell else 0
                     for s in space.states
                 ),
             )
@@ -271,14 +324,11 @@ def _synthesize(
         (_OUTCOME_ZERO, _OUTCOME_WIN, _OUTCOME_LOSS),
         {_OUTCOME_ZERO: Fraction(0), _OUTCOME_WIN: bet_win, _OUTCOME_LOSS: -bet_loss},
     )
-    safe = Action(SAFE_ID, {s: _OUTCOME_ZERO for s in space})
-
-    def risky_outcome(state: str) -> str:
-        if state not in cell:
-            return _OUTCOME_ZERO
-        return _OUTCOME_WIN if state in bet_event else _OUTCOME_LOSS
-
-    risky = Action(RISKY_ID, {s: risky_outcome(s) for s in space})
+    nothing = dict.fromkeys(space.states, _OUTCOME_ZERO)
+    bet = dict(nothing)
+    for state in cell.members:
+        bet[state] = _OUTCOME_WIN if state in bet_event else _OUTCOME_LOSS
+    safe, risky = Action(SAFE_ID, nothing), Action(RISKY_ID, bet)
     return DecisionProblem(
         space,
         outcomes,
@@ -384,9 +434,11 @@ def demonstrate_aversion(
     midpoint bet for each until one leaves choices uninformative about
     payoffs.  That first surviving candidate becomes the certificate.  Its
     value is the takers' prior weight times their stake, summed from the
-    search's integer tallies; :class:`AversionCertificate` then checks it
-    against a definitional recomputation and reruns the full independence
-    check on the synthesized problem.
+    search's integer tallies into one Fraction over ``loss_den *
+    prior.den``.  :class:`AversionCertificate` then checks it, in integers,
+    against a definitional recomputation that builds its own act groups on
+    the synthesized problem and shares no tally with the search, and
+    reruns the leak test on those groups.
 
     Each cell is read from the integer table that
     :func:`~infovalue.updating.deviating_states` reads, where a posterior
@@ -403,8 +455,9 @@ def demonstrate_aversion(
     rejected.  Stakes are integers over one denominator per cell, and each
     posterior class's mass and ``own`` weight on a candidate are summed
     along the candidate's own members (:func:`_tally`), in O(|event|)
-    integer operations.  Stakes become ``Fraction``s only for the
-    certificate.  A cell of ``n`` states that is not calibrated walks up to
+    integer operations.  Only the certificate's fields are Fractions: ``q``,
+    ``r``, the stakes that :func:`construct_bet` prices from them, and the
+    value.  A cell of ``n`` states that is not calibrated walks up to
     ``2**n - 2`` events per distinct deviating posterior.
 
     Raises :class:`NoDeviationError` if the policy conditionalizes at
@@ -463,8 +516,10 @@ def demonstrate_aversion(
                 q, r = Fraction(q_num, den), Fraction(r_num, total)
                 bet_win, bet_loss = construct_bet(q, r)
                 event = Event(space, frozenset(members[i] for i in combo))
-                bet_event = event if q > r else event.complement()
-                taker_loss_weight = taker_weight - taker_bet_weight
+                bet_event = event.complement() if mirrored else event
+                # a taker wins 1 - loss on the bet and loses loss off it, with
+                # loss = key[1] / loss_den
+                value_num = taker_bet_weight * loss_den - taker_weight * key[1]
                 return AversionCertificate(
                     deviation=Deviation(
                         cell=cell, state=cls.first, event=event, q=q, r=r
@@ -474,9 +529,7 @@ def demonstrate_aversion(
                     bet_event=bet_event,
                     problem=_synthesize(problem, cell, bet_event, bet_win, bet_loss),
                     policy=policy,
-                    val_general=(
-                        taker_bet_weight * bet_win - taker_loss_weight * bet_loss
-                    ) / prior.den,
+                    val_general=Fraction(value_num, loss_den * prior.den),
                 )
     if first_deviating is None:
         raise NoDeviationError(

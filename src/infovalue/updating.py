@@ -480,19 +480,21 @@ def _choice_groups(
 
 def _cell_pass(
     problem: DecisionProblem, groups: Mapping[Action, list[int]]
-) -> tuple[list[Fraction], dict[Action, int], tuple[Action, Action] | None]:
+) -> tuple[list[int], dict[Action, int], tuple[Action, Action] | None]:
     """One pass over a positive-probability cell's act groups.
 
-    Returns each action's expected utility under the cell's conditioned
-    prior (choice-set order), each group's summed prior numerators (keyed
-    by its act), and the cell's first leak: the first (chosen, probe) pair,
-    both in choice-set order, whose expected utility moves when the prior
-    is conditioned further on "the agent chose this".
+    Returns each action's integer score on the cell (choice-set order),
+    each group's summed prior numerators (keyed by its act), and the
+    cell's first leak: the first (chosen, probe) pair, both in choice-set
+    order, whose expected utility moves when the prior is conditioned
+    further on "the agent chose this".
 
-    Decided in integers, with no credence built.  For a set of states, an
-    action's score is ``sum(row[i] * prior.nums[i])`` over the states and
-    the set's weight is ``sum(prior.nums[i])``; the expected utility under
-    the prior conditioned on the set is ``score / (weight * U)``.  Each
+    Decided in integers, with no credence or Fraction built.  For a set of
+    states, an action's score is ``sum(row[i] * prior.nums[i])`` over the
+    states and the set's weight is ``sum(prior.nums[i])``; the expected
+    utility under the prior conditioned on the set is ``score / (weight *
+    U)``, so a cell's expected utilities are its scores over the sum of
+    the groups' weights times ``U``.  Each
     group is scored once on every row; the groups hold all of the cell's
     positive-prior states, so the cell's scores and weight are their sums.
     A chosen act's group leaks through a probe exactly when ``group_score *
@@ -508,25 +510,29 @@ def _cell_pass(
         scores[action] = [sum(map(mul, take(row), group_nums)) for row in rows]
     cell_weight = sum(weights.values())
     cell_scores = [sum(column) for column in zip(*scores.values())]
-    cell_eus = [Fraction(score, cell_weight * problem._scale) for score in cell_scores]
     if len(groups) > 1:  # a lone group is the cell's whole support
         for action in problem.choices:
             for probe, score, cell_score in zip(
                 problem.choices, scores.get(action, ()), cell_scores
             ):
                 if score * cell_weight != cell_score * weights[action]:
-                    return cell_eus, weights, (action, probe)
-    return cell_eus, weights, None
+                    return cell_scores, weights, (action, probe)
+    return cell_scores, weights, None
 
 
 def _first_leak(
     problem: DecisionProblem, policy: UpdatePolicy, groups: list[dict]
 ) -> tuple[Event, Action, Action] | None:
-    """:func:`find_independence_violation` over already built act groups."""
+    """:func:`find_independence_violation` over already built act groups.
+
+    A cell with fewer than two act groups is skipped: a lone group is the
+    cell's whole support, and conditioning on it moves nothing.
+    """
     for cell, cell_groups in zip(policy.partition.cells, groups):
-        leak = _cell_pass(problem, cell_groups)[2] if cell_groups else None
-        if leak is not None:
-            return (cell, *leak)
+        if len(cell_groups) > 1:
+            leak = _cell_pass(problem, cell_groups)[2]
+            if leak is not None:
+                return (cell, *leak)
     return None
 
 

@@ -194,12 +194,13 @@ def _cellwise(
             raise ValidationError(
                 f"cannot decompose zero-probability cell {cell.describe()}"
             )
-        cell_eus, weights, leak = _cell_pass(problem, cell_groups)
+        cell_scores, weights, leak = _cell_pass(problem, cell_groups)
         if leak is not None:
             action, probe = leak
             raise IndependenceBrokenError(cell, action.id, probe.id)
         # P(chose the act | cell) is the choosers' prior weight over the cell's
         cell_weight = sum(weights.values())
+        cell_eus = [Fraction(score, cell_weight * problem._scale) for score in cell_scores]
         rows = []
         for action, cell_eu in zip(problem.choices, cell_eus):
             weight = weights.get(action)

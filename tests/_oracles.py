@@ -180,6 +180,32 @@ def brute_independence_witness(problem, policy):
     return None
 
 
+def brute_bet(q, r):
+    """Midpoint stakes ``(win, loss)`` for a disagreement, from the definition.
+
+    With ``m = (q + r) / 2`` the stakes are ``(1 - m, m)`` when ``q > r``.
+    Otherwise the bet is on the event's complement, which the two credences
+    price at ``1 - q > 1 - r``, and the same rule applies there.
+    """
+    if q < r:
+        q, r = 1 - q, 1 - r
+    m = (q + r) / 2
+    return 1 - m, m
+
+
+def brute_separates(q, r, win, loss):
+    """Whether the break-even threshold ``loss / (win + loss)`` splits q from r.
+
+    It must lie strictly between the two credences' probabilities of the
+    event bet on: ``r < t < q`` when ``q > r``, and ``1 - r < t < 1 - q``
+    when the bet is on the complement.
+    """
+    t = loss / (win + loss)
+    if q > r:
+        return r < t < q
+    return 1 - r < t < 1 - q
+
+
 def _takers(prior, posteriors, members, bet, loss):
     """The positive-prior members whose posterior puts more than ``loss`` on ``bet``."""
     return {

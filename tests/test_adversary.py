@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from infovalue import adversary, updating, voi
+from infovalue import adversary, decision, prob, updating, voi
 from infovalue.adversary import (
     RISKY_ID,
     SAFE_ID,
@@ -35,8 +35,10 @@ from infovalue.updating import EvidencePartition, UpdatePolicy, conditionalizati
 from infovalue.voi import val_general
 
 from _oracles import (
+    brute_bet,
     brute_certificate_walk,
     brute_independence_witness,
+    brute_separates,
     brute_val_general,
 )
 from _refusals import refusal
@@ -174,6 +176,23 @@ class TestConstructBet:
         assert high * win - (1 - high) * loss > 0
         assert low * win - (1 - low) * loss < 0
 
+    @given(
+        st.fractions(min_value=0, max_value=1, max_denominator=40),
+        st.fractions(min_value=0, max_value=1, max_denominator=40),
+    )
+    @example(Fraction(1), Fraction(0))
+    @example(Fraction(0), Fraction(1))
+    @example(Fraction(0), Fraction(2, 7))
+    @example(Fraction(1), Fraction(5, 9))
+    @example(Fraction(3, 8), Fraction(1))
+    @example(Fraction(4, 11), Fraction(0))
+    def test_matches_the_midpoint_definition(self, q, r):
+        """Integer pricing against the Fraction definition, on either side."""
+        if q == r:
+            return
+        assert construct_bet(q, r) == brute_bet(q, r)
+        assert construct_bet(str(q), str(r)) == brute_bet(q, r)
+
 
 class TestDemonstrateAversion:
     def test_skewed_policy_yields_a_losing_bet(self):
@@ -265,6 +284,87 @@ class TestAversionCertificate:
         with pytest.raises(ValidationError, match="recomputation"):
             dataclasses.replace(cert, val_general=cert.val_general - 1)
 
+    @pytest.mark.parametrize(
+        "field, text",
+        [("bet_win", "3/10"), ("bet_loss", "7/10"), ("val_general", "-1/5")],
+    )
+    def test_stakes_and_value_read_rational_strings(self, field, text):
+        cert = self.build()
+        read = dataclasses.replace(cert, **{field: text})
+        assert read == cert
+        assert type(getattr(read, field)) is Fraction
+
+    def test_checks_build_no_credence_or_expected_utility(self, monkeypatch):
+        """The checks read integer rows, ``nums`` and prior weights: nothing
+        conditions a credence or prices an expected utility or probability,
+        and the module builds no Fraction unless a check fails."""
+        gamblers = build_scenario("gamblers", epsilon=Fraction(1, 10))
+        certs = [
+            self.build(),
+            demonstrate_aversion(gamblers.problem, gamblers.policy),
+        ]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a certificate check left the integers")
+
+        names = ("condition", "expected_utility", "max_expected_utility", "probability")
+        for module in (prob, decision, updating, voi, adversary):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(adversary, "Fraction", forbidden)
+        for cert in certs:
+            assert dataclasses.replace(cert) == cert
+
+    @settings(deadline=None)
+    @given(
+        st.fractions(min_value=0, max_value=1, max_denominator=12),
+        st.fractions(min_value=0, max_value=1, max_denominator=12),
+        st.fractions(min_value=0, max_value=2, max_denominator=12).filter(bool),
+        st.fractions(min_value=0, max_value=2, max_denominator=12).filter(bool),
+    )
+    @example(Fraction(9, 10), Fraction(1, 2), Fraction(1), Fraction(1))  # t == r
+    @example(Fraction(9, 10), Fraction(1, 2), Fraction(1), Fraction(9))  # t == q
+    @example(Fraction(1, 10), Fraction(1, 2), Fraction(1, 3), Fraction(1, 2))  # mirrored
+    @example(Fraction(1), Fraction(0), Fraction(1, 2), Fraction(1, 2))
+    @example(Fraction(0), Fraction(1), Fraction(1, 5), Fraction(2, 3))
+    def test_separation_accepts_exactly_the_splitting_stakes(self, q, r, win, loss):
+        """Both states hold one posterior that puts q on {g}, where the prior
+        puts r, and the acts pay the drawn stakes.  When the threshold
+        splits q from r the certificate constructs; when it does not, the
+        separation check refuses it."""
+        if q == r:
+            return
+        prior = Credence(TWO, {"g": r, "h": 1 - r})
+        posterior = Credence(TWO, {"g": q, "h": 1 - q})
+        policy = UpdatePolicy(TWO_PARTITION, {"g": posterior, "h": posterior})
+        event = Event(TWO, frozenset({"g"}))
+        bet_event = event if q > r else event.complement()
+        base = DecisionProblem(
+            TWO,
+            OutcomeSpace(("nil",), {"nil": 0}),
+            prior,
+            ChoiceSet((Action("idle", {"g": "nil", "h": "nil"}),)),
+        )
+        problem = bet_problem(base, WHOLE, bet_event.members, win, loss)
+
+        def build():
+            return AversionCertificate(
+                deviation=Deviation(WHOLE, "g", event, q, r),
+                bet_win=win,
+                bet_loss=loss,
+                bet_event=bet_event,
+                problem=problem,
+                policy=policy,
+                val_general=val_general(problem, policy),
+            )
+
+        if brute_separates(q, r, win, loss):
+            build()
+        else:
+            with pytest.raises(ValidationError, match="does not separate"):
+                build()
+
     def test_one_choice_map_per_certificate(self, monkeypatch):
         """The value recomputation and the independence check share one map."""
         cert = self.build()
@@ -282,11 +382,18 @@ class TestAversionCertificate:
 
     def test_misstated_deviation_and_bet_event_are_rejected(self):
         """Claims the value and the independence check never read are still
-        checked: here q is really 9/10, and the bet is on {g}."""
+        checked: here q is really 9/10, r is 1/2, and the bet is on {g}.
+        The message's values are built only once the integer check fails."""
         cert = self.build()
-        with pytest.raises(ValidationError, match="q=4/5"):
-            dataclasses.replace(
-                cert, deviation=dataclasses.replace(cert.deviation, q=Fraction(4, 5))
+        misstated = (({"q": Fraction(4, 5)}, "4/5", "1/2"), ({"r": Fraction(2, 5)}, "9/10", "2/5"))
+        for claims, q, r in misstated:
+            with pytest.raises(ValidationError) as exc:
+                dataclasses.replace(
+                    cert, deviation=dataclasses.replace(cert.deviation, **claims)
+                )
+            assert str(exc.value) == (
+                f"deviation claims q={q}, r={r} on {{g}}, but the posterior and the "
+                "conditioned prior give 9/10 and 1/2"
             )
         with pytest.raises(ValidationError, match="bet event"):
             dataclasses.replace(cert, bet_event=Event(TWO, frozenset({"h"})))
@@ -306,10 +413,14 @@ class TestAversionCertificate:
         cert = self.build()
         with pytest.raises(ValidationError, match="positive"):
             dataclasses.replace(cert, bet_win=Fraction(0))
-        with pytest.raises(ValidationError, match="separate"):
+        with pytest.raises(ValidationError) as exc:
             dataclasses.replace(
                 cert, bet_win=Fraction(99, 100), bet_loss=Fraction(1, 100)
             )
+        assert str(exc.value) == (
+            "break-even threshold 1/100 does not separate q=9/10 from r=1/2 "
+            "on the event bet on"
+        )
 
     def test_profitable_deviation_cannot_be_certified(self):
         """A policy that deviates exactly when deviating pays would make the
@@ -396,8 +507,12 @@ class TestAversionCertificate:
         flipped = dataclasses.replace(
             cert.problem, choices=ChoiceSet((safe, backwards))
         )
-        with pytest.raises(ValidationError, match="attractive"):
+        with pytest.raises(ValidationError) as exc:
             dataclasses.replace(cert, problem=flipped)
+        assert str(exc.value) == (
+            "the bet must be strictly attractive to the deviant posterior (EU -3/5) "
+            "and strictly unattractive to the conditioned one (EU -1/5)"
+        )
 
 
 class Plain(NamedTuple):
@@ -782,6 +897,13 @@ FLOAT_HALF = (
             "AversionCertificate.__post_init__",
             "declining must be prior-optimal at exactly 0, got 1",
         ),
+        (
+            lambda: dataclasses.replace(
+                demonstrate_aversion(two_state_problem(), skewed_policy()), bet_win=0.5
+            ),
+            "_ratio",
+            FLOAT_HALF,
+        ),
         (lambda: construct_bet(0.5, Fraction(1, 4)), "_ratio", FLOAT_HALF),
         (
             lambda: construct_bet(True, False),
@@ -806,6 +928,7 @@ FLOAT_HALF = (
     ],
     ids=[
         "baseline-not-zero",
+        "certificate-float-stake",
         "bet-float-q",
         "bet-bool-q",
         "deviation-float-q",
