@@ -152,7 +152,8 @@ class AversionCertificate:
     stakes are positive and their break-even threshold separates q from r,
     the bet is strictly attractive to the deviant posterior and strictly
     unattractive to the conditioned one, declining is prior-optimal at
-    exactly 0, ``val_general`` — recomputed from scratch, not trusted from
+    exactly 0, the problem breaks ties ``first-by-order`` as the synthesized
+    one does, ``val_general`` — recomputed from scratch, not trusted from
     the caller — is strictly negative, and no choice on the synthesized
     problem reveals anything payoff-relevant, which the value's accounting
     requires.  Last come the claims themselves: ``q`` and ``r`` are the
@@ -236,6 +237,11 @@ class AversionCertificate:
             raise ValidationError(
                 "declining must be prior-optimal at exactly 0, "
                 f"got {Fraction(top, prior.den * scale)}"
+            )
+        if problem.tie_policy != FIRST_BY_ORDER:
+            raise ValidationError(
+                f"the certificate's problem must break ties {FIRST_BY_ORDER!r}, "
+                f"as the synthesized problem does, not {problem.tie_policy!r}"
             )
         groups = _choice_groups(problem, self.policy)
         recomputed = _realized(problem, groups)  # less the baseline, which is 0

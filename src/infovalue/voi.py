@@ -17,18 +17,39 @@ The value of learning is the prior expectation of that realized payoff,
 minus the same baseline.  For policies that just conditionalize the two
 quantities coincide; for policies the agent's own prior expects to deviate,
 ``val_general`` can go negative — learning can hurt.
+
+:func:`evaluate` computes in integers and builds a Fraction only for a
+report field or an error message.  Every expected utility it needs is an
+integer score, ``sum(row[i] * prior.nums[i])`` over some states, divided
+by ``prior.den * U`` or by the states' prior weight times ``U`` (``U`` is
+the problem's utility scale), so maxima compare scores.  The report's
+checks cross-multiply, and each of its sums is one integer over the least
+common multiple of its terms' denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from math import lcm
+from operator import mul
+from typing import Iterable, Mapping
 
 from .decision import DecisionProblem, max_expected_utility
-from .errors import IndependenceBrokenError, SpaceMismatchError, ValidationError
-from .prob import Event, condition, probability
-from .updating import EvidencePartition, UpdatePolicy, _cell_pass, _choice_groups
+from .errors import (
+    IndependenceBrokenError,
+    SpaceMismatchError,
+    ValidationError,
+    ZeroProbabilityError,
+)
+from .prob import Event, as_fraction
+from .updating import (
+    EvidencePartition,
+    UpdatePolicy,
+    _cell_pass,
+    _choice_groups,
+    _columns,
+)
 
 __all__ = [
     "LemmaOneRow",
@@ -41,6 +62,13 @@ __all__ = [
 ]
 
 
+def _over_lcm(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of ``num / den`` over pairs with ``den > 0``, over the dens' lcm."""
+    terms = list(terms)
+    den = lcm(*(d for _, d in terms))
+    return sum(n * (den // d) for n, d in terms), den
+
+
 @dataclass(frozen=True)
 class LemmaOneRow:
     """One chosen action's entry in a :class:`PerCell`, whose cell it is in.
@@ -50,7 +78,8 @@ class LemmaOneRow:
     ``cond_eu`` is that action's expected utility under the *conditioned
     prior* for the cell.  The decomposition is only sound when choices are
     evidentially independent of payoffs, which is exactly when multiplying
-    these two numbers is legitimate.
+    these two numbers is legitimate.  Both are read by
+    :func:`~infovalue.prob.as_fraction`.
     """
 
     action_id: str
@@ -58,15 +87,25 @@ class LemmaOneRow:
     cond_eu: Fraction
 
     def __post_init__(self) -> None:
-        if not 0 < self.choose_prob <= 1:
+        object.__setattr__(self, "choose_prob", as_fraction(self.choose_prob))
+        object.__setattr__(self, "cond_eu", as_fraction(self.cond_eu))
+        if not 0 < self.choose_prob.numerator <= self.choose_prob.denominator:
             raise ValidationError(
                 f"choose_prob must lie in (0, 1], got {self.choose_prob}"
             )
 
+    def _term(self) -> tuple[int, int]:
+        """``choose_prob * cond_eu`` as an unreduced integer pair."""
+        p, eu = self.choose_prob, self.cond_eu
+        return p.numerator * eu.numerator, p.denominator * eu.denominator
+
 
 @dataclass(frozen=True)
 class PerCell:
-    """The cellwise decomposition for a single evidence cell."""
+    """The cellwise decomposition for a single evidence cell.
+
+    ``prob`` and ``max_cond_eu`` are read by :func:`~infovalue.prob.as_fraction`.
+    """
 
     cell: Event
     prob: Fraction
@@ -74,23 +113,28 @@ class PerCell:
     rows: tuple[LemmaOneRow, ...]
 
     def __post_init__(self) -> None:
-        if self.prob <= 0:
+        object.__setattr__(self, "prob", as_fraction(self.prob))
+        object.__setattr__(self, "max_cond_eu", as_fraction(self.max_cond_eu))
+        if self.prob.numerator <= 0:
             raise ValidationError(f"cell probability must be positive, got {self.prob}")
-        total = sum((r.choose_prob for r in self.rows), Fraction(0))
-        if total != 1:
+        total, den = _over_lcm(
+            (r.choose_prob.numerator, r.choose_prob.denominator) for r in self.rows
+        )
+        if total != den:
             raise ValidationError(
                 f"choose probabilities in cell {self.cell.describe()} must sum "
-                f"to 1, got {total}"
+                f"to 1, got {Fraction(total, den)}"
             )
+        top, top_den = self.max_cond_eu.numerator, self.max_cond_eu.denominator
         for row in self.rows:
-            if row.cond_eu > self.max_cond_eu:
+            if row.cond_eu.numerator * top_den > top * row.cond_eu.denominator:
                 raise ValidationError(
                     f"row for {row.action_id!r} beats the recorded cell maximum"
                 )
 
     def realized_eu(self) -> Fraction:
         """Expected payoff within this cell, weighting each chosen action."""
-        return sum((r.choose_prob * r.cond_eu for r in self.rows), Fraction(0))
+        return Fraction(*_over_lcm(r._term() for r in self.rows))
 
 
 @dataclass(frozen=True)
@@ -102,6 +146,14 @@ class VoiReport:
     choose-probability-weighted rows.  Construction fails loudly if the
     definitional and cellwise routes disagree, so a report in hand is
     itself evidence the two computations matched.
+
+    ``baseline``, ``val_good`` and ``val_general`` are read by
+    :func:`~infovalue.prob.as_fraction`.  The checks run in this order and
+    in integers, each sum one integer over the lcm of its terms'
+    denominators: the cells' ``prob`` sum to 1; ``sum(prob * max_cond_eu)
+    - baseline`` is ``val_good``; and ``sum(prob * choose_prob * cond_eu)``
+    over every cell's rows, less ``baseline``, is ``val_general``.  A
+    Fraction is built only for an error message.
     """
 
     baseline: Fraction
@@ -111,28 +163,42 @@ class VoiReport:
     chosen_by_state: Mapping[str, str] = field(hash=False)
 
     def __post_init__(self) -> None:
+        for name in ("baseline", "val_good", "val_general"):
+            object.__setattr__(self, name, as_fraction(getattr(self, name)))
         object.__setattr__(self, "chosen_by_state", dict(self.chosen_by_state))
-        total_cell_prob = sum((c.prob for c in self.per_cell), Fraction(0))
-        if total_cell_prob != 1:
+        cells = self.per_cell
+        total, den = _over_lcm((c.prob.numerator, c.prob.denominator) for c in cells)
+        if total != den:
             raise ValidationError(
-                f"cell probabilities must sum to 1, got {total_cell_prob}"
+                f"cell probabilities must sum to 1, got {Fraction(total, den)}"
             )
-        classical = sum(
-            (c.prob * c.max_cond_eu for c in self.per_cell), Fraction(0)
-        ) - self.baseline
-        if classical != self.val_good:
+        less_baseline = (-self.baseline.numerator, self.baseline.denominator)
+        classical = _over_lcm([less_baseline] + [
+            (c.prob.numerator * c.max_cond_eu.numerator,
+             c.prob.denominator * c.max_cond_eu.denominator)
+            for c in cells
+        ])
+        if not _equals(classical, self.val_good):
             raise ValidationError(
-                f"per-cell table reconstructs val_good={classical}, "
+                f"per-cell table reconstructs val_good={Fraction(*classical)}, "
                 f"report claims {self.val_good}"
             )
-        general = sum(
-            (c.prob * c.realized_eu() for c in self.per_cell), Fraction(0)
-        ) - self.baseline
-        if general != self.val_general:
+        general = _over_lcm([less_baseline] + [
+            (c.prob.numerator * row_num, c.prob.denominator * row_den)
+            for c in cells
+            for row_num, row_den in map(LemmaOneRow._term, c.rows)
+        ])
+        if not _equals(general, self.val_general):
             raise ValidationError(
-                f"per-cell table reconstructs val_general={general}, "
+                f"per-cell table reconstructs val_general={Fraction(*general)}, "
                 f"report claims {self.val_general}"
             )
+
+
+def _equals(pair: tuple[int, int], value: Fraction) -> bool:
+    """Whether ``num / den`` equals ``value``, cross-multiplied."""
+    num, den = pair
+    return num * value.denominator == value.numerator * den
 
 
 def val_good(problem: DecisionProblem, partition: EvidencePartition) -> Fraction:
@@ -149,12 +215,30 @@ def val_good(problem: DecisionProblem, partition: EvidencePartition) -> Fraction
 
 
 def _informed(problem: DecisionProblem, partition: EvidencePartition) -> Fraction:
-    """Probability-weighted best conditional expected utility across cells."""
-    informed = Fraction(0)
+    """Probability-weighted best conditional expected utility across cells.
+
+    A cell's probability times an act's conditional expected utility is the
+    act's score on the cell, ``sum(row[i] * prior.nums[i])`` over its states,
+    over ``prior.den * U``: one Fraction of the summed best scores, with no
+    credence conditioned.  It scores the cells' states itself, not the act
+    groups the decomposition sums, so a report's ``val_good`` check compares
+    two routes.  Refuses another space or a zero-probability cell as
+    conditioning on it would.
+    """
+    prior = problem.prior
+    if partition.space != prior.space:
+        raise SpaceMismatchError("event and credence live on different spaces")
+    position, rows = prior.space._position, problem._rows.values()
+    total = 0
     for cell in partition.cells:
-        p_cell = probability(problem.prior, cell)
-        informed += p_cell * max_expected_utility(condition(problem.prior, cell), problem)
-    return informed
+        take = _columns([position[s] for s in cell.members])
+        nums = take(prior.nums)
+        if not any(nums):
+            raise ZeroProbabilityError(
+                f"cannot condition on zero-probability event {cell.describe()}"
+            )
+        total += max(sum(map(mul, take(row), nums)) for row in rows)
+    return Fraction(total, prior.den * problem._scale)
 
 
 def _realized(problem: DecisionProblem, groups: list[dict]) -> Fraction:
@@ -198,17 +282,20 @@ def _cellwise(
         if leak is not None:
             action, probe = leak
             raise IndependenceBrokenError(cell, action.id, probe.id)
-        # P(chose the act | cell) is the choosers' prior weight over the cell's
+        # P(chose the act | cell) is the choosers' prior weight over the cell's;
+        # a conditional expected utility is the act's cell score over den
         cell_weight = sum(weights.values())
-        cell_eus = [Fraction(score, cell_weight * problem._scale) for score in cell_scores]
+        den = cell_weight * problem._scale
+        top = max(cell_scores)
+        max_cond_eu = Fraction(top, den)
         rows = []
-        for action, cell_eu in zip(problem.choices, cell_eus):
+        for action, score in zip(problem.choices, cell_scores):
             weight = weights.get(action)
             if weight:
-                choose_prob = Fraction(weight, cell_weight)
-                rows.append(LemmaOneRow(action.id, choose_prob, cell_eu))
+                cond_eu = max_cond_eu if score == top else Fraction(score, den)
+                rows.append(LemmaOneRow(action.id, Fraction(weight, cell_weight), cond_eu))
         p_cell = Fraction(cell_weight, problem.prior.den)
-        out.append(PerCell(cell, p_cell, max(cell_eus), tuple(rows)))
+        out.append(PerCell(cell, p_cell, max_cond_eu, tuple(rows)))
     return tuple(out)
 
 
@@ -237,12 +324,15 @@ def evaluate(problem: DecisionProblem, policy: UpdatePolicy) -> VoiReport:
 
     Groups each cell's states by the act chosen there once, then sums the
     definitional value and builds the cellwise decomposition from those
-    groups separately; ``val_good`` comes from its own loop over the cells,
-    less the same baseline, so the prior is scored once.
-    :class:`VoiReport` refuses to construct unless the per-cell table
-    reproduces both values exactly, so each is checked against a second
-    route.  Requires the decomposition's independence precondition, like
-    :func:`cellwise_decomposition`.
+    groups separately; ``val_good`` comes from :func:`_informed`'s own
+    scores of each cell's states, less the same baseline.  The prior is
+    scored once, for the baseline, and no credence is conditioned.  Each
+    value is the difference of two Fractions over ``prior.den * U``, and
+    the table's maxima compare integer scores, so a Fraction is built only
+    for a field.  :class:`VoiReport` refuses to construct unless the
+    per-cell table reproduces both values exactly, so each is checked
+    against a second route.  Requires the decomposition's independence
+    precondition, like :func:`cellwise_decomposition`.
     """
     groups = _choice_groups(problem, policy)
     per_cell = _cellwise(problem, policy, groups)

@@ -150,6 +150,38 @@ def brute_val_general(problem, policy, prior=None, posteriors=None):
     return realized - best_value(problem, prior)
 
 
+def brute_reconstructs(report):
+    """The message a report's per-cell table refuses its values with, or ``None``.
+
+    ``report`` is anything with a ``VoiReport``'s ``baseline``,
+    ``val_good``, ``val_general`` and ``per_cell``.  The identities are
+    the ones ``VoiReport`` states, summed as Fractions in order: the
+    cells' probabilities sum to 1; the probability-weighted cell maxima,
+    less the baseline, are ``val_good``; and every row's cell probability
+    times its choose probability times its conditional expected utility,
+    summed and less the baseline, is ``val_general``.
+    """
+    cells = report.per_cell
+    total = sum((c.prob for c in cells), Fraction(0))
+    if total != 1:
+        return f"cell probabilities must sum to 1, got {total}"
+    classical = sum((c.prob * c.max_cond_eu for c in cells), Fraction(0)) - report.baseline
+    if classical != report.val_good:
+        return (
+            f"per-cell table reconstructs val_good={classical}, "
+            f"report claims {report.val_good}"
+        )
+    general = sum(
+        (c.prob * r.choose_prob * r.cond_eu for c in cells for r in c.rows), Fraction(0)
+    ) - report.baseline
+    if general != report.val_general:
+        return (
+            f"per-cell table reconstructs val_general={general}, "
+            f"report claims {report.val_general}"
+        )
+    return None
+
+
 def brute_independence_witness(problem, policy):
     """The first choice that leaks payoff-relevant information, or ``None``.
 

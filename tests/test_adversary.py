@@ -18,6 +18,7 @@ from infovalue.adversary import (
     demonstrate_aversion,
 )
 from infovalue.decision import (
+    ERROR_ON_TIE,
     Action,
     ChoiceSet,
     DecisionProblem,
@@ -397,6 +398,26 @@ class TestAversionCertificate:
             )
         with pytest.raises(ValidationError, match="bet event"):
             dataclasses.replace(cert, bet_event=Event(TWO, frozenset({"h"})))
+
+    @pytest.mark.parametrize("whole_cell", [False, True])
+    def test_tie_policy_must_be_first_by_order(self, whole_cell):
+        """A certificate's problem is synthesized ``first-by-order``; under
+        ``error-on-tie`` it is refused by name before the recomputation,
+        whether or not the bet's cell is the whole space (the gamblers
+        cell is half of it, so a state outside the cell ties both acts)."""
+        if whole_cell:
+            cert = self.build()
+        else:
+            gamblers = build_scenario("gamblers", epsilon=Fraction(1, 10))
+            cert = demonstrate_aversion(gamblers.problem, gamblers.policy)
+        assert (cert.deviation.cell.members == set(cert.problem.space)) is whole_cell
+        strict = dataclasses.replace(cert.problem, tie_policy=ERROR_ON_TIE)
+        assert refusal(lambda: dataclasses.replace(cert, problem=strict)) == (
+            ValidationError,
+            "AversionCertificate.__post_init__",
+            "the certificate's problem must break ties 'first-by-order', "
+            "as the synthesized problem does, not 'error-on-tie'",
+        )
 
     def test_acts_must_be_exactly_safe_then_risky(self):
         """Extra or reordered acts leave the value and the takers alone,

@@ -2,12 +2,13 @@
 
 import dataclasses
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from infovalue import voi
+from infovalue import decision, prob, updating, voi
 from infovalue.decision import (
     ERROR_ON_TIE,
     Action,
@@ -38,6 +39,7 @@ from infovalue.updating import (
 from infovalue.voi import (
     LemmaOneRow,
     PerCell,
+    VoiReport,
     cellwise_decomposition,
     evaluate,
     val_general,
@@ -46,6 +48,7 @@ from infovalue.voi import (
 
 from _oracles import (
     brute_deviating_states,
+    brute_reconstructs,
     brute_val_general,
     brute_val_good,
     dist_of,
@@ -94,6 +97,24 @@ def trap_problem():
     return problem, policy, whole
 
 
+def perturbed_instance():
+    """:func:`four_state_problem` with every state holding its own posterior.
+
+    State ``t`` believes ``9/10`` of the prior conditioned on its cell plus
+    ``1/10`` on ``t`` itself.  Each cell still chooses one act (bet-left on
+    the left, pass on the right), so choices carry no information.
+    """
+    posteriors = {
+        t: Credence(
+            SPACE,
+            {s: Fraction(9, 20) + (Fraction(1, 10) if s == t else 0) for s in cell.members},
+        )
+        for cell in PARTITION.cells
+        for t in cell.members
+    }
+    return four_state_problem(), UpdatePolicy(PARTITION, posteriors)
+
+
 class TestValGood:
     def test_four_state_problem_by_hand(self):
         problem = four_state_problem()
@@ -124,6 +145,23 @@ class TestValGood:
         problem, _, _ = trap_problem()
         assert refusal(lambda: val_good(problem, PARTITION)) == (
             SpaceMismatchError, "val_good", "partition is not over the problem's space"
+        )
+
+    def test_cell_scores_refuse_as_conditioning_would(self):
+        """The cells are scored on the prior's own columns, and refuse what
+        conditioning the prior on them would: another space, or a cell of
+        prior probability 0."""
+        problem, _, _ = trap_problem()
+        assert refusal(lambda: voi._informed(problem, PARTITION)) == (
+            SpaceMismatchError, "_informed", "event and credence live on different spaces"
+        )
+        lopsided = dataclasses.replace(
+            four_state_problem(), prior=Credence(SPACE, {"a": 1})
+        )
+        assert refusal(lambda: val_good(lopsided, PARTITION)) == (
+            ZeroProbabilityError,
+            "_informed",
+            "cannot condition on zero-probability event {c, d}",
         )
 
 
@@ -267,6 +305,40 @@ class TestRowAndCellValidation:
         with pytest.raises(ValidationError, match="positive"):
             PerCell(LEFT, Fraction(0), Fraction(0), (row,))
 
+    def test_fields_read_the_rational_grammar(self):
+        row = LemmaOneRow("x", "1/2", 0)
+        assert (row.choose_prob, row.cond_eu) == (Fraction(1, 2), 0)
+        rows = (row, LemmaOneRow("y", "1/2", "-1/3"))
+        cell = PerCell(LEFT, "1", "0", rows)
+        assert (cell.prob, cell.max_cond_eu) == (1, 0)
+        assert cell.realized_eu() == Fraction(-1, 6)
+        report = VoiReport("1/6", "-1/6", "-1/3", (cell,), {})
+        assert (report.baseline, report.val_good, report.val_general) == (
+            Fraction(1, 6), Fraction(-1, 6), Fraction(-1, 3)
+        )
+        for value in (
+            row.choose_prob, row.cond_eu, cell.prob, cell.max_cond_eu,
+            report.baseline, report.val_good, report.val_general,
+        ):
+            assert type(value) is Fraction
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: LemmaOneRow("x", 1.0, Fraction(1, 4)),
+            lambda: PerCell(LEFT, 1.0, Fraction(1, 4), (LemmaOneRow("x", 1, 0),)),
+            lambda: VoiReport(1.0, 0, 0, (), {}),
+        ],
+        ids=["row", "cell", "report"],
+    )
+    def test_floats_are_refused(self, build):
+        assert refusal(build) == (
+            ValidationError,
+            "_ratio",
+            "expected an exact rational, got float 1.0; "
+            "pass a Fraction, an int, or a string like '1/10'",
+        )
+
     def test_realized_eu_weights_rows(self):
         rows = (
             LemmaOneRow("pass", Fraction(3, 4), Fraction(0)),
@@ -299,19 +371,43 @@ class TestVoiReport:
             dataclasses.replace(report, baseline=report.baseline + 1)
 
     def test_the_prior_is_scored_once(self, monkeypatch):
-        """The baseline and val_good share one pass over the prior."""
-        scenario = scenario_gamblers(Fraction(1, 10))
-        scored = []
+        """The baseline is the one expected-utility maximum evaluate takes,
+        and it is the prior's: no credence is conditioned and no probability
+        or expected utility is taken, so val_good's cells are scored on the
+        prior's own columns.  Gamblers, and a policy whose every state holds
+        its own posterior, still evaluate to the oracle's values."""
+        gamblers = scenario_gamblers(Fraction(1, 10))
+        instances = [(gamblers.problem, gamblers.policy), perturbed_instance()]
+        expected = [evaluate(problem, policy) for problem, policy in instances]
+        maxima, scores = [], []
 
-        def counted(credence, problem):
-            scored.append(credence)
-            return score(credence, problem)
+        def counted_maximum(credence, problem):
+            maxima.append(credence)
+            return maximum(credence, problem)
 
-        score = voi.max_expected_utility
-        monkeypatch.setattr(voi, "max_expected_utility", counted)
-        evaluate(scenario.problem, scenario.policy)
-        assert len(scored) == 3  # the prior, then each cell's conditioned prior
-        assert sum(c is scenario.problem.prior for c in scored) == 1
+        def counted_scores(problem, credence):
+            scores.append(credence)
+            return score(problem, credence)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("evaluate conditioned or priced a credence")
+
+        maximum, score = voi.max_expected_utility, DecisionProblem._scores
+        for module in (prob, decision, updating, voi):
+            for name in ("condition", "probability", "expected_utility"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(voi, "max_expected_utility", counted_maximum)
+        monkeypatch.setattr(DecisionProblem, "_scores", counted_scores)
+        for (problem, policy), report in zip(instances, expected):
+            maxima.clear()
+            scores.clear()
+            assert evaluate(problem, policy) == report
+            assert maxima == scores == [problem.prior]
+            assert maxima[0] is problem.prior
+        for (problem, policy), report in zip(instances, expected):
+            assert report.val_good == brute_val_good(problem, policy.partition)
+            assert report.val_general == brute_val_general(problem, policy)
 
     def test_equality_and_hash_follow_the_fields(self):
         problem, policy, _ = trap_problem()
@@ -494,6 +590,86 @@ def test_val_good_agrees_on_three_routes(instance):
     report = evaluate(problem, policy)
     assert report.val_good == val_good(problem, policy.partition)
     assert report.val_good == brute_val_good(problem, policy.partition)
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@st.composite
+def drawn_report_fields(draw):
+    """``VoiReport`` fields from drawn rationals, consistent or nudged.
+
+    Each cell's rows get drawn choose weights and conditional expected
+    utilities, and a maximum at or above them; the cells get drawn
+    weights.  The headline values are summed from that table.  Then one
+    thing may change: the baseline or a headline value moves by a drawn
+    rational (possibly 0), a cell's probability is redrawn, or the cells'
+    probabilities are reversed, which keeps their sum.
+    """
+    weights = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    cells = []
+    for i, weight in enumerate(weights):
+        shares = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+        eus = draw(st.lists(_RATIONALS, min_size=len(shares), max_size=len(shares)))
+        rows = tuple(
+            LemmaOneRow(f"a{k}", Fraction(share, sum(shares)), eu)
+            for k, (share, eu) in enumerate(zip(shares, eus))
+        )
+        top = max(eus) + draw(st.sampled_from([0, Fraction(1, 5)]))
+        cells.append(PerCell(LEFT, Fraction(weight, sum(weights)), top, rows))
+    baseline = draw(_RATIONALS)
+    fields = {
+        "baseline": baseline,
+        "val_good": sum(c.prob * c.max_cond_eu for c in cells) - baseline,
+        "val_general": sum(
+            c.prob * r.choose_prob * r.cond_eu for c in cells for r in c.rows
+        ) - baseline,
+    }
+    change = draw(st.sampled_from([None, "baseline", "val_good", "val_general", "prob", "swap"]))
+    if change == "prob":
+        i = draw(st.integers(0, len(cells) - 1))
+        prob = draw(st.fractions(min_value=Fraction(1, 12), max_value=2, max_denominator=12))
+        cells[i] = dataclasses.replace(cells[i], prob=prob)
+    elif change == "swap":
+        cells = [
+            dataclasses.replace(c, prob=other.prob) for c, other in zip(cells, cells[::-1])
+        ]
+    elif change is not None:
+        fields[change] += draw(_RATIONALS)
+    return {**fields, "per_cell": tuple(cells)}
+
+
+@st.composite
+def tampered_report_fields(draw):
+    """An evaluated report's fields, with one headline value moved by a drawn rational."""
+    problem, policy = draw(tied_mixtures())
+    report = evaluate(problem, policy)
+    fields = {
+        name: getattr(report, name)
+        for name in ("baseline", "val_good", "val_general", "per_cell")
+    }
+    name = draw(st.sampled_from(["baseline", "val_good", "val_general"]))
+    fields[name] += draw(_RATIONALS)
+    return fields
+
+
+@given(st.one_of(drawn_report_fields(), tampered_report_fields()))
+def test_integer_reconstruction_is_the_definition(fields):
+    """VoiReport's integer checks accept exactly the tables whose Fraction
+    sums reproduce both headline values, and refuse the rest with the
+    message the first failing sum gives."""
+    expected = brute_reconstructs(SimpleNamespace(**fields))
+
+    def build():
+        return VoiReport(**fields, chosen_by_state={})
+
+    if expected is None:
+        report = build()
+        assert (report.val_good, report.val_general) == (
+            fields["val_good"], fields["val_general"]
+        )
+    else:
+        assert refusal(build) == (ValidationError, "VoiReport.__post_init__", expected)
 
 
 class TestFirstByOrderTies:
