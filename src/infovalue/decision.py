@@ -19,12 +19,13 @@ Every choice goes through one private core, ``_choose``, which takes the
 choices' integer scores over a shared denominator and applies the tie
 policy.  :func:`best_action` scores a credence on every state.  An update
 policy's choices (``updating._choice_groups``) are decided once per
-posterior object, scored on its own cell's columns only.  That is exact: a
-posterior puts all of its mass on its cell, so every product left out is 0
-and each score equals the full dot product.  They are stored once, as
-per-cell act groups: for each cell, the positions of the positive-prior
-states that choose each act.  The realized value, the leak test and the
-cellwise decomposition all read those groups.
+posterior object, by each act's lead over the first act on its own cell's
+columns only.  That is exact: a posterior puts all of its mass on its
+cell, so every product left out is 0, and each score is the first act's
+plus its lead.  They are stored once, as per-cell act groups: for each
+cell, the positions of the positive-prior states that choose each act.
+The realized value, the leak test and the cellwise decomposition all read
+those groups.
 """
 
 from __future__ import annotations

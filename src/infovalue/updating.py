@@ -23,10 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import itemgetter, mul, sub
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .decision import (
+    ERROR_ON_TIE,
     Action,
     ChoiceSet,
     DecisionProblem,
@@ -442,40 +443,54 @@ def _choice_groups(
 
     One dict per cell of ``policy.partition.cells``, in order, maps each
     chosen act to the positions of the states that choose it; a cell with no
-    positive-prior state gets an empty dict.  States are walked in order,
-    and choice is decided once per posterior object, at its first state; a
-    later state that holds the same object finds its group by the object's
-    id.  A posterior is scored on its own cell's columns only: one
-    ``itemgetter`` per cell slices each choice's utility row and the
-    posterior's ``nums``.  That is exact, because :class:`UpdatePolicy` has
-    checked that each posterior puts all of its mass on its own cell, so
-    every product left out is 0 and each integer score equals the full one.
-    Equal posteriors held as distinct objects are scored apart and choose
-    alike.  Under ``error-on-tie`` the first tied posterior in state order
-    raises.
+    positive-prior state gets an empty dict.  Each cell is walked alone, its
+    states in order, and choice is decided once per posterior object, at its
+    first state; a later state that holds the same object finds its group by
+    the object's id.  A posterior is scored on its own cell's columns only,
+    sliced by one ``itemgetter`` per cell.  That is exact, because
+    :class:`UpdatePolicy` has checked that each posterior puts all of its
+    mass on its own cell, so every product left out is 0.  The cell keeps
+    each act's integer gap row ``row_a - row_first``; a posterior's leads
+    are ``[0]`` then each gap row dotted with its ``nums``.  Each score is
+    the first act's plus its lead, so the first largest lead is the earliest
+    maximizer.  Under ``error-on-tie`` the first tied posterior in state
+    order, across cells, raises through :func:`_choose` with its full
+    scores.  Equal posteriors held as distinct objects choose alike.
     """
     if policy.space != problem.space:
         raise SpaceMismatchError("policy is not over the problem's space")
-    states, scale = problem.space.states, problem._scale
-    posteriors, cell_of = policy.posteriors, policy.partition._cell_of
-    on_cells: dict[int, tuple] = {}  # id(cell) -> (its groups, getter, rows on it)
+    states, position = problem.space.states, problem.space._position
+    prior_nums, actions = problem.prior.nums, problem.choices.actions
+    first_row, *other_rows = problem._rows.values()
+    posteriors, scale = policy.posteriors, problem._scale
+    on_ties = problem.tie_policy == ERROR_ON_TIE
+    out, tie = [], None  # tie: (position, full scores, their denominator)
     for cell in policy.partition.cells:
-        take = _columns([problem.space._position[s] for s in cell.members])
-        on_cells[id(cell)] = ({}, take, [take(row) for row in problem._rows.values()])
-    by_object: dict[int, list[int]] = {}  # id(posterior) -> the group it chooses into
-    for i, weight in enumerate(problem.prior.nums):
-        if not weight:
-            continue
-        posterior = posteriors[states[i]]
-        group = by_object.get(id(posterior))
-        if group is None:
-            cell_groups, take, rows = on_cells[id(cell_of[states[i]])]
-            nums = take(posterior.nums)
-            scores = [sum(map(mul, row, nums)) for row in rows]
-            action = _choose(problem, scores, posterior.den * scale)[0]
-            group = by_object[id(posterior)] = cell_groups.setdefault(action, [])
-        group.append(i)
-    return [cell_groups for cell_groups, _, _ in on_cells.values()]
+        positions = sorted(position[s] for s in cell.members)
+        take = _columns(positions)
+        first = take(first_row)
+        gaps = [tuple(map(sub, take(row), first)) for row in other_rows]
+        cell_groups: dict[Action, list[int]] = {}
+        by_object: dict[int, list[int]] = {}  # id(posterior) -> the group it chooses into
+        for i in positions:
+            if not prior_nums[i]:
+                continue
+            posterior = posteriors[states[i]]
+            group = by_object.get(id(posterior))
+            if group is None:
+                nums = take(posterior.nums)
+                leads = [0] + [sum(map(mul, gap, nums)) for gap in gaps]
+                top = max(leads)
+                if on_ties and leads.count(top) > 1 and (tie is None or i < tie[0]):
+                    base = sum(map(mul, first, nums))
+                    tie = (i, [base + lead for lead in leads], posterior.den * scale)
+                action = actions[leads.index(top)]
+                group = by_object[id(posterior)] = cell_groups.setdefault(action, [])
+            group.append(i)
+        out.append(cell_groups)
+    if tie is not None:
+        _choose(problem, *tie[1:])
+    return out
 
 
 def _cell_pass(

@@ -113,6 +113,7 @@ class PerCell:
     rows: tuple[LemmaOneRow, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(self.rows))
         object.__setattr__(self, "prob", as_fraction(self.prob))
         object.__setattr__(self, "max_cond_eu", as_fraction(self.max_cond_eu))
         if self.prob.numerator <= 0:
@@ -165,6 +166,7 @@ class VoiReport:
     def __post_init__(self) -> None:
         for name in ("baseline", "val_good", "val_general"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
+        object.__setattr__(self, "per_cell", tuple(self.per_cell))
         object.__setattr__(self, "chosen_by_state", dict(self.chosen_by_state))
         cells = self.per_cell
         total, den = _over_lcm((c.prob.numerator, c.prob.denominator) for c in cells)
@@ -337,14 +339,16 @@ def evaluate(problem: DecisionProblem, policy: UpdatePolicy) -> VoiReport:
     groups = _choice_groups(problem, policy)
     per_cell = _cellwise(problem, policy, groups)
     baseline = max_expected_utility(problem.prior, problem)
-    states, chosen = problem.space.states, {}  # state position -> chosen act's id
+    states = problem.space.states
+    chosen = [None] * len(states)  # by state position: the chosen act's id
     for cell_groups in groups:
         for action, group in cell_groups.items():
-            chosen.update(dict.fromkeys(group, action.id))
+            for i in group:
+                chosen[i] = action.id
     return VoiReport(
         baseline=baseline,
         val_good=_informed(problem, policy.partition) - baseline,
         val_general=_realized(problem, groups) - baseline,
         per_cell=per_cell,
-        chosen_by_state={states[i]: chosen[i] for i in sorted(chosen)},
+        chosen_by_state={s: a for s, a in zip(states, chosen) if a is not None},
     )

@@ -150,6 +150,26 @@ def brute_val_general(problem, policy, prior=None, posteriors=None):
     return realized - best_value(problem, prior)
 
 
+def brute_first_tie(problem, policy):
+    """The tie an error-on-tie problem raises first, or ``None``.
+
+    Positive-prior states are walked in state order, however the cells are
+    declared.  The first whose posterior gives two or more acts the best
+    expected utility names them, in choice-set order, with that value.
+    """
+    prior = dist_of(problem.prior)
+    for state in problem.space.states:
+        if state not in prior:
+            continue
+        dist = dist_of(policy.posteriors[state])
+        values = [eu(problem, action, dist) for action in problem.choices.actions]
+        top = max(values)
+        if values.count(top) > 1:
+            tied = tuple(a.id for a, v in zip(problem.choices.actions, values) if v == top)
+            return tied, top
+    return None
+
+
 def brute_reconstructs(report):
     """The message a report's per-cell table refuses its values with, or ``None``.
 

@@ -20,6 +20,7 @@ from infovalue.decision import (
 )
 from infovalue.errors import (
     IndependenceBrokenError,
+    InfoValueError,
     SpaceMismatchError,
     TieError,
     ValidationError,
@@ -48,6 +49,8 @@ from infovalue.voi import (
 
 from _oracles import (
     brute_deviating_states,
+    brute_first_tie,
+    brute_independence_witness,
     brute_reconstructs,
     brute_val_general,
     brute_val_good,
@@ -418,6 +421,17 @@ class TestVoiReport:
         relabeled = dataclasses.replace(report, chosen_by_state={"g": "bet"})
         assert relabeled != report
 
+    def test_rows_and_cells_are_stored_as_tuples(self):
+        """A list of rows or of cells is stored as a tuple, as ChoiceSet does."""
+        rows = [LemmaOneRow("x", 1, 0)]
+        cell = PerCell(LEFT, 1, 0, rows)
+        assert cell == PerCell(LEFT, 1, 0, tuple(rows))
+        assert hash(cell) == hash(PerCell(LEFT, 1, 0, tuple(rows)))
+        report = VoiReport(0, 0, 0, [cell], {})
+        assert report == VoiReport(0, 0, 0, (cell,), {})
+        assert hash(report) == hash(VoiReport(0, 0, 0, (cell,), {}))
+        assert type(cell.rows) is type(report.per_cell) is tuple
+
     def test_cell_probabilities_must_cover_everything(self):
         problem = four_state_problem()
         policy = conditionalization_policy(problem.prior, PARTITION)
@@ -670,6 +684,154 @@ def test_integer_reconstruction_is_the_definition(fields):
         )
     else:
         assert refusal(build) == (ValidationError, "VoiReport.__post_init__", expected)
+
+
+_UTILITIES = (Fraction(-2), Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1))
+
+
+def shuffled_cells(weights, cell_of, order, posteriors, rows):
+    """A problem and policy over states ``s0, s1, ...`` from plain data.
+
+    State ``s{i}`` has prior weight ``weights[i]`` and lies in cell
+    ``cell_of[i]``, and the cells are declared in ``order``.
+    ``posteriors[c]`` holds integer weights over cell ``c``'s members in
+    state order: one list, which all of them hold as one object, or one
+    list per member, each held as its own object.  Act ``a{k}`` pays
+    ``_UTILITIES[rows[k][i]]`` at ``s{i}``.
+    """
+    space = StateSpace(tuple(f"s{i}" for i in range(len(weights))))
+    states = space.states
+    prior = Credence(space, {s: Fraction(w, sum(weights)) for s, w in zip(states, weights)})
+    members = {c: [s for s, label in zip(states, cell_of) if label == c] for c in order}
+    partition = EvidencePartition(
+        space, tuple(Event(space, frozenset(members[c])) for c in order)
+    )
+    held = {}
+    for c in order:
+        built = [
+            Credence(space, {s: Fraction(w, sum(ws)) for s, w in zip(members[c], ws)})
+            for ws in posteriors[c]
+        ]
+        for k, state in enumerate(members[c]):
+            held[state] = built[k % len(built)]
+    names = tuple(f"u{v}" for v in range(len(_UTILITIES)))
+    outcomes = OutcomeSpace(names, dict(zip(names, _UTILITIES)))
+    actions = tuple(
+        Action(f"a{k}", {s: names[v] for s, v in zip(states, row)})
+        for k, row in enumerate(rows)
+    )
+    problem = DecisionProblem(space, outcomes, prior, ChoiceSet(actions))
+    return problem, UpdatePolicy(partition, held)
+
+
+@st.composite
+def shuffled_cell_instances(draw):
+    """:func:`shuffled_cells` instances whose choice map is easy to get wrong.
+
+    One to four acts drawn from a pool of at most three rows, so rows
+    often repeat and small utilities tie.  Up to three cells, declared in
+    a drawn order.  In one drawn cell every state holds its own
+    posterior; in each other cell, maybe.  Every cell has positive prior
+    weight; single states may have none.
+    """
+    n = draw(st.integers(2, 7))
+    cell_of = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    labels = sorted(set(cell_of))
+    size = {c: cell_of.count(c) for c in labels}
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    for c in labels:
+        if not any(w for w, label in zip(weights, cell_of) if label == c):
+            weights[cell_of.index(c)] = 1
+    order = draw(st.permutations(labels))
+    own = draw(st.sampled_from(labels))
+    posteriors = {}
+    for c in labels:
+        count = size[c] if c == own or draw(st.booleans()) else 1
+        over_cell = st.lists(st.integers(0, 3), min_size=size[c], max_size=size[c])
+        posteriors[c] = draw(
+            st.lists(over_cell.map(_some_weight), min_size=count, max_size=count)
+        )
+    pool = draw(
+        st.lists(
+            st.lists(st.integers(0, len(_UTILITIES) - 1), min_size=n, max_size=n),
+            min_size=1, max_size=3,
+        )
+    )
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    return shuffled_cells(weights, cell_of, order, posteriors, rows)
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` returns, or the type and text of what it raises."""
+    try:
+        return call(*args)
+    except InfoValueError as error:
+        return type(error), str(error)
+
+
+class TestChoiceMapAgainstTheOracle:
+    """The choice map against the oracle, on cells declared out of state order."""
+
+    @given(shuffled_cell_instances())
+    @example(  # cells {s1, s2} then {s0}; s0 and s1 tie a0 and a1, and {s1, s2} leaks
+        shuffled_cells(
+            [1, 1, 1], [1, 0, 0], [0, 1], {0: [[1, 0], [0, 1]], 1: [[1]]},
+            [[2, 4, 0], [2, 4, 4]],
+        )
+    )
+    @example(  # only the zero-prior s0 ties, and no cell leaks
+        shuffled_cells(
+            [0, 2, 1, 3], [0, 0, 1, 1], [1, 0], {0: [[1, 0], [1, 3]], 1: [[1, 1]]},
+            [[2, 4, 4, 2], [2, 0, 0, 0]],
+        )
+    )
+    def test_first_by_order_chooses_as_the_oracle(self, instance):
+        problem, policy = instance
+        states, prior = problem.space.states, dist_of(problem.prior)
+        expected = {
+            s: first_best(problem, dist_of(policy.posterior(s))).id
+            for s in states
+            if s in prior
+        }
+        chosen = sorted(
+            (i, action.id)
+            for groups in updating._choice_groups(problem, policy)
+            for action, group in groups.items()
+            for i in group
+        )
+        assert [(states[i], a) for i, a in chosen] == list(expected.items())
+        assert val_general(problem, policy) == brute_val_general(problem, policy)
+        witness = brute_independence_witness(problem, policy)
+        assert find_independence_violation(problem, policy) == witness
+        if witness is None:
+            report = evaluate(problem, policy)
+            assert list(report.chosen_by_state.items()) == list(expected.items())
+            assert report.val_good == brute_val_good(problem, policy.partition)
+        else:
+            cell, action, probe = witness
+            assert _outcome(evaluate, problem, policy) == (
+                IndependenceBrokenError,
+                str(IndependenceBrokenError(cell, action.id, probe.id)),
+            )
+
+    @given(shuffled_cell_instances())
+    @example(  # s1's tie raises, though the cell {s2}, with another tie, is declared first
+        shuffled_cells(
+            [1, 1, 1], [1, 0, 2], [2, 0, 1], {0: [[1]], 1: [[1]], 2: [[1]]},
+            [[3, 4, 1], [2, 4, 1], [0, 4, 0]],
+        )
+    )
+    def test_error_on_tie_raises_the_first_tie_in_state_order(self, instance):
+        problem, policy = instance
+        strict = dataclasses.replace(problem, tie_policy=ERROR_ON_TIE)
+        tie = brute_first_tie(problem, policy)
+        for call in (evaluate, val_general, find_independence_violation):
+            if tie is None:
+                assert _outcome(call, strict, policy) == _outcome(call, problem, policy)
+            else:
+                with pytest.raises(TieError) as caught:
+                    call(strict, policy)
+                assert (caught.value.actions, caught.value.value) == tie
 
 
 class TestFirstByOrderTies:
