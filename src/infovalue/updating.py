@@ -266,9 +266,16 @@ def mixture_expand(
 
     Returns the expanded problem and the expanded update policy.
     """
+    if (
+        not isinstance(labels, tuple)
+        or len(labels) != 2
+        or not all(isinstance(label, str) and label for label in labels)
+        or labels[0] == labels[1]
+    ):
+        raise ValidationError(
+            f"labels must be two distinct non-empty strings, got {labels!r}"
+        )
     stay, deviate = labels
-    if stay == deviate or not stay or not deviate:
-        raise ValidationError(f"labels must be distinct and non-empty, got {labels!r}")
     if partition.space != problem.space:
         raise SpaceMismatchError("partition is not over the problem's space")
     for cell in partition.cells:

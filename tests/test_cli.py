@@ -431,10 +431,15 @@ class TestCheckCommand:
         assert '"states": []' in out
 
 
+def cli_env(columns):
+    """The environment of a fresh ``infovalue`` process: this checkout's
+    package, UTF-8 streams and a terminal ``columns`` wide."""
+    src = os.path.dirname(os.path.dirname(infovalue.__file__))
+    return dict(os.environ, PYTHONPATH=src, COLUMNS=columns, PYTHONIOENCODING="utf-8")
+
+
 def first_call(argv, columns):
     """``main(argv)`` as the first call of a fresh process: (code, out, err)."""
-    src = os.path.dirname(os.path.dirname(infovalue.__file__))
-    env = dict(os.environ, PYTHONPATH=src, COLUMNS=columns, PYTHONIOENCODING="utf-8")
     done = subprocess.run(
         [
             sys.executable,
@@ -443,7 +448,7 @@ def first_call(argv, columns):
             *argv,
         ],
         capture_output=True,
-        env=env,
+        env=cli_env(columns),
     )
     return done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8")
 

@@ -321,6 +321,9 @@ class TestMixtureExpand:
             mixture_expand(base_problem(), PARTITION, spec, labels=("x", "x"))
         with pytest.raises(ValidationError, match="labels"):
             mixture_expand(base_problem(), PARTITION, spec, labels=("", "y"))
+        for labels in (("a", "b", "c"), (1, 2), "ab"):
+            with pytest.raises(ValidationError, match="^labels must be "):
+                mixture_expand(base_problem(), PARTITION, spec, labels=labels)
 
     def test_colliding_expanded_ids_rejected(self):
         space = StateSpace(("a", "a·y"))
