@@ -7,9 +7,9 @@ so two problems with the same actions in a different order are different
 problems.
 
 Choice runs on integers.  Each problem derives, once, an integer utility
-table: the scale ``U``, the least common multiple of the utility
-denominators, and for each action a row of ``u(outcome) * U`` in state
-order.  The table is a view of ``outcomes`` and ``choices``, not a field, so
+table: :mod:`prob`'s ``_over_lcm`` brings the utilities to the scale
+``U``, the lcm of their denominators, and each action gets a row of
+``u(outcome) * U`` in state order.  The table is a view of ``outcomes`` and ``choices``, not a field, so
 it takes no part in equality and is rebuilt whenever the problem is.  An
 expected utility is then one integer dot product of a row with a credence's
 numerators, over ``credence.den * U``; Fractions appear only in returned
@@ -30,14 +30,13 @@ those groups.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import SpaceMismatchError, TieError, ValidationError
-from .prob import Credence, StateSpace, as_fraction, condition
+from .prob import Credence, StateSpace, _over_lcm, as_fraction, condition
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .updating import EvidencePartition
@@ -190,13 +189,9 @@ class DecisionProblem:
                 f"expected one of {', '.join(_TIE_POLICIES)}"
             )
         utility = self.outcomes.utility
-        scale = math.lcm(*(u.denominator for u in utility.values()))
+        scaled, _, scale = _over_lcm([u.as_integer_ratio() for u in utility.values()])
         object.__setattr__(self, "_scale", scale)
-        object.__setattr__(
-            self,
-            "_scaled_utility",
-            {o: u.numerator * (scale // u.denominator) for o, u in utility.items()},
-        )
+        object.__setattr__(self, "_scaled_utility", dict(zip(utility, scaled)))
         object.__setattr__(
             self, "_rows", {action: self._utility_row(action) for action in self.choices}
         )

@@ -8,11 +8,14 @@ is exact.
 
 Every rational input is read by one private parser, ``_ratio``, into an
 integer pair ``(num, den)`` with ``den > 0``, unreduced: ``"2/4"`` reads as
-``(2, 4)``.  :func:`as_fraction` wraps that pair in a Fraction, and
-:class:`Credence` works on the pairs directly, so building a credence from
-strings builds no Fraction.  A numeral longer than Python's limit for
-integer strings (``sys.get_int_max_str_digits()``, 4,300 digits by default)
-is refused with a :class:`ValidationError` that gives its digit count.
+``(2, 4)``.  :func:`as_fraction` wraps that pair in a Fraction.  A list of
+such pairs is brought to one denominator by one private function,
+``_over_lcm``, which scales each numerator to the lcm of the denominators;
+credences, problem files, utility tables and report sums all call it, so
+building a credence from strings builds no Fraction.  A numeral longer than
+Python's limit for integer strings (``sys.get_int_max_str_digits()``, 4,300
+digits by default) is refused with a :class:`ValidationError` that gives
+its digit count.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import (
     SpaceMismatchError,
@@ -79,6 +82,17 @@ def _ratio(value) -> tuple[int, int]:
             "pass a Fraction, an int, or a string like '1/10'"
         )
     raise ValidationError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _over_lcm(pairs: Collection[tuple[int, int]]) -> tuple[list[int], int, int]:
+    """Bring ``(n, d)`` pairs, ``d > 0``, to the lcm ``den`` of the ``d`` (1 if none).
+
+    Returns ``(scaled, total, den)``: each ``n * (den // d)`` in order, and
+    their sum.  Each caller makes its own checks and raises its own errors.
+    """
+    den = math.lcm(*(d for _, d in pairs))
+    scaled = [n * (den // d) for n, d in pairs]
+    return scaled, sum(scaled), den
 
 
 def as_fraction(value) -> Fraction:
@@ -191,8 +205,8 @@ class Credence:
     denominator ``den``, so equal distributions compare and hash equal.
     Each mass is read as an integer pair by the module's one rational
     parser (so a numeral past Python's int-string digit limit is refused),
-    and the pairs are brought to the lcm of their denominators, checked
-    for sign and sum as integers, and divided by their gcd: unreduced
+    checked for sign, brought to the lcm of the denominators by
+    ``_over_lcm``, checked for sum, and divided by the gcd: unreduced
     masses such as ``"2/4"`` store what ``"1/2"`` does, and no Fraction is
     built unless an error message needs one.  Credences the library
     derives skip the mapping: :meth:`_from_weights` builds them from
@@ -215,11 +229,10 @@ class Credence:
                     f"negative mass {Fraction(num, den)} on state {state!r}"
                 )
             given[position[state]] = num, den
-        den = math.lcm(*(d for _, d in given.values()))
+        scaled, total, den = _over_lcm(given.values())
         dense = [0] * len(position)
-        for i, (n, d) in given.items():
-            dense[i] = n * (den // d)
-        total = sum(dense)
+        for i, weight in zip(given, scaled):
+            dense[i] = weight
         if total != den:
             raise ValidationError(
                 f"masses must sum to exactly 1, got {Fraction(total, den)}"

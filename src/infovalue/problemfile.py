@@ -19,9 +19,10 @@ pieces once, where ``json.dumps`` with an indent runs the pure-Python
 encoder.
 
 Masses are read and written as integers.  Each prior and posterior mass is
-parsed into an integer pair by :mod:`prob`'s one rational parser and the
-credence is built from the pairs; the sum, cell and certainty checks
-compare integer sums; and each mass is written from the stored numerators.
+parsed into an integer pair by :mod:`prob`'s one rational parser, and a
+table's pairs are brought to one denominator by :mod:`prob`'s
+``_over_lcm``; the sum, cell and certainty checks compare integer sums;
+and each mass is written from the stored numerators.
 A Fraction is built per outcome utility, and otherwise only for an error
 message.  Unreduced masses (``"2/4"``, ``"003/12"``) are accepted and
 written back in lowest terms.
@@ -48,7 +49,7 @@ from .errors import (
     SpaceMismatchError,
     ValidationError,
 )
-from .prob import Credence, Event, StateSpace, _ratio, _weight
+from .prob import Credence, Event, StateSpace, _over_lcm, _ratio, _weight
 from .updating import (
     CONDITIONALIZATION,
     EvidencePartition,
@@ -286,11 +287,10 @@ def _parse_states(doc: Any) -> tuple[StateSpace, Credence]:
             raise NormalizationError(
                 f"{loc}.prob", f"negative mass {Fraction(num, den)}"
             )
-    den = math.lcm(*(d for _, d in masses.values()))
-    weights = [n * (den // d) for n, d in masses.values()]
-    if sum(weights) != den:
+    weights, total, den = _over_lcm(masses.values())
+    if total != den:
         raise NormalizationError(
-            "states", f"masses sum to {Fraction(sum(weights), den)}, expected 1"
+            "states", f"masses sum to {Fraction(total, den)}, expected 1"
         )
     space = StateSpace(tuple(masses))
     return space, Credence._from_weights(space, weights)
@@ -461,19 +461,21 @@ def _parse_posterior(table: dict, location: str, space: StateSpace) -> Credence:
     rational, masses that do not sum to 1, then a negative mass.
     """
     position = space._position
-    pairs = [(0, 1)] * len(position)
+    pairs: dict[int, tuple[int, int]] = {}
     for target, raw in table.items():
         if target not in position:
             raise PolicyError(location, f"unknown state {target!r}")
         pairs[position[target]] = _located_ratio(raw, f"{location}[{target!r}]")
-    den = math.lcm(*(d for _, d in pairs))
-    weights = [num * (den // d) for num, d in pairs]
-    if sum(weights) != den:
+    scaled, total, den = _over_lcm(pairs.values())
+    if total != den:
         raise NormalizationError(
-            location, f"masses sum to {Fraction(sum(weights), den)}, expected 1"
+            location, f"masses sum to {Fraction(total, den)}, expected 1"
         )
-    if any(w < 0 for w in weights):
+    if any(w < 0 for w in scaled):
         raise NormalizationError(location, "negative mass")
+    weights = [0] * len(position)
+    for i, weight in zip(pairs, scaled):
+        weights[i] = weight
     return Credence._from_weights(space, weights)
 
 

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from operator import mul
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .decision import DecisionProblem, max_expected_utility
 from .errors import (
@@ -42,7 +41,7 @@ from .errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from .prob import Event, as_fraction
+from .prob import Event, _over_lcm, as_fraction
 from .updating import (
     EvidencePartition,
     UpdatePolicy,
@@ -60,13 +59,6 @@ __all__ = [
     "cellwise_decomposition",
     "evaluate",
 ]
-
-
-def _over_lcm(terms: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """The sum of ``num / den`` over pairs with ``den > 0``, over the dens' lcm."""
-    terms = list(terms)
-    den = lcm(*(d for _, d in terms))
-    return sum(n * (den // d) for n, d in terms), den
 
 
 @dataclass(frozen=True)
@@ -118,9 +110,7 @@ class PerCell:
         object.__setattr__(self, "max_cond_eu", as_fraction(self.max_cond_eu))
         if self.prob.numerator <= 0:
             raise ValidationError(f"cell probability must be positive, got {self.prob}")
-        total, den = _over_lcm(
-            (r.choose_prob.numerator, r.choose_prob.denominator) for r in self.rows
-        )
+        _, total, den = _over_lcm([r.choose_prob.as_integer_ratio() for r in self.rows])
         if total != den:
             raise ValidationError(
                 f"choose probabilities in cell {self.cell.describe()} must sum "
@@ -135,7 +125,8 @@ class PerCell:
 
     def realized_eu(self) -> Fraction:
         """Expected payoff within this cell, weighting each chosen action."""
-        return Fraction(*_over_lcm(r._term() for r in self.rows))
+        _, total, den = _over_lcm([r._term() for r in self.rows])
+        return Fraction(total, den)
 
 
 @dataclass(frozen=True)
@@ -169,37 +160,36 @@ class VoiReport:
         object.__setattr__(self, "per_cell", tuple(self.per_cell))
         object.__setattr__(self, "chosen_by_state", dict(self.chosen_by_state))
         cells = self.per_cell
-        total, den = _over_lcm((c.prob.numerator, c.prob.denominator) for c in cells)
+        _, total, den = _over_lcm([c.prob.as_integer_ratio() for c in cells])
         if total != den:
             raise ValidationError(
                 f"cell probabilities must sum to 1, got {Fraction(total, den)}"
             )
         less_baseline = (-self.baseline.numerator, self.baseline.denominator)
-        classical = _over_lcm([less_baseline] + [
+        _, classical, den = _over_lcm([less_baseline] + [
             (c.prob.numerator * c.max_cond_eu.numerator,
              c.prob.denominator * c.max_cond_eu.denominator)
             for c in cells
         ])
-        if not _equals(classical, self.val_good):
+        if not _equals(classical, den, self.val_good):
             raise ValidationError(
-                f"per-cell table reconstructs val_good={Fraction(*classical)}, "
+                f"per-cell table reconstructs val_good={Fraction(classical, den)}, "
                 f"report claims {self.val_good}"
             )
-        general = _over_lcm([less_baseline] + [
+        _, general, den = _over_lcm([less_baseline] + [
             (c.prob.numerator * row_num, c.prob.denominator * row_den)
             for c in cells
             for row_num, row_den in map(LemmaOneRow._term, c.rows)
         ])
-        if not _equals(general, self.val_general):
+        if not _equals(general, den, self.val_general):
             raise ValidationError(
-                f"per-cell table reconstructs val_general={Fraction(*general)}, "
+                f"per-cell table reconstructs val_general={Fraction(general, den)}, "
                 f"report claims {self.val_general}"
             )
 
 
-def _equals(pair: tuple[int, int], value: Fraction) -> bool:
+def _equals(num: int, den: int, value: Fraction) -> bool:
     """Whether ``num / den`` equals ``value``, cross-multiplied."""
-    num, den = pair
     return num * value.denominator == value.numerator * den
 
 

@@ -453,22 +453,6 @@ def first_call(argv, columns):
     return done.returncode, done.stdout.decode("utf-8"), done.stderr.decode("utf-8")
 
 
-def test_python_dash_m_runs_the_command():
-    src = os.path.dirname(os.path.dirname(infovalue.__file__))
-    done = subprocess.run(
-        [sys.executable, "-m", "infovalue", "sweep", "gamblers", "--epsilons", "0,1/2"],
-        capture_output=True,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert (done.returncode, done.stderr) == (0, b"")
-    assert done.stdout == (
-        b"epsilon  val_good  val_general  decision\n"
-        b"-------  --------  -----------  --------\n"
-        b"0        0         0            learn\n"
-        b"1/2      0         -1/4         decline\n"
-    )
-
-
 class TestReusedParser:
     def test_calls_in_one_process_match_first_calls(
         self, gamblers_file, monkeypatch, capsys

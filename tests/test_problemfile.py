@@ -21,6 +21,7 @@ from infovalue.decision import (
 )
 from infovalue.errors import (
     CertaintyError,
+    InfoValueError,
     MalformedDocumentError,
     NormalizationError,
     PartitionError,
@@ -221,6 +222,80 @@ class TestRationals:
             parse_rational("oops", "states[2].prob")
         assert exc.value.location == "states[2].prob"
         assert str(exc.value).startswith("states[2].prob: ")
+
+
+# One mass entry: rationals that may be unreduced, zero or negative, and
+# entries every reader refuses ("1/0", decimals, non-strings).  Python ints
+# are left out: Credence reads them exactly, and a problem file only strings.
+_MASSES = st.one_of(
+    st.builds("{}/{}".format, st.integers(-3, 6), st.integers(0, 9)),
+    st.integers(-2, 3).map(str),
+    st.sampled_from(
+        ["1/0", "0.5", "1e0", "1/-2", " 1", "+1", "-0", 0.5, True, None, [1]]
+    ),
+)
+
+
+@st.composite
+def mass_tables(draw):
+    """A space of 3 or 4 states and a table with an entry for each: drawn
+    weights written unreduced over their sum, then some entries redrawn."""
+    states = ("a", "b", "c", "d")[: draw(st.integers(3, 4))]
+    n = len(states)
+    weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    total = sum(weights) or 1
+    table = {}
+    for state, weight in zip(states, weights):
+        k = draw(st.integers(1, 3))
+        table[state] = f"{weight * k}/{total * k}"
+    for state in draw(st.lists(st.sampled_from(states), unique=True)):
+        table[state] = draw(_MASSES)
+    return states, table
+
+
+def one_cell_file(states, prior, policy):
+    """A problem file over ``states`` with one cell, one outcome and one act."""
+    if policy != CONDITIONALIZATION:
+        policy = [{"state": s, "posterior": policy} for s in states]
+    return json.dumps({
+        "states": [{"id": s, "prob": prior[s]} for s in states],
+        "outcomes": [{"id": "o", "utility": "0"}],
+        "actions": [{"id": "x", "map": {s: "o" for s in states}}],
+        "partition": [list(states)],
+        "policy": policy,
+    })
+
+
+def stored(build):
+    """``(nums, den)`` of the credence ``build()`` returns, or None if refused."""
+    try:
+        credence = build()
+    except InfoValueError:
+        return None
+    return credence.nums, credence.den
+
+
+class TestMassReaders:
+    @given(mass_tables())
+    @example((("a", "b", "c"), {"a": "2/4", "b": "003/12", "c": "1/4"}))
+    @example((("a", "b", "c"), {"a": "1/0", "b": "1", "c": "0"}))
+    @example((("a", "b", "c"), {"a": "-1/2", "b": "1", "c": "1/2"}))
+    @example((("a", "b", "c"), {"a": "1/2", "b": "1/2", "c": "1/2"}))
+    @example((("a", "b", "c", "d"), {"a": "1", "b": "0", "c": 0.5, "d": "0"}))
+    def test_credence_posterior_and_prior_agree(self, drawn):
+        """A table is accepted or refused alike as a Credence, as a
+        one-cell file's posterior and as its states, and stores one
+        ``nums``/``den`` when accepted."""
+        states, table = drawn
+        sure = {s: "1" if s == states[0] else "0" for s in states}
+        as_posterior = one_cell_file(states, sure, table)
+        as_prior = one_cell_file(states, table, CONDITIONALIZATION)
+        readings = {
+            stored(lambda: Credence(StateSpace(states), table)),
+            stored(lambda: loads(as_posterior)[2].posterior(states[0])),
+            stored(lambda: loads(as_prior)[0].prior),
+        }
+        assert len(readings) == 1, (table, readings)
 
 
 class TestDocumentShape:

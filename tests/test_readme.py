@@ -1,8 +1,12 @@
-"""The README's Python examples run and print what the README says."""
+"""The README's Python examples and CLI transcripts print what the README says."""
 
 import doctest
+import json
 import re
+import shlex
 from pathlib import Path
+
+from test_golden import GOLDEN, expected
 
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -29,3 +33,34 @@ def test_threshold_examples():
     runner = doctest.DocTestRunner()
     runner.run(example)
     assert (runner.tries, runner.failures) == (4, 0)
+
+
+def transcripts(text):
+    """``(argv, printed)`` for each ``$ infovalue ...`` line of the ``sh`` blocks.
+
+    ``printed`` is the text up to the next ``$`` line or the block's end,
+    less the blank lines that separate one command from the next.
+    """
+    for block in re.findall(r"^```sh\n(.*?)^```$", text, re.M | re.S):
+        for command in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            line, _, printed = command.partition("\n")
+            argv = shlex.split(line)
+            if argv[0] == "infovalue":
+                yield argv[1:], printed.rstrip("\n") + "\n"
+
+
+def test_unelided_transcripts_print_their_golden_stdout():
+    """A README transcript with no ``...`` whose command a golden case runs
+    shows exactly what that case pins."""
+    pinned = {}
+    for case in GOLDEN.iterdir():
+        spec = json.loads((case / "case.json").read_text(encoding="utf-8"))
+        for n, command in enumerate(spec["commands"], 1):
+            pinned[tuple(command["argv"])] = expected(case / f"{n}.stdout")
+    checked = []
+    for argv, printed in transcripts(README):
+        if "..." not in printed and tuple(argv) in pinned:
+            assert printed == pinned[tuple(argv)], argv
+            checked.append(argv)
+    assert ["sweep", "gamblers", "--epsilons", "0,1/10,1/2"] in checked
+    assert ["sweep", "unknown-bias", "--epsilons", "1/10,1/7,1/5"] in checked

@@ -200,25 +200,32 @@ class TestBuildScenario:
         assert val_general(scenario.problem, scenario.policy) == Fraction(1, 3)
 
 
-PRESETS = Path(__file__).parent / "presets"
+TESTS = Path(__file__).parent
+PRESETS = TESTS / "presets"
 
 
 class TestPresetFiles:
     """Each fallacy preset's problem file, pinned byte for byte to the
-    text under ``tests/presets``."""
+    text under ``tests/presets``, or for unknown-bias at ε = 1/5 to the
+    file the ``unknown-bias-round-trip`` golden case writes."""
 
     @pytest.mark.parametrize(
         "name, epsilon, pinned",
         [
-            (GAMBLERS, Fraction(1, 10), "gamblers-1_10.json"),
-            (GAMBLERS, Fraction(0), "gamblers-0.json"),
-            (UNKNOWN_BIAS, Fraction(1, 5), "unknown-bias-1_5.json"),
-            (UNKNOWN_BIAS, Fraction(0), "unknown-bias-0.json"),
+            (GAMBLERS, Fraction(1, 10), PRESETS / "gamblers-1_10.json"),
+            (GAMBLERS, Fraction(0), PRESETS / "gamblers-0.json"),
+            (
+                UNKNOWN_BIAS,
+                Fraction(1, 5),
+                TESTS / "golden/unknown-bias-round-trip/out/unknown-bias.json",
+            ),
+            (UNKNOWN_BIAS, Fraction(0), PRESETS / "unknown-bias-0.json"),
         ],
+        ids=lambda value: value.name if isinstance(value, Path) else None,
     )
     def test_dumps_matches_the_pinned_file(self, name, epsilon, pinned):
         scenario = build_scenario(name, epsilon=epsilon)
-        text = (PRESETS / pinned).read_text(encoding="utf-8")
+        text = pinned.read_text(encoding="utf-8")
         assert dumps(scenario.problem, scenario.policy) == text
 
 
