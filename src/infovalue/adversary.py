@@ -214,7 +214,7 @@ class AversionCertificate:
         posterior = self.policy.posterior(deviation.state)
         if cell.space != prior.space:
             raise SpaceMismatchError("event and credence live on different spaces")
-        cell_weight = _weight(prior, cell.members)
+        cell_weight = _weight(prior, cell)
         if not cell_weight:
             raise ZeroProbabilityError(
                 f"cannot condition on zero-probability event {cell.describe()}"
@@ -222,9 +222,9 @@ class AversionCertificate:
         if posterior.space != problem.space:
             raise SpaceMismatchError("credence is not over the problem's space")
         # risky's expected utilities, times posterior.den * U and cell_weight * U
-        row, position = problem._rows[risky], prior.space._position
+        row = problem._rows[risky]
         deviant = sum(map(mul, row, posterior.nums))
-        sober = sum(row[i] * prior.nums[i] for i in map(position.__getitem__, cell.members))
+        sober = sum(row[i] * prior.nums[i] for i in cell._positions)
         if not deviant > 0 > sober:
             raise ValidationError(
                 f"the bet must be strictly attractive to the deviant posterior "
@@ -274,8 +274,8 @@ class AversionCertificate:
             raise SpaceMismatchError("event and credence live on different spaces")
         # the event's mass under the posterior and, as it lies inside the cell
         # (Deviation checks that), under the prior conditioned on the cell
-        q_num = _weight(posterior, event.members)
-        r_num = _weight(problem.prior, event.members)
+        q_num = _weight(posterior, event)
+        r_num = _weight(problem.prior, event)
         if (
             q_num * q.denominator != q.numerator * posterior.den
             or r_num * r.denominator != r.numerator * cell_weight

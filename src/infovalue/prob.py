@@ -16,6 +16,12 @@ building a credence from strings builds no Fraction.  A numeral longer than
 Python's limit for integer strings (``sys.get_int_max_str_digits()``, 4,300
 digits by default) is refused with a :class:`ValidationError` that gives
 its digit count.
+
+An :class:`Event` finds its members' positions once, in the lookup that
+refuses stray members, and stores them in state order as ``_positions``,
+which ``sorted_members``, ``_weight``, ``condition``, ``is_partition`` and
+the cell walks of ``updating``, ``voi`` and ``adversary`` read.  Only this
+module and ``problemfile`` read a :class:`StateSpace`'s position map.
 """
 
 from __future__ import annotations
@@ -156,7 +162,7 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class Event:
-    """A subset of a state space's states."""
+    """A subset of a state space's states, with their positions stored once."""
 
     space: StateSpace
     members: frozenset[str]
@@ -167,11 +173,13 @@ class Event:
                 f"members must be a collection of ids, not the string {self.members!r}"
             )
         object.__setattr__(self, "members", frozenset(self.members))
-        stray = self.members - set(self.space.states)
-        if stray:
-            raise ValidationError(
-                f"event members not in the state space: {sorted(stray)}"
-            )
+        try:
+            positions = sorted(map(self.space._position.__getitem__, self.members))
+        except KeyError:
+            stray = sorted((s for s in self.members if s not in self.space), key=str)
+            message = f"event members not in the state space: {stray}"
+            raise ValidationError(message) from None
+        object.__setattr__(self, "_positions", tuple(positions))
 
     def __contains__(self, state: object) -> bool:
         return state in self.members
@@ -181,7 +189,7 @@ class Event:
 
     def sorted_members(self) -> tuple[str, ...]:
         """Members in state-space order."""
-        return tuple(s for s in self.space if s in self.members)
+        return tuple(map(self.space.states.__getitem__, self._positions))
 
     def complement(self) -> Event:
         return Event(self.space, frozenset(self.space.states) - self.members)
@@ -282,17 +290,16 @@ def probability(credence: Credence, event: Event) -> Fraction:
     """Total mass the credence assigns to the event."""
     if event.space != credence.space:
         raise SpaceMismatchError("event and credence live on different spaces")
-    return Fraction(_weight(credence, event.members), credence.den)
+    return Fraction(_weight(credence, event), credence.den)
 
 
-def _weight(credence: Credence, states: Iterable[str]) -> int:
-    """The credence's mass on ``states`` times ``credence.den``: an integer.
+def _weight(credence: Credence, event: Event) -> int:
+    """The credence's mass on ``event`` times ``credence.den``: an integer.
 
-    ``states`` must be distinct ids of the credence's space.  A mass is 1
-    exactly when this equals ``credence.den``, and 0 when it is 0.
+    ``event`` must be over the credence's space.  A mass is 1 exactly when
+    this equals ``credence.den``, and 0 when it is 0.
     """
-    nums, position = credence.nums, credence.space._position
-    return sum(map(nums.__getitem__, map(position.__getitem__, states)))
+    return sum(map(credence.nums.__getitem__, event._positions))
 
 
 def condition(credence: Credence, event: Event) -> Credence:
@@ -307,10 +314,9 @@ def condition(credence: Credence, event: Event) -> Credence:
     """
     if event.space != credence.space:
         raise SpaceMismatchError("event and credence live on different spaces")
-    nums, position = credence.nums, credence.space._position
+    nums = credence.nums
     kept = [0] * len(nums)
-    for s in event.members:
-        i = position[s]
+    for i in event._positions:
         kept[i] = nums[i]
     if not any(kept):
         raise ZeroProbabilityError(
@@ -321,13 +327,10 @@ def condition(credence: Credence, event: Event) -> Credence:
 
 def is_partition(space: StateSpace, cells: Iterable[Event]) -> bool:
     """True iff ``cells`` are pairwise-disjoint, non-empty, and cover ``space``."""
-    seen: set[str] = set()
+    positions: list[int] = []
     for cell in cells:
-        if cell.space != space:
+        if cell.space != space or not cell.members:
             return False
-        if not cell.members:
-            return False
-        if cell.members & seen:
-            return False
-        seen |= cell.members
-    return seen == set(space.states)
+        positions += cell._positions
+    positions.sort()
+    return positions == list(range(len(space)))

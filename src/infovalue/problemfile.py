@@ -394,7 +394,7 @@ def _parse_partition(
             "partition", f"states not covered by any cell: {', '.join(uncovered)}"
         )
     for i, cell in enumerate(cells):
-        if not _weight(prior, cell.members):
+        if not _weight(prior, cell):
             raise PartitionError(
                 f"partition[{i}]",
                 f"cell {cell.describe()} has zero prior probability; "
@@ -438,7 +438,7 @@ def _parse_policy(
             parsed[key] = posterior
         cell = partition.cell_of(state)
         if (id(posterior), id(cell)) not in certain:
-            in_cell = _weight(posterior, cell.members)
+            in_cell = _weight(posterior, cell)
             if in_cell != posterior.den:
                 raise CertaintyError(
                     loc,

@@ -46,7 +46,6 @@ from .prob import (
     as_fraction,
     condition,
     is_partition,
-    probability,
 )
 
 __all__ = [
@@ -128,7 +127,7 @@ class UpdatePolicy:
                 )
             cell = self.partition.cell_of(state)
             if (id(posterior), id(cell)) not in certain:
-                in_cell = _weight(posterior, cell.members)
+                in_cell = _weight(posterior, cell)
                 if in_cell != posterior.den:
                     raise ValidationError(
                         f"posterior for state {state!r} must assign probability "
@@ -207,7 +206,7 @@ class DeviationSpec:
                     f"deviant posterior for cell {cell.describe()} is over a "
                     "different space"
                 )
-            in_cell = _weight(posterior, cell.members)
+            in_cell = _weight(posterior, cell)
             if in_cell != posterior.den:
                 raise ValidationError(
                     f"deviant posterior for cell {cell.describe()} must assign "
@@ -279,7 +278,7 @@ def mixture_expand(
     if partition.space != problem.space:
         raise SpaceMismatchError("partition is not over the problem's space")
     for cell in partition.cells:
-        if probability(problem.prior, cell) == 0:
+        if not _weight(problem.prior, cell):
             raise ValidationError(f"cell {cell.describe()} has zero prior probability")
     for cell in spec.deviant_posteriors:
         if cell not in partition.cells:
@@ -356,7 +355,7 @@ class _PosteriorClass(NamedTuple):
     deviates: bool
 
 
-def _columns(positions: list[int]) -> Callable[[Sequence], tuple]:
+def _columns(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
     """One ``itemgetter`` that reads ``positions`` out of a row, as a tuple.
 
     ``itemgetter`` with one index returns the bare item, so a one-state
@@ -379,7 +378,7 @@ def _cell_table(
     its first state, so equal posteriors held as distinct objects share a
     class; later states that hold it find its class by the object's id.
     Rows are read off the stored credences with one ``itemgetter`` per
-    cell, with no credence built.
+    cell, built on the cell's stored positions, with no credence built.
 
     A class deviates when ``row[i] * total != w_i * den`` for some member,
     decided as one tuple comparison: a stored credence's ``nums`` are
@@ -387,9 +386,7 @@ def _cell_table(
     so its row equals the cell's prior weights divided by their gcd exactly
     when the two are proportional.
     """
-    position = prior.space._position
-    positions = sorted(position[s] for s in cell.members)
-    take = _columns(positions)
+    take = _columns(cell._positions)
     members = take(prior.space.states)
     weights = take(prior.nums)
     total = sum(weights)
@@ -454,32 +451,32 @@ def _choice_groups(
     states in order, and choice is decided once per posterior object, at its
     first state; a later state that holds the same object finds its group by
     the object's id.  A posterior is scored on its own cell's columns only,
-    sliced by one ``itemgetter`` per cell.  That is exact, because
-    :class:`UpdatePolicy` has checked that each posterior puts all of its
-    mass on its own cell, so every product left out is 0.  The cell keeps
-    each act's integer gap row ``row_a - row_first``; a posterior's leads
-    are ``[0]`` then each gap row dotted with its ``nums``.  Each score is
-    the first act's plus its lead, so the first largest lead is the earliest
-    maximizer.  Under ``error-on-tie`` the first tied posterior in state
-    order, across cells, raises through :func:`_choose` with its full
-    scores.  Equal posteriors held as distinct objects choose alike.
+    sliced by one ``itemgetter`` over the cell's stored positions.  That is
+    exact, because :class:`UpdatePolicy` has checked that each posterior
+    puts all of its mass on its own cell, so every product left out is 0.
+    The cell keeps each act's integer gap row ``row_a - row_first``; a
+    posterior's leads are ``[0]`` then each gap row dotted with its
+    ``nums``.  Each score is the first act's plus its lead, so the first
+    largest lead is the earliest maximizer.  Under ``error-on-tie`` the
+    first tied posterior in state order, across cells, raises through
+    :func:`_choose` with its full scores.  Equal posteriors held as distinct
+    objects choose alike.
     """
     if policy.space != problem.space:
         raise SpaceMismatchError("policy is not over the problem's space")
-    states, position = problem.space.states, problem.space._position
+    states = problem.space.states
     prior_nums, actions = problem.prior.nums, problem.choices.actions
     first_row, *other_rows = problem._rows.values()
     posteriors, scale = policy.posteriors, problem._scale
     on_ties = problem.tie_policy == ERROR_ON_TIE
     out, tie = [], None  # tie: (position, full scores, their denominator)
     for cell in policy.partition.cells:
-        positions = sorted(position[s] for s in cell.members)
-        take = _columns(positions)
+        take = _columns(cell._positions)
         first = take(first_row)
         gaps = [tuple(map(sub, take(row), first)) for row in other_rows]
         cell_groups: dict[Action, list[int]] = {}
         by_object: dict[int, list[int]] = {}  # id(posterior) -> the group it chooses into
-        for i in positions:
+        for i in cell._positions:
             if not prior_nums[i]:
                 continue
             posterior = posteriors[states[i]]

@@ -210,20 +210,20 @@ def _informed(problem: DecisionProblem, partition: EvidencePartition) -> Fractio
     """Probability-weighted best conditional expected utility across cells.
 
     A cell's probability times an act's conditional expected utility is the
-    act's score on the cell, ``sum(row[i] * prior.nums[i])`` over its states,
-    over ``prior.den * U``: one Fraction of the summed best scores, with no
-    credence conditioned.  It scores the cells' states itself, not the act
-    groups the decomposition sums, so a report's ``val_good`` check compares
-    two routes.  Refuses another space or a zero-probability cell as
-    conditioning on it would.
+    act's score on the cell, ``sum(row[i] * prior.nums[i])`` over its stored
+    positions ``i``, over ``prior.den * U``: one Fraction of the summed best
+    scores, with no credence conditioned.  It scores the cells' states
+    itself, not the act groups the decomposition sums, so a report's
+    ``val_good`` check compares two routes.  Refuses another space or a
+    zero-probability cell as conditioning on it would.
     """
     prior = problem.prior
     if partition.space != prior.space:
         raise SpaceMismatchError("event and credence live on different spaces")
-    position, rows = prior.space._position, problem._rows.values()
+    rows = problem._rows.values()
     total = 0
     for cell in partition.cells:
-        take = _columns([position[s] for s in cell.members])
+        take = _columns(cell._positions)
         nums = take(prior.nums)
         if not any(nums):
             raise ZeroProbabilityError(

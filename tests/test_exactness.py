@@ -1,7 +1,8 @@
 """The package computes with integers and Fractions only.
 
 An ``ast`` lint of ``src/infovalue``: no float is built, nothing rounds, and
-no library with inexact arithmetic is imported.
+no library with inexact arithmetic is imported.  One layout lint rides
+along: only ``prob`` and ``problemfile`` read a state space's position map.
 """
 
 import ast
@@ -75,3 +76,18 @@ def test_math_gives_only_lcm_and_gcd_and_no_inexact_module_is_imported():
             from_math.add(node.attr)
     assert from_math <= {"lcm", "gcd"}
     assert not imported & {"decimal", "cmath", "statistics"}
+
+
+def test_only_prob_and_problemfile_read_the_position_map():
+    """Every other module walks an event through its stored ``_positions``;
+    ``problemfile`` reads the map only against a table's state-id keys."""
+    readers = {
+        (module, function)
+        for module, function, _, node in nodes()
+        if isinstance(node, ast.Attribute) and node.attr == "_position"
+    }
+    assert {module for module, _ in readers} == {"prob", "problemfile"}
+    assert {f for m, f in readers if m == "problemfile"} == {
+        "_parse_actions",
+        "_parse_posterior",
+    }

@@ -1,5 +1,7 @@
 """Exact probability primitives: spaces, events, credences, conditioning."""
 
+import copy
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -30,6 +32,7 @@ from infovalue.prob import (
 )
 
 from _oracles import conditioned, dist_of
+from _refusals import refusal
 
 SPACE = StateSpace(("a", "b", "c", "d"))
 ABC = StateSpace(("a", "b", "c"))
@@ -197,8 +200,16 @@ class TestEvent:
             event("a").intersection(other)
 
     def test_rejects_stray_members(self):
-        with pytest.raises(ValidationError, match="not in the state space"):
-            event("a", "zzz")
+        for space, members, strays in [
+            (SPACE, {"a", "zzz"}, "['zzz']"),
+            (SPACE, {"zz", "a", "x"}, "['x', 'zz']"),
+            (ABC, {1, "x"}, "[1, 'x']"),  # sorted by str, not by <
+        ]:
+            assert refusal(lambda: Event(space, members)) == (
+                ValidationError,
+                "Event.__post_init__",
+                f"event members not in the state space: {strays}",
+            )
 
 
 class TestCredence:
@@ -407,3 +418,92 @@ class TestIsPartition:
     def test_rejects_foreign_cells(self):
         foreign = Event(StateSpace(("a", "b")), frozenset({"a", "b"}))
         assert not is_partition(SPACE, [foreign, event("c", "d")])
+
+
+@st.composite
+def spaced_events(draw):
+    """A space of 1-12 states in a shuffled id order, a credence on it, and
+    one member list per event, each in a shuffled order."""
+    states = draw(st.permutations([f"s{i}" for i in range(draw(st.integers(1, 12)))]))
+    space = StateSpace(states)
+    w = draw(st.lists(st.integers(0, 5), min_size=len(states), max_size=len(states)))
+    w[draw(st.integers(0, len(states) - 1))] += 1
+    prior = Credence(space, {s: Fraction(x, sum(w)) for s, x in zip(states, w)})
+    cell_of = draw(st.lists(st.integers(0, 3), min_size=len(states), max_size=len(states)))
+    lists = [
+        draw(st.permutations([s for s, c in zip(states, cell_of) if c == label]))
+        for label in sorted(set(cell_of))
+    ]
+    return space, prior, lists
+
+
+def plain_is_partition(space, cells):
+    """The definition, on member sets: non-empty, disjoint, covering, same space."""
+    listed = [s for cell in cells for s in cell.members]
+    return (
+        all(cell.space == space and cell.members for cell in cells)
+        and len(listed) == len(set(listed))
+        and set(listed) == set(space.states)
+    )
+
+
+class TestStoredPositions:
+    """Every walk over an event's stored positions agrees with a plain
+    recomputation in state order."""
+
+    @given(spaced_events())
+    def test_walks_match_a_state_order_recomputation(self, drawn):
+        space, prior, lists = drawn
+        dist = dist_of(prior)
+        for members in lists:
+            e = Event(space, members)
+            in_order = tuple(s for s in space.states if s in members)
+            assert e.sorted_members() == in_order
+            assert e.complement().sorted_members() == tuple(
+                s for s in space.states if s not in members
+            )
+            assert probability(prior, e) == sum((dist.get(s, 0) for s in members), Fraction(0))
+            if probability(prior, e):
+                assert dist_of(condition(prior, e)) == conditioned(dist, set(members))
+            else:
+                with pytest.raises(ZeroProbabilityError):
+                    condition(prior, e)
+
+    @given(spaced_events())
+    def test_member_order_and_copies_keep_the_event(self, drawn):
+        space, _, lists = drawn
+        for members in lists:
+            built = [
+                Event(space, members),
+                Event(space, reversed(members)),
+                Event(space, (s for s in members)),
+                Event(space, frozenset(members)),
+            ]
+            e = built[0]
+            assert all(b == e and hash(b) == hash(e) for b in built)
+            assert len({b.sorted_members() for b in built}) == 1
+            for twin in (dataclasses.replace(e), copy.copy(e)):
+                assert twin == e and twin.sorted_members() == e.sorted_members()
+
+    @given(spaced_events(), st.data())
+    def test_is_partition_matches_the_definition(self, drawn, data):
+        space, _, lists = drawn
+        cells = [Event(space, members) for members in lists]
+        foreign = StateSpace(space.states + ("extra",))
+        empty = Event(space, ())
+        cases = {
+            "partition": (cells, True),
+            "with an empty cell": (cells + [empty], False),
+            "without a cell": (cells[1:], False),
+            "without a state": ([Event(space, lists[0][1:])] + cells[1:], False),
+            "foreign": ([Event(foreign, members) for members in lists], False),
+        }
+        if len(cells) > 1:
+            shared = data.draw(st.sampled_from(lists[1]))
+            cases["overlapping"] = ([Event(space, lists[0] + [shared])] + cells[1:], False)
+        if len(space) > 1:
+            reordered = StateSpace(space.states[::-1])
+            cases["reordered space"] = ([Event(reordered, m) for m in lists], False)
+        for name, (candidate, expected) in cases.items():
+            assert is_partition(space, candidate) == plain_is_partition(space, candidate)
+            assert is_partition(space, candidate) is expected, name

@@ -462,17 +462,15 @@ class TestRoundTrips:
 
         def profile(frame, event, arg):
             if event == "call" and frame.f_code is code:
-                calls.append((frame.f_locals["credence"], frame.f_locals["states"]))
+                calls.append((frame.f_locals["credence"], frame.f_locals["event"]))
 
         sys.setprofile(profile)
         try:
             problem, partition, policy = loads(json.dumps(doc))
         finally:
             sys.setprofile(None)
-        pairs = {
-            (id(policy.posterior(s)), id(partition.cell_of(s).members)) for s in problem.space
-        }
-        weighed = [(id(c), id(states)) for c, states in calls if c is not problem.prior]
+        pairs = {(id(policy.posterior(s)), id(partition.cell_of(s))) for s in problem.space}
+        weighed = [(id(c), id(cell)) for c, cell in calls if c is not problem.prior]
         assert len(pairs) == 32 + 4
         assert sorted(weighed) == sorted(pairs)
         assert len(calls) - len(weighed) == len(partition.cells) == 8
