@@ -46,7 +46,6 @@ from .errors import (
     NoDeviationError,
     SpaceMismatchError,
     ValidationError,
-    ZeroProbabilityError,
 )
 from .prob import Credence, Event, _ratio, _weight, as_fraction
 from .updating import (
@@ -167,7 +166,8 @@ class AversionCertificate:
     utilities' signs, the prior's best score and the masses behind ``q``
     and ``r`` are read off the problem's integer utility rows, the
     posterior's ``nums`` and the prior's weights on the cell, so no
-    credence is conditioned and no expected utility is built.  The checks
+    credence is conditioned (the cell's weight and scores come from
+    ``DecisionProblem._cell_scores``) and no expected utility is built.  The checks
     build one Fraction, the recomputed value; any other is built only for
     an error message.  That recomputation is the second route: it builds
     its own per-cell act groups (the states that choose each act) from the
@@ -212,19 +212,12 @@ class AversionCertificate:
         prior, scale = problem.prior, problem._scale
         risky = problem.choices.by_id(RISKY_ID)
         posterior = self.policy.posterior(deviation.state)
-        if cell.space != prior.space:
-            raise SpaceMismatchError("event and credence live on different spaces")
-        cell_weight = _weight(prior, cell)
-        if not cell_weight:
-            raise ZeroProbabilityError(
-                f"cannot condition on zero-probability event {cell.describe()}"
-            )
+        cell_weight, cell_scores = problem._cell_scores(cell)
         if posterior.space != problem.space:
             raise SpaceMismatchError("credence is not over the problem's space")
         # risky's expected utilities, times posterior.den * U and cell_weight * U
-        row = problem._rows[risky]
-        deviant = sum(map(mul, row, posterior.nums))
-        sober = sum(row[i] * prior.nums[i] for i in cell._positions)
+        deviant = sum(map(mul, problem._rows[risky], posterior.nums))
+        sober = dict(zip(problem.choices, cell_scores))[risky]
         if not deviant > 0 > sober:
             raise ValidationError(
                 f"the bet must be strictly attractive to the deviant posterior "

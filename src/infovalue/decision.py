@@ -17,7 +17,10 @@ values.
 
 Every choice goes through one private core, ``_choose``, which takes the
 choices' integer scores over a shared denominator and applies the tie
-policy.  :func:`best_action` scores a credence on every state.  An update
+policy.  :func:`best_action` scores a credence on every state, and
+``DecisionProblem._cell_scores`` the prior on a cell's columns, read by
+:mod:`prob`'s one reader ``_cell_weights`` with no credence conditioned,
+for :func:`is_relevant`, ``val_good`` and the certificate.  An update
 policy's choices (``updating._choice_groups``) are decided once per
 posterior object, by each act's lead over the first act on its own cell's
 columns only.  That is exact: a posterior puts all of its mass on its
@@ -36,7 +39,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import SpaceMismatchError, TieError, ValidationError
-from .prob import Credence, StateSpace, _over_lcm, as_fraction, condition
+from .prob import Credence, Event, StateSpace, _cell_weights, _over_lcm, as_fraction
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .updating import EvidencePartition
@@ -240,6 +243,14 @@ class DecisionProblem:
         nums = credence.nums
         return [sum(map(mul, row, nums)) for row in self._rows.values()]
 
+    def _cell_scores(self, cell: Event) -> tuple[int, list[int]]:
+        """The prior's integer weight on ``cell`` and, in choice order, each
+        choice's expected utility given the cell times ``weight * U``; refused
+        as conditioning on ``cell`` would be, by ``_cell_weights``."""
+        take, weights = _cell_weights(self.prior, cell)
+        rows = self._rows.values()
+        return sum(weights), [sum(map(mul, take(row), weights)) for row in rows]
+
 
 def expected_utility(
     problem: DecisionProblem, action: Action, credence: Credence | None = None
@@ -296,10 +307,12 @@ def is_relevant(problem: DecisionProblem, partition: "EvidencePartition") -> boo
     True iff no single action attains the maximum conditional expected
     utility in *every* cell.  Evaluation is tie-insensitive: an action that
     merely ties for best everywhere still makes the evidence irrelevant.
+    Each cell's scores come from ``_cell_scores`` (so through ``prob``'s
+    ``_cell_weights``), with no credence conditioned.
     """
     rows = []
     for cell in partition.cells:
-        scores = problem._scores(condition(problem.prior, cell))
+        scores = problem._cell_scores(cell)[1]
         best = max(scores)
         rows.append([score == best for score in scores])
     return not any(all(column) for column in zip(*rows))

@@ -22,6 +22,10 @@ refuses stray members, and stores them in state order as ``_positions``,
 which ``sorted_members``, ``_weight``, ``condition``, ``is_partition`` and
 the cell walks of ``updating``, ``voi`` and ``adversary`` read.  Only this
 module and ``problemfile`` read a :class:`StateSpace`'s position map.
+The prior given a cell is read by one reader, ``_cell_weights``, which
+refuses what :func:`condition` refuses: ``condition`` and ``problemfile``'s
+keyword test read it, and ``DecisionProblem._cell_scores`` scores it for
+``val_good``, ``is_relevant`` and the certificate's sober price.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     SpaceMismatchError,
@@ -302,6 +307,29 @@ def _weight(credence: Credence, event: Event) -> int:
     return sum(map(credence.nums.__getitem__, event._positions))
 
 
+def _columns(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A getter that reads ``positions`` out of a row as a tuple: one
+    ``itemgetter``, or a getter of its own for one position or none."""
+    if len(positions) == 1:
+        (only,) = positions
+        return lambda row: (row[only],)
+    return itemgetter(*positions) if positions else lambda row: ()
+
+
+def _cell_weights(credence: Credence, event: Event) -> tuple[Callable, tuple[int, ...]]:
+    """The event's column getter and the credence's ``nums`` on it, refused
+    with the types and messages of :func:`condition`, which calls it."""
+    if event.space != credence.space:
+        raise SpaceMismatchError("event and credence live on different spaces")
+    take = _columns(event._positions)
+    weights = take(credence.nums)
+    if not any(weights):
+        raise ZeroProbabilityError(
+            f"cannot condition on zero-probability event {event.describe()}"
+        )
+    return take, weights
+
+
 def condition(credence: Credence, event: Event) -> Credence:
     """Bayesian conditioning: restrict to the event and renormalize.
 
@@ -312,16 +340,10 @@ def condition(credence: Credence, event: Event) -> Credence:
     Raises :class:`ZeroProbabilityError` if the event has probability 0 —
     there is no canonical answer there and pretending otherwise hides bugs.
     """
-    if event.space != credence.space:
-        raise SpaceMismatchError("event and credence live on different spaces")
-    nums = credence.nums
-    kept = [0] * len(nums)
-    for i in event._positions:
-        kept[i] = nums[i]
-    if not any(kept):
-        raise ZeroProbabilityError(
-            f"cannot condition on zero-probability event {event.describe()}"
-        )
+    _, weights = _cell_weights(credence, event)
+    kept = [0] * len(credence.nums)
+    for i, weight in zip(event._positions, weights):
+        kept[i] = weight
     return Credence._from_weights(credence.space, kept)
 
 

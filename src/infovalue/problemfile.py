@@ -49,7 +49,7 @@ from .errors import (
     SpaceMismatchError,
     ValidationError,
 )
-from .prob import Credence, Event, StateSpace, _over_lcm, _ratio, _weight
+from .prob import Credence, Event, StateSpace, _cell_weights, _over_lcm, _ratio, _weight
 from .updating import (
     CONDITIONALIZATION,
     EvidencePartition,
@@ -109,10 +109,13 @@ def problem_document(problem: DecisionProblem, policy: UpdatePolicy) -> dict:
 
     The keyword ``"conditionalization"`` is written only for the policy
     that conditions this problem's prior, since that is what the keyword
-    means when the document is read back.  Any other policy, even one built
-    by conditioning another prior, is spelled out: its posterior tables are
-    formatted once per distinct posterior object (states often share one),
-    and each state gets its own copy of its table.
+    means when the document is read back: each distinct posterior's row on
+    its cell must be the cell's weights from :mod:`prob`'s ``_cell_weights``
+    over their gcd, and every cell is read, so a zero-probability cell is
+    refused as conditioning on it would be.  Any other policy, even one
+    built by conditioning another prior, is spelled out: its posterior
+    tables are formatted once per distinct posterior object (states often
+    share one), and each state gets its own copy of its table.
     """
     if policy.space != problem.space:
         raise SpaceMismatchError("policy is not over the problem's space")
@@ -130,9 +133,16 @@ def problem_document(problem: DecisionProblem, policy: UpdatePolicy) -> dict:
         for a in problem.choices
     ]
     partition = [list(cell.sorted_members()) for cell in policy.partition.cells]
-    if policy.kind == CONDITIONALIZATION and policy == conditionalization_policy(
-        problem.prior, policy.partition
-    ):
+    conditions = policy.kind == CONDITIONALIZATION
+    for cell in policy.partition.cells if conditions else ():
+        take, weights = _cell_weights(prior, cell)
+        if conditions:
+            common = math.gcd(*weights)
+            conditioned = tuple(w // common for w in weights)
+            held = map(policy.posteriors.__getitem__, take(problem.space.states))
+            distinct = {id(posterior): posterior for posterior in held}.values()
+            conditions = all(take(p.nums) == conditioned for p in distinct)
+    if conditions:
         policy_doc: Any = CONDITIONALIZATION
     else:
         tables: dict[int, dict[str, str]] = {}  # keyed by id(posterior)

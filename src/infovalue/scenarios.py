@@ -418,11 +418,11 @@ def sweep(name: str, epsilons, confidence=None) -> SweepTable:
     epsilon and evaluated alone, and the table's ``val_good`` is every
     expansion's.  An empty ``epsilons`` builds nothing, so it refuses only
     the race preset.  ``epsilons`` must be a sequence of values; a bare
-    string is refused.
+    string, ``bytes`` or ``bytearray`` is refused.
     """
     if name == RACE:
         raise ConfigError("the race scenario has no epsilon parameter to sweep")
-    if isinstance(epsilons, str):
+    if isinstance(epsilons, (str, bytes, bytearray)):
         raise ValidationError(
             f"epsilons must be a sequence of values, not the string {epsilons!r}"
         )

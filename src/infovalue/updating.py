@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter, mul, sub
-from typing import Callable, Mapping, NamedTuple, Sequence
+from operator import mul, sub
+from typing import Mapping, NamedTuple
 
 from .decision import (
     ERROR_ON_TIE,
@@ -42,6 +42,7 @@ from .prob import (
     Credence,
     Event,
     StateSpace,
+    _columns,
     _weight,
     as_fraction,
     condition,
@@ -201,6 +202,11 @@ class DeviationSpec:
         object.__setattr__(self, "epsilon", _epsilon(self.epsilon))
         cleaned = {}
         for cell, posterior in self.deviant_posteriors.items():
+            if not (isinstance(cell, Event) and isinstance(posterior, Credence)):
+                raise ValidationError(
+                    "deviant posteriors must map cell Events to Credences, not "
+                    f"{type(cell).__name__} to {type(posterior).__name__}"
+                )
             if posterior.space != cell.space:
                 raise SpaceMismatchError(
                     f"deviant posterior for cell {cell.describe()} is over a "
@@ -353,18 +359,6 @@ class _PosteriorClass(NamedTuple):
     own: list[int]
     weight: int
     deviates: bool
-
-
-def _columns(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """One ``itemgetter`` that reads ``positions`` out of a row, as a tuple.
-
-    ``itemgetter`` with one index returns the bare item, so a one-state
-    cell gets a getter that wraps it.
-    """
-    if len(positions) == 1:
-        (only,) = positions
-        return lambda row: (row[only],)
-    return itemgetter(*positions)
 
 
 def _cell_table(

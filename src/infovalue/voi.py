@@ -22,7 +22,9 @@ quantities coincide; for policies the agent's own prior expects to deviate,
 report field or an error message.  Every expected utility it needs is an
 integer score, ``sum(row[i] * prior.nums[i])`` over some states, divided
 by ``prior.den * U`` or by the states' prior weight times ``U`` (``U`` is
-the problem's utility scale), so maxima compare scores.  The report's
+the problem's utility scale), so maxima compare scores.  ``val_good``
+scores cells by ``DecisionProblem._cell_scores``, on :mod:`prob`'s one
+reader ``_cell_weights``; ``val_general`` walks the act groups.  The report's
 checks cross-multiply, and each of its sums is one integer over the least
 common multiple of its terms' denominators.
 """
@@ -31,24 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 from typing import Mapping
 
 from .decision import DecisionProblem, max_expected_utility
-from .errors import (
-    IndependenceBrokenError,
-    SpaceMismatchError,
-    ValidationError,
-    ZeroProbabilityError,
-)
+from .errors import IndependenceBrokenError, SpaceMismatchError, ValidationError
 from .prob import Event, _over_lcm, as_fraction
-from .updating import (
-    EvidencePartition,
-    UpdatePolicy,
-    _cell_pass,
-    _choice_groups,
-    _columns,
-)
+from .updating import EvidencePartition, UpdatePolicy, _cell_pass, _choice_groups
 
 __all__ = [
     "LemmaOneRow",
@@ -209,28 +199,14 @@ def val_good(problem: DecisionProblem, partition: EvidencePartition) -> Fraction
 def _informed(problem: DecisionProblem, partition: EvidencePartition) -> Fraction:
     """Probability-weighted best conditional expected utility across cells.
 
-    A cell's probability times an act's conditional expected utility is the
-    act's score on the cell, ``sum(row[i] * prior.nums[i])`` over its stored
-    positions ``i``, over ``prior.den * U``: one Fraction of the summed best
-    scores, with no credence conditioned.  It scores the cells' states
-    itself, not the act groups the decomposition sums, so a report's
-    ``val_good`` check compares two routes.  Refuses another space or a
-    zero-probability cell as conditioning on it would.
+    Sums each cell's best score from ``DecisionProblem._cell_scores`` (read
+    through :mod:`prob`'s ``_cell_weights``, so refused as conditioning on
+    the cell would be) into one Fraction over ``prior.den * U``.  It scores
+    the cells' states, not the act groups the decomposition sums, so a
+    report's ``val_good`` check compares two routes.
     """
-    prior = problem.prior
-    if partition.space != prior.space:
-        raise SpaceMismatchError("event and credence live on different spaces")
-    rows = problem._rows.values()
-    total = 0
-    for cell in partition.cells:
-        take = _columns(cell._positions)
-        nums = take(prior.nums)
-        if not any(nums):
-            raise ZeroProbabilityError(
-                f"cannot condition on zero-probability event {cell.describe()}"
-            )
-        total += max(sum(map(mul, take(row), nums)) for row in rows)
-    return Fraction(total, prior.den * problem._scale)
+    total = sum(max(problem._cell_scores(cell)[1]) for cell in partition.cells)
+    return Fraction(total, problem.prior.den * problem._scale)
 
 
 def _realized(problem: DecisionProblem, groups: list[dict]) -> Fraction:

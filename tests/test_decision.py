@@ -20,11 +20,16 @@ from infovalue.decision import (
     is_relevant,
     max_expected_utility,
 )
-from infovalue.errors import SpaceMismatchError, TieError, ValidationError
+from infovalue.errors import (
+    SpaceMismatchError,
+    TieError,
+    ValidationError,
+    ZeroProbabilityError,
+)
 from infovalue.prob import Credence, Event, StateSpace
 from infovalue.updating import EvidencePartition
 
-from _oracles import best_value, dist_of, eu, first_best
+from _oracles import best_value, conditioned, dist_of, eu, first_best
 from _refusals import refusal
 
 SPACE = StateSpace(("s1", "s2", "s3"))
@@ -359,6 +364,46 @@ class TestIntegerKernels:
         assert [f.name for f in dataclasses.fields(a)] == [
             "space", "outcomes", "prior", "choices", "tie_policy"
         ]
+
+
+def brute_is_relevant(problem, partition):
+    """Whether no act is best in every cell under the cell's conditioned prior."""
+    prior = dist_of(problem.prior)
+    best_everywhere = set(problem.choices.ids())
+    for cell in partition.cells:
+        dist = conditioned(prior, cell.members)
+        values = {a.id: eu(problem, a, dist) for a in problem.choices}
+        top = max(values.values())
+        best_everywhere &= {id for id, value in values.items() if value == top}
+    return not best_everywhere
+
+
+class TestIsRelevantAgainstTheOracle:
+    @given(drawn_choices(), st.data())
+    def test_matches_the_oracle(self, drawn, data):
+        """Cells are declared in a drawn order, and zero-prior states (and
+        whole zero-probability cells) are common; the first such cell in
+        declared order is refused as conditioning on it would be."""
+        problem, _ = drawn
+        space = problem.space
+        labels = data.draw(
+            st.lists(st.integers(0, len(space) - 1), min_size=len(space), max_size=len(space))
+        )
+        members = {}
+        for state, label in zip(space.states, labels):
+            members.setdefault(label, set()).add(state)
+        cells = data.draw(st.permutations([Event(space, m) for m in members.values()]))
+        partition = EvidencePartition(space, tuple(cells))
+        support = dist_of(problem.prior)
+        empty = [cell for cell in cells if not cell.members & support.keys()]
+        if empty:
+            assert refusal(lambda: is_relevant(problem, partition)) == (
+                ZeroProbabilityError,
+                "_cell_weights",
+                f"cannot condition on zero-probability event {empty[0].describe()}",
+            )
+        else:
+            assert is_relevant(problem, partition) == brute_is_relevant(problem, partition)
 
 
 class TestTheOracleCatchesMutants:

@@ -1,14 +1,27 @@
 """The package computes with integers and Fractions only.
 
 An ``ast`` lint of ``src/infovalue``: no float is built, nothing rounds, and
-no library with inexact arithmetic is imported.  One layout lint rides
-along: only ``prob`` and ``problemfile`` read a state space's position map.
+no library with inexact arithmetic is imported.  Layout lints ride along:
+only ``prob`` and ``problemfile`` read a state space's position map, and
+only ``prob`` reads the prior on a cell, so no layer that merely scores or
+compares the prior given a cell builds a conditioned credence (checked by
+the lint, and by counting the credences a call stores).
 """
 
 import ast
+import dataclasses
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import infovalue
+from infovalue.adversary import demonstrate_aversion
+from infovalue.decision import is_relevant
+from infovalue.prob import Credence
+from infovalue.problemfile import dumps
+from infovalue.scenarios import GAMBLERS, RACE, build_scenario
+from infovalue.voi import evaluate, val_good
 
 PACKAGE = Path(infovalue.__file__).parent
 TREES = {
@@ -91,3 +104,85 @@ def test_only_prob_and_problemfile_read_the_position_map():
         "_parse_actions",
         "_parse_posterior",
     }
+
+
+def test_only_prob_raises_the_refusals_of_conditioning():
+    """``prob._cell_weights`` raises them for ``condition`` and every reader
+    of the prior on a cell.  ``probability`` checks an event's space too, as
+    does the certificate's claim check, whose event may have prior weight 0
+    and so cannot go through a reader that refuses such an event."""
+    raisers = {
+        (text, module, function)
+        for module, function, _, node in nodes()
+        for text in (
+            "cannot condition on zero-probability event",
+            "event and credence live on different spaces",
+        )
+        if isinstance(node, ast.Constant) and text in str(node.value)
+    }
+    assert raisers == {
+        ("cannot condition on zero-probability event", "prob", "_cell_weights"),
+        ("event and credence live on different spaces", "prob", "_cell_weights"),
+        ("event and credence live on different spaces", "prob", "probability"),
+        ("event and credence live on different spaces", "adversary", "_check_claims"),
+    }
+
+
+def called_name(node):
+    """The name a call calls, bare or as an attribute, or ``None``."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+    return None
+
+
+def test_scoring_layers_build_no_conditioned_credence():
+    """Layers that only score or compare the prior given a cell read it
+    through ``_cell_weights``; none conditions a credence to do so."""
+    callers = {
+        (module, function)
+        for module, function, _, node in nodes()
+        if called_name(node) in ("condition", "conditionalization_policy")
+    }
+    assert not {
+        (module, function)
+        for module, function in callers
+        if module in ("decision", "voi", "adversary")
+        or (module, function) == ("problemfile", "problem_document")
+    }
+    assert ("updating", "conditionalization_policy") in callers  # the lint sees calls
+
+
+@pytest.fixture
+def stored(monkeypatch):
+    """The number of credences stored by each call to ``count``."""
+    store = Credence._store
+    built = []
+
+    def counted(self, space, weights):
+        built.append(space)
+        store(self, space, weights)
+
+    monkeypatch.setattr(Credence, "_store", counted)
+
+    def count(call):
+        built.clear()
+        call()
+        return len(built)
+
+    return count
+
+
+def test_scoring_and_comparing_a_cell_store_no_credence(stored):
+    race = build_scenario(RACE)
+    problem, policy = race.problem, race.policy
+    gamblers = build_scenario(GAMBLERS, Fraction(1, 2))
+    certificate = demonstrate_aversion(gamblers.problem, gamblers.policy)
+    calls = {
+        "dumps": lambda: dumps(problem, policy),
+        "is_relevant": lambda: is_relevant(problem, policy.partition),
+        "val_good": lambda: val_good(problem, policy.partition),
+        "evaluate": lambda: evaluate(problem, policy),
+        "AversionCertificate": lambda: dataclasses.replace(certificate),
+    }
+    assert '"policy": "conditionalization"' in dumps(problem, policy)
+    assert {name: stored(call) for name, call in calls.items()} == dict.fromkeys(calls, 0)

@@ -30,8 +30,9 @@ from infovalue.errors import (
     RationalFormatError,
     SpaceMismatchError,
     ValidationError,
+    ZeroProbabilityError,
 )
-from infovalue.prob import Credence, Event, StateSpace
+from infovalue.prob import Credence, Event, StateSpace, condition
 from infovalue.problemfile import (
     _overwrite,
     canonical_json,
@@ -47,6 +48,7 @@ from infovalue.properties import PROPERTY_NAMES, PropertyFailure, PropertyReport
 from infovalue.scenarios import scenario_gamblers
 from infovalue.updating import (
     CONDITIONALIZATION,
+    EXPLICIT,
     EvidencePartition,
     UpdatePolicy,
     conditionalization_policy,
@@ -492,6 +494,132 @@ class TestRoundTrips:
         strict = fixture_problem(tie_policy=ERROR_ON_TIE)
         problem, _, _ = loads(dumps(strict, explicit_policy()))
         assert problem.tie_policy == FIRST_BY_ORDER
+
+
+def old_keyword_rule(problem, policy):
+    """Whether the keyword is written, decided by building the prior's
+    conditionalization policy and comparing; a refusal as (type, message)."""
+    try:
+        return policy.kind == CONDITIONALIZATION and policy == (
+            conditionalization_policy(problem.prior, policy.partition)
+        )
+    except InfoValueError as exc:
+        return type(exc), str(exc)
+
+
+def keyword_written(problem, policy):
+    try:
+        return problem_document(problem, policy)["policy"] == CONDITIONALIZATION
+    except InfoValueError as exc:
+        return type(exc), str(exc)
+
+
+def keyword_problem(prior):
+    outcomes = OutcomeSpace(("nil",), {"nil": 0})
+    action = Action("hold", dict.fromkeys(prior.space.states, "nil"))
+    return DecisionProblem(prior.space, outcomes, prior, ChoiceSet((action,)))
+
+
+def cell_certain(space, masses):
+    """The credence proportional to ``masses``, integer weights by state id."""
+    total = sum(masses.values())
+    return Credence(space, {s: Fraction(w, total) for s, w in masses.items()})
+
+
+@st.composite
+def keyword_cases(draw):
+    """A prior, some of it 0, and a policy over a partition declared out of
+    state order, held as ``kind`` conditionalization or explicit.
+
+    The policy is this prior's conditionalization, another prior's, or one
+    drawn state by state: each state holds its cell's conditioned prior
+    (shared, or as an equal copy of its own) or another posterior certain
+    of the cell.  A zero-probability cell has no conditioned prior, so its
+    states hold a drawn posterior, and cells of either kind may come first.
+    """
+    n = draw(st.integers(1, 6))
+    space = StateSpace(tuple(f"s{i}" for i in range(n)))
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+    prior = cell_certain(space, dict(zip(space.states, weights)))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    members = {}
+    for state, label in zip(space.states, labels):
+        members.setdefault(label, []).append(state)
+    cells = draw(st.permutations([Event(space, m) for m in members.values()]))
+    partition = EvidencePartition(space, tuple(cells))
+    route = draw(st.sampled_from(("this prior", "another prior", "by state")))
+    support = set(prior.support())
+    if route == "this prior" and all(cell.members & support for cell in cells):
+        return keyword_problem(prior), conditionalization_policy(prior, partition)
+    if route == "another prior":
+        masses = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        other = cell_certain(space, dict(zip(space.states, masses)))
+        return keyword_problem(prior), conditionalization_policy(other, partition)
+    posteriors = {}
+    for cell in cells:
+        states = cell.sorted_members()
+        shared = (
+            condition(prior, cell)
+            if cell.members & support
+            else cell_certain(space, dict.fromkeys(states, 1))
+        )
+        for state in states:
+            held = draw(st.sampled_from(("shared", "copy", "drawn")))
+            if held == "shared":
+                posteriors[state] = shared
+            elif held == "copy":
+                posteriors[state] = Credence(space, dict(zip(space.states, shared.mass)))
+            else:
+                drawn = draw(
+                    st.lists(st.integers(0, 2), min_size=len(states), max_size=len(states))
+                    .filter(any)
+                )
+                posteriors[state] = cell_certain(space, dict(zip(states, drawn)))
+    kind = draw(st.sampled_from((CONDITIONALIZATION, EXPLICIT)))
+    return keyword_problem(prior), UpdatePolicy(partition, posteriors, kind=kind)
+
+
+class TestConditionalizationKeyword:
+    """The keyword is decided on the prior's integer weights per cell, with
+    the outcome, refusals included, of comparing against the prior's
+    conditionalization policy."""
+
+    @given(keyword_cases())
+    def test_agrees_with_building_the_policy(self, case):
+        assert keyword_written(*case) == old_keyword_rule(*case)
+
+    def test_hand_picked_corners(self):
+        """A differing cell before and after a zero-probability cell, a
+        zero-prior state holding another posterior, equal posteriors held as
+        distinct objects, and an explicit policy that does condition."""
+        space = StateSpace(("a", "b", "c", "z"))
+        prior = Credence(space, {"a": Fraction(1, 4), "b": Fraction(1, 2), "c": Fraction(1, 4)})
+        ab, c, z = (Event(space, m) for m in ({"a", "b"}, {"c"}, {"z"}))
+        cz = Event(space, {"c", "z"})
+        conditioned = condition(prior, ab)
+        copy = Credence(space, {"a": Fraction(1, 3), "b": Fraction(2, 3)})
+        skewed = Credence(space, {"a": Fraction(1, 2), "b": Fraction(1, 2)})
+        sure_c, sure_z = Credence(space, {"c": 1}), Credence(space, {"z": 1})
+        problem = keyword_problem(prior)
+
+        def policy(cells, held, kind=CONDITIONALIZATION):
+            partition = EvidencePartition(space, cells)
+            return UpdatePolicy(partition, {"c": sure_c, "z": sure_z, **held}, kind=kind)
+
+        cases = [
+            policy((ab, c, z), {"a": skewed, "b": skewed}),
+            policy((z, ab, c), {"a": skewed, "b": skewed}),
+            policy((c, z, ab), {"a": conditioned, "b": conditioned}),
+            policy((cz, ab), {"a": conditioned, "b": conditioned, "z": sure_c}),
+            policy((cz, ab), {"a": conditioned, "b": conditioned}),
+            policy((ab, cz), {"a": conditioned, "b": copy, "z": sure_c}),
+            policy((ab, cz), {"a": conditioned, "b": copy, "z": sure_c}, EXPLICIT),
+            policy((ab, cz), {"a": skewed, "b": skewed, "z": sure_c}),
+        ]
+        refused = (ZeroProbabilityError, "cannot condition on zero-probability event {z}")
+        expected = [refused, refused, refused, True, False, True, False, False]
+        assert [old_keyword_rule(problem, each) for each in cases] == expected
+        assert [keyword_written(problem, each) for each in cases] == expected
 
 
 class TestFileWriter:

@@ -387,7 +387,16 @@ class TestSweepBuildsOnce:
     def test_an_empty_grid_builds_nothing_and_refuses_nothing(self, name):
         assert sweep(name, [], confidence="2") == SweepTable(name, None, ())
 
-    @pytest.mark.parametrize("epsilons", ["01", "1/2"])
+    @pytest.mark.parametrize(
+        "epsilons",
+        [
+            "01",
+            "1/2",
+            pytest.param(b"\x00\x01", id="bytes-0-1"),
+            pytest.param(b"01", id="bytes-01"),
+            pytest.param(bytearray(b"01"), id="bytearray-01"),
+        ],
+    )
     def test_a_bare_string_of_epsilons_is_refused(self, epsilons):
         with pytest.raises(ValidationError) as exc:
             sweep(GAMBLERS, epsilons)

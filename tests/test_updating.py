@@ -692,6 +692,22 @@ ELSEWHERE_POLICY = conditionalization_policy(SURE_X, ELSEWHERE_PARTITION)
             "deviant posterior for cell {u1, u2} is over a different space",
         ),
         (
+            lambda: DeviationSpec(Fraction(1, 2), {"u1": PRIOR}),
+            ValidationError, "DeviationSpec.__post_init__",
+            "deviant posteriors must map cell Events to Credences, not str to Credence",
+        ),
+        (
+            lambda: DeviationSpec(Fraction(1, 2), {U: "x"}),
+            ValidationError, "DeviationSpec.__post_init__",
+            "deviant posteriors must map cell Events to Credences, not Event to str",
+        ),
+        (
+            lambda: DeviationSpec(Fraction(1, 2), {frozenset({"u1", "u2"}): PRIOR}),
+            ValidationError, "DeviationSpec.__post_init__",
+            "deviant posteriors must map cell Events to Credences, "
+            "not frozenset to Credence",
+        ),
+        (
             lambda: mixture_expand(base_problem(), ELSEWHERE_PARTITION, DeviationSpec(0, {})),
             SpaceMismatchError, "mixture_expand", "partition is not over the problem's space",
         ),
@@ -713,6 +729,9 @@ ELSEWHERE_POLICY = conditionalization_policy(SURE_X, ELSEWHERE_PARTITION)
     ids=[
         "posterior-for-unknown-state",
         "deviant-over-another-space",
+        "deviant-keyed-by-a-state-id",
+        "deviant-posterior-not-a-credence",
+        "deviant-keyed-by-a-frozenset",
         "mixture-over-two-spaces",
         "deviation-over-two-spaces",
         "modesty-over-two-spaces",

@@ -153,17 +153,18 @@ class TestValGood:
     def test_cell_scores_refuse_as_conditioning_would(self):
         """The cells are scored on the prior's own columns, and refuse what
         conditioning the prior on them would: another space, or a cell of
-        prior probability 0."""
+        prior probability 0.  The refusal comes from the one reader of the
+        prior on a cell, which conditioning also calls."""
         problem, _, _ = trap_problem()
         assert refusal(lambda: voi._informed(problem, PARTITION)) == (
-            SpaceMismatchError, "_informed", "event and credence live on different spaces"
+            SpaceMismatchError, "_cell_weights", "event and credence live on different spaces"
         )
         lopsided = dataclasses.replace(
             four_state_problem(), prior=Credence(SPACE, {"a": 1})
         )
         assert refusal(lambda: val_good(lopsided, PARTITION)) == (
             ZeroProbabilityError,
-            "_informed",
+            "_cell_weights",
             "cannot condition on zero-probability event {c, d}",
         )
 
