@@ -81,7 +81,8 @@ class Deviation:
     In ``state`` (prior-possible, inside ``cell``), the policy's posterior
     puts probability ``q`` on ``event`` while the conditioned prior puts
     ``r`` on it, and the two differ.  That gap is what a bet can exploit.
-    ``q`` and ``r`` are read by :func:`~infovalue.prob.as_fraction`.
+    ``event`` lies inside ``cell`` and on its space.  ``q`` and ``r`` are
+    read by :func:`~infovalue.prob.as_fraction`.
     """
 
     cell: Event
@@ -102,6 +103,8 @@ class Deviation:
                 f"event {self.event.describe()} is not inside cell "
                 f"{self.cell.describe()}"
             )
+        if self.event.space != self.cell.space:
+            raise SpaceMismatchError("event and cell live on different spaces")
         for name, value in (("q", self.q), ("r", self.r)):
             if not 0 <= value.numerator <= value.denominator:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}")
@@ -155,11 +158,13 @@ class AversionCertificate:
     one does, ``val_general`` — recomputed from scratch, not trusted from
     the caller — is strictly negative, and no choice on the synthesized
     problem reveals anything payoff-relevant, which the value's accounting
-    requires.  Last come the claims themselves: ``q`` and ``r`` are the
-    deviant posterior's and the conditioned prior's probabilities of the
-    deviation's event, ``bet_event`` is that event when ``q > r`` and its
-    complement otherwise, and the acts are exactly ``safe`` and ``risky``
-    as above.
+    requires.  The deviation's cell must be a cell of the policy's
+    partition: on any other event, a state that conditionalizes on its own
+    cell could be named the deviant.  Last come the claims themselves:
+    ``q`` and ``r`` are the deviant posterior's and the conditioned prior's
+    probabilities of the deviation's event, ``bet_event`` is that event
+    when ``q > r`` and its complement otherwise, and the acts are exactly
+    ``safe`` and ``risky`` as above.
 
     Every check compares integers.  The threshold and the stakes are
     cross-multiplied numerators and denominators.  The two expected
@@ -252,6 +257,10 @@ class AversionCertificate:
             leaking, chosen, probe = witness
             leak = IndependenceBrokenError(leaking, chosen.id, probe.id)
             raise ValidationError(f"the bet's takers leak: {leak}")
+        if cell not in self.policy.partition.cells:
+            raise ValidationError(
+                f"cell {cell.describe()} is not a cell of the policy's partition"
+            )
         self._check_claims(posterior, cell_weight, q_wins)
 
     def _check_claims(self, posterior: Credence, cell_weight: int, q_wins: bool) -> None:
@@ -263,10 +272,10 @@ class AversionCertificate:
         problem, event = self.problem, self.deviation.event
         space, scale = problem.space, problem._scale
         q, r = self.deviation.q, self.deviation.r
-        if event.space != space:
-            raise SpaceMismatchError("event and credence live on different spaces")
         # the event's mass under the posterior and, as it lies inside the cell
-        # (Deviation checks that), under the prior conditioned on the cell
+        # (Deviation checks that), under the prior conditioned on the cell;
+        # Deviation puts the event on the cell's space, which _cell_scores
+        # checked is the problem's
         q_num = _weight(posterior, event)
         r_num = _weight(problem.prior, event)
         if (

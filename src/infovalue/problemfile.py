@@ -36,7 +36,7 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterator
 
 from .decision import Action, ChoiceSet, DecisionProblem, OutcomeSpace
 from .errors import (
@@ -281,18 +281,36 @@ def _kind(value: Any) -> str:
     }.get(type(value), type(value).__name__)
 
 
-def _parse_states(doc: Any) -> tuple[StateSpace, Credence]:
-    entries = _require_list(doc, "states")
+def _named_entries(
+    doc: Any, section: str, key: str
+) -> Iterator[tuple[str, str, Any]]:
+    """Each entry of the array ``section`` as ``(location, id, entry[key])``.
+
+    The array must be non-empty, and each entry an object with exactly
+    ``id`` and ``key`` whose id :func:`_require_string` accepts and no
+    earlier entry holds.  The walk is lazy, so a caller's check of one
+    entry's value refuses before any later entry is read.
+    """
+    entries = _require_list(doc, section)
+    noun = section[:-1]  # "states" -> "state"
     if not entries:
-        raise MalformedDocumentError("states", "at least one state is required")
-    masses: dict[str, tuple[int, int]] = {}
+        raise MalformedDocumentError(section, f"at least one {noun} is required")
+    keys = ("id", key)
+    seen: set[str] = set()
     for i, entry in enumerate(entries):
-        loc = f"states[{i}]"
-        obj = _require_object(entry, loc, ("id", "prob"))
-        state = _require_string(obj["id"], f"{loc}.id")
-        if state in masses:
-            raise MalformedDocumentError(f"{loc}.id", f"duplicate state id {state!r}")
-        num, den = masses[state] = _located_ratio(obj["prob"], f"{loc}.prob")
+        loc = f"{section}[{i}]"
+        _require_object(entry, loc, keys)
+        name = _require_string(entry["id"], f"{loc}.id")
+        if name in seen:
+            raise MalformedDocumentError(f"{loc}.id", f"duplicate {noun} id {name!r}")
+        seen.add(name)
+        yield loc, name, entry[key]
+
+
+def _parse_states(doc: Any) -> tuple[StateSpace, Credence]:
+    masses: dict[str, tuple[int, int]] = {}
+    for loc, state, prob in _named_entries(doc, "states", "prob"):
+        num, den = masses[state] = _located_ratio(prob, f"{loc}.prob")
         if num < 0:
             raise NormalizationError(
                 f"{loc}.prob", f"negative mass {Fraction(num, den)}"
@@ -307,38 +325,18 @@ def _parse_states(doc: Any) -> tuple[StateSpace, Credence]:
 
 
 def _parse_outcomes(doc: Any) -> OutcomeSpace:
-    entries = _require_list(doc, "outcomes")
-    if not entries:
-        raise MalformedDocumentError("outcomes", "at least one outcome is required")
-    ids: list[str] = []
-    utilities: dict[str, Fraction] = {}
-    for i, entry in enumerate(entries):
-        loc = f"outcomes[{i}]"
-        obj = _require_object(entry, loc, ("id", "utility"))
-        outcome = _require_string(obj["id"], f"{loc}.id")
-        if outcome in utilities:
-            raise MalformedDocumentError(f"{loc}.id", f"duplicate outcome id {outcome!r}")
-        ids.append(outcome)
-        utilities[outcome] = parse_rational(obj["utility"], f"{loc}.utility")
-    return OutcomeSpace(tuple(ids), utilities)
+    utilities = {
+        outcome: parse_rational(utility, f"{loc}.utility")
+        for loc, outcome, utility in _named_entries(doc, "outcomes", "utility")
+    }
+    return OutcomeSpace(tuple(utilities), utilities)
 
 
 def _parse_actions(
     doc: Any, space: StateSpace, outcomes: OutcomeSpace
 ) -> ChoiceSet:
-    entries = _require_list(doc, "actions")
-    if not entries:
-        raise MalformedDocumentError("actions", "at least one action is required")
     actions: list[Action] = []
-    seen: set[str] = set()
-    for i, entry in enumerate(entries):
-        loc = f"actions[{i}]"
-        obj = _require_object(entry, loc, ("id", "map"))
-        action_id = _require_string(obj["id"], f"{loc}.id")
-        if action_id in seen:
-            raise MalformedDocumentError(f"{loc}.id", f"duplicate action id {action_id!r}")
-        seen.add(action_id)
-        mapping = obj["map"]
+    for loc, action_id, mapping in _named_entries(doc, "actions", "map"):
         if not isinstance(mapping, dict):
             raise MalformedDocumentError(f"{loc}.map", "expected an object")
         if mapping.keys() == space._position.keys() and _known(mapping, outcomes):

@@ -229,8 +229,11 @@ def conditionalization_policy(
     """The policy that conditions the prior on whichever cell obtains."""
     if prior.space != partition.space:
         raise SpaceMismatchError("prior and partition live on different spaces")
-    by_cell = {cell: condition(prior, cell) for cell in partition.cells}
-    posteriors = {state: by_cell[partition.cell_of(state)] for state in partition.space}
+    # keyed by id: hashing an Event hashes its whole space
+    by_cell = {id(cell): condition(prior, cell) for cell in partition.cells}
+    posteriors = {
+        state: by_cell[id(partition.cell_of(state))] for state in partition.space
+    }
     return UpdatePolicy._checked(partition, posteriors, kind=CONDITIONALIZATION)
 
 

@@ -94,6 +94,11 @@ class TestDeviation:
                 Fraction(1, 2),
                 Fraction(1, 3),
             )
+        larger = StateSpace(("g", "h", "k"))
+        with pytest.raises(SpaceMismatchError, match="event and cell live on different"):
+            Deviation(
+                WHOLE, "g", Event(larger, frozenset({"g"})), Fraction(1, 2), Fraction(1, 3)
+            )
         with pytest.raises(ValidationError, match="q must lie"):
             Deviation(WHOLE, "g", WHOLE, Fraction(3, 2), Fraction(1, 3))
         with pytest.raises(ValidationError, match="disagree"):
@@ -904,6 +909,29 @@ def paid_to_decline(cert):
     return dataclasses.replace(cert, problem=problem)
 
 
+def whole_space_gamblers_certificate():
+    """A certificate on the whole gamblers space, which is no cell of its
+    policy (the policy learns the first flip).  hh·bayes conditionalizes on
+    its own cell, so its posterior puts 0 on the second half's tt states
+    where the whole space's prior puts 1/4; the bet on the rest is priced
+    from those, and every check before the cell's passes."""
+    gamblers = build_scenario("gamblers", epsilon=Fraction(1, 2))
+    space = gamblers.problem.space
+    whole = Event(space, frozenset(space.states))
+    event = Event(space, frozenset({"tt·bayes", "tt·fallacy"}))
+    win, loss = construct_bet(0, Fraction(1, 4))
+    bet_event = event.complement()
+    return AversionCertificate(
+        deviation=Deviation(whole, "hh·bayes", event, 0, Fraction(1, 4)),
+        bet_win=win,
+        bet_loss=loss,
+        bet_event=bet_event,
+        problem=adversary._synthesize(gamblers.problem, whole, bet_event, win, loss),
+        policy=gamblers.policy,
+        val_general=Fraction(-1, 32),
+    )
+
+
 FLOAT_HALF = (
     "expected an exact rational, got float 0.5; "
     "pass a Fraction, an int, or a string like '1/10'"
@@ -946,6 +974,12 @@ FLOAT_HALF = (
             "_ratio",
             "expected an exact rational string like '3/4' or '-2', got '0.25'",
         ),
+        (
+            whole_space_gamblers_certificate,
+            "AversionCertificate.__post_init__",
+            "cell {hh·bayes, hh·fallacy, ht·bayes, ht·fallacy, th·bayes, th·fallacy, "
+            "tt·bayes, tt·fallacy} is not a cell of the policy's partition",
+        ),
     ],
     ids=[
         "baseline-not-zero",
@@ -955,6 +989,7 @@ FLOAT_HALF = (
         "deviation-float-q",
         "deviation-bool-r",
         "bet-decimal-string-r",
+        "certificate-cell-not-the-policys",
     ],
 )
 def test_refusals(build, location, message):

@@ -108,9 +108,7 @@ def test_only_prob_and_problemfile_read_the_position_map():
 
 def test_only_prob_raises_the_refusals_of_conditioning():
     """``prob._cell_weights`` raises them for ``condition`` and every reader
-    of the prior on a cell.  ``probability`` checks an event's space too, as
-    does the certificate's claim check, whose event may have prior weight 0
-    and so cannot go through a reader that refuses such an event."""
+    of the prior on a cell.  ``probability`` checks an event's space too."""
     raisers = {
         (text, module, function)
         for module, function, _, node in nodes()
@@ -124,7 +122,6 @@ def test_only_prob_raises_the_refusals_of_conditioning():
         ("cannot condition on zero-probability event", "prob", "_cell_weights"),
         ("event and credence live on different spaces", "prob", "_cell_weights"),
         ("event and credence live on different spaces", "prob", "probability"),
-        ("event and credence live on different spaces", "adversary", "_check_claims"),
     }
 
 

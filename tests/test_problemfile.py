@@ -1093,6 +1093,107 @@ OTHER_SPACE = StateSpace(("x", "y"))
             ),
             SpaceMismatchError, "problem_document", "policy is not over the problem's space",
         ),
+        (
+            parsing(lambda d: d.update(outcomes="nil")),
+            MalformedDocumentError, "outcomes", "expected an array, got a string",
+        ),
+        (
+            parsing(lambda d: d.update(actions=None)),
+            MalformedDocumentError, "actions", "expected an array, got null",
+        ),
+        (
+            parsing(lambda d: d["states"].__setitem__(1, "b")),
+            MalformedDocumentError, "states[1]", "expected an object, got a string",
+        ),
+        (
+            parsing(lambda d: d["outcomes"].__setitem__(1, ["win", "3/2"])),
+            MalformedDocumentError, "outcomes[1]", "expected an object, got an array",
+        ),
+        (
+            parsing(lambda d: d["actions"].__setitem__(0, 7)),
+            MalformedDocumentError, "actions[0]", "expected an object, got a number",
+        ),
+        (
+            parsing(lambda d: d["outcomes"][0].pop("id")),
+            MalformedDocumentError, "outcomes[0]", "missing keys: id",
+        ),
+        (
+            parsing(lambda d: d["actions"][1].pop("map")),
+            MalformedDocumentError, "actions[1]", "missing keys: map",
+        ),
+        (
+            parsing(lambda d: d["states"][2].update(note="x")),
+            MalformedDocumentError, "states[2]", "unknown keys: note",
+        ),
+        (
+            parsing(lambda d: d["actions"][0].update(prob="1")),
+            MalformedDocumentError, "actions[0]", "unknown keys: prob",
+        ),
+        (
+            parsing(lambda d: d["outcomes"][1].update(id=None)),
+            MalformedDocumentError, "outcomes[1].id",
+            "expected a non-empty string, got None",
+        ),
+        (
+            parsing(lambda d: d["actions"][1].update(id=["push"])),
+            MalformedDocumentError, "actions[1].id",
+            "expected a non-empty string, got ['push']",
+        ),
+        (
+            parsing(lambda d: d["states"][1].update(id="")),
+            MalformedDocumentError, "states[1].id", "expected a non-empty string, got ''",
+        ),
+        (
+            parsing(lambda d: d["outcomes"][0].update(id="")),
+            MalformedDocumentError, "outcomes[0].id",
+            "expected a non-empty string, got ''",
+        ),
+        (
+            parsing(lambda d: d["actions"][1].update(id="")),
+            MalformedDocumentError, "actions[1].id", "expected a non-empty string, got ''",
+        ),
+        (
+            parsing(lambda d: d["states"][2].update(id="c\ud800")),
+            MalformedDocumentError, "states[2].id",
+            "'c\\ud800' holds a lone surrogate, which is not text",
+        ),
+        (
+            parsing(lambda d: d["outcomes"][1].update(id="\udfff")),
+            MalformedDocumentError, "outcomes[1].id",
+            "'\\udfff' holds a lone surrogate, which is not text",
+        ),
+        (
+            parsing(lambda d: d["actions"][0].update(id="\ud800hold")),
+            MalformedDocumentError, "actions[0].id",
+            "'\\ud800hold' holds a lone surrogate, which is not text",
+        ),
+        (
+            parsing(lambda d: d["states"][2].update(id="a")),
+            MalformedDocumentError, "states[2].id", "duplicate state id 'a'",
+        ),
+        (
+            parsing(
+                lambda d: d["states"][0].update(prob="0.5")
+                or d["states"][2].update(id="a")
+            ),
+            RationalFormatError, "states[0].prob",
+            "expected an exact rational string like '3/4' or '-2', got '0.5'",
+        ),
+        (
+            parsing(
+                lambda d: d["outcomes"][0].update(utility=0)
+                or d["outcomes"][1].update(id="nil")
+            ),
+            RationalFormatError, "outcomes[0].utility",
+            "expected an exact rational string like '3/4' or '-2', got 0",
+        ),
+        (
+            parsing(
+                lambda d: d["actions"][0]["map"].update(a="gold")
+                or d["actions"][1].update(id="hold")
+            ),
+            MalformedDocumentError, "actions[0].map['a']", "unknown outcome 'gold'",
+        ),
     ],
     ids=[
         "section-not-an-array",
@@ -1126,6 +1227,27 @@ OTHER_SPACE = StateSpace(("x", "y"))
         "format-a-bool",
         "format-a-decimal-string",
         "document-over-two-spaces",
+        "outcomes-not-an-array",
+        "actions-not-an-array",
+        "state-not-an-object",
+        "outcome-not-an-object",
+        "action-not-an-object",
+        "outcome-missing-its-id",
+        "action-missing-its-map",
+        "state-unknown-key",
+        "action-unknown-key",
+        "outcome-id-not-a-string",
+        "action-id-not-a-string",
+        "state-id-empty",
+        "outcome-id-empty",
+        "action-id-empty",
+        "state-id-lone-surrogate",
+        "outcome-id-lone-surrogate",
+        "action-id-lone-surrogate",
+        "duplicate-state",
+        "state-mass-before-a-later-duplicate",
+        "outcome-utility-before-a-later-duplicate",
+        "action-map-before-a-later-duplicate",
     ],
 )
 def test_refusals(build, error, location, message):
