@@ -160,7 +160,9 @@ class AversionCertificate:
     problem reveals anything payoff-relevant, which the value's accounting
     requires.  The deviation's cell must be a cell of the policy's
     partition: on any other event, a state that conditionalizes on its own
-    cell could be named the deviant.  Last come the claims themselves:
+    cell could be named the deviant.  The deviant state must have positive
+    prior probability, as a state that never occurs witnesses nothing.
+    Last come the claims themselves:
     ``q`` and ``r`` are the deviant posterior's and the conditioned prior's
     probabilities of the deviation's event, ``bet_event`` is that event
     when ``q > r`` and its complement otherwise, and the acts are exactly
@@ -260,6 +262,10 @@ class AversionCertificate:
         if cell not in self.policy.partition.cells:
             raise ValidationError(
                 f"cell {cell.describe()} is not a cell of the policy's partition"
+            )
+        if not prior.nums[problem.space.index(deviation.state)]:
+            raise ValidationError(
+                f"state {deviation.state!r} has prior probability 0, so it never occurs"
             )
         self._check_claims(posterior, cell_weight, q_wins)
 

@@ -145,6 +145,10 @@ class ChoiceSet:
             raise ValidationError("a choice set needs at least one action")
         seen = set()
         for a in self.actions:
+            if not isinstance(a, Action):
+                raise ValidationError(
+                    f"choice set entries must be Actions, not {type(a).__name__}"
+                )
             if a.id in seen:
                 raise ValidationError(f"duplicate action id: {a.id!r}")
             seen.add(a.id)

@@ -490,9 +490,14 @@ def _parse_posterior(table: dict, location: str, space: StateSpace) -> Credence:
 def loads(text: str) -> tuple[DecisionProblem, EvidencePartition, UpdatePolicy]:
     """Parse a problem document, validating bottom-up with located errors.
 
-    JSON nested too deeply for the parser, or holding an integer past
+    Anything but a ``str`` (``bytes`` included, whatever their encoding),
+    JSON nested too deeply for the parser, or JSON holding an integer past
     Python's int-string digit limit, is refused at ``document``.
     """
+    if not isinstance(text, str):
+        raise MalformedDocumentError(
+            "document", f"expected the document as a str, got {type(text).__name__}"
+        )
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -55,14 +55,9 @@ from .updating import (
 from .voi import evaluate, val_general, val_good
 
 __all__ = [
-    "Instance",
     "PropertyFailure",
     "PropertyReport",
     "PROPERTY_NAMES",
-    "random_problem",
-    "random_deviation_spec",
-    "random_conditionalization_instance",
-    "random_mixture_instance",
     "property_suite",
 ]
 
@@ -79,7 +74,7 @@ _RESAMPLE_CAP = 200
 
 
 @dataclass(frozen=True)
-class Instance:
+class _Instance:
     """One generated problem/policy pair, tagged by how it was built."""
 
     kind: str
@@ -114,7 +109,7 @@ def _random_partition(
     )
 
 
-def random_problem(
+def _random_problem(
     rng: random.Random,
     min_states: int = 2,
     max_states: int = 8,
@@ -155,7 +150,7 @@ def random_problem(
     return problem, _random_partition(rng, space, need_wide_cell=need_wide_cell)
 
 
-def random_deviation_spec(
+def _random_deviation_spec(
     rng: random.Random, prior: Credence, partition: EvidencePartition
 ) -> DeviationSpec:
     """A random self-doubt disposition that genuinely deviates somewhere.
@@ -195,7 +190,7 @@ def random_deviation_spec(
     return DeviationSpec(epsilon, deviants)
 
 
-def _tie_free(draw: Callable[[], Instance]) -> Instance:
+def _tie_free(draw: Callable[[], _Instance]) -> _Instance:
     """The first of up to ``_RESAMPLE_CAP`` drawn instances whose choices never tie."""
     for _ in range(_RESAMPLE_CAP):
         instance = draw()
@@ -207,26 +202,26 @@ def _tie_free(draw: Callable[[], Instance]) -> Instance:
     raise InfoValueError("could not draw a tie-free instance")  # pragma: no cover
 
 
-def random_conditionalization_instance(rng: random.Random) -> Instance:
+def _random_conditionalization_instance(rng: random.Random) -> _Instance:
     """A random problem paired with literal conditionalization."""
 
     def draw():
-        problem, partition = random_problem(rng)
+        problem, partition = _random_problem(rng)
         policy = conditionalization_policy(problem.prior, partition)
-        return Instance("conditionalization", problem, policy)
+        return _Instance("conditionalization", problem, policy)
 
     return _tie_free(draw)
 
 
-def random_mixture_instance(
+def _random_mixture_instance(
     rng: random.Random, max_base_states: int = 8
-) -> Instance:
+) -> _Instance:
     """A random expanded problem with a modest policy, via mixture expansion."""
 
     def draw():
-        base, partition = random_problem(rng, 2, max_base_states, need_wide_cell=True)
-        spec = random_deviation_spec(rng, base.prior, partition)
-        return Instance("mixture", *mixture_expand(base, partition, spec))
+        base, partition = _random_problem(rng, 2, max_base_states, need_wide_cell=True)
+        spec = _random_deviation_spec(rng, base.prior, partition)
+        return _Instance("mixture", *mixture_expand(base, partition, spec))
 
     return _tie_free(draw)
 
@@ -274,27 +269,9 @@ class PropertyReport:
         lines.append(f"{self.trials} trials from seed {self.seed}: {verdict}")
         return "\n".join(lines)
 
-    def to_json(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "ok": self.ok,
-            "checked": dict(self.checked),
-            "failures": [
-                {
-                    "trial": f.trial,
-                    "kind": f.kind,
-                    "property": f.property_name,
-                    "detail": f.detail,
-                    "document": f.document,
-                }
-                for f in self.failures
-            ],
-        }
-
 
 def _check_instance(
-    trial: int, instance: Instance, checked: dict[str, int], failures: list
+    trial: int, instance: _Instance, checked: dict[str, int], failures: list
 ) -> None:
     problem, policy = instance.problem, instance.policy
     good = val_good(problem, policy.partition)
@@ -370,9 +347,9 @@ def property_suite(generator_seed: int, trials: int) -> PropertyReport:
     failures: list[PropertyFailure] = []
     for trial in range(trials):
         if trial % 2 == 0:
-            instance = random_conditionalization_instance(rng)
+            instance = _random_conditionalization_instance(rng)
         else:
-            instance = random_mixture_instance(rng)
+            instance = _random_mixture_instance(rng)
         _check_instance(trial, instance, checked, failures)
     return PropertyReport(
         seed=generator_seed,

@@ -60,9 +60,6 @@ __all__ = [
     "Scenario",
     "SweepRow",
     "SweepTable",
-    "scenario_race",
-    "scenario_gamblers",
-    "scenario_unknown_bias",
     "build_scenario",
     "sweep",
     "threshold",
@@ -87,7 +84,7 @@ class Scenario:
     policy: UpdatePolicy
 
 
-def scenario_race() -> Scenario:
+def _race() -> Scenario:
     """Rain favors one horse, shine the other; the bettor conditionalizes.
 
     It rains with probability 1/2, and the favored horse wins with
@@ -194,6 +191,18 @@ def _expanded(base: _FallacyBase, epsilon) -> Scenario:
 
 
 def _gamblers_base() -> _FallacyBase:
+    """Fair independent flips, losing bets, and a feared gambler's fallacy.
+
+    States are the four outcomes of two fair independent flips; evidence
+    is the first flip.  Bets on the second flip pay +1 right, -2 wrong —
+    never worth it, with or without the news, so the news is classically
+    worthless and a pure conditionalizer just declines everything.
+
+    With probability epsilon (independent of the flips), seeing the
+    first flip triggers the fallacy: 9/10 confidence that the second flip
+    comes up the opposite face, which makes the matching bet look like a
+    winner.  The expected cost of being offered the news is epsilon/2.
+    """
     outcomes = OutcomeSpace(
         ("nothing", "win", "loss"),
         {"nothing": Fraction(0), "win": Fraction(1), "loss": Fraction(-2)},
@@ -210,27 +219,28 @@ def _gamblers_base() -> _FallacyBase:
     )
 
 
-def scenario_gamblers(epsilon) -> Scenario:
-    """Fair independent flips, losing bets, and a feared gambler's fallacy.
-
-    States are the four outcomes of two fair independent flips; evidence
-    is the first flip.  Bets on the second flip pay +1 right, -2 wrong —
-    never worth it, with or without the news, so the news is classically
-    worthless and a pure conditionalizer just declines everything.
-
-    With probability ``epsilon`` (independent of the flips), seeing the
-    first flip triggers the fallacy: 9/10 confidence that the second flip
-    comes up the opposite face, which makes the matching bet look like a
-    winner.  The expected cost of being offered the news is epsilon/2.
-    """
-    return _expanded(_gamblers_base(), epsilon)
-
-
 def _unknown_bias_base(fallacy_confidence) -> _FallacyBase:
-    """The unknown-bias preset without its epsilon; see :func:`scenario_unknown_bias`.
+    """Correlated flips make the news valuable; the fallacy makes it costly.
+
+    A coin of unknown bias is flipped twice: the joint distribution puts
+    1/3 on each matching pair and 1/6 on each mismatch, so after seeing
+    the first flip the second matches it with probability 2/3.  Modest
+    +1/-1 bets on the second flip are the sensible play (worth 1/3 with
+    the news in hand, so the news is classically worth 1/3), while the
+    reckless +2/-10 bets only pay for the very confident.
+
+    The feared deviation here is streak-chasing: with probability
+    epsilon, seeing the first flip leaves the agent
+    ``fallacy_confidence`` sure the second will match it.  At the default
+    91/100 that tips the deviant self into the reckless matching bet
+    (conditional expected utility -2), so the news nets
+    (1 - epsilon)/3 - 2*epsilon: positive below epsilon = 1/7, negative
+    above.
 
     The confidence is checked here, and its tie once, on the base
     posteriors: each cell's conditioned prior, then its deviant posterior.
+    A confidence at which the deviant self is exactly torn between two
+    acts is recorded as the :class:`ConfigError` naming the tied acts.
     """
     confidence = as_fraction(fallacy_confidence)
     if not 0 <= confidence <= 1:
@@ -278,33 +288,6 @@ def _unknown_bias_base(fallacy_confidence) -> _FallacyBase:
     return base
 
 
-def scenario_unknown_bias(
-    epsilon, fallacy_confidence: Fraction = _UNKNOWN_BIAS_CONFIDENCE
-) -> Scenario:
-    """Correlated flips make the news valuable; the fallacy makes it costly.
-
-    A coin of unknown bias is flipped twice: the joint distribution puts
-    1/3 on each matching pair and 1/6 on each mismatch, so after seeing
-    the first flip the second matches it with probability 2/3.  Modest
-    +1/-1 bets on the second flip are the sensible play (worth 1/3 with
-    the news in hand, so the news is classically worth 1/3), while the
-    reckless +2/-10 bets only pay for the very confident.
-
-    The feared deviation here is streak-chasing: with probability
-    ``epsilon``, seeing the first flip leaves the agent
-    ``fallacy_confidence`` sure the second will match it.  At the default
-    91/100 that tips the deviant self into the reckless matching bet
-    (conditional expected utility -2), so the news nets
-    (1 - epsilon)/3 - 2*epsilon: positive below epsilon = 1/7, negative
-    above.
-
-    Confidence values at which the deviant self is exactly torn between
-    two acts are rejected with :class:`ConfigError` naming the tied acts.
-    """
-    eps = as_fraction(epsilon)
-    return _expanded(_unknown_bias_base(fallacy_confidence), eps)
-
-
 def _mixture_base(name: str, confidence) -> _FallacyBase:
     """The base of a mixture preset, refusing what :func:`build_scenario` refuses."""
     if name == GAMBLERS:
@@ -323,16 +306,24 @@ def _mixture_base(name: str, confidence) -> _FallacyBase:
 
 
 def build_scenario(name: str, epsilon=None, confidence=None) -> Scenario:
-    """Dispatch by name, rejecting parameters a scenario does not take."""
+    """The preset ``name``, rejecting parameters it does not take.
+
+    ``race`` takes neither parameter.  ``gamblers`` takes ``epsilon``
+    (default 0), and ``unknown-bias`` also a fallacy ``confidence``
+    (default 91/100); both are read by :func:`as_fraction`.  The presets'
+    worked examples are told in :func:`_race`, :func:`_gamblers_base` and
+    :func:`_unknown_bias_base`.
+    """
     if name == RACE:
         if epsilon is not None:
             raise ConfigError("the race scenario has no epsilon parameter")
         if confidence is not None:
             raise ConfigError("the race scenario has no confidence parameter")
-        return scenario_race()
+        return _race()
     epsilon = Fraction(0) if epsilon is None else epsilon
     if name == UNKNOWN_BIAS:
-        # read before the confidence, as scenario_unknown_bias reads it
+        # the epsilon's syntax is refused before the confidence is read,
+        # the order in which sweep reads each row
         epsilon = as_fraction(epsilon)
     return _expanded(_mixture_base(name, confidence), epsilon)
 

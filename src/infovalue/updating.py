@@ -59,7 +59,6 @@ __all__ = [
     "mixture_expand",
     "is_immodest",
     "deviating_states",
-    "find_independence_violation",
 ]
 
 CONDITIONALIZATION = "conditionalization"
@@ -75,6 +74,11 @@ class EvidencePartition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cells", tuple(self.cells))
+        for cell in self.cells:
+            if not isinstance(cell, Event):
+                raise ValidationError(
+                    f"partition cells must be Events, not {type(cell).__name__}"
+                )
         if not is_partition(self.space, self.cells):
             raise ValidationError(
                 "cells must be non-empty, pairwise disjoint, and cover the space"
@@ -120,6 +124,11 @@ class UpdatePolicy:
         cleaned: dict[str, Credence] = {}
         certain: set[tuple[int, int]] = set()  # ids of (posterior, cell) pairs checked
         for state, posterior in self.posteriors.items():
+            if not isinstance(posterior, Credence):
+                raise ValidationError(
+                    f"posterior for state {state!r} must be a Credence, "
+                    f"not {type(posterior).__name__}"
+                )
             if state not in space:
                 raise ValidationError(f"posterior assigned to unknown state {state!r}")
             if posterior.space != space:
@@ -539,10 +548,17 @@ def _cell_pass(
 def _first_leak(
     problem: DecisionProblem, policy: UpdatePolicy, groups: list[dict]
 ) -> tuple[Event, Action, Action] | None:
-    """:func:`find_independence_violation` over already built act groups.
+    """The first place where choosing leaks payoff-relevant information.
 
-    A cell with fewer than two act groups is skipped: a lone group is the
-    cell's whole support, and conditioning on it moves nothing.
+    ``groups`` is :func:`_choice_groups` of the problem and policy.  Within
+    each cell, states are grouped by the act the policy leads the agent to
+    choose there, and the test is whether further conditioning on that
+    choice moves the conditional expected utility of any act.  Returns the
+    first witnessing ``(cell, chosen action, probe action)`` triple, cells
+    in declared order and acts in choice-set order, or ``None`` if choices
+    reveal nothing that matters.  A cell with fewer than two act groups is
+    skipped: a lone group is the cell's whole support, and conditioning on
+    it moves nothing.
     """
     for cell, cell_groups in zip(policy.partition.cells, groups):
         if len(cell_groups) > 1:
@@ -550,19 +566,3 @@ def _first_leak(
             if leak is not None:
                 return (cell, *leak)
     return None
-
-
-def find_independence_violation(
-    problem: DecisionProblem, policy: UpdatePolicy
-) -> tuple[Event, Action, Action] | None:
-    """Search for evidence that choices leak payoff-relevant information.
-
-    Within each positive-probability cell, group states by the action the
-    policy leads the agent to choose there, and test whether further
-    conditioning on that choice moves the conditional expected utility of
-    any action in the problem.  Returns the first witnessing
-    ``(cell, chosen action, probe action)`` triple — cells in declared
-    order, actions in choice-set order — or ``None`` if choices reveal
-    nothing that matters.
-    """
-    return _first_leak(problem, policy, _choice_groups(problem, policy))

@@ -46,7 +46,6 @@ __all__ = [
     "VoiReport",
     "val_good",
     "val_general",
-    "cellwise_decomposition",
     "evaluate",
 ]
 
@@ -240,6 +239,15 @@ def val_general(problem: DecisionProblem, policy: UpdatePolicy) -> Fraction:
 def _cellwise(
     problem: DecisionProblem, policy: UpdatePolicy, groups: list[dict]
 ) -> tuple[PerCell, ...]:
+    """Per-cell tables for every cell of the policy's partition, in order.
+
+    Each entry pairs the cell's probability and best conditional expected
+    utility with one row per chosen action, in choice-set order: the
+    conditional probability, given the cell, that the policy picks it, and
+    its expected utility under the cell's conditioned prior.  The first
+    cell, in declared order, that has zero probability or whose choices
+    leak refuses.
+    """
     out = []
     for cell, cell_groups in zip(policy.partition.cells, groups):
         if not cell_groups:
@@ -267,26 +275,6 @@ def _cellwise(
     return tuple(out)
 
 
-def cellwise_decomposition(
-    problem: DecisionProblem, policy: UpdatePolicy
-) -> tuple[PerCell, ...]:
-    """Per-cell tables for every cell of the policy's partition, in order.
-
-    Each entry pairs the cell's probability and best conditional expected
-    utility with one row per chosen action, in choice-set order: the
-    conditional probability, given the cell, that the policy picks it, and
-    its expected utility under the cell's conditioned prior.  The one
-    structure reconstructs both the classical and the generalized value.
-
-    Factoring a cell's realized value that way is exact only when choices
-    carry no payoff-relevant information; if they do, raises
-    :class:`IndependenceBrokenError` carrying the witnessing (cell, chosen
-    action, probe action) triple.  A zero-probability cell is a
-    :class:`ValidationError`.
-    """
-    return _cellwise(problem, policy, _choice_groups(problem, policy))
-
-
 def evaluate(problem: DecisionProblem, policy: UpdatePolicy) -> VoiReport:
     """Full evaluation: both values, the per-cell table, and chosen actions.
 
@@ -299,8 +287,13 @@ def evaluate(problem: DecisionProblem, policy: UpdatePolicy) -> VoiReport:
     the table's maxima compare integer scores, so a Fraction is built only
     for a field.  :class:`VoiReport` refuses to construct unless the
     per-cell table reproduces both values exactly, so each is checked
-    against a second route.  Requires the decomposition's independence
-    precondition, like :func:`cellwise_decomposition`.
+    against a second route.
+
+    Factoring a cell's realized value into the table is exact only when
+    choices carry no payoff-relevant information; if they do, raises
+    :class:`IndependenceBrokenError` carrying the witnessing (cell, chosen
+    action, probe action) triple.  A zero-probability cell is a
+    :class:`ValidationError`.
     """
     groups = _choice_groups(problem, policy)
     per_cell = _cellwise(problem, policy, groups)

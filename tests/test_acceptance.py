@@ -14,10 +14,10 @@ from infovalue.adversary import demonstrate_aversion
 from infovalue.decision import is_relevant
 from infovalue.problemfile import dumps, loads
 from infovalue.properties import (
-    random_conditionalization_instance,
-    random_mixture_instance,
+    _random_conditionalization_instance,
+    _random_mixture_instance,
 )
-from infovalue.scenarios import scenario_gamblers, scenario_race, scenario_unknown_bias
+from infovalue.scenarios import GAMBLERS, RACE, UNKNOWN_BIAS, build_scenario
 from infovalue.voi import evaluate, val_general, val_good
 
 from _oracles import brute_val_general
@@ -39,11 +39,11 @@ def _verdict(capsys, number: int, label: str, passed: bool) -> None:
 def conditionalization_instances():
     """The 1,000-instance stream shared by criteria 4 and 7."""
     rng = random.Random(SUITE_4_SEED)
-    return [random_conditionalization_instance(rng) for _ in range(1000)]
+    return [_random_conditionalization_instance(rng) for _ in range(1000)]
 
 
 def test_criterion_1_race_preset(capsys):
-    scenario = scenario_race()
+    scenario = build_scenario(RACE)
     report = evaluate(scenario.problem, scenario.policy)
     passed = report.val_good == Fraction(1, 4) and report.baseline == 0
     _verdict(capsys, 1, "race: val_good = 1/4, best prior EU = 0", passed)
@@ -53,7 +53,7 @@ def test_criterion_2_gamblers_preset(capsys):
     passed = True
     for epsilon in (0, "1/100", "1/10", "1/2", 1):
         eps = Fraction(epsilon)
-        scenario = scenario_gamblers(eps)
+        scenario = build_scenario(GAMBLERS, epsilon=eps)
         report = evaluate(scenario.problem, scenario.policy)
         passed = (
             passed
@@ -71,7 +71,7 @@ def test_criterion_3_unknown_bias_preset(capsys):
     passed = True
     for epsilon in ("0", "1/100", "1/10", "1/7", "1/5", "1/2", "1"):
         eps = Fraction(epsilon)
-        scenario = scenario_unknown_bias(eps)
+        scenario = build_scenario(UNKNOWN_BIAS, epsilon=eps)
         report = evaluate(scenario.problem, scenario.policy)
         expected = Fraction(1, 3) * (1 - eps) - 2 * eps
         passed = (
@@ -111,7 +111,7 @@ def test_criterion_5_mixture_inequality_suite(capsys):
     rng = random.Random(SUITE_5_SEED)
     passed = True
     for _ in range(1000):
-        inst = random_mixture_instance(rng)
+        inst = _random_mixture_instance(rng)
         passed = passed and val_general(inst.problem, inst.policy) <= val_good(
             inst.problem, inst.partition
         )
@@ -123,7 +123,7 @@ def test_criterion_6_aversion_certificate_suite(capsys):
     rng = random.Random(SUITE_6_SEED)
     passed = True
     for _ in range(200):
-        inst = random_mixture_instance(rng)
+        inst = _random_mixture_instance(rng)
         certificate = demonstrate_aversion(inst.problem, inst.policy)
         independent = brute_val_general(certificate.problem, certificate.policy)
         passed = (
@@ -170,7 +170,7 @@ def test_criterion_8_cellwise_equals_definitional_suite(
     rng = random.Random(SUITE_8_SEED)
     instances = list(conditionalization_instances)
     for _ in range(200):
-        instances.append(random_mixture_instance(rng, max_base_states=6))
+        instances.append(_random_mixture_instance(rng, max_base_states=6))
     small = [inst for inst in instances if len(inst.problem.space) <= 12]
     passed = bool(small) and all(
         _cellwise_val_general(inst) == brute_val_general(inst.problem, inst.policy)
@@ -189,9 +189,9 @@ def test_criterion_9_serialization_round_trip_suite(capsys):
     passed = True
     for trial in range(100):
         if trial % 2 == 0:
-            inst = random_conditionalization_instance(rng)
+            inst = _random_conditionalization_instance(rng)
         else:
-            inst = random_mixture_instance(rng)
+            inst = _random_mixture_instance(rng)
         first = dumps(inst.problem, inst.policy)
         problem, _, policy = loads(first)
         second = dumps(problem, policy)

@@ -338,9 +338,11 @@ class TestAversionCertificate:
         """Both states hold one posterior that puts q on {g}, where the prior
         puts r, and the acts pay the drawn stakes.  When the threshold
         splits q from r the certificate constructs; when it does not, the
-        separation check refuses it."""
+        separation check refuses it.  The deviant is g, or h when g never
+        occurs."""
         if q == r:
             return
+        state = "g" if r else "h"
         prior = Credence(TWO, {"g": r, "h": 1 - r})
         posterior = Credence(TWO, {"g": q, "h": 1 - q})
         policy = UpdatePolicy(TWO_PARTITION, {"g": posterior, "h": posterior})
@@ -356,7 +358,7 @@ class TestAversionCertificate:
 
         def build():
             return AversionCertificate(
-                deviation=Deviation(WHOLE, "g", event, q, r),
+                deviation=Deviation(WHOLE, state, event, q, r),
                 bet_win=win,
                 bet_loss=loss,
                 bet_event=bet_event,
@@ -932,6 +934,27 @@ def whole_space_gamblers_certificate():
     )
 
 
+def never_occurring_state_certificate():
+    """A certificate whose deviant state has prior mass 0.  On the one
+    cell (a, b, z) with prior (1/2, 1/2, 0), every state holds (9/10, 1/10,
+    0); the search certifies at a, and z holds the same posterior, so
+    every check before the state's passes."""
+    space = StateSpace(("a", "b", "z"))
+    whole = Event(space, frozenset(space.states))
+    prior = Credence(space, {"a": Fraction(1, 2), "b": Fraction(1, 2)})
+    outcomes = OutcomeSpace(("nil", "up", "down"), {"nil": 0, "up": 1, "down": -1})
+    actions = (
+        Action("idle", {s: "nil" for s in space}),
+        Action("tilt", {"a": "up", "b": "down", "z": "nil"}),
+    )
+    skewed = Credence(space, {"a": Fraction(9, 10), "b": Fraction(1, 10)})
+    policy = UpdatePolicy(EvidencePartition(space, (whole,)), {s: skewed for s in space})
+    problem = DecisionProblem(space, outcomes, prior, ChoiceSet(actions))
+    cert = demonstrate_aversion(problem, policy)
+    assert (cert.deviation.state, cert.val_general) == ("a", Fraction(-1, 5))
+    return dataclasses.replace(cert, deviation=dataclasses.replace(cert.deviation, state="z"))
+
+
 FLOAT_HALF = (
     "expected an exact rational, got float 0.5; "
     "pass a Fraction, an int, or a string like '1/10'"
@@ -980,6 +1003,11 @@ FLOAT_HALF = (
             "cell {hh·bayes, hh·fallacy, ht·bayes, ht·fallacy, th·bayes, th·fallacy, "
             "tt·bayes, tt·fallacy} is not a cell of the policy's partition",
         ),
+        (
+            never_occurring_state_certificate,
+            "AversionCertificate.__post_init__",
+            "state 'z' has prior probability 0, so it never occurs",
+        ),
     ],
     ids=[
         "baseline-not-zero",
@@ -990,6 +1018,7 @@ FLOAT_HALF = (
         "deviation-bool-r",
         "bet-decimal-string-r",
         "certificate-cell-not-the-policys",
+        "certificate-state-never-occurs",
     ],
 )
 def test_refusals(build, location, message):

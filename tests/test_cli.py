@@ -13,13 +13,13 @@ import infovalue.cli as cli
 from infovalue.cli import main
 from infovalue.problemfile import load_problem, loads, save_problem
 from infovalue.properties import PROPERTY_NAMES, PropertyFailure, PropertyReport
-from infovalue.scenarios import scenario_gamblers, scenario_race
+from infovalue.scenarios import GAMBLERS, RACE, build_scenario
 from infovalue.voi import evaluate
 
 
 @pytest.fixture()
 def race_file(tmp_path):
-    scenario = scenario_race()
+    scenario = build_scenario(RACE)
     path = str(tmp_path / "race.json")
     save_problem(path, scenario.problem, scenario.policy)
     return path
@@ -27,7 +27,7 @@ def race_file(tmp_path):
 
 @pytest.fixture()
 def gamblers_file(tmp_path):
-    scenario = scenario_gamblers(Fraction(1, 10))
+    scenario = build_scenario(GAMBLERS, epsilon=Fraction(1, 10))
     path = str(tmp_path / "gamblers.json")
     save_problem(path, scenario.problem, scenario.policy)
     return path

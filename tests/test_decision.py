@@ -470,6 +470,10 @@ class TestTheOracleCatchesMutants:
             lambda: ChoiceSet(()),
             "ChoiceSet.__post_init__", "a choice set needs at least one action",
         ),
+        (
+            lambda: ChoiceSet(("flat",)),
+            "ChoiceSet.__post_init__", "choice set entries must be Actions, not str",
+        ),
     ],
     ids=[
         "no-outcomes",
@@ -479,6 +483,7 @@ class TestTheOracleCatchesMutants:
         "empty-action-id",
         "unknown-state",
         "no-actions",
+        "action-not-an-action",
     ],
 )
 def test_refusals(build, location, message):

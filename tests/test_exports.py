@@ -1,4 +1,5 @@
-"""Every exported name resolves, in the package and in each submodule."""
+"""Every exported name resolves, in the package and in each submodule, and
+the package exports exactly the pinned list."""
 
 import importlib
 import pkgutil
@@ -9,6 +10,89 @@ import infovalue
 from infovalue import errors
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(infovalue.__path__))
+
+# The public surface, sorted.  A name stays public if the CLI or the README
+# needs it, or if a user needs it to build an input, read a result or catch
+# an error.  One name a line, so adding or removing one is a one-line diff.
+PUBLIC = [
+    "Action",
+    "AversionCertificate",
+    "CONDITIONALIZATION",
+    "CertaintyError",
+    "ChoiceSet",
+    "ConfigError",
+    "Credence",
+    "DecisionProblem",
+    "Deviation",
+    "DeviationSpec",
+    "ERROR_ON_TIE",
+    "EXPLICIT",
+    "Event",
+    "EvidencePartition",
+    "FIRST_BY_ORDER",
+    "GAMBLERS",
+    "IndependenceBrokenError",
+    "InfoValueError",
+    "LemmaOneRow",
+    "MalformedDocumentError",
+    "MissingPosteriorError",
+    "NoDeviationError",
+    "NormalizationError",
+    "OutcomeSpace",
+    "PROPERTY_NAMES",
+    "PartitionError",
+    "PerCell",
+    "PolicyError",
+    "ProblemFileError",
+    "PropertyFailure",
+    "PropertyReport",
+    "RACE",
+    "RISKY_ID",
+    "RationalFormatError",
+    "SAFE_ID",
+    "SCENARIO_NAMES",
+    "Scenario",
+    "SpaceMismatchError",
+    "StateSpace",
+    "SweepRow",
+    "SweepTable",
+    "TieError",
+    "UNKNOWN_BIAS",
+    "UpdatePolicy",
+    "ValidationError",
+    "VoiReport",
+    "ZeroProbabilityError",
+    "__version__",
+    "as_fraction",
+    "best_action",
+    "build_scenario",
+    "canonical_json",
+    "condition",
+    "conditionalization_policy",
+    "construct_bet",
+    "demonstrate_aversion",
+    "deviating_states",
+    "dumps",
+    "evaluate",
+    "expected_utility",
+    "format_rational",
+    "is_immodest",
+    "is_partition",
+    "is_relevant",
+    "load_problem",
+    "loads",
+    "max_expected_utility",
+    "mixture_expand",
+    "parse_rational",
+    "probability",
+    "problem_document",
+    "property_suite",
+    "save_problem",
+    "sweep",
+    "threshold",
+    "val_general",
+    "val_good",
+]
 
 
 def test_package_exports_resolve():
@@ -43,3 +127,7 @@ def test_every_error_class_is_exported():
         and value.__module__ == errors.__name__
     }
     assert defined <= set(errors.__all__)
+
+
+def test_the_public_surface_is_the_pinned_list():
+    assert sorted(infovalue.__all__) == PUBLIC

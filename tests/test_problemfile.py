@@ -45,7 +45,7 @@ from infovalue.problemfile import (
     save_problem,
 )
 from infovalue.properties import PROPERTY_NAMES, PropertyFailure, PropertyReport
-from infovalue.scenarios import scenario_gamblers
+from infovalue.scenarios import GAMBLERS, build_scenario
 from infovalue.updating import (
     CONDITIONALIZATION,
     EXPLICIT,
@@ -628,7 +628,7 @@ class TestFileWriter:
     def test_a_shorter_document_over_a_longer_file_leaves_exactly_its_bytes(
         self, tmp_path
     ):
-        scenario = scenario_gamblers(Fraction(1, 10))
+        scenario = build_scenario(GAMBLERS, epsilon=Fraction(1, 10))
         fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
         save_problem(fresh, scenario.problem, scenario.policy)
         reused.write_bytes(b"\xff" * (2 * fresh.stat().st_size))
@@ -1194,6 +1194,24 @@ OTHER_SPACE = StateSpace(("x", "y"))
             ),
             MalformedDocumentError, "actions[0].map['a']", "unknown outcome 'gold'",
         ),
+        (
+            lambda: loads(FIXTURE_TEXT.encode("utf-8")),
+            MalformedDocumentError, "document", "expected the document as a str, got bytes",
+        ),
+        (
+            lambda: loads(FIXTURE_TEXT.encode("utf-16")),
+            MalformedDocumentError, "document", "expected the document as a str, got bytes",
+        ),
+        (
+            lambda: loads(bytearray(FIXTURE_TEXT, "utf-8")),
+            MalformedDocumentError, "document",
+            "expected the document as a str, got bytearray",
+        ),
+        (
+            lambda: loads(None),
+            MalformedDocumentError, "document",
+            "expected the document as a str, got NoneType",
+        ),
     ],
     ids=[
         "section-not-an-array",
@@ -1248,6 +1266,10 @@ OTHER_SPACE = StateSpace(("x", "y"))
         "state-mass-before-a-later-duplicate",
         "outcome-utility-before-a-later-duplicate",
         "action-map-before-a-later-duplicate",
+        "document-utf8-bytes",
+        "document-utf16-bytes",
+        "document-bytearray",
+        "document-none",
     ],
 )
 def test_refusals(build, error, location, message):

@@ -1,6 +1,5 @@
 """Seeded instance generators and the randomized property suite."""
 
-import json
 import random
 from fractions import Fraction
 
@@ -20,15 +19,15 @@ from infovalue.prob import Credence, Event, StateSpace, condition
 from infovalue.problemfile import dumps, loads
 from infovalue.properties import (
     PROPERTY_NAMES,
-    Instance,
     PropertyFailure,
     PropertyReport,
     _check_instance,
+    _Instance,
+    _random_conditionalization_instance,
+    _random_deviation_spec,
+    _random_mixture_instance,
+    _random_problem,
     property_suite,
-    random_conditionalization_instance,
-    random_deviation_spec,
-    random_mixture_instance,
-    random_problem,
 )
 from infovalue.updating import (
     CONDITIONALIZATION,
@@ -58,7 +57,7 @@ class TestRandomProblem:
     def test_generated_problems_are_well_formed(self):
         """A spread of seeds: state bounds, positive prior, error-on-tie."""
         for seed in range(20):
-            problem, partition = random_problem(random.Random(seed))
+            problem, partition = _random_problem(random.Random(seed))
             n = len(problem.space)
             assert 2 <= n <= 8
             assert tuple(problem.space) == tuple(f"s{i + 1}" for i in range(n))
@@ -72,17 +71,17 @@ class TestRandomProblem:
     def test_state_bounds_are_respected(self):
         rng = random.Random(3)
         for _ in range(10):
-            problem, _ = random_problem(rng, 4, 4)
+            problem, _ = _random_problem(rng, 4, 4)
             assert len(problem.space) == 4
 
     def test_wide_cell_guarantee(self):
         for seed in range(30):
-            _, partition = random_problem(random.Random(seed), need_wide_cell=True)
+            _, partition = _random_problem(random.Random(seed), need_wide_cell=True)
             assert any(len(cell) >= 2 for cell in partition.cells)
 
     def test_same_seed_same_problem(self):
-        a = random_problem(random.Random(99))
-        b = random_problem(random.Random(99))
+        a = _random_problem(random.Random(99))
+        b = _random_problem(random.Random(99))
         assert a == b
 
 
@@ -90,8 +89,8 @@ class TestRandomDeviationSpec:
     def test_spec_deviates_somewhere(self):
         for seed in range(15):
             rng = random.Random(seed)
-            problem, partition = random_problem(rng, need_wide_cell=True)
-            spec = random_deviation_spec(rng, problem.prior, partition)
+            problem, partition = _random_problem(rng, need_wide_cell=True)
+            spec = _random_deviation_spec(rng, problem.prior, partition)
             assert 0 < spec.epsilon < 1
             assert spec.deviant_posteriors
             for cell, posterior in spec.deviant_posteriors.items():
@@ -101,16 +100,16 @@ class TestRandomDeviationSpec:
     def test_singleton_only_partition_is_rejected(self):
         rng = random.Random(0)
         while True:
-            problem, partition = random_problem(rng, 2, 3)
+            problem, partition = _random_problem(rng, 2, 3)
             if all(len(cell) == 1 for cell in partition.cells):
                 break
         with pytest.raises(InfoValueError, match="singleton"):
-            random_deviation_spec(rng, problem.prior, partition)
+            _random_deviation_spec(rng, problem.prior, partition)
 
 
 class TestInstanceGenerators:
     def test_conditionalization_instance(self):
-        instance = random_conditionalization_instance(random.Random(5))
+        instance = _random_conditionalization_instance(random.Random(5))
         assert instance.kind == "conditionalization"
         assert instance.policy.kind == CONDITIONALIZATION
         assert is_immodest(instance.policy, instance.problem.prior)
@@ -118,27 +117,27 @@ class TestInstanceGenerators:
         evaluate(instance.problem, instance.policy)  # tie-free by construction
 
     def test_mixture_instance_is_modest(self):
-        instance = random_mixture_instance(random.Random(5))
+        instance = _random_mixture_instance(random.Random(5))
         assert instance.kind == "mixture"
         assert deviating_states(instance.policy, instance.problem.prior)
         assert not is_immodest(instance.policy, instance.problem.prior)
         evaluate(instance.problem, instance.policy)
 
     def test_mixture_states_are_disposition_products(self):
-        instance = random_mixture_instance(random.Random(8))
+        instance = _random_mixture_instance(random.Random(8))
         for state in instance.problem.space:
             assert state.endswith("·stay") or state.endswith("·deviate")
 
     def test_mixture_base_size_cap(self):
         for seed in range(10):
-            instance = random_mixture_instance(random.Random(seed), max_base_states=4)
+            instance = _random_mixture_instance(random.Random(seed), max_base_states=4)
             assert len(instance.problem.space) <= 8
 
     def test_instance_documents_round_trip(self):
         """Each generated instance can be saved, reloaded, and re-dumped."""
         for builder, seed in (
-            (random_conditionalization_instance, 2),
-            (random_mixture_instance, 2),
+            (_random_conditionalization_instance, 2),
+            (_random_mixture_instance, 2),
         ):
             instance = builder(random.Random(seed))
             text = dumps(instance.problem, instance.policy)
@@ -147,10 +146,10 @@ class TestInstanceGenerators:
 
     def test_same_seed_same_documents(self):
         docs_a = [
-            random_mixture_instance(random.Random(41)).document() for _ in range(1)
+            _random_mixture_instance(random.Random(41)).document() for _ in range(1)
         ]
         docs_b = [
-            random_mixture_instance(random.Random(41)).document() for _ in range(1)
+            _random_mixture_instance(random.Random(41)).document() for _ in range(1)
         ]
         assert docs_a == docs_b
 
@@ -231,9 +230,9 @@ class TestPropertySuite:
         rng = random.Random(23)
         for trial in range(6):
             if trial % 2 == 0:
-                instance = random_conditionalization_instance(rng)
+                instance = _random_conditionalization_instance(rng)
             else:
-                instance = random_mixture_instance(rng)
+                instance = _random_mixture_instance(rng)
             full = evaluate(instance.problem, instance.policy)
             assert full.val_good == brute_val_good(instance.problem, instance.partition)
             assert full.val_general == brute_val_general(
@@ -267,7 +266,7 @@ class TestPropertySuite:
                 "y": condition(prior, y_cell),
             },
         )
-        instance = Instance(
+        instance = _Instance(
             "leaking", DecisionProblem(space, outcomes, prior, ChoiceSet(actions)), policy
         )
         checked, failures = {}, []
@@ -324,8 +323,8 @@ class TestPropertySuite:
         nothing else the suite calls builds a choice map."""
         rng = random.Random(0)
         instances = [
-            random_conditionalization_instance(rng) if trial % 2 == 0
-            else random_mixture_instance(rng)
+            _random_conditionalization_instance(rng) if trial % 2 == 0
+            else _random_mixture_instance(rng)
             for trial in range(12)
         ]
         build, calls = updating._choice_groups, []
@@ -354,15 +353,6 @@ class TestPropertyReport:
             assert line.split()[-1] == "0"
         assert lines[-1] == "30 trials from seed 11: all properties held"
 
-    def test_to_json_is_serializable(self, clean_report):
-        blob = clean_report.to_json()
-        assert blob["seed"] == 11
-        assert blob["trials"] == 30
-        assert blob["ok"] is True
-        assert blob["checked"] == dict(clean_report.checked)
-        assert blob["failures"] == []
-        json.dumps(blob)  # nothing exotic inside
-
     def test_failure_accounting(self):
         doc = {"states": []}
         failure = PropertyFailure(
@@ -381,7 +371,3 @@ class TestPropertyReport:
         assert report.format_table().endswith(
             "4 trials from seed 1: COUNTEREXAMPLES FOUND"
         )
-        blob = report.to_json()
-        assert blob["ok"] is False
-        assert blob["failures"][0]["property"] == "general-le-classical"
-        assert blob["failures"][0]["document"] == doc

@@ -16,9 +16,6 @@ from infovalue.scenarios import (
     SweepRow,
     SweepTable,
     build_scenario,
-    scenario_gamblers,
-    scenario_race,
-    scenario_unknown_bias,
     sweep,
     threshold,
 )
@@ -34,19 +31,19 @@ from _oracles import brute_val_general, brute_val_good
 
 class TestRace:
     def test_learning_the_weather_is_worth_a_quarter(self):
-        scenario = scenario_race()
+        scenario = build_scenario(RACE)
         report = evaluate(scenario.problem, scenario.policy)
         assert report.baseline == 0
         assert report.val_good == Fraction(1, 4)
         assert report.val_general == Fraction(1, 4)
 
     def test_the_bettor_conditionalizes(self):
-        scenario = scenario_race()
+        scenario = build_scenario(RACE)
         assert scenario.policy.kind == CONDITIONALIZATION
         assert is_immodest(scenario.policy, scenario.problem.prior)
 
     def test_report_chooses_the_favored_horse_per_cell(self):
-        scenario = scenario_race()
+        scenario = build_scenario(RACE)
         report = evaluate(scenario.problem, scenario.policy)
         assert report.chosen_by_state == {
             "rain-a": "bet-a",
@@ -56,7 +53,7 @@ class TestRace:
         }
 
     def test_oracle_agreement(self):
-        scenario = scenario_race()
+        scenario = build_scenario(RACE)
         assert brute_val_good(
             scenario.problem, scenario.policy.partition
         ) == Fraction(1, 4)
@@ -68,7 +65,7 @@ class TestGamblers:
         [Fraction(0), Fraction(1, 100), Fraction(1, 10), Fraction(1, 2), Fraction(1)],
     )
     def test_value_of_learning_is_minus_half_epsilon(self, eps):
-        scenario = scenario_gamblers(eps)
+        scenario = build_scenario(GAMBLERS, epsilon=eps)
         assert val_good(scenario.problem, scenario.policy.partition) == 0
         assert val_general(scenario.problem, scenario.policy) == -eps / 2
         assert brute_val_general(scenario.problem, scenario.policy) == -eps / 2
@@ -76,23 +73,23 @@ class TestGamblers:
     def test_modesty_degree_is_epsilon(self):
         """The deviating states' prior mass is the chance of the fallacy."""
         eps = Fraction(3, 7)
-        scenario = scenario_gamblers(eps)
+        scenario = build_scenario(GAMBLERS, epsilon=eps)
         prior = scenario.problem.prior
         assert sum(prior(s) for s in deviating_states(scenario.policy, prior)) == eps
 
     def test_epsilon_zero_is_immodest(self):
-        scenario = scenario_gamblers(Fraction(0))
+        scenario = build_scenario(GAMBLERS, epsilon=Fraction(0))
         assert is_immodest(scenario.policy, scenario.problem.prior)
 
     def test_fallacy_states_chase_the_opposite_face(self):
-        scenario = scenario_gamblers(Fraction(1, 10))
+        scenario = build_scenario(GAMBLERS, epsilon=Fraction(1, 10))
         report = evaluate(scenario.problem, scenario.policy)
         assert report.chosen_by_state["hh·fallacy"] == "risky-tails"
         assert report.chosen_by_state["th·fallacy"] == "risky-heads"
         assert report.chosen_by_state["hh·bayes"] == "safe"
 
     def test_heads_cell_decomposition(self):
-        scenario = scenario_gamblers(Fraction(1, 10))
+        scenario = build_scenario(GAMBLERS, epsilon=Fraction(1, 10))
         report = evaluate(scenario.problem, scenario.policy)
         heads = report.per_cell[0]
         assert heads.prob == Fraction(1, 2)
@@ -106,7 +103,7 @@ class TestGamblers:
         samples = [Fraction(1, 8), Fraction(1, 3), Fraction(5, 6)]
         values = [
             val_general(s.problem, s.policy)
-            for s in (scenario_gamblers(e) for e in samples)
+            for s in (build_scenario(GAMBLERS, epsilon=e) for e in samples)
         ]
         slope = (values[1] - values[0]) / (samples[1] - samples[0])
         assert slope == Fraction(-1, 2)
@@ -119,22 +116,22 @@ class TestUnknownBias:
         "eps", [Fraction(0), Fraction(1, 10), Fraction(1, 7), Fraction(1, 2), Fraction(1)]
     )
     def test_closed_form_value(self, eps):
-        scenario = scenario_unknown_bias(eps)
+        scenario = build_scenario(UNKNOWN_BIAS, epsilon=eps)
         assert val_good(scenario.problem, scenario.policy.partition) == Fraction(1, 3)
         expected = Fraction(1, 3) * (1 - eps) - 2 * eps
         assert val_general(scenario.problem, scenario.policy) == expected
         assert brute_val_general(scenario.problem, scenario.policy) == expected
 
     def test_break_even_point_is_one_seventh(self):
-        at = scenario_unknown_bias(Fraction(1, 7))
+        at = build_scenario(UNKNOWN_BIAS, epsilon=Fraction(1, 7))
         assert val_general(at.problem, at.policy) == 0
-        below = scenario_unknown_bias(Fraction(1, 7) - Fraction(1, 1000))
+        below = build_scenario(UNKNOWN_BIAS, epsilon=Fraction(1, 7) - Fraction(1, 1000))
         assert val_general(below.problem, below.policy) > 0
-        above = scenario_unknown_bias(Fraction(1, 7) + Fraction(1, 1000))
+        above = build_scenario(UNKNOWN_BIAS, epsilon=Fraction(1, 7) + Fraction(1, 1000))
         assert val_general(above.problem, above.policy) < 0
 
     def test_heads_cell_decomposition_at_the_break_even(self):
-        scenario = scenario_unknown_bias(Fraction(1, 7))
+        scenario = build_scenario(UNKNOWN_BIAS, epsilon=Fraction(1, 7))
         report = evaluate(scenario.problem, scenario.policy)
         heads = report.per_cell[0]
         assert [(r.action_id, r.choose_prob, r.cond_eu) for r in heads.rows] == [
@@ -146,7 +143,7 @@ class TestUnknownBias:
         samples = [Fraction(0), Fraction(1, 4), Fraction(3, 4)]
         values = [
             val_general(s.problem, s.policy)
-            for s in (scenario_unknown_bias(e) for e in samples)
+            for s in (build_scenario(UNKNOWN_BIAS, epsilon=e) for e in samples)
         ]
         slope = (values[1] - values[0]) / (samples[1] - samples[0])
         assert slope == Fraction(-7, 3)
@@ -155,16 +152,16 @@ class TestUnknownBias:
     def test_tying_confidence_is_rejected(self):
         # at confidence 9/10 the reckless bet exactly ties the modest one
         with pytest.raises(ConfigError, match="tie at expected\\s+utility"):
-            scenario_unknown_bias(Fraction(1, 7), Fraction(9, 10))
+            build_scenario(UNKNOWN_BIAS, epsilon=Fraction(1, 7), confidence=Fraction(9, 10))
 
     def test_out_of_range_confidence_is_rejected(self):
         with pytest.raises(ConfigError, match="lie in"):
-            scenario_unknown_bias(Fraction(1, 7), Fraction(11, 10))
+            build_scenario(UNKNOWN_BIAS, epsilon=Fraction(1, 7), confidence=Fraction(11, 10))
 
     def test_alternative_confidence_changes_the_deviant_pick(self):
         # below the tie the fallacy self still prefers the modest bet, so
         # learning never hurts more than it helps
-        mild = scenario_unknown_bias(Fraction(1, 2), Fraction(8, 10))
+        mild = build_scenario(UNKNOWN_BIAS, epsilon=Fraction(1, 2), confidence=Fraction(8, 10))
         assert val_general(mild.problem, mild.policy) == Fraction(1, 3)
 
 
@@ -192,6 +189,19 @@ class TestBuildScenario:
     def test_epsilon_defaults_to_zero(self):
         scenario = build_scenario(GAMBLERS)
         assert is_immodest(scenario.policy, scenario.problem.prior)
+
+    @pytest.mark.parametrize(
+        "epsilon, confidence",
+        [("x", "11/10"), ("x", "9/10"), ("2", "11/10"), ("2", "9/10"), ("1/2", "x")],
+    )
+    def test_unknown_bias_refuses_as_a_one_row_sweep(self, epsilon, confidence):
+        """The epsilon's syntax first, then the confidence, then the
+        epsilon's range, then a tie."""
+        built = outcome(
+            lambda: build_scenario(UNKNOWN_BIAS, epsilon=epsilon, confidence=confidence)
+        )
+        assert built == outcome(lambda: sweep(UNKNOWN_BIAS, [epsilon], confidence))
+        assert built[0] in (ValidationError, ConfigError)
 
     def test_confidence_passes_through(self):
         scenario = build_scenario(

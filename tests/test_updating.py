@@ -29,13 +29,14 @@ from infovalue.updating import (
     DeviationSpec,
     EvidencePartition,
     UpdatePolicy,
+    _choice_groups,
+    _first_leak,
     conditionalization_policy,
     deviating_states,
-    find_independence_violation,
     is_immodest,
     mixture_expand,
 )
-from infovalue.properties import random_deviation_spec, random_problem
+from infovalue.properties import _random_deviation_spec, _random_problem
 from infovalue.voi import evaluate, val_general
 
 from _oracles import (
@@ -427,8 +428,8 @@ def affine_inputs(draw):
     """A generated base problem and deviation, under either tie policy, at
     epsilon 0, 1 or a drawn value in between."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    problem, partition = random_problem(rng, 2, 6, need_wide_cell=True)
-    spec = random_deviation_spec(rng, problem.prior, partition)
+    problem, partition = _random_problem(rng, 2, 6, need_wide_cell=True)
+    spec = _random_deviation_spec(rng, problem.prior, partition)
     tie_policy = draw(st.sampled_from((ERROR_ON_TIE, FIRST_BY_ORDER)))
     epsilon = draw(
         st.sampled_from((Fraction(0), Fraction(1)))
@@ -587,24 +588,28 @@ def clairvoyant_setup():
     return problem, policy, x_cell
 
 
+def first_leak(problem, policy):
+    """The first ``(cell, chosen, probe)`` leak witness, or ``None``."""
+    return _first_leak(problem, policy, _choice_groups(problem, policy))
+
+
 class TestEvidentialIndependence:
     def test_conditionalization_never_violates(self):
         policy = conditionalization_policy(PRIOR, PARTITION)
-        assert find_independence_violation(base_problem(), policy) is None
+        assert first_leak(base_problem(), policy) is None
 
     def test_mixture_with_blind_actions_never_violates(self):
         expanded, policy = expanded_fixture()
-        assert find_independence_violation(expanded, policy) is None
+        assert first_leak(expanded, policy) is None
 
     def test_clairvoyant_policy_is_caught_with_a_witness(self):
         problem, policy, x_cell = clairvoyant_setup()
-        witness = find_independence_violation(problem, policy)
-        assert witness is not None
-        cell, chosen, probe = witness
-        assert cell == x_cell
+        with pytest.raises(IndependenceBrokenError) as exc:
+            evaluate(problem, policy)
+        assert exc.value.cell == x_cell
         # choosing bet1 happens exactly on {x1}, where bet1's payoff differs
-        assert chosen.id == "bet1"
-        assert probe.id == "bet1"
+        assert exc.value.chosen_action == "bet1"
+        assert exc.value.probe_action == "bet1"
 
 
 @st.composite
@@ -649,7 +654,7 @@ class TestIntegerLeakTest:
     def test_witness_and_cell_values_match_the_oracle(self, drawn):
         problem, policy = drawn
         expected = brute_independence_witness(problem, policy)
-        assert find_independence_violation(problem, policy) == expected
+        assert first_leak(problem, policy) == expected
         prior = dist_of(problem.prior)
         if any(probability(problem.prior, c) == 0 for c in policy.partition.cells):
             return  # evaluate refuses a zero-probability cell
@@ -722,8 +727,18 @@ ELSEWHERE_POLICY = conditionalization_policy(SURE_X, ELSEWHERE_PARTITION)
             "prior and policy live on different spaces",
         ),
         (
-            lambda: find_independence_violation(base_problem(), ELSEWHERE_POLICY),
+            lambda: evaluate(base_problem(), ELSEWHERE_POLICY),
             SpaceMismatchError, "_choice_groups", "policy is not over the problem's space",
+        ),
+        (
+            lambda: UpdatePolicy(PARTITION, {s: 1 for s in BASE}),
+            ValidationError, "UpdatePolicy.__post_init__",
+            "posterior for state 'u1' must be a Credence, not int",
+        ),
+        (
+            lambda: EvidencePartition(BASE, ("u1", "u2")),
+            ValidationError, "EvidencePartition.__post_init__",
+            "partition cells must be Events, not str",
         ),
     ],
     ids=[
@@ -736,6 +751,8 @@ ELSEWHERE_POLICY = conditionalization_policy(SURE_X, ELSEWHERE_PARTITION)
         "deviation-over-two-spaces",
         "modesty-over-two-spaces",
         "choice-over-two-spaces",
+        "posterior-not-a-credence",
+        "cell-not-an-event",
     ],
 )
 def test_refusals(build, error, location, message):

@@ -27,21 +27,19 @@ from infovalue.errors import (
     ZeroProbabilityError,
 )
 from infovalue.prob import Credence, Event, StateSpace, condition
-from infovalue.scenarios import scenario_gamblers
+from infovalue.scenarios import GAMBLERS, build_scenario
 from infovalue.updating import (
     DeviationSpec,
     EvidencePartition,
     UpdatePolicy,
     conditionalization_policy,
     deviating_states,
-    find_independence_violation,
     mixture_expand,
 )
 from infovalue.voi import (
     LemmaOneRow,
     PerCell,
     VoiReport,
-    cellwise_decomposition,
     evaluate,
     val_general,
     val_good,
@@ -196,7 +194,7 @@ class TestLemmaOneDecomposition:
     def test_conditionalization_gives_one_full_weight_row(self):
         problem = four_state_problem()
         policy = conditionalization_policy(problem.prior, PARTITION)
-        rows = cellwise_decomposition(problem, policy)[0].rows
+        rows = evaluate(problem, policy).per_cell[0].rows
         assert len(rows) == 1
         (row,) = rows
         assert row.action_id == "bet-left"
@@ -205,7 +203,7 @@ class TestLemmaOneDecomposition:
 
     def test_trap_cell_rows(self):
         problem, policy, _ = trap_problem()
-        (cell,) = cellwise_decomposition(problem, policy)
+        (cell,) = evaluate(problem, policy).per_cell
         rows = cell.rows
         assert [(r.action_id, r.choose_prob, r.cond_eu) for r in rows] == [
             ("bet", Fraction(1), Fraction(-1, 2))
@@ -231,8 +229,6 @@ class TestLemmaOneDecomposition:
             "h": Credence(space, {"h": Fraction(1)}),
         }
         policy = UpdatePolicy(partition, point)
-        with pytest.raises(ValidationError, match="zero-probability cell"):
-            cellwise_decomposition(problem, policy)
         with pytest.raises(ValidationError, match="zero-probability cell"):
             evaluate(problem, policy)
         with pytest.raises(ZeroProbabilityError):
@@ -267,21 +263,21 @@ class TestLemmaOneDecomposition:
             },
         )
         with pytest.raises(IndependenceBrokenError) as exc:
-            cellwise_decomposition(problem, policy)
+            evaluate(problem, policy)
         assert exc.value.cell == x_cell
         assert exc.value.chosen_action == "bet1"
 
     def test_cellwise_covers_the_partition_in_order(self):
         problem = four_state_problem()
         policy = conditionalization_policy(problem.prior, PARTITION)
-        cells = cellwise_decomposition(problem, policy)
+        cells = evaluate(problem, policy).per_cell
         assert [c.cell for c in cells] == [LEFT, RIGHT]
         assert [c.prob for c in cells] == [Fraction(1, 2), Fraction(1, 2)]
         assert [c.max_cond_eu for c in cells] == [Fraction(1), Fraction(0)]
 
     def test_via_cells_route_matches_the_definitional_route(self):
         problem, policy, _ = trap_problem()
-        cells = cellwise_decomposition(problem, policy)
+        cells = evaluate(problem, policy).per_cell
         informed = sum((c.prob * c.realized_eu() for c in cells), Fraction(0))
         baseline = max_expected_utility(problem.prior, problem)
         assert informed - baseline == val_general(problem, policy)
@@ -380,7 +376,7 @@ class TestVoiReport:
         or expected utility is taken, so val_good's cells are scored on the
         prior's own columns.  Gamblers, and a policy whose every state holds
         its own posterior, still evaluate to the oracle's values."""
-        gamblers = scenario_gamblers(Fraction(1, 10))
+        gamblers = build_scenario(GAMBLERS, epsilon=Fraction(1, 10))
         instances = [(gamblers.problem, gamblers.policy), perturbed_instance()]
         expected = [evaluate(problem, policy) for problem, policy in instances]
         maxima, scores = [], []
@@ -803,7 +799,8 @@ class TestChoiceMapAgainstTheOracle:
         assert [(states[i], a) for i, a in chosen] == list(expected.items())
         assert val_general(problem, policy) == brute_val_general(problem, policy)
         witness = brute_independence_witness(problem, policy)
-        assert find_independence_violation(problem, policy) == witness
+        groups = updating._choice_groups(problem, policy)
+        assert updating._first_leak(problem, policy, groups) == witness
         if witness is None:
             report = evaluate(problem, policy)
             assert list(report.chosen_by_state.items()) == list(expected.items())
@@ -826,7 +823,7 @@ class TestChoiceMapAgainstTheOracle:
         problem, policy = instance
         strict = dataclasses.replace(problem, tie_policy=ERROR_ON_TIE)
         tie = brute_first_tie(problem, policy)
-        for call in (evaluate, val_general, find_independence_violation):
+        for call in (evaluate, val_general):
             if tie is None:
                 assert _outcome(call, strict, policy) == _outcome(call, problem, policy)
             else:
@@ -901,7 +898,7 @@ class TestFirstByOrderTies:
         policy = UpdatePolicy(
             reversed_cells, {s: halves[reversed_cells.cell_of(s)] for s in SPACE}
         )
-        for call in (evaluate, val_general, find_independence_violation):
+        for call in (evaluate, val_general):
             with pytest.raises(TieError) as caught:
                 call(problem, policy)
             assert caught.value.actions == ("x", "y", "z")
