@@ -164,14 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate a problem file")
-    p_eval.add_argument("--problem", required=True, help="path to a problem file")
-    p_eval.add_argument(
-        "--policy",
-        help=(
-            "override the file's update policy: 'conditionalization' or the "
-            "path of another problem file whose policy section to use"
-        ),
-    )
     p_eval.set_defaults(func=_cmd_eval)
 
     p_scenario = sub.add_parser("scenario", help="build and evaluate a preset")
@@ -201,14 +193,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_adversary = sub.add_parser(
         "adversary", help="synthesize a certificate that learning hurts"
     )
-    p_adversary.add_argument("--problem", required=True, help="path to a problem file")
-    p_adversary.add_argument(
-        "--policy",
-        help=(
-            "override the file's update policy: 'conditionalization' or the "
-            "path of another problem file whose policy section to use"
-        ),
-    )
+    for p_loader in (p_eval, p_adversary):
+        p_loader.add_argument("--problem", required=True, help="path to a problem file")
+        p_loader.add_argument(
+            "--policy",
+            help=(
+                "override the file's update policy: 'conditionalization' or the "
+                "path of another problem file whose policy section to use"
+            ),
+        )
     p_adversary.add_argument("--out", help="write the certificate here instead of stdout")
     p_adversary.set_defaults(func=_cmd_adversary)
 

@@ -188,6 +188,15 @@ class DecisionProblem:
     tie_policy: str = FIRST_BY_ORDER
 
     def __post_init__(self) -> None:
+        for name, kind in (
+            ("space", StateSpace), ("outcomes", OutcomeSpace),
+            ("prior", Credence), ("choices", ChoiceSet),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValidationError(
+                    f"{name} must be of type {kind.__name__}, not {type(value).__name__}"
+                )
         if self.prior.space != self.space:
             raise SpaceMismatchError("prior is not a credence over the problem's space")
         if self.tie_policy not in _TIE_POLICIES:

@@ -133,22 +133,15 @@ def _second_flip_bet(id: str, face: str, win: str, loss: str) -> Action:
 class _FallacyBase(NamedTuple):
     """A fallacy preset without its epsilon.
 
-    ``deviant`` gives the deviant self's posterior on each cell, and
-    ``tie`` the :class:`ConfigError` text for a fallacy confidence that
-    ties the agent's acts (``None`` when none tie).  A mixed credence
-    prices every act exactly as its base credence does, so whether acts
-    tie does not depend on epsilon.
+    ``deviant`` gives the deviant self's posterior on each cell.
     """
 
-    name: str
     problem: DecisionProblem
     partition: EvidencePartition
     deviant: dict[Event, Credence]
-    tie: str | None = None
 
 
 def _fallacy_base(
-    name: str,
     masses: dict[str, Fraction],
     outcomes: OutcomeSpace,
     bets: tuple[Action, ...],
@@ -172,22 +165,7 @@ def _fallacy_base(
         heads: Credence(space, {"hh": repeat, "ht": 1 - repeat}),
         tails: Credence(space, {"tt": repeat, "th": 1 - repeat}),
     }
-    return _FallacyBase(name, problem, EvidencePartition(space, (heads, tails)), deviant)
-
-
-def _checked_epsilon(base: _FallacyBase, epsilon) -> Fraction:
-    """``epsilon`` for ``base``: its syntax and range first, then the tie."""
-    eps = _epsilon(epsilon)
-    if base.tie is not None:
-        raise ConfigError(base.tie)
-    return eps
-
-
-def _expanded(base: _FallacyBase, epsilon) -> Scenario:
-    """The preset at ``epsilon``, by one :func:`mixture_expand`."""
-    spec = DeviationSpec(_checked_epsilon(base, epsilon), base.deviant)
-    problem, policy = mixture_expand(base.problem, base.partition, spec, _MIXTURE_LABELS)
-    return Scenario(base.name, problem, policy)
+    return _FallacyBase(problem, EvidencePartition(space, (heads, tails)), deviant)
 
 
 def _gamblers_base() -> _FallacyBase:
@@ -208,7 +186,6 @@ def _gamblers_base() -> _FallacyBase:
         {"nothing": Fraction(0), "win": Fraction(1), "loss": Fraction(-2)},
     )
     return _fallacy_base(
-        GAMBLERS,
         {s: Fraction(1, 4) for s in _TWO_FLIPS},
         outcomes,
         (
@@ -237,10 +214,12 @@ def _unknown_bias_base(fallacy_confidence) -> _FallacyBase:
     (1 - epsilon)/3 - 2*epsilon: positive below epsilon = 1/7, negative
     above.
 
-    The confidence is checked here, and its tie once, on the base
-    posteriors: each cell's conditioned prior, then its deviant posterior.
-    A confidence at which the deviant self is exactly torn between two
-    acts is recorded as the :class:`ConfigError` naming the tied acts.
+    The confidence's syntax is refused here, then its range, then a tie,
+    probed once on the base posteriors: each cell's conditioned prior, then
+    its deviant posterior.  A confidence at which the deviant self is
+    exactly torn between two acts raises the :class:`ConfigError` naming
+    the tied acts.  A mixed credence prices every act exactly as its base
+    credence does, so whether acts tie does not depend on epsilon.
     """
     confidence = as_fraction(fallacy_confidence)
     if not 0 <= confidence <= 1:
@@ -258,7 +237,6 @@ def _unknown_bias_base(fallacy_confidence) -> _FallacyBase:
         },
     )
     base = _fallacy_base(
-        UNKNOWN_BIAS,
         {
             "hh": Fraction(1, 3),
             "ht": Fraction(1, 6),
@@ -281,15 +259,16 @@ def _unknown_bias_base(fallacy_confidence) -> _FallacyBase:
             try:
                 best_action(posterior, strict)
             except TieError as exc:
-                return base._replace(
-                    tie=f"fallacy confidence {confidence} makes acts tie at "
+                raise ConfigError(
+                    f"fallacy confidence {confidence} makes acts tie at "
                     f"expected utility {exc.value}: {', '.join(exc.actions)}"
-                )
+                ) from None
     return base
 
 
 def _mixture_base(name: str, confidence) -> _FallacyBase:
-    """The base of a mixture preset, refusing what :func:`build_scenario` refuses."""
+    """The base of a mixture preset, refusing its name, then its
+    confidence, then a tie; every preset reads this before any epsilon."""
     if name == GAMBLERS:
         if confidence is not None:
             raise ConfigError(
@@ -312,7 +291,8 @@ def build_scenario(name: str, epsilon=None, confidence=None) -> Scenario:
     (default 0), and ``unknown-bias`` also a fallacy ``confidence``
     (default 91/100); both are read by :func:`as_fraction`.  The presets'
     worked examples are told in :func:`_race`, :func:`_gamblers_base` and
-    :func:`_unknown_bias_base`.
+    :func:`_unknown_bias_base`.  Refusals come in :func:`sweep`'s order:
+    the name, the confidence, a tie, then the epsilon.
     """
     if name == RACE:
         if epsilon is not None:
@@ -320,12 +300,10 @@ def build_scenario(name: str, epsilon=None, confidence=None) -> Scenario:
         if confidence is not None:
             raise ConfigError("the race scenario has no confidence parameter")
         return _race()
-    epsilon = Fraction(0) if epsilon is None else epsilon
-    if name == UNKNOWN_BIAS:
-        # the epsilon's syntax is refused before the confidence is read,
-        # the order in which sweep reads each row
-        epsilon = as_fraction(epsilon)
-    return _expanded(_mixture_base(name, confidence), epsilon)
+    base = _mixture_base(name, confidence)
+    spec = DeviationSpec(Fraction(0) if epsilon is None else epsilon, base.deviant)
+    problem, policy = mixture_expand(base.problem, base.partition, spec, _MIXTURE_LABELS)
+    return Scenario(name, problem, policy)
 
 
 _SWEEP_HEADERS = ("epsilon", "val_good", "val_general", "decision")
@@ -347,13 +325,13 @@ class SweepTable:
     """Values of learning across epsilon, with the learn/decline verdict.
 
     ``val_good`` does not depend on epsilon, so the table holds it once and
-    prints it on every row; it is ``None`` only for a table with no rows.
+    prints it on every row; a table with no rows holds it too.
     The verdict is ``learn`` whenever ``val_general >= 0``: an agent
     indifferent at exactly 0 is counted as accepting the evidence.
     """
 
     scenario: str
-    val_good: Fraction | None
+    val_good: Fraction
     rows: tuple[SweepRow, ...]
 
     def _cells(self) -> list[tuple[str, ...]]:
@@ -402,34 +380,35 @@ def _base_values(base: _FallacyBase) -> tuple[Fraction, Fraction, Fraction]:
 def sweep(name: str, epsilons, confidence=None) -> SweepTable:
     """Evaluate a mixture scenario at each epsilon, in the order given.
 
-    The preset is built once per call, at the first row, and its base
+    The preset is built once per call, before any row, and its base
     problem is evaluated twice: learning by conditioning, and learning as
-    the deviant self.  Each row checks its epsilon and mixes the two values
-    at it, with no expansion; every row equals the preset expanded at its
-    epsilon and evaluated alone, and the table's ``val_good`` is every
-    expansion's.  An empty ``epsilons`` builds nothing, so it refuses only
-    the race preset.  ``epsilons`` must be a sequence of values; a bare
-    string, ``bytes`` or ``bytearray`` is refused.
+    the deviant self.  Each row mixes the two values at its epsilon, with
+    no expansion; every row equals the preset expanded at its epsilon and
+    evaluated alone, and the table's ``val_good`` is every expansion's.
+    ``epsilons`` must be a sequence of values; a bare string, ``bytes`` or
+    ``bytearray`` is refused.
+
+    Refusals come in one order: the name (race's own refusal, then an
+    unknown name), a bare string, the confidence, a tie, then each epsilon
+    in the order given (its syntax, then its range).  So an empty
+    ``epsilons`` still refuses a bad confidence, and its table still holds
+    ``val_good``.
     """
     if name == RACE:
         raise ConfigError("the race scenario has no epsilon parameter to sweep")
-    if isinstance(epsilons, (str, bytes, bytearray)):
+    # an unknown name is refused first, by _mixture_base
+    if name in SCENARIO_NAMES and isinstance(epsilons, (str, bytes, bytearray)):
         raise ValidationError(
             f"epsilons must be a sequence of values, not the string {epsilons!r}"
         )
-    base = good = None
-    rows = []
-    for raw in epsilons:
-        epsilon = as_fraction(raw)
-        if base is None:
-            base = _mixture_base(name, confidence)
-        _checked_epsilon(base, epsilon)
-        if not rows:
-            good, learning, deviating = _base_values(base)
-            slope = deviating - learning
-        # (1 - epsilon) * learning + epsilon * deviating, with one product
-        rows.append(SweepRow(epsilon, learning + epsilon * slope))
-    return SweepTable(name, good, tuple(rows))
+    base = _mixture_base(name, confidence)
+    epsilons = [_epsilon(raw) for raw in epsilons]
+    good, learning, deviating = _base_values(base)
+    slope = deviating - learning
+    # (1 - epsilon) * learning + epsilon * deviating, with one product
+    return SweepTable(
+        name, good, tuple(SweepRow(eps, learning + eps * slope) for eps in epsilons)
+    )
 
 
 def threshold(name: str, confidence=None) -> Fraction | None:
@@ -441,13 +420,11 @@ def threshold(name: str, confidence=None) -> Fraction | None:
     ``V_c >= 0 > V_d`` it falls through 0 at ``V_c / (V_c - V_d)``, the
     last epsilon :func:`sweep` labels ``learn``.  Otherwise learning never
     stops paying, and the answer is ``None``.  Refuses what :func:`sweep`
-    refuses.
+    refuses of its name and confidence, in the same order.
     """
     if name == RACE:
         raise ConfigError("the race scenario has no epsilon parameter to sweep")
-    base = _mixture_base(name, confidence)
-    _checked_epsilon(base, 0)
-    _, learning, deviating = _base_values(base)
+    _, learning, deviating = _base_values(_mixture_base(name, confidence))
     if learning >= 0 > deviating:
         return learning / (learning - deviating)
     return None

@@ -474,6 +474,22 @@ class TestTheOracleCatchesMutants:
             lambda: ChoiceSet(("flat",)),
             "ChoiceSet.__post_init__", "choice set entries must be Actions, not str",
         ),
+        (
+            lambda: DecisionProblem(SPACE.states, OUTCOMES, uniform(), ChoiceSet((FLAT,))),
+            "DecisionProblem.__post_init__", "space must be of type StateSpace, not tuple",
+        ),
+        (
+            lambda: DecisionProblem(SPACE, OUTCOMES.utility, uniform(), ChoiceSet((FLAT,))),
+            "DecisionProblem.__post_init__", "outcomes must be of type OutcomeSpace, not dict",
+        ),
+        (
+            lambda: DecisionProblem(SPACE, OUTCOMES, "uniform", ChoiceSet((FLAT,))),
+            "DecisionProblem.__post_init__", "prior must be of type Credence, not str",
+        ),
+        (
+            lambda: DecisionProblem(SPACE, OUTCOMES, uniform(), (FLAT, SPIKE)),
+            "DecisionProblem.__post_init__", "choices must be of type ChoiceSet, not tuple",
+        ),
     ],
     ids=[
         "no-outcomes",
@@ -484,6 +500,10 @@ class TestTheOracleCatchesMutants:
         "unknown-state",
         "no-actions",
         "action-not-an-action",
+        "space-not-a-state-space",
+        "outcomes-not-an-outcome-space",
+        "prior-not-a-credence",
+        "choices-not-a-choice-set",
     ],
 )
 def test_refusals(build, location, message):

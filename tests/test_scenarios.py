@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from infovalue import scenarios, updating
+from infovalue.cli import main
 from infovalue.errors import ConfigError, InfoValueError, ValidationError
 from infovalue.problemfile import dumps
 from infovalue.scenarios import (
@@ -195,8 +196,8 @@ class TestBuildScenario:
         [("x", "11/10"), ("x", "9/10"), ("2", "11/10"), ("2", "9/10"), ("1/2", "x")],
     )
     def test_unknown_bias_refuses_as_a_one_row_sweep(self, epsilon, confidence):
-        """The epsilon's syntax first, then the confidence, then the
-        epsilon's range, then a tie."""
+        """The confidence first, then a tie, then the epsilon's syntax,
+        then its range."""
         built = outcome(
             lambda: build_scenario(UNKNOWN_BIAS, epsilon=epsilon, confidence=confidence)
         )
@@ -306,6 +307,9 @@ def row_by_row(name, epsilons, confidence):
 GRID = [Fraction(0), Fraction(1, 14), Fraction(1, 7), Fraction(1, 2), Fraction(1)]
 BAD_RATIONAL = "expected an exact rational string like '3/4' or '-2', got 'x'"
 TIE = "fallacy confidence 9/10 makes acts tie at expected utility 4/5: bet-heads, v-risky-heads"
+FIXED = "the gamblers scenario has a fixed fallacy confidence of 9/10"
+UNKNOWN = "unknown scenario 'lottery'; expected one of race, gamblers, unknown-bias"
+BARE = "epsilons must be a sequence of values, not the string '01'"
 
 
 class TestSweepBuildsOnce:
@@ -352,13 +356,16 @@ class TestSweepBuildsOnce:
                 "fallacy confidence must lie in [0, 1], got 11/10",
             ),
             (UNKNOWN_BIAS, ["0"], "9/10", ConfigError, TIE),
-            (UNKNOWN_BIAS, ["x"], "11/10", ValidationError, BAD_RATIONAL),
-            (UNKNOWN_BIAS, ["x"], "9/10", ValidationError, BAD_RATIONAL),
+            (
+                UNKNOWN_BIAS, ["x"], "11/10", ConfigError,
+                "fallacy confidence must lie in [0, 1], got 11/10",
+            ),
+            (UNKNOWN_BIAS, ["x"], "9/10", ConfigError, TIE),
             (
                 UNKNOWN_BIAS, ["2"], "11/10", ConfigError,
                 "fallacy confidence must lie in [0, 1], got 11/10",
             ),
-            (UNKNOWN_BIAS, ["2"], "9/10", ValidationError, "epsilon must lie in [0, 1], got 2"),
+            (UNKNOWN_BIAS, ["2"], "9/10", ConfigError, TIE),
             (UNKNOWN_BIAS, ["0", "2"], "9/10", ConfigError, TIE),
             (UNKNOWN_BIAS, ["1/2", "x"], "9/10", ConfigError, TIE),
             (
@@ -371,7 +378,7 @@ class TestSweepBuildsOnce:
             ),
             (UNKNOWN_BIAS, ["0"], "x", ValidationError, BAD_RATIONAL),
             (GAMBLERS, ["2"], None, ValidationError, "epsilon must lie in [0, 1], got 2"),
-            (GAMBLERS, ["x"], "9/10", ValidationError, BAD_RATIONAL),
+            (GAMBLERS, ["x"], "9/10", ConfigError, FIXED),
             (
                 GAMBLERS, ["2"], "9/10", ConfigError,
                 "the gamblers scenario has a fixed fallacy confidence of 9/10",
@@ -387,15 +394,23 @@ class TestSweepBuildsOnce:
         ],
     )
     def test_refusals_name_the_first_fault(self, name, epsilons, confidence, error, message):
-        """Rows are read in order; within a row the epsilon's syntax comes
-        first, then the confidence, then the epsilon's range, then a tie."""
+        """The name first, then the confidence, then a tie, then each
+        row's epsilon in order: its syntax, then its range."""
         with pytest.raises(error) as exc:
             sweep(name, epsilons, confidence)
         assert (type(exc.value), str(exc.value)) == (error, message)
 
-    @pytest.mark.parametrize("name", [GAMBLERS, UNKNOWN_BIAS])
-    def test_an_empty_grid_builds_nothing_and_refuses_nothing(self, name):
-        assert sweep(name, [], confidence="2") == SweepTable(name, None, ())
+    @pytest.mark.parametrize(
+        "name, good, message",
+        [
+            (GAMBLERS, Fraction(0), FIXED),
+            (UNKNOWN_BIAS, Fraction(1, 3), "fallacy confidence must lie in [0, 1], got 2"),
+        ],
+        ids=[GAMBLERS, UNKNOWN_BIAS],
+    )
+    def test_an_empty_grid_refuses_its_confidence(self, name, good, message):
+        assert outcome(lambda: sweep(name, [], confidence="2")) == (ConfigError, message)
+        assert sweep(name, []) == SweepTable(name, good, ())
 
     @pytest.mark.parametrize(
         "epsilons",
@@ -461,3 +476,76 @@ class TestThreshold:
     def test_refuses_what_sweep_refuses(self, name, confidence, error, message):
         assert outcome(lambda: threshold(name, confidence)) == (error, message)
         assert outcome(lambda: sweep(name, [Fraction(1, 2)], confidence)) == (error, message)
+
+
+def first_fault(name, epsilon, confidence):
+    """The refusal the presets' one order names first: the name, the
+    confidence, a tie, then the epsilon's syntax and its range."""
+    if name == "lottery":
+        return ConfigError, UNKNOWN
+    if name == GAMBLERS and confidence is not None:
+        return ConfigError, FIXED
+    if name == UNKNOWN_BIAS and confidence == "x":
+        return ValidationError, BAD_RATIONAL
+    if name == UNKNOWN_BIAS and confidence == "11/10":
+        return ConfigError, "fallacy confidence must lie in [0, 1], got 11/10"
+    if name == UNKNOWN_BIAS and confidence == "9/10":
+        return ConfigError, TIE
+    if epsilon == "x":
+        return ValidationError, BAD_RATIONAL
+    if epsilon == "2":
+        return ValidationError, "epsilon must lie in [0, 1], got 2"
+    return None
+
+
+class TestOneRefusalOrder:
+    """``build_scenario``, a one-row ``sweep``, ``threshold`` and the CLI
+    refuse a preset's faults in one order.  Race refuses by name, each
+    caller in its own words."""
+
+    @pytest.mark.parametrize("confidence", [None, "x", "11/10", "4/5", "9/10"])
+    @pytest.mark.parametrize("epsilon", ["1/2", "x", "2"])
+    @pytest.mark.parametrize("name", [RACE, GAMBLERS, UNKNOWN_BIAS, "lottery"])
+    def test_every_route_names_the_same_first_fault(
+        self, name, epsilon, confidence, capsys
+    ):
+        built = outcome(lambda: build_scenario(name, epsilon=epsilon, confidence=confidence))
+        swept = outcome(lambda: sweep(name, [epsilon], confidence))
+        least = outcome(lambda: threshold(name, confidence))
+        if name == RACE:
+            assert built == (ConfigError, "the race scenario has no epsilon parameter")
+            assert swept == least == (
+                ConfigError, "the race scenario has no epsilon parameter to sweep"
+            )
+            return
+        # threshold reads no epsilon, so it refuses as if the epsilon were fine
+        refused = least if isinstance(least, tuple) else None
+        assert refused == first_fault(name, "1/2", confidence)
+        expected = first_fault(name, epsilon, confidence)
+        if expected is None:
+            [row] = swept.rows
+            assert row.val_general == val_general(built.problem, built.policy)
+            return
+        assert built == swept == expected
+        if name == "lottery":
+            return  # the CLI's argparse refuses names outside SCENARIO_NAMES
+        flags = [] if confidence is None else ["--confidence", confidence]
+        for argv in (
+            ["scenario", name, "--epsilon", epsilon, *flags],
+            ["sweep", name, "--epsilons", epsilon, *flags],
+        ):
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", f"error: {expected[1]}\n")
+
+    @pytest.mark.parametrize(
+        "name, confidence, error, message",
+        [
+            ("lottery", None, ConfigError, UNKNOWN),
+            (GAMBLERS, "9/10", ValidationError, BARE),
+            (UNKNOWN_BIAS, "11/10", ValidationError, BARE),
+        ],
+    )
+    def test_a_bare_string_comes_after_the_name_and_before_the_confidence(
+        self, name, confidence, error, message
+    ):
+        assert outcome(lambda: sweep(name, "01", confidence)) == (error, message)
