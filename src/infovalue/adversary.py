@@ -47,7 +47,7 @@ from .errors import (
     SpaceMismatchError,
     ValidationError,
 )
-from .prob import Credence, Event, _ratio, _weight, as_fraction
+from .prob import Credence, Event, _check_types, _ratio, _weight, as_fraction
 from .updating import (
     UpdatePolicy,
     _cell_table,
@@ -94,6 +94,9 @@ class Deviation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", as_fraction(self.q))
         object.__setattr__(self, "r", as_fraction(self.r))
+        _check_types(
+            ("cell", self.cell, Event), ("state", self.state, str), ("event", self.event, Event)
+        )
         if self.state not in self.cell:
             raise ValidationError(
                 f"state {self.state!r} is not in cell {self.cell.describe()}"
@@ -145,61 +148,67 @@ def construct_bet(q: Fraction, r: Fraction) -> tuple[Fraction, Fraction]:
 class AversionCertificate:
     """A checked demonstration that learning has strictly negative value.
 
-    Holds the located deviation, the priced bet, and the two-action
-    problem: ``safe`` always pays 0; ``risky`` wins ``bet_win`` on
-    ``bet_event`` inside the deviation's cell, loses ``bet_loss`` on the
-    rest of the cell, and pays 0 outside it.  ``bet_win``, ``bet_loss`` and
+    Holds the located deviation, the priced bet, the prior and the policy.
+    From these it derives, once, two attributes that are not fields (so
+    ``==``, ``hash`` and :func:`dataclasses.replace` see only the inputs):
+    ``bet_event``, the deviation's event when ``q > r`` and its complement
+    otherwise, and ``problem``, the two-action problem on the prior:
+    ``safe`` always pays 0; ``risky`` wins ``bet_win`` on ``bet_event``
+    inside the deviation's cell, loses ``bet_loss`` on the rest of the
+    cell, and pays 0 outside it.  ``bet_win``, ``bet_loss`` and
     ``val_general`` are read by :func:`~infovalue.prob.as_fraction`.
-    Construction re-derives everything it claims, in this order: the
-    stakes are positive and their break-even threshold separates q from r,
-    the bet is strictly attractive to the deviant posterior and strictly
-    unattractive to the conditioned one, declining is prior-optimal at
-    exactly 0, the problem breaks ties ``first-by-order`` as the synthesized
-    one does, ``val_general`` — recomputed from scratch, not trusted from
-    the caller — is strictly negative, and no choice on the synthesized
-    problem reveals anything payoff-relevant, which the value's accounting
+    Construction checks, in this order: the stakes are positive and their
+    break-even threshold separates q from r, the bet is strictly attractive
+    to the deviant posterior and strictly unattractive to the conditioned
+    one, ``val_general`` — recomputed from scratch, not trusted from the
+    caller — is strictly negative, and no choice on the synthesized problem
+    reveals anything payoff-relevant, which the value's accounting
     requires.  The deviation's cell must be a cell of the policy's
     partition: on any other event, a state that conditionalizes on its own
     cell could be named the deviant.  The deviant state must have positive
     prior probability, as a state that never occurs witnesses nothing.
-    Last come the claims themselves:
-    ``q`` and ``r`` are the deviant posterior's and the conditioned prior's
-    probabilities of the deviation's event, ``bet_event`` is that event
-    when ``q > r`` and its complement otherwise, and the acts are exactly
-    ``safe`` and ``risky`` as above.
+    Last, ``q`` and ``r`` must be the deviant posterior's and the
+    conditioned prior's probabilities of the deviation's event.  Declining
+    is prior-optimal at exactly 0 without a check: ``risky`` pays 0 outside
+    the cell, so its prior score is its score on the cell, which the sign
+    check has found negative.
 
     Every check compares integers.  The threshold and the stakes are
     cross-multiplied numerators and denominators.  The two expected
-    utilities' signs, the prior's best score and the masses behind ``q``
-    and ``r`` are read off the problem's integer utility rows, the
-    posterior's ``nums`` and the prior's weights on the cell, so no
-    credence is conditioned (the cell's weight and scores come from
-    ``DecisionProblem._cell_scores``) and no expected utility is built.  The checks
-    build one Fraction, the recomputed value; any other is built only for
-    an error message.  That recomputation is the second route: it builds
-    its own per-cell act groups (the states that choose each act) from the
-    synthesized problem and the policy, and sums what each state's chosen
-    act pays there.  It shares no tally with the search that priced the
-    bet, so a fault in the search's tallies cannot vouch for itself.  The
-    leak test reads the same act groups.  Besides that one choice map, the
-    checks cost O(|space|) integer operations.
+    utilities' signs and the masses behind ``q`` and ``r`` are read off the
+    problem's integer utility rows, the posterior's ``nums`` and the
+    prior's weights on the cell, so no credence is conditioned (the cell's
+    weight and scores come from ``DecisionProblem._cell_scores``) and no
+    expected utility is built.  The checks build one Fraction, the
+    recomputed value; any other is built only for an error message.  That
+    recomputation is the second route: it builds its own per-cell act
+    groups (the states that choose each act) from the synthesized problem
+    and the policy, and sums what each state's chosen act pays there.  It
+    shares no tally with the search that priced the bet, so a fault in the
+    search's tallies cannot vouch for itself.  The leak test reads the same
+    act groups.  Besides that one choice map, the checks cost O(|space|)
+    integer operations.
     """
 
     deviation: Deviation
     bet_win: Fraction
     bet_loss: Fraction
-    bet_event: Event
-    problem: DecisionProblem
+    prior: Credence
     policy: UpdatePolicy
     val_general: Fraction
 
     def __post_init__(self) -> None:
         for name in ("bet_win", "bet_loss", "val_general"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
+        _check_types(
+            ("deviation", self.deviation, Deviation),
+            ("prior", self.prior, Credence),
+            ("policy", self.policy, UpdatePolicy),
+        )
         win, loss = self.bet_win, self.bet_loss
         if win.numerator <= 0 or loss.numerator <= 0:
             raise ValidationError("stakes must be positive on both sides")
-        deviation = self.deviation
+        deviation, prior = self.deviation, self.prior
         q, r = deviation.q, deviation.r
         q_wins = q.numerator * r.denominator > r.numerator * q.denominator
         if q_wins:
@@ -215,33 +224,24 @@ class AversionCertificate:
                 f"break-even threshold {Fraction(t_num, t_den)} does not separate "
                 f"q={q} from r={r} on the event bet on"
             )
-        problem, cell = self.problem, deviation.cell
-        prior, scale = problem.prior, problem._scale
-        risky = problem.choices.by_id(RISKY_ID)
+        cell, event = deviation.cell, deviation.event
+        bet_event = event if q_wins else event.complement()
+        problem = _synthesize(prior, cell, bet_event, win, loss)
+        object.__setattr__(self, "bet_event", bet_event)
+        object.__setattr__(self, "problem", problem)
         posterior = self.policy.posterior(deviation.state)
-        cell_weight, cell_scores = problem._cell_scores(cell)
+        cell_weight, (_, sober) = problem._cell_scores(cell)
         if posterior.space != problem.space:
             raise SpaceMismatchError("credence is not over the problem's space")
         # risky's expected utilities, times posterior.den * U and cell_weight * U
-        deviant = sum(map(mul, problem._rows[risky], posterior.nums))
-        sober = dict(zip(problem.choices, cell_scores))[risky]
+        _, risky = problem._rows.values()
+        deviant = sum(map(mul, risky, posterior.nums))
         if not deviant > 0 > sober:
             raise ValidationError(
                 f"the bet must be strictly attractive to the deviant posterior "
-                f"(EU {Fraction(deviant, posterior.den * scale)}) and strictly "
-                f"unattractive to the conditioned one "
-                f"(EU {Fraction(sober, cell_weight * scale)})"
-            )
-        top = max(problem._scores(prior))
-        if top != 0:
-            raise ValidationError(
-                "declining must be prior-optimal at exactly 0, "
-                f"got {Fraction(top, prior.den * scale)}"
-            )
-        if problem.tie_policy != FIRST_BY_ORDER:
-            raise ValidationError(
-                f"the certificate's problem must break ties {FIRST_BY_ORDER!r}, "
-                f"as the synthesized problem does, not {problem.tie_policy!r}"
+                f"(EU {Fraction(deviant, posterior.den * problem._scale)}) and "
+                f"strictly unattractive to the conditioned one "
+                f"(EU {Fraction(sober, cell_weight * problem._scale)})"
             )
         groups = _choice_groups(problem, self.policy)
         recomputed = _realized(problem, groups)  # less the baseline, which is 0
@@ -267,23 +267,11 @@ class AversionCertificate:
             raise ValidationError(
                 f"state {deviation.state!r} has prior probability 0, so it never occurs"
             )
-        self._check_claims(posterior, cell_weight, q_wins)
-
-    def _check_claims(self, posterior: Credence, cell_weight: int, q_wins: bool) -> None:
-        """That q, r, the bet event and the two acts are what the deviation implies.
-
-        ``cell_weight`` is the prior's integer weight on the deviation's
-        cell, and ``q_wins`` says whether ``q > r``.
-        """
-        problem, event = self.problem, self.deviation.event
-        space, scale = problem.space, problem._scale
-        q, r = self.deviation.q, self.deviation.r
         # the event's mass under the posterior and, as it lies inside the cell
         # (Deviation checks that), under the prior conditioned on the cell;
         # Deviation puts the event on the cell's space, which _cell_scores
-        # checked is the problem's
-        q_num = _weight(posterior, event)
-        r_num = _weight(problem.prior, event)
+        # checked is the prior's
+        q_num, r_num = _weight(posterior, event), _weight(prior, event)
         if (
             q_num * q.denominator != q.numerator * posterior.den
             or r_num * r.denominator != r.numerator * cell_weight
@@ -293,62 +281,37 @@ class AversionCertificate:
                 f"posterior and the conditioned prior give "
                 f"{Fraction(q_num, posterior.den)} and {Fraction(r_num, cell_weight)}"
             )
-        bet = event.members if q_wins else frozenset(space.states) - event.members
-        if self.bet_event.space != space or self.bet_event.members != bet:
-            raise ValidationError(
-                f"bet event {self.bet_event.describe()} must be the deviation's "
-                "event when q > r and its complement otherwise"
-            )
-        cell = self.deviation.cell.members
-        win, win_rest = divmod(self.bet_win.numerator * scale, self.bet_win.denominator)
-        loss, loss_rest = divmod(self.bet_loss.numerator * scale, self.bet_loss.denominator)
-        pays = (
-            win_rest == loss_rest == 0
-            and problem.choices.ids() == (SAFE_ID, RISKY_ID)
-            and tuple(problem._rows.values()) == (
-                (0,) * len(space),
-                tuple(
-                    (win if s in bet else -loss) if s in cell else 0
-                    for s in space.states
-                ),
-            )
-        )
-        if not pays:
-            raise ValidationError(
-                f"the acts must be exactly {SAFE_ID!r}, paying 0 everywhere, and "
-                f"{RISKY_ID!r}, paying {self.bet_win} on the bet in the cell, "
-                f"-{self.bet_loss} on the rest of the cell and 0 outside it"
-            )
 
 
 def _synthesize(
-    problem: DecisionProblem,
+    prior: Credence,
     cell: Event,
     bet_event: Event,
     bet_win: Fraction,
     bet_loss: Fraction,
 ) -> DecisionProblem:
-    """The problem with its choice set replaced by {safe, risky}.
+    """The two-action problem on ``prior``: ``safe``, then ``risky``.
 
     Safe is listed first, so every state indifferent between the two
     (everything outside the deviation's cell, where both pay 0) declines.
+    Each act is laid out over the prior's states, so a cell on another
+    space reaches ``DecisionProblem._cell_scores`` and is refused there.
     """
-    space = problem.space
+    space = prior.space
     outcomes = OutcomeSpace(
         (_OUTCOME_ZERO, _OUTCOME_WIN, _OUTCOME_LOSS),
-        {_OUTCOME_ZERO: Fraction(0), _OUTCOME_WIN: bet_win, _OUTCOME_LOSS: -bet_loss},
+        {_OUTCOME_ZERO: 0, _OUTCOME_WIN: bet_win, _OUTCOME_LOSS: -bet_loss},
     )
     nothing = dict.fromkeys(space.states, _OUTCOME_ZERO)
-    bet = dict(nothing)
-    for state in cell.members:
-        bet[state] = _OUTCOME_WIN if state in bet_event else _OUTCOME_LOSS
+    in_cell, wins = cell.members, bet_event.members
+    bet = {
+        state: _OUTCOME_ZERO if state not in in_cell
+        else _OUTCOME_WIN if state in wins else _OUTCOME_LOSS
+        for state in space.states
+    }
     safe, risky = Action(SAFE_ID, nothing), Action(RISKY_ID, bet)
     return DecisionProblem(
-        space,
-        outcomes,
-        problem.prior,
-        ChoiceSet((safe, risky)),
-        tie_policy=FIRST_BY_ORDER,
+        space, outcomes, prior, ChoiceSet((safe, risky)), tie_policy=FIRST_BY_ORDER
     )
 
 
@@ -530,7 +493,6 @@ def demonstrate_aversion(
                 q, r = Fraction(q_num, den), Fraction(r_num, total)
                 bet_win, bet_loss = construct_bet(q, r)
                 event = Event(space, frozenset(members[i] for i in combo))
-                bet_event = event.complement() if mirrored else event
                 # a taker wins 1 - loss on the bet and loses loss off it, with
                 # loss = key[1] / loss_den
                 value_num = taker_bet_weight * loss_den - taker_weight * key[1]
@@ -540,8 +502,7 @@ def demonstrate_aversion(
                     ),
                     bet_win=bet_win,
                     bet_loss=bet_loss,
-                    bet_event=bet_event,
-                    problem=_synthesize(problem, cell, bet_event, bet_win, bet_loss),
+                    prior=prior,
                     policy=policy,
                     val_general=Fraction(value_num, loss_den * prior.den),
                 )

@@ -87,10 +87,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    epsilons = args.epsilons.split(",")
-    if not any(e.strip() for e in epsilons):
-        raise ConfigError("--epsilons must list at least one value")
-    table = sweep(args.name, epsilons, confidence=args.confidence)
+    table = sweep(args.name, args.epsilons.split(","), confidence=args.confidence)
     if args.format == "csv":
         sys.stdout.write(table.to_csv())
     else:

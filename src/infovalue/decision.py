@@ -33,13 +33,22 @@ those groups.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from .errors import SpaceMismatchError, TieError, ValidationError
-from .prob import Credence, Event, StateSpace, _cell_weights, _over_lcm, as_fraction
+from .prob import (
+    Credence,
+    Event,
+    StateSpace,
+    _cell_weights,
+    _check_types,
+    _over_lcm,
+    as_fraction,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .updating import EvidencePartition
@@ -85,6 +94,7 @@ class OutcomeSpace:
             if o in seen:
                 raise ValidationError(f"duplicate outcome id: {o!r}")
             seen.add(o)
+        _check_types(("utility", self.utility, Mapping))
         cleaned = {}
         for outcome, raw in self.utility.items():
             if outcome not in seen:
@@ -188,15 +198,10 @@ class DecisionProblem:
     tie_policy: str = FIRST_BY_ORDER
 
     def __post_init__(self) -> None:
-        for name, kind in (
-            ("space", StateSpace), ("outcomes", OutcomeSpace),
-            ("prior", Credence), ("choices", ChoiceSet),
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise ValidationError(
-                    f"{name} must be of type {kind.__name__}, not {type(value).__name__}"
-                )
+        _check_types(
+            ("space", self.space, StateSpace), ("outcomes", self.outcomes, OutcomeSpace),
+            ("prior", self.prior, Credence), ("choices", self.choices, ChoiceSet),
+        )
         if self.prior.space != self.space:
             raise SpaceMismatchError("prior is not a credence over the problem's space")
         if self.tie_policy not in _TIE_POLICIES:

@@ -33,10 +33,11 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import (
     SpaceMismatchError,
@@ -93,6 +94,15 @@ def _ratio(value) -> tuple[int, int]:
             "pass a Fraction, an int, or a string like '1/10'"
         )
     raise ValidationError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _check_types(*fields: tuple[str, object, type]) -> None:
+    """Refuse the first ``(name, value, kind)`` whose value is not a ``kind``."""
+    for name, value, kind in fields:
+        if not isinstance(value, kind):
+            raise ValidationError(
+                f"{name} must be of type {kind.__name__}, not {type(value).__name__}"
+            )
 
 
 def _over_lcm(pairs: Collection[tuple[int, int]]) -> tuple[list[int], int, int]:
@@ -177,6 +187,7 @@ class Event:
             raise ValidationError(
                 f"members must be a collection of ids, not the string {self.members!r}"
             )
+        _check_types(("space", self.space, StateSpace))
         object.__setattr__(self, "members", frozenset(self.members))
         try:
             positions = sorted(map(self.space._position.__getitem__, self.members))
@@ -231,6 +242,7 @@ class Credence:
     den: int
 
     def __init__(self, space: StateSpace, mass: Mapping[str, object]) -> None:
+        _check_types(("space", space, StateSpace), ("mass", mass, Mapping))
         position = space._position
         given: dict[int, tuple[int, int]] = {}
         for state, raw in mass.items():

@@ -111,8 +111,9 @@ def problem_document(problem: DecisionProblem, policy: UpdatePolicy) -> dict:
     that conditions this problem's prior, since that is what the keyword
     means when the document is read back: each distinct posterior's row on
     its cell must be the cell's weights from :mod:`prob`'s ``_cell_weights``
-    over their gcd, and every cell is read, so a zero-probability cell is
-    refused as conditioning on it would be.  Any other policy, even one
+    over their gcd.  Every cell of every policy is read, so a
+    zero-probability cell, which :func:`loads` refuses, is refused here as
+    conditioning on it would be.  Any other policy, even one
     built by conditioning another prior, is spelled out: its posterior
     tables are formatted once per distinct posterior object (states often
     share one), and each state gets its own copy of its table.
@@ -134,7 +135,7 @@ def problem_document(problem: DecisionProblem, policy: UpdatePolicy) -> dict:
     ]
     partition = [list(cell.sorted_members()) for cell in policy.partition.cells]
     conditions = policy.kind == CONDITIONALIZATION
-    for cell in policy.partition.cells if conditions else ():
+    for cell in policy.partition.cells:
         take, weights = _cell_weights(prior, cell)
         if conditions:
             common = math.gcd(*weights)

@@ -21,10 +21,11 @@ conditionalizing.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul, sub
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .decision import (
     ERROR_ON_TIE,
@@ -42,6 +43,7 @@ from .prob import (
     Credence,
     Event,
     StateSpace,
+    _check_types,
     _columns,
     _weight,
     as_fraction,
@@ -79,6 +81,7 @@ class EvidencePartition:
                 raise ValidationError(
                     f"partition cells must be Events, not {type(cell).__name__}"
                 )
+        _check_types(("space", self.space, StateSpace))
         if not is_partition(self.space, self.cells):
             raise ValidationError(
                 "cells must be non-empty, pairwise disjoint, and cover the space"
@@ -120,6 +123,10 @@ class UpdatePolicy:
     def __post_init__(self) -> None:
         if self.kind not in (CONDITIONALIZATION, EXPLICIT):
             raise ValidationError(f"unknown policy kind {self.kind!r}")
+        _check_types(
+            ("partition", self.partition, EvidencePartition),
+            ("posteriors", self.posteriors, Mapping),
+        )
         space = self.partition.space
         cleaned: dict[str, Credence] = {}
         certain: set[tuple[int, int]] = set()  # ids of (posterior, cell) pairs checked
@@ -209,6 +216,7 @@ class DeviationSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", _epsilon(self.epsilon))
+        _check_types(("deviant_posteriors", self.deviant_posteriors, Mapping))
         cleaned = {}
         for cell, posterior in self.deviant_posteriors.items():
             if not (isinstance(cell, Event) and isinstance(posterior, Credence)):

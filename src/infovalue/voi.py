@@ -245,15 +245,12 @@ def _cellwise(
     utility with one row per chosen action, in choice-set order: the
     conditional probability, given the cell, that the policy picks it, and
     its expected utility under the cell's conditioned prior.  The first
-    cell, in declared order, that has zero probability or whose choices
-    leak refuses.
+    cell, in declared order, whose choices leak refuses.  Every cell has
+    positive probability, which :func:`_informed` has checked, so every
+    cell has an act group.
     """
     out = []
     for cell, cell_groups in zip(policy.partition.cells, groups):
-        if not cell_groups:
-            raise ValidationError(
-                f"cannot decompose zero-probability cell {cell.describe()}"
-            )
         cell_scores, weights, leak = _cell_pass(problem, cell_groups)
         if leak is not None:
             action, probe = leak
@@ -292,10 +289,11 @@ def evaluate(problem: DecisionProblem, policy: UpdatePolicy) -> VoiReport:
     Factoring a cell's realized value into the table is exact only when
     choices carry no payoff-relevant information; if they do, raises
     :class:`IndependenceBrokenError` carrying the witnessing (cell, chosen
-    action, probe action) triple.  A zero-probability cell is a
-    :class:`ValidationError`.
+    action, probe action) triple.  A zero-probability cell raises
+    :class:`ZeroProbabilityError` first, as it does in :func:`val_good`.
     """
     groups = _choice_groups(problem, policy)
+    informed = _informed(problem, policy.partition)
     per_cell = _cellwise(problem, policy, groups)
     baseline = max_expected_utility(problem.prior, problem)
     states = problem.space.states
@@ -306,7 +304,7 @@ def evaluate(problem: DecisionProblem, policy: UpdatePolicy) -> VoiReport:
                 chosen[i] = action.id
     return VoiReport(
         baseline=baseline,
-        val_good=_informed(problem, policy.partition) - baseline,
+        val_good=informed - baseline,
         val_general=_realized(problem, groups) - baseline,
         per_cell=per_cell,
         chosen_by_state={s: a for s, a in zip(states, chosen) if a is not None},

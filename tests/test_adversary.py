@@ -18,7 +18,6 @@ from infovalue.adversary import (
     demonstrate_aversion,
 )
 from infovalue.decision import (
-    ERROR_ON_TIE,
     Action,
     ChoiceSet,
     DecisionProblem,
@@ -361,8 +360,7 @@ class TestAversionCertificate:
                 deviation=Deviation(WHOLE, state, event, q, r),
                 bet_win=win,
                 bet_loss=loss,
-                bet_event=bet_event,
-                problem=problem,
+                prior=prior,
                 policy=policy,
                 val_general=val_general(problem, policy),
             )
@@ -372,6 +370,26 @@ class TestAversionCertificate:
         else:
             with pytest.raises(ValidationError, match="does not separate"):
                 build()
+
+    def test_derived_attributes_are_not_fields(self):
+        """``bet_event`` and ``problem`` follow from the inputs, so equality,
+        hashing and ``dataclasses.replace`` see only the inputs."""
+        cert = self.build()
+        assert [f.name for f in dataclasses.fields(cert)] == [
+            "deviation", "bet_win", "bet_loss", "prior", "policy", "val_general"
+        ]
+        twin = dataclasses.replace(cert)
+        assert twin == cert and hash(twin) == hash(cert)
+        assert (twin.bet_event, twin.problem) == (cert.bet_event, cert.problem)
+
+    def test_prior_over_another_space_is_refused_as_conditioning(self):
+        """The problem is laid out on the prior's states, so a prior over
+        another space than the cell's reaches the cell's own refusal."""
+        larger = StateSpace(("g", "h", "k"))
+        prior = Credence(larger, {"g": Fraction(1, 2), "h": Fraction(1, 2)})
+        assert refusal(lambda: dataclasses.replace(self.build(), prior=prior)) == (
+            SpaceMismatchError, "_cell_weights", "event and credence live on different spaces"
+        )
 
     def test_one_choice_map_per_certificate(self, monkeypatch):
         """The value recomputation and the independence check share one map."""
@@ -388,7 +406,7 @@ class TestAversionCertificate:
         assert dataclasses.replace(cert) == cert
         assert calls == [(cert.problem, cert.policy)]
 
-    def test_misstated_deviation_and_bet_event_are_rejected(self):
+    def test_misstated_deviation_is_rejected(self):
         """Claims the value and the independence check never read are still
         checked: here q is really 9/10, r is 1/2, and the bet is on {g}.
         The message's values are built only once the integer check fails."""
@@ -403,39 +421,6 @@ class TestAversionCertificate:
                 f"deviation claims q={q}, r={r} on {{g}}, but the posterior and the "
                 "conditioned prior give 9/10 and 1/2"
             )
-        with pytest.raises(ValidationError, match="bet event"):
-            dataclasses.replace(cert, bet_event=Event(TWO, frozenset({"h"})))
-
-    @pytest.mark.parametrize("whole_cell", [False, True])
-    def test_tie_policy_must_be_first_by_order(self, whole_cell):
-        """A certificate's problem is synthesized ``first-by-order``; under
-        ``error-on-tie`` it is refused by name before the recomputation,
-        whether or not the bet's cell is the whole space (the gamblers
-        cell is half of it, so a state outside the cell ties both acts)."""
-        if whole_cell:
-            cert = self.build()
-        else:
-            gamblers = build_scenario("gamblers", epsilon=Fraction(1, 10))
-            cert = demonstrate_aversion(gamblers.problem, gamblers.policy)
-        assert (cert.deviation.cell.members == set(cert.problem.space)) is whole_cell
-        strict = dataclasses.replace(cert.problem, tie_policy=ERROR_ON_TIE)
-        assert refusal(lambda: dataclasses.replace(cert, problem=strict)) == (
-            ValidationError,
-            "AversionCertificate.__post_init__",
-            "the certificate's problem must break ties 'first-by-order', "
-            "as the synthesized problem does, not 'error-on-tie'",
-        )
-
-    def test_acts_must_be_exactly_safe_then_risky(self):
-        """Extra or reordered acts leave the value and the takers alone,
-        but they are not the certified problem."""
-        cert = self.build()
-        safe, risky = cert.problem.choices
-        idle = Action("idle", {"g": "zero", "h": "zero"})
-        for choices in ((safe, risky, idle), (risky, safe)):
-            tampered = dataclasses.replace(cert.problem, choices=ChoiceSet(choices))
-            with pytest.raises(ValidationError, match="acts must be exactly"):
-                dataclasses.replace(cert, problem=tampered)
 
     def test_tampered_stakes_are_rejected(self):
         cert = self.build()
@@ -477,8 +462,7 @@ class TestAversionCertificate:
                 deviation=deviation,
                 bet_win=win,
                 bet_loss=loss,
-                bet_event=deviation.event,
-                problem=problem,
+                prior=TWO_PRIOR,
                 policy=policy,
                 val_general=Fraction(1, 8),
             )
@@ -513,8 +497,7 @@ class TestAversionCertificate:
                 ),
                 bet_win=Fraction(1, 3),
                 bet_loss=Fraction(2, 3),
-                bet_event=bet_event,
-                problem=problem,
+                prior=prior,
                 policy=policy,
                 val_general=Fraction(-1, 9),
             )
@@ -524,19 +507,13 @@ class TestAversionCertificate:
         )
 
     def test_wrong_direction_bet_is_rejected(self):
-        """Swapping win and loss states makes the bet unattractive to the
-        deviant posterior, which the certificate checks directly."""
+        """Misstating q as 1/10 puts the bet on {h}, which the stakes still
+        split from r, but the deviant posterior, 9/10 on g, finds the bet
+        unattractive; the certificate checks that directly."""
         cert = self.build()
-        backwards = Action(
-            RISKY_ID,
-            {"g": "loss", "h": "win"},
-        )
-        safe = cert.problem.choices.by_id(SAFE_ID)
-        flipped = dataclasses.replace(
-            cert.problem, choices=ChoiceSet((safe, backwards))
-        )
+        misstated = dataclasses.replace(cert.deviation, q=Fraction(1, 10))
         with pytest.raises(ValidationError) as exc:
-            dataclasses.replace(cert, problem=flipped)
+            dataclasses.replace(cert, deviation=misstated)
         assert str(exc.value) == (
             "the bet must be strictly attractive to the deviant posterior (EU -3/5) "
             "and strictly unattractive to the conditioned one (EU -1/5)"
@@ -899,18 +876,6 @@ class TestCertificateWalk:
         assert exc.value.probe_action == RISKY_ID
 
 
-def paid_to_decline(cert):
-    """``cert`` with ``safe`` paying 1 everywhere, so declining is worth 1."""
-    outcomes = cert.problem.outcomes
-    paid = OutcomeSpace(outcomes.outcomes + ("paid",), {**outcomes.utility, "paid": 1})
-    safe = Action(SAFE_ID, {s: "paid" for s in cert.problem.space})
-    risky = cert.problem.choices.by_id(RISKY_ID)
-    problem = DecisionProblem(
-        cert.problem.space, paid, cert.problem.prior, ChoiceSet((safe, risky))
-    )
-    return dataclasses.replace(cert, problem=problem)
-
-
 def whole_space_gamblers_certificate():
     """A certificate on the whole gamblers space, which is no cell of its
     policy (the policy learns the first flip).  hh·bayes conditionalizes on
@@ -922,13 +887,11 @@ def whole_space_gamblers_certificate():
     whole = Event(space, frozenset(space.states))
     event = Event(space, frozenset({"tt·bayes", "tt·fallacy"}))
     win, loss = construct_bet(0, Fraction(1, 4))
-    bet_event = event.complement()
     return AversionCertificate(
         deviation=Deviation(whole, "hh·bayes", event, 0, Fraction(1, 4)),
         bet_win=win,
         bet_loss=loss,
-        bet_event=bet_event,
-        problem=adversary._synthesize(gamblers.problem, whole, bet_event, win, loss),
+        prior=gamblers.problem.prior,
         policy=gamblers.policy,
         val_general=Fraction(-1, 32),
     )
@@ -964,11 +927,6 @@ FLOAT_HALF = (
 @pytest.mark.parametrize(
     "build, location, message",
     [
-        (
-            lambda: paid_to_decline(demonstrate_aversion(two_state_problem(), skewed_policy())),
-            "AversionCertificate.__post_init__",
-            "declining must be prior-optimal at exactly 0, got 1",
-        ),
         (
             lambda: dataclasses.replace(
                 demonstrate_aversion(two_state_problem(), skewed_policy()), bet_win=0.5
@@ -1008,9 +966,46 @@ FLOAT_HALF = (
             "AversionCertificate.__post_init__",
             "state 'z' has prior probability 0, so it never occurs",
         ),
+        (
+            lambda: Deviation(("g", "h"), "g", WHOLE, Fraction(1, 2), Fraction(1, 3)),
+            "_check_types",
+            "cell must be of type Event, not tuple",
+        ),
+        (
+            lambda: Deviation(WHOLE, ["g"], WHOLE, Fraction(1, 2), Fraction(1, 3)),
+            "_check_types",
+            "state must be of type str, not list",
+        ),
+        (
+            lambda: Deviation(WHOLE, "g", frozenset({"g"}), Fraction(1, 2), Fraction(1, 3)),
+            "_check_types",
+            "event must be of type Event, not frozenset",
+        ),
+        (
+            lambda: dataclasses.replace(
+                demonstrate_aversion(two_state_problem(), skewed_policy()), deviation=WHOLE
+            ),
+            "_check_types",
+            "deviation must be of type Deviation, not Event",
+        ),
+        (
+            lambda: dataclasses.replace(
+                demonstrate_aversion(two_state_problem(), skewed_policy()),
+                prior=two_state_problem(),
+            ),
+            "_check_types",
+            "prior must be of type Credence, not DecisionProblem",
+        ),
+        (
+            lambda: dataclasses.replace(
+                demonstrate_aversion(two_state_problem(), skewed_policy()),
+                policy=TWO_PARTITION,
+            ),
+            "_check_types",
+            "policy must be of type UpdatePolicy, not EvidencePartition",
+        ),
     ],
     ids=[
-        "baseline-not-zero",
         "certificate-float-stake",
         "bet-float-q",
         "bet-bool-q",
@@ -1019,6 +1014,12 @@ FLOAT_HALF = (
         "bet-decimal-string-r",
         "certificate-cell-not-the-policys",
         "certificate-state-never-occurs",
+        "deviation-cell-not-an-event",
+        "deviation-state-not-a-string",
+        "deviation-event-not-an-event",
+        "certificate-deviation-not-a-deviation",
+        "certificate-prior-not-a-credence",
+        "certificate-policy-not-a-policy",
     ],
 )
 def test_refusals(build, location, message):

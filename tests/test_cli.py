@@ -243,8 +243,13 @@ class TestSweepCommand:
         assert "no epsilon parameter" in capsys.readouterr().err
 
     def test_blank_epsilon_list_is_rejected(self, capsys):
+        # the library's order: the preset's name first, then each entry
+        assert main(["sweep", "race", "--epsilons", " , "]) == 1
+        assert "no epsilon parameter" in capsys.readouterr().err
         assert main(["sweep", "gamblers", "--epsilons", " , "]) == 1
-        assert "at least one value" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: expected an exact rational string like '3/4' or '-2', got ' '\n"
+        )
 
     def test_entries_follow_the_rational_grammar_as_written(self, capsys):
         # the same rule as ``scenario --epsilon``: no spaces, no empty entries

@@ -476,19 +476,23 @@ class TestTheOracleCatchesMutants:
         ),
         (
             lambda: DecisionProblem(SPACE.states, OUTCOMES, uniform(), ChoiceSet((FLAT,))),
-            "DecisionProblem.__post_init__", "space must be of type StateSpace, not tuple",
+            "_check_types", "space must be of type StateSpace, not tuple",
         ),
         (
             lambda: DecisionProblem(SPACE, OUTCOMES.utility, uniform(), ChoiceSet((FLAT,))),
-            "DecisionProblem.__post_init__", "outcomes must be of type OutcomeSpace, not dict",
+            "_check_types", "outcomes must be of type OutcomeSpace, not dict",
         ),
         (
             lambda: DecisionProblem(SPACE, OUTCOMES, "uniform", ChoiceSet((FLAT,))),
-            "DecisionProblem.__post_init__", "prior must be of type Credence, not str",
+            "_check_types", "prior must be of type Credence, not str",
         ),
         (
             lambda: DecisionProblem(SPACE, OUTCOMES, uniform(), (FLAT, SPIKE)),
-            "DecisionProblem.__post_init__", "choices must be of type ChoiceSet, not tuple",
+            "_check_types", "choices must be of type ChoiceSet, not tuple",
+        ),
+        (
+            lambda: OutcomeSpace(("x",), [0]),
+            "_check_types", "utility must be of type Mapping, not list",
         ),
     ],
     ids=[
@@ -504,6 +508,7 @@ class TestTheOracleCatchesMutants:
         "outcomes-not-an-outcome-space",
         "prior-not-a-credence",
         "choices-not-a-choice-set",
+        "utility-not-a-mapping",
     ],
 )
 def test_refusals(build, location, message):

@@ -1,7 +1,8 @@
 """The package computes with integers and Fractions only.
 
 An ``ast`` lint of ``src/infovalue``: no float is built, nothing rounds, and
-no library with inexact arithmetic is imported.  Layout lints ride along:
+no library with inexact arithmetic is imported.  Every imported name is
+used, so a deletion leaves no import behind.  Layout lints ride along:
 only ``prob`` and ``problemfile`` read a state space's position map, and
 only ``prob`` reads the prior on a cell, so no layer that merely scores or
 compares the prior given a cell builds a conditioned credence (checked by
@@ -123,6 +124,43 @@ def test_only_prob_raises_the_refusals_of_conditioning():
         ("event and credence live on different spaces", "prob", "_cell_weights"),
         ("event and credence live on different spaces", "prob", "probability"),
     }
+
+
+def annotation_names(node):
+    """The names in the quoted parts of ``node``'s annotation, if it has one."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        annotation = node.returns
+    else:
+        annotation = getattr(node, "annotation", None)
+    for inner in ast.walk(annotation) if annotation is not None else ():
+        if isinstance(inner, ast.Constant) and isinstance(inner.value, str):
+            for name in ast.walk(ast.parse(inner.value, mode="eval")):
+                if isinstance(name, ast.Name):
+                    yield name.id
+
+
+def test_every_imported_name_is_used():
+    """A deletion leaves no import behind: each module names every name it
+    imports, in code or in a quoted annotation."""
+    unused, quoted = [], set()
+    for module, tree in TREES.items():
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) != "__future__":
+                    imported |= {
+                        alias.asname or alias.name.split(".")[0]
+                        for alias in node.names
+                        if alias.name != "*"
+                    }
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            in_quotes = set(annotation_names(node))
+            used |= in_quotes
+            quoted |= {(module, name) for name in in_quotes}
+        unused += sorted((module, name) for name in imported - used)
+    assert unused == []
+    assert ("decision", "EvidencePartition") in quoted  # the lint reads quoted annotations
 
 
 def called_name(node):

@@ -507,3 +507,26 @@ class TestStoredPositions:
         for name, (candidate, expected) in cases.items():
             assert is_partition(space, candidate) == plain_is_partition(space, candidate)
             assert is_partition(space, candidate) is expected, name
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: Event(("a", "b"), frozenset({"a"})),
+            "space must be of type StateSpace, not tuple",
+        ),
+        (
+            lambda: Credence(("a", "b"), {"a": 1}),
+            "space must be of type StateSpace, not tuple",
+        ),
+        (
+            lambda: Credence(StateSpace(("a", "b")), [("a", 1)]),
+            "mass must be of type Mapping, not list",
+        ),
+    ],
+    ids=["event-space-not-a-state-space", "credence-space-not-a-state-space",
+         "credence-mass-not-a-mapping"],
+)
+def test_wrong_typed_fields_are_refused(build, message):
+    assert refusal(build) == (ValidationError, "_check_types", message)

@@ -411,6 +411,20 @@ class TestRoundTrips:
         assert problem == fixture_problem()
         assert policy == explicit_policy()
 
+    def test_a_zero_probability_cell_is_refused_whatever_the_policy(self):
+        """``loads`` refuses a zero-probability cell, so ``dumps`` refuses an
+        explicit policy over one too, as conditioning on the cell would,
+        instead of writing a file that cannot be read back."""
+        space = StateSpace(("a", "b", "z"))
+        prior = Credence(space, {"a": Fraction(1, 2), "b": Fraction(1, 2)})
+        skewed = Credence(space, {"a": Fraction(9, 10), "b": Fraction(1, 10)})
+        partition = EvidencePartition(space, (Event(space, {"a", "b"}), Event(space, {"z"})))
+        posteriors = {"a": skewed, "b": skewed, "z": Credence(space, {"z": 1})}
+        policy = UpdatePolicy(partition, posteriors)
+        assert refusal(lambda: dumps(keyword_problem(prior), policy)) == (
+            ZeroProbabilityError, "_cell_weights", "cannot condition on zero-probability event {z}"
+        )
+
     def test_unreduced_masses_are_written_reduced(self):
         """Masses are read as unreduced integer pairs and written in lowest terms."""
 
@@ -498,11 +512,12 @@ class TestRoundTrips:
 
 def old_keyword_rule(problem, policy):
     """Whether the keyword is written, decided by building the prior's
-    conditionalization policy and comparing; a refusal as (type, message)."""
+    conditionalization policy and comparing; a refusal as (type, message).
+    The policy is built whatever the kind, so a zero-probability cell,
+    which a file may not declare, refuses every policy."""
     try:
-        return policy.kind == CONDITIONALIZATION and policy == (
-            conditionalization_policy(problem.prior, policy.partition)
-        )
+        built = conditionalization_policy(problem.prior, policy.partition)
+        return policy.kind == CONDITIONALIZATION and policy == built
     except InfoValueError as exc:
         return type(exc), str(exc)
 

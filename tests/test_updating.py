@@ -740,6 +740,24 @@ ELSEWHERE_POLICY = conditionalization_policy(SURE_X, ELSEWHERE_PARTITION)
             ValidationError, "EvidencePartition.__post_init__",
             "partition cells must be Events, not str",
         ),
+        (
+            lambda: EvidencePartition(BASE.states, (U, V)),
+            ValidationError, "_check_types", "space must be of type StateSpace, not tuple",
+        ),
+        (
+            lambda: UpdatePolicy(("x",), {}),
+            ValidationError, "_check_types",
+            "partition must be of type EvidencePartition, not tuple",
+        ),
+        (
+            lambda: UpdatePolicy(PARTITION, list(BASE)),
+            ValidationError, "_check_types", "posteriors must be of type Mapping, not list",
+        ),
+        (
+            lambda: DeviationSpec(Fraction(1, 2), [1]),
+            ValidationError, "_check_types",
+            "deviant_posteriors must be of type Mapping, not list",
+        ),
     ],
     ids=[
         "posterior-for-unknown-state",
@@ -753,6 +771,10 @@ ELSEWHERE_POLICY = conditionalization_policy(SURE_X, ELSEWHERE_PARTITION)
         "choice-over-two-spaces",
         "posterior-not-a-credence",
         "cell-not-an-event",
+        "partition-space-not-a-state-space",
+        "policy-partition-not-a-partition",
+        "policy-posteriors-not-a-mapping",
+        "deviant-posteriors-not-a-mapping",
     ],
 )
 def test_refusals(build, error, location, message):

@@ -229,7 +229,7 @@ class TestLemmaOneDecomposition:
             "h": Credence(space, {"h": Fraction(1)}),
         }
         policy = UpdatePolicy(partition, point)
-        with pytest.raises(ValidationError, match="zero-probability cell"):
+        with pytest.raises(ZeroProbabilityError, match="zero-probability event"):
             evaluate(problem, policy)
         with pytest.raises(ZeroProbabilityError):
             val_good(problem, partition)
