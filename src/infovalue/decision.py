@@ -33,7 +33,7 @@ those groups.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -84,6 +84,7 @@ class OutcomeSpace:
             raise ValidationError(
                 f"outcomes must be a sequence of ids, not the string {self.outcomes!r}"
             )
+        _check_types(("outcomes", self.outcomes, Iterable))
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
         if not self.outcomes:
             raise ValidationError("an outcome space needs at least one outcome")
@@ -128,6 +129,7 @@ class Action:
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not self.id:
             raise ValidationError(f"action ids must be non-empty strings, got {self.id!r}")
+        _check_types(("assignment", self.assignment, Mapping))
         object.__setattr__(self, "assignment", dict(self.assignment))
 
     def outcome_in(self, state: str) -> str:
@@ -150,6 +152,7 @@ class ChoiceSet:
             raise ValidationError(
                 f"actions must be a sequence of Actions, not the string {self.actions!r}"
             )
+        _check_types(("actions", self.actions, Iterable))
         object.__setattr__(self, "actions", tuple(self.actions))
         if not self.actions:
             raise ValidationError("a choice set needs at least one action")

@@ -19,8 +19,9 @@ its digit count.
 
 An :class:`Event` finds its members' positions once, in the lookup that
 refuses stray members, and stores them in state order as ``_positions``,
-which ``sorted_members``, ``_weight``, ``condition``, ``is_partition`` and
-the cell walks of ``updating``, ``voi`` and ``adversary`` read.  Only this
+which ``sorted_members``, ``_weight``, ``condition``, ``is_partition``,
+the cell walks of ``updating``, ``voi`` and ``adversary``, and the
+property suite's deviant draw read.  Only this
 module and ``problemfile`` read a :class:`StateSpace`'s position map.
 The prior given a cell is read by one reader, ``_cell_weights``, which
 refuses what :func:`condition` refuses: ``condition`` and ``problemfile``'s
@@ -33,11 +34,11 @@ from __future__ import annotations
 import math
 import re
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 from .errors import (
     SpaceMismatchError,
@@ -147,6 +148,7 @@ class StateSpace:
             raise ValidationError(
                 f"states must be a sequence of ids, not the string {self.states!r}"
             )
+        _check_types(("states", self.states, Iterable))
         object.__setattr__(self, "states", tuple(self.states))
         if not self.states:
             raise ValidationError("a state space needs at least one state")
@@ -187,7 +189,9 @@ class Event:
             raise ValidationError(
                 f"members must be a collection of ids, not the string {self.members!r}"
             )
-        _check_types(("space", self.space, StateSpace))
+        _check_types(
+            ("space", self.space, StateSpace), ("members", self.members, Iterable)
+        )
         object.__setattr__(self, "members", frozenset(self.members))
         try:
             positions = sorted(map(self.space._position.__getitem__, self.members))

@@ -107,16 +107,18 @@ def _located_ratio(text: Any, location: str) -> tuple[int, int]:
 def problem_document(problem: DecisionProblem, policy: UpdatePolicy) -> dict:
     """The JSON-ready document for a problem and its update policy.
 
-    The keyword ``"conditionalization"`` is written only for the policy
-    that conditions this problem's prior, since that is what the keyword
-    means when the document is read back: each distinct posterior's row on
-    its cell must be the cell's weights from :mod:`prob`'s ``_cell_weights``
-    over their gcd.  Every cell of every policy is read, so a
-    zero-probability cell, which :func:`loads` refuses, is refused here as
-    conditioning on it would be.  Any other policy, even one
-    built by conditioning another prior, is spelled out: its posterior
-    tables are formatted once per distinct posterior object (states often
-    share one), and each state gets its own copy of its table.
+    The keyword ``"conditionalization"`` is written exactly when the
+    policy conditions this problem's prior, however it was built, since
+    that is what the keyword means when the document is read back: at
+    every state, zero-prior states included, the posterior's row on its
+    cell must be the cell's weights from :mod:`prob`'s ``_cell_weights``
+    over their gcd.  Rows are compared once per distinct posterior object
+    in a cell, up to the first cell that differs.  Every cell is read, so
+    a zero-probability cell, which :func:`loads` refuses, is refused here
+    as conditioning on it would be.  Any other policy, even one built by
+    conditioning another prior, is spelled out: its posterior tables are
+    formatted once per distinct posterior object (states often share one),
+    and each state gets its own copy of its table.
     """
     if policy.space != problem.space:
         raise SpaceMismatchError("policy is not over the problem's space")
@@ -134,7 +136,7 @@ def problem_document(problem: DecisionProblem, policy: UpdatePolicy) -> dict:
         for a in problem.choices
     ]
     partition = [list(cell.sorted_members()) for cell in policy.partition.cells]
-    conditions = policy.kind == CONDITIONALIZATION
+    conditions = True
     for cell in policy.partition.cells:
         take, weights = _cell_weights(prior, cell)
         if conditions:

@@ -127,9 +127,7 @@ def _random_problem(
     """
     n = rng.randint(min_states, max_states)
     space = StateSpace(tuple(f"s{i + 1}" for i in range(n)))
-    weights = [rng.randint(1, 9) for _ in range(n)]
-    total = sum(weights)
-    prior = Credence(space, {s: Fraction(w, total) for s, w in zip(space, weights)})
+    prior = Credence._from_weights(space, [rng.randint(1, 9) for _ in range(n)])
 
     outcome_count = rng.randint(2, 5)
     outcome_ids = tuple(f"o{i + 1}" for i in range(outcome_count))
@@ -172,16 +170,13 @@ def _random_deviation_spec(
         if cell != forced and rng.randint(1, 10) > 7:
             continue
         conditioned = condition(prior, cell)
-        members = cell.sorted_members()
         for _ in range(_RESAMPLE_CAP):
-            weights = [rng.randint(0, 9) for _ in members]
-            total = sum(weights)
-            if total == 0:
+            weights = [0] * len(prior.space)
+            for i in cell._positions:
+                weights[i] = rng.randint(0, 9)
+            if not any(weights):
                 continue
-            candidate = Credence(
-                prior.space,
-                {m: Fraction(w, total) for m, w in zip(members, weights) if w},
-            )
+            candidate = Credence._from_weights(prior.space, weights)
             if candidate != conditioned:
                 deviants[cell] = candidate
                 break

@@ -21,7 +21,7 @@ conditionalizing.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul, sub
@@ -56,7 +56,6 @@ __all__ = [
     "UpdatePolicy",
     "DeviationSpec",
     "CONDITIONALIZATION",
-    "EXPLICIT",
     "conditionalization_policy",
     "mixture_expand",
     "is_immodest",
@@ -64,7 +63,6 @@ __all__ = [
 ]
 
 CONDITIONALIZATION = "conditionalization"
-EXPLICIT = "explicit"
 
 
 @dataclass(frozen=True)
@@ -75,6 +73,7 @@ class EvidencePartition:
     cells: tuple[Event, ...]
 
     def __post_init__(self) -> None:
+        _check_types(("cells", self.cells, Iterable))
         object.__setattr__(self, "cells", tuple(self.cells))
         for cell in self.cells:
             if not isinstance(cell, Event):
@@ -111,18 +110,16 @@ class UpdatePolicy:
 
     ``posteriors`` is total: every state of the space gets a posterior,
     and each posterior assigns probability exactly 1 to the state's own
-    cell.  ``kind`` records whether the policy was built as literal
-    conditionalization (so it can round-trip through files as the keyword
-    rather than a spelled-out table).
+    cell.  A policy is its partition and its posteriors: policies with
+    equal posteriors compare and hash equal however they were built, and
+    whether one conditions a prior is read off its posteriors
+    (:func:`deviating_states`, and the problem file's keyword).
     """
 
     partition: EvidencePartition
     posteriors: Mapping[str, Credence] = field(hash=False)
-    kind: str = EXPLICIT
 
     def __post_init__(self) -> None:
-        if self.kind not in (CONDITIONALIZATION, EXPLICIT):
-            raise ValidationError(f"unknown policy kind {self.kind!r}")
         _check_types(
             ("partition", self.partition, EvidencePartition),
             ("posteriors", self.posteriors, Mapping),
@@ -160,10 +157,7 @@ class UpdatePolicy:
 
     @classmethod
     def _checked(
-        cls,
-        partition: EvidencePartition,
-        posteriors: dict[str, Credence],
-        kind: str = EXPLICIT,
+        cls, partition: EvidencePartition, posteriors: dict[str, Credence]
     ) -> UpdatePolicy:
         """The policy for posteriors its caller has already checked.
 
@@ -177,7 +171,6 @@ class UpdatePolicy:
         policy = object.__new__(cls)
         object.__setattr__(policy, "partition", partition)
         object.__setattr__(policy, "posteriors", posteriors)
-        object.__setattr__(policy, "kind", kind)
         return policy
 
     @property
@@ -251,7 +244,7 @@ def conditionalization_policy(
     posteriors = {
         state: by_cell[id(partition.cell_of(state))] for state in partition.space
     }
-    return UpdatePolicy._checked(partition, posteriors, kind=CONDITIONALIZATION)
+    return UpdatePolicy._checked(partition, posteriors)
 
 
 def _joined(state: str, label: str) -> str:

@@ -494,6 +494,18 @@ class TestTheOracleCatchesMutants:
             lambda: OutcomeSpace(("x",), [0]),
             "_check_types", "utility must be of type Mapping, not list",
         ),
+        (
+            lambda: OutcomeSpace(5, {}),
+            "_check_types", "outcomes must be of type Iterable, not int",
+        ),
+        (
+            lambda: Action("a", [("s1", "mid")]),
+            "_check_types", "assignment must be of type Mapping, not list",
+        ),
+        (
+            lambda: ChoiceSet(5),
+            "_check_types", "actions must be of type Iterable, not int",
+        ),
     ],
     ids=[
         "no-outcomes",
@@ -509,6 +521,9 @@ class TestTheOracleCatchesMutants:
         "prior-not-a-credence",
         "choices-not-a-choice-set",
         "utility-not-a-mapping",
+        "outcomes-not-iterable",
+        "assignment-not-a-mapping",
+        "actions-not-iterable",
     ],
 )
 def test_refusals(build, location, message):

@@ -26,7 +26,6 @@ PUBLIC = [
     "Deviation",
     "DeviationSpec",
     "ERROR_ON_TIE",
-    "EXPLICIT",
     "Event",
     "EvidencePartition",
     "FIRST_BY_ORDER",

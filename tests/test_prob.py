@@ -524,9 +524,14 @@ class TestStoredPositions:
             lambda: Credence(StateSpace(("a", "b")), [("a", 1)]),
             "mass must be of type Mapping, not list",
         ),
+        (lambda: StateSpace(5), "states must be of type Iterable, not int"),
+        (
+            lambda: Event(StateSpace(("a", "b")), 5),
+            "members must be of type Iterable, not int",
+        ),
     ],
     ids=["event-space-not-a-state-space", "credence-space-not-a-state-space",
-         "credence-mass-not-a-mapping"],
+         "credence-mass-not-a-mapping", "states-not-iterable", "members-not-iterable"],
 )
 def test_wrong_typed_fields_are_refused(build, message):
     assert refusal(build) == (ValidationError, "_check_types", message)

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from infovalue import cli, prob
@@ -32,7 +32,7 @@ from infovalue.errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from infovalue.prob import Credence, Event, StateSpace, condition
+from infovalue.prob import Credence, Event, StateSpace, condition, probability
 from infovalue.problemfile import (
     _overwrite,
     canonical_json,
@@ -48,7 +48,6 @@ from infovalue.properties import PROPERTY_NAMES, PropertyFailure, PropertyReport
 from infovalue.scenarios import GAMBLERS, build_scenario
 from infovalue.updating import (
     CONDITIONALIZATION,
-    EXPLICIT,
     EvidencePartition,
     UpdatePolicy,
     conditionalization_policy,
@@ -75,7 +74,7 @@ def fixture_problem(tie_policy=FIRST_BY_ORDER):
 
 
 def explicit_policy():
-    distorted = Credence(SPACE, {"a": Fraction(2, 3), "b": Fraction(1, 3)})
+    distorted = Credence(SPACE, {"a": Fraction(3, 4), "b": Fraction(1, 4)})
     sure_c = Credence(SPACE, {"c": Fraction(1)})
     return UpdatePolicy(PARTITION, {"a": distorted, "b": distorted, "c": sure_c})
 
@@ -123,15 +122,15 @@ FIXTURE_TEXT = """\
   "policy": [
     {
       "posterior": {
-        "a": "2/3",
-        "b": "1/3"
+        "a": "3/4",
+        "b": "1/4"
       },
       "state": "a"
     },
     {
       "posterior": {
-        "a": "2/3",
-        "b": "1/3"
+        "a": "3/4",
+        "b": "1/4"
       },
       "state": "b"
     },
@@ -318,7 +317,7 @@ class TestDocumentShape:
     def test_explicit_policy_lists_positive_masses_only(self):
         doc = problem_document(fixture_problem(), explicit_policy())
         entries = {e["state"]: e["posterior"] for e in doc["policy"]}
-        assert entries["a"] == {"a": "2/3", "b": "1/3"}
+        assert entries["a"] == {"a": "3/4", "b": "1/4"}
         assert entries["c"] == {"c": "1"}
 
     def test_dumps_ends_with_a_newline(self):
@@ -330,7 +329,7 @@ class TestDocumentShape:
         assert policy.posterior("a") is policy.posterior("b")
         doc = problem_document(fixture_problem(), policy)
         doc["policy"][0]["posterior"]["a"] = "0"
-        assert doc["policy"][1]["posterior"] == {"a": "2/3", "b": "1/3"}
+        assert doc["policy"][1]["posterior"] == {"a": "3/4", "b": "1/4"}
         assert dumps(fixture_problem(), policy) == FIXTURE_TEXT
 
 
@@ -401,7 +400,7 @@ class TestRoundTrips:
         policy = conditionalization_policy(PRIOR, PARTITION)
         text = dumps(fixture_problem(), policy)
         problem, _, parsed = loads(text)
-        assert parsed.kind == CONDITIONALIZATION
+        assert parsed == policy
         assert dumps(problem, parsed) == text
 
     def test_file_round_trip(self, tmp_path):
@@ -432,8 +431,8 @@ class TestRoundTrips:
             for entry, text in zip(d["states"], ("2/4", "003/12", "+1/4")):
                 entry["prob"] = text
             d["outcomes"][1]["utility"] = "06/4"
-            d["policy"][0]["posterior"] = {"a": "4/6", "b": "002/6"}
-            d["policy"][1]["posterior"] = {"a": "+2/3", "b": "1/3", "c": "-0/5"}
+            d["policy"][0]["posterior"] = {"a": "6/8", "b": "002/8"}
+            d["policy"][1]["posterior"] = {"a": "+3/4", "b": "1/4", "c": "-0/5"}
             d["policy"][2]["posterior"] = {"c": "3/3"}
 
         problem, partition, policy = loads(mutated_text(unreduce))
@@ -513,11 +512,12 @@ class TestRoundTrips:
 def old_keyword_rule(problem, policy):
     """Whether the keyword is written, decided by building the prior's
     conditionalization policy and comparing; a refusal as (type, message).
-    The policy is built whatever the kind, so a zero-probability cell,
-    which a file may not declare, refuses every policy."""
+    The prior's conditionalization policy is always built, so a
+    zero-probability cell, which a file may not declare, refuses every
+    policy."""
     try:
         built = conditionalization_policy(problem.prior, policy.partition)
-        return policy.kind == CONDITIONALIZATION and policy == built
+        return policy == built
     except InfoValueError as exc:
         return type(exc), str(exc)
 
@@ -544,7 +544,7 @@ def cell_certain(space, masses):
 @st.composite
 def keyword_cases(draw):
     """A prior, some of it 0, and a policy over a partition declared out of
-    state order, held as ``kind`` conditionalization or explicit.
+    state order.
 
     The policy is this prior's conditionalization, another prior's, or one
     drawn state by state: each state holds its cell's conditioned prior
@@ -590,8 +590,7 @@ def keyword_cases(draw):
                     .filter(any)
                 )
                 posteriors[state] = cell_certain(space, dict(zip(states, drawn)))
-    kind = draw(st.sampled_from((CONDITIONALIZATION, EXPLICIT)))
-    return keyword_problem(prior), UpdatePolicy(partition, posteriors, kind=kind)
+    return keyword_problem(prior), UpdatePolicy(partition, posteriors)
 
 
 class TestConditionalizationKeyword:
@@ -606,7 +605,8 @@ class TestConditionalizationKeyword:
     def test_hand_picked_corners(self):
         """A differing cell before and after a zero-probability cell, a
         zero-prior state holding another posterior, equal posteriors held as
-        distinct objects, and an explicit policy that does condition."""
+        distinct objects, and a policy that conditions while holding only
+        posteriors spelled out by hand."""
         space = StateSpace(("a", "b", "c", "z"))
         prior = Credence(space, {"a": Fraction(1, 4), "b": Fraction(1, 2), "c": Fraction(1, 4)})
         ab, c, z = (Event(space, m) for m in ({"a", "b"}, {"c"}, {"z"}))
@@ -617,9 +617,9 @@ class TestConditionalizationKeyword:
         sure_c, sure_z = Credence(space, {"c": 1}), Credence(space, {"z": 1})
         problem = keyword_problem(prior)
 
-        def policy(cells, held, kind=CONDITIONALIZATION):
+        def policy(cells, held):
             partition = EvidencePartition(space, cells)
-            return UpdatePolicy(partition, {"c": sure_c, "z": sure_z, **held}, kind=kind)
+            return UpdatePolicy(partition, {"c": sure_c, "z": sure_z, **held})
 
         cases = [
             policy((ab, c, z), {"a": skewed, "b": skewed}),
@@ -628,13 +628,64 @@ class TestConditionalizationKeyword:
             policy((cz, ab), {"a": conditioned, "b": conditioned, "z": sure_c}),
             policy((cz, ab), {"a": conditioned, "b": conditioned}),
             policy((ab, cz), {"a": conditioned, "b": copy, "z": sure_c}),
-            policy((ab, cz), {"a": conditioned, "b": copy, "z": sure_c}, EXPLICIT),
+            policy((ab, cz), {"a": copy, "b": copy, "z": sure_c}),
             policy((ab, cz), {"a": skewed, "b": skewed, "z": sure_c}),
         ]
         refused = (ZeroProbabilityError, "cannot condition on zero-probability event {z}")
-        expected = [refused, refused, refused, True, False, True, False, False]
+        expected = [refused, refused, refused, True, False, True, True, False]
         assert [old_keyword_rule(problem, each) for each in cases] == expected
         assert [keyword_written(problem, each) for each in cases] == expected
+
+
+def spelled_out(problem, policy):
+    """The problem file of ``problem`` and ``policy`` with every posterior
+    written as a table, as :func:`dumps` writes a policy that does not
+    condition the prior."""
+    doc = problem_document(problem, policy)
+    doc["policy"] = [
+        {
+            "state": s,
+            "posterior": {
+                t: format_rational(m) for t, m in zip(problem.space, p.mass) if m
+            },
+        }
+        for s, p in policy.posteriors.items()
+    ]
+    return json.dumps(doc)
+
+
+class TestEqualPoliciesAreOnePolicy:
+    """A policy is its partition and its posteriors: however equal
+    posteriors are put together, the policies compare and hash equal and
+    write one file, which reads back as the same policy."""
+
+    @given(keyword_cases())
+    def test_every_route_to_equal_posteriors_gives_one_policy(self, case):
+        problem, policy = case
+        partition, space = policy.partition, problem.space
+        assume(all(probability(problem.prior, cell) for cell in partition.cells))
+        copies = {
+            s: Credence(space, dict(zip(space.states, p.mass)))
+            for s, p in policy.posteriors.items()
+        }
+        routes = [
+            policy,
+            UpdatePolicy(partition, policy.posteriors),
+            UpdatePolicy(partition, copies),
+            loads(spelled_out(problem, policy))[2],
+        ]
+        built = conditionalization_policy(problem.prior, partition)
+        conditions = policy == built
+        if conditions:
+            keyword = {**problem_document(problem, built), "policy": CONDITIONALIZATION}
+            routes += [built, loads(json.dumps(keyword))[2]]
+        assert all(each == policy for each in routes)
+        assert {hash(each) for each in routes} == {hash(policy)}
+        texts = {dumps(problem, each) for each in routes}
+        assert len(texts) == 1
+        text = texts.pop()
+        assert loads(text)[2] == policy
+        assert (json.loads(text)["policy"] == CONDITIONALIZATION) is conditions
 
 
 class TestFileWriter:
@@ -920,7 +971,7 @@ class TestParseErrors:
         assert policy.posterior("a") is policy.posterior("b")
         assert policy.posterior("a") == explicit_policy().posterior("a")
         reordered = mutated_text(
-            lambda d: d["policy"][1].update(posterior={"b": "1/3", "a": "2/3"})
+            lambda d: d["policy"][1].update(posterior={"b": "1/4", "a": "3/4"})
         )
         _, _, policy = loads(reordered)
         assert policy.posterior("a") is policy.posterior("b")

@@ -30,9 +30,9 @@ from infovalue.properties import (
     property_suite,
 )
 from infovalue.updating import (
-    CONDITIONALIZATION,
     EvidencePartition,
     UpdatePolicy,
+    conditionalization_policy,
     deviating_states,
     is_immodest,
 )
@@ -111,7 +111,8 @@ class TestInstanceGenerators:
     def test_conditionalization_instance(self):
         instance = _random_conditionalization_instance(random.Random(5))
         assert instance.kind == "conditionalization"
-        assert instance.policy.kind == CONDITIONALIZATION
+        prior, partition = instance.problem.prior, instance.partition
+        assert instance.policy == conditionalization_policy(prior, partition)
         assert is_immodest(instance.policy, instance.problem.prior)
         assert instance.partition is instance.policy.partition
         evaluate(instance.problem, instance.policy)  # tie-free by construction

@@ -21,7 +21,7 @@ from infovalue.scenarios import (
     threshold,
 )
 from infovalue.updating import (
-    CONDITIONALIZATION,
+    conditionalization_policy,
     deviating_states,
     is_immodest,
 )
@@ -40,7 +40,8 @@ class TestRace:
 
     def test_the_bettor_conditionalizes(self):
         scenario = build_scenario(RACE)
-        assert scenario.policy.kind == CONDITIONALIZATION
+        prior, partition = scenario.problem.prior, scenario.policy.partition
+        assert scenario.policy == conditionalization_policy(prior, partition)
         assert is_immodest(scenario.policy, scenario.problem.prior)
 
     def test_report_chooses_the_favored_horse_per_cell(self):

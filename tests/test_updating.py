@@ -25,7 +25,6 @@ from infovalue.errors import (
 )
 from infovalue.prob import Credence, Event, StateSpace, condition, probability
 from infovalue.updating import (
-    CONDITIONALIZATION,
     DeviationSpec,
     EvidencePartition,
     UpdatePolicy,
@@ -129,11 +128,6 @@ class TestUpdatePolicy:
         with pytest.raises(SpaceMismatchError):
             UpdatePolicy(PARTITION, posteriors)
 
-    def test_rejects_unknown_kind(self):
-        posteriors = {s: condition(PRIOR, PARTITION.cell_of(s)) for s in BASE}
-        with pytest.raises(ValidationError, match="kind"):
-            UpdatePolicy(PARTITION, posteriors, kind="vibes")
-
     def test_posterior_lookup(self):
         policy = conditionalization_policy(PRIOR, PARTITION)
         assert policy.posterior("u1") == condition(PRIOR, U)
@@ -152,13 +146,12 @@ class TestUpdatePolicy:
         again = UpdatePolicy(
             EvidencePartition(BASE, (U, V)),
             {s: condition(PRIOR, PARTITION.cell_of(s)) for s in reversed(BASE.states)},
-            kind=CONDITIONALIZATION,
         )
         assert built == again
         assert hash(built) == hash(again)
         posteriors = dict(built.posteriors)
         posteriors["u1"] = Credence(BASE, {"u1": Fraction(1)})
-        assert built != UpdatePolicy(PARTITION, posteriors, kind=CONDITIONALIZATION)
+        assert built != UpdatePolicy(PARTITION, posteriors)
 
 
 class TestConditionalizationPolicy:
@@ -166,7 +159,6 @@ class TestConditionalizationPolicy:
         policy = conditionalization_policy(PRIOR, PARTITION)
         for s in BASE:
             assert policy.posterior(s) == condition(PRIOR, PARTITION.cell_of(s))
-        assert policy.kind == CONDITIONALIZATION
 
     def test_is_immodest_with_degree_zero(self):
         policy = conditionalization_policy(PRIOR, PARTITION)
@@ -758,6 +750,10 @@ ELSEWHERE_POLICY = conditionalization_policy(SURE_X, ELSEWHERE_PARTITION)
             ValidationError, "_check_types",
             "deviant_posteriors must be of type Mapping, not list",
         ),
+        (
+            lambda: EvidencePartition(BASE, 5),
+            ValidationError, "_check_types", "cells must be of type Iterable, not int",
+        ),
     ],
     ids=[
         "posterior-for-unknown-state",
@@ -775,6 +771,7 @@ ELSEWHERE_POLICY = conditionalization_policy(SURE_X, ELSEWHERE_PARTITION)
         "policy-partition-not-a-partition",
         "policy-posteriors-not-a-mapping",
         "deviant-posteriors-not-a-mapping",
+        "cells-not-iterable",
     ],
 )
 def test_refusals(build, error, location, message):
