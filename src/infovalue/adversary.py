@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import mul
 from typing import Iterator
 
 from .decision import (
@@ -47,7 +46,7 @@ from .errors import (
     SpaceMismatchError,
     ValidationError,
 )
-from .prob import Credence, Event, _check_types, _ratio, _weight, as_fraction
+from .prob import Credence, Event, _cell_weights, _check_types, _ratio, _weight, as_fraction
 from .updating import (
     UpdatePolicy,
     _cell_table,
@@ -125,11 +124,12 @@ def construct_bet(q: Fraction, r: Fraction) -> tuple[Fraction, Fraction]:
     event's complement, which flips the inequality).  Stakes are
     normalized to ``win + loss = 1``, so the bet is favorable to a
     credence exactly when it puts more than ``loss`` on the event; the
-    midpoint construction puts that threshold strictly between ``r`` and
-    ``q``, and both stakes land strictly inside (0, 1).  ``q`` and ``r``
-    are read in :func:`~infovalue.prob.as_fraction`'s grammar as integer
-    pairs, and every step cross-multiplies them: the only Fractions built
-    are the two stakes, and a refused value for its message.
+    midpoint ``loss = (q + r) / 2`` lies strictly between ``r`` and ``q``,
+    and both stakes land strictly inside (0, 1).  :class:`AversionCertificate`
+    prices its own bet here, from its verified ``q`` and ``r``.  ``q`` and
+    ``r`` are read in :func:`~infovalue.prob.as_fraction`'s grammar as
+    integer pairs, and every step cross-multiplies them: the only Fractions
+    built are the two stakes, and a refused value for its message.
     """
     (q_num, q_den), (r_num, r_den) = _ratio(q), _ratio(r)
     for name, num, den in (("q", q_num, q_den), ("r", r_num, r_den)):
@@ -148,129 +148,77 @@ def construct_bet(q: Fraction, r: Fraction) -> tuple[Fraction, Fraction]:
 class AversionCertificate:
     """A checked demonstration that learning has strictly negative value.
 
-    Holds the located deviation, the priced bet, the prior and the policy.
-    From these it derives, once, two attributes that are not fields (so
-    ``==``, ``hash`` and :func:`dataclasses.replace` see only the inputs):
-    ``bet_event``, the deviation's event when ``q > r`` and its complement
-    otherwise, and ``problem``, the two-action problem on the prior:
-    ``safe`` always pays 0; ``risky`` wins ``bet_win`` on ``bet_event``
-    inside the deviation's cell, loses ``bet_loss`` on the rest of the
-    cell, and pays 0 outside it.  ``bet_win``, ``bet_loss`` and
-    ``val_general`` are read by :func:`~infovalue.prob.as_fraction`.
-    Construction checks, in this order: the stakes are positive and their
-    break-even threshold separates q from r, the bet is strictly attractive
-    to the deviant posterior and strictly unattractive to the conditioned
-    one, ``val_general`` — recomputed from scratch, not trusted from the
-    caller — is strictly negative, and no choice on the synthesized problem
-    reveals anything payoff-relevant, which the value's accounting
-    requires.  The deviation's cell must be a cell of the policy's
-    partition: on any other event, a state that conditionalizes on its own
-    cell could be named the deviant.  The deviant state must have positive
-    prior probability, as a state that never occurs witnesses nothing.
-    Last, ``q`` and ``r`` must be the deviant posterior's and the
-    conditioned prior's probabilities of the deviation's event.  Declining
-    is prior-optimal at exactly 0 without a check: ``risky`` pays 0 outside
-    the cell, so its prior score is its score on the cell, which the sign
-    check has found negative.
+    Holds the located deviation, the prior, the policy and the claimed
+    value, which is read by :func:`~infovalue.prob.as_fraction`.  From
+    these it derives, once, four attributes that are not fields (so ``==``,
+    ``hash`` and :func:`dataclasses.replace` see only the inputs): the
+    stakes ``bet_win`` and ``bet_loss``, priced by :func:`construct_bet`
+    from the deviation's ``q`` and ``r``; ``bet_event``, the deviation's
+    event when ``q > r`` and its complement otherwise; and ``problem``, the
+    two-action problem on the prior: ``safe`` always pays 0; ``risky`` wins
+    ``bet_win`` on ``bet_event`` inside the deviation's cell, loses
+    ``bet_loss`` on the rest of the cell, and pays 0 outside it.
 
-    Every check compares integers.  The threshold and the stakes are
-    cross-multiplied numerators and denominators.  The two expected
-    utilities' signs and the masses behind ``q`` and ``r`` are read off the
-    problem's integer utility rows, the posterior's ``nums`` and the
-    prior's weights on the cell, so no credence is conditioned (the cell's
-    weight and scores come from ``DecisionProblem._cell_scores``) and no
-    expected utility is built.  The checks build one Fraction, the
-    recomputed value; any other is built only for an error message.  That
-    recomputation is the second route: it builds its own per-cell act
-    groups (the states that choose each act) from the synthesized problem
-    and the policy, and sums what each state's chosen act pays there.  It
-    shares no tally with the search that priced the bet, so a fault in the
-    search's tallies cannot vouch for itself.  The leak test reads the same
-    act groups.  Besides that one choice map, the checks cost O(|space|)
-    integer operations.
+    Construction checks the claims the bet is priced from before it prices
+    it, in this order.  The deviation's cell must be a cell of the policy's
+    partition: on any other event, a state that conditionalizes on its own
+    cell could be named the deviant.  The prior must give the cell positive
+    weight, refused as conditioning on it would be.  The deviant state must
+    have positive prior probability, as a state that never occurs witnesses
+    nothing.  ``q`` and ``r`` must be the deviant posterior's and the
+    conditioned prior's probabilities of the deviation's event.  Then the
+    bet is priced and synthesized, and ``val_general`` — recomputed from
+    scratch, not trusted from the caller — must match the claim and be
+    strictly negative, and no choice on the synthesized problem may reveal
+    anything payoff-relevant, which the value's accounting requires.
+
+    The verified ``q`` and ``r`` are what make the stakes need no check of
+    their own.  The posterior is certain of its partition cell, so ``q``
+    is its probability of the bet's event within the cell, as ``r`` is the
+    conditioned prior's, and the midpoint stake lies strictly between
+    them: the deviant posterior takes the bet and the conditioned prior
+    declines it.  Declining is then prior-optimal at exactly 0: ``risky``
+    pays 0 outside the cell, and given the cell it is worth the
+    conditioned prior's probability of the bet less ``bet_loss``, which is
+    negative because the midpoint lies above that probability.
+
+    Every check compares integers: the masses behind ``q`` and ``r`` are
+    read off the posterior's ``nums`` and the prior's weights on the cell,
+    so no credence is conditioned and no expected utility is built.  The
+    checks build three Fractions, the stakes and the recomputed value; any
+    other is built only for an error message.  The recomputation is a
+    second route: it builds its own per-cell act groups from the
+    synthesized problem and the policy, sharing no tally with the search
+    that found the bet, and the leak test reads the same groups.  Besides
+    that one choice map, the checks cost O(|space|) integer operations.
     """
 
     deviation: Deviation
-    bet_win: Fraction
-    bet_loss: Fraction
     prior: Credence
     policy: UpdatePolicy
     val_general: Fraction
 
     def __post_init__(self) -> None:
-        for name in ("bet_win", "bet_loss", "val_general"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
+        object.__setattr__(self, "val_general", as_fraction(self.val_general))
         _check_types(
             ("deviation", self.deviation, Deviation),
             ("prior", self.prior, Credence),
             ("policy", self.policy, UpdatePolicy),
         )
-        win, loss = self.bet_win, self.bet_loss
-        if win.numerator <= 0 or loss.numerator <= 0:
-            raise ValidationError("stakes must be positive on both sides")
-        deviation, prior = self.deviation, self.prior
-        q, r = deviation.q, deviation.r
-        q_wins = q.numerator * r.denominator > r.numerator * q.denominator
-        if q_wins:
-            high, low = (q.numerator, q.denominator), (r.numerator, r.denominator)
-        else:  # the bet is on the complement
-            high = (q.denominator - q.numerator, q.denominator)
-            low = (r.denominator - r.numerator, r.denominator)
-        # the threshold loss / (win + loss) is t_num / t_den
-        t_num = loss.numerator * win.denominator
-        t_den = win.numerator * loss.denominator + t_num
-        if not (low[0] * t_den < t_num * low[1] and t_num * high[1] < high[0] * t_den):
-            raise ValidationError(
-                f"break-even threshold {Fraction(t_num, t_den)} does not separate "
-                f"q={q} from r={r} on the event bet on"
-            )
-        cell, event = deviation.cell, deviation.event
-        bet_event = event if q_wins else event.complement()
-        problem = _synthesize(prior, cell, bet_event, win, loss)
-        object.__setattr__(self, "bet_event", bet_event)
-        object.__setattr__(self, "problem", problem)
-        posterior = self.policy.posterior(deviation.state)
-        cell_weight, (_, sober) = problem._cell_scores(cell)
-        if posterior.space != problem.space:
-            raise SpaceMismatchError("credence is not over the problem's space")
-        # risky's expected utilities, times posterior.den * U and cell_weight * U
-        _, risky = problem._rows.values()
-        deviant = sum(map(mul, risky, posterior.nums))
-        if not deviant > 0 > sober:
-            raise ValidationError(
-                f"the bet must be strictly attractive to the deviant posterior "
-                f"(EU {Fraction(deviant, posterior.den * problem._scale)}) and "
-                f"strictly unattractive to the conditioned one "
-                f"(EU {Fraction(sober, cell_weight * problem._scale)})"
-            )
-        groups = _choice_groups(problem, self.policy)
-        recomputed = _realized(problem, groups)  # less the baseline, which is 0
-        if recomputed != self.val_general:
-            raise ValidationError(
-                f"certificate claims val_general={self.val_general}, "
-                f"recomputation gives {recomputed}"
-            )
-        if self.val_general.numerator >= 0:
-            raise ValidationError(
-                f"certificate requires strictly negative value, got {self.val_general}"
-            )
-        witness = _first_leak(problem, self.policy, groups)
-        if witness is not None:
-            leaking, chosen, probe = witness
-            leak = IndependenceBrokenError(leaking, chosen.id, probe.id)
-            raise ValidationError(f"the bet's takers leak: {leak}")
-        if cell not in self.policy.partition.cells:
+        deviation, prior, policy = self.deviation, self.prior, self.policy
+        cell, event, q, r = deviation.cell, deviation.event, deviation.q, deviation.r
+        if cell not in policy.partition.cells:
             raise ValidationError(
                 f"cell {cell.describe()} is not a cell of the policy's partition"
             )
-        if not prior.nums[problem.space.index(deviation.state)]:
+        _, weights = _cell_weights(prior, cell)
+        if not prior.nums[prior.space.index(deviation.state)]:
             raise ValidationError(
                 f"state {deviation.state!r} has prior probability 0, so it never occurs"
             )
         # the event's mass under the posterior and, as it lies inside the cell
-        # (Deviation checks that), under the prior conditioned on the cell;
-        # Deviation puts the event on the cell's space, which _cell_scores
-        # checked is the prior's
+        # (Deviation checks that), under the prior conditioned on the cell
+        posterior, cell_weight = policy.posterior(deviation.state), sum(weights)
         q_num, r_num = _weight(posterior, event), _weight(prior, event)
         if (
             q_num * q.denominator != q.numerator * posterior.den
@@ -281,6 +229,29 @@ class AversionCertificate:
                 f"posterior and the conditioned prior give "
                 f"{Fraction(q_num, posterior.den)} and {Fraction(r_num, cell_weight)}"
             )
+        win, loss = construct_bet(q, r)
+        bet_event = event if q > r else event.complement()
+        problem = _synthesize(prior, cell, bet_event, win, loss)
+        object.__setattr__(self, "bet_win", win)
+        object.__setattr__(self, "bet_loss", loss)
+        object.__setattr__(self, "bet_event", bet_event)
+        object.__setattr__(self, "problem", problem)
+        groups = _choice_groups(problem, policy)
+        recomputed = _realized(problem, groups)  # less the baseline, which is 0
+        if recomputed != self.val_general:
+            raise ValidationError(
+                f"certificate claims val_general={self.val_general}, "
+                f"recomputation gives {recomputed}"
+            )
+        if self.val_general.numerator >= 0:
+            raise ValidationError(
+                f"certificate requires strictly negative value, got {self.val_general}"
+            )
+        witness = _first_leak(problem, policy, groups)
+        if witness is not None:
+            leaking, chosen, probe = witness
+            leak = IndependenceBrokenError(leaking, chosen.id, probe.id)
+            raise ValidationError(f"the bet's takers leak: {leak}")
 
 
 def _synthesize(
@@ -294,8 +265,7 @@ def _synthesize(
 
     Safe is listed first, so every state indifferent between the two
     (everything outside the deviation's cell, where both pay 0) declines.
-    Each act is laid out over the prior's states, so a cell on another
-    space reaches ``DecisionProblem._cell_scores`` and is refused there.
+    Each act is laid out over the prior's states.
     """
     space = prior.space
     outcomes = OutcomeSpace(
@@ -407,12 +377,12 @@ def demonstrate_aversion(
 
     Walks the policy's disagreements with conditioning in deterministic
     order — cells as declared, deviating states in state order, candidate
-    events by size then state order within the cell — and prices the
-    midpoint bet for each until one leaves choices uninformative about
-    payoffs.  That first surviving candidate becomes the certificate.  Its
-    value is the takers' prior weight times their stake, summed from the
-    search's integer tallies into one Fraction over ``loss_den *
-    prior.den``.  :class:`AversionCertificate` then checks it, in integers,
+    events by size then state order within the cell — and weighs the
+    midpoint bet for each, in integers, until one leaves choices
+    uninformative about payoffs.  That first surviving candidate becomes
+    the certificate, which prices its own stakes.  Its value is the
+    takers' prior weight times their stake, summed from the search's
+    integer tallies into one Fraction over ``loss_den * prior.den``.  :class:`AversionCertificate` then checks it, in integers,
     against a definitional recomputation that builds its own act groups on
     the synthesized problem and shares no tally with the search, and
     reruns the leak test on those groups.
@@ -432,9 +402,9 @@ def demonstrate_aversion(
     rejected.  Stakes are integers over one denominator per cell, and each
     posterior class's mass and ``own`` weight on a candidate are summed
     along the candidate's own members (:func:`_tally`), in O(|event|)
-    integer operations.  Only the certificate's fields are Fractions: ``q``,
-    ``r``, the stakes that :func:`construct_bet` prices from them, and the
-    value.  A cell of ``n`` states that is not calibrated walks up to
+    integer operations.  Only the certificate's claims are Fractions:
+    ``q``, ``r`` and the value, so a rejected candidate is never priced.
+    A cell of ``n`` states that is not calibrated walks up to
     ``2**n - 2`` events per distinct deviating posterior.
 
     Raises :class:`NoDeviationError` if the policy conditionalizes at
@@ -491,7 +461,6 @@ def demonstrate_aversion(
                 if taker_bet_weight * total != bet_weight * taker_weight:
                     continue
                 q, r = Fraction(q_num, den), Fraction(r_num, total)
-                bet_win, bet_loss = construct_bet(q, r)
                 event = Event(space, frozenset(members[i] for i in combo))
                 # a taker wins 1 - loss on the bet and loses loss off it, with
                 # loss = key[1] / loss_den
@@ -500,8 +469,6 @@ def demonstrate_aversion(
                     deviation=Deviation(
                         cell=cell, state=cls.first, event=event, q=q, r=r
                     ),
-                    bet_win=bet_win,
-                    bet_loss=bet_loss,
                     prior=prior,
                     policy=policy,
                     val_general=Fraction(value_num, loss_den * prior.den),

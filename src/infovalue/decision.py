@@ -20,7 +20,7 @@ choices' integer scores over a shared denominator and applies the tie
 policy.  :func:`best_action` scores a credence on every state, and
 ``DecisionProblem._cell_scores`` the prior on a cell's columns, read by
 :mod:`prob`'s one reader ``_cell_weights`` with no credence conditioned,
-for :func:`is_relevant`, ``val_good`` and the certificate.  An update
+for :func:`is_relevant` and ``val_good``.  An update
 policy's choices (``updating._choice_groups``) are decided once per
 posterior object, by each act's lead over the first act on its own cell's
 columns only.  That is exact: a posterior puts all of its mass on its
@@ -231,7 +231,7 @@ class DecisionProblem:
             row = tuple(
                 map(scaled.__getitem__, map(assignment.__getitem__, self.space.states))
             )
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable outcome
             pass
         else:
             if len(assignment) == len(row):
@@ -242,7 +242,7 @@ class DecisionProblem:
                 raise ValidationError(
                     f"action {action.id!r} assigns no outcome to state {state!r}"
                 )
-            if outcome not in scaled:
+            if not isinstance(outcome, str) or outcome not in scaled:
                 raise ValidationError(
                     f"action {action.id!r} maps state {state!r} to "
                     f"unknown outcome {outcome!r}"

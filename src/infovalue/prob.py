@@ -24,9 +24,10 @@ the cell walks of ``updating``, ``voi`` and ``adversary``, and the
 property suite's deviant draw read.  Only this
 module and ``problemfile`` read a :class:`StateSpace`'s position map.
 The prior given a cell is read by one reader, ``_cell_weights``, which
-refuses what :func:`condition` refuses: ``condition`` and ``problemfile``'s
-keyword test read it, and ``DecisionProblem._cell_scores`` scores it for
-``val_good``, ``is_relevant`` and the certificate's sober price.
+refuses what :func:`condition` refuses: ``condition``, ``problemfile``'s
+keyword test and the aversion certificate's mass check read it, and
+``DecisionProblem._cell_scores`` scores it for ``val_good`` and
+``is_relevant``.
 """
 
 from __future__ import annotations
@@ -192,11 +193,14 @@ class Event:
         _check_types(
             ("space", self.space, StateSpace), ("members", self.members, Iterable)
         )
-        object.__setattr__(self, "members", frozenset(self.members))
         try:
+            object.__setattr__(self, "members", frozenset(self.members))
             positions = sorted(map(self.space._position.__getitem__, self.members))
-        except KeyError:
-            stray = sorted((s for s in self.members if s not in self.space), key=str)
+        except (KeyError, TypeError):  # TypeError: an unhashable member
+            stray = sorted(
+                (s for s in self.members if not isinstance(s, str) or s not in self.space),
+                key=str,
+            )
             message = f"event members not in the state space: {stray}"
             raise ValidationError(message) from None
         object.__setattr__(self, "_positions", tuple(positions))

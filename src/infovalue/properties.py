@@ -18,7 +18,8 @@ The suite checks, on every instance it can:
 - the realized value never exceeds the classical value;
 - wherever choices are independent, the cellwise table reproduces both
   values exactly (:class:`VoiReport`'s own check, so one :func:`evaluate`
-  call probes this and independence);
+  call probes this and independence, and its report gives both values,
+  which are computed on their own only when it refuses);
 - when the policy conditionalizes everywhere possible, the two values
   coincide.
 
@@ -269,8 +270,13 @@ def _check_instance(
     trial: int, instance: _Instance, checked: dict[str, int], failures: list
 ) -> None:
     problem, policy = instance.problem, instance.policy
-    good = val_good(problem, policy.partition)
-    general = val_general(problem, policy)
+    try:
+        report = evaluate(problem, policy)
+        good, general, broken = report.val_good, report.val_general, None
+    except (IndependenceBrokenError, ValidationError) as exc:
+        broken = exc  # a leak, or a per-cell table that misses a value
+        good = val_good(problem, policy.partition)
+        general = val_general(problem, policy)
 
     def run(name: str, passed: bool, detail: str) -> None:
         checked[name] = checked.get(name, 0) + 1
@@ -279,11 +285,6 @@ def _check_instance(
                 PropertyFailure(trial, instance.kind, name, detail, instance.document())
             )
 
-    try:
-        evaluate(problem, policy)
-        broken = None
-    except (IndependenceBrokenError, ValidationError) as exc:
-        broken = exc  # a leak, or a per-cell table that misses a value
     leak = isinstance(broken, IndependenceBrokenError)
     detail = f"choices reveal payoff-relevant information: {broken}"
     run("evidential-independence", not leak, detail)

@@ -245,17 +245,65 @@ def brute_bet(q, r):
     return 1 - m, m
 
 
-def brute_separates(q, r, win, loss):
-    """Whether the break-even threshold ``loss / (win + loss)`` splits q from r.
+def brute_masses(prior, policy, cell, state, event):
+    """``(q, r)``: the masses the state's posterior and the prior conditioned
+    on ``cell`` (which must have positive prior) put on ``event``.  The
+    policy and prior are read through their raw fields; ``cell`` and
+    ``event`` are sets of states."""
+    posterior = dist_of(policy.posteriors[state])
+    sober = conditioned(dist_of(prior), cell)
+    return tuple(
+        sum((m for s, m in d.items() if s in event), Fraction(0)) for d in (posterior, sober)
+    )
 
-    It must lie strictly between the two credences' probabilities of the
-    event bet on: ``r < t < q`` when ``q > r``, and ``1 - r < t < 1 - q``
-    when the bet is on the complement.
+
+def brute_bet_value(prior, policy, cell, event, q, r):
+    """``(value, leaks)`` of the midpoint bet on a disagreement ``q != r``.
+
+    The two-act problem is priced by :func:`brute_bet`: ``safe`` pays 0;
+    ``risky`` wins on the bet (``event`` when ``q > r``, else the rest of
+    ``cell``), loses on the rest of the cell and pays 0 outside it.
+    ``value`` is its :func:`brute_val_general`, and ``leaks`` whether
+    :func:`brute_independence_witness` finds a leak on it.
     """
-    t = loss / (win + loss)
-    if q > r:
-        return r < t < q
-    return 1 - r < t < 1 - q
+    win, loss = brute_bet(q, r)
+    bet = event if q > r else cell - event
+
+    def pays(s):
+        return "zero" if s not in cell else "win" if s in bet else "loss"
+
+    states = prior.space.states
+    problem = SimpleNamespace(
+        prior=prior,
+        outcomes=SimpleNamespace(utility={"zero": 0, "win": win, "loss": -loss}),
+        choices=SimpleNamespace(
+            actions=[
+                SimpleNamespace(id="safe", assignment=dict.fromkeys(states, "zero")),
+                SimpleNamespace(id="risky", assignment={s: pays(s) for s in states}),
+            ]
+        ),
+    )
+    leaks = brute_independence_witness(problem, policy) is not None
+    return brute_val_general(problem, policy), leaks
+
+
+def brute_certificate_holds(prior, policy, cell, state, event, q, r, value):
+    """Whether an aversion certificate's claims hold, from their definitions.
+
+    They hold when ``cell`` is a cell of the policy's partition holding
+    ``state`` and ``event``, ``state`` has positive prior, ``q`` and ``r``
+    are the :func:`brute_masses` and differ, and the bet priced from them
+    leaks nothing and has a negative value equal to ``value``
+    (:func:`brute_bet_value`).
+    """
+    cell, event = set(cell), set(event)
+    if cell not in [set(c.members) for c in policy.partition.cells]:
+        return False
+    if state not in cell or not event <= cell or state not in dist_of(prior):
+        return False
+    if brute_masses(prior, policy, cell, state, event) != (q, r) or q == r:
+        return False
+    return brute_bet_value(prior, policy, cell, event, q, r) == (value, False) and value < 0
 
 
 def _takers(prior, posteriors, members, bet, loss):

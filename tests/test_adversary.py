@@ -1,6 +1,7 @@
 """Locating deviations, pricing bets, and certifying information aversion."""
 
 import dataclasses
+import random
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -29,16 +30,19 @@ from infovalue.errors import (
     SpaceMismatchError,
     ValidationError,
 )
-from infovalue.prob import Credence, Event, StateSpace, condition
-from infovalue.scenarios import build_scenario
+from infovalue.prob import Credence, Event, StateSpace, condition, probability
+from infovalue.properties import _random_mixture_instance
+from infovalue.scenarios import GAMBLERS, UNKNOWN_BIAS, build_scenario
 from infovalue.updating import EvidencePartition, UpdatePolicy, conditionalization_policy
 from infovalue.voi import val_general
 
 from _oracles import (
     brute_bet,
+    brute_bet_value,
+    brute_certificate_holds,
     brute_certificate_walk,
     brute_independence_witness,
-    brute_separates,
+    brute_masses,
     brute_val_general,
 )
 from _refusals import refusal
@@ -289,10 +293,7 @@ class TestAversionCertificate:
         with pytest.raises(ValidationError, match="recomputation"):
             dataclasses.replace(cert, val_general=cert.val_general - 1)
 
-    @pytest.mark.parametrize(
-        "field, text",
-        [("bet_win", "3/10"), ("bet_loss", "7/10"), ("val_general", "-1/5")],
-    )
+    @pytest.mark.parametrize("field, text", [("val_general", "-1/5")])
     def test_stakes_and_value_read_rational_strings(self, field, text):
         cert = self.build()
         read = dataclasses.replace(cert, **{field: text})
@@ -302,7 +303,8 @@ class TestAversionCertificate:
     def test_checks_build_no_credence_or_expected_utility(self, monkeypatch):
         """The checks read integer rows, ``nums`` and prior weights: nothing
         conditions a credence or prices an expected utility or probability,
-        and the module builds no Fraction unless a check fails."""
+        and the module builds two Fractions, the stakes construct_bet
+        prices, unless a check fails."""
         gamblers = build_scenario("gamblers", epsilon=Fraction(1, 10))
         certs = [
             self.build(),
@@ -317,28 +319,33 @@ class TestAversionCertificate:
             for name in names:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
-        monkeypatch.setattr(adversary, "Fraction", forbidden)
+        built = []
+
+        def counted(*args):
+            built.append(Fraction(*args))
+            return built[-1]
+
+        monkeypatch.setattr(adversary, "Fraction", counted)
         for cert in certs:
+            built.clear()
             assert dataclasses.replace(cert) == cert
+            assert built == [cert.bet_win, cert.bet_loss]
 
     @settings(deadline=None)
     @given(
         st.fractions(min_value=0, max_value=1, max_denominator=12),
         st.fractions(min_value=0, max_value=1, max_denominator=12),
-        st.fractions(min_value=0, max_value=2, max_denominator=12).filter(bool),
-        st.fractions(min_value=0, max_value=2, max_denominator=12).filter(bool),
     )
-    @example(Fraction(9, 10), Fraction(1, 2), Fraction(1), Fraction(1))  # t == r
-    @example(Fraction(9, 10), Fraction(1, 2), Fraction(1), Fraction(9))  # t == q
-    @example(Fraction(1, 10), Fraction(1, 2), Fraction(1, 3), Fraction(1, 2))  # mirrored
-    @example(Fraction(1), Fraction(0), Fraction(1, 2), Fraction(1, 2))
-    @example(Fraction(0), Fraction(1), Fraction(1, 5), Fraction(2, 3))
-    def test_separation_accepts_exactly_the_splitting_stakes(self, q, r, win, loss):
+    @example(Fraction(9, 10), Fraction(1, 2))
+    @example(Fraction(1, 10), Fraction(1, 2))  # mirrored
+    @example(Fraction(1), Fraction(0))
+    @example(Fraction(0), Fraction(1))
+    def test_every_true_disagreement_certifies_at_its_midpoint(self, q, r):
         """Both states hold one posterior that puts q on {g}, where the prior
-        puts r, and the acts pay the drawn stakes.  When the threshold
-        splits q from r the certificate constructs; when it does not, the
-        separation check refuses it.  The deviant is g, or h when g never
-        occurs."""
+        puts r.  The certificate of that true deviation prices the midpoint
+        stakes itself, the deviant posterior takes the bet and the
+        conditioned prior declines it, so no stakes need checking.  The
+        deviant is g, or h when g never occurs."""
         if q == r:
             return
         state = "g" if r else "h"
@@ -346,41 +353,34 @@ class TestAversionCertificate:
         posterior = Credence(TWO, {"g": q, "h": 1 - q})
         policy = UpdatePolicy(TWO_PARTITION, {"g": posterior, "h": posterior})
         event = Event(TWO, frozenset({"g"}))
-        bet_event = event if q > r else event.complement()
-        base = DecisionProblem(
-            TWO,
-            OutcomeSpace(("nil",), {"nil": 0}),
-            prior,
-            ChoiceSet((Action("idle", {"g": "nil", "h": "nil"}),)),
+        cert = AversionCertificate(
+            deviation=Deviation(WHOLE, state, event, q, r),
+            prior=prior,
+            policy=policy,
+            val_general=-abs(q - r) / 2,  # everyone takes a bet the prior prices at r
         )
-        problem = bet_problem(base, WHOLE, bet_event.members, win, loss)
-
-        def build():
-            return AversionCertificate(
-                deviation=Deviation(WHOLE, state, event, q, r),
-                bet_win=win,
-                bet_loss=loss,
-                prior=prior,
-                policy=policy,
-                val_general=val_general(problem, policy),
-            )
-
-        if brute_separates(q, r, win, loss):
-            build()
-        else:
-            with pytest.raises(ValidationError, match="does not separate"):
-                build()
+        assert (cert.bet_win, cert.bet_loss) == brute_bet(q, r)
+        assert cert.bet_event == (event if q > r else event.complement())
+        # win + loss = 1, so a credence takes the bet iff its mass there exceeds loss
+        deviant, sober = brute_masses(
+            prior, policy, WHOLE.members, state, cert.bet_event.members
+        )
+        assert deviant > cert.bet_loss > sober
+        assert brute_val_general(cert.problem, policy) == cert.val_general
 
     def test_derived_attributes_are_not_fields(self):
         """``bet_event`` and ``problem`` follow from the inputs, so equality,
         hashing and ``dataclasses.replace`` see only the inputs."""
         cert = self.build()
         assert [f.name for f in dataclasses.fields(cert)] == [
-            "deviation", "bet_win", "bet_loss", "prior", "policy", "val_general"
+            "deviation", "prior", "policy", "val_general"
         ]
         twin = dataclasses.replace(cert)
         assert twin == cert and hash(twin) == hash(cert)
-        assert (twin.bet_event, twin.problem) == (cert.bet_event, cert.problem)
+        derived = ("bet_win", "bet_loss", "bet_event", "problem")
+        assert [getattr(twin, name) for name in derived] == [
+            getattr(cert, name) for name in derived
+        ]
 
     def test_prior_over_another_space_is_refused_as_conditioning(self):
         """The problem is laid out on the prior's states, so a prior over
@@ -422,19 +422,6 @@ class TestAversionCertificate:
                 "conditioned prior give 9/10 and 1/2"
             )
 
-    def test_tampered_stakes_are_rejected(self):
-        cert = self.build()
-        with pytest.raises(ValidationError, match="positive"):
-            dataclasses.replace(cert, bet_win=Fraction(0))
-        with pytest.raises(ValidationError) as exc:
-            dataclasses.replace(
-                cert, bet_win=Fraction(99, 100), bet_loss=Fraction(1, 100)
-            )
-        assert str(exc.value) == (
-            "break-even threshold 1/100 does not separate q=9/10 from r=1/2 "
-            "on the event bet on"
-        )
-
     def test_profitable_deviation_cannot_be_certified(self):
         """A policy that deviates exactly when deviating pays would make the
         'certificate' claim a positive value; construction must refuse."""
@@ -460,8 +447,6 @@ class TestAversionCertificate:
         with pytest.raises(ValidationError, match="strictly negative"):
             AversionCertificate(
                 deviation=deviation,
-                bet_win=win,
-                bet_loss=loss,
                 prior=TWO_PRIOR,
                 policy=policy,
                 val_general=Fraction(1, 8),
@@ -495,8 +480,6 @@ class TestAversionCertificate:
                 deviation=Deviation(
                     cell=cell, state="a", event=bet_event, q=Fraction(1), r=Fraction(1, 3)
                 ),
-                bet_win=Fraction(1, 3),
-                bet_loss=Fraction(2, 3),
                 prior=prior,
                 policy=policy,
                 val_general=Fraction(-1, 9),
@@ -507,16 +490,16 @@ class TestAversionCertificate:
         )
 
     def test_wrong_direction_bet_is_rejected(self):
-        """Misstating q as 1/10 puts the bet on {h}, which the stakes still
-        split from r, but the deviant posterior, 9/10 on g, finds the bet
-        unattractive; the certificate checks that directly."""
+        """Misstating q as 1/10 would put the bet on {h}, which the deviant
+        posterior, 9/10 on g, finds unattractive; the claim is refused
+        before any bet is priced from it."""
         cert = self.build()
         misstated = dataclasses.replace(cert.deviation, q=Fraction(1, 10))
         with pytest.raises(ValidationError) as exc:
             dataclasses.replace(cert, deviation=misstated)
         assert str(exc.value) == (
-            "the bet must be strictly attractive to the deviant posterior (EU -3/5) "
-            "and strictly unattractive to the conditioned one (EU -1/5)"
+            "deviation claims q=1/10, r=1/2 on {g}, but the posterior and the "
+            "conditioned prior give 9/10 and 1/2"
         )
 
 
@@ -880,17 +863,14 @@ def whole_space_gamblers_certificate():
     """A certificate on the whole gamblers space, which is no cell of its
     policy (the policy learns the first flip).  hh·bayes conditionalizes on
     its own cell, so its posterior puts 0 on the second half's tt states
-    where the whole space's prior puts 1/4; the bet on the rest is priced
-    from those, and every check before the cell's passes."""
+    where the whole space's prior puts 1/4: on the whole space it would
+    pass for a deviant, and the cell check refuses it first."""
     gamblers = build_scenario("gamblers", epsilon=Fraction(1, 2))
     space = gamblers.problem.space
     whole = Event(space, frozenset(space.states))
     event = Event(space, frozenset({"tt·bayes", "tt·fallacy"}))
-    win, loss = construct_bet(0, Fraction(1, 4))
     return AversionCertificate(
         deviation=Deviation(whole, "hh·bayes", event, 0, Fraction(1, 4)),
-        bet_win=win,
-        bet_loss=loss,
         prior=gamblers.problem.prior,
         policy=gamblers.policy,
         val_general=Fraction(-1, 32),
@@ -929,7 +909,8 @@ FLOAT_HALF = (
     [
         (
             lambda: dataclasses.replace(
-                demonstrate_aversion(two_state_problem(), skewed_policy()), bet_win=0.5
+                demonstrate_aversion(two_state_problem(), skewed_policy()),
+                val_general=0.5,
             ),
             "_ratio",
             FLOAT_HALF,
@@ -1006,7 +987,7 @@ FLOAT_HALF = (
         ),
     ],
     ids=[
-        "certificate-float-stake",
+        "certificate-float-value",
         "bet-float-q",
         "bet-bool-q",
         "deviation-float-q",
@@ -1024,3 +1005,101 @@ FLOAT_HALF = (
 )
 def test_refusals(build, location, message):
     assert refusal(build) == (ValidationError, location, message)
+
+
+# a fixed stream: the presets, then mixture draws until MUTANT_DRAWS
+# certificates, sized to about 3 s (Python 3.11 on a 2-vCPU x86-64 VM)
+MUTANT_SEED = 35
+MUTANT_DRAWS = 100
+PRESETS = [(GAMBLERS, e) for e in ("1/10", "1/2", "1")] + [
+    (UNKNOWN_BIAS, e) for e in ("1/10", "1/7", "1/2", "1")
+]
+
+
+def certificate_stream():
+    """Certificates of the presets, then of seeded mixture draws."""
+    for name, epsilon in PRESETS:
+        scenario = build_scenario(name, epsilon=epsilon)
+        yield demonstrate_aversion(scenario.problem, scenario.policy)
+    rng = random.Random(MUTANT_SEED)
+    drawn = 0
+    while drawn < MUTANT_DRAWS:
+        instance = _random_mixture_instance(rng)
+        try:
+            yield demonstrate_aversion(instance.problem, instance.policy)
+        except (NoDeviationError, IndependenceBrokenError):
+            continue
+        drawn += 1
+
+
+def fields_of(deviation):
+    return {f.name: getattr(deviation, f.name) for f in dataclasses.fields(deviation)}
+
+
+def mutants(cert, rng):
+    """Changes to a certificate's claims, each replacing one claim: near
+    misses, values out of range, and claims that may hold.  A replaced
+    claim other than the value also comes with the value restated for the
+    bet it prices (and a replaced state, event or cell with ``q`` and ``r``
+    restated as :func:`brute_masses` finds them), so the checks after the
+    replaced claim's are reached too."""
+    d, prior, policy = cert.deviation, cert.prior, cert.policy
+    space, cells = prior.space, policy.partition.cells
+
+    def fraction():
+        return Fraction(rng.randint(0, 12), rng.randint(1, 12))
+
+    def subset(states):
+        return Event(space, frozenset(s for s in states if rng.random() < 0.5))
+
+    for value in (cert.val_general + Fraction(1, 97), 0, -cert.val_general, -fraction()):
+        yield {"val_general": value}
+    union = Event(space, d.cell.members | rng.choice(cells).members)
+    for claim, replacements in (
+        ("q", (d.r, 1 - d.q, d.q + 1, fraction())),
+        ("r", (d.q, 1 - d.r, -d.r, fraction())),
+        ("state", rng.sample(space.states, min(4, len(space)))),
+        ("event", (subset(d.cell.members), subset(space.states), d.cell.complement())),
+        ("cell", (rng.choice(cells), union, Event(space, frozenset(space.states)))),
+    ):
+        for replacement in replacements:
+            change = {claim: replacement}
+            yield change
+            claims = fields_of(d) | change
+            cell, state, event = (claims[k] for k in ("cell", "state", "event"))
+            if not (probability(prior, cell) and state in cell):
+                continue
+            if claim in ("state", "event", "cell"):
+                q, r = brute_masses(prior, policy, cell.members, state, event.members)
+                change |= {"q": q, "r": r}
+            else:
+                q, r = claims["q"], claims["r"]
+            if q != r and 0 <= min(q, r) and max(q, r) <= 1:
+                value, _ = brute_bet_value(prior, policy, cell.members, event.members, q, r)
+                yield change | {"val_general": value}
+
+
+def test_certificate_accepts_exactly_the_claims_the_oracle_finds_valid():
+    """Each certificate of the stream, with one claim replaced, constructs
+    exactly when the plain-data oracle finds every claim true, with the
+    oracle's midpoint stakes, and is refused with ValidationError otherwise."""
+    rng = random.Random(MUTANT_SEED + 1)
+    wrong, verdicts = [], []
+    for cert in certificate_stream():
+        for change in mutants(cert, rng):
+            claims = fields_of(cert.deviation) | change
+            value = claims.pop("val_general", cert.val_general)
+            holds = brute_certificate_holds(
+                cert.prior, cert.policy, claims["cell"].members, claims["state"],
+                claims["event"].members, claims["q"], claims["r"], value,
+            )
+            try:
+                built = AversionCertificate(Deviation(**claims), cert.prior, cert.policy, value)
+                got = (built.bet_win, built.bet_loss)
+            except ValidationError:
+                got = None
+            verdicts.append(holds)
+            if got != (brute_bet(claims["q"], claims["r"]) if holds else None):
+                wrong.append((change, cert.deviation, holds))
+    assert wrong == []
+    assert any(verdicts) and not all(verdicts)

@@ -506,6 +506,11 @@ class TestTheOracleCatchesMutants:
             lambda: ChoiceSet(5),
             "_check_types", "actions must be of type Iterable, not int",
         ),
+        (
+            lambda: problem([Action("x", {"s1": ["mid"], "s2": "mid", "s3": "mid"})]),
+            "DecisionProblem._utility_row",
+            "action 'x' maps state 's1' to unknown outcome ['mid']",
+        ),
     ],
     ids=[
         "no-outcomes",
@@ -524,6 +529,7 @@ class TestTheOracleCatchesMutants:
         "outcomes-not-iterable",
         "assignment-not-a-mapping",
         "actions-not-iterable",
+        "outcome-unhashable",
     ],
 )
 def test_refusals(build, location, message):

@@ -13,6 +13,9 @@ Each directory under ``tests/golden`` is one case:
   ``.json`` file must also be canonical: what ``json.dumps`` writes with
   ``sort_keys=True, indent=2``, plus a newline.
 
+Any other file in a case directory, such as a ``<n>.stdout`` for an n
+past the last command, fails the case: it would never be compared.
+
 An expected file changes only by hand: run the command again and review
 the diff.
 """
@@ -42,6 +45,12 @@ def names(folder):
 def test_golden_case(case, tmp_path):
     here = GOLDEN / case
     spec = json.loads((here / "case.json").read_text(encoding="utf-8"))
+    read = {"case.json", "in", "out"} | {
+        f"{n}.{stream}"
+        for n in range(1, len(spec["commands"]) + 1)
+        for stream in ("stdout", "stderr")
+    }
+    assert names(here) <= read, f"files the case never reads: {sorted(names(here) - read)}"
     inputs, outputs = here / "in", here / "out"
     if inputs.is_dir():
         shutil.copytree(inputs, tmp_path, dirs_exist_ok=True)

@@ -510,28 +510,33 @@ class TestStoredPositions:
 
 
 @pytest.mark.parametrize(
-    "build, message",
+    "build, location, message",
     [
         (
             lambda: Event(("a", "b"), frozenset({"a"})),
-            "space must be of type StateSpace, not tuple",
+            "_check_types", "space must be of type StateSpace, not tuple",
         ),
         (
             lambda: Credence(("a", "b"), {"a": 1}),
-            "space must be of type StateSpace, not tuple",
+            "_check_types", "space must be of type StateSpace, not tuple",
         ),
         (
             lambda: Credence(StateSpace(("a", "b")), [("a", 1)]),
-            "mass must be of type Mapping, not list",
+            "_check_types", "mass must be of type Mapping, not list",
         ),
-        (lambda: StateSpace(5), "states must be of type Iterable, not int"),
+        (lambda: StateSpace(5), "_check_types", "states must be of type Iterable, not int"),
         (
             lambda: Event(StateSpace(("a", "b")), 5),
-            "members must be of type Iterable, not int",
+            "_check_types", "members must be of type Iterable, not int",
+        ),
+        (
+            lambda: Event(StateSpace(("a", "b")), [["a"]]),
+            "Event.__post_init__", "event members not in the state space: [['a']]",
         ),
     ],
     ids=["event-space-not-a-state-space", "credence-space-not-a-state-space",
-         "credence-mass-not-a-mapping", "states-not-iterable", "members-not-iterable"],
+         "credence-mass-not-a-mapping", "states-not-iterable", "members-not-iterable",
+         "member-unhashable"],
 )
-def test_wrong_typed_fields_are_refused(build, message):
-    assert refusal(build) == (ValidationError, "_check_types", message)
+def test_wrong_typed_fields_are_refused(build, location, message):
+    assert refusal(build) == (ValidationError, location, message)
