@@ -77,11 +77,12 @@ _OUTCOME_LOSS = "loss"
 class Deviation:
     """A located disagreement between a policy and conditioning.
 
-    In ``state`` (prior-possible, inside ``cell``), the policy's posterior
-    puts probability ``q`` on ``event`` while the conditioned prior puts
-    ``r`` on it, and the two differ.  That gap is what a bet can exploit.
-    ``event`` lies inside ``cell`` and on its space.  ``q`` and ``r`` are
-    read by :func:`~infovalue.prob.as_fraction`.
+    In ``state``, which has positive prior and lies in the partition cell
+    ``cell``, the policy's posterior puts probability ``q`` on ``event``
+    while the prior conditioned on ``cell`` puts ``r`` on it, and the two
+    differ.  That gap is what a bet can exploit.  A plain record: an
+    :class:`AversionCertificate` derives every field from its state and
+    event and exposes the result as ``cert.deviation``.
     """
 
     cell: Event
@@ -89,31 +90,6 @@ class Deviation:
     event: Event
     q: Fraction
     r: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", as_fraction(self.q))
-        object.__setattr__(self, "r", as_fraction(self.r))
-        _check_types(
-            ("cell", self.cell, Event), ("state", self.state, str), ("event", self.event, Event)
-        )
-        if self.state not in self.cell:
-            raise ValidationError(
-                f"state {self.state!r} is not in cell {self.cell.describe()}"
-            )
-        if not self.event.members <= self.cell.members:
-            raise ValidationError(
-                f"event {self.event.describe()} is not inside cell "
-                f"{self.cell.describe()}"
-            )
-        if self.event.space != self.cell.space:
-            raise SpaceMismatchError("event and cell live on different spaces")
-        for name, value in (("q", self.q), ("r", self.r)):
-            if not 0 <= value.numerator <= value.denominator:
-                raise ValidationError(f"{name} must lie in [0, 1], got {value}")
-        if self.q == self.r:
-            raise ValidationError(
-                "q and r agree; a deviation must disagree about its event"
-            )
 
 
 def construct_bet(q: Fraction, r: Fraction) -> tuple[Fraction, Fraction]:
@@ -126,7 +102,7 @@ def construct_bet(q: Fraction, r: Fraction) -> tuple[Fraction, Fraction]:
     credence exactly when it puts more than ``loss`` on the event; the
     midpoint ``loss = (q + r) / 2`` lies strictly between ``r`` and ``q``,
     and both stakes land strictly inside (0, 1).  :class:`AversionCertificate`
-    prices its own bet here, from its verified ``q`` and ``r``.  ``q`` and
+    prices its own bet here, from the ``q`` and ``r`` it derives.  ``q`` and
     ``r`` are read in :func:`~infovalue.prob.as_fraction`'s grammar as
     integer pairs, and every step cross-multiplies them: the only Fractions
     built are the two stakes, and a refused value for its message.
@@ -148,52 +124,64 @@ def construct_bet(q: Fraction, r: Fraction) -> tuple[Fraction, Fraction]:
 class AversionCertificate:
     """A checked demonstration that learning has strictly negative value.
 
-    Holds the located deviation, the prior, the policy and the claimed
-    value, which is read by :func:`~infovalue.prob.as_fraction`.  From
-    these it derives, once, four attributes that are not fields (so ``==``,
-    ``hash`` and :func:`dataclasses.replace` see only the inputs): the
-    stakes ``bet_win`` and ``bet_loss``, priced by :func:`construct_bet`
-    from the deviation's ``q`` and ``r``; ``bet_event``, the deviation's
-    event when ``q > r`` and its complement otherwise; and ``problem``, the
-    two-action problem on the prior: ``safe`` always pays 0; ``risky`` wins
-    ``bet_win`` on ``bet_event`` inside the deviation's cell, loses
+    Holds a deviant ``state``, the ``event`` its posterior disagrees about,
+    the prior, the policy and the claimed value, which is read by
+    :func:`~infovalue.prob.as_fraction`.  From these it derives, once,
+    five attributes that are not fields (so ``==``, ``hash`` and
+    :func:`dataclasses.replace` see only the inputs): ``deviation``, the
+    :class:`Deviation` of the state's partition cell and of ``q`` and
+    ``r``, the masses the state's posterior and the prior conditioned on
+    the cell give the event; the stakes ``bet_win`` and ``bet_loss``,
+    priced by :func:`construct_bet` from ``q`` and ``r``; ``bet_event``,
+    the event when ``q > r`` and its complement otherwise; and
+    ``problem``, the two-action problem on the prior: ``safe`` always pays
+    0; ``risky`` wins ``bet_win`` on ``bet_event`` inside the cell, loses
     ``bet_loss`` on the rest of the cell, and pays 0 outside it.
 
-    Construction checks the claims the bet is priced from before it prices
-    it, in this order.  The deviation's cell must be a cell of the policy's
-    partition: on any other event, a state that conditionalizes on its own
-    cell could be named the deviant.  The prior must give the cell positive
-    weight, refused as conditioning on it would be.  The deviant state must
-    have positive prior probability, as a state that never occurs witnesses
-    nothing.  ``q`` and ``r`` must be the deviant posterior's and the
-    conditioned prior's probabilities of the deviation's event.  Then the
-    bet is priced and synthesized, and ``val_general`` — recomputed from
-    scratch, not trusted from the caller — must match the claim and be
-    strictly negative, and no choice on the synthesized problem may reveal
-    anything payoff-relevant, which the value's accounting requires.
+    Construction checks the theorem's hypotheses, in this order:
 
-    The verified ``q`` and ``r`` are what make the stakes need no check of
-    their own.  The posterior is certain of its partition cell, so ``q``
-    is its probability of the bet's event within the cell, as ``r`` is the
-    conditioned prior's, and the midpoint stake lies strictly between
-    them: the deviant posterior takes the bet and the conditioned prior
-    declines it.  Declining is then prior-optimal at exactly 0: ``risky``
-    pays 0 outside the cell, and given the cell it is worth the
-    conditioned prior's probability of the bet less ``bet_loss``, which is
-    negative because the midpoint lies above that probability.
+    1. ``state`` is a ``str``, ``event`` an :class:`~infovalue.prob.Event`,
+       ``prior`` a :class:`~infovalue.prob.Credence` and ``policy`` an
+       :class:`~infovalue.updating.UpdatePolicy`;
+    2. the state is one of the policy's, so it has a cell;
+    3. the event lies inside that cell, and on its space;
+    4. the prior gives the cell positive weight, refused as conditioning
+       on it would be;
+    5. the state has positive prior probability, as a state that never
+       occurs witnesses nothing;
+    6. ``q != r``;
+    7. ``val_general``, recomputed from scratch on the synthesized
+       problem rather than trusted from the caller, equals the claim;
+    8. no choice on that problem reveals anything payoff-relevant.
 
-    Every check compares integers: the masses behind ``q`` and ``r`` are
-    read off the posterior's ``nums`` and the prior's weights on the cell,
-    so no credence is conditioned and no expected utility is built.  The
-    checks build three Fractions, the stakes and the recomputed value; any
-    other is built only for an error message.  The recomputation is a
-    second route: it builds its own per-cell act groups from the
-    synthesized problem and the policy, sharing no tally with the search
-    that found the bet, and the leak test reads the same groups.  Besides
-    that one choice map, the checks cost O(|space|) integer operations.
+    The bet is priced and synthesized between the sixth and the seventh.
+    The value is then strictly negative, so it needs no check of its own.
+    The posterior is certain of its cell, so ``q`` is its probability of
+    the bet's event within the cell, as ``r`` is the conditioned prior's,
+    and the midpoint stake lies strictly between them: the deviant
+    posterior takes the bet and the conditioned prior declines it.  Only
+    the cell's states can take it, as both acts pay 0 elsewhere and ties
+    go to ``safe``.  With no leak, the takers hold the bet's event at the
+    cell's odds ``r'``, so the value is ``W_T * (r' - loss)`` for the
+    takers' prior weight ``W_T``.  ``W_T > 0``, because the deviant state
+    has positive prior and takes its own bet, and ``loss > r'``, because
+    the midpoint lies above the conditioned prior's price.  For the same
+    reason declining is prior-optimal at exactly 0, which is the baseline.
+
+    Every check compares integers: ``q`` and ``r`` are read off the
+    posterior's ``nums`` and the prior's weights on the cell, so no
+    credence is conditioned and no expected utility is built.  The checks
+    build five Fractions, ``q``, ``r``, the stakes and the recomputed
+    value; any other is built only for an error message.  The
+    recomputation is a second route: it builds its own per-cell act groups
+    from the synthesized problem and the policy, sharing no tally with the
+    search that found the bet, and the leak test reads the same groups.
+    Besides that one choice map, the checks cost O(|space|) integer
+    operations.
     """
 
-    deviation: Deviation
+    state: str
+    event: Event
     prior: Credence
     policy: UpdatePolicy
     val_general: Fraction
@@ -201,37 +189,34 @@ class AversionCertificate:
     def __post_init__(self) -> None:
         object.__setattr__(self, "val_general", as_fraction(self.val_general))
         _check_types(
-            ("deviation", self.deviation, Deviation),
+            ("state", self.state, str),
+            ("event", self.event, Event),
             ("prior", self.prior, Credence),
             ("policy", self.policy, UpdatePolicy),
         )
-        deviation, prior, policy = self.deviation, self.prior, self.policy
-        cell, event, q, r = deviation.cell, deviation.event, deviation.q, deviation.r
-        if cell not in policy.partition.cells:
+        state, event, prior, policy = self.state, self.event, self.prior, self.policy
+        cell = policy.partition.cell_of(state)
+        if not event.members <= cell.members:
             raise ValidationError(
-                f"cell {cell.describe()} is not a cell of the policy's partition"
+                f"event {event.describe()} is not inside cell {cell.describe()}"
             )
+        if event.space != cell.space:
+            raise SpaceMismatchError("event and cell live on different spaces")
         _, weights = _cell_weights(prior, cell)
-        if not prior.nums[prior.space.index(deviation.state)]:
-            raise ValidationError(
-                f"state {deviation.state!r} has prior probability 0, so it never occurs"
-            )
-        # the event's mass under the posterior and, as it lies inside the cell
-        # (Deviation checks that), under the prior conditioned on the cell
-        posterior, cell_weight = policy.posterior(deviation.state), sum(weights)
-        q_num, r_num = _weight(posterior, event), _weight(prior, event)
-        if (
-            q_num * q.denominator != q.numerator * posterior.den
-            or r_num * r.denominator != r.numerator * cell_weight
-        ):
-            raise ValidationError(
-                f"deviation claims q={q}, r={r} on {event.describe()}, but the "
-                f"posterior and the conditioned prior give "
-                f"{Fraction(q_num, posterior.den)} and {Fraction(r_num, cell_weight)}"
-            )
+        if not prior.nums[prior.space.index(state)]:
+            raise ValidationError(f"state {state!r} has prior probability 0, so it never occurs")
+        # the event's mass under the posterior and, as it lies inside the
+        # cell, under the prior conditioned on the cell
+        posterior = policy.posterior(state)
+        q_num, q_den = _weight(posterior, event), posterior.den
+        r_num, r_den = _weight(prior, event), sum(weights)
+        if q_num * r_den == r_num * q_den:
+            raise ValidationError("q and r agree; a deviation must disagree about its event")
+        q, r = Fraction(q_num, q_den), Fraction(r_num, r_den)
         win, loss = construct_bet(q, r)
         bet_event = event if q > r else event.complement()
         problem = _synthesize(prior, cell, bet_event, win, loss)
+        object.__setattr__(self, "deviation", Deviation(cell, state, event, q, r))
         object.__setattr__(self, "bet_win", win)
         object.__setattr__(self, "bet_loss", loss)
         object.__setattr__(self, "bet_event", bet_event)
@@ -242,10 +227,6 @@ class AversionCertificate:
             raise ValidationError(
                 f"certificate claims val_general={self.val_general}, "
                 f"recomputation gives {recomputed}"
-            )
-        if self.val_general.numerator >= 0:
-            raise ValidationError(
-                f"certificate requires strictly negative value, got {self.val_general}"
             )
         witness = _first_leak(problem, policy, groups)
         if witness is not None:
@@ -379,11 +360,13 @@ def demonstrate_aversion(
     order — cells as declared, deviating states in state order, candidate
     events by size then state order within the cell — and weighs the
     midpoint bet for each, in integers, until one leaves choices
-    uninformative about payoffs.  That first surviving candidate becomes
-    the certificate, which prices its own stakes.  Its value is the
-    takers' prior weight times their stake, summed from the search's
-    integer tallies into one Fraction over ``loss_den * prior.den``.  :class:`AversionCertificate` then checks it, in integers,
-    against a definitional recomputation that builds its own act groups on
+    uninformative about payoffs.  That first surviving candidate's state
+    and event become the certificate, which derives the cell, ``q`` and
+    ``r`` and prices its own stakes.  Its value is the takers' prior
+    weight times their stake, summed from the search's integer tallies
+    into one Fraction over ``loss_den * prior.den``.
+    :class:`AversionCertificate` then checks it, in integers, against a
+    definitional recomputation that builds its own act groups on
     the synthesized problem and shares no tally with the search, and
     reruns the leak test on those groups.
 
@@ -402,8 +385,8 @@ def demonstrate_aversion(
     rejected.  Stakes are integers over one denominator per cell, and each
     posterior class's mass and ``own`` weight on a candidate are summed
     along the candidate's own members (:func:`_tally`), in O(|event|)
-    integer operations.  Only the certificate's claims are Fractions:
-    ``q``, ``r`` and the value, so a rejected candidate is never priced.
+    integer operations.  Only the certificate's claim is a Fraction: the
+    value, so a rejected candidate is never priced.
     A cell of ``n`` states that is not calibrated walks up to
     ``2**n - 2`` events per distinct deviating posterior.
 
@@ -460,15 +443,12 @@ def demonstrate_aversion(
                 taker_weight, taker_bet_weight = tallies[key]
                 if taker_bet_weight * total != bet_weight * taker_weight:
                     continue
-                q, r = Fraction(q_num, den), Fraction(r_num, total)
-                event = Event(space, frozenset(members[i] for i in combo))
                 # a taker wins 1 - loss on the bet and loses loss off it, with
                 # loss = key[1] / loss_den
                 value_num = taker_bet_weight * loss_den - taker_weight * key[1]
                 return AversionCertificate(
-                    deviation=Deviation(
-                        cell=cell, state=cls.first, event=event, q=q, r=r
-                    ),
+                    state=cls.first,
+                    event=Event(space, frozenset(members[i] for i in combo)),
                     prior=prior,
                     policy=policy,
                     val_general=Fraction(value_num, loss_den * prior.den),

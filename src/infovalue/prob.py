@@ -24,10 +24,10 @@ the cell walks of ``updating``, ``voi`` and ``adversary``, and the
 property suite's deviant draw read.  Only this
 module and ``problemfile`` read a :class:`StateSpace`'s position map.
 The prior given a cell is read by one reader, ``_cell_weights``, which
-refuses what :func:`condition` refuses: ``condition``, ``problemfile``'s
-keyword test and the aversion certificate's mass check read it, and
-``DecisionProblem._cell_scores`` scores it for ``val_good`` and
-``is_relevant``.
+refuses what :func:`condition` refuses.  ``condition`` and
+``problemfile``'s keyword test read it, the aversion certificate derives
+its ``r`` from it, and ``DecisionProblem._cell_scores`` scores it for
+``val_good`` and ``is_relevant``.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
@@ -41,7 +42,7 @@ from .decision import (
     best_action,
 )
 from .errors import ConfigError, TieError, ValidationError
-from .prob import Credence, Event, StateSpace, as_fraction, condition
+from .prob import Credence, Event, StateSpace, _check_types, as_fraction, condition
 from .updating import (
     DeviationSpec,
     EvidencePartition,
@@ -386,21 +387,23 @@ def sweep(name: str, epsilons, confidence=None) -> SweepTable:
     no expansion; every row equals the preset expanded at its epsilon and
     evaluated alone, and the table's ``val_good`` is every expansion's.
     ``epsilons`` must be a sequence of values; a bare string, ``bytes`` or
-    ``bytearray`` is refused.
+    ``bytearray`` is refused, and so is anything that is not iterable.
 
     Refusals come in one order: the name (race's own refusal, then an
-    unknown name), a bare string, the confidence, a tie, then each epsilon
-    in the order given (its syntax, then its range).  So an empty
-    ``epsilons`` still refuses a bad confidence, and its table still holds
-    ``val_good``.
+    unknown name), a bare string, an ``epsilons`` that is not iterable,
+    the confidence, a tie, then each epsilon in the order given (its
+    syntax, then its range).  So an empty ``epsilons`` still refuses a bad
+    confidence, and its table still holds ``val_good``.
     """
     if name == RACE:
         raise ConfigError("the race scenario has no epsilon parameter to sweep")
     # an unknown name is refused first, by _mixture_base
-    if name in SCENARIO_NAMES and isinstance(epsilons, (str, bytes, bytearray)):
-        raise ValidationError(
-            f"epsilons must be a sequence of values, not the string {epsilons!r}"
-        )
+    if name in SCENARIO_NAMES:
+        if isinstance(epsilons, (str, bytes, bytearray)):
+            raise ValidationError(
+                f"epsilons must be a sequence of values, not the string {epsilons!r}"
+            )
+        _check_types(("epsilons", epsilons, Iterable))
     base = _mixture_base(name, confidence)
     epsilons = [_epsilon(raw) for raw in epsilons]
     good, learning, deviating = _base_values(base)

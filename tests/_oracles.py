@@ -245,16 +245,24 @@ def brute_bet(q, r):
     return 1 - m, m
 
 
-def brute_masses(prior, policy, cell, state, event):
-    """``(q, r)``: the masses the state's posterior and the prior conditioned
-    on ``cell`` (which must have positive prior) put on ``event``.  The
-    policy and prior are read through their raw fields; ``cell`` and
-    ``event`` are sets of states."""
-    posterior = dist_of(policy.posteriors[state])
-    sober = conditioned(dist_of(prior), cell)
-    return tuple(
-        sum((m for s, m in d.items() if s in event), Fraction(0)) for d in (posterior, sober)
+def brute_deviation(prior, policy, state, event):
+    """``(cell, q, r)`` for a state and an ``event``, a set of states.
+
+    ``cell`` is the set of members of the partition cell holding ``state``,
+    and ``q`` and ``r`` are the masses that the state's posterior and the
+    prior conditioned on ``cell`` put on ``event``.  ``None`` when no cell
+    holds the state, the event is not inside its cell, or the cell has
+    prior 0.  The policy and prior are read through their raw fields.
+    """
+    cell = next((set(c.members) for c in policy.partition.cells if state in c.members), None)
+    dist = dist_of(prior)
+    if cell is None or not set(event) <= cell or not cell & dist.keys():
+        return None
+    q, r = (
+        sum((m for s, m in d.items() if s in event), Fraction(0))
+        for d in (dist_of(policy.posteriors[state]), conditioned(dist, cell))
     )
+    return cell, q, r
 
 
 def brute_bet_value(prior, policy, cell, event, q, r):
@@ -287,21 +295,19 @@ def brute_bet_value(prior, policy, cell, event, q, r):
     return brute_val_general(problem, policy), leaks
 
 
-def brute_certificate_holds(prior, policy, cell, state, event, q, r, value):
+def brute_certificate_holds(prior, policy, state, event, value):
     """Whether an aversion certificate's claims hold, from their definitions.
 
-    They hold when ``cell`` is a cell of the policy's partition holding
-    ``state`` and ``event``, ``state`` has positive prior, ``q`` and ``r``
-    are the :func:`brute_masses` and differ, and the bet priced from them
-    leaks nothing and has a negative value equal to ``value``
-    (:func:`brute_bet_value`).
+    They hold when ``state`` has positive prior, ``event`` lies inside the
+    state's cell, the event's :func:`brute_deviation` masses ``q`` and
+    ``r`` differ, and the bet priced from them leaks nothing and has a
+    negative value equal to ``value`` (:func:`brute_bet_value`).
     """
-    cell, event = set(cell), set(event)
-    if cell not in [set(c.members) for c in policy.partition.cells]:
+    found = brute_deviation(prior, policy, state, event)
+    if found is None or state not in dist_of(prior):
         return False
-    if state not in cell or not event <= cell or state not in dist_of(prior):
-        return False
-    if brute_masses(prior, policy, cell, state, event) != (q, r) or q == r:
+    cell, q, r = found
+    if q == r:
         return False
     return brute_bet_value(prior, policy, cell, event, q, r) == (value, False) and value < 0
 

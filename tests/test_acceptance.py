@@ -7,6 +7,8 @@ failure is reproducible by rerunning the same test.
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +22,7 @@ from infovalue.properties import (
 from infovalue.scenarios import GAMBLERS, RACE, UNKNOWN_BIAS, build_scenario
 from infovalue.voi import evaluate, val_general, val_good
 
-from _oracles import brute_val_general
+from _oracles import brute_val_general, conditioned, dist_of
 
 SUITE_4_SEED = 1009  # shared by criteria 4 and 7: same instance stream
 SUITE_5_SEED = 1013
@@ -197,3 +199,29 @@ def test_criterion_9_serialization_round_trip_suite(capsys):
         second = dumps(problem, policy)
         passed = passed and first.encode("utf-8") == second.encode("utf-8")
     _verdict(capsys, 9, "100 instances: save-load-save is byte-identical", passed)
+
+
+TRUST_FILE = Path(__file__).parent / "golden" / "event-trust-counterexample" / "in" / "trust.json"
+
+
+def test_event_form_total_trust_does_not_make_learning_safe():
+    """Trusting one's posteriors event by event is too weak to keep learning
+    from hurting.  On one cell over a, b, c, d, every event E passes
+    P(E | P'(E) >= t) >= t at every positive t some posterior gives E, yet
+    learning costs 1/14 where conditioning would cost nothing."""
+    problem, partition, policy = loads(TRUST_FILE.read_text(encoding="utf-8"))
+    assert val_general(problem, policy) == Fraction(-1, 14)
+    assert brute_val_general(problem, policy) == Fraction(-1, 14)
+    assert val_good(problem, partition) == 0
+    prior = dist_of(problem.prior)
+    posteriors = {s: dist_of(p) for s, p in policy.posteriors.items()}
+    states = problem.space.states
+    for size in range(len(states) + 1):
+        for event in combinations(states, size):
+
+            def mass(dist):
+                return sum((dist.get(s, 0) for s in event), Fraction(0))
+
+            for t in {mass(p) for p in posteriors.values()} - {0}:
+                trusting = {s for s in states if mass(posteriors[s]) >= t}
+                assert mass(conditioned(prior, trusting)) >= t, (event, t)

@@ -311,6 +311,8 @@ TIE = "fallacy confidence 9/10 makes acts tie at expected utility 4/5: bet-heads
 FIXED = "the gamblers scenario has a fixed fallacy confidence of 9/10"
 UNKNOWN = "unknown scenario 'lottery'; expected one of race, gamblers, unknown-bias"
 BARE = "epsilons must be a sequence of values, not the string '01'"
+NOT_ITERABLE = "epsilons must be of type Iterable, not int"
+NONE_NOT_ITERABLE = "epsilons must be of type Iterable, not NoneType"
 
 
 class TestSweepBuildsOnce:
@@ -539,14 +541,18 @@ class TestOneRefusalOrder:
             assert capsys.readouterr() == ("", f"error: {expected[1]}\n")
 
     @pytest.mark.parametrize(
-        "name, confidence, error, message",
+        "name, epsilons, confidence, error, message",
         [
-            ("lottery", None, ConfigError, UNKNOWN),
-            (GAMBLERS, "9/10", ValidationError, BARE),
-            (UNKNOWN_BIAS, "11/10", ValidationError, BARE),
+            ("lottery", "01", None, ConfigError, UNKNOWN),
+            (GAMBLERS, "01", "9/10", ValidationError, BARE),
+            (UNKNOWN_BIAS, "01", "11/10", ValidationError, BARE),
+            ("lottery", 5, None, ConfigError, UNKNOWN),
+            (GAMBLERS, 5, None, ValidationError, NOT_ITERABLE),
+            (GAMBLERS, None, None, ValidationError, NONE_NOT_ITERABLE),
+            (UNKNOWN_BIAS, 5, "2", ValidationError, NOT_ITERABLE),
         ],
     )
     def test_a_bare_string_comes_after_the_name_and_before_the_confidence(
-        self, name, confidence, error, message
+        self, name, epsilons, confidence, error, message
     ):
-        assert outcome(lambda: sweep(name, "01", confidence)) == (error, message)
+        assert outcome(lambda: sweep(name, epsilons, confidence)) == (error, message)
