@@ -409,6 +409,7 @@ def demonstrate_aversion(
       the conditioned prior on some single member), so the first rejected
       candidate lies in the first deviating cell.
     """
+    _check_types(("problem", problem, DecisionProblem), ("policy", policy, UpdatePolicy))
     prior = problem.prior
     space = prior.space
     if space != policy.space:

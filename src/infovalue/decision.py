@@ -331,6 +331,11 @@ def is_relevant(problem: DecisionProblem, partition: "EvidencePartition") -> boo
     Each cell's scores come from ``_cell_scores`` (so through ``prob``'s
     ``_cell_weights``), with no credence conditioned.
     """
+    from .updating import EvidencePartition  # updating imports this module
+
+    _check_types(
+        ("problem", problem, DecisionProblem), ("partition", partition, EvidencePartition)
+    )
     rows = []
     for cell in partition.cells:
         scores = problem._cell_scores(cell)[1]

@@ -49,7 +49,16 @@ from .errors import (
     SpaceMismatchError,
     ValidationError,
 )
-from .prob import Credence, Event, StateSpace, _cell_weights, _over_lcm, _ratio, _weight
+from .prob import (
+    Credence,
+    Event,
+    StateSpace,
+    _cell_weights,
+    _check_types,
+    _over_lcm,
+    _ratio,
+    _weight,
+)
 from .updating import (
     CONDITIONALIZATION,
     EvidencePartition,
@@ -120,6 +129,7 @@ def problem_document(problem: DecisionProblem, policy: UpdatePolicy) -> dict:
     formatted once per distinct posterior object (states often share one),
     and each state gets its own copy of its table.
     """
+    _check_types(("problem", problem, DecisionProblem), ("policy", policy, UpdatePolicy))
     if policy.space != problem.space:
         raise SpaceMismatchError("policy is not over the problem's space")
     prior = problem.prior

@@ -6,9 +6,13 @@ self-doubt disposition and run it through :func:`mixture_expand`, yielding
 a genuinely modest policy.  Both kinds are generated with the error-on-tie
 policy and resampled until no posterior's choice ties, so every property
 failure is a real counterexample rather than an artifact of silent
-tie-breaking.  The tie probe is :func:`val_general`, which decides every
-choice and does nothing else that can fail, so a broken property is
-reported as a counterexample instead of escaping the suite as an error.
+tie-breaking.  Ties are probed on each draw's base credences, before
+anything is built: each cell's conditioned prior and its deviant
+posterior, which choose as the built policy's posteriors do (see
+updating's ``_probe_ties``).  The probe decides choices and does nothing
+else that can fail, so a broken property is reported as a counterexample
+instead of escaping the suite as an error, and a draw that ties is thrown
+away unexpanded and unevaluated.
 
 The suite checks, on every instance it can:
 
@@ -32,7 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .decision import (
     ERROR_ON_TIE,
@@ -49,6 +53,7 @@ from .updating import (
     DeviationSpec,
     EvidencePartition,
     UpdatePolicy,
+    _probe_ties,
     conditionalization_policy,
     is_immodest,
     mixture_expand,
@@ -186,40 +191,37 @@ def _random_deviation_spec(
     return DeviationSpec(epsilon, deviants)
 
 
-def _tie_free(draw: Callable[[], _Instance]) -> _Instance:
-    """The first of up to ``_RESAMPLE_CAP`` drawn instances whose choices never tie."""
-    for _ in range(_RESAMPLE_CAP):
-        instance = draw()
-        try:
-            val_general(instance.problem, instance.policy)
-        except TieError:
-            continue
-        return instance
-    raise InfoValueError("could not draw a tie-free instance")  # pragma: no cover
+def _ties(
+    problem: DecisionProblem, partition: EvidencePartition, deviant: Mapping[Event, Credence]
+) -> bool:
+    """Whether any posterior built from these base credences ties."""
+    try:
+        _probe_ties(problem, partition, deviant)
+    except TieError:
+        return True
+    return False
 
 
 def _random_conditionalization_instance(rng: random.Random) -> _Instance:
     """A random problem paired with literal conditionalization."""
-
-    def draw():
+    for _ in range(_RESAMPLE_CAP):
         problem, partition = _random_problem(rng)
-        policy = conditionalization_policy(problem.prior, partition)
-        return _Instance("conditionalization", problem, policy)
-
-    return _tie_free(draw)
+        if not _ties(problem, partition, {}):
+            policy = conditionalization_policy(problem.prior, partition)
+            return _Instance("conditionalization", problem, policy)
+    raise InfoValueError("could not draw a tie-free instance")  # pragma: no cover
 
 
 def _random_mixture_instance(
     rng: random.Random, max_base_states: int = 8
 ) -> _Instance:
     """A random expanded problem with a modest policy, via mixture expansion."""
-
-    def draw():
+    for _ in range(_RESAMPLE_CAP):
         base, partition = _random_problem(rng, 2, max_base_states, need_wide_cell=True)
         spec = _random_deviation_spec(rng, base.prior, partition)
-        return _Instance("mixture", *mixture_expand(base, partition, spec))
-
-    return _tie_free(draw)
+        if not _ties(base, partition, spec.deviant_posteriors):
+            return _Instance("mixture", *mixture_expand(base, partition, spec))
+    raise InfoValueError("could not draw a tie-free instance")  # pragma: no cover
 
 
 @dataclass(frozen=True)

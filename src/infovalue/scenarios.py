@@ -39,15 +39,15 @@ from .decision import (
     ChoiceSet,
     DecisionProblem,
     OutcomeSpace,
-    best_action,
 )
 from .errors import ConfigError, TieError, ValidationError
-from .prob import Credence, Event, StateSpace, _check_types, as_fraction, condition
+from .prob import Credence, Event, StateSpace, _check_types, as_fraction
 from .updating import (
     DeviationSpec,
     EvidencePartition,
     UpdatePolicy,
     _epsilon,
+    _probe_ties,
     conditionalization_policy,
     mixture_expand,
 )
@@ -216,10 +216,10 @@ def _unknown_bias_base(fallacy_confidence) -> _FallacyBase:
     above.
 
     The confidence's syntax is refused here, then its range, then a tie,
-    probed once on the base posteriors: each cell's conditioned prior, then
-    its deviant posterior.  A confidence at which the deviant self is
-    exactly torn between two acts raises the :class:`ConfigError` naming
-    the tied acts.  A mixed credence prices every act exactly as its base
+    probed once on the base posteriors by updating's ``_probe_ties``: each
+    cell's conditioned prior, then its deviant posterior.  A confidence at
+    which the deviant self is exactly torn between two acts raises the
+    :class:`ConfigError` naming the tied acts.  A mixed credence prices every act exactly as its base
     credence does, so whether acts tie does not depend on epsilon.
     """
     confidence = as_fraction(fallacy_confidence)
@@ -254,16 +254,13 @@ def _unknown_bias_base(fallacy_confidence) -> _FallacyBase:
         confidence,
     )
     strict = replace(base.problem, tie_policy=ERROR_ON_TIE)
-    for cell in base.partition.cells:
-        correct = condition(base.problem.prior, cell)
-        for posterior in (correct, base.deviant.get(cell, correct)):
-            try:
-                best_action(posterior, strict)
-            except TieError as exc:
-                raise ConfigError(
-                    f"fallacy confidence {confidence} makes acts tie at "
-                    f"expected utility {exc.value}: {', '.join(exc.actions)}"
-                ) from None
+    try:
+        _probe_ties(strict, base.partition, base.deviant)
+    except TieError as exc:
+        raise ConfigError(
+            f"fallacy confidence {confidence} makes acts tie at "
+            f"expected utility {exc.value}: {', '.join(exc.actions)}"
+        ) from None
     return base
 
 

@@ -33,6 +33,7 @@ from .decision import (
     ChoiceSet,
     DecisionProblem,
     _choose,
+    best_action,
 )
 from .errors import (
     MissingPosteriorError,
@@ -247,10 +248,6 @@ def conditionalization_policy(
     return UpdatePolicy._checked(partition, posteriors)
 
 
-def _joined(state: str, label: str) -> str:
-    return f"{state}·{label}"
-
-
 def mixture_expand(
     problem: DecisionProblem,
     partition: EvidencePartition,
@@ -306,8 +303,8 @@ def mixture_expand(
                 "cell of the partition"
             )
 
-    base_states = tuple(problem.space)
-    expanded_ids = [_joined(s, label) for s in base_states for label in labels]
+    lifted = {s: (f"{s}·{stay}", f"{s}·{deviate}") for s in problem.space}
+    expanded_ids = [t for pair in lifted.values() for t in pair]
     if len(set(expanded_ids)) != len(expanded_ids):
         raise ValidationError(
             "expanded state ids collide; rename base states or pass other labels"
@@ -322,14 +319,7 @@ def mixture_expand(
         )
 
     actions = tuple(
-        Action(
-            a.id,
-            {
-                _joined(s, label): a.outcome_in(s)
-                for s in base_states
-                for label in labels
-            },
-        )
+        Action(a.id, {t: a.outcome_in(s) for s, pair in lifted.items() for t in pair})
         for a in problem.choices
     )
     expanded = DecisionProblem(
@@ -344,16 +334,38 @@ def mixture_expand(
     # and a product keeps each one's support inside the lifted cell
     lifted_cells, posteriors = [], {}
     for base_cell in partition.cells:
-        lifted = frozenset(_joined(s, label) for s in base_cell.members for label in labels)
-        lifted_cells.append(Event(space, lifted))
+        members = frozenset(t for s in base_cell.members for t in lifted[s])
+        lifted_cells.append(Event(space, members))
         correct = mixed(condition(problem.prior, base_cell))
         deviant = spec.deviant_posteriors.get(base_cell)
         distorted = correct if deviant is None else mixed(deviant)
         for s in base_cell.members:
-            posteriors[_joined(s, stay)] = correct
-            posteriors[_joined(s, deviate)] = distorted
+            posteriors.update(zip(lifted[s], (correct, distorted)))
     partition = EvidencePartition(space, tuple(lifted_cells))
     return expanded, UpdatePolicy._checked(partition, posteriors)
+
+
+def _probe_ties(
+    problem: DecisionProblem, partition: EvidencePartition, deviant: Mapping[Event, Credence]
+) -> None:
+    """Raise the :class:`TieError` of the first cell whose posteriors tie.
+
+    Cells are probed in declared order, each on its conditioned prior and
+    then on its ``deviant`` posterior, if it has one, under the problem's
+    tie policy.  Those are the posteriors of :func:`conditionalization_policy`
+    and, mixed, of :func:`mixture_expand` by a spec with these deviant
+    posteriors; a mixed credence prices each act as its base credence does,
+    so for every epsilon strictly between 0 and 1 the expansion's choices
+    tie exactly when this raises.  A cell's prior is scored through
+    ``DecisionProblem._cell_scores``, so a zero-probability cell is refused
+    as conditioning on it would be.
+    """
+    for cell in partition.cells:
+        weight, scores = problem._cell_scores(cell)
+        _choose(problem, scores, weight * problem._scale)
+        posterior = deviant.get(cell)
+        if posterior is not None:
+            best_action(posterior, problem)
 
 
 class _PosteriorClass(NamedTuple):
@@ -431,6 +443,7 @@ def deviating_states(policy: UpdatePolicy, prior: Credence) -> tuple[str, ...]:
     that cannot obtain carries no weight.  Read off each cell's integer
     table, so no credence is conditioned or compared.
     """
+    _check_types(("policy", policy, UpdatePolicy), ("prior", prior, Credence))
     if prior.space != policy.space:
         raise SpaceMismatchError("prior and policy live on different spaces")
     deviating = set()

@@ -37,7 +37,7 @@ from typing import Mapping
 
 from .decision import DecisionProblem, max_expected_utility
 from .errors import IndependenceBrokenError, SpaceMismatchError, ValidationError
-from .prob import Event, _over_lcm, as_fraction
+from .prob import Event, _check_types, _over_lcm, as_fraction
 from .updating import EvidencePartition, UpdatePolicy, _cell_pass, _choice_groups
 
 __all__ = [
@@ -190,6 +190,9 @@ def val_good(problem: DecisionProblem, partition: EvidencePartition) -> Fraction
     only maxima enter.  A zero-probability cell is a hard error (conditioning
     on it is undefined), not a silently skipped term.
     """
+    _check_types(
+        ("problem", problem, DecisionProblem), ("partition", partition, EvidencePartition)
+    )
     if partition.space != problem.space:
         raise SpaceMismatchError("partition is not over the problem's space")
     return _informed(problem, partition) - max_expected_utility(problem.prior, problem)
@@ -232,6 +235,7 @@ def val_general(problem: DecisionProblem, policy: UpdatePolicy) -> Fraction:
     no-learning baseline as :func:`val_good`.  Unlike the classical value,
     this can be negative.
     """
+    _check_types(("problem", problem, DecisionProblem), ("policy", policy, UpdatePolicy))
     realized = _realized(problem, _choice_groups(problem, policy))
     return realized - max_expected_utility(problem.prior, problem)
 
@@ -292,6 +296,7 @@ def evaluate(problem: DecisionProblem, policy: UpdatePolicy) -> VoiReport:
     action, probe action) triple.  A zero-probability cell raises
     :class:`ZeroProbabilityError` first, as it does in :func:`val_good`.
     """
+    _check_types(("problem", problem, DecisionProblem), ("policy", policy, UpdatePolicy))
     groups = _choice_groups(problem, policy)
     informed = _informed(problem, policy.partition)
     per_cell = _cellwise(problem, policy, groups)

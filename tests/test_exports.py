@@ -1,5 +1,6 @@
-"""Every exported name resolves, in the package and in each submodule, and
-the package exports exactly the pinned list."""
+"""Every exported name resolves, in the package and in each submodule, the
+package exports exactly the pinned list, and its entry functions refuse a
+wrong-typed argument."""
 
 import importlib
 import pkgutil
@@ -7,7 +8,21 @@ import pkgutil
 import pytest
 
 import infovalue
-from infovalue import errors
+from infovalue import (
+    build_scenario,
+    demonstrate_aversion,
+    deviating_states,
+    dumps,
+    errors,
+    evaluate,
+    is_relevant,
+    problem_document,
+    val_general,
+    val_good,
+)
+from infovalue.errors import ValidationError
+
+from _refusals import refusal
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(infovalue.__path__))
 
@@ -130,3 +145,65 @@ def test_every_error_class_is_exported():
 
 def test_the_public_surface_is_the_pinned_list():
     assert sorted(infovalue.__all__) == PUBLIC
+
+
+GAMBLERS = build_scenario("gamblers", "1/10")
+P, Q = GAMBLERS.problem, GAMBLERS.policy
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: evaluate(None, Q), "problem must be of type DecisionProblem, not NoneType"),
+        (lambda: evaluate(P, None), "policy must be of type UpdatePolicy, not NoneType"),
+        (
+            lambda: val_general(P, Q.partition),
+            "policy must be of type UpdatePolicy, not EvidencePartition",
+        ),
+        (
+            lambda: val_good(P, Q),
+            "partition must be of type EvidencePartition, not UpdatePolicy",
+        ),
+        (
+            lambda: is_relevant(P, Q),
+            "partition must be of type EvidencePartition, not UpdatePolicy",
+        ),
+        (
+            lambda: is_relevant(Q, Q.partition),
+            "problem must be of type DecisionProblem, not UpdatePolicy",
+        ),
+        (
+            lambda: deviating_states(Q.partition, P.prior),
+            "policy must be of type UpdatePolicy, not EvidencePartition",
+        ),
+        (
+            lambda: deviating_states(Q, P),
+            "prior must be of type Credence, not DecisionProblem",
+        ),
+        (
+            lambda: demonstrate_aversion(P, Q.partition),
+            "policy must be of type UpdatePolicy, not EvidencePartition",
+        ),
+        (
+            lambda: problem_document(Q, P),
+            "problem must be of type DecisionProblem, not UpdatePolicy",
+        ),
+        (lambda: dumps(P, None), "policy must be of type UpdatePolicy, not NoneType"),
+    ],
+    ids=[
+        "evaluate-no-problem",
+        "evaluate-no-policy",
+        "val-general-partition-for-policy",
+        "val-good-policy-for-partition",
+        "is-relevant-policy-for-partition",
+        "is-relevant-policy-for-problem",
+        "deviating-states-partition-for-policy",
+        "deviating-states-problem-for-prior",
+        "demonstrate-aversion-partition-for-policy",
+        "problem-document-arguments-swapped",
+        "dumps-no-policy",
+    ],
+)
+def test_entry_functions_refuse_wrong_typed_arguments(build, message):
+    """Each refuses before it reads an attribute of the argument."""
+    assert refusal(build) == (ValidationError, "_check_types", message)

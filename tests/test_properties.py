@@ -14,7 +14,7 @@ from infovalue.decision import (
     DecisionProblem,
     OutcomeSpace,
 )
-from infovalue.errors import InfoValueError, ValidationError
+from infovalue.errors import InfoValueError, TieError, ValidationError
 from infovalue.prob import Credence, Event, StateSpace, condition
 from infovalue.problemfile import dumps, loads
 from infovalue.properties import (
@@ -32,11 +32,13 @@ from infovalue.properties import (
 from infovalue.updating import (
     EvidencePartition,
     UpdatePolicy,
+    _probe_ties,
     conditionalization_policy,
     deviating_states,
     is_immodest,
+    mixture_expand,
 )
-from infovalue.voi import evaluate
+from infovalue.voi import evaluate, val_general
 
 from _oracles import brute_val_general, brute_val_good
 
@@ -172,6 +174,73 @@ def forced_leak(monkeypatch):
 
     for module in (updating, voi):
         monkeypatch.setattr(module, "_cell_pass", leaking)
+
+
+def ties(run) -> bool:
+    """Whether ``run()`` raises :class:`TieError`."""
+    try:
+        run()
+    except TieError:
+        return True
+    return False
+
+
+PROBE_DRAWS = 500
+
+
+class TestTieProbe:
+    """The generators keep a draw when its base credences do not tie; that is
+    sound only if evaluating the built instance then cannot tie either, and
+    complete only if a tie in the base always shows in the instance."""
+
+    def test_probe_decides_conditionalization_ties(self):
+        rng, outcomes = random.Random(37), set()
+        for _ in range(PROBE_DRAWS):
+            problem, partition = _random_problem(rng)
+            policy = conditionalization_policy(problem.prior, partition)
+            probed = ties(lambda: _probe_ties(problem, partition, {}))
+            assert probed == ties(lambda: val_general(problem, policy))
+            outcomes.add(probed)
+        assert outcomes == {True, False}
+
+    def test_probe_decides_mixture_ties(self):
+        rng, outcomes = random.Random(37), set()
+        for _ in range(PROBE_DRAWS):
+            base, partition = _random_problem(rng, need_wide_cell=True)
+            spec = _random_deviation_spec(rng, base.prior, partition)
+            problem, policy = mixture_expand(base, partition, spec)
+            probed = ties(lambda: _probe_ties(base, partition, spec.deviant_posteriors))
+            assert probed == ties(lambda: val_general(problem, policy))
+            outcomes.add(probed)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "order, tied, value",
+        [
+            ("cd ab", ("on-a", "on-b", "on-c"), Fraction(0)),
+            ("ab cd", ("on-a", "on-b"), Fraction(1, 2)),
+        ],
+    )
+    def test_probe_raises_the_first_declared_cells_tie(self, order, tied, value):
+        """Cells in declared order, not state order, each on its conditioned
+        prior and then on its deviant posterior.  Cell ab's prior ties on-a
+        with on-b; cell cd's prior picks on-c, its deviant, sure of d, ties
+        all three acts at 0."""
+        space = StateSpace(("a", "b", "c", "d"))
+        prior = Credence._from_weights(space, [1, 1, 1, 1])
+        outcomes = OutcomeSpace(("zero", "one"), {"zero": 0, "one": 1})
+        actions = tuple(
+            Action(f"on-{x}", {s: "one" if s == x else "zero" for s in space}) for x in "abc"
+        )
+        problem = DecisionProblem(
+            space, outcomes, prior, ChoiceSet(actions), tie_policy=ERROR_ON_TIE
+        )
+        cells = {name: Event(space, frozenset(name)) for name in ("ab", "cd")}
+        partition = EvidencePartition(space, tuple(cells[name] for name in order.split()))
+        deviant = {cells["cd"]: Credence._from_weights(space, [0, 0, 0, 1])}
+        with pytest.raises(TieError) as excinfo:
+            _probe_ties(problem, partition, deviant)
+        assert (excinfo.value.actions, excinfo.value.value) == (tied, value)
 
 
 class TestPropertySuite:
@@ -342,6 +411,27 @@ class TestPropertySuite:
             _check_instance(trial, instance, checked, failures)
             assert failures == []
             assert len(calls) <= 2, (trial, len(calls))
+
+    def test_one_choice_map_per_instance_and_one_expansion_per_mixture(self, monkeypatch):
+        """Ties are probed on each draw's base credences, so a draw that is
+        thrown away is never expanded or evaluated: the suite's only choice
+        map is each instance's evaluate."""
+        choice_groups, expand = updating._choice_groups, properties.mixture_expand
+        built = {"choice maps": 0, "expansions": 0}
+
+        def counted_choice_groups(problem, policy):
+            built["choice maps"] += 1
+            return choice_groups(problem, policy)
+
+        def counted_expand(*args):
+            built["expansions"] += 1
+            return expand(*args)
+
+        for module in (updating, voi):
+            monkeypatch.setattr(module, "_choice_groups", counted_choice_groups)
+        monkeypatch.setattr(properties, "mixture_expand", counted_expand)
+        assert property_suite(0, 12).ok
+        assert built == {"choice maps": 12, "expansions": 6}
 
 
 class TestPropertyReport:
