@@ -171,13 +171,15 @@ class AversionCertificate:
     Every check compares integers: ``q`` and ``r`` are read off the
     posterior's ``nums`` and the prior's weights on the cell, so no
     credence is conditioned and no expected utility is built.  The checks
-    build five Fractions, ``q``, ``r``, the stakes and the recomputed
-    value; any other is built only for an error message.  The
-    recomputation is a second route: it builds its own per-cell act groups
-    from the synthesized problem and the policy, sharing no tally with the
-    search that found the bet, and the leak test reads the same groups.
-    Besides that one choice map, the checks cost O(|space|) integer
-    operations.
+    build four Fractions, ``q``, ``r`` and the stakes; the recomputed value
+    is an integer over ``prior.den * U``, compared with the claim by
+    cross-multiplying, and any other Fraction is built only for an error
+    message.  The bet's side is read off the same cross-multiplied ``q``
+    and ``r``.  The recomputation is a second route: it builds its own
+    per-cell act groups from the synthesized problem and the policy,
+    sharing no tally with the search that found the bet, and the leak test
+    reads the same groups.  Besides that one choice map, the checks cost
+    O(|space|) integer operations.
     """
 
     state: str
@@ -214,7 +216,7 @@ class AversionCertificate:
             raise ValidationError("q and r agree; a deviation must disagree about its event")
         q, r = Fraction(q_num, q_den), Fraction(r_num, r_den)
         win, loss = construct_bet(q, r)
-        bet_event = event if q > r else event.complement()
+        bet_event = event if q_num * r_den > r_num * q_den else event.complement()
         problem = _synthesize(prior, cell, bet_event, win, loss)
         object.__setattr__(self, "deviation", Deviation(cell, state, event, q, r))
         object.__setattr__(self, "bet_win", win)
@@ -222,11 +224,13 @@ class AversionCertificate:
         object.__setattr__(self, "bet_event", bet_event)
         object.__setattr__(self, "problem", problem)
         groups = _choice_groups(problem, policy)
-        recomputed = _realized(problem, groups)  # less the baseline, which is 0
-        if recomputed != self.val_general:
+        # less the baseline, which is 0; over prior.den * U
+        recomputed, den = _realized(problem, groups), prior.den * problem._scale
+        claim = self.val_general
+        if recomputed * claim.denominator != claim.numerator * den:
             raise ValidationError(
-                f"certificate claims val_general={self.val_general}, "
-                f"recomputation gives {recomputed}"
+                f"certificate claims val_general={claim}, "
+                f"recomputation gives {Fraction(recomputed, den)}"
             )
         witness = _first_leak(problem, policy, groups)
         if witness is not None:

@@ -26,7 +26,8 @@ posterior object, by each act's lead over the first act on its own cell's
 columns only.  That is exact: a posterior puts all of its mass on its
 cell, so every product left out is 0, and each score is the first act's
 plus its lead.  They are stored once, as per-cell act groups: for each
-cell, the positions of the positive-prior states that choose each act.
+cell, the positions of the positive-prior states that choose each act,
+keyed by the act's index in the choice set.
 The realized value, the leak test and the cellwise decomposition all read
 those groups.
 """
@@ -282,7 +283,9 @@ def expected_utility(
     credence's numerators, over ``credence.den * U``.  An action outside the
     choice set is validated against the problem and scored the same way.
     """
+    _check_types(("problem", problem, DecisionProblem), ("action", action, Action))
     p = problem.prior if credence is None else credence
+    _check_types(("credence", p, Credence))
     if p.space != problem.space:
         raise SpaceMismatchError("credence is not over the problem's space")
     return Fraction(sum(map(mul, problem._row(action), p.nums)), p.den * problem._scale)
@@ -312,6 +315,7 @@ def best_action(credence: Credence, problem: DecisionProblem) -> tuple[Action, F
     under ``error-on-tie`` a non-unique maximizer raises :class:`TieError`
     listing every tied action id.
     """
+    _check_types(("credence", credence, Credence), ("problem", problem, DecisionProblem))
     den = credence.den * problem._scale
     action, top = _choose(problem, problem._scores(credence), den)
     return action, Fraction(top, den)
@@ -319,6 +323,7 @@ def best_action(credence: Credence, problem: DecisionProblem) -> tuple[Action, F
 
 def max_expected_utility(credence: Credence, problem: DecisionProblem) -> Fraction:
     """The best achievable expected utility under ``credence`` (tie-insensitive)."""
+    _check_types(("credence", credence, Credence), ("problem", problem, DecisionProblem))
     return Fraction(max(problem._scores(credence)), credence.den * problem._scale)
 
 

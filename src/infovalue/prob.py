@@ -313,6 +313,7 @@ class Credence:
 
 def probability(credence: Credence, event: Event) -> Fraction:
     """Total mass the credence assigns to the event."""
+    _check_types(("credence", credence, Credence), ("event", event, Event))
     if event.space != credence.space:
         raise SpaceMismatchError("event and credence live on different spaces")
     return Fraction(_weight(credence, event), credence.den)
@@ -360,6 +361,7 @@ def condition(credence: Credence, event: Event) -> Credence:
     Raises :class:`ZeroProbabilityError` if the event has probability 0 —
     there is no canonical answer there and pretending otherwise hides bugs.
     """
+    _check_types(("credence", credence, Credence), ("event", event, Event))
     _, weights = _cell_weights(credence, event)
     kept = [0] * len(credence.nums)
     for i, weight in zip(event._positions, weights):
@@ -369,8 +371,11 @@ def condition(credence: Credence, event: Event) -> Credence:
 
 def is_partition(space: StateSpace, cells: Iterable[Event]) -> bool:
     """True iff ``cells`` are pairwise-disjoint, non-empty, and cover ``space``."""
+    _check_types(("space", space, StateSpace), ("cells", cells, Iterable))
     positions: list[int] = []
-    for cell in cells:
+    for i, cell in enumerate(cells):
+        if not isinstance(cell, Event):
+            _check_types((f"cells[{i}]", cell, Event))
         if cell.space != space or not cell.members:
             return False
         positions += cell._positions

@@ -238,6 +238,7 @@ def conditionalization_policy(
     prior: Credence, partition: EvidencePartition
 ) -> UpdatePolicy:
     """The policy that conditions the prior on whichever cell obtains."""
+    _check_types(("prior", prior, Credence), ("partition", partition, EvidencePartition))
     if prior.space != partition.space:
         raise SpaceMismatchError("prior and partition live on different spaces")
     # keyed by id: hashing an Event hashes its whole space
@@ -281,6 +282,11 @@ def mixture_expand(
 
     Returns the expanded problem and the expanded update policy.
     """
+    _check_types(
+        ("problem", problem, DecisionProblem),
+        ("partition", partition, EvidencePartition),
+        ("spec", spec, DeviationSpec),
+    )
     if (
         not isinstance(labels, tuple)
         or len(labels) != 2
@@ -462,12 +468,14 @@ def is_immodest(policy: UpdatePolicy, prior: Credence) -> bool:
 
 def _choice_groups(
     problem: DecisionProblem, policy: UpdatePolicy
-) -> list[dict[Action, list[int]]]:
+) -> list[dict[int, list[int]]]:
     """Each cell's positive-prior states, grouped by the act chosen there.
 
-    One dict per cell of ``policy.partition.cells``, in order, maps each
-    chosen act to the positions of the states that choose it; a cell with no
-    positive-prior state gets an empty dict.  Each cell is walked alone, its
+    One dict per cell of ``policy.partition.cells``, in order, maps the
+    choice-set index of each chosen act to the positions of the states that
+    choose it; a cell with no positive-prior state gets an empty dict.
+    Readers fetch an :class:`~infovalue.decision.Action` by its index only
+    to report its id or a leak witness.  Each cell is walked alone, its
     states in order, and choice is decided once per posterior object, at its
     first state; a later state that holds the same object finds its group by
     the object's id.  A posterior is scored on its own cell's columns only,
@@ -485,7 +493,7 @@ def _choice_groups(
     if policy.space != problem.space:
         raise SpaceMismatchError("policy is not over the problem's space")
     states = problem.space.states
-    prior_nums, actions = problem.prior.nums, problem.choices.actions
+    prior_nums = problem.prior.nums
     first_row, *other_rows = problem._rows.values()
     posteriors, scale = policy.posteriors, problem._scale
     on_ties = problem.tie_policy == ERROR_ON_TIE
@@ -494,7 +502,7 @@ def _choice_groups(
         take = _columns(cell._positions)
         first = take(first_row)
         gaps = [tuple(map(sub, take(row), first)) for row in other_rows]
-        cell_groups: dict[Action, list[int]] = {}
+        cell_groups: dict[int, list[int]] = {}
         by_object: dict[int, list[int]] = {}  # id(posterior) -> the group it chooses into
         for i in cell._positions:
             if not prior_nums[i]:
@@ -508,8 +516,9 @@ def _choice_groups(
                 if on_ties and leads.count(top) > 1 and (tie is None or i < tie[0]):
                     base = sum(map(mul, first, nums))
                     tie = (i, [base + lead for lead in leads], posterior.den * scale)
-                action = actions[leads.index(top)]
-                group = by_object[id(posterior)] = cell_groups.setdefault(action, [])
+                group = by_object[id(posterior)] = cell_groups.setdefault(
+                    leads.index(top), []
+                )
             group.append(i)
         out.append(cell_groups)
     if tie is not None:
@@ -518,15 +527,16 @@ def _choice_groups(
 
 
 def _cell_pass(
-    problem: DecisionProblem, groups: Mapping[Action, list[int]]
-) -> tuple[list[int], dict[Action, int], tuple[Action, Action] | None]:
+    problem: DecisionProblem, groups: Mapping[int, list[int]]
+) -> tuple[list[int], dict[int, int], tuple[int, int] | None]:
     """One pass over a positive-probability cell's act groups.
 
-    Returns each action's integer score on the cell (choice-set order),
-    each group's summed prior numerators (keyed by its act), and the
-    cell's first leak: the first (chosen, probe) pair, both in choice-set
-    order, whose expected utility moves when the prior is conditioned
-    further on "the agent chose this".
+    ``groups`` is one cell's dict from :func:`_choice_groups`, keyed by act
+    index.  Returns each action's integer score on the cell (choice-set
+    order), each group's summed prior numerators (keyed by its act's
+    index), and the cell's first leak: the first (chosen, probe) pair of
+    act indices, both in choice-set order, whose expected utility moves
+    when the prior is conditioned further on "the agent chose this".
 
     Decided in integers, with no credence or Fraction built.  For a set of
     states, an action's score is ``sum(row[i] * prior.nums[i])`` over the
@@ -540,22 +550,20 @@ def _cell_pass(
     cell_weight != cell_score * group_weight`` for the probe's row.
     """
     nums, rows = problem.prior.nums, problem._rows.values()  # choice-set order
-    weights: dict[Action, int] = {}
-    scores: dict[Action, list[int]] = {}
-    for action, group in groups.items():
+    weights: dict[int, int] = {}
+    scores: dict[int, list[int]] = {}
+    for k, group in groups.items():
         take = _columns(group)
         group_nums = take(nums)
-        weights[action] = sum(group_nums)
-        scores[action] = [sum(map(mul, take(row), group_nums)) for row in rows]
+        weights[k] = sum(group_nums)
+        scores[k] = [sum(map(mul, take(row), group_nums)) for row in rows]
     cell_weight = sum(weights.values())
     cell_scores = [sum(column) for column in zip(*scores.values())]
     if len(groups) > 1:  # a lone group is the cell's whole support
-        for action in problem.choices:
-            for probe, score, cell_score in zip(
-                problem.choices, scores.get(action, ()), cell_scores
-            ):
-                if score * cell_weight != cell_score * weights[action]:
-                    return cell_scores, weights, (action, probe)
+        for k in sorted(scores):
+            for probe, (score, cell_score) in enumerate(zip(scores[k], cell_scores)):
+                if score * cell_weight != cell_score * weights[k]:
+                    return cell_scores, weights, (k, probe)
     return cell_scores, weights, None
 
 
@@ -574,9 +582,11 @@ def _first_leak(
     skipped: a lone group is the cell's whole support, and conditioning on
     it moves nothing.
     """
+    actions = problem.choices.actions
     for cell, cell_groups in zip(policy.partition.cells, groups):
         if len(cell_groups) > 1:
             leak = _cell_pass(problem, cell_groups)[2]
             if leak is not None:
-                return (cell, *leak)
+                chosen, probe = leak
+                return cell, actions[chosen], actions[probe]
     return None

@@ -18,26 +18,32 @@ minus the same baseline.  For policies that just conditionalize the two
 quantities coincide; for policies the agent's own prior expects to deviate,
 ``val_general`` can go negative — learning can hurt.
 
-:func:`evaluate` computes in integers and builds a Fraction only for a
-report field or an error message.  Every expected utility it needs is an
-integer score, ``sum(row[i] * prior.nums[i])`` over some states, divided
-by ``prior.den * U`` or by the states' prior weight times ``U`` (``U`` is
-the problem's utility scale), so maxima compare scores.  ``val_good``
-scores cells by ``DecisionProblem._cell_scores``, on :mod:`prob`'s one
-reader ``_cell_weights``; ``val_general`` walks the act groups.  The report's
-checks cross-multiply, and each of its sums is one integer over the least
-common multiple of its terms' denominators.
+:func:`evaluate`, :func:`val_good` and :func:`val_general` compute in
+integers and build a Fraction only for a reported number or an error
+message; none adds, subtracts, multiplies or divides one.  Every expected
+utility they need is an integer score, ``sum(row[i] * prior.nums[i])``
+over some states, divided by ``prior.den * U`` or by the states' prior
+weight times ``U`` (``U`` is the problem's utility scale), so maxima
+compare scores.  Both values and the baseline, ``max`` of the prior's
+scores, are numerators over ``prior.den * U``, and each reported value is
+one Fraction of a numerator less the baseline over that denominator.
+``val_good`` scores cells by ``DecisionProblem._cell_scores``, on
+:mod:`prob`'s one reader ``_cell_weights``; ``val_general`` sums the act
+groups, keyed by act index.  The report's checks cross-multiply, and each
+of its sums is one integer over the least common multiple of its terms'
+denominators.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from operator import mul
 
-from .decision import DecisionProblem, max_expected_utility
+from .decision import DecisionProblem
 from .errors import IndependenceBrokenError, SpaceMismatchError, ValidationError
-from .prob import Event, _check_types, _over_lcm, as_fraction
+from .prob import Event, _check_types, _columns, _over_lcm, as_fraction
 from .updating import EvidencePartition, UpdatePolicy, _cell_pass, _choice_groups
 
 __all__ = [
@@ -68,6 +74,8 @@ class LemmaOneRow:
     cond_eu: Fraction
 
     def __post_init__(self) -> None:
+        if type(self.action_id) is not str:
+            _check_types(("action_id", self.action_id, str))
         object.__setattr__(self, "choose_prob", as_fraction(self.choose_prob))
         object.__setattr__(self, "cond_eu", as_fraction(self.cond_eu))
         if not 0 < self.choose_prob.numerator <= self.choose_prob.denominator:
@@ -94,12 +102,24 @@ class PerCell:
     rows: tuple[LemmaOneRow, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
+        if type(self.cell) is not Event:
+            _check_types(("cell", self.cell, Event))
+        try:
+            rows = tuple(self.rows)
+        except TypeError:
+            _check_types(("rows", self.rows, Iterable))
+            raise
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "prob", as_fraction(self.prob))
         object.__setattr__(self, "max_cond_eu", as_fraction(self.max_cond_eu))
         if self.prob.numerator <= 0:
             raise ValidationError(f"cell probability must be positive, got {self.prob}")
-        _, total, den = _over_lcm([r.choose_prob.as_integer_ratio() for r in self.rows])
+        try:
+            ratios = [r.choose_prob.as_integer_ratio() for r in rows]
+        except AttributeError:
+            _check_types(*((f"rows[{i}]", r, LemmaOneRow) for i, r in enumerate(rows)))
+            raise
+        _, total, den = _over_lcm(ratios)
         if total != den:
             raise ValidationError(
                 f"choose probabilities in cell {self.cell.describe()} must sum "
@@ -146,10 +166,24 @@ class VoiReport:
     def __post_init__(self) -> None:
         for name in ("baseline", "val_good", "val_general"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
-        object.__setattr__(self, "per_cell", tuple(self.per_cell))
-        object.__setattr__(self, "chosen_by_state", dict(self.chosen_by_state))
-        cells = self.per_cell
-        _, total, den = _over_lcm([c.prob.as_integer_ratio() for c in cells])
+        try:
+            cells = tuple(self.per_cell)
+        except TypeError:
+            _check_types(("per_cell", self.per_cell, Iterable))
+            raise
+        object.__setattr__(self, "per_cell", cells)
+        try:  # unlike dict(), refuses a sequence of pairs
+            chosen = {**self.chosen_by_state}
+        except TypeError:
+            _check_types(("chosen_by_state", self.chosen_by_state, Mapping))
+            raise
+        object.__setattr__(self, "chosen_by_state", chosen)
+        try:
+            ratios = [c.prob.as_integer_ratio() for c in cells]
+        except AttributeError:
+            _check_types(*((f"per_cell[{i}]", c, PerCell) for i, c in enumerate(cells)))
+            raise
+        _, total, den = _over_lcm(ratios)
         if total != den:
             raise ValidationError(
                 f"cell probabilities must sum to 1, got {Fraction(total, den)}"
@@ -195,35 +229,40 @@ def val_good(problem: DecisionProblem, partition: EvidencePartition) -> Fraction
     )
     if partition.space != problem.space:
         raise SpaceMismatchError("partition is not over the problem's space")
-    return _informed(problem, partition) - max_expected_utility(problem.prior, problem)
+    informed = _informed(problem, partition)
+    baseline = max(problem._scores(problem.prior))
+    return Fraction(informed - baseline, problem.prior.den * problem._scale)
 
 
-def _informed(problem: DecisionProblem, partition: EvidencePartition) -> Fraction:
-    """Probability-weighted best conditional expected utility across cells.
+def _informed(problem: DecisionProblem, partition: EvidencePartition) -> int:
+    """Probability-weighted best conditional expected utility across cells,
+    times ``prior.den * U``.
 
     Sums each cell's best score from ``DecisionProblem._cell_scores`` (read
     through :mod:`prob`'s ``_cell_weights``, so refused as conditioning on
-    the cell would be) into one Fraction over ``prior.den * U``.  It scores
+    the cell would be); each is already over ``prior.den * U``.  It scores
     the cells' states, not the act groups the decomposition sums, so a
     report's ``val_good`` check compares two routes.
     """
-    total = sum(max(problem._cell_scores(cell)[1]) for cell in partition.cells)
-    return Fraction(total, problem.prior.den * problem._scale)
+    return sum(max(problem._cell_scores(cell)[1]) for cell in partition.cells)
 
 
-def _realized(problem: DecisionProblem, groups: list[dict]) -> Fraction:
-    """Prior expectation of what each state's chosen act pays there.
+def _realized(problem: DecisionProblem, groups: list[dict[int, list[int]]]) -> int:
+    """Prior expectation of what each state's chosen act pays there, times
+    ``prior.den * U``.
 
-    Sums ``prior.nums[i] * row[i]`` over each act group, on its act's
-    utility row, and divides once, by ``prior.den * U``.
+    ``groups`` is :func:`~infovalue.updating._choice_groups` of the problem,
+    keyed by act index.  Each group adds its act's utility row dotted with
+    ``prior.nums`` on the group's positions, both read by one
+    ``itemgetter``.
     """
-    nums, rows = problem.prior.nums, problem._rows
+    nums, rows = problem.prior.nums, tuple(problem._rows.values())
     total = 0
     for cell_groups in groups:
-        for action, group in cell_groups.items():
-            row = rows[action]
-            total += sum(row[i] * nums[i] for i in group)
-    return Fraction(total, problem.prior.den * problem._scale)
+        for k, group in cell_groups.items():
+            take = _columns(group)
+            total += sum(map(mul, take(rows[k]), take(nums)))
+    return total
 
 
 def val_general(problem: DecisionProblem, policy: UpdatePolicy) -> Fraction:
@@ -237,11 +276,12 @@ def val_general(problem: DecisionProblem, policy: UpdatePolicy) -> Fraction:
     """
     _check_types(("problem", problem, DecisionProblem), ("policy", policy, UpdatePolicy))
     realized = _realized(problem, _choice_groups(problem, policy))
-    return realized - max_expected_utility(problem.prior, problem)
+    baseline = max(problem._scores(problem.prior))
+    return Fraction(realized - baseline, problem.prior.den * problem._scale)
 
 
 def _cellwise(
-    problem: DecisionProblem, policy: UpdatePolicy, groups: list[dict]
+    problem: DecisionProblem, policy: UpdatePolicy, groups: list[dict[int, list[int]]]
 ) -> tuple[PerCell, ...]:
     """Per-cell tables for every cell of the policy's partition, in order.
 
@@ -253,12 +293,13 @@ def _cellwise(
     positive probability, which :func:`_informed` has checked, so every
     cell has an act group.
     """
+    ids = problem.choices.ids()
     out = []
     for cell, cell_groups in zip(policy.partition.cells, groups):
         cell_scores, weights, leak = _cell_pass(problem, cell_groups)
         if leak is not None:
-            action, probe = leak
-            raise IndependenceBrokenError(cell, action.id, probe.id)
+            chosen, probe = leak
+            raise IndependenceBrokenError(cell, ids[chosen], ids[probe])
         # P(chose the act | cell) is the choosers' prior weight over the cell's;
         # a conditional expected utility is the act's cell score over den
         cell_weight = sum(weights.values())
@@ -266,11 +307,10 @@ def _cellwise(
         top = max(cell_scores)
         max_cond_eu = Fraction(top, den)
         rows = []
-        for action, score in zip(problem.choices, cell_scores):
-            weight = weights.get(action)
-            if weight:
-                cond_eu = max_cond_eu if score == top else Fraction(score, den)
-                rows.append(LemmaOneRow(action.id, Fraction(weight, cell_weight), cond_eu))
+        for k in sorted(weights):
+            score = cell_scores[k]
+            cond_eu = max_cond_eu if score == top else Fraction(score, den)
+            rows.append(LemmaOneRow(ids[k], Fraction(weights[k], cell_weight), cond_eu))
         p_cell = Fraction(cell_weight, problem.prior.den)
         out.append(PerCell(cell, p_cell, max_cond_eu, tuple(rows)))
     return tuple(out)
@@ -283,12 +323,14 @@ def evaluate(problem: DecisionProblem, policy: UpdatePolicy) -> VoiReport:
     definitional value and builds the cellwise decomposition from those
     groups separately; ``val_good`` comes from :func:`_informed`'s own
     scores of each cell's states, less the same baseline.  The prior is
-    scored once, for the baseline, and no credence is conditioned.  Each
-    value is the difference of two Fractions over ``prior.den * U``, and
-    the table's maxima compare integer scores, so a Fraction is built only
-    for a field.  :class:`VoiReport` refuses to construct unless the
-    per-cell table reproduces both values exactly, so each is checked
-    against a second route.
+    scored once, for the baseline, and no credence is conditioned.  Both
+    values and the baseline are integers over ``prior.den * U`` until each
+    becomes one Fraction, the difference of two integers over that
+    denominator, and the table's maxima compare integer scores, so a
+    Fraction is built only for a field and none is added or subtracted.
+    :class:`VoiReport` refuses to construct unless the per-cell table
+    reproduces both values exactly, so each is checked against a second
+    route.
 
     Factoring a cell's realized value into the table is exact only when
     choices carry no payoff-relevant information; if they do, raises
@@ -300,17 +342,19 @@ def evaluate(problem: DecisionProblem, policy: UpdatePolicy) -> VoiReport:
     groups = _choice_groups(problem, policy)
     informed = _informed(problem, policy.partition)
     per_cell = _cellwise(problem, policy, groups)
-    baseline = max_expected_utility(problem.prior, problem)
-    states = problem.space.states
+    baseline = max(problem._scores(problem.prior))
+    den = problem.prior.den * problem._scale
+    states, ids = problem.space.states, problem.choices.ids()
     chosen = [None] * len(states)  # by state position: the chosen act's id
     for cell_groups in groups:
-        for action, group in cell_groups.items():
+        for k, group in cell_groups.items():
+            action_id = ids[k]
             for i in group:
-                chosen[i] = action.id
+                chosen[i] = action_id
     return VoiReport(
-        baseline=baseline,
-        val_good=informed - baseline,
-        val_general=_realized(problem, groups) - baseline,
+        baseline=Fraction(baseline, den),
+        val_good=Fraction(informed - baseline, den),
+        val_general=Fraction(_realized(problem, groups) - baseline, den),
         per_cell=per_cell,
         chosen_by_state={s: a for s, a in zip(states, chosen) if a is not None},
     )

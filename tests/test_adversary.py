@@ -272,8 +272,9 @@ class TestAversionCertificate:
     def test_checks_build_no_credence_or_expected_utility(self, monkeypatch):
         """The checks read integer rows, ``nums`` and prior weights: nothing
         conditions a credence or prices an expected utility or probability,
-        and the module builds four Fractions, q, r and the stakes
-        construct_bet prices from them, unless a check fails."""
+        and the checks build four Fractions, q, r and the stakes
+        construct_bet prices from them, unless a check fails: the recomputed
+        value, summed in voi, stays an integer."""
         gamblers = build_scenario("gamblers", epsilon=Fraction(1, 10))
         certs = [
             self.build(),
@@ -294,7 +295,8 @@ class TestAversionCertificate:
             built.append(Fraction(*args))
             return built[-1]
 
-        monkeypatch.setattr(adversary, "Fraction", counted)
+        for module in (adversary, voi):
+            monkeypatch.setattr(module, "Fraction", counted)
         for cert in certs:
             built.clear()
             assert dataclasses.replace(cert) == cert

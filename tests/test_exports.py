@@ -9,13 +9,21 @@ import pytest
 
 import infovalue
 from infovalue import (
+    best_action,
     build_scenario,
+    condition,
+    conditionalization_policy,
     demonstrate_aversion,
     deviating_states,
     dumps,
     errors,
     evaluate,
+    expected_utility,
+    is_partition,
     is_relevant,
+    max_expected_utility,
+    mixture_expand,
+    probability,
     problem_document,
     val_general,
     val_good,
@@ -189,6 +197,36 @@ P, Q = GAMBLERS.problem, GAMBLERS.policy
             "problem must be of type DecisionProblem, not UpdatePolicy",
         ),
         (lambda: dumps(P, None), "policy must be of type UpdatePolicy, not NoneType"),
+        (
+            lambda: best_action(None, P),
+            "credence must be of type Credence, not NoneType",
+        ),
+        (
+            lambda: expected_utility(P, None),
+            "action must be of type Action, not NoneType",
+        ),
+        (
+            lambda: max_expected_utility(P.prior, None),
+            "problem must be of type DecisionProblem, not NoneType",
+        ),
+        (lambda: probability(P.prior, None), "event must be of type Event, not NoneType"),
+        (lambda: condition(P.prior, None), "event must be of type Event, not NoneType"),
+        (
+            lambda: is_partition(P.space, None),
+            "cells must be of type Iterable, not NoneType",
+        ),
+        (
+            lambda: is_partition(P.space, [Q.partition.cells[0], None]),
+            "cells[1] must be of type Event, not NoneType",
+        ),
+        (
+            lambda: mixture_expand(P, Q.partition, None),
+            "spec must be of type DeviationSpec, not NoneType",
+        ),
+        (
+            lambda: conditionalization_policy(P.prior, None),
+            "partition must be of type EvidencePartition, not NoneType",
+        ),
     ],
     ids=[
         "evaluate-no-problem",
@@ -202,6 +240,15 @@ P, Q = GAMBLERS.problem, GAMBLERS.policy
         "demonstrate-aversion-partition-for-policy",
         "problem-document-arguments-swapped",
         "dumps-no-policy",
+        "best-action-no-credence",
+        "expected-utility-no-action",
+        "max-expected-utility-no-problem",
+        "probability-no-event",
+        "condition-no-event",
+        "is-partition-no-cells",
+        "is-partition-no-cell",
+        "mixture-expand-no-spec",
+        "conditionalization-policy-no-partition",
     ],
 )
 def test_entry_functions_refuse_wrong_typed_arguments(build, message):

@@ -339,6 +339,39 @@ class TestRowAndCellValidation:
             "pass a Fraction, an int, or a string like '1/10'",
         )
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: LemmaOneRow(5, 1, 0), "action_id must be of type str, not int"),
+            (
+                lambda: PerCell(None, 1, 0, [LemmaOneRow("x", 1, 0)]),
+                "cell must be of type Event, not NoneType",
+            ),
+            (lambda: PerCell(LEFT, 1, 0, 5), "rows must be of type Iterable, not int"),
+            (
+                lambda: PerCell(LEFT, 1, 0, ["x"]),
+                "rows[0] must be of type LemmaOneRow, not str",
+            ),
+            (lambda: VoiReport(0, 0, 0, 5, {}), "per_cell must be of type Iterable, not int"),
+            (
+                lambda: VoiReport(0, 0, 0, ["x"], {}),
+                "per_cell[0] must be of type PerCell, not str",
+            ),
+            (
+                lambda: VoiReport(
+                    0, 0, 0, [PerCell(LEFT, 1, 0, [LemmaOneRow("x", 1, 0)])], ["ab"]
+                ),
+                "chosen_by_state must be of type Mapping, not list",
+            ),
+        ],
+        ids=[
+            "row-action-id", "cell-no-cell", "cell-rows-not-iterable", "cell-non-row",
+            "report-cells-not-iterable", "report-non-cell", "report-chosen-pairs",
+        ],
+    )
+    def test_wrong_typed_fields_are_refused(self, build, message):
+        assert refusal(build) == (ValidationError, "_check_types", message)
+
     def test_realized_eu_weights_rows(self):
         rows = (
             LemmaOneRow("pass", Fraction(3, 4), Fraction(0)),
@@ -372,18 +405,15 @@ class TestVoiReport:
 
     def test_the_prior_is_scored_once(self, monkeypatch):
         """The baseline is the one expected-utility maximum evaluate takes,
-        and it is the prior's: no credence is conditioned and no probability
-        or expected utility is taken, so val_good's cells are scored on the
-        prior's own columns.  Gamblers, and a policy whose every state holds
-        its own posterior, still evaluate to the oracle's values."""
+        and it is the prior's, scored once by ``_scores``: no credence is
+        conditioned and no probability, expected utility or maximum is
+        taken, so val_good's cells are scored on the prior's own columns.
+        Gamblers, and a policy whose every state holds its own posterior,
+        still evaluate to the oracle's values."""
         gamblers = build_scenario(GAMBLERS, epsilon=Fraction(1, 10))
         instances = [(gamblers.problem, gamblers.policy), perturbed_instance()]
         expected = [evaluate(problem, policy) for problem, policy in instances]
-        maxima, scores = [], []
-
-        def counted_maximum(credence, problem):
-            maxima.append(credence)
-            return maximum(credence, problem)
+        scores = []
 
         def counted_scores(problem, credence):
             scores.append(credence)
@@ -392,22 +422,67 @@ class TestVoiReport:
         def forbidden(*args, **kwargs):
             raise AssertionError("evaluate conditioned or priced a credence")
 
-        maximum, score = voi.max_expected_utility, DecisionProblem._scores
+        score = DecisionProblem._scores
+        names = ("condition", "probability", "expected_utility", "max_expected_utility")
         for module in (prob, decision, updating, voi):
-            for name in ("condition", "probability", "expected_utility"):
+            for name in names:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
-        monkeypatch.setattr(voi, "max_expected_utility", counted_maximum)
         monkeypatch.setattr(DecisionProblem, "_scores", counted_scores)
         for (problem, policy), report in zip(instances, expected):
-            maxima.clear()
             scores.clear()
             assert evaluate(problem, policy) == report
-            assert maxima == scores == [problem.prior]
-            assert maxima[0] is problem.prior
+            assert scores == [problem.prior]
+            assert scores[0] is problem.prior
         for (problem, policy), report in zip(instances, expected):
             assert report.val_good == brute_val_good(problem, policy.partition)
             assert report.val_general == brute_val_general(problem, policy)
+
+    def test_values_stay_integers_until_the_report(self, monkeypatch):
+        """evaluate, val_good and val_general add, subtract, multiply, divide
+        and negate no Fraction, and voi builds one Fraction per reported
+        number: each value, the baseline, and each cell's prob, max_cond_eu
+        and rows' choose_prob and cond_eu, where a row at the cell's maximum
+        shares the maximum's Fraction."""
+        gamblers = build_scenario(GAMBLERS, epsilon=Fraction(1, 10))
+        instances = [
+            (gamblers.problem, gamblers.policy), perturbed_instance(), trap_problem()[:2]
+        ]
+        expected = [
+            (evaluate(problem, policy), val_good(problem, policy.partition),
+             val_general(problem, policy))
+            for problem, policy in instances
+        ]
+
+        def forbidden(*args):
+            raise AssertionError("Fraction arithmetic")
+
+        for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
+            monkeypatch.setattr(Fraction, name, forbidden)
+        built = []
+
+        def counted(*args):
+            built.append(Fraction(*args))
+            return built[-1]
+
+        monkeypatch.setattr(voi, "Fraction", counted)
+        for (problem, policy), (report, good, general) in zip(instances, expected):
+            built.clear()
+            assert evaluate(problem, policy) == report
+            reported = [report.baseline, report.val_good, report.val_general]
+            for cell in report.per_cell:
+                reported += [cell.prob, cell.max_cond_eu]
+                for row in cell.rows:
+                    reported.append(row.choose_prob)
+                    if row.cond_eu != cell.max_cond_eu:
+                        reported.append(row.cond_eu)
+            assert sorted(built) == sorted(reported)
+            built.clear()
+            assert val_good(problem, policy.partition) == good
+            assert built == [good]
+            built.clear()
+            assert val_general(problem, policy) == general
+            assert built == [general]
 
     def test_equality_and_hash_follow_the_fields(self):
         problem, policy, _ = trap_problem()
@@ -790,10 +865,11 @@ class TestChoiceMapAgainstTheOracle:
             for s in states
             if s in prior
         }
+        ids = problem.choices.ids()
         chosen = sorted(
-            (i, action.id)
+            (i, ids[k])
             for groups in updating._choice_groups(problem, policy)
-            for action, group in groups.items()
+            for k, group in groups.items()
             for i in group
         )
         assert [(states[i], a) for i, a in chosen] == list(expected.items())
