@@ -34,7 +34,6 @@ from math import lcm
 from typing import Iterator
 
 from .decision import (
-    FIRST_BY_ORDER,
     Action,
     ChoiceSet,
     DecisionProblem,
@@ -265,9 +264,7 @@ def _synthesize(
         for state in space.states
     }
     safe, risky = Action(SAFE_ID, nothing), Action(RISKY_ID, bet)
-    return DecisionProblem(
-        space, outcomes, prior, ChoiceSet((safe, risky)), tie_policy=FIRST_BY_ORDER
-    )
+    return DecisionProblem(space, outcomes, prior, ChoiceSet((safe, risky)))
 
 
 def _is_calibrated(classes: tuple[_PosteriorClass, ...]) -> bool:

@@ -2,9 +2,10 @@
 
 An action is a total map from states to outcomes; a decision problem fixes
 a prior, a utility on outcomes, and an ordered set of candidate actions.
-Ordering matters: the default tie policy picks the earliest-listed maximizer,
-so two problems with the same actions in a different order are different
-problems.
+Ordering matters: optimal choice takes the earliest-listed maximizer, so two
+problems with the same actions in a different order are different problems.
+Whether acts tie is a fact about the inputs: updating's ``_probe_ties``
+finds the first tie a problem's posteriors would meet.
 
 Choice runs on integers.  Each problem derives, once, an integer utility
 table: :mod:`prob`'s ``_over_lcm`` brings the utilities to the scale
@@ -15,12 +16,10 @@ expected utility is then one integer dot product of a row with a credence's
 numerators, over ``credence.den * U``; Fractions appear only in returned
 values.
 
-Every choice goes through one private core, ``_choose``, which takes the
-choices' integer scores over a shared denominator and applies the tie
-policy.  :func:`best_action` scores a credence on every state, and
-``DecisionProblem._cell_scores`` the prior on a cell's columns, read by
-:mod:`prob`'s one reader ``_cell_weights`` with no credence conditioned,
-for :func:`is_relevant` and ``val_good``.  An update
+:func:`best_action` scores a credence on every state and takes the first
+maximizer, and ``DecisionProblem._cell_scores`` scores the prior on a
+cell's columns, read by :mod:`prob`'s one reader ``_cell_weights`` with no
+credence conditioned, for :func:`is_relevant` and ``val_good``.  An update
 policy's choices (``updating._choice_groups``) are decided once per
 posterior object, by each act's lead over the first act on its own cell's
 columns only.  That is exact: a posterior puts all of its mass on its
@@ -40,7 +39,7 @@ from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .errors import SpaceMismatchError, TieError, ValidationError
+from .errors import SpaceMismatchError, ValidationError
 from .prob import (
     Credence,
     Event,
@@ -55,8 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .updating import EvidencePartition
 
 __all__ = [
-    "FIRST_BY_ORDER",
-    "ERROR_ON_TIE",
     "OutcomeSpace",
     "Action",
     "ChoiceSet",
@@ -66,11 +63,6 @@ __all__ = [
     "max_expected_utility",
     "is_relevant",
 ]
-
-FIRST_BY_ORDER = "first-by-order"
-ERROR_ON_TIE = "error-on-tie"
-
-_TIE_POLICIES = (FIRST_BY_ORDER, ERROR_ON_TIE)
 
 
 @dataclass(frozen=True)
@@ -187,9 +179,8 @@ class ChoiceSet:
 class DecisionProblem:
     """A prior, a utility, and the actions on offer.
 
-    ``tie_policy`` fixes how optimal choice resolves ties everywhere this
-    problem is evaluated: ``first-by-order`` (the default) deterministically
-    prefers the earliest-listed maximizer, ``error-on-tie`` refuses to choose.
+    Under any credence the problem's choice is its earliest-listed
+    maximizer, so the order of ``choices`` is part of the problem.
 
     Construction validates every (action, state) pair and, in the same walk,
     derives the integer utility table described in the module docstring.
@@ -199,7 +190,6 @@ class DecisionProblem:
     outcomes: OutcomeSpace
     prior: Credence
     choices: ChoiceSet
-    tie_policy: str = FIRST_BY_ORDER
 
     def __post_init__(self) -> None:
         _check_types(
@@ -208,11 +198,6 @@ class DecisionProblem:
         )
         if self.prior.space != self.space:
             raise SpaceMismatchError("prior is not a credence over the problem's space")
-        if self.tie_policy not in _TIE_POLICIES:
-            raise ValidationError(
-                f"unknown tie policy {self.tie_policy!r}; "
-                f"expected one of {', '.join(_TIE_POLICIES)}"
-            )
         utility = self.outcomes.utility
         scaled, _, scale = _over_lcm([u.as_integer_ratio() for u in utility.values()])
         object.__setattr__(self, "_scale", scale)
@@ -291,34 +276,19 @@ def expected_utility(
     return Fraction(sum(map(mul, problem._row(action), p.nums)), p.den * problem._scale)
 
 
-def _choose(problem: DecisionProblem, scores: list[int], den: int) -> tuple[Action, int]:
-    """The maximizer of integer ``scores`` (one per choice, in order) and its score.
-
-    The scores share the denominator ``den``.  Ties resolve by the problem's
-    ``tie_policy``: ``first-by-order`` takes the earliest maximizer, and
-    ``error-on-tie`` raises :class:`TieError` listing every tied action id,
-    with the tied value ``top / den`` built only then.
-    """
-    top = max(scores)
-    if problem.tie_policy == ERROR_ON_TIE and scores.count(top) > 1:
-        tied = tuple(a.id for a, score in zip(problem.choices, scores) if score == top)
-        raise TieError(tied, Fraction(top, den))
-    return problem.choices.actions[scores.index(top)], top
-
-
 def best_action(credence: Credence, problem: DecisionProblem) -> tuple[Action, Fraction]:
     """The optimal action and its expected utility under ``credence``.
 
     Compares the integer numerators of the choices' expected utilities,
     which share the denominator ``credence.den * U``, and builds one
-    Fraction for the value.  Ties resolve by the problem's ``tie_policy``:
-    under ``error-on-tie`` a non-unique maximizer raises :class:`TieError`
-    listing every tied action id.
+    Fraction for the value.  Of several maximizers, the earliest listed is
+    chosen.
     """
     _check_types(("credence", credence, Credence), ("problem", problem, DecisionProblem))
+    scores = problem._scores(credence)
+    top = max(scores)
     den = credence.den * problem._scale
-    action, top = _choose(problem, problem._scores(credence), den)
-    return action, Fraction(top, den)
+    return problem.choices.actions[scores.index(top)], Fraction(top, den)
 
 
 def max_expected_utility(credence: Credence, problem: DecisionProblem) -> Fraction:

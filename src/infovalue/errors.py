@@ -12,7 +12,6 @@ __all__ = [
     "ValidationError",
     "SpaceMismatchError",
     "ZeroProbabilityError",
-    "TieError",
     "MissingPosteriorError",
     "NoDeviationError",
     "IndependenceBrokenError",
@@ -45,18 +44,6 @@ class ZeroProbabilityError(ValidationError):
     Never silently renormalize: a zero-probability learnable event is a
     modeling bug, not a numerical edge case.
     """
-
-
-class TieError(InfoValueError):
-    """Two or more actions tie for best under the error-on-tie policy."""
-
-    def __init__(self, actions: tuple[str, ...], value) -> None:
-        self.actions = tuple(actions)
-        self.value = value
-        super().__init__(
-            f"expected a unique best action, got a tie at value {value} "
-            f"between: {', '.join(self.actions)}"
-        )
 
 
 class MissingPosteriorError(ValidationError):

@@ -3,16 +3,15 @@
 Instances come in two kinds.  Even trials draw a plain problem and pair it
 with literal conditionalization; odd trials draw a problem plus a random
 self-doubt disposition and run it through :func:`mixture_expand`, yielding
-a genuinely modest policy.  Both kinds are generated with the error-on-tie
-policy and resampled until no posterior's choice ties, so every property
-failure is a real counterexample rather than an artifact of silent
-tie-breaking.  Ties are probed on each draw's base credences, before
-anything is built: each cell's conditioned prior and its deviant
-posterior, which choose as the built policy's posteriors do (see
-updating's ``_probe_ties``).  The probe decides choices and does nothing
-else that can fail, so a broken property is reported as a counterexample
-instead of escaping the suite as an error, and a draw that ties is thrown
-away unexpanded and unevaluated.
+a genuinely modest policy.  Both kinds are resampled until no posterior's
+choice ties, so every property failure is a real counterexample rather
+than an artifact of tie-breaking.  Ties are found by updating's
+``_probe_ties`` on each draw's base credences, before anything is built:
+each cell's conditioned prior and its deviant posterior, which choose as
+the built policy's posteriors do.  The probe only scores those credences,
+so a broken property is reported as a counterexample instead of escaping
+the suite as an error, and a draw that ties is thrown away unexpanded and
+unevaluated.
 
 The suite checks, on every instance it can:
 
@@ -39,14 +38,13 @@ from fractions import Fraction
 from typing import Mapping
 
 from .decision import (
-    ERROR_ON_TIE,
     Action,
     ChoiceSet,
     DecisionProblem,
     OutcomeSpace,
     is_relevant,
 )
-from .errors import IndependenceBrokenError, InfoValueError, TieError, ValidationError
+from .errors import IndependenceBrokenError, InfoValueError, ValidationError
 from .prob import Credence, Event, StateSpace, as_fraction, condition
 from .problemfile import problem_document
 from .updating import (
@@ -124,9 +122,9 @@ def _random_problem(
 ) -> tuple[DecisionProblem, EvidencePartition]:
     """A small random decision problem with a random evidence partition.
 
-    Every state gets positive prior mass and the problem carries the
-    error-on-tie policy, so downstream evaluation surfaces ties instead of
-    papering over them.  With ``need_wide_cell`` the partition is
+    Every state gets positive prior mass.  Acts may tie; the generators
+    that call this throw such draws away, as updating's ``_probe_ties``
+    finds them.  With ``need_wide_cell`` the partition is
     guaranteed at least one cell of two or more states — required when a
     deviation is to be grafted on, since certainty pins posteriors on
     singleton cells.
@@ -148,9 +146,7 @@ def _random_problem(
         Action(f"a{i + 1}", {s: rng.choice(outcome_ids) for s in space})
         for i in range(rng.randint(2, 4))
     )
-    problem = DecisionProblem(
-        space, outcomes, prior, ChoiceSet(actions), tie_policy=ERROR_ON_TIE
-    )
+    problem = DecisionProblem(space, outcomes, prior, ChoiceSet(actions))
     return problem, _random_partition(rng, space, need_wide_cell=need_wide_cell)
 
 
@@ -191,22 +187,11 @@ def _random_deviation_spec(
     return DeviationSpec(epsilon, deviants)
 
 
-def _ties(
-    problem: DecisionProblem, partition: EvidencePartition, deviant: Mapping[Event, Credence]
-) -> bool:
-    """Whether any posterior built from these base credences ties."""
-    try:
-        _probe_ties(problem, partition, deviant)
-    except TieError:
-        return True
-    return False
-
-
 def _random_conditionalization_instance(rng: random.Random) -> _Instance:
     """A random problem paired with literal conditionalization."""
     for _ in range(_RESAMPLE_CAP):
         problem, partition = _random_problem(rng)
-        if not _ties(problem, partition, {}):
+        if _probe_ties(problem, partition, {}) is None:
             policy = conditionalization_policy(problem.prior, partition)
             return _Instance("conditionalization", problem, policy)
     raise InfoValueError("could not draw a tie-free instance")  # pragma: no cover
@@ -219,7 +204,7 @@ def _random_mixture_instance(
     for _ in range(_RESAMPLE_CAP):
         base, partition = _random_problem(rng, 2, max_base_states, need_wide_cell=True)
         spec = _random_deviation_spec(rng, base.prior, partition)
-        if not _ties(base, partition, spec.deviant_posteriors):
+        if _probe_ties(base, partition, spec.deviant_posteriors) is None:
             return _Instance("mixture", *mixture_expand(base, partition, spec))
     raise InfoValueError("could not draw a tie-free instance")  # pragma: no cover
 

@@ -29,18 +29,17 @@ from __future__ import annotations
 import csv
 import io
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .decision import (
-    ERROR_ON_TIE,
     Action,
     ChoiceSet,
     DecisionProblem,
     OutcomeSpace,
 )
-from .errors import ConfigError, TieError, ValidationError
+from .errors import ConfigError, ValidationError
 from .prob import Credence, Event, StateSpace, _check_types, as_fraction
 from .updating import (
     DeviationSpec,
@@ -216,11 +215,12 @@ def _unknown_bias_base(fallacy_confidence) -> _FallacyBase:
     above.
 
     The confidence's syntax is refused here, then its range, then a tie,
-    probed once on the base posteriors by updating's ``_probe_ties``: each
+    found once on the base posteriors by updating's ``_probe_ties``: each
     cell's conditioned prior, then its deviant posterior.  A confidence at
-    which the deviant self is exactly torn between two acts raises the
-    :class:`ConfigError` naming the tied acts.  A mixed credence prices every act exactly as its base
-    credence does, so whether acts tie does not depend on epsilon.
+    which the deviant self is exactly torn between two acts raises a
+    :class:`ConfigError` naming the tied acts and their value.  A mixed
+    credence prices every act exactly as its base credence does, so whether
+    acts tie does not depend on epsilon.
     """
     confidence = as_fraction(fallacy_confidence)
     if not 0 <= confidence <= 1:
@@ -253,14 +253,13 @@ def _unknown_bias_base(fallacy_confidence) -> _FallacyBase:
         ),
         confidence,
     )
-    strict = replace(base.problem, tie_policy=ERROR_ON_TIE)
-    try:
-        _probe_ties(strict, base.partition, base.deviant)
-    except TieError as exc:
+    tie = _probe_ties(base.problem, base.partition, base.deviant)
+    if tie is not None:
+        tied, value = tie
         raise ConfigError(
             f"fallacy confidence {confidence} makes acts tie at "
-            f"expected utility {exc.value}: {', '.join(exc.actions)}"
-        ) from None
+            f"expected utility {value}: {', '.join(tied)}"
+        )
     return base
 
 

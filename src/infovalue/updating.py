@@ -28,12 +28,9 @@ from operator import mul, sub
 from typing import NamedTuple
 
 from .decision import (
-    ERROR_ON_TIE,
     Action,
     ChoiceSet,
     DecisionProblem,
-    _choose,
-    best_action,
 )
 from .errors import (
     MissingPosteriorError,
@@ -329,11 +326,7 @@ def mixture_expand(
         for a in problem.choices
     )
     expanded = DecisionProblem(
-        space,
-        problem.outcomes,
-        mixed(problem.prior),
-        ChoiceSet(actions),
-        tie_policy=problem.tie_policy,
+        space, problem.outcomes, mixed(problem.prior), ChoiceSet(actions)
     )
     # certain of each lifted cell by construction: the stay side is a
     # conditioned prior, the deviate side a posterior DeviationSpec checked,
@@ -353,25 +346,37 @@ def mixture_expand(
 
 def _probe_ties(
     problem: DecisionProblem, partition: EvidencePartition, deviant: Mapping[Event, Credence]
-) -> None:
-    """Raise the :class:`TieError` of the first cell whose posteriors tie.
+) -> tuple[tuple[str, ...], Fraction] | None:
+    """The first tie among the base posteriors: the tied act ids and their value.
 
     Cells are probed in declared order, each on its conditioned prior and
-    then on its ``deviant`` posterior, if it has one, under the problem's
-    tie policy.  Those are the posteriors of :func:`conditionalization_policy`
-    and, mixed, of :func:`mixture_expand` by a spec with these deviant
+    then on its ``deviant`` posterior, if it has one.  The first posterior
+    that gives two or more acts the best expected utility names them, in
+    choice-set order, with that utility; ``None`` means no posterior ties.
+    Those are the posteriors of :func:`conditionalization_policy` and,
+    mixed, of :func:`mixture_expand` by a spec with these deviant
     posteriors; a mixed credence prices each act as its base credence does,
     so for every epsilon strictly between 0 and 1 the expansion's choices
-    tie exactly when this raises.  A cell's prior is scored through
+    tie exactly when this finds a tie.  A cell's prior is scored through
     ``DecisionProblem._cell_scores``, so a zero-probability cell is refused
-    as conditioning on it would be.
+    as conditioning on it would be.  This is the one place a tie is decided:
+    choice itself always takes the earliest maximizer.
     """
-    for cell in partition.cells:
-        weight, scores = problem._cell_scores(cell)
-        _choose(problem, scores, weight * problem._scale)
-        posterior = deviant.get(cell)
-        if posterior is not None:
-            best_action(posterior, problem)
+
+    def probes():  # (scores, den): each act's expected utility is score / (den * U)
+        for cell in partition.cells:
+            weight, scores = problem._cell_scores(cell)
+            yield scores, weight
+            posterior = deviant.get(cell)
+            if posterior is not None:
+                yield problem._scores(posterior), posterior.den
+
+    for scores, den in probes():
+        top = max(scores)
+        if scores.count(top) > 1:
+            tied = (a for a, score in zip(problem.choices.ids(), scores) if score == top)
+            return tuple(tied), Fraction(top, den * problem._scale)
+    return None
 
 
 class _PosteriorClass(NamedTuple):
@@ -485,19 +490,18 @@ def _choice_groups(
     The cell keeps each act's integer gap row ``row_a - row_first``; a
     posterior's leads are ``[0]`` then each gap row dotted with its
     ``nums``.  Each score is the first act's plus its lead, so the first
-    largest lead is the earliest maximizer.  Under ``error-on-tie`` the
-    first tied posterior in state order, across cells, raises through
-    :func:`_choose` with its full scores.  Equal posteriors held as distinct
-    objects choose alike.
+    largest lead is the earliest maximizer: a posterior that ties picks the
+    earliest-listed of its tied acts.  Whether any posterior ties is
+    :func:`_probe_ties`'s question, not this map's.  Equal posteriors held
+    as distinct objects choose alike.
     """
     if policy.space != problem.space:
         raise SpaceMismatchError("policy is not over the problem's space")
     states = problem.space.states
     prior_nums = problem.prior.nums
     first_row, *other_rows = problem._rows.values()
-    posteriors, scale = policy.posteriors, problem._scale
-    on_ties = problem.tie_policy == ERROR_ON_TIE
-    out, tie = [], None  # tie: (position, full scores, their denominator)
+    posteriors = policy.posteriors
+    out = []
     for cell in policy.partition.cells:
         take = _columns(cell._positions)
         first = take(first_row)
@@ -512,17 +516,11 @@ def _choice_groups(
             if group is None:
                 nums = take(posterior.nums)
                 leads = [0] + [sum(map(mul, gap, nums)) for gap in gaps]
-                top = max(leads)
-                if on_ties and leads.count(top) > 1 and (tie is None or i < tie[0]):
-                    base = sum(map(mul, first, nums))
-                    tie = (i, [base + lead for lead in leads], posterior.den * scale)
                 group = by_object[id(posterior)] = cell_groups.setdefault(
-                    leads.index(top), []
+                    leads.index(max(leads)), []
                 )
             group.append(i)
         out.append(cell_groups)
-    if tie is not None:
-        _choose(problem, *tie[1:])
     return out
 
 

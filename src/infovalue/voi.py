@@ -94,6 +94,7 @@ class PerCell:
     """The cellwise decomposition for a single evidence cell.
 
     ``prob`` and ``max_cond_eu`` are read by :func:`~infovalue.prob.as_fraction`.
+    Each act has at most one row.
     """
 
     cell: Event
@@ -119,6 +120,12 @@ class PerCell:
         except AttributeError:
             _check_types(*((f"rows[{i}]", r, LemmaOneRow) for i, r in enumerate(rows)))
             raise
+        if len({r.action_id for r in rows}) != len(rows):
+            acts = [r.action_id for r in rows]
+            twice = next(a for k, a in enumerate(acts) if a in acts[:k])
+            raise ValidationError(
+                f"cell {self.cell.describe()} has two rows for action {twice!r}"
+            )
         _, total, den = _over_lcm(ratios)
         if total != den:
             raise ValidationError(
@@ -154,7 +161,13 @@ class VoiReport:
     denominators: the cells' ``prob`` sum to 1; ``sum(prob * max_cond_eu)
     - baseline`` is ``val_good``; and ``sum(prob * choose_prob * cond_eu)``
     over every cell's rows, less ``baseline``, is ``val_general``.  A
-    Fraction is built only for an error message.
+    Fraction is built only for an error message.  Last, ``chosen_by_state``
+    must agree with the table: each of its states lies in a report cell,
+    and in a cell where any state is recorded, the acts chosen are exactly
+    those the cell has rows for.  Both are checked by C-level set and
+    ``map`` operations, with no Python loop over the states; a cell's
+    members are read straight off the map, and intersected with its keys
+    only when one of them is unrecorded (or records ``None``).
     """
 
     baseline: Fraction
@@ -209,6 +222,29 @@ class VoiReport:
                 f"per-cell table reconstructs val_general={Fraction(general, den)}, "
                 f"report claims {self.val_general}"
             )
+        states = chosen.keys()
+        members = [c.cell.members for c in cells]
+        if not frozenset().union(*members).issuperset(states):
+            stray = [s for s in chosen if not any(s in m for m in members)]
+            raise ValidationError(
+                f"chosen_by_state names states in no report cell: {stray}"
+            )
+        for c, cell_members in zip(cells, members):
+            try:
+                picked = set(map(chosen.get, cell_members))
+                if None in picked:  # an unrecorded state, or a None act id
+                    picked = set(map(chosen.get, states & cell_members))
+            except TypeError:  # an unhashable act id
+                _check_types(
+                    *((f"chosen_by_state[{s!r}]", a, str) for s, a in chosen.items())
+                )
+                raise
+            acts = {r.action_id for r in c.rows}
+            if picked and picked != acts:
+                raise ValidationError(
+                    f"chosen_by_state picks {sorted(picked, key=repr)} in cell "
+                    f"{c.cell.describe()}, whose rows are for {sorted(acts)}"
+                )
 
 
 def _equals(num: int, den: int, value: Fraction) -> bool:

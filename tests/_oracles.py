@@ -136,9 +136,8 @@ def brute_val_general(problem, policy, prior=None, posteriors=None):
 
     ``prior`` and ``posteriors`` default to the problem's prior and the
     policy's posteriors; pass plain dicts, such as :func:`brute_mixture`'s,
-    to score them instead.  Ties resolve first-by-order, which agrees with
-    the library on tie-free instances and on problems whose declared tie
-    policy is first-by-order.
+    to score them instead.  Ties resolve to the earliest-listed maximizer,
+    as the library's choices do.
     """
     prior = dist_of(problem.prior) if prior is None else prior
     if posteriors is None:
@@ -151,14 +150,30 @@ def brute_val_general(problem, policy, prior=None, posteriors=None):
 
 
 def brute_first_tie(problem, policy):
-    """The tie an error-on-tie problem raises first, or ``None``.
+    """The first tie among positive-prior states in state order, or ``None``.
 
-    Positive-prior states are walked in state order, however the cells are
-    declared.  The first whose posterior gives two or more acts the best
-    expected utility names them, in choice-set order, with that value.
+    States are walked in state order, however the cells are declared.  The
+    first whose posterior gives two or more acts the best expected utility
+    names them, in choice-set order, with that value.
     """
+    return _first_tie(problem, policy, problem.space.states)
+
+
+def brute_first_declared_tie(problem, policy):
+    """As :func:`brute_first_tie`, but walking the policy's cells in declared
+    order and each cell's states in state order."""
+    states = [
+        state
+        for cell in policy.partition.cells
+        for state in problem.space.states
+        if state in cell.members
+    ]
+    return _first_tie(problem, policy, states)
+
+
+def _first_tie(problem, policy, states):
     prior = dist_of(problem.prior)
-    for state in problem.space.states:
+    for state in states:
         if state not in prior:
             continue
         dist = dist_of(policy.posteriors[state])

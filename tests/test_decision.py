@@ -7,10 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from infovalue import decision
 from infovalue.decision import (
-    ERROR_ON_TIE,
-    FIRST_BY_ORDER,
     Action,
     ChoiceSet,
     DecisionProblem,
@@ -22,7 +19,6 @@ from infovalue.decision import (
 )
 from infovalue.errors import (
     SpaceMismatchError,
-    TieError,
     ValidationError,
     ZeroProbabilityError,
 )
@@ -43,10 +39,8 @@ def uniform():
     return Credence(SPACE, {s: Fraction(1, 3) for s in SPACE})
 
 
-def problem(actions, prior=None, tie_policy=FIRST_BY_ORDER):
-    return DecisionProblem(
-        SPACE, OUTCOMES, prior or uniform(), ChoiceSet(tuple(actions)), tie_policy
-    )
+def problem(actions, prior=None):
+    return DecisionProblem(SPACE, OUTCOMES, prior or uniform(), ChoiceSet(tuple(actions)))
 
 
 def act(id, *outcomes):
@@ -102,10 +96,6 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="prior"):
             problem([FLAT], prior=other)
 
-    def test_unknown_tie_policy_rejected(self):
-        with pytest.raises(ValidationError, match="unknown tie policy"):
-            problem([FLAT], tie_policy="coin-flip")
-
     def test_outcome_space_equality_and_hash_follow_the_fields(self):
         built = OutcomeSpace(("x", "y"), {"y": 1, "x": "0"})
         again = OutcomeSpace(("x", "y"), {"x": Fraction(0), "y": Fraction(1)})
@@ -153,13 +143,6 @@ class TestBestAction:
         assert (chosen.id, value) == ("flat", 0)
         reordered = problem([SPIKE, FLAT])
         assert best_action(reordered.prior, reordered)[0].id == "spike"
-
-    def test_error_on_tie_lists_every_maximizer(self):
-        tied = problem([FLAT, SPIKE], tie_policy=ERROR_ON_TIE)
-        with pytest.raises(TieError) as exc:
-            best_action(tied.prior, tied)
-        assert exc.value.actions == ("flat", "spike")
-        assert exc.value.value == 0
 
     @given(
         st.lists(
@@ -255,7 +238,7 @@ def drawn_choices(draw):
 
     Utilities have mixed denominators and either sign, so the problem's
     scale ``U`` is rarely 1.  Acts are drawn from a few tables and may
-    repeat under fresh ids, so first-by-order ties are common; the
+    repeat under fresh ids, so ties are common; the
     credence may leave states at zero.
     """
     n = draw(st.integers(1, 5))
@@ -285,8 +268,7 @@ def drawn_choices(draw):
     credence = Credence(
         space, {s: m / sum(masses) for s, m in zip(space, masses)}
     )
-    tie_policy = draw(st.sampled_from((FIRST_BY_ORDER, ERROR_ON_TIE)))
-    problem = DecisionProblem(space, outcomes, prior, ChoiceSet(actions), tie_policy)
+    problem = DecisionProblem(space, outcomes, prior, ChoiceSet(actions))
     return problem, credence
 
 
@@ -298,16 +280,9 @@ def assert_choice_matches_oracle(problem, credence):
         assert expected_utility(problem, action, credence) == value
     top = best_value(problem, dist)
     assert max_expected_utility(credence, problem) == top
-    tied = tuple(a.id for a, value in zip(problem.choices, values) if value == top)
-    if problem.tie_policy == ERROR_ON_TIE and len(tied) > 1:
-        with pytest.raises(TieError) as exc:
-            best_action(credence, problem)
-        assert exc.value.actions == tied
-        assert type(exc.value.value) is Fraction and exc.value.value == top
-    else:
-        chosen, value = best_action(credence, problem)
-        assert chosen is first_best(problem, dist)
-        assert type(value) is Fraction and value == top
+    chosen, value = best_action(credence, problem)
+    assert chosen is first_best(problem, dist)
+    assert type(value) is Fraction and value == top
 
 
 class TestIntegerKernels:
@@ -318,10 +293,7 @@ class TestIntegerKernels:
     @given(drawn_choices())
     def test_replaced_problem_rebuilds_its_table(self, drawn):
         problem, credence = drawn
-        for tie_policy in (FIRST_BY_ORDER, ERROR_ON_TIE):
-            assert_choice_matches_oracle(
-                dataclasses.replace(problem, tie_policy=tie_policy), credence
-            )
+        assert_choice_matches_oracle(dataclasses.replace(problem), credence)
         doubled = OutcomeSpace(
             problem.outcomes.outcomes,
             {o: 2 * u - Fraction(1, 7) for o, u in problem.outcomes.utility.items()},
@@ -362,7 +334,7 @@ class TestIntegerKernels:
         b = problem([FLAT, SPIKE])
         assert a == b and hash(a) == hash(b)
         assert [f.name for f in dataclasses.fields(a)] == [
-            "space", "outcomes", "prior", "choices", "tie_policy"
+            "space", "outcomes", "prior", "choices"
         ]
 
 
@@ -411,7 +383,7 @@ class TestTheOracleCatchesMutants:
 
     caught = (AssertionError, pytest.fail.Exception)
 
-    def tied(self, tie_policy):
+    def tied(self):
         outcomes = OutcomeSpace(
             ("lo", "mid", "hi"),
             {"lo": Fraction(-2, 3), "mid": Fraction(1, 4), "hi": Fraction(5, 2)},
@@ -422,22 +394,15 @@ class TestTheOracleCatchesMutants:
             act("flat", "mid", "mid", "mid"),
         )
         prior = Credence(SPACE, {"s1": Fraction(1, 2), "s2": Fraction(1, 2)})
-        return DecisionProblem(SPACE, outcomes, prior, ChoiceSet(actions), tie_policy)
+        return DecisionProblem(SPACE, outcomes, prior, ChoiceSet(actions))
 
     def test_the_unmutated_kernels_pass(self):
-        for tie_policy in (FIRST_BY_ORDER, ERROR_ON_TIE):
-            p = self.tied(tie_policy)
-            assert_choice_matches_oracle(p, p.prior)
+        p = self.tied()
+        assert_choice_matches_oracle(p, p.prior)
 
     def test_a_wrong_scale_fails(self):
-        p = self.tied(FIRST_BY_ORDER)
+        p = self.tied()
         object.__setattr__(p, "_scale", 2 * p._scale)
-        with pytest.raises(self.caught):
-            assert_choice_matches_oracle(p, p.prior)
-
-    def test_a_dropped_tie_fails(self, monkeypatch):
-        p = self.tied(ERROR_ON_TIE)
-        monkeypatch.setattr(decision, "ERROR_ON_TIE", "never")
         with pytest.raises(self.caught):
             assert_choice_matches_oracle(p, p.prior)
 

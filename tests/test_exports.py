@@ -48,10 +48,8 @@ PUBLIC = [
     "DecisionProblem",
     "Deviation",
     "DeviationSpec",
-    "ERROR_ON_TIE",
     "Event",
     "EvidencePartition",
-    "FIRST_BY_ORDER",
     "GAMBLERS",
     "IndependenceBrokenError",
     "InfoValueError",
@@ -78,7 +76,6 @@ PUBLIC = [
     "StateSpace",
     "SweepRow",
     "SweepTable",
-    "TieError",
     "UNKNOWN_BIAS",
     "UpdatePolicy",
     "ValidationError",

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from infovalue import cli, prob
 from infovalue.decision import (
-    ERROR_ON_TIE,
-    FIRST_BY_ORDER,
     Action,
     ChoiceSet,
     DecisionProblem,
@@ -64,13 +62,13 @@ PRIOR = Credence(
 )
 
 
-def fixture_problem(tie_policy=FIRST_BY_ORDER):
+def fixture_problem():
     outcomes = OutcomeSpace(("nil", "win"), {"nil": 0, "win": Fraction(3, 2)})
     actions = (
         Action("hold", {"a": "nil", "b": "nil", "c": "nil"}),
         Action("push", {"a": "win", "b": "nil", "c": "win"}),
     )
-    return DecisionProblem(SPACE, outcomes, PRIOR, ChoiceSet(actions), tie_policy)
+    return DecisionProblem(SPACE, outcomes, PRIOR, ChoiceSet(actions))
 
 
 def explicit_policy():
@@ -502,11 +500,17 @@ class TestRoundTrips:
             UpdatePolicy(partition, {**policy.posteriors, "s63": policy.posterior("s0")})
 
     def test_tie_policy_is_not_part_of_the_format(self):
-        # the file format carries the decision-relevant data only; a loaded
-        # problem always gets the default deterministic tie policy
-        strict = fixture_problem(tie_policy=ERROR_ON_TIE)
-        problem, _, _ = loads(dumps(strict, explicit_policy()))
-        assert problem.tie_policy == FIRST_BY_ORDER
+        # ties are found from the inputs, not configured: a round trip gives
+        # back the same problem, and a document that names a tie rule is refused
+        problem = fixture_problem()
+        assert loads(dumps(problem, explicit_policy()))[0] == problem
+        doc = problem_document(problem, explicit_policy())
+        doc["tie_policy"] = "error-on-tie"
+        with pytest.raises(MalformedDocumentError) as exc:
+            loads(json.dumps(doc))
+        assert (exc.value.location, exc.value.message) == (
+            "document", "unknown keys: tie_policy"
+        )
 
 
 def old_keyword_rule(problem, policy):

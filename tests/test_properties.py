@@ -8,13 +8,12 @@ import pytest
 from infovalue import properties, updating, voi
 from infovalue.cli import main
 from infovalue.decision import (
-    ERROR_ON_TIE,
     Action,
     ChoiceSet,
     DecisionProblem,
     OutcomeSpace,
 )
-from infovalue.errors import InfoValueError, TieError, ValidationError
+from infovalue.errors import InfoValueError, ValidationError
 from infovalue.prob import Credence, Event, StateSpace, condition
 from infovalue.problemfile import dumps, loads
 from infovalue.properties import (
@@ -38,9 +37,14 @@ from infovalue.updating import (
     is_immodest,
     mixture_expand,
 )
-from infovalue.voi import evaluate, val_general
+from infovalue.voi import evaluate
 
-from _oracles import brute_val_general, brute_val_good
+from _oracles import (
+    brute_first_declared_tie,
+    brute_first_tie,
+    brute_val_general,
+    brute_val_good,
+)
 
 
 class TestPropertyNames:
@@ -57,7 +61,7 @@ class TestPropertyNames:
 
 class TestRandomProblem:
     def test_generated_problems_are_well_formed(self):
-        """A spread of seeds: state bounds, positive prior, error-on-tie."""
+        """A spread of seeds: state bounds, positive prior, a partition."""
         for seed in range(20):
             problem, partition = _random_problem(random.Random(seed))
             n = len(problem.space)
@@ -65,7 +69,6 @@ class TestRandomProblem:
             assert tuple(problem.space) == tuple(f"s{i + 1}" for i in range(n))
             assert all(problem.prior(s) > 0 for s in problem.space)
             assert sum(problem.prior(s) for s in problem.space) == 1
-            assert problem.tie_policy == ERROR_ON_TIE
             covered = [s for cell in partition.cells for s in cell.sorted_members()]
             assert sorted(covered) == sorted(problem.space)
             assert len(covered) == len(set(covered))
@@ -176,42 +179,61 @@ def forced_leak(monkeypatch):
         monkeypatch.setattr(module, "_cell_pass", leaking)
 
 
-def ties(run) -> bool:
-    """Whether ``run()`` raises :class:`TieError`."""
-    try:
-        run()
-    except TieError:
-        return True
-    return False
-
-
 PROBE_DRAWS = 500
+
+
+def conditionalization_draws():
+    """Each seeded draw's probe result, and the instance built from it."""
+    rng = random.Random(37)
+    for _ in range(PROBE_DRAWS):
+        problem, partition = _random_problem(rng)
+        policy = conditionalization_policy(problem.prior, partition)
+        yield _probe_ties(problem, partition, {}), problem, policy
+
+
+def mixture_draws():
+    """Each seeded draw's probe result, on the base, and the expansion."""
+    rng = random.Random(37)
+    for _ in range(PROBE_DRAWS):
+        base, partition = _random_problem(rng, need_wide_cell=True)
+        spec = _random_deviation_spec(rng, base.prior, partition)
+        problem, policy = mixture_expand(base, partition, spec)
+        yield _probe_ties(base, partition, spec.deviant_posteriors), problem, policy
 
 
 class TestTieProbe:
     """The generators keep a draw when its base credences do not tie; that is
-    sound only if evaluating the built instance then cannot tie either, and
-    complete only if a tie in the base always shows in the instance."""
+    sound only if no posterior of the built instance ties either, and
+    complete only if a tie in the base always shows in the instance.  The
+    oracle walks the built instance's positive-prior states."""
 
     def test_probe_decides_conditionalization_ties(self):
-        rng, outcomes = random.Random(37), set()
-        for _ in range(PROBE_DRAWS):
-            problem, partition = _random_problem(rng)
-            policy = conditionalization_policy(problem.prior, partition)
-            probed = ties(lambda: _probe_ties(problem, partition, {}))
-            assert probed == ties(lambda: val_general(problem, policy))
+        outcomes = set()
+        for tie, problem, policy in conditionalization_draws():
+            probed = tie is not None
+            assert probed == (brute_first_tie(problem, policy) is not None)
             outcomes.add(probed)
         assert outcomes == {True, False}
 
     def test_probe_decides_mixture_ties(self):
-        rng, outcomes = random.Random(37), set()
-        for _ in range(PROBE_DRAWS):
-            base, partition = _random_problem(rng, need_wide_cell=True)
-            spec = _random_deviation_spec(rng, base.prior, partition)
-            problem, policy = mixture_expand(base, partition, spec)
-            probed = ties(lambda: _probe_ties(base, partition, spec.deviant_posteriors))
-            assert probed == ties(lambda: val_general(problem, policy))
+        outcomes = set()
+        for tie, problem, policy in mixture_draws():
+            probed = tie is not None
+            assert probed == (brute_first_tie(problem, policy) is not None)
             outcomes.add(probed)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "draws", [conditionalization_draws, mixture_draws], ids=["conditionalization", "mixture"]
+    )
+    def test_probe_returns_the_built_instances_first_declared_tie(self, draws):
+        """The tie returned, acts and value, is the built instance's first,
+        cells in declared order: the base's cell prior prices each act as
+        the instance's stay states do, and its deviant as the deviate states."""
+        outcomes = set()
+        for tie, problem, policy in draws():
+            assert tie == brute_first_declared_tie(problem, policy)
+            outcomes.add(tie is None)
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize(
@@ -232,15 +254,11 @@ class TestTieProbe:
         actions = tuple(
             Action(f"on-{x}", {s: "one" if s == x else "zero" for s in space}) for x in "abc"
         )
-        problem = DecisionProblem(
-            space, outcomes, prior, ChoiceSet(actions), tie_policy=ERROR_ON_TIE
-        )
+        problem = DecisionProblem(space, outcomes, prior, ChoiceSet(actions))
         cells = {name: Event(space, frozenset(name)) for name in ("ab", "cd")}
         partition = EvidencePartition(space, tuple(cells[name] for name in order.split()))
         deviant = {cells["cd"]: Credence._from_weights(space, [0, 0, 0, 1])}
-        with pytest.raises(TieError) as excinfo:
-            _probe_ties(problem, partition, deviant)
-        assert (excinfo.value.actions, excinfo.value.value) == (tied, value)
+        assert _probe_ties(problem, partition, deviant) == (tied, value)
 
 
 class TestPropertySuite:

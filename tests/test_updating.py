@@ -1,7 +1,6 @@
 """Partitions, update policies, mixtures, modesty, and independence checks."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,8 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infovalue.decision import (
-    ERROR_ON_TIE,
-    FIRST_BY_ORDER,
     Action,
     ChoiceSet,
     DecisionProblem,
@@ -20,7 +17,6 @@ from infovalue.errors import (
     IndependenceBrokenError,
     MissingPosteriorError,
     SpaceMismatchError,
-    TieError,
     ValidationError,
 )
 from infovalue.prob import Credence, Event, StateSpace, condition, probability
@@ -288,19 +284,6 @@ class TestMixtureExpand:
         assert is_immodest(policy, expanded.prior)
         assert deviating_states(policy, expanded.prior) == ()
 
-    def test_tie_policy_is_inherited(self):
-        strict = DecisionProblem(
-            BASE,
-            OUTCOMES,
-            PRIOR,
-            base_problem().choices,
-            tie_policy=ERROR_ON_TIE,
-        )
-        expanded, _ = mixture_expand(
-            strict, PARTITION, DeviationSpec(Fraction(1, 4), {U: u_deviant()})
-        )
-        assert expanded.tie_policy == ERROR_ON_TIE
-
     def test_custom_labels(self):
         spec = DeviationSpec(Fraction(1, 4), {U: u_deviant()})
         expanded, _ = mixture_expand(
@@ -417,28 +400,16 @@ class TestMixtureAgainstTheDefinition:
 
 @st.composite
 def affine_inputs(draw):
-    """A generated base problem and deviation, under either tie policy, at
-    epsilon 0, 1 or a drawn value in between."""
+    """A generated base problem and deviation, ties allowed, at epsilon 0,
+    1 or a drawn value in between."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     problem, partition = _random_problem(rng, 2, 6, need_wide_cell=True)
     spec = _random_deviation_spec(rng, problem.prior, partition)
-    tie_policy = draw(st.sampled_from((ERROR_ON_TIE, FIRST_BY_ORDER)))
     epsilon = draw(
         st.sampled_from((Fraction(0), Fraction(1)))
         | st.fractions(min_value=0, max_value=1, max_denominator=16)
     )
-    return (
-        replace(problem, tie_policy=tie_policy),
-        partition,
-        DeviationSpec(epsilon, spec.deviant_posteriors),
-    )
-
-
-def value_or_tie(call):
-    try:
-        return call()
-    except TieError:
-        return TieError
+    return problem, partition, DeviationSpec(epsilon, spec.deviant_posteriors)
 
 
 class TestMixtureIsAffineInEpsilon:
@@ -458,19 +429,16 @@ class TestMixtureIsAffineInEpsilon:
             for s, posterior in learning.posteriors.items()
         })
         sides = [(1 - eps, learning), (eps, deviating)]
-        expanded = value_or_tie(lambda: val_general(*mixture_expand(problem, partition, spec)))
-        affine = value_or_tie(lambda: sum(
+        expanded = val_general(*mixture_expand(problem, partition, spec))
+        affine = sum(
             (weight * val_general(problem, policy) for weight, policy in sides if weight),
             Fraction(0),
-        ))
-        if 0 < eps < 1:
-            assert (expanded is TieError) == (affine is TieError)
+        )
         assert expanded == affine
-        if expanded is not TieError:
-            brute = brute_val_general(
-                brute_lifted(problem), None, *brute_mixture(problem, partition, spec)
-            )
-            assert expanded == brute
+        brute = brute_val_general(
+            brute_lifted(problem), None, *brute_mixture(problem, partition, spec)
+        )
+        assert expanded == brute
 
 
 class TestListBuiltContainers:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from infovalue import decision, prob, updating, voi
 from infovalue.decision import (
-    ERROR_ON_TIE,
     Action,
     ChoiceSet,
     DecisionProblem,
@@ -22,7 +21,6 @@ from infovalue.errors import (
     IndependenceBrokenError,
     InfoValueError,
     SpaceMismatchError,
-    TieError,
     ValidationError,
     ZeroProbabilityError,
 )
@@ -47,7 +45,6 @@ from infovalue.voi import (
 
 from _oracles import (
     brute_deviating_states,
-    brute_first_tie,
     brute_independence_witness,
     brute_reconstructs,
     brute_val_general,
@@ -363,14 +360,75 @@ class TestRowAndCellValidation:
                 ),
                 "chosen_by_state must be of type Mapping, not list",
             ),
+            (
+                lambda: VoiReport(
+                    0, 0, 0, [PerCell(LEFT, 1, 0, [LemmaOneRow("x", 1, 0)])], {"a": ["x"]}
+                ),
+                "chosen_by_state['a'] must be of type str, not list",
+            ),
         ],
         ids=[
             "row-action-id", "cell-no-cell", "cell-rows-not-iterable", "cell-non-row",
             "report-cells-not-iterable", "report-non-cell", "report-chosen-pairs",
+            "report-chosen-unhashable",
         ],
     )
     def test_wrong_typed_fields_are_refused(self, build, message):
         assert refusal(build) == (ValidationError, "_check_types", message)
+
+    @pytest.mark.parametrize(
+        "build, location, message",
+        [
+            (
+                lambda: PerCell(
+                    LEFT, 1, 0, [LemmaOneRow("x", "1/2", 0), LemmaOneRow("x", "1/2", 0)]
+                ),
+                "PerCell.__post_init__",
+                "cell {a, b} has two rows for action 'x'",
+            ),
+            (
+                lambda: VoiReport(
+                    0, 0, 0, [PerCell(LEFT, 1, 0, [LemmaOneRow("x", 1, 0)])],
+                    {"zz": 5, 7: None},
+                ),
+                "VoiReport.__post_init__",
+                "chosen_by_state names states in no report cell: ['zz', 7]",
+            ),
+            (
+                lambda: VoiReport(
+                    0, 0, 0, [PerCell(LEFT, 1, 0, [LemmaOneRow("x", 1, 0)])], {"a": "y"}
+                ),
+                "VoiReport.__post_init__",
+                "chosen_by_state picks ['y'] in cell {a, b}, whose rows are for ['x']",
+            ),
+            (
+                lambda: VoiReport(
+                    0, 0, 0, [PerCell(LEFT, 1, 0, [LemmaOneRow("x", 1, 0)])],
+                    {"a": None, "b": "x"},
+                ),
+                "VoiReport.__post_init__",
+                "chosen_by_state picks ['x', None] in cell {a, b}, whose rows are for ['x']",
+            ),
+            (
+                lambda: VoiReport(
+                    0, 0, 0,
+                    [PerCell(LEFT, 1, 0, [LemmaOneRow(a, "1/2", 0) for a in "xy"])],
+                    {"a": "x", "b": "x"},
+                ),
+                "VoiReport.__post_init__",
+                "chosen_by_state picks ['x'] in cell {a, b}, whose rows are for ['x', 'y']",
+            ),
+        ],
+        ids=[
+            "cell-two-rows-one-act", "report-chosen-stray-states",
+            "report-chosen-act-without-row", "report-chosen-none",
+            "report-row-never-chosen",
+        ],
+    )
+    def test_tables_that_disagree_are_refused(self, build, location, message):
+        """A cell names each act at most once, and the report's chosen acts
+        are, cell by cell, the acts its rows are for."""
+        assert refusal(build) == (ValidationError, location, message)
 
     def test_realized_eu_weights_rows(self):
         rows = (
@@ -888,25 +946,6 @@ class TestChoiceMapAgainstTheOracle:
                 str(IndependenceBrokenError(cell, action.id, probe.id)),
             )
 
-    @given(shuffled_cell_instances())
-    @example(  # s1's tie raises, though the cell {s2}, with another tie, is declared first
-        shuffled_cells(
-            [1, 1, 1], [1, 0, 2], [2, 0, 1], {0: [[1]], 1: [[1]], 2: [[1]]},
-            [[3, 4, 1], [2, 4, 1], [0, 4, 0]],
-        )
-    )
-    def test_error_on_tie_raises_the_first_tie_in_state_order(self, instance):
-        problem, policy = instance
-        strict = dataclasses.replace(problem, tie_policy=ERROR_ON_TIE)
-        tie = brute_first_tie(problem, policy)
-        for call in (evaluate, val_general):
-            if tie is None:
-                assert _outcome(call, strict, policy) == _outcome(call, problem, policy)
-            else:
-                with pytest.raises(TieError) as caught:
-                    call(strict, policy)
-                assert (caught.value.actions, caught.value.value) == tie
-
 
 class TestFirstByOrderTies:
     @given(tied_mixtures())
@@ -950,45 +989,3 @@ class TestFirstByOrderTies:
         assert deviating_states(policy, problem.prior) == brute_deviating_states(
             problem, policy
         )
-
-    def test_first_tie_in_state_order_is_the_one_raised(self):
-        """Cells declared in reverse state order do not change which tie raises."""
-        prior = Credence(SPACE, {s: Fraction(1, 4) for s in SPACE})
-        outcomes = OutcomeSpace(
-            tuple(f"o{v}" for v in range(5)), {f"o{v}": v for v in range(5)}
-        )
-        payoffs = {"x": (1, 1, 0, 0), "y": (0, 2, 2, 2), "z": (2, 0, 0, 4)}
-        actions = tuple(
-            Action(a, {s: f"o{v}" for s, v in zip(SPACE, row)})
-            for a, row in payoffs.items()
-        )
-        problem = DecisionProblem(
-            SPACE, outcomes, prior, ChoiceSet(actions), tie_policy=ERROR_ON_TIE
-        )
-        # a and b tie x, y and z at 1; c and d tie y and z at 2
-        halves = {
-            LEFT: Credence(SPACE, {"a": Fraction(1, 2), "b": Fraction(1, 2)}),
-            RIGHT: Credence(SPACE, {"c": Fraction(1, 2), "d": Fraction(1, 2)}),
-        }
-        reversed_cells = EvidencePartition(SPACE, (RIGHT, LEFT))
-        policy = UpdatePolicy(
-            reversed_cells, {s: halves[reversed_cells.cell_of(s)] for s in SPACE}
-        )
-        for call in (evaluate, val_general):
-            with pytest.raises(TieError) as caught:
-                call(problem, policy)
-            assert caught.value.actions == ("x", "y", "z")
-            assert caught.value.value == 1
-
-    def test_error_on_tie_still_raises(self):
-        problem, policy, _ = trap_problem()
-        again = Action("bet-again", problem.choices.by_id("bet").assignment)
-        tied = dataclasses.replace(
-            problem,
-            choices=ChoiceSet(problem.choices.actions + (again,)),
-            tie_policy=ERROR_ON_TIE,
-        )
-        with pytest.raises(TieError):
-            evaluate(tied, policy)
-        with pytest.raises(TieError):
-            val_general(tied, policy)
