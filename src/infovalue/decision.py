@@ -60,7 +60,6 @@ __all__ = [
     "DecisionProblem",
     "expected_utility",
     "best_action",
-    "max_expected_utility",
     "is_relevant",
 ]
 
@@ -289,12 +288,6 @@ def best_action(credence: Credence, problem: DecisionProblem) -> tuple[Action, F
     top = max(scores)
     den = credence.den * problem._scale
     return problem.choices.actions[scores.index(top)], Fraction(top, den)
-
-
-def max_expected_utility(credence: Credence, problem: DecisionProblem) -> Fraction:
-    """The best achievable expected utility under ``credence`` (tie-insensitive)."""
-    _check_types(("credence", credence, Credence), ("problem", problem, DecisionProblem))
-    return Fraction(max(problem._scores(credence)), credence.den * problem._scale)
 
 
 def is_relevant(problem: DecisionProblem, partition: "EvidencePartition") -> bool:

@@ -53,7 +53,7 @@ from .updating import (
     UpdatePolicy,
     _probe_ties,
     conditionalization_policy,
-    is_immodest,
+    deviating_states,
     mixture_expand,
 )
 from .voi import evaluate, val_general, val_good
@@ -297,7 +297,7 @@ def _check_instance(
         general <= good,
         f"val_general={general} exceeds val_good={good}",
     )
-    if is_immodest(policy, problem.prior):
+    if not deviating_states(policy, problem.prior):
         run(
             "immodest-equality",
             general == good,

@@ -56,7 +56,6 @@ __all__ = [
     "CONDITIONALIZATION",
     "conditionalization_policy",
     "mixture_expand",
-    "is_immodest",
     "deviating_states",
 ]
 
@@ -464,11 +463,6 @@ def deviating_states(policy: UpdatePolicy, prior: Credence) -> tuple[str, ...]:
             if cls.deviates:
                 deviating.update(s for s, w in zip(members, cls.own) if w)
     return tuple(s for s in prior.space if s in deviating)
-
-
-def is_immodest(policy: UpdatePolicy, prior: Credence) -> bool:
-    """Whether the policy conditionalizes at every state that could obtain."""
-    return not deviating_states(policy, prior)
 
 
 def _choice_groups(

@@ -31,13 +31,15 @@ one Fraction of a numerator less the baseline over that denominator.
 :mod:`prob`'s one reader ``_cell_weights``; ``val_general`` sums the act
 groups, keyed by act index.  The report's checks cross-multiply, and each
 of its sums is one integer over the least common multiple of its terms'
-denominators.
+denominators.  The report records each positive-prior state's chosen act
+once, in the per-cell row for that act; ``VoiReport.chosen_by_state`` is
+read off the rows.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -60,28 +62,38 @@ __all__ = [
 class LemmaOneRow:
     """One chosen action's entry in a :class:`PerCell`, whose cell it is in.
 
-    ``choose_prob`` is the conditional probability, given the cell, of
-    being in a state where the policy leads the agent to pick ``action_id``;
-    ``cond_eu`` is that action's expected utility under the *conditioned
-    prior* for the cell.  The decomposition is only sound when choices are
-    evidentially independent of payoffs, which is exactly when multiplying
-    these two numbers is legitimate.  Both are read by
+    ``states`` are the positive-prior states of the cell where the policy
+    leads the agent to pick ``action_id``, in space order, stored as a
+    tuple; a row names at least one.  ``choose_prob`` is the conditional
+    probability, given the cell, of being in one of them; ``cond_eu`` is
+    that action's expected utility under the *conditioned prior* for the
+    cell.  The decomposition is only sound when choices are evidentially
+    independent of payoffs, which is exactly when multiplying these two
+    numbers is legitimate.  Both are read by
     :func:`~infovalue.prob.as_fraction`.
     """
 
     action_id: str
     choose_prob: Fraction
     cond_eu: Fraction
+    states: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if type(self.action_id) is not str:
             _check_types(("action_id", self.action_id, str))
+        try:
+            object.__setattr__(self, "states", tuple(self.states))
+        except TypeError:
+            _check_types(("states", self.states, Iterable))
+            raise
         object.__setattr__(self, "choose_prob", as_fraction(self.choose_prob))
         object.__setattr__(self, "cond_eu", as_fraction(self.cond_eu))
         if not 0 < self.choose_prob.numerator <= self.choose_prob.denominator:
             raise ValidationError(
                 f"choose_prob must lie in (0, 1], got {self.choose_prob}"
             )
+        if not self.states:
+            raise ValidationError(f"row for {self.action_id!r} names no state")
 
     def _term(self) -> tuple[int, int]:
         """``choose_prob * cond_eu`` as an unreduced integer pair."""
@@ -94,7 +106,8 @@ class PerCell:
     """The cellwise decomposition for a single evidence cell.
 
     ``prob`` and ``max_cond_eu`` are read by :func:`~infovalue.prob.as_fraction`.
-    Each act has at most one row.
+    Each act has at most one row, and no state is named by two rows or
+    twice by one; every state a row names is in ``cell``.
     """
 
     cell: Event
@@ -133,11 +146,27 @@ class PerCell:
                 f"to 1, got {Fraction(total, den)}"
             )
         top, top_den = self.max_cond_eu.numerator, self.max_cond_eu.denominator
-        for row in self.rows:
+        named: list[str] = []
+        for row in rows:
             if row.cond_eu.numerator * top_den > top * row.cond_eu.denominator:
                 raise ValidationError(
                     f"row for {row.action_id!r} beats the recorded cell maximum"
                 )
+            named += row.states
+        members = self.cell.members
+        try:
+            distinct = len(set(named)) == len(named) and members.issuperset(named)
+        except TypeError:  # an unhashable state
+            distinct = False
+        if not distinct:
+            stray = [
+                s for k, s in enumerate(named)
+                if not isinstance(s, str) or s not in members or s in named[:k]
+            ]
+            raise ValidationError(
+                f"rows in cell {self.cell.describe()} name states outside it or "
+                f"twice: {stray}"
+            )
 
     def realized_eu(self) -> Fraction:
         """Expected payoff within this cell, weighting each chosen action."""
@@ -161,20 +190,16 @@ class VoiReport:
     denominators: the cells' ``prob`` sum to 1; ``sum(prob * max_cond_eu)
     - baseline`` is ``val_good``; and ``sum(prob * choose_prob * cond_eu)``
     over every cell's rows, less ``baseline``, is ``val_general``.  A
-    Fraction is built only for an error message.  Last, ``chosen_by_state``
-    must agree with the table: each of its states lies in a report cell,
-    and in a cell where any state is recorded, the acts chosen are exactly
-    those the cell has rows for.  Both are checked by C-level set and
-    ``map`` operations, with no Python loop over the states; a cell's
-    members are read straight off the map, and intersected with its keys
-    only when one of them is unrecorded (or records ``None``).
+    Fraction is built only for an error message.  Last, the cells must be
+    pairwise disjoint events on one space.  Each state's chosen act is
+    stored once, in the row that names the state; :attr:`chosen_by_state`
+    reads it off the rows.
     """
 
     baseline: Fraction
     val_good: Fraction
     val_general: Fraction
     per_cell: tuple[PerCell, ...]
-    chosen_by_state: Mapping[str, str] = field(hash=False)
 
     def __post_init__(self) -> None:
         for name in ("baseline", "val_good", "val_general"):
@@ -185,12 +210,6 @@ class VoiReport:
             _check_types(("per_cell", self.per_cell, Iterable))
             raise
         object.__setattr__(self, "per_cell", cells)
-        try:  # unlike dict(), refuses a sequence of pairs
-            chosen = {**self.chosen_by_state}
-        except TypeError:
-            _check_types(("chosen_by_state", self.chosen_by_state, Mapping))
-            raise
-        object.__setattr__(self, "chosen_by_state", chosen)
         try:
             ratios = [c.prob.as_integer_ratio() for c in cells]
         except AttributeError:
@@ -222,29 +241,26 @@ class VoiReport:
                 f"per-cell table reconstructs val_general={Fraction(general, den)}, "
                 f"report claims {self.val_general}"
             )
-        states = chosen.keys()
-        members = [c.cell.members for c in cells]
-        if not frozenset().union(*members).issuperset(states):
-            stray = [s for s in chosen if not any(s in m for m in members)]
-            raise ValidationError(
-                f"chosen_by_state names states in no report cell: {stray}"
-            )
-        for c, cell_members in zip(cells, members):
-            try:
-                picked = set(map(chosen.get, cell_members))
-                if None in picked:  # an unrecorded state, or a None act id
-                    picked = set(map(chosen.get, states & cell_members))
-            except TypeError:  # an unhashable act id
-                _check_types(
-                    *((f"chosen_by_state[{s!r}]", a, str) for s, a in chosen.items())
-                )
-                raise
-            acts = {r.action_id for r in c.rows}
-            if picked and picked != acts:
+        space, earlier = cells[0].cell.space, set()
+        for c in cells:
+            if c.cell.space != space:
                 raise ValidationError(
-                    f"chosen_by_state picks {sorted(picked, key=repr)} in cell "
-                    f"{c.cell.describe()}, whose rows are for {sorted(acts)}"
+                    f"report cell {c.cell.describe()} is not on the first cell's space"
                 )
+            if not earlier.isdisjoint(c.cell.members):
+                raise ValidationError(
+                    f"report cell {c.cell.describe()} overlaps an earlier cell"
+                )
+            earlier |= c.cell.members
+
+    @property
+    def chosen_by_state(self) -> dict[str, str]:
+        """Each state a row names, mapped to that row's act id, in space order.
+
+        Zero-prior states are in no row, so they are left out.
+        """
+        act = {s: r.action_id for c in self.per_cell for r in c.rows for s in r.states}
+        return {s: act[s] for s in self.per_cell[0].cell.space.states if s in act}
 
 
 def _equals(num: int, den: int, value: Fraction) -> bool:
@@ -323,13 +339,14 @@ def _cellwise(
 
     Each entry pairs the cell's probability and best conditional expected
     utility with one row per chosen action, in choice-set order: the
-    conditional probability, given the cell, that the policy picks it, and
-    its expected utility under the cell's conditioned prior.  The first
-    cell, in declared order, whose choices leak refuses.  Every cell has
-    positive probability, which :func:`_informed` has checked, so every
-    cell has an act group.
+    states that choose it, read off its group's positions by one
+    ``_columns`` getter, the conditional probability, given the cell, that
+    the policy picks it, and its expected utility under the cell's
+    conditioned prior.  The first cell, in declared order, whose choices
+    leak refuses.  Every cell has positive probability, which
+    :func:`_informed` has checked, so every cell has an act group.
     """
-    ids = problem.choices.ids()
+    states, ids = problem.space.states, problem.choices.ids()
     out = []
     for cell, cell_groups in zip(policy.partition.cells, groups):
         cell_scores, weights, leak = _cell_pass(problem, cell_groups)
@@ -346,27 +363,32 @@ def _cellwise(
         for k in sorted(weights):
             score = cell_scores[k]
             cond_eu = max_cond_eu if score == top else Fraction(score, den)
-            rows.append(LemmaOneRow(ids[k], Fraction(weights[k], cell_weight), cond_eu))
+            choosers = _columns(cell_groups[k])(states)
+            rows.append(
+                LemmaOneRow(ids[k], Fraction(weights[k], cell_weight), cond_eu, choosers)
+            )
         p_cell = Fraction(cell_weight, problem.prior.den)
         out.append(PerCell(cell, p_cell, max_cond_eu, tuple(rows)))
     return tuple(out)
 
 
 def evaluate(problem: DecisionProblem, policy: UpdatePolicy) -> VoiReport:
-    """Full evaluation: both values, the per-cell table, and chosen actions.
+    """Full evaluation: both values, and the per-cell table of chosen actions.
 
     Groups each cell's states by the act chosen there once, then sums the
     definitional value and builds the cellwise decomposition from those
     groups separately; ``val_good`` comes from :func:`_informed`'s own
-    scores of each cell's states, less the same baseline.  The prior is
-    scored once, for the baseline, and no credence is conditioned.  Both
-    values and the baseline are integers over ``prior.den * U`` until each
-    becomes one Fraction, the difference of two integers over that
-    denominator, and the table's maxima compare integer scores, so a
-    Fraction is built only for a field and none is added or subtracted.
-    :class:`VoiReport` refuses to construct unless the per-cell table
-    reproduces both values exactly, so each is checked against a second
-    route.
+    scores of each cell's states, less the same baseline.  The table's rows
+    name the states that choose their act, so the report's
+    ``chosen_by_state`` is read off them and no per-state list is built.
+    The prior is scored once, for the baseline, and no credence is
+    conditioned.  Both values and the baseline are integers over
+    ``prior.den * U`` until each becomes one Fraction, the difference of
+    two integers over that denominator, and the table's maxima compare
+    integer scores, so a Fraction is built only for a field and none is
+    added or subtracted.  :class:`VoiReport` refuses to construct unless
+    the per-cell table reproduces both values exactly, so each is checked
+    against a second route.
 
     Factoring a cell's realized value into the table is exact only when
     choices carry no payoff-relevant information; if they do, raises
@@ -380,17 +402,9 @@ def evaluate(problem: DecisionProblem, policy: UpdatePolicy) -> VoiReport:
     per_cell = _cellwise(problem, policy, groups)
     baseline = max(problem._scores(problem.prior))
     den = problem.prior.den * problem._scale
-    states, ids = problem.space.states, problem.choices.ids()
-    chosen = [None] * len(states)  # by state position: the chosen act's id
-    for cell_groups in groups:
-        for k, group in cell_groups.items():
-            action_id = ids[k]
-            for i in group:
-                chosen[i] = action_id
     return VoiReport(
         baseline=Fraction(baseline, den),
         val_good=Fraction(informed - baseline, den),
         val_general=Fraction(_realized(problem, groups) - baseline, den),
         per_cell=per_cell,
-        chosen_by_state={s: a for s, a in zip(states, chosen) if a is not None},
     )

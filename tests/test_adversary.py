@@ -284,7 +284,7 @@ class TestAversionCertificate:
         def forbidden(*args, **kwargs):
             raise AssertionError("a certificate check left the integers")
 
-        names = ("condition", "expected_utility", "max_expected_utility", "probability")
+        names = ("condition", "expected_utility", "best_action", "probability")
         for module in (prob, decision, updating, voi, adversary):
             for name in names:
                 if hasattr(module, name):

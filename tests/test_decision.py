@@ -15,7 +15,6 @@ from infovalue.decision import (
     best_action,
     expected_utility,
     is_relevant,
-    max_expected_utility,
 )
 from infovalue.errors import (
     SpaceMismatchError,
@@ -135,7 +134,6 @@ class TestBestAction:
         chosen, value = best_action(p.prior, p)
         assert chosen.id == "greedy"
         assert value == 1
-        assert max_expected_utility(p.prior, p) == 1
 
     def test_first_by_order_prefers_the_earlier_listing(self):
         tied = problem([FLAT, SPIKE])  # both EU 0 under the uniform prior
@@ -173,7 +171,7 @@ class TestBestAction:
         after = DecisionProblem(SPACE, moved, uniform(), ChoiceSet(actions))
 
         def maximizers(p):
-            top = max_expected_utility(p.prior, p)
+            top = best_action(p.prior, p)[1]
             return {a.id for a in p.choices if expected_utility(p, a) == top}
 
         assert maximizers(before) == maximizers(after)
@@ -188,7 +186,7 @@ class TestBestAction:
             max_size=4,
         )
     )
-    def test_max_expected_utility_agrees_with_oracle(self, tables):
+    def test_best_value_agrees_with_oracle(self, tables):
         outcomes = sorted({v for row in tables for v in row})
         space = OutcomeSpace(
             tuple(f"o{v}" for v in outcomes), {f"o{v}": Fraction(v) for v in outcomes}
@@ -198,7 +196,7 @@ class TestBestAction:
             for i, row in enumerate(tables)
         )
         p = DecisionProblem(space=SPACE, outcomes=space, prior=uniform(), choices=ChoiceSet(actions))
-        assert max_expected_utility(p.prior, p) == best_value(p, dist_of(p.prior))
+        assert best_action(p.prior, p)[1] == best_value(p, dist_of(p.prior))
 
 
 class TestIsRelevant:
@@ -279,7 +277,6 @@ def assert_choice_matches_oracle(problem, credence):
     for action, value in zip(problem.choices, values):
         assert expected_utility(problem, action, credence) == value
     top = best_value(problem, dist)
-    assert max_expected_utility(credence, problem) == top
     chosen, value = best_action(credence, problem)
     assert chosen is first_best(problem, dist)
     assert type(value) is Fraction and value == top

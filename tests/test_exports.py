@@ -21,7 +21,6 @@ from infovalue import (
     expected_utility,
     is_partition,
     is_relevant,
-    max_expected_utility,
     mixture_expand,
     probability,
     problem_document,
@@ -95,12 +94,10 @@ PUBLIC = [
     "evaluate",
     "expected_utility",
     "format_rational",
-    "is_immodest",
     "is_partition",
     "is_relevant",
     "load_problem",
     "loads",
-    "max_expected_utility",
     "mixture_expand",
     "parse_rational",
     "probability",
@@ -203,7 +200,7 @@ P, Q = GAMBLERS.problem, GAMBLERS.policy
             "action must be of type Action, not NoneType",
         ),
         (
-            lambda: max_expected_utility(P.prior, None),
+            lambda: best_action(P.prior, None),
             "problem must be of type DecisionProblem, not NoneType",
         ),
         (lambda: probability(P.prior, None), "event must be of type Event, not NoneType"),
@@ -239,7 +236,7 @@ P, Q = GAMBLERS.problem, GAMBLERS.policy
         "dumps-no-policy",
         "best-action-no-credence",
         "expected-utility-no-action",
-        "max-expected-utility-no-problem",
+        "best-action-no-problem",
         "probability-no-event",
         "condition-no-event",
         "is-partition-no-cells",

@@ -34,7 +34,6 @@ from infovalue.updating import (
     _probe_ties,
     conditionalization_policy,
     deviating_states,
-    is_immodest,
     mixture_expand,
 )
 from infovalue.voi import evaluate
@@ -118,7 +117,7 @@ class TestInstanceGenerators:
         assert instance.kind == "conditionalization"
         prior, partition = instance.problem.prior, instance.partition
         assert instance.policy == conditionalization_policy(prior, partition)
-        assert is_immodest(instance.policy, instance.problem.prior)
+        assert deviating_states(instance.policy, instance.problem.prior) == ()
         assert instance.partition is instance.policy.partition
         evaluate(instance.problem, instance.policy)  # tie-free by construction
 
@@ -126,7 +125,6 @@ class TestInstanceGenerators:
         instance = _random_mixture_instance(random.Random(5))
         assert instance.kind == "mixture"
         assert deviating_states(instance.policy, instance.problem.prior)
-        assert not is_immodest(instance.policy, instance.problem.prior)
         evaluate(instance.problem, instance.policy)
 
     def test_mixture_states_are_disposition_products(self):

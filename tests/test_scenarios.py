@@ -23,7 +23,6 @@ from infovalue.scenarios import (
 from infovalue.updating import (
     conditionalization_policy,
     deviating_states,
-    is_immodest,
 )
 from infovalue.voi import evaluate, val_general, val_good
 
@@ -42,7 +41,7 @@ class TestRace:
         scenario = build_scenario(RACE)
         prior, partition = scenario.problem.prior, scenario.policy.partition
         assert scenario.policy == conditionalization_policy(prior, partition)
-        assert is_immodest(scenario.policy, scenario.problem.prior)
+        assert deviating_states(scenario.policy, scenario.problem.prior) == ()
 
     def test_report_chooses_the_favored_horse_per_cell(self):
         scenario = build_scenario(RACE)
@@ -81,7 +80,7 @@ class TestGamblers:
 
     def test_epsilon_zero_is_immodest(self):
         scenario = build_scenario(GAMBLERS, epsilon=Fraction(0))
-        assert is_immodest(scenario.policy, scenario.problem.prior)
+        assert deviating_states(scenario.policy, scenario.problem.prior) == ()
 
     def test_fallacy_states_chase_the_opposite_face(self):
         scenario = build_scenario(GAMBLERS, epsilon=Fraction(1, 10))
@@ -190,7 +189,7 @@ class TestBuildScenario:
 
     def test_epsilon_defaults_to_zero(self):
         scenario = build_scenario(GAMBLERS)
-        assert is_immodest(scenario.policy, scenario.problem.prior)
+        assert deviating_states(scenario.policy, scenario.problem.prior) == ()
 
     @pytest.mark.parametrize(
         "epsilon, confidence",

@@ -28,7 +28,6 @@ from infovalue.updating import (
     _first_leak,
     conditionalization_policy,
     deviating_states,
-    is_immodest,
     mixture_expand,
 )
 from infovalue.properties import _random_deviation_spec, _random_problem
@@ -156,9 +155,8 @@ class TestConditionalizationPolicy:
         for s in BASE:
             assert policy.posterior(s) == condition(PRIOR, PARTITION.cell_of(s))
 
-    def test_is_immodest_with_degree_zero(self):
+    def test_conditionalization_is_immodest(self):
         policy = conditionalization_policy(PRIOR, PARTITION)
-        assert is_immodest(policy, PRIOR)
         assert deviating_states(policy, PRIOR) == ()
 
     def test_zero_probability_cell_is_an_error(self):
@@ -277,11 +275,9 @@ class TestMixtureExpand:
         # deviant disposition has mass 1/4 but only the U cell is distorted
         deviating_mass = sum(expanded.prior(s) for s in deviating_states(policy, expanded.prior))
         assert deviating_mass == Fraction(1, 4) * Fraction(2, 3)
-        assert not is_immodest(policy, expanded.prior)
 
     def test_epsilon_zero_collapses_to_conditionalization(self):
         expanded, policy = expanded_fixture(epsilon=Fraction(0))
-        assert is_immodest(policy, expanded.prior)
         assert deviating_states(policy, expanded.prior) == ()
 
     def test_custom_labels(self):
@@ -517,7 +513,6 @@ class TestDeviationAgainstTheDefinition:
         assert sum(problem.prior(s) for s in deviating) == sum(
             (prior[s] for s in expected), Fraction(0)
         )
-        assert is_immodest(policy, problem.prior) == (not expected)
 
 
 def clairvoyant_setup():

@@ -14,8 +14,8 @@ from infovalue.decision import (
     ChoiceSet,
     DecisionProblem,
     OutcomeSpace,
+    best_action,
     is_relevant,
-    max_expected_utility,
 )
 from infovalue.errors import (
     IndependenceBrokenError,
@@ -197,13 +197,14 @@ class TestLemmaOneDecomposition:
         assert row.action_id == "bet-left"
         assert row.choose_prob == 1
         assert row.cond_eu == 1
+        assert row.states == ("a", "b")
 
     def test_trap_cell_rows(self):
         problem, policy, _ = trap_problem()
         (cell,) = evaluate(problem, policy).per_cell
         rows = cell.rows
-        assert [(r.action_id, r.choose_prob, r.cond_eu) for r in rows] == [
-            ("bet", Fraction(1), Fraction(-1, 2))
+        assert [(r.action_id, r.choose_prob, r.cond_eu, r.states) for r in rows] == [
+            ("bet", Fraction(1), Fraction(-1, 2), ("g", "h"))
         ]
 
     def test_zero_probability_cell_is_an_error(self):
@@ -276,40 +277,49 @@ class TestLemmaOneDecomposition:
         problem, policy, _ = trap_problem()
         cells = evaluate(problem, policy).per_cell
         informed = sum((c.prob * c.realized_eu() for c in cells), Fraction(0))
-        baseline = max_expected_utility(problem.prior, problem)
+        baseline = best_action(problem.prior, problem)[1]
         assert informed - baseline == val_general(problem, policy)
+
+
+def one_row_cell(cell, prob=1):
+    """A cell whose one row, for act ``x``, names all of its members."""
+    return PerCell(cell, prob, 0, [LemmaOneRow("x", 1, 0, cell.sorted_members())])
+
+
+OTHER_SPACE = StateSpace(("c", "d"))
+MIDDLE = Event(SPACE, frozenset({"b", "c"}))
 
 
 class TestRowAndCellValidation:
     def test_choose_prob_bounds(self):
         with pytest.raises(ValidationError, match="choose_prob"):
-            LemmaOneRow("pass", Fraction(0), Fraction(0))
+            LemmaOneRow("pass", Fraction(0), Fraction(0), ("a",))
         with pytest.raises(ValidationError, match="choose_prob"):
-            LemmaOneRow("pass", Fraction(3, 2), Fraction(0))
+            LemmaOneRow("pass", Fraction(3, 2), Fraction(0), ("a",))
 
     def test_cell_rows_must_sum_to_one(self):
-        row = LemmaOneRow("pass", Fraction(1, 2), Fraction(0))
+        row = LemmaOneRow("pass", Fraction(1, 2), Fraction(0), ("a",))
         with pytest.raises(ValidationError, match="sum"):
             PerCell(LEFT, Fraction(1, 2), Fraction(0), (row,))
 
     def test_rows_cannot_beat_the_recorded_maximum(self):
-        row = LemmaOneRow("pass", Fraction(1), Fraction(2))
+        row = LemmaOneRow("pass", Fraction(1), Fraction(2), ("a", "b"))
         with pytest.raises(ValidationError, match="beats"):
             PerCell(LEFT, Fraction(1, 2), Fraction(1), (row,))
 
     def test_cell_probability_must_be_positive(self):
-        row = LemmaOneRow("pass", Fraction(1), Fraction(0))
+        row = LemmaOneRow("pass", Fraction(1), Fraction(0), ("a", "b"))
         with pytest.raises(ValidationError, match="positive"):
             PerCell(LEFT, Fraction(0), Fraction(0), (row,))
 
     def test_fields_read_the_rational_grammar(self):
-        row = LemmaOneRow("x", "1/2", 0)
-        assert (row.choose_prob, row.cond_eu) == (Fraction(1, 2), 0)
-        rows = (row, LemmaOneRow("y", "1/2", "-1/3"))
+        row = LemmaOneRow("x", "1/2", 0, ["a"])
+        assert (row.choose_prob, row.cond_eu, row.states) == (Fraction(1, 2), 0, ("a",))
+        rows = (row, LemmaOneRow("y", "1/2", "-1/3", ("b",)))
         cell = PerCell(LEFT, "1", "0", rows)
         assert (cell.prob, cell.max_cond_eu) == (1, 0)
         assert cell.realized_eu() == Fraction(-1, 6)
-        report = VoiReport("1/6", "-1/6", "-1/3", (cell,), {})
+        report = VoiReport("1/6", "-1/6", "-1/3", (cell,))
         assert (report.baseline, report.val_good, report.val_general) == (
             Fraction(1, 6), Fraction(-1, 6), Fraction(-1, 3)
         )
@@ -322,9 +332,9 @@ class TestRowAndCellValidation:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: LemmaOneRow("x", 1.0, Fraction(1, 4)),
-            lambda: PerCell(LEFT, 1.0, Fraction(1, 4), (LemmaOneRow("x", 1, 0),)),
-            lambda: VoiReport(1.0, 0, 0, (), {}),
+            lambda: LemmaOneRow("x", 1.0, Fraction(1, 4), ("a",)),
+            lambda: PerCell(LEFT, 1.0, Fraction(1, 4), (LemmaOneRow("x", 1, 0, ("a",)),)),
+            lambda: VoiReport(1.0, 0, 0, ()),
         ],
         ids=["row", "cell", "report"],
     )
@@ -339,9 +349,13 @@ class TestRowAndCellValidation:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: LemmaOneRow(5, 1, 0), "action_id must be of type str, not int"),
+            (lambda: LemmaOneRow(5, 1, 0, ("a",)), "action_id must be of type str, not int"),
             (
-                lambda: PerCell(None, 1, 0, [LemmaOneRow("x", 1, 0)]),
+                lambda: LemmaOneRow("x", 1, 0, 5),
+                "states must be of type Iterable, not int",
+            ),
+            (
+                lambda: PerCell(None, 1, 0, [LemmaOneRow("x", 1, 0, ("a",))]),
                 "cell must be of type Event, not NoneType",
             ),
             (lambda: PerCell(LEFT, 1, 0, 5), "rows must be of type Iterable, not int"),
@@ -349,28 +363,16 @@ class TestRowAndCellValidation:
                 lambda: PerCell(LEFT, 1, 0, ["x"]),
                 "rows[0] must be of type LemmaOneRow, not str",
             ),
-            (lambda: VoiReport(0, 0, 0, 5, {}), "per_cell must be of type Iterable, not int"),
+            (lambda: VoiReport(0, 0, 0, 5), "per_cell must be of type Iterable, not int"),
             (
-                lambda: VoiReport(0, 0, 0, ["x"], {}),
+                lambda: VoiReport(0, 0, 0, ["x"]),
                 "per_cell[0] must be of type PerCell, not str",
-            ),
-            (
-                lambda: VoiReport(
-                    0, 0, 0, [PerCell(LEFT, 1, 0, [LemmaOneRow("x", 1, 0)])], ["ab"]
-                ),
-                "chosen_by_state must be of type Mapping, not list",
-            ),
-            (
-                lambda: VoiReport(
-                    0, 0, 0, [PerCell(LEFT, 1, 0, [LemmaOneRow("x", 1, 0)])], {"a": ["x"]}
-                ),
-                "chosen_by_state['a'] must be of type str, not list",
             ),
         ],
         ids=[
-            "row-action-id", "cell-no-cell", "cell-rows-not-iterable", "cell-non-row",
-            "report-cells-not-iterable", "report-non-cell", "report-chosen-pairs",
-            "report-chosen-unhashable",
+            "row-action-id", "row-states-not-iterable", "cell-no-cell",
+            "cell-rows-not-iterable", "cell-non-row", "report-cells-not-iterable",
+            "report-non-cell",
         ],
     )
     def test_wrong_typed_fields_are_refused(self, build, message):
@@ -380,60 +382,83 @@ class TestRowAndCellValidation:
         "build, location, message",
         [
             (
+                lambda: LemmaOneRow("y", "1/2", 0, ()),
+                "LemmaOneRow.__post_init__",
+                "row for 'y' names no state",
+            ),
+            (
                 lambda: PerCell(
-                    LEFT, 1, 0, [LemmaOneRow("x", "1/2", 0), LemmaOneRow("x", "1/2", 0)]
+                    LEFT, 1, 0,
+                    [LemmaOneRow("x", "1/2", 0, ("a",)), LemmaOneRow("x", "1/2", 0, ("b",))],
                 ),
                 "PerCell.__post_init__",
                 "cell {a, b} has two rows for action 'x'",
             ),
             (
-                lambda: VoiReport(
-                    0, 0, 0, [PerCell(LEFT, 1, 0, [LemmaOneRow("x", 1, 0)])],
-                    {"zz": 5, 7: None},
+                lambda: PerCell(LEFT, 1, 0, [LemmaOneRow("x", 1, 0, ("a", "zz", 7))]),
+                "PerCell.__post_init__",
+                "rows in cell {a, b} name states outside it or twice: ['zz', 7]",
+            ),
+            (
+                lambda: PerCell(LEFT, 1, 0, [LemmaOneRow("x", 1, 0, ("a", ["b"]))]),
+                "PerCell.__post_init__",
+                "rows in cell {a, b} name states outside it or twice: [['b']]",
+            ),
+            (
+                lambda: PerCell(
+                    LEFT, 1, 0,
+                    [LemmaOneRow("x", "1/2", 0, ("a", "b")), LemmaOneRow("y", "1/2", 0, ("b",))],
                 ),
-                "VoiReport.__post_init__",
-                "chosen_by_state names states in no report cell: ['zz', 7]",
+                "PerCell.__post_init__",
+                "rows in cell {a, b} name states outside it or twice: ['b']",
+            ),
+            (
+                lambda: PerCell(LEFT, 1, 0, [LemmaOneRow("x", 1, 0, ("a", "a"))]),
+                "PerCell.__post_init__",
+                "rows in cell {a, b} name states outside it or twice: ['a']",
             ),
             (
                 lambda: VoiReport(
-                    0, 0, 0, [PerCell(LEFT, 1, 0, [LemmaOneRow("x", 1, 0)])], {"a": "y"}
+                    0, 0, 0, [one_row_cell(LEFT, "1/2"), one_row_cell(LEFT, "1/2")]
                 ),
                 "VoiReport.__post_init__",
-                "chosen_by_state picks ['y'] in cell {a, b}, whose rows are for ['x']",
+                "report cell {a, b} overlaps an earlier cell",
             ),
             (
                 lambda: VoiReport(
-                    0, 0, 0, [PerCell(LEFT, 1, 0, [LemmaOneRow("x", 1, 0)])],
-                    {"a": None, "b": "x"},
+                    0, 0, 0, [one_row_cell(LEFT, "1/2"), one_row_cell(MIDDLE, "1/2")]
                 ),
                 "VoiReport.__post_init__",
-                "chosen_by_state picks ['x', None] in cell {a, b}, whose rows are for ['x']",
+                "report cell {b, c} overlaps an earlier cell",
             ),
             (
                 lambda: VoiReport(
                     0, 0, 0,
-                    [PerCell(LEFT, 1, 0, [LemmaOneRow(a, "1/2", 0) for a in "xy"])],
-                    {"a": "x", "b": "x"},
+                    [
+                        one_row_cell(LEFT, "1/2"),
+                        one_row_cell(Event(OTHER_SPACE, {"c", "d"}), "1/2"),
+                    ],
                 ),
                 "VoiReport.__post_init__",
-                "chosen_by_state picks ['x'] in cell {a, b}, whose rows are for ['x', 'y']",
+                "report cell {c, d} is not on the first cell's space",
             ),
         ],
         ids=[
-            "cell-two-rows-one-act", "report-chosen-stray-states",
-            "report-chosen-act-without-row", "report-chosen-none",
-            "report-row-never-chosen",
+            "row-names-no-state", "cell-two-rows-one-act", "row-states-outside-cell",
+            "row-state-unhashable", "cell-state-in-two-rows", "row-names-state-twice",
+            "report-cell-listed-twice", "report-cells-overlap", "report-cells-two-spaces",
         ],
     )
     def test_tables_that_disagree_are_refused(self, build, location, message):
-        """A cell names each act at most once, and the report's chosen acts
-        are, cell by cell, the acts its rows are for."""
+        """A row names at least one state, a cell names each act and each
+        state at most once and only its own states, and a report's cells
+        are disjoint events on one space."""
         assert refusal(build) == (ValidationError, location, message)
 
     def test_realized_eu_weights_rows(self):
         rows = (
-            LemmaOneRow("pass", Fraction(3, 4), Fraction(0)),
-            LemmaOneRow("bet-left", Fraction(1, 4), Fraction(1)),
+            LemmaOneRow("pass", Fraction(3, 4), Fraction(0), ("a",)),
+            LemmaOneRow("bet-left", Fraction(1, 4), Fraction(1), ("b",)),
         )
         cell = PerCell(LEFT, Fraction(1, 2), Fraction(1), rows)
         assert cell.realized_eu() == Fraction(1, 4)
@@ -481,7 +506,7 @@ class TestVoiReport:
             raise AssertionError("evaluate conditioned or priced a credence")
 
         score = DecisionProblem._scores
-        names = ("condition", "probability", "expected_utility", "max_expected_utility")
+        names = ("condition", "probability", "expected_utility", "best_action")
         for module in (prob, decision, updating, voi):
             for name in names:
                 if hasattr(module, name):
@@ -548,19 +573,26 @@ class TestVoiReport:
         again = evaluate(problem, policy)
         assert report == again
         assert hash(report) == hash(again)
-        relabeled = dataclasses.replace(report, chosen_by_state={"g": "bet"})
+        (cell,) = report.per_cell
+        (row,) = cell.rows
+        narrowed = dataclasses.replace(row, states=("g",))
+        relabeled = dataclasses.replace(
+            report, per_cell=(dataclasses.replace(cell, rows=(narrowed,)),)
+        )
         assert relabeled != report
+        assert hash(relabeled) != hash(report)
+        assert relabeled.chosen_by_state == {"g": "bet"}
 
     def test_rows_and_cells_are_stored_as_tuples(self):
         """A list of rows or of cells is stored as a tuple, as ChoiceSet does."""
-        rows = [LemmaOneRow("x", 1, 0)]
+        rows = [LemmaOneRow("x", 1, 0, ["a", "b"])]
         cell = PerCell(LEFT, 1, 0, rows)
         assert cell == PerCell(LEFT, 1, 0, tuple(rows))
         assert hash(cell) == hash(PerCell(LEFT, 1, 0, tuple(rows)))
-        report = VoiReport(0, 0, 0, [cell], {})
-        assert report == VoiReport(0, 0, 0, (cell,), {})
-        assert hash(report) == hash(VoiReport(0, 0, 0, (cell,), {}))
-        assert type(cell.rows) is type(report.per_cell) is tuple
+        report = VoiReport(0, 0, 0, [cell])
+        assert report == VoiReport(0, 0, 0, (cell,))
+        assert hash(report) == hash(VoiReport(0, 0, 0, (cell,)))
+        assert type(cell.rows) is type(report.per_cell) is type(rows[0].states) is tuple
 
     def test_cell_probabilities_must_cover_everything(self):
         problem = four_state_problem()
@@ -737,6 +769,7 @@ def test_val_good_agrees_on_three_routes(instance):
 
 
 _RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+NINE_STATES = StateSpace(tuple(f"s{i}" for i in range(9)))
 
 
 @st.composite
@@ -745,7 +778,8 @@ def drawn_report_fields(draw):
 
     Each cell's rows get drawn choose weights and conditional expected
     utilities, and a maximum at or above them; the cells get drawn
-    weights.  The headline values are summed from that table.  Then one
+    weights.  Each row names one state of its own, and each cell holds its
+    rows' states, so the cells are disjoint.  The headline values are summed from that table.  Then one
     thing may change: the baseline or a headline value moves by a drawn
     rational (possibly 0), a cell's probability is redrawn, or the cells'
     probabilities are reversed, which keeps their sum.
@@ -755,12 +789,14 @@ def drawn_report_fields(draw):
     for i, weight in enumerate(weights):
         shares = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
         eus = draw(st.lists(_RATIONALS, min_size=len(shares), max_size=len(shares)))
+        states = [f"s{3 * i + k}" for k in range(len(shares))]
         rows = tuple(
-            LemmaOneRow(f"a{k}", Fraction(share, sum(shares)), eu)
-            for k, (share, eu) in enumerate(zip(shares, eus))
+            LemmaOneRow(f"a{k}", Fraction(share, sum(shares)), eu, (state,))
+            for k, (share, eu, state) in enumerate(zip(shares, eus, states))
         )
         top = max(eus) + draw(st.sampled_from([0, Fraction(1, 5)]))
-        cells.append(PerCell(LEFT, Fraction(weight, sum(weights)), top, rows))
+        cell = Event(NINE_STATES, states)
+        cells.append(PerCell(cell, Fraction(weight, sum(weights)), top, rows))
     baseline = draw(_RATIONALS)
     fields = {
         "baseline": baseline,
@@ -805,7 +841,7 @@ def test_integer_reconstruction_is_the_definition(fields):
     expected = brute_reconstructs(SimpleNamespace(**fields))
 
     def build():
-        return VoiReport(**fields, chosen_by_state={})
+        return VoiReport(**fields)
 
     if expected is None:
         report = build()
@@ -938,6 +974,8 @@ class TestChoiceMapAgainstTheOracle:
         if witness is None:
             report = evaluate(problem, policy)
             assert list(report.chosen_by_state.items()) == list(expected.items())
+            for row in (r for c in report.per_cell for r in c.rows):
+                assert list(row.states) == [s for s in states if s in row.states]
             assert report.val_good == brute_val_good(problem, policy.partition)
         else:
             cell, action, probe = witness
