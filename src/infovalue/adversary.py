@@ -383,7 +383,9 @@ def demonstrate_aversion(
     Every other cell is walked in full.  States that share a posterior
     price every event alike, so each posterior is walked once, at its first
     state; a later state holding it would only repeat bets already
-    rejected.  Stakes are integers over one denominator per cell, and each
+    rejected.  A bet's verdict depends only on its event and stake, so the
+    search keeps the set of those it rejected and skips a bet met again.
+    Stakes are integers over one denominator per cell, and each
     posterior class's mass and ``own`` weight on a candidate are summed
     along the candidate's own members (:func:`_tally`), in O(|event|)
     integer operations.  Only the certificate's claim is a Fraction: the
@@ -428,7 +430,7 @@ def demonstrate_aversion(
         scale = lcm(*(cls.den for cls in classes))
         loss_den = 2 * scale * total
         everything = (1 << len(members)) - 1
-        tallies: dict[tuple[int, int], tuple[int, int]] = {}
+        rejected: set[tuple[int, int]] = set()
         for cls in deviating:
             den = cls.den
             q_scale = scale // den * total
@@ -440,10 +442,13 @@ def demonstrate_aversion(
                     bet_weight = total - r_num
                 else:
                     key, bet_weight = (mask, midpoint), r_num
-                if key not in tallies:
-                    tallies[key] = _tally(classes, combo, mirrored, key[1], loss_den)
-                taker_weight, taker_bet_weight = tallies[key]
+                if key in rejected:
+                    continue  # a bet's verdict depends on its key alone
+                taker_weight, taker_bet_weight = _tally(
+                    classes, combo, mirrored, key[1], loss_den
+                )
                 if taker_bet_weight * total != bet_weight * taker_weight:
+                    rejected.add(key)
                     continue
                 # a taker wins 1 - loss on the bet and loses loss off it, with
                 # loss = key[1] / loss_den

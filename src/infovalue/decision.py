@@ -33,7 +33,7 @@ those groups.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -46,7 +46,9 @@ from .prob import (
     StateSpace,
     _cell_weights,
     _check_types,
+    _distinct_ids,
     _over_lcm,
+    _sequence,
     as_fraction,
 )
 
@@ -72,21 +74,8 @@ class OutcomeSpace:
     utility: Mapping[str, Fraction] = field(hash=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.outcomes, str):
-            raise ValidationError(
-                f"outcomes must be a sequence of ids, not the string {self.outcomes!r}"
-            )
-        _check_types(("outcomes", self.outcomes, Iterable))
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
-        if not self.outcomes:
-            raise ValidationError("an outcome space needs at least one outcome")
-        seen = set()
-        for o in self.outcomes:
-            if not isinstance(o, str) or not o:
-                raise ValidationError(f"outcome ids must be non-empty strings, got {o!r}")
-            if o in seen:
-                raise ValidationError(f"duplicate outcome id: {o!r}")
-            seen.add(o)
+        seen = _distinct_ids("outcomes", self.outcomes, "outcome", "an outcome space")
+        object.__setattr__(self, "outcomes", tuple(seen))
         _check_types(("utility", self.utility, Mapping))
         cleaned = {}
         for outcome, raw in self.utility.items():
@@ -140,23 +129,14 @@ class ChoiceSet:
     actions: tuple[Action, ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.actions, str):
-            raise ValidationError(
-                f"actions must be a sequence of Actions, not the string {self.actions!r}"
-            )
-        _check_types(("actions", self.actions, Iterable))
-        object.__setattr__(self, "actions", tuple(self.actions))
-        if not self.actions:
-            raise ValidationError("a choice set needs at least one action")
-        seen = set()
-        for a in self.actions:
+        actions = _sequence("actions", self.actions, "sequence of Actions")
+        for a in actions:
             if not isinstance(a, Action):
                 raise ValidationError(
                     f"choice set entries must be Actions, not {type(a).__name__}"
                 )
-            if a.id in seen:
-                raise ValidationError(f"duplicate action id: {a.id!r}")
-            seen.add(a.id)
+        _distinct_ids("actions", [a.id for a in actions], "action", "a choice set")
+        object.__setattr__(self, "actions", actions)
 
     def __iter__(self):
         return iter(self.actions)

@@ -6,6 +6,13 @@ denominator.  Floats are rejected at the boundary so that every downstream
 comparison (equality of two expected utilities, sign of a value difference)
 is exact.
 
+Every sequence field of the package's classes is read by one private
+reader, ``_sequence``: it returns a tuple and refuses a bare ``str``,
+``bytes`` or ``bytearray`` by name, and anything that is not iterable, so
+no field splits a string into characters.  Every id list (states,
+outcomes, action ids) is read by ``_distinct_ids``, which calls it and
+refuses an empty list and an id that is not a distinct, non-empty string.
+
 Every rational input is read by one private parser, ``_ratio``, into an
 integer pair ``(num, den)`` with ``den > 0``, unreduced: ``"2/4"`` reads as
 ``(2, 4)``.  :func:`as_fraction` wraps that pair in a Fraction.  A list of
@@ -107,6 +114,41 @@ def _check_types(*fields: tuple[str, object, type]) -> None:
             )
 
 
+def _sequence(name: str, value, what: str) -> tuple:
+    """``value`` as a tuple, refused if it is a bare ``str``, ``bytes`` or
+    ``bytearray`` (named as "a <what>, not the string ...") or not iterable.
+
+    The one reader of every sequence field, so none splits a string into
+    characters.
+    """
+    if type(value) in (tuple, list, frozenset):  # no check below can refuse these
+        return tuple(value)
+    if isinstance(value, (str, bytes, bytearray)):
+        raise ValidationError(f"{name} must be a {what}, not the string {value!r}")
+    if not isinstance(value, Iterable):
+        _check_types((name, value, Iterable))
+    return tuple(value)
+
+
+def _distinct_ids(name: str, values, noun: str, owner: str) -> dict[str, int]:
+    """Each id in ``values``, read by :func:`_sequence`, mapped to its position.
+
+    Refuses an id that is not a non-empty string, a duplicate id, and no
+    ids at all, naming the ``noun`` (``"state"``) and, for the last, its
+    ``owner`` (``"a state space"``).
+    """
+    position: dict[str, int] = {}
+    for value in _sequence(name, values, "sequence of ids"):
+        if not isinstance(value, str) or not value:
+            raise ValidationError(f"{noun} ids must be non-empty strings, got {value!r}")
+        if value in position:
+            raise ValidationError(f"duplicate {noun} id: {value!r}")
+        position[value] = len(position)
+    if not position:
+        raise ValidationError(f"{owner} needs at least one {noun}")
+    return position
+
+
 def _over_lcm(pairs: Collection[tuple[int, int]]) -> tuple[list[int], int, int]:
     """Bring ``(n, d)`` pairs, ``d > 0``, to the lcm ``den`` of the ``d`` (1 if none).
 
@@ -145,21 +187,8 @@ class StateSpace:
     states: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.states, str):
-            raise ValidationError(
-                f"states must be a sequence of ids, not the string {self.states!r}"
-            )
-        _check_types(("states", self.states, Iterable))
-        object.__setattr__(self, "states", tuple(self.states))
-        if not self.states:
-            raise ValidationError("a state space needs at least one state")
-        position: dict[str, int] = {}
-        for s in self.states:
-            if not isinstance(s, str) or not s:
-                raise ValidationError(f"state ids must be non-empty strings, got {s!r}")
-            if s in position:
-                raise ValidationError(f"duplicate state id: {s!r}")
-            position[s] = len(position)
+        position = _distinct_ids("states", self.states, "state", "a state space")
+        object.__setattr__(self, "states", tuple(position))
         object.__setattr__(self, "_position", position)
 
     def __iter__(self) -> Iterator[str]:
@@ -186,15 +215,10 @@ class Event:
     members: frozenset[str]
 
     def __post_init__(self) -> None:
-        if isinstance(self.members, str):
-            raise ValidationError(
-                f"members must be a collection of ids, not the string {self.members!r}"
-            )
-        _check_types(
-            ("space", self.space, StateSpace), ("members", self.members, Iterable)
-        )
+        members = _sequence("members", self.members, "collection of ids")
+        _check_types(("space", self.space, StateSpace))
         try:
-            object.__setattr__(self, "members", frozenset(self.members))
+            object.__setattr__(self, "members", frozenset(members))
             positions = sorted(map(self.space._position.__getitem__, self.members))
         except (KeyError, TypeError):  # TypeError: an unhashable member
             stray = sorted(

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -39,8 +38,8 @@ from .decision import (
     DecisionProblem,
     OutcomeSpace,
 )
-from .errors import ConfigError, ValidationError
-from .prob import Credence, Event, StateSpace, _check_types, as_fraction
+from .errors import ConfigError
+from .prob import Credence, Event, StateSpace, _sequence, as_fraction
 from .updating import (
     DeviationSpec,
     EvidencePartition,
@@ -395,11 +394,7 @@ def sweep(name: str, epsilons, confidence=None) -> SweepTable:
         raise ConfigError("the race scenario has no epsilon parameter to sweep")
     # an unknown name is refused first, by _mixture_base
     if name in SCENARIO_NAMES:
-        if isinstance(epsilons, (str, bytes, bytearray)):
-            raise ValidationError(
-                f"epsilons must be a sequence of values, not the string {epsilons!r}"
-            )
-        _check_types(("epsilons", epsilons, Iterable))
+        epsilons = _sequence("epsilons", epsilons, "sequence of values")
     base = _mixture_base(name, confidence)
     epsilons = [_epsilon(raw) for raw in epsilons]
     good, learning, deviating = _base_values(base)

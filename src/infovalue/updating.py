@@ -21,7 +21,7 @@ conditionalizing.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul, sub
@@ -43,6 +43,7 @@ from .prob import (
     StateSpace,
     _check_types,
     _columns,
+    _sequence,
     _weight,
     as_fraction,
     condition,
@@ -70,13 +71,9 @@ class EvidencePartition:
     cells: tuple[Event, ...]
 
     def __post_init__(self) -> None:
-        _check_types(("cells", self.cells, Iterable))
-        object.__setattr__(self, "cells", tuple(self.cells))
-        for cell in self.cells:
-            if not isinstance(cell, Event):
-                raise ValidationError(
-                    f"partition cells must be Events, not {type(cell).__name__}"
-                )
+        object.__setattr__(
+            self, "cells", _sequence("cells", self.cells, "sequence of Events")
+        )
         _check_types(("space", self.space, StateSpace))
         if not is_partition(self.space, self.cells):
             raise ValidationError(

@@ -38,14 +38,13 @@ read off the rows.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from .decision import DecisionProblem
 from .errors import IndependenceBrokenError, SpaceMismatchError, ValidationError
-from .prob import Event, _check_types, _columns, _over_lcm, as_fraction
+from .prob import Event, _check_types, _columns, _over_lcm, _sequence, as_fraction
 from .updating import EvidencePartition, UpdatePolicy, _cell_pass, _choice_groups
 
 __all__ = [
@@ -81,11 +80,9 @@ class LemmaOneRow:
     def __post_init__(self) -> None:
         if type(self.action_id) is not str:
             _check_types(("action_id", self.action_id, str))
-        try:
-            object.__setattr__(self, "states", tuple(self.states))
-        except TypeError:
-            _check_types(("states", self.states, Iterable))
-            raise
+        object.__setattr__(
+            self, "states", _sequence("states", self.states, "sequence of ids")
+        )
         object.__setattr__(self, "choose_prob", as_fraction(self.choose_prob))
         object.__setattr__(self, "cond_eu", as_fraction(self.cond_eu))
         if not 0 < self.choose_prob.numerator <= self.choose_prob.denominator:
@@ -118,11 +115,7 @@ class PerCell:
     def __post_init__(self) -> None:
         if type(self.cell) is not Event:
             _check_types(("cell", self.cell, Event))
-        try:
-            rows = tuple(self.rows)
-        except TypeError:
-            _check_types(("rows", self.rows, Iterable))
-            raise
+        rows = _sequence("rows", self.rows, "sequence of LemmaOneRows")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "prob", as_fraction(self.prob))
         object.__setattr__(self, "max_cond_eu", as_fraction(self.max_cond_eu))
@@ -204,11 +197,7 @@ class VoiReport:
     def __post_init__(self) -> None:
         for name in ("baseline", "val_good", "val_general"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
-        try:
-            cells = tuple(self.per_cell)
-        except TypeError:
-            _check_types(("per_cell", self.per_cell, Iterable))
-            raise
+        cells = _sequence("per_cell", self.per_cell, "sequence of PerCells")
         object.__setattr__(self, "per_cell", cells)
         try:
             ratios = [c.prob.as_integer_ratio() for c in cells]

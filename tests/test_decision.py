@@ -409,15 +409,15 @@ class TestTheOracleCatchesMutants:
     [
         (
             lambda: OutcomeSpace((), {}),
-            "OutcomeSpace.__post_init__", "an outcome space needs at least one outcome",
+            "_distinct_ids", "an outcome space needs at least one outcome",
         ),
         (
             lambda: OutcomeSpace(("x", ""), {"x": 0, "": 1}),
-            "OutcomeSpace.__post_init__", "outcome ids must be non-empty strings, got ''",
+            "_distinct_ids", "outcome ids must be non-empty strings, got ''",
         ),
         (
             lambda: OutcomeSpace(("x", 3), {"x": 0}),
-            "OutcomeSpace.__post_init__", "outcome ids must be non-empty strings, got 3",
+            "_distinct_ids", "outcome ids must be non-empty strings, got 3",
         ),
         (lambda: OUTCOMES.u("jackpot"), "OutcomeSpace.u", "unknown outcome 'jackpot'"),
         (
@@ -430,10 +430,14 @@ class TestTheOracleCatchesMutants:
         ),
         (
             lambda: ChoiceSet(()),
-            "ChoiceSet.__post_init__", "a choice set needs at least one action",
+            "_distinct_ids", "a choice set needs at least one action",
         ),
         (
             lambda: ChoiceSet(("flat",)),
+            "ChoiceSet.__post_init__", "choice set entries must be Actions, not str",
+        ),
+        (
+            lambda: ChoiceSet((FLAT, FLAT, "flat")),
             "ChoiceSet.__post_init__", "choice set entries must be Actions, not str",
         ),
         (
@@ -483,6 +487,7 @@ class TestTheOracleCatchesMutants:
         "unknown-state",
         "no-actions",
         "action-not-an-action",
+        "action-not-an-action-after-a-duplicate",
         "space-not-a-state-space",
         "outcomes-not-an-outcome-space",
         "prior-not-a-credence",

@@ -3,8 +3,9 @@
 An ``ast`` lint of ``src/infovalue``: no float is built, nothing rounds, and
 no library with inexact arithmetic is imported.  Every imported name is
 used, so a deletion leaves no import behind.  Layout lints ride along:
-only ``prob`` and ``problemfile`` read a state space's position map, and
-only ``prob`` reads the prior on a cell, so no layer that merely scores or
+only ``prob`` and ``problemfile`` read a state space's position map,
+only ``prob`` reads a sequence field or refuses a bare string, and only
+``prob`` reads the prior on a cell, so no layer that merely scores or
 compares the prior given a cell builds a conditioned credence (checked by
 the lint, and by counting the credences a call stores).
 """
@@ -105,6 +106,27 @@ def test_only_prob_and_problemfile_read_the_position_map():
         "_parse_actions",
         "_parse_posterior",
     }
+
+
+def test_only_prob_reads_a_sequence_field():
+    """Every sequence field is read by ``prob._sequence`` (an id list by
+    ``prob._distinct_ids``, which calls it), so only ``prob`` imports
+    ``Iterable`` and only ``_sequence`` builds the refusal of a bare string."""
+    importers = {
+        module
+        for module, _, _, node in nodes()
+        if isinstance(node, ast.ImportFrom)
+        and any(alias.name == "Iterable" for alias in node.names)
+    }
+    assert importers == {"prob"}
+    refusers = {
+        (module, function)
+        for module, function, parent, node in nodes()
+        if isinstance(node, ast.Constant)
+        and not isinstance(parent, ast.Expr)  # a docstring
+        and "not the string" in str(node.value)
+    }
+    assert refusers == {("prob", "_sequence")}
 
 
 def test_only_prob_raises_the_refusals_of_conditioning():

@@ -31,7 +31,7 @@ from infovalue.updating import (
     mixture_expand,
 )
 from infovalue.properties import _random_deviation_spec, _random_problem
-from infovalue.voi import evaluate, val_general
+from infovalue.voi import LemmaOneRow, PerCell, VoiReport, evaluate, val_general
 
 from _oracles import (
     best_value,
@@ -458,18 +458,46 @@ class TestListBuiltContainers:
         )
 
     @pytest.mark.parametrize(
-        "build",
+        "build, field, value",
         [
-            lambda: StateSpace("ab"),
-            lambda: OutcomeSpace("xy", {"x": 0, "y": 1}),
-            lambda: ChoiceSet("ab"),
-            lambda: Event(StateSpace(("a", "b")), "ab"),
+            pytest.param(build, field, value, id=name + suffix)
+            for name, build, field in [
+                ("StateSpace", StateSpace, "states must be a sequence of ids"),
+                (
+                    "OutcomeSpace", lambda v: OutcomeSpace(v, {}),
+                    "outcomes must be a sequence of ids",
+                ),
+                ("ChoiceSet", ChoiceSet, "actions must be a sequence of Actions"),
+                (
+                    "Event", lambda v: Event(BASE, v),
+                    "members must be a collection of ids",
+                ),
+                (
+                    "EvidencePartition", lambda v: EvidencePartition(BASE, v),
+                    "cells must be a sequence of Events",
+                ),
+                (
+                    "LemmaOneRow", lambda v: LemmaOneRow("x", 1, 0, v),
+                    "states must be a sequence of ids",
+                ),
+                (
+                    "PerCell", lambda v: PerCell(U, 1, 0, v),
+                    "rows must be a sequence of LemmaOneRows",
+                ),
+                (
+                    "VoiReport", lambda v: VoiReport(0, 0, 0, v),
+                    "per_cell must be a sequence of PerCells",
+                ),
+            ]
+            for suffix, value in [
+                ("", "u1"), ("-bytes", b"u1"), ("-bytearray", bytearray(b"u1"))
+            ]
         ],
-        ids=["StateSpace", "OutcomeSpace", "ChoiceSet", "Event"],
     )
-    def test_a_bare_string_is_refused(self, build):
-        with pytest.raises(ValidationError, match="not the string"):
-            build()
+    def test_a_bare_string_is_refused(self, build, field, value):
+        with pytest.raises(ValidationError) as exc:
+            build(value)
+        assert str(exc.value) == f"{field}, not the string {value!r}"
 
 
 @st.composite
@@ -692,8 +720,7 @@ ELSEWHERE_POLICY = conditionalization_policy(SURE_X, ELSEWHERE_PARTITION)
         ),
         (
             lambda: EvidencePartition(BASE, ("u1", "u2")),
-            ValidationError, "EvidencePartition.__post_init__",
-            "partition cells must be Events, not str",
+            ValidationError, "_check_types", "cells[0] must be of type Event, not str",
         ),
         (
             lambda: EvidencePartition(BASE.states, (U, V)),
