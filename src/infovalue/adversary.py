@@ -46,14 +46,8 @@ from .errors import (
     ValidationError,
 )
 from .prob import Credence, Event, _cell_weights, _check_types, _ratio, _weight, as_fraction
-from .updating import (
-    UpdatePolicy,
-    _cell_table,
-    _choice_groups,
-    _first_leak,
-    _PosteriorClass,
-)
-from .voi import _realized
+from .updating import UpdatePolicy, _cell_table, _PosteriorClass
+from .voi import _choice_groups, _first_leak, _realized
 
 __all__ = [
     "Deviation",
@@ -231,10 +225,8 @@ class AversionCertificate:
                 f"certificate claims val_general={claim}, "
                 f"recomputation gives {Fraction(recomputed, den)}"
             )
-        witness = _first_leak(problem, policy, groups)
-        if witness is not None:
-            leaking, chosen, probe = witness
-            leak = IndependenceBrokenError(leaking, chosen.id, probe.id)
+        leak = _first_leak(problem, policy, groups)
+        if leak is not None:
             raise ValidationError(f"the bet's takers leak: {leak}")
 
 

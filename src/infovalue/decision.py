@@ -4,31 +4,25 @@ An action is a total map from states to outcomes; a decision problem fixes
 a prior, a utility on outcomes, and an ordered set of candidate actions.
 Ordering matters: optimal choice takes the earliest-listed maximizer, so two
 problems with the same actions in a different order are different problems.
-Whether acts tie is a fact about the inputs: updating's ``_probe_ties``
-finds the first tie a problem's posteriors would meet.
+Whether acts tie is a fact about the inputs: ``_probe_ties`` finds the
+first tie a problem's posteriors would meet.
 
 Choice runs on integers.  Each problem derives, once, an integer utility
 table: :mod:`prob`'s ``_over_lcm`` brings the utilities to the scale
 ``U``, the lcm of their denominators, and each action gets a row of
-``u(outcome) * U`` in state order.  The table is a view of ``outcomes`` and ``choices``, not a field, so
-it takes no part in equality and is rebuilt whenever the problem is.  An
-expected utility is then one integer dot product of a row with a credence's
-numerators, over ``credence.den * U``; Fractions appear only in returned
-values.
+``u(outcome) * U`` in state order.  The rows are a tuple in choice order,
+read by position.  The table is a view of ``outcomes`` and ``choices``,
+not a field, so it takes no part in equality and is rebuilt whenever the
+problem is.  An expected utility is then one integer dot product of a row
+with a credence's numerators, over ``credence.den * U``; Fractions appear
+only in returned values.
 
 :func:`best_action` scores a credence on every state and takes the first
 maximizer, and ``DecisionProblem._cell_scores`` scores the prior on a
 cell's columns, read by :mod:`prob`'s one reader ``_cell_weights`` with no
-credence conditioned, for :func:`is_relevant` and ``val_good``.  An update
-policy's choices (``updating._choice_groups``) are decided once per
-posterior object, by each act's lead over the first act on its own cell's
-columns only.  That is exact: a posterior puts all of its mass on its
-cell, so every product left out is 0, and each score is the first act's
-plus its lead.  They are stored once, as per-cell act groups: for each
-cell, the positions of the positive-prior states that choose each act,
-keyed by the act's index in the choice set.
-The realized value, the leak test and the cellwise decomposition all read
-those groups.
+credence conditioned, for :func:`is_relevant`, ``_probe_ties`` and
+``val_good``.  An update policy's choices are grouped by :mod:`voi`, which
+reads the rows by position.
 """
 
 from __future__ import annotations
@@ -37,12 +31,12 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import TYPE_CHECKING
 
 from .errors import SpaceMismatchError, ValidationError
 from .prob import (
     Credence,
     Event,
+    EvidencePartition,
     StateSpace,
     _cell_weights,
     _check_types,
@@ -51,9 +45,6 @@ from .prob import (
     _sequence,
     as_fraction,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .updating import EvidencePartition
 
 __all__ = [
     "OutcomeSpace",
@@ -181,9 +172,7 @@ class DecisionProblem:
         scaled, _, scale = _over_lcm([u.as_integer_ratio() for u in utility.values()])
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_scaled_utility", dict(zip(utility, scaled)))
-        object.__setattr__(
-            self, "_rows", {action: self._utility_row(action) for action in self.choices}
-        )
+        object.__setattr__(self, "_rows", tuple(map(self._utility_row, self.choices)))
 
     def _utility_row(self, action: Action) -> tuple[int, ...]:
         """``u(outcome) * U`` for each state in order, validating the action.
@@ -217,25 +206,19 @@ class DecisionProblem:
             f"action {action.id!r} assigns outcomes to unknown states: {sorted(stray)}"
         )
 
-    def _row(self, action: Action) -> tuple[int, ...]:
-        """The action's cached utility row, or a fresh one if it is not a choice."""
-        row = self._rows.get(action)
-        return self._utility_row(action) if row is None else row
-
     def _scores(self, credence: Credence) -> list[int]:
         """Each choice's expected utility times ``credence.den * U``, in order."""
         if credence.space != self.space:
             raise SpaceMismatchError("credence is not over the problem's space")
         nums = credence.nums
-        return [sum(map(mul, row, nums)) for row in self._rows.values()]
+        return [sum(map(mul, row, nums)) for row in self._rows]
 
     def _cell_scores(self, cell: Event) -> tuple[int, list[int]]:
         """The prior's integer weight on ``cell`` and, in choice order, each
         choice's expected utility given the cell times ``weight * U``; refused
         as conditioning on ``cell`` would be, by ``_cell_weights``."""
         take, weights = _cell_weights(self.prior, cell)
-        rows = self._rows.values()
-        return sum(weights), [sum(map(mul, take(row), weights)) for row in rows]
+        return sum(weights), [sum(map(mul, take(row), weights)) for row in self._rows]
 
 
 def expected_utility(
@@ -252,7 +235,8 @@ def expected_utility(
     _check_types(("credence", p, Credence))
     if p.space != problem.space:
         raise SpaceMismatchError("credence is not over the problem's space")
-    return Fraction(sum(map(mul, problem._row(action), p.nums)), p.den * problem._scale)
+    row = problem._utility_row(action)
+    return Fraction(sum(map(mul, row, p.nums)), p.den * problem._scale)
 
 
 def best_action(credence: Credence, problem: DecisionProblem) -> tuple[Action, Fraction]:
@@ -270,7 +254,7 @@ def best_action(credence: Credence, problem: DecisionProblem) -> tuple[Action, F
     return problem.choices.actions[scores.index(top)], Fraction(top, den)
 
 
-def is_relevant(problem: DecisionProblem, partition: "EvidencePartition") -> bool:
+def is_relevant(problem: DecisionProblem, partition: EvidencePartition) -> bool:
     """Whether the evidence could change the best choice.
 
     True iff no single action attains the maximum conditional expected
@@ -279,8 +263,6 @@ def is_relevant(problem: DecisionProblem, partition: "EvidencePartition") -> boo
     Each cell's scores come from ``_cell_scores`` (so through ``prob``'s
     ``_cell_weights``), with no credence conditioned.
     """
-    from .updating import EvidencePartition  # updating imports this module
-
     _check_types(
         ("problem", problem, DecisionProblem), ("partition", partition, EvidencePartition)
     )
@@ -290,3 +272,39 @@ def is_relevant(problem: DecisionProblem, partition: "EvidencePartition") -> boo
         best = max(scores)
         rows.append([score == best for score in scores])
     return not any(all(column) for column in zip(*rows))
+
+
+def _probe_ties(
+    problem: DecisionProblem, partition: EvidencePartition, deviant: Mapping[Event, Credence]
+) -> tuple[tuple[str, ...], Fraction] | None:
+    """The first tie among the base posteriors: the tied act ids and their value.
+
+    Cells are probed in declared order, each on its conditioned prior and
+    then on its ``deviant`` posterior, if it has one.  The first posterior
+    that gives two or more acts the best expected utility names them, in
+    choice-set order, with that utility; ``None`` means no posterior ties.
+    Those are the posteriors of updating's ``conditionalization_policy``
+    and, mixed, of its ``mixture_expand`` by a spec with these deviant
+    posteriors; a mixed credence prices each act as its base credence does,
+    so for every epsilon strictly between 0 and 1 the expansion's choices
+    tie exactly when this finds a tie.  A cell's prior is scored through
+    ``DecisionProblem._cell_scores``, as in :func:`is_relevant`, so a
+    zero-probability cell is refused as conditioning on it would be.  This
+    is the one place a tie is decided: choice itself always takes the
+    earliest maximizer.
+    """
+
+    def probes():  # (scores, den): each act's expected utility is score / (den * U)
+        for cell in partition.cells:
+            weight, scores = problem._cell_scores(cell)
+            yield scores, weight
+            posterior = deviant.get(cell)
+            if posterior is not None:
+                yield problem._scores(posterior), posterior.den
+
+    for scores, den in probes():
+        top = max(scores)
+        if scores.count(top) > 1:
+            tied = (a for a, score in zip(problem.choices.ids(), scores) if score == top)
+            return tuple(tied), Fraction(top, den * problem._scale)
+    return None

@@ -1,7 +1,9 @@
 """Finite probability spaces with exact rational arithmetic.
 
-States are opaque string ids.  All masses are exact rationals: they enter
-and leave as :class:`fractions.Fraction` and are stored as integers over one
+States are opaque string ids, and an :class:`EvidencePartition` orders the
+cells of a partition of them, as :func:`is_partition` checks it.  All
+masses are exact rationals: they enter and leave as
+:class:`fractions.Fraction` and are stored as integers over one
 denominator.  Floats are rejected at the boundary so that every downstream
 comparison (equality of two expected utilities, sign of a value difference)
 is exact.
@@ -34,7 +36,7 @@ The prior given a cell is read by one reader, ``_cell_weights``, which
 refuses what :func:`condition` refuses.  ``condition`` and
 ``problemfile``'s keyword test read it, the aversion certificate derives
 its ``r`` from it, and ``DecisionProblem._cell_scores`` scores it for
-``val_good`` and ``is_relevant``.
+``val_good``, ``is_relevant`` and ``_probe_ties``.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ __all__ = [
     "probability",
     "condition",
     "is_partition",
+    "EvidencePartition",
 ]
 
 
@@ -405,3 +408,38 @@ def is_partition(space: StateSpace, cells: Iterable[Event]) -> bool:
         positions += cell._positions
     positions.sort()
     return positions == list(range(len(space)))
+
+
+@dataclass(frozen=True)
+class EvidencePartition:
+    """An ordered partition of a state space into learnable events."""
+
+    space: StateSpace
+    cells: tuple[Event, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "cells", _sequence("cells", self.cells, "sequence of Events")
+        )
+        _check_types(("space", self.space, StateSpace))
+        if not is_partition(self.space, self.cells):
+            raise ValidationError(
+                "cells must be non-empty, pairwise disjoint, and cover the space"
+            )
+        lookup = {}
+        for cell in self.cells:
+            for state in cell.members:
+                lookup[state] = cell
+        object.__setattr__(self, "_cell_of", lookup)
+
+    def __iter__(self):
+        return iter(self.cells)
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def cell_of(self, state: str) -> Event:
+        try:
+            return self._cell_of[state]
+        except KeyError:
+            raise ValidationError(f"unknown state {state!r}") from None

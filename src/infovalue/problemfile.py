@@ -52,6 +52,7 @@ from .errors import (
 from .prob import (
     Credence,
     Event,
+    EvidencePartition,
     StateSpace,
     _cell_weights,
     _check_types,
@@ -61,7 +62,6 @@ from .prob import (
 )
 from .updating import (
     CONDITIONALIZATION,
-    EvidencePartition,
     UpdatePolicy,
     conditionalization_policy,
 )
@@ -250,9 +250,7 @@ def _require_object(value: Any, location: str, keys: tuple[str, ...]) -> dict:
     if missing:
         raise MalformedDocumentError(location, f"missing keys: {', '.join(missing)}")
     unknown = [k for k in value if k not in keys]
-    if unknown:
-        raise MalformedDocumentError(location, f"unknown keys: {', '.join(unknown)}")
-    return value
+    raise MalformedDocumentError(location, f"unknown keys: {', '.join(unknown)}")
 
 
 def _require_list(value: Any, location: str) -> list:

@@ -5,7 +5,7 @@ with literal conditionalization; odd trials draw a problem plus a random
 self-doubt disposition and run it through :func:`mixture_expand`, yielding
 a genuinely modest policy.  Both kinds are resampled until no posterior's
 choice ties, so every property failure is a real counterexample rather
-than an artifact of tie-breaking.  Ties are found by updating's
+than an artifact of tie-breaking.  Ties are found by decision's
 ``_probe_ties`` on each draw's base credences, before anything is built:
 each cell's conditioned prior and its deviant posterior, which choose as
 the built policy's posteriors do.  The probe only scores those credences,
@@ -42,16 +42,15 @@ from .decision import (
     ChoiceSet,
     DecisionProblem,
     OutcomeSpace,
+    _probe_ties,
     is_relevant,
 )
 from .errors import IndependenceBrokenError, InfoValueError, ValidationError
-from .prob import Credence, Event, StateSpace, as_fraction, condition
+from .prob import Credence, Event, EvidencePartition, StateSpace, as_fraction, condition
 from .problemfile import problem_document
 from .updating import (
     DeviationSpec,
-    EvidencePartition,
     UpdatePolicy,
-    _probe_ties,
     conditionalization_policy,
     deviating_states,
     mixture_expand,
@@ -75,6 +74,8 @@ PROPERTY_NAMES = (
 )
 
 _RESAMPLE_CAP = 200
+
+_MAX_BASE_STATES = 8  # at most this many base states, so 16 once expanded
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ def _random_problem(
     """A small random decision problem with a random evidence partition.
 
     Every state gets positive prior mass.  Acts may tie; the generators
-    that call this throw such draws away, as updating's ``_probe_ties``
+    that call this throw such draws away, as decision's ``_probe_ties``
     finds them.  With ``need_wide_cell`` the partition is
     guaranteed at least one cell of two or more states — required when a
     deviation is to be grafted on, since certainty pins posteriors on
@@ -197,12 +198,10 @@ def _random_conditionalization_instance(rng: random.Random) -> _Instance:
     raise InfoValueError("could not draw a tie-free instance")  # pragma: no cover
 
 
-def _random_mixture_instance(
-    rng: random.Random, max_base_states: int = 8
-) -> _Instance:
+def _random_mixture_instance(rng: random.Random) -> _Instance:
     """A random expanded problem with a modest policy, via mixture expansion."""
     for _ in range(_RESAMPLE_CAP):
-        base, partition = _random_problem(rng, 2, max_base_states, need_wide_cell=True)
+        base, partition = _random_problem(rng, 2, _MAX_BASE_STATES, need_wide_cell=True)
         spec = _random_deviation_spec(rng, base.prior, partition)
         if _probe_ties(base, partition, spec.deviant_posteriors) is None:
             return _Instance("mixture", *mixture_expand(base, partition, spec))

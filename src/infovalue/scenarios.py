@@ -37,15 +37,14 @@ from .decision import (
     ChoiceSet,
     DecisionProblem,
     OutcomeSpace,
+    _probe_ties,
 )
 from .errors import ConfigError
-from .prob import Credence, Event, StateSpace, _sequence, as_fraction
+from .prob import Credence, Event, EvidencePartition, StateSpace, _sequence, as_fraction
 from .updating import (
     DeviationSpec,
-    EvidencePartition,
     UpdatePolicy,
     _epsilon,
-    _probe_ties,
     conditionalization_policy,
     mixture_expand,
 )
@@ -214,7 +213,7 @@ def _unknown_bias_base(fallacy_confidence) -> _FallacyBase:
     above.
 
     The confidence's syntax is refused here, then its range, then a tie,
-    found once on the base posteriors by updating's ``_probe_ties``: each
+    found once on the base posteriors by decision's ``_probe_ties``: each
     cell's conditioned prior, then its deviant posterior.  A confidence at
     which the deviant self is exactly torn between two acts raises a
     :class:`ConfigError` naming the tied acts and their value.  A mixed

@@ -1,7 +1,8 @@
-"""Evidence partitions and update policies.
+"""Update policies.
 
 An update policy says, for each state, what the agent's credence would
-become upon learning which partition cell that state lies in.  The one
+become upon learning which cell of an
+:class:`~infovalue.prob.EvidencePartition` that state lies in.  The one
 structural constraint is certainty: having learned a cell, the agent must
 be certain of it.  Nothing forces the posterior to be the conditioned
 prior — policies that deviate from conditionalization are the interesting
@@ -24,7 +25,6 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul, sub
 from typing import NamedTuple
 
 from .decision import (
@@ -40,18 +40,16 @@ from .errors import (
 from .prob import (
     Credence,
     Event,
+    EvidencePartition,
     StateSpace,
     _check_types,
     _columns,
-    _sequence,
     _weight,
     as_fraction,
     condition,
-    is_partition,
 )
 
 __all__ = [
-    "EvidencePartition",
     "UpdatePolicy",
     "DeviationSpec",
     "CONDITIONALIZATION",
@@ -61,41 +59,6 @@ __all__ = [
 ]
 
 CONDITIONALIZATION = "conditionalization"
-
-
-@dataclass(frozen=True)
-class EvidencePartition:
-    """An ordered partition of a state space into learnable events."""
-
-    space: StateSpace
-    cells: tuple[Event, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "cells", _sequence("cells", self.cells, "sequence of Events")
-        )
-        _check_types(("space", self.space, StateSpace))
-        if not is_partition(self.space, self.cells):
-            raise ValidationError(
-                "cells must be non-empty, pairwise disjoint, and cover the space"
-            )
-        lookup = {}
-        for cell in self.cells:
-            for state in cell.members:
-                lookup[state] = cell
-        object.__setattr__(self, "_cell_of", lookup)
-
-    def __iter__(self):
-        return iter(self.cells)
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def cell_of(self, state: str) -> Event:
-        try:
-            return self._cell_of[state]
-        except KeyError:
-            raise ValidationError(f"unknown state {state!r}") from None
 
 
 @dataclass(frozen=True)
@@ -340,41 +303,6 @@ def mixture_expand(
     return expanded, UpdatePolicy._checked(partition, posteriors)
 
 
-def _probe_ties(
-    problem: DecisionProblem, partition: EvidencePartition, deviant: Mapping[Event, Credence]
-) -> tuple[tuple[str, ...], Fraction] | None:
-    """The first tie among the base posteriors: the tied act ids and their value.
-
-    Cells are probed in declared order, each on its conditioned prior and
-    then on its ``deviant`` posterior, if it has one.  The first posterior
-    that gives two or more acts the best expected utility names them, in
-    choice-set order, with that utility; ``None`` means no posterior ties.
-    Those are the posteriors of :func:`conditionalization_policy` and,
-    mixed, of :func:`mixture_expand` by a spec with these deviant
-    posteriors; a mixed credence prices each act as its base credence does,
-    so for every epsilon strictly between 0 and 1 the expansion's choices
-    tie exactly when this finds a tie.  A cell's prior is scored through
-    ``DecisionProblem._cell_scores``, so a zero-probability cell is refused
-    as conditioning on it would be.  This is the one place a tie is decided:
-    choice itself always takes the earliest maximizer.
-    """
-
-    def probes():  # (scores, den): each act's expected utility is score / (den * U)
-        for cell in partition.cells:
-            weight, scores = problem._cell_scores(cell)
-            yield scores, weight
-            posterior = deviant.get(cell)
-            if posterior is not None:
-                yield problem._scores(posterior), posterior.den
-
-    for scores, den in probes():
-        top = max(scores)
-        if scores.count(top) > 1:
-            tied = (a for a, score in zip(problem.choices.ids(), scores) if score == top)
-            return tuple(tied), Fraction(top, den * problem._scale)
-    return None
-
-
 class _PosteriorClass(NamedTuple):
     """The positive-prior states of one cell that share a posterior.
 
@@ -460,122 +388,3 @@ def deviating_states(policy: UpdatePolicy, prior: Credence) -> tuple[str, ...]:
             if cls.deviates:
                 deviating.update(s for s, w in zip(members, cls.own) if w)
     return tuple(s for s in prior.space if s in deviating)
-
-
-def _choice_groups(
-    problem: DecisionProblem, policy: UpdatePolicy
-) -> list[dict[int, list[int]]]:
-    """Each cell's positive-prior states, grouped by the act chosen there.
-
-    One dict per cell of ``policy.partition.cells``, in order, maps the
-    choice-set index of each chosen act to the positions of the states that
-    choose it; a cell with no positive-prior state gets an empty dict.
-    Readers fetch an :class:`~infovalue.decision.Action` by its index only
-    to report its id or a leak witness.  Each cell is walked alone, its
-    states in order, and choice is decided once per posterior object, at its
-    first state; a later state that holds the same object finds its group by
-    the object's id.  A posterior is scored on its own cell's columns only,
-    sliced by one ``itemgetter`` over the cell's stored positions.  That is
-    exact, because :class:`UpdatePolicy` has checked that each posterior
-    puts all of its mass on its own cell, so every product left out is 0.
-    The cell keeps each act's integer gap row ``row_a - row_first``; a
-    posterior's leads are ``[0]`` then each gap row dotted with its
-    ``nums``.  Each score is the first act's plus its lead, so the first
-    largest lead is the earliest maximizer: a posterior that ties picks the
-    earliest-listed of its tied acts.  Whether any posterior ties is
-    :func:`_probe_ties`'s question, not this map's.  Equal posteriors held
-    as distinct objects choose alike.
-    """
-    if policy.space != problem.space:
-        raise SpaceMismatchError("policy is not over the problem's space")
-    states = problem.space.states
-    prior_nums = problem.prior.nums
-    first_row, *other_rows = problem._rows.values()
-    posteriors = policy.posteriors
-    out = []
-    for cell in policy.partition.cells:
-        take = _columns(cell._positions)
-        first = take(first_row)
-        gaps = [tuple(map(sub, take(row), first)) for row in other_rows]
-        cell_groups: dict[int, list[int]] = {}
-        by_object: dict[int, list[int]] = {}  # id(posterior) -> the group it chooses into
-        for i in cell._positions:
-            if not prior_nums[i]:
-                continue
-            posterior = posteriors[states[i]]
-            group = by_object.get(id(posterior))
-            if group is None:
-                nums = take(posterior.nums)
-                leads = [0] + [sum(map(mul, gap, nums)) for gap in gaps]
-                group = by_object[id(posterior)] = cell_groups.setdefault(
-                    leads.index(max(leads)), []
-                )
-            group.append(i)
-        out.append(cell_groups)
-    return out
-
-
-def _cell_pass(
-    problem: DecisionProblem, groups: Mapping[int, list[int]]
-) -> tuple[list[int], dict[int, int], tuple[int, int] | None]:
-    """One pass over a positive-probability cell's act groups.
-
-    ``groups`` is one cell's dict from :func:`_choice_groups`, keyed by act
-    index.  Returns each action's integer score on the cell (choice-set
-    order), each group's summed prior numerators (keyed by its act's
-    index), and the cell's first leak: the first (chosen, probe) pair of
-    act indices, both in choice-set order, whose expected utility moves
-    when the prior is conditioned further on "the agent chose this".
-
-    Decided in integers, with no credence or Fraction built.  For a set of
-    states, an action's score is ``sum(row[i] * prior.nums[i])`` over the
-    states and the set's weight is ``sum(prior.nums[i])``; the expected
-    utility under the prior conditioned on the set is ``score / (weight *
-    U)``, so a cell's expected utilities are its scores over the sum of
-    the groups' weights times ``U``.  Each
-    group is scored once on every row; the groups hold all of the cell's
-    positive-prior states, so the cell's scores and weight are their sums.
-    A chosen act's group leaks through a probe exactly when ``group_score *
-    cell_weight != cell_score * group_weight`` for the probe's row.
-    """
-    nums, rows = problem.prior.nums, problem._rows.values()  # choice-set order
-    weights: dict[int, int] = {}
-    scores: dict[int, list[int]] = {}
-    for k, group in groups.items():
-        take = _columns(group)
-        group_nums = take(nums)
-        weights[k] = sum(group_nums)
-        scores[k] = [sum(map(mul, take(row), group_nums)) for row in rows]
-    cell_weight = sum(weights.values())
-    cell_scores = [sum(column) for column in zip(*scores.values())]
-    if len(groups) > 1:  # a lone group is the cell's whole support
-        for k in sorted(scores):
-            for probe, (score, cell_score) in enumerate(zip(scores[k], cell_scores)):
-                if score * cell_weight != cell_score * weights[k]:
-                    return cell_scores, weights, (k, probe)
-    return cell_scores, weights, None
-
-
-def _first_leak(
-    problem: DecisionProblem, policy: UpdatePolicy, groups: list[dict]
-) -> tuple[Event, Action, Action] | None:
-    """The first place where choosing leaks payoff-relevant information.
-
-    ``groups`` is :func:`_choice_groups` of the problem and policy.  Within
-    each cell, states are grouped by the act the policy leads the agent to
-    choose there, and the test is whether further conditioning on that
-    choice moves the conditional expected utility of any act.  Returns the
-    first witnessing ``(cell, chosen action, probe action)`` triple, cells
-    in declared order and acts in choice-set order, or ``None`` if choices
-    reveal nothing that matters.  A cell with fewer than two act groups is
-    skipped: a lone group is the cell's whole support, and conditioning on
-    it moves nothing.
-    """
-    actions = problem.choices.actions
-    for cell, cell_groups in zip(policy.partition.cells, groups):
-        if len(cell_groups) > 1:
-            leak = _cell_pass(problem, cell_groups)[2]
-            if leak is not None:
-                chosen, probe = leak
-                return cell, actions[chosen], actions[probe]
-    return None

@@ -18,6 +18,17 @@ minus the same baseline.  For policies that just conditionalize the two
 quantities coincide; for policies the agent's own prior expects to deviate,
 ``val_general`` can go negative — learning can hurt.
 
+An update policy's choices are built here, and only here, by
+``_choice_groups``: they are decided once per posterior object, by each
+act's lead over the first act on its own cell's columns only.  That is
+exact: a posterior puts all of its mass on its cell, so every product left
+out is 0, and each score is the first act's plus its lead.  They are
+stored once, as per-cell act groups: for each cell, the positions of the
+positive-prior states that choose each act, keyed by the act's index in
+the choice set.  The realized value, the leak test (``_first_leak``) and
+the cellwise decomposition all read those groups; the aversion
+certificate passes the groups of one call to the next.
+
 :func:`evaluate`, :func:`val_good` and :func:`val_general` compute in
 integers and build a Fraction only for a reported number or an error
 message; none adds, subtracts, multiplies or divides one.  Every expected
@@ -38,14 +49,23 @@ read off the rows.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 
 from .decision import DecisionProblem
 from .errors import IndependenceBrokenError, SpaceMismatchError, ValidationError
-from .prob import Event, _check_types, _columns, _over_lcm, _sequence, as_fraction
-from .updating import EvidencePartition, UpdatePolicy, _cell_pass, _choice_groups
+from .prob import (
+    Event,
+    EvidencePartition,
+    _check_types,
+    _columns,
+    _over_lcm,
+    _sequence,
+    as_fraction,
+)
+from .updating import UpdatePolicy
 
 __all__ = [
     "LemmaOneRow",
@@ -288,16 +308,136 @@ def _informed(problem: DecisionProblem, partition: EvidencePartition) -> int:
     return sum(max(problem._cell_scores(cell)[1]) for cell in partition.cells)
 
 
+def _choice_groups(
+    problem: DecisionProblem, policy: UpdatePolicy
+) -> list[dict[int, list[int]]]:
+    """Each cell's positive-prior states, grouped by the act chosen there.
+
+    One dict per cell of ``policy.partition.cells``, in order, maps the
+    choice-set index of each chosen act to the positions of the states that
+    choose it; a cell with no positive-prior state gets an empty dict.
+    Readers fetch an :class:`~infovalue.decision.Action` by its index only
+    to report its id or a leak witness.  Each cell is walked alone, its
+    states in order, and choice is decided once per posterior object, at its
+    first state; a later state that holds the same object finds its group by
+    the object's id.  A posterior is scored on its own cell's columns only,
+    sliced by one ``itemgetter`` over the cell's stored positions.  That is
+    exact, because :class:`~infovalue.updating.UpdatePolicy` has checked
+    that each posterior puts all of its mass on its own cell, so every
+    product left out is 0.  The cell keeps each act's integer gap row
+    ``row_a - row_first``; a posterior's leads are ``[0]`` then each gap row
+    dotted with its ``nums``.  Each score is the first act's plus its lead,
+    so the first largest lead is the earliest maximizer: a posterior that
+    ties picks the earliest-listed of its tied acts.  Whether any posterior
+    ties is a question for ``decision._probe_ties``, not for this map.
+    Equal posteriors held as distinct objects choose alike.
+    """
+    if policy.space != problem.space:
+        raise SpaceMismatchError("policy is not over the problem's space")
+    states = problem.space.states
+    prior_nums = problem.prior.nums
+    first_row, *other_rows = problem._rows
+    posteriors = policy.posteriors
+    out = []
+    for cell in policy.partition.cells:
+        take = _columns(cell._positions)
+        first = take(first_row)
+        gaps = [tuple(map(sub, take(row), first)) for row in other_rows]
+        cell_groups: dict[int, list[int]] = {}
+        by_object: dict[int, list[int]] = {}  # id(posterior) -> the group it chooses into
+        for i in cell._positions:
+            if not prior_nums[i]:
+                continue
+            posterior = posteriors[states[i]]
+            group = by_object.get(id(posterior))
+            if group is None:
+                nums = take(posterior.nums)
+                leads = [0] + [sum(map(mul, gap, nums)) for gap in gaps]
+                group = by_object[id(posterior)] = cell_groups.setdefault(
+                    leads.index(max(leads)), []
+                )
+            group.append(i)
+        out.append(cell_groups)
+    return out
+
+
+def _cell_pass(
+    problem: DecisionProblem, cell: Event, groups: Mapping[int, list[int]]
+) -> tuple[list[int], dict[int, int], IndependenceBrokenError | None]:
+    """One pass over a positive-probability cell's act groups.
+
+    ``groups`` is the cell's dict from :func:`_choice_groups`, keyed by act
+    index.  Returns each action's integer score on the cell (choice-set
+    order), each group's summed prior numerators (keyed by its act's
+    index), and the cell's first leak: the :class:`IndependenceBrokenError`
+    for the first (chosen, probe) pair of acts, both in choice-set order,
+    whose expected utility moves when the prior is conditioned further on
+    "the agent chose this", or ``None``.
+
+    Decided in integers, with no credence or Fraction built.  For a set of
+    states, an action's score is ``sum(row[i] * prior.nums[i])`` over the
+    states and the set's weight is ``sum(prior.nums[i])``; the expected
+    utility under the prior conditioned on the set is ``score / (weight *
+    U)``, so a cell's expected utilities are its scores over the sum of
+    the groups' weights times ``U``.  Each
+    group is scored once on every row; the groups hold all of the cell's
+    positive-prior states, so the cell's scores and weight are their sums.
+    A chosen act's group leaks through a probe exactly when ``group_score *
+    cell_weight != cell_score * group_weight`` for the probe's row.
+    """
+    nums, rows = problem.prior.nums, problem._rows  # choice-set order
+    weights: dict[int, int] = {}
+    scores: dict[int, list[int]] = {}
+    for k, group in groups.items():
+        take = _columns(group)
+        group_nums = take(nums)
+        weights[k] = sum(group_nums)
+        scores[k] = [sum(map(mul, take(row), group_nums)) for row in rows]
+    cell_weight = sum(weights.values())
+    cell_scores = [sum(column) for column in zip(*scores.values())]
+    if len(groups) > 1:  # a lone group is the cell's whole support
+        actions = problem.choices.actions
+        for k in sorted(scores):
+            for probe, (score, cell_score) in enumerate(zip(scores[k], cell_scores)):
+                if score * cell_weight != cell_score * weights[k]:
+                    leak = IndependenceBrokenError(cell, actions[k].id, actions[probe].id)
+                    return cell_scores, weights, leak
+    return cell_scores, weights, None
+
+
+def _first_leak(
+    problem: DecisionProblem, policy: UpdatePolicy, groups: list[dict]
+) -> IndependenceBrokenError | None:
+    """The first place where choosing leaks payoff-relevant information.
+
+    ``groups`` is :func:`_choice_groups` of the problem and policy.  Within
+    each cell, states are grouped by the act the policy leads the agent to
+    choose there, and the test is whether further conditioning on that
+    choice moves the conditional expected utility of any act.  Returns the
+    :class:`IndependenceBrokenError` that :func:`evaluate` raises for the
+    first witnessing (cell, chosen action, probe action) triple, cells in
+    declared order and acts in choice-set order, or ``None`` if choices
+    reveal nothing that matters.  A cell with fewer than two act groups is
+    skipped: a lone group is the cell's whole support, and conditioning on
+    it moves nothing.
+    """
+    for cell, cell_groups in zip(policy.partition.cells, groups):
+        if len(cell_groups) > 1:
+            leak = _cell_pass(problem, cell, cell_groups)[2]
+            if leak is not None:
+                return leak
+    return None
+
+
 def _realized(problem: DecisionProblem, groups: list[dict[int, list[int]]]) -> int:
     """Prior expectation of what each state's chosen act pays there, times
     ``prior.den * U``.
 
-    ``groups`` is :func:`~infovalue.updating._choice_groups` of the problem,
-    keyed by act index.  Each group adds its act's utility row dotted with
-    ``prior.nums`` on the group's positions, both read by one
-    ``itemgetter``.
+    ``groups`` is :func:`_choice_groups` of the problem, keyed by act index.
+    Each group adds its act's utility row dotted with ``prior.nums`` on the
+    group's positions, both read by one ``itemgetter``.
     """
-    nums, rows = problem.prior.nums, tuple(problem._rows.values())
+    nums, rows = problem.prior.nums, problem._rows
     total = 0
     for cell_groups in groups:
         for k, group in cell_groups.items():
@@ -338,10 +478,9 @@ def _cellwise(
     states, ids = problem.space.states, problem.choices.ids()
     out = []
     for cell, cell_groups in zip(policy.partition.cells, groups):
-        cell_scores, weights, leak = _cell_pass(problem, cell_groups)
+        cell_scores, weights, leak = _cell_pass(problem, cell, cell_groups)
         if leak is not None:
-            chosen, probe = leak
-            raise IndependenceBrokenError(cell, ids[chosen], ids[probe])
+            raise leak
         # P(chose the act | cell) is the choosers' prior weight over the cell's;
         # a conditional expected utility is the act's cell score over den
         cell_weight = sum(weights.values())

@@ -14,6 +14,7 @@ import pytest
 
 from infovalue.adversary import demonstrate_aversion
 from infovalue.decision import is_relevant
+from infovalue import properties
 from infovalue.problemfile import dumps, loads
 from infovalue.properties import (
     _random_conditionalization_instance,
@@ -166,13 +167,14 @@ def _cellwise_val_general(inst):
 
 
 def test_criterion_8_cellwise_equals_definitional_suite(
-    capsys, conditionalization_instances
+    capsys, monkeypatch, conditionalization_instances
 ):
     """Cellwise and brute per-state computations agree on every small instance."""
     rng = random.Random(SUITE_8_SEED)
     instances = list(conditionalization_instances)
+    monkeypatch.setattr(properties, "_MAX_BASE_STATES", 6)
     for _ in range(200):
-        instances.append(_random_mixture_instance(rng, max_base_states=6))
+        instances.append(_random_mixture_instance(rng))
     small = [inst for inst in instances if len(inst.problem.space) <= 12]
     passed = bool(small) and all(
         _cellwise_val_general(inst) == brute_val_general(inst.problem, inst.policy)

@@ -31,10 +31,17 @@ from infovalue.errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from infovalue.prob import Credence, Event, StateSpace, condition, probability
+from infovalue.prob import (
+    Credence,
+    Event,
+    EvidencePartition,
+    StateSpace,
+    condition,
+    probability,
+)
 from infovalue.properties import _random_mixture_instance
 from infovalue.scenarios import GAMBLERS, UNKNOWN_BIAS, build_scenario
-from infovalue.updating import EvidencePartition, UpdatePolicy, conditionalization_policy
+from infovalue.updating import UpdatePolicy, conditionalization_policy
 from infovalue.voi import val_general
 
 from _oracles import (
@@ -369,13 +376,13 @@ class TestAversionCertificate:
         """The value recomputation and the independence check share one map."""
         cert = self.build()
         calls = []
-        choice_groups = updating._choice_groups
+        choice_groups = voi._choice_groups
 
         def counted(*args):
             calls.append(args)
             return choice_groups(*args)
 
-        for module in (adversary, updating, voi):
+        for module in (adversary, voi):
             monkeypatch.setattr(module, "_choice_groups", counted)
         assert dataclasses.replace(cert) == cert
         assert calls == [(cert.problem, cert.policy)]

@@ -21,8 +21,7 @@ from infovalue.errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from infovalue.prob import Credence, Event, StateSpace
-from infovalue.updating import EvidencePartition
+from infovalue.prob import Credence, Event, EvidencePartition, StateSpace
 
 from _oracles import best_value, conditioned, dist_of, eu, first_best
 from _refusals import refusal

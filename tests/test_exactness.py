@@ -161,28 +161,89 @@ def annotation_names(node):
                     yield name.id
 
 
+def unused_imports(tree):
+    """The names ``tree`` imports and never names, in code or in a quoted
+    annotation."""
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                imported |= {
+                    alias.asname or alias.name.split(".")[0]
+                    for alias in node.names
+                    if alias.name != "*"
+                }
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        used |= set(annotation_names(node))
+    return imported - used
+
+
+QUOTED = """
+from .prob import Event, EvidencePartition, StateSpace
+
+def cells(partition: "EvidencePartition") -> "tuple[Event, ...]":
+    return partition.cells
+"""
+
+
 def test_every_imported_name_is_used():
     """A deletion leaves no import behind: each module names every name it
     imports, in code or in a quoted annotation."""
-    unused, quoted = [], set()
-    for module, tree in TREES.items():
-        imported, used = set(), set()
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                if getattr(node, "module", None) != "__future__":
-                    imported |= {
-                        alias.asname or alias.name.split(".")[0]
-                        for alias in node.names
-                        if alias.name != "*"
-                    }
-            elif isinstance(node, ast.Name):
-                used.add(node.id)
-            in_quotes = set(annotation_names(node))
-            used |= in_quotes
-            quoted |= {(module, name) for name in in_quotes}
-        unused += sorted((module, name) for name in imported - used)
+    unused = [
+        (module, name)
+        for module, tree in TREES.items()
+        for name in sorted(unused_imports(tree))
+    ]
     assert unused == []
-    assert ("decision", "EvidencePartition") in quoted  # the lint reads quoted annotations
+    # the lint reads quoted annotations, and still finds an unused name
+    assert unused_imports(ast.parse(QUOTED)) == {"StateSpace"}
+
+
+# Each module imports only modules earlier in this order.
+LAYERS = (
+    "errors", "prob", "decision", "updating", "voi",
+    "adversary", "problemfile", "scenarios", "properties", "cli",
+)
+
+
+def package_imports(tree):
+    """The package modules that ``tree`` imports, as bare module names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            path = ("." * node.level + (node.module or "")).split(".")
+            if node.level == 1 or path[0] == "infovalue":
+                inner = [p for p in path[1:] if p]
+                yield from inner[:1] or (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("infovalue."):
+                    yield alias.name.split(".")[1]
+
+
+def test_each_module_imports_only_modules_below_it():
+    assert set(TREES) - {"__init__", "__main__"} == set(LAYERS)
+    upward = sorted(
+        (module, imported)
+        for k, module in enumerate(LAYERS)
+        for imported in package_imports(TREES[module])
+        if imported not in LAYERS[:k]
+    )
+    assert upward == []
+    assert list(package_imports(ast.parse("from .voi import evaluate"))) == ["voi"]
+    assert list(package_imports(ast.parse("from . import voi, prob"))) == ["voi", "prob"]
+    assert list(package_imports(ast.parse("import infovalue.cli"))) == ["cli"]
+
+
+def test_every_import_is_at_module_level():
+    """No import inside a function or under ``if TYPE_CHECKING``, so the
+    layer order above is the whole import graph."""
+    nested = [
+        (module, ast.unparse(node))
+        for module, _, parent, node in nodes()
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not isinstance(parent, ast.Module)
+    ]
+    assert nested == []
 
 
 def called_name(node):

@@ -149,6 +149,13 @@ def test_the_public_surface_is_the_pinned_list():
     assert sorted(infovalue.__all__) == PUBLIC
 
 
+def test_updating_still_names_the_partition_class():
+    """``EvidencePartition`` is declared in ``prob``; the benchmark builds
+    partitions through ``infovalue.updating.EvidencePartition``."""
+    assert infovalue.updating.EvidencePartition is infovalue.prob.EvidencePartition
+    assert "EvidencePartition" in infovalue.prob.__all__
+
+
 GAMBLERS = build_scenario("gamblers", "1/10")
 P, Q = GAMBLERS.problem, GAMBLERS.policy
 

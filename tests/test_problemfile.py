@@ -30,7 +30,14 @@ from infovalue.errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from infovalue.prob import Credence, Event, StateSpace, condition, probability
+from infovalue.prob import (
+    Credence,
+    Event,
+    EvidencePartition,
+    StateSpace,
+    condition,
+    probability,
+)
 from infovalue.problemfile import (
     _overwrite,
     canonical_json,
@@ -46,7 +53,6 @@ from infovalue.properties import PROPERTY_NAMES, PropertyFailure, PropertyReport
 from infovalue.scenarios import GAMBLERS, build_scenario
 from infovalue.updating import (
     CONDITIONALIZATION,
-    EvidencePartition,
     UpdatePolicy,
     conditionalization_policy,
 )

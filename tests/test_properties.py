@@ -5,16 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from infovalue import properties, updating, voi
+from infovalue import properties, voi
 from infovalue.cli import main
 from infovalue.decision import (
     Action,
     ChoiceSet,
     DecisionProblem,
     OutcomeSpace,
+    _probe_ties,
 )
-from infovalue.errors import InfoValueError, ValidationError
-from infovalue.prob import Credence, Event, StateSpace, condition
+from infovalue.errors import IndependenceBrokenError, InfoValueError, ValidationError
+from infovalue.prob import Credence, Event, EvidencePartition, StateSpace, condition
 from infovalue.problemfile import dumps, loads
 from infovalue.properties import (
     PROPERTY_NAMES,
@@ -29,9 +30,7 @@ from infovalue.properties import (
     property_suite,
 )
 from infovalue.updating import (
-    EvidencePartition,
     UpdatePolicy,
-    _probe_ties,
     conditionalization_policy,
     deviating_states,
     mixture_expand,
@@ -132,9 +131,10 @@ class TestInstanceGenerators:
         for state in instance.problem.space:
             assert state.endswith("·stay") or state.endswith("·deviate")
 
-    def test_mixture_base_size_cap(self):
+    def test_mixture_base_size_cap(self, monkeypatch):
+        monkeypatch.setattr(properties, "_MAX_BASE_STATES", 4)
         for seed in range(10):
-            instance = _random_mixture_instance(random.Random(seed), max_base_states=4)
+            instance = _random_mixture_instance(random.Random(seed))
             assert len(instance.problem.space) <= 8
 
     def test_instance_documents_round_trip(self):
@@ -166,15 +166,14 @@ def clean_report():
 @pytest.fixture()
 def forced_leak(monkeypatch):
     """Every cell's leak test reports its first group leaking through itself."""
-    cell_pass = updating._cell_pass
+    cell_pass = voi._cell_pass
 
-    def leaking(problem, groups):
-        cell_eus, weights, _ = cell_pass(problem, groups)
-        chosen = next(iter(groups))
-        return cell_eus, weights, (chosen, chosen)
+    def leaking(problem, cell, groups):
+        cell_eus, weights, _ = cell_pass(problem, cell, groups)
+        chosen = problem.choices.actions[next(iter(groups))].id
+        return cell_eus, weights, IndependenceBrokenError(cell, chosen, chosen)
 
-    for module in (updating, voi):
-        monkeypatch.setattr(module, "_cell_pass", leaking)
+    monkeypatch.setattr(voi, "_cell_pass", leaking)
 
 
 PROBE_DRAWS = 500
@@ -413,14 +412,13 @@ class TestPropertySuite:
             else _random_mixture_instance(rng)
             for trial in range(12)
         ]
-        build, calls = updating._choice_groups, []
+        build, calls = voi._choice_groups, []
 
         def counted(problem, policy):
             calls.append(problem)
             return build(problem, policy)
 
-        for module in (updating, voi):
-            monkeypatch.setattr(module, "_choice_groups", counted)
+        monkeypatch.setattr(voi, "_choice_groups", counted)
         for trial, instance in enumerate(instances):
             calls.clear()
             checked, failures = {}, []
@@ -432,7 +430,7 @@ class TestPropertySuite:
         """Ties are probed on each draw's base credences, so a draw that is
         thrown away is never expanded or evaluated: the suite's only choice
         map is each instance's evaluate."""
-        choice_groups, expand = updating._choice_groups, properties.mixture_expand
+        choice_groups, expand = voi._choice_groups, properties.mixture_expand
         built = {"choice maps": 0, "expansions": 0}
 
         def counted_choice_groups(problem, policy):
@@ -443,8 +441,7 @@ class TestPropertySuite:
             built["expansions"] += 1
             return expand(*args)
 
-        for module in (updating, voi):
-            monkeypatch.setattr(module, "_choice_groups", counted_choice_groups)
+        monkeypatch.setattr(voi, "_choice_groups", counted_choice_groups)
         monkeypatch.setattr(properties, "mixture_expand", counted_expand)
         assert property_suite(0, 12).ok
         assert built == {"choice maps": 12, "expansions": 6}

@@ -24,11 +24,10 @@ from infovalue.errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from infovalue.prob import Credence, Event, StateSpace, condition
+from infovalue.prob import Credence, Event, EvidencePartition, StateSpace, condition
 from infovalue.scenarios import GAMBLERS, build_scenario
 from infovalue.updating import (
     DeviationSpec,
-    EvidencePartition,
     UpdatePolicy,
     conditionalization_policy,
     deviating_states,
@@ -962,16 +961,17 @@ class TestChoiceMapAgainstTheOracle:
         ids = problem.choices.ids()
         chosen = sorted(
             (i, ids[k])
-            for groups in updating._choice_groups(problem, policy)
+            for groups in voi._choice_groups(problem, policy)
             for k, group in groups.items()
             for i in group
         )
         assert [(states[i], a) for i, a in chosen] == list(expected.items())
         assert val_general(problem, policy) == brute_val_general(problem, policy)
         witness = brute_independence_witness(problem, policy)
-        groups = updating._choice_groups(problem, policy)
-        assert updating._first_leak(problem, policy, groups) == witness
+        groups = voi._choice_groups(problem, policy)
+        leak = voi._first_leak(problem, policy, groups)
         if witness is None:
+            assert leak is None
             report = evaluate(problem, policy)
             assert list(report.chosen_by_state.items()) == list(expected.items())
             for row in (r for c in report.per_cell for r in c.rows):
@@ -979,10 +979,10 @@ class TestChoiceMapAgainstTheOracle:
             assert report.val_good == brute_val_good(problem, policy.partition)
         else:
             cell, action, probe = witness
-            assert _outcome(evaluate, problem, policy) == (
-                IndependenceBrokenError,
-                str(IndependenceBrokenError(cell, action.id, probe.id)),
+            assert (leak.cell, leak.chosen_action, leak.probe_action) == (
+                cell, action.id, probe.id
             )
+            assert _outcome(evaluate, problem, policy) == (IndependenceBrokenError, str(leak))
 
 
 class TestFirstByOrderTies:
