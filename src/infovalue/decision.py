@@ -81,12 +81,6 @@ class OutcomeSpace:
     def __contains__(self, outcome: object) -> bool:
         return outcome in self.utility
 
-    def u(self, outcome: str) -> Fraction:
-        try:
-            return self.utility[outcome]
-        except KeyError:
-            raise ValidationError(f"unknown outcome {outcome!r}") from None
-
 
 @dataclass(frozen=True)
 class Action:
@@ -103,14 +97,6 @@ class Action:
             raise ValidationError(f"action ids must be non-empty strings, got {self.id!r}")
         _check_types(("assignment", self.assignment, Mapping))
         object.__setattr__(self, "assignment", dict(self.assignment))
-
-    def outcome_in(self, state: str) -> str:
-        try:
-            return self.assignment[state]
-        except KeyError:
-            raise ValidationError(
-                f"action {self.id!r} assigns no outcome to state {state!r}"
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -137,12 +123,6 @@ class ChoiceSet:
 
     def ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.actions)
-
-    def by_id(self, action_id: str) -> Action:
-        for a in self.actions:
-            if a.id == action_id:
-                return a
-        raise ValidationError(f"no action with id {action_id!r}")
 
 
 @dataclass(frozen=True)

@@ -333,10 +333,6 @@ class Credence:
             raise ValidationError(f"unknown state {state!r}")
         return Fraction(self.nums[position], self.den)
 
-    def support(self) -> tuple[str, ...]:
-        """Positive-probability states, in state-space order."""
-        return tuple(s for s, n in zip(self.space.states, self.nums) if n)
-
 
 def probability(credence: Credence, event: Event) -> Fraction:
     """Total mass the credence assigns to the event."""

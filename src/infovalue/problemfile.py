@@ -67,8 +67,6 @@ from .updating import (
 )
 
 __all__ = [
-    "format_rational",
-    "parse_rational",
     "problem_document",
     "canonical_json",
     "dumps",
@@ -76,15 +74,6 @@ __all__ = [
     "save_problem",
     "load_problem",
 ]
-
-
-def format_rational(value: Any) -> str:
-    """``value`` in lowest terms as ``"num"`` or ``"num/den"``.
-
-    Accepts what :func:`~infovalue.prob.as_fraction` accepts and refuses
-    the rest (floats, bools, decimal strings) with a ``ValidationError``.
-    """
-    return _format(*_ratio(value))
 
 
 def _format(num: int, den: int) -> str:
@@ -95,13 +84,12 @@ def _format(num: int, den: int) -> str:
     return f"{num // common}/{den // common}"
 
 
-def parse_rational(text: Any, location: str) -> Fraction:
-    """Parse a rational string in :func:`as_fraction`'s grammar; refuse non-strings."""
-    return Fraction(*_located_ratio(text, location))
-
-
 def _located_ratio(text: Any, location: str) -> tuple[int, int]:
-    """:func:`parse_rational`'s integer pair, unreduced, with the same refusals."""
+    """A rational string in :func:`as_fraction`'s grammar as an unreduced integer pair.
+
+    A non-string, or a string the grammar refuses, raises
+    ``RationalFormatError`` at ``location``.
+    """
     if not isinstance(text, str):
         raise RationalFormatError(
             location,
@@ -142,8 +130,7 @@ def problem_document(problem: DecisionProblem, policy: UpdatePolicy) -> dict:
         {"id": o, "utility": str(utility[o])} for o in problem.outcomes.outcomes
     ]
     actions = [
-        {"id": a.id, "map": {s: a.outcome_in(s) for s in problem.space}}
-        for a in problem.choices
+        {"id": a.id, "map": dict(a.assignment)} for a in problem.choices
     ]
     partition = [list(cell.sorted_members()) for cell in policy.partition.cells]
     conditions = True
@@ -337,7 +324,7 @@ def _parse_states(doc: Any) -> tuple[StateSpace, Credence]:
 
 def _parse_outcomes(doc: Any) -> OutcomeSpace:
     utilities = {
-        outcome: parse_rational(utility, f"{loc}.utility")
+        outcome: Fraction(*_located_ratio(utility, f"{loc}.utility"))
         for loc, outcome, utility in _named_entries(doc, "outcomes", "utility")
     }
     return OutcomeSpace(tuple(utilities), utilities)

@@ -281,7 +281,7 @@ def mixture_expand(
         )
 
     actions = tuple(
-        Action(a.id, {t: a.outcome_in(s) for s, pair in lifted.items() for t in pair})
+        Action(a.id, {t: a.assignment[s] for s, pair in lifted.items() for t in pair})
         for a in problem.choices
     )
     expanded = DecisionProblem(

@@ -196,9 +196,8 @@ class TestDemonstrateAversion:
         assert cert.problem.space == TWO
         assert cert.problem.prior == TWO_PRIOR
         assert cert.problem.choices.ids() == (SAFE_ID, RISKY_ID)
-        risky = cert.problem.choices.by_id(RISKY_ID)
-        assert risky.outcome_in("g") == "win"
-        assert risky.outcome_in("h") == "loss"
+        _, risky = cert.problem.choices
+        assert risky.assignment == {"g": "win", "h": "loss"}
 
     def test_value_matches_the_brute_oracle(self):
         cert = demonstrate_aversion(two_state_problem(), skewed_policy())
@@ -229,8 +228,8 @@ class TestDemonstrateAversion:
         )
         assert (cert.bet_win, cert.bet_loss) == (Fraction(3, 10), Fraction(7, 10))
         # q < r, so the bet rides on the complement: second flip tails
-        risky = cert.problem.choices.by_id(RISKY_ID)
-        wins_on = {s for s in cert.problem.space if risky.outcome_in(s) == "win"}
+        _, risky = cert.problem.choices
+        wins_on = {s for s, o in risky.assignment.items() if o == "win"}
         assert wins_on == {"ht·bayes", "ht·fallacy"}
         assert cert.val_general == Fraction(-1, 100)
 

@@ -93,13 +93,11 @@ PUBLIC = [
     "dumps",
     "evaluate",
     "expected_utility",
-    "format_rational",
     "is_partition",
     "is_relevant",
     "load_problem",
     "loads",
     "mixture_expand",
-    "parse_rational",
     "probability",
     "problem_document",
     "property_suite",

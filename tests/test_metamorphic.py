@@ -2,12 +2,13 @@
 
 Each relation transforms a drawn instance and says exactly how the report
 must change, so no second computation of a value is needed.  Instances are
-built with the property suite's generators at 16 to 64 states, from fixed
-seeds: literal conditionalization on a drawn problem, and the mixture
-expansion of a drawn problem (8 to 32 base states) with a drawn self-doubt
-disposition.  Where ``evaluate`` refuses because choices leak, the
-transformed instance must be refused with the same witness, carried
-across.
+built with the property suite's generators on eight fixed seeds, in two
+tiers of 16 to 64 and 64 to 128 states.  Each tier draws literal
+conditionalization on a drawn problem, and the mixture expansion of a
+drawn problem on half as many base states (8 to 32, or 32 to 64) with a
+drawn self-doubt disposition.  Where ``evaluate`` refuses because choices
+leak, the transformed instance must be refused with the same witness,
+carried across.
 
 - Relabel the states and permute their order: the values, the cells (in
   declared order) and each row's act id are unchanged, and each row's
@@ -53,25 +54,28 @@ from infovalue.updating import (
 from infovalue.voi import evaluate, val_general, val_good
 
 SEEDS = range(8)
+TIERS = {"": (16, 64), "-64to128": (64, 128)}  # states drawn, by test id suffix
 
 
-def conditionalization_instance(rng):
+def conditionalization_instance(rng, states):
     """A drawn problem, its conditionalizer, and the first tie of its posteriors."""
-    problem, partition = _random_problem(rng, 16, 64)
+    problem, partition = _random_problem(rng, *states)
     policy = conditionalization_policy(problem.prior, partition)
     return problem, policy, _probe_ties(problem, partition, {})
 
 
-def mixture_instance(rng):
+def mixture_instance(rng, states):
     """A drawn mixture expansion, and the first tie of its base credences."""
-    base, partition = _random_problem(rng, 8, 32, need_wide_cell=True)
+    low, high = states
+    base, partition = _random_problem(rng, low // 2, high // 2, need_wide_cell=True)
     spec = _random_deviation_spec(rng, base.prior, partition)
     tie = _probe_ties(base, partition, spec.deviant_posteriors)
     return (*mixture_expand(base, partition, spec), tie)
 
 
 INSTANCES = [
-    pytest.param(draw, seed, id=f"{draw.__name__.split('_')[0]}-{seed}")
+    pytest.param(draw, seed, states, id=f"{draw.__name__.split('_')[0]}{suffix}-{seed}")
+    for suffix, states in TIERS.items()
     for draw in (conditionalization_instance, mixture_instance)
     for seed in SEEDS
 ]
@@ -139,11 +143,12 @@ def carried(result, name=None, scale=1):
     )
 
 
-@pytest.mark.parametrize("draw, seed", INSTANCES)
-def test_relabelling_and_permuting_the_states_maps_the_report_across(draw, seed):
+@pytest.mark.parametrize("draw, seed, states", INSTANCES)
+def test_relabelling_and_permuting_the_states_maps_the_report_across(draw, seed, states):
     rng = random.Random(f"metamorphic:{seed}")
-    problem, policy, _ = draw(rng)
-    assert 16 <= len(problem.space) <= 64
+    problem, policy, _ = draw(rng, states)
+    low, high = states
+    assert low <= len(problem.space) <= high
     moved_problem, moved_policy, name = relabelled(problem, policy, rng)
     assert moved_problem.space.states != problem.space.states
     assert carried(outcome(moved_problem, moved_policy)) == carried(
@@ -151,9 +156,9 @@ def test_relabelling_and_permuting_the_states_maps_the_report_across(draw, seed)
     )
 
 
-@pytest.mark.parametrize("draw, seed", INSTANCES)
-def test_copies_of_the_acts_listed_last_are_never_chosen(draw, seed):
-    problem, policy, _ = draw(random.Random(f"metamorphic:{seed}"))
+@pytest.mark.parametrize("draw, seed, states", INSTANCES)
+def test_copies_of_the_acts_listed_last_are_never_chosen(draw, seed, states):
+    problem, policy, _ = draw(random.Random(f"metamorphic:{seed}"), states)
     copies = tuple(Action(f"copy-of-{a.id}", a.assignment) for a in problem.choices)
     widened = dataclasses.replace(
         problem, choices=ChoiceSet(problem.choices.actions + copies)
@@ -167,9 +172,9 @@ def test_copies_of_the_acts_listed_last_are_never_chosen(draw, seed):
 SCALE = Fraction(7, 5)  # drawn utilities have denominators 1 to 4
 
 
-@pytest.mark.parametrize("draw, seed", INSTANCES)
-def test_scaling_every_utility_scales_every_value(draw, seed):
-    problem, policy, _ = draw(random.Random(f"metamorphic:{seed}"))
+@pytest.mark.parametrize("draw, seed, states", INSTANCES)
+def test_scaling_every_utility_scales_every_value(draw, seed, states):
+    problem, policy, _ = draw(random.Random(f"metamorphic:{seed}"), states)
     utility = problem.outcomes.utility
     scaled = dataclasses.replace(problem, outcomes=OutcomeSpace(
         problem.outcomes.outcomes, {o: u * SCALE for o, u in utility.items()}
@@ -200,10 +205,10 @@ def shifted(problem, rng):
     )
 
 
-@pytest.mark.parametrize("draw, seed", INSTANCES)
-def test_adding_a_function_of_the_state_to_every_act_changes_no_value(draw, seed):
+@pytest.mark.parametrize("draw, seed, states", INSTANCES)
+def test_adding_a_function_of_the_state_to_every_act_changes_no_value(draw, seed, states):
     rng = random.Random(f"metamorphic:{seed}")
-    problem, policy, _ = draw(rng)
+    problem, policy, _ = draw(rng, states)
     moved = shifted(problem, rng)
     assert moved.prior == problem.prior
     assert (val_good(moved, policy.partition), val_general(moved, policy)) == (
@@ -211,9 +216,11 @@ def test_adding_a_function_of_the_state_to_every_act_changes_no_value(draw, seed
     )
 
 
-@pytest.mark.parametrize("draw, seed", INSTANCES)
-def test_reversing_the_acts_of_a_tie_free_draw_changes_no_value_or_choice(draw, seed):
-    problem, policy, tie = draw(random.Random(f"metamorphic:{seed}"))
+@pytest.mark.parametrize("draw, seed, states", INSTANCES)
+def test_reversing_the_acts_of_a_tie_free_draw_changes_no_value_or_choice(
+    draw, seed, states
+):
+    problem, policy, tie = draw(random.Random(f"metamorphic:{seed}"), states)
     reversed_problem = dataclasses.replace(
         problem, choices=ChoiceSet(problem.choices.actions[::-1])
     )

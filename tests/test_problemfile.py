@@ -36,16 +36,16 @@ from infovalue.prob import (
     EvidencePartition,
     StateSpace,
     condition,
+    as_fraction,
     probability,
 )
 from infovalue.problemfile import (
+    _located_ratio,
     _overwrite,
     canonical_json,
     dumps,
-    format_rational,
     load_problem,
     loads,
-    parse_rational,
     problem_document,
     save_problem,
 )
@@ -200,31 +200,29 @@ def mutated_text(mutate):
 
 class TestRationals:
     def test_format_is_lowest_terms(self):
-        assert format_rational(Fraction(2, 4)) == "1/2"
-        assert format_rational(Fraction(-6, 3)) == "-2"
-        assert format_rational(Fraction(0)) == "0"
+        assert str(as_fraction(Fraction(2, 4))) == "1/2"
+        assert str(as_fraction("-6/3")) == "-2"
+        assert str(as_fraction(0)) == "0"
 
     def test_parse_round_trips(self):
         for text in ("0", "1", "-2", "3/4", "-7/3", "+5/10"):
-            assert format_rational(parse_rational(text, "here")) == format_rational(
-                Fraction(text)
-            )
+            assert Fraction(*_located_ratio(text, "here")) == Fraction(text)
 
     def test_decimals_are_rejected(self):
         with pytest.raises(RationalFormatError, match="exact rational"):
-            parse_rational("0.5", "here")
+            _located_ratio("0.5", "here")
         with pytest.raises(RationalFormatError):
-            parse_rational(0.5, "here")
+            _located_ratio(0.5, "here")
         with pytest.raises(RationalFormatError):
-            parse_rational("1e3", "here")
+            _located_ratio("1e3", "here")
 
     def test_zero_denominator(self):
         with pytest.raises(RationalFormatError, match="zero denominator"):
-            parse_rational("1/0", "here")
+            _located_ratio("1/0", "here")
 
     def test_error_carries_its_location(self):
         with pytest.raises(RationalFormatError) as exc:
-            parse_rational("oops", "states[2].prob")
+            _located_ratio("oops", "states[2].prob")
         assert exc.value.location == "states[2].prob"
         assert str(exc.value).startswith("states[2].prob: ")
 
@@ -335,6 +333,20 @@ class TestDocumentShape:
         doc["policy"][0]["posterior"]["a"] = "0"
         assert doc["policy"][1]["posterior"] == {"a": "3/4", "b": "1/4"}
         assert dumps(fixture_problem(), policy) == FIXTURE_TEXT
+
+    def test_the_document_shares_no_dict_with_the_problem_or_the_policy(self):
+        """Rewriting every action map and posterior table of a document
+        leaves the problem, the policy and the next document as they were."""
+        problem, policy = fixture_problem(), explicit_policy()
+        doc = problem_document(problem, policy)
+        tables = [e["map"] for e in doc["actions"]]
+        tables += [e["posterior"] for e in doc["policy"]]
+        for table in tables:
+            table.update(dict.fromkeys(table, "nil"), extra="win")
+        assert problem == fixture_problem()
+        assert [a.assignment["a"] for a in problem.choices] == ["nil", "win"]
+        assert policy == explicit_policy()
+        assert dumps(problem, policy) == FIXTURE_TEXT
 
 
 # strings json must escape: quotes, backslashes, control and non-ASCII
@@ -573,7 +585,7 @@ def keyword_cases(draw):
     cells = draw(st.permutations([Event(space, m) for m in members.values()]))
     partition = EvidencePartition(space, tuple(cells))
     route = draw(st.sampled_from(("this prior", "another prior", "by state")))
-    support = set(prior.support())
+    support = {s for s in space if prior(s)}
     if route == "this prior" and all(cell.members & support for cell in cells):
         return keyword_problem(prior), conditionalization_policy(prior, partition)
     if route == "another prior":
@@ -656,7 +668,7 @@ def spelled_out(problem, policy):
         {
             "state": s,
             "posterior": {
-                t: format_rational(m) for t, m in zip(problem.space, p.mass) if m
+                t: str(m) for t, m in zip(problem.space, p.mass) if m
             },
         }
         for s, p in policy.posteriors.items()
@@ -1145,17 +1157,17 @@ OTHER_SPACE = StateSpace(("x", "y"))
             f"{sys.get_int_max_str_digits()} digits Python reads into an int",
         ),
         (
-            lambda: format_rational(0.1),
+            lambda: as_fraction(0.1),
             ValidationError, "_ratio",
             "expected an exact rational, got float 0.1; "
             "pass a Fraction, an int, or a string like '1/10'",
         ),
         (
-            lambda: format_rational(True),
+            lambda: as_fraction(True),
             ValidationError, "_ratio", "expected an exact rational, got bool True",
         ),
         (
-            lambda: format_rational("0.5"),
+            lambda: as_fraction("0.5"),
             ValidationError, "_ratio",
             "expected an exact rational string like '3/4' or '-2', got '0.5'",
         ),

@@ -242,10 +242,10 @@ class TestMixtureExpand:
 
     def test_actions_ignore_the_disposition(self):
         expanded, _ = expanded_fixture()
-        u_bet = expanded.choices.by_id("u-bet")
-        assert u_bet.outcome_in("u1·stay") == "one"
-        assert u_bet.outcome_in("u1·deviate") == "one"
-        assert u_bet.outcome_in("v2·deviate") == "zero"
+        (u_bet,) = [a for a in expanded.choices if a.id == "u-bet"]
+        assert u_bet.assignment["u1·stay"] == "one"
+        assert u_bet.assignment["u1·deviate"] == "one"
+        assert u_bet.assignment["v2·deviate"] == "zero"
 
     def test_cells_are_lifted_wholesale(self):
         _, policy = expanded_fixture()
@@ -667,7 +667,7 @@ class TestIntegerLeakTest:
             given_cell = conditioned(prior, per_cell.cell.members)
             assert per_cell.max_cond_eu == best_value(problem, given_cell)
             for row in per_cell.rows:
-                action = problem.choices.by_id(row.action_id)
+                (action,) = [a for a in problem.choices if a.id == row.action_id]
                 assert row.cond_eu == eu(problem, action, given_cell)
 
 
